@@ -13,8 +13,9 @@ Two pieces:
   same-network requests costs exactly what :func:`repro.adaptive.batch.plan_batch`
   says a batch-``B`` forward pass costs on this accelerator config.  The
   underlying per-layer schedules go through the PR 1 schedule cache, and the
-  coster memoizes the resulting :class:`~repro.adaptive.batch.BatchRun`
-  per ``(network, B)`` — steady-state serving costs no planning work at all.
+  coster memoizes the resulting :class:`~repro.adaptive.batch.BatchRun` and
+  its seconds per ``(network, B)`` — steady-state serving costs no planning
+  work at all.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class BatchCoster:
         self.policy = policy
         self.include_non_conv = include_non_conv
         self._networks: Dict[str, Network] = {}
-        self._runs: Dict[Tuple[str, int], BatchRun] = {}
+        #: (network, B) -> (planned run, its seconds on one replica)
+        self._runs: Dict[Tuple[str, int], Tuple[BatchRun, float]] = {}
         self.memo_hits = 0
         self.memo_misses = 0
 
@@ -96,13 +98,12 @@ class BatchCoster:
             net = self._networks[name] = build(name)
         return net
 
-    def batch_run(self, network: str, batch_size: int) -> BatchRun:
-        """The planned batch-``batch_size`` run for ``network`` (memoized)."""
+    def _memo(self, network: str, batch_size: int) -> Tuple[BatchRun, float]:
         key = (network, batch_size)
-        run = self._runs.get(key)
-        if run is not None:
+        memo = self._runs.get(key)
+        if memo is not None:
             self.memo_hits += 1
-            return run
+            return memo
         self.memo_misses += 1
         run = plan_batch(
             self._network(network),
@@ -111,13 +112,16 @@ class BatchCoster:
             batch_size=batch_size,
             include_non_conv=self.include_non_conv,
         )
-        self._runs[key] = run
-        return run
+        memo = self._runs[key] = (run, self.config.cycles_to_seconds(run.total_cycles))
+        return memo
+
+    def batch_run(self, network: str, batch_size: int) -> BatchRun:
+        """The planned batch-``batch_size`` run for ``network`` (memoized)."""
+        return self._memo(network, batch_size)[0]
 
     def batch_seconds(self, network: str, batch_size: int) -> float:
-        """Wall-clock seconds one batch occupies an accelerator replica."""
-        run = self.batch_run(network, batch_size)
-        return self.config.cycles_to_seconds(run.total_cycles)
+        """Wall-clock seconds one batch occupies an accelerator replica (memoized)."""
+        return self._memo(network, batch_size)[1]
 
     def image_seconds(self, network: str, batch_size: int) -> float:
         """Per-image service time at a given batch size."""

@@ -32,7 +32,7 @@ from repro.arch.config import AcceleratorConfig
 from repro.errors import ConfigError
 from repro.perf.instrument import phase
 from repro.serve.batcher import BatchCoster, BatchPolicy
-from repro.serve.metrics import MetricsCollector, RequestRecord, to_json
+from repro.serve.metrics import MetricsCollector, to_json
 from repro.serve.queue import AdmissionQueue, QueuePolicy
 from repro.serve.workload import Request
 
@@ -266,18 +266,6 @@ class ServingEngine:
         with phase("serve_run"):
             return self._run(list(requests), duration_s, extra_meta)
 
-    def _ready_candidates(
-        self, queue: AdmissionQueue
-    ) -> List[Tuple[float, float, str]]:
-        """(ready_time, oldest_arrival, network) per non-empty group, sorted."""
-        out = []
-        for net in queue.networks():
-            oldest = queue.oldest_arrival(net)
-            ready = self.batch_policy.ready_time(oldest, queue.depth(net))
-            out.append((ready, oldest, net))
-        out.sort()
-        return out
-
     def _run(
         self,
         requests: List[Request],
@@ -300,7 +288,7 @@ class ServingEngine:
             if i < n:
                 next_times.append(requests[i].arrival_s)
             if len(queue):
-                ready = self._ready_candidates(queue)[0][0]
+                ready = queue.next_ready(self.batch_policy)[0]
                 next_times.append(max(ready, router.peek().free_at))
             t = max(t, min(next_times))
 
@@ -317,7 +305,7 @@ class ServingEngine:
                 replica = router.peek()
                 if replica.free_at > t:
                     break
-                ready, _, network = self._ready_candidates(queue)[0]
+                ready, _, network = queue.next_ready(self.batch_policy)
                 if ready > t:
                     break
                 batch, shed_events = queue.pop_batch(
@@ -339,21 +327,7 @@ class ServingEngine:
                 replica.batches += 1
                 replica.completed += len(batch)
                 router.commit()
-                metrics.record_batch(len(batch))
-                for request in batch:
-                    metrics.record_completion(
-                        RequestRecord(
-                            rid=request.rid,
-                            tenant=request.tenant,
-                            network=request.network,
-                            arrival_s=request.arrival_s,
-                            start_s=t,
-                            finish_s=finish,
-                            deadline_s=request.deadline_s,
-                            batch_size=len(batch),
-                            replica=replica.rid,
-                        )
-                    )
+                metrics.record_served(batch, t, finish, replica.rid)
 
         busy_s = sum(r.busy_s for r in replicas)
         summary = metrics.summary(duration_s, self.n_replicas, busy_s)
@@ -797,15 +771,6 @@ class AdaptiveServingEngine:
             return active[0]
         return min(active, key=lambda r: (r.free_at, r.rid))
 
-    def _ready_candidates(self) -> List[Tuple[float, float, str]]:
-        out = []
-        for net in self._queue.networks():
-            oldest = self._queue.oldest_arrival(net)
-            ready = self.batch_policy.ready_time(oldest, self._queue.depth(net))
-            out.append((ready, oldest, net))
-        out.sort()
-        return out
-
     def advance_to(self, t_end: float) -> None:
         """Run the event loop up to simulated time ``t_end`` and stop.
 
@@ -826,7 +791,7 @@ class AdaptiveServingEngine:
             if len(self._queue):
                 pick = self._pick()
                 if pick is not None:
-                    ready = self._ready_candidates()[0][0]
+                    ready = self._queue.next_ready(self.batch_policy)[0]
                     next_times.append(max(ready, pick.free_at))
             if not next_times:
                 break
@@ -852,7 +817,7 @@ class AdaptiveServingEngine:
                 replica = self._pick()
                 if replica is None or replica.free_at > t:
                     break
-                ready, _, network = self._ready_candidates()[0]
+                ready, _, network = self._queue.next_ready(self.batch_policy)
                 if ready > t:
                     break
                 batch, shed_events = self._queue.pop_batch(
@@ -873,21 +838,7 @@ class AdaptiveServingEngine:
                 replica.completed += len(batch)
                 self._rr_last = replica.rid
                 self.busy_intervals.append((replica.rid, t, finish))
-                self.metrics.record_batch(len(batch))
-                for request in batch:
-                    self.metrics.record_completion(
-                        RequestRecord(
-                            rid=request.rid,
-                            tenant=request.tenant,
-                            network=request.network,
-                            arrival_s=request.arrival_s,
-                            start_s=t,
-                            finish_s=finish,
-                            deadline_s=request.deadline_s,
-                            batch_size=len(batch),
-                            replica=replica.rid,
-                        )
-                    )
+                self.metrics.record_served(batch, t, finish, replica.rid)
         self._apply_crashes(t_end)
         if t_end > self._now and not math.isinf(t_end):
             self._now = t_end

@@ -57,7 +57,7 @@ from repro.errors import ConfigError
 from repro.perf.instrument import phase
 from repro.serve.batcher import BatchCoster, BatchPolicy
 from repro.serve.engine import ServingReport, ROUTING_KINDS
-from repro.serve.metrics import MetricsCollector, RequestRecord
+from repro.serve.metrics import MetricsCollector
 from repro.serve.queue import AdmissionQueue, QueuePolicy
 from repro.serve.verified import SDCFault, VerificationPolicy, VerifiedReplica
 from repro.serve.workload import Request
@@ -431,17 +431,6 @@ class FailoverEngine:
                 mult = max(mult, m)
         return mult
 
-    def _ready_candidates(
-        self, queue: AdmissionQueue
-    ) -> List[Tuple[float, float, str]]:
-        out = []
-        for net in queue.networks():
-            oldest = queue.oldest_arrival(net)
-            ready = self.batch_policy.ready_time(oldest, queue.depth(net))
-            out.append((ready, oldest, net))
-        out.sort()
-        return out
-
     def _pick_replica(
         self, states: List[FaultyReplica], health: HealthChecker, rr_last: int
     ) -> Optional[FaultyReplica]:
@@ -550,7 +539,7 @@ class FailoverEngine:
             if len(queue):
                 pick = self._pick_replica(states, health, rr_last)
                 if pick is not None:
-                    ready = self._ready_candidates(queue)[0][0]
+                    ready = queue.next_ready(self.batch_policy)[0]
                     dispatch_at = max(ready, pick.free_at)
                     if not math.isinf(dispatch_at):
                         next_times.append(dispatch_at)
@@ -612,21 +601,7 @@ class FailoverEngine:
                     else:
                         vrep.escaped_batches += 1
                         vrep.escaped_requests += len(job.requests)
-                metrics.record_batch(len(job.requests))
-                for request in job.requests:
-                    metrics.record_completion(
-                        RequestRecord(
-                            rid=request.rid,
-                            tenant=request.tenant,
-                            network=request.network,
-                            arrival_s=request.arrival_s,
-                            start_s=job.dispatched_at,
-                            finish_s=s.free_at,
-                            deadline_s=request.deadline_s,
-                            batch_size=len(job.requests),
-                            replica=s.rid,
-                        )
-                    )
+                metrics.record_served(job.requests, job.dispatched_at, s.free_at, s.rid)
 
             # -- 3. crash detections ------------------------------------
             for s in states:
@@ -663,7 +638,7 @@ class FailoverEngine:
                 replica = self._pick_replica(states, health, rr_last)
                 if replica is None or replica.free_at > t:
                     break
-                ready, _, network = self._ready_candidates(queue)[0]
+                ready, _, network = queue.next_ready(self.batch_policy)
                 if ready > t:
                     break
                 batch, shed_events = queue.pop_batch(

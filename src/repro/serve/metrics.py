@@ -23,6 +23,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.serve.workload import Request
+
 __all__ = ["RequestRecord", "percentile", "MetricsCollector", "to_json"]
 
 
@@ -106,6 +108,26 @@ class MetricsCollector:
 
     def record_batch(self, size: int) -> None:
         self.batch_sizes.append(size)
+
+    def record_served(
+        self, batch: Sequence[Request], start_s: float, finish_s: float, replica: int
+    ) -> None:
+        """One batch run on ``replica``: its size, and a record per request."""
+        self.record_batch(len(batch))
+        for request in batch:
+            self.record_completion(
+                RequestRecord(
+                    rid=request.rid,
+                    tenant=request.tenant,
+                    network=request.network,
+                    arrival_s=request.arrival_s,
+                    start_s=start_s,
+                    finish_s=finish_s,
+                    deadline_s=request.deadline_s,
+                    batch_size=len(batch),
+                    replica=replica,
+                )
+            )
 
     def record_shed(self, tenant: str, reason: str) -> None:
         self.shed_counts[reason] = self.shed_counts.get(reason, 0) + 1

@@ -19,10 +19,12 @@ batcher can only fuse requests that run the same model.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
+from repro.serve.batcher import BatchPolicy
 from repro.serve.workload import Request
 
 __all__ = ["QueuePolicy", "AdmissionQueue", "ShedEvent", "QUEUE_ORDERS"]
@@ -65,11 +67,22 @@ class ShedEvent:
 
 
 class AdmissionQueue:
-    """Per-network request queues under one :class:`QueuePolicy`."""
+    """Per-network request queues under one :class:`QueuePolicy`.
+
+    Each group is a heap of ``[*order key, seq, request]`` entries (``seq``
+    counts offers, so ties pop in offer order): O(log depth) offer, O(1)
+    oldest arrival, O(batch · log depth) pop.  Under ``edf`` a second heap
+    orders the same entries by arrival; a pop sets the entry's request slot
+    to ``None`` and the arrival heap discards such entries from its top.
+    """
 
     def __init__(self, policy: QueuePolicy = QueuePolicy()) -> None:
         self.policy = policy
-        self._groups: Dict[str, List[Request]] = {}
+        self._edf = policy.order == "edf"
+        self._groups: Dict[str, List[list]] = {}
+        #: edf only: network -> heap of (arrival_s, rid, seq, group entry)
+        self._arrivals: Dict[str, List[tuple]] = {}
+        self._seq = 0
         self._depth = 0
 
     def __len__(self) -> int:
@@ -86,8 +99,21 @@ class AdmissionQueue:
 
     def oldest_arrival(self, network: str) -> float:
         """Arrival time of the longest-waiting request for ``network``."""
-        group = self._groups[network]
-        return min(r.arrival_s for r in group)
+        if not self._edf:
+            return self._groups[network][0][0]
+        arrivals = self._arrivals[network]
+        while arrivals[0][3][-1] is None:
+            heapq.heappop(arrivals)
+        return arrivals[0][0]
+
+    def next_ready(self, batch_policy: BatchPolicy) -> Tuple[float, float, str]:
+        """``(ready_time, oldest_arrival, network)`` of the group to dispatch next."""
+        candidates = []
+        for net in self.networks():
+            oldest = self.oldest_arrival(net)
+            ready = batch_policy.ready_time(oldest, self.depth(net))
+            candidates.append((ready, oldest, net))
+        return min(candidates)
 
     # -- admission --------------------------------------------------------
 
@@ -95,16 +121,21 @@ class AdmissionQueue:
         """Admit ``request`` or return the :class:`ShedEvent` rejecting it."""
         if self._depth >= self.policy.max_depth:
             return ShedEvent(request, SHED_QUEUE_FULL, now)
-        self._groups.setdefault(request.network, []).append(request)
+        seq = self._seq
+        self._seq += 1
+        if self._edf:
+            entry = [request.deadline_s, request.arrival_s, request.rid, seq, request]
+            heapq.heappush(
+                self._arrivals.setdefault(request.network, []),
+                (request.arrival_s, request.rid, seq, entry),
+            )
+        else:
+            entry = [request.arrival_s, request.rid, seq, request]
+        heapq.heappush(self._groups.setdefault(request.network, []), entry)
         self._depth += 1
         return None
 
     # -- dispatch ---------------------------------------------------------
-
-    def _sort_key(self, request: Request) -> Tuple:
-        if self.policy.order == "edf":
-            return (request.deadline_s, request.arrival_s, request.rid)
-        return (request.arrival_s, request.rid)
 
     def pop_batch(
         self, network: str, max_batch: int, now: float
@@ -116,14 +147,12 @@ class AdmissionQueue:
         queue cannot starve fresh requests behind it.
         """
         group = self._groups.get(network, [])
-        group.sort(key=self._sort_key)
         batch: List[Request] = []
         shed: List[ShedEvent] = []
-        kept: List[Request] = []
-        for request in group:
-            if len(batch) >= max_batch:
-                kept.append(request)
-                continue
+        while group and len(batch) < max_batch:
+            entry = heapq.heappop(group)
+            request = entry[-1]
+            entry[-1] = None  # dead in the edf arrival heap
             age = now - request.arrival_s
             if self.policy.max_age_s is not None and age > self.policy.max_age_s:
                 shed.append(ShedEvent(request, SHED_MAX_AGE, now))
@@ -131,6 +160,9 @@ class AdmissionQueue:
                 shed.append(ShedEvent(request, SHED_EXPIRED, now))
             else:
                 batch.append(request)
-        self._groups[network] = kept
         self._depth -= len(batch) + len(shed)
+        arrivals = self._arrivals.get(network, [])
+        if len(arrivals) > 2 * len(group):  # keep it within twice the depth
+            arrivals[:] = [a for a in arrivals if a[3][-1] is not None]
+            heapq.heapify(arrivals)
         return batch, shed

@@ -135,3 +135,50 @@ class TestPopBatch:
         q = AdmissionQueue()
         batch, shed = q.pop_batch("alexnet", 4, 0.0)
         assert batch == [] and shed == []
+
+
+class TestHeapOrder:
+    def test_edf_oldest_arrival_after_oldest_popped_first(self):
+        q = AdmissionQueue(QueuePolicy(order="edf"))
+        q.offer(req(0, arrival=0.0, slo=0.05), 0.0)  # oldest and most urgent
+        q.offer(req(1, arrival=0.1, slo=0.5), 0.1)
+        q.offer(req(2, arrival=0.2, slo=0.3), 0.2)
+        batch, _ = q.pop_batch("alexnet", 1, 0.2)
+        assert [r.rid for r in batch] == [0]
+        assert q.oldest_arrival("alexnet") == 0.1
+        batch, _ = q.pop_batch("alexnet", 1, 0.2)
+        assert [r.rid for r in batch] == [2]  # deadline 0.5 beats 0.6
+        assert q.oldest_arrival("alexnet") == 0.1
+
+    def test_reoffered_request_keeps_its_arrival(self):
+        q = AdmissionQueue()
+        q.offer(req(0, arrival=0.1), 0.1)
+        q.offer(req(1, arrival=0.2), 0.2)
+        (first,), _ = q.pop_batch("alexnet", 1, 0.3)
+        assert q.oldest_arrival("alexnet") == 0.2
+        assert q.offer(first, 0.5) is None  # a retry, offered late
+        assert q.oldest_arrival("alexnet") == 0.1
+        batch, _ = q.pop_batch("alexnet", 2, 0.5)
+        assert [r.rid for r in batch] == [0, 1]
+
+    def test_identical_arrival_and_deadline_pop_in_rid_order(self):
+        for order in ("fifo", "edf"):
+            q = AdmissionQueue(QueuePolicy(order=order))
+            q.offer(req(7, arrival=0.1), 0.1)
+            q.offer(req(3, arrival=0.1), 0.1)
+            batch, _ = q.pop_batch("alexnet", 1, 0.1)
+            assert [r.rid for r in batch] == [3], order
+            batch, _ = q.pop_batch("alexnet", 1, 0.1)
+            assert [r.rid for r in batch] == [7], order
+
+    def test_edf_arrival_heap_stays_bounded(self):
+        q = AdmissionQueue(QueuePolicy(order="edf"))
+        q.offer(req(0, arrival=0.0, slo=100.0), 0.0)  # queued throughout
+        for rid in range(1, 100):
+            t = rid * 0.01
+            q.offer(req(rid, arrival=t, slo=0.01), t)
+            batch, _ = q.pop_batch("alexnet", 1, t)
+            assert [r.rid for r in batch] == [rid]
+            assert q.oldest_arrival("alexnet") == 0.0
+            # popped entries are compacted away, not kept behind the head
+            assert len(q._arrivals["alexnet"]) <= 2 * q.depth("alexnet")

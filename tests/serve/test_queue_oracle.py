@@ -1,0 +1,196 @@
+"""Differential test: the heap-ordered queue against the sort-and-scan oracle.
+
+``SortScanQueue`` is the original list-backed ``AdmissionQueue``, kept
+verbatim: every ``pop_batch`` re-sorts the whole group and rebuilds it, and
+``oldest_arrival`` min-scans it.  It is slow but obviously right, so the
+production queue must agree with it on every batch, shed event, head and
+depth, whatever sequence of offers and pops drives them.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Tuple
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.serve.batcher import BatchPolicy
+from repro.serve.queue import (
+    SHED_EXPIRED,
+    SHED_MAX_AGE,
+    SHED_QUEUE_FULL,
+    AdmissionQueue,
+    QueuePolicy,
+    ShedEvent,
+)
+from repro.serve.workload import Request
+
+
+class SortScanQueue:
+    """Per-network request queues under one :class:`QueuePolicy`."""
+
+    def __init__(self, policy: QueuePolicy = QueuePolicy()) -> None:
+        self.policy = policy
+        self._groups: Dict[str, List[Request]] = {}
+        self._depth = 0
+
+    def __len__(self) -> int:
+        return self._depth
+
+    def depth(self, network: Optional[str] = None) -> int:
+        if network is None:
+            return self._depth
+        return len(self._groups.get(network, ()))
+
+    def networks(self) -> List[str]:
+        """Networks with queued requests, in deterministic name order."""
+        return sorted(name for name, group in self._groups.items() if group)
+
+    def oldest_arrival(self, network: str) -> float:
+        """Arrival time of the longest-waiting request for ``network``."""
+        group = self._groups[network]
+        return min(r.arrival_s for r in group)
+
+    # -- admission --------------------------------------------------------
+
+    def offer(self, request: Request, now: float) -> Optional[ShedEvent]:
+        """Admit ``request`` or return the :class:`ShedEvent` rejecting it."""
+        if self._depth >= self.policy.max_depth:
+            return ShedEvent(request, SHED_QUEUE_FULL, now)
+        self._groups.setdefault(request.network, []).append(request)
+        self._depth += 1
+        return None
+
+    # -- dispatch ---------------------------------------------------------
+
+    def _sort_key(self, request: Request) -> Tuple:
+        if self.policy.order == "edf":
+            return (request.deadline_s, request.arrival_s, request.rid)
+        return (request.arrival_s, request.rid)
+
+    def pop_batch(
+        self, network: str, max_batch: int, now: float
+    ) -> Tuple[List[Request], List[ShedEvent]]:
+        """Take up to ``max_batch`` servable requests for ``network``.
+
+        Requests that aged out (or expired) while queued are shed rather
+        than returned; shedding continues past them so a stale head of the
+        queue cannot starve fresh requests behind it.
+        """
+        group = self._groups.get(network, [])
+        group.sort(key=self._sort_key)
+        batch: List[Request] = []
+        shed: List[ShedEvent] = []
+        kept: List[Request] = []
+        for request in group:
+            if len(batch) >= max_batch:
+                kept.append(request)
+                continue
+            age = now - request.arrival_s
+            if self.policy.max_age_s is not None and age > self.policy.max_age_s:
+                shed.append(ShedEvent(request, SHED_MAX_AGE, now))
+            elif self.policy.shed_expired and now > request.deadline_s:
+                shed.append(ShedEvent(request, SHED_EXPIRED, now))
+            else:
+                batch.append(request)
+        self._groups[network] = kept
+        self._depth -= len(batch) + len(shed)
+        return batch, shed
+
+
+def reference_next_ready(
+    queue: SortScanQueue, batch_policy: BatchPolicy
+) -> Tuple[float, float, str]:
+    """The engines' original ready scan: build, sort, read ``[0]``."""
+    out = []
+    for net in queue.networks():
+        oldest = queue.oldest_arrival(net)
+        ready = batch_policy.ready_time(oldest, queue.depth(net))
+        out.append((ready, oldest, net))
+    out.sort()
+    return out[0]
+
+
+NETWORKS = ("alexnet", "googlenet", "nin")
+#: a coarse time grid, so equal arrivals and deadlines are common
+TIMES = st.integers(min_value=0, max_value=20).map(lambda k: k * 0.05)
+
+policies = st.builds(
+    QueuePolicy,
+    max_depth=st.integers(min_value=1, max_value=12),
+    order=st.sampled_from(("fifo", "edf")),
+    max_age_s=st.sampled_from((None, 0.1, 0.3)),
+    shed_expired=st.booleans(),
+)
+batch_policies = st.builds(
+    BatchPolicy,
+    max_batch=st.integers(min_value=1, max_value=4),
+    max_wait_ms=st.sampled_from((0.0, 10.0, 100.0)),
+)
+offer_op = st.tuples(
+    st.just("offer"),
+    st.sampled_from(NETWORKS),
+    TIMES,
+    st.sampled_from((0.05, 0.1, 0.25)),
+    TIMES,
+)
+# re-offer the i-th popped request (modulo how many were popped), as a
+# failover retry does, with its original arrival time
+reoffer_op = st.tuples(st.just("reoffer"), st.integers(0, 50), TIMES)
+pop_op = st.tuples(
+    st.just("pop"), st.sampled_from(NETWORKS), st.integers(0, 5), TIMES
+)
+# max_batch = the queue's depth (the failover drain) or the group's
+# (the adaptive engine's ``finish()`` drain)
+drain_op = st.tuples(st.just("drain"), st.sampled_from(NETWORKS), st.booleans(), TIMES)
+operations = st.lists(
+    st.one_of(offer_op, offer_op, reoffer_op, pop_op, drain_op), max_size=60
+)
+
+
+def assert_same_state(new: AdmissionQueue, old: SortScanQueue, batch_policy) -> None:
+    assert len(new) == len(old)
+    assert new.depth() == old.depth()
+    assert new.networks() == old.networks()
+    for net in NETWORKS:
+        assert new.depth(net) == old.depth(net)
+    for net in old.networks():
+        assert new.oldest_arrival(net) == old.oldest_arrival(net)
+    if len(old):
+        assert new.next_ready(batch_policy) == reference_next_ready(old, batch_policy)
+
+
+@settings(max_examples=300, deadline=None)
+@given(policy=policies, batch_policy=batch_policies, ops=operations)
+def test_heap_queue_matches_sort_and_scan(policy, batch_policy, ops):
+    new, old = AdmissionQueue(policy), SortScanQueue(policy)
+    popped: List[Request] = []
+    next_rid = 0
+    for op in ops:
+        kind = op[0]
+        if kind in ("offer", "reoffer"):
+            if kind == "offer":
+                _, net, arrival, slo, now = op
+                request = Request(
+                    rid=next_rid,
+                    tenant=f"t{next_rid % 2}",
+                    network=net,
+                    arrival_s=arrival,
+                    deadline_s=arrival + slo,
+                )
+                next_rid += 1
+            else:
+                if not popped:
+                    continue
+                _, index, now = op
+                request = popped[index % len(popped)]
+            assert new.offer(request, now) == old.offer(request, now)
+        else:
+            _, net, size, now = op
+            if kind == "drain":  # size is a flag: the whole queue, or the group
+                size = max(1, len(old) if size else old.depth(net))
+            got = new.pop_batch(net, size, now)
+            want = old.pop_batch(net, size, now)
+            assert got == want
+            popped.extend(got[0])
+        assert_same_state(new, old, batch_policy)
