@@ -42,10 +42,10 @@ from repro.arch.config import CONFIG_16_16
 from repro.control.chaos_scenarios import (
     CONTROL_SCENARIO_NAMES,
     build_control_scenario,
-    rollup_to_json,
     run_control_scenario,
 )
 from repro.perf import parallel_map
+from repro.serve.metrics import to_json
 
 SEED = 1
 SMOKE_SCENARIOS = ("crash-replace", "loop-restart", "composite-storm")
@@ -108,7 +108,7 @@ def main(argv=None) -> int:
         and storm_row["attainment_healing"] > storm_row["attainment_nonhealing"]
     )
     invariants_hold = all(r["invariants_pass"] for r in rows)
-    deterministic = rollup_to_json(storm) == rollup_to_json(
+    deterministic = to_json(storm) == to_json(
         _run_one(HEADLINE_SCENARIO)
     )
 

@@ -25,7 +25,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import platform
 import sys
@@ -33,7 +32,8 @@ import sys
 from repro.arch.config import CONFIG_16_16
 from repro.control import (
     AutoscalePolicy,
-    ControlLoop,
+    HealingPolicy,
+    SelfHealingControlLoop,
     VerifierPolicy,
     run_static,
     static_fleet_sizes,
@@ -78,11 +78,12 @@ def build_workload(days: float, day_s: float, seed: int, tenants):
 
 
 def run_autoscaled(coster, tenants, requests, duration, seed):
-    loop = ControlLoop(
+    loop = SelfHealingControlLoop(
         CONFIG_16_16,
         tenants,
         autoscale=AutoscalePolicy(epoch_s=2.0, max_replicas=12),
         verifier=VerifierPolicy(),
+        healing=HealingPolicy.disabled(),
         batch_policy=BatchPolicy(max_batch=MAX_BATCH, max_wait_ms=MAX_WAIT_MS),
         queue_policy=QueuePolicy(max_depth=256),
         replicas=1,

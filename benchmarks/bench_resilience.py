@@ -32,12 +32,8 @@ import platform
 import sys
 
 from repro.arch.config import CONFIG_16_16
-from repro.resilience import (
-    SCENARIO_NAMES,
-    build_scenario,
-    rollup_to_json,
-    run_scenario,
-)
+from repro.resilience import SCENARIO_NAMES, build_scenario, run_scenario
+from repro.serve.metrics import to_json
 
 SEED = 1
 SMOKE_SCENARIOS = ("single-crash", "fail-slow", "pe-mask")
@@ -90,7 +86,7 @@ def main(argv=None) -> int:
         and crash_row["goodput_ratio"] >= goodput_floor
     )
     no_drops = all(r["no_silent_drops"] for r in rows)
-    deterministic = rollup_to_json(crash) == rollup_to_json(
+    deterministic = to_json(crash) == to_json(
         run_scenario(build_scenario("single-crash", seed=SEED))
     )
 

@@ -38,13 +38,13 @@ import platform
 import sys
 
 from repro.arch.config import CONFIG_32_32
+from repro.serve.metrics import to_json
 from repro.serve.workload import parse_tenant_mix
 from repro.tenancy import (
     compare_fleets,
     compare_partitioned,
     even_partitions,
     parse_fleet,
-    rollup_to_json,
     worst_tenant_p95,
 )
 
@@ -104,8 +104,8 @@ def main(argv=None) -> int:
     fleet = run_fleet_scenario(duration)
     fleet_rerun = run_fleet_scenario(duration)
     deterministic = (
-        rollup_to_json(part) == rollup_to_json(part_rerun)
-        and rollup_to_json(fleet) == rollup_to_json(fleet_rerun)
+        to_json(part) == to_json(part_rerun)
+        and to_json(fleet) == to_json(fleet_rerun)
     )
 
     het_p95 = worst_tenant_p95(fleet["fleets"]["het"])
@@ -145,7 +145,7 @@ def main(argv=None) -> int:
         "headline": headline,
     }
     with open(args.output, "w") as handle:
-        handle.write(rollup_to_json(payload))
+        handle.write(to_json(payload))
 
     print(
         "partition: worst-tenant p95 "

@@ -267,7 +267,8 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
     )
     from repro.control import (
         AutoscalePolicy,
-        ControlLoop,
+        HealingPolicy,
+        SelfHealingControlLoop,
         VerifierPolicy,
         run_static,
         static_fleet_sizes,
@@ -309,11 +310,12 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
         headroom=args.headroom,
         retune=not args.no_retune,
     )
-    loop = ControlLoop(
+    loop = SelfHealingControlLoop(
         config,
         tenants,
         autoscale=autoscale,
         verifier=VerifierPolicy(),
+        healing=HealingPolicy.disabled(),
         batch_policy=BatchPolicy(
             max_batch=args.max_batch, max_wait_ms=args.max_wait_ms
         ),
@@ -407,13 +409,8 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
 
 
 def cmd_shard(args: argparse.Namespace) -> int:
-    from repro.cluster import (
-        LinkSpec,
-        plan_data_parallel,
-        plan_pipeline,
-        rollup,
-        to_json,
-    )
+    from repro.cluster import LinkSpec, plan_data_parallel, plan_pipeline, rollup
+    from repro.serve.metrics import to_json
 
     net = build(args.network)
     config = named_config(args.config)
@@ -528,8 +525,8 @@ def cmd_chaos_control(args: argparse.Namespace) -> int:
         CONTROL_SCENARIO_NAMES,
         build_control_scenario,
         run_control_scenario,
-        rollup_to_json,
     )
+    from repro.serve.metrics import to_json
 
     if args.list:
         for name in CONTROL_SCENARIO_NAMES:
@@ -554,7 +551,7 @@ def cmd_chaos_control(args: argparse.Namespace) -> int:
         "scenarios": rollups,
     }
     if args.json == "-":
-        print(rollup_to_json(payload), end="")
+        print(to_json(payload), end="")
         return 1 if violations else 0
     rows = []
     for name in names:
@@ -612,19 +609,15 @@ def cmd_chaos_control(args: argparse.Namespace) -> int:
         print(f"\nINVARIANT VIOLATED: {name}: {inv}")
     if args.json:
         with open(args.json, "w") as handle:
-            handle.write(rollup_to_json(payload))
+            handle.write(to_json(payload))
         print(f"\nchaos JSON written to {args.json}")
     return 1 if violations else 0
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
-    from repro.resilience import (
-        SCENARIO_NAMES,
-        build_scenario,
-        rollup_to_json,
-        run_scenario,
-    )
+    from repro.resilience import SCENARIO_NAMES, build_scenario, run_scenario
+    from repro.serve.metrics import to_json
 
     if args.control:
         return cmd_chaos_control(args)
@@ -651,7 +644,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         "scenarios": rollups,
     }
     if args.json == "-":
-        print(rollup_to_json(payload), end="")
+        print(to_json(payload), end="")
         return 1 if violations else 0
     rows = []
     for name in names:
@@ -725,7 +718,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(f"\nINVARIANT VIOLATED: {name}: {inv}")
     if args.json:
         with open(args.json, "w") as handle:
-            handle.write(rollup_to_json(payload))
+            handle.write(to_json(payload))
         print(f"\nchaos JSON written to {args.json}")
     return 1 if violations else 0
 
@@ -741,8 +734,8 @@ def cmd_tenancy(args: argparse.Namespace) -> int:
         compare_partitioned,
         even_partitions,
         parse_fleet,
-        rollup_to_json,
     )
+    from repro.serve.metrics import to_json
 
     tenants = parse_tenant_mix(args.tenants, slo_ms=args.slo_ms)
     batch_policy = BatchPolicy(
@@ -785,7 +778,7 @@ def cmd_tenancy(args: argparse.Namespace) -> int:
             plan_policy=args.policy,
         )
         if args.json == "-":
-            print(rollup_to_json(rollup), end="")
+            print(to_json(rollup), end="")
             return 0
         head = rollup["headline"]
         p95 = head["worst_tenant_p95_ms"]
@@ -849,7 +842,7 @@ def cmd_tenancy(args: argparse.Namespace) -> int:
             plan_policy=args.policy,
         )
         if args.json == "-":
-            print(rollup_to_json(rollup), end="")
+            print(to_json(rollup), end="")
             return 0
         head = rollup["headline"]
         print(
@@ -881,7 +874,7 @@ def cmd_tenancy(args: argparse.Namespace) -> int:
         print(f"\nwinner: {head['winner']}")
     if args.json:
         with open(args.json, "w") as handle:
-            handle.write(rollup_to_json(rollup))
+            handle.write(to_json(rollup))
         print(f"\ntenancy JSON written to {args.json}")
     return 0
 

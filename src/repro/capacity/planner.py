@@ -31,7 +31,6 @@ cache counters are text-report only).
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from repro.capacity.grid import Candidate, CandidateGrid
 from repro.errors import ConfigError
 from repro.perf.cache import schedule_cache
 from repro.perf.parallel import parallel_map
+from repro.serve.metrics import to_json
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -500,8 +500,7 @@ def report_to_json(report: Dict[str, object]) -> str:
     of ``--jobs``, cache warmth, or rerun count: the volatile ``"cache"``
     section is excluded (it lives in :func:`render_report` instead).
     """
-    payload = {k: v for k, v in report.items() if k != "cache"}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return to_json({k: v for k, v in report.items() if k != "cache"})
 
 
 def render_report(report: Dict[str, object], top: int = 0) -> str:

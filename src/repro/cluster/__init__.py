@@ -44,12 +44,7 @@ from repro.cluster.replica import (
     compare_compositions,
     compare_deployments,
 )
-from repro.cluster.rollup import (
-    rollup,
-    rollup_data_parallel,
-    rollup_pipeline,
-    to_json,
-)
+from repro.cluster.rollup import rollup, rollup_data_parallel, rollup_pipeline
 
 __all__ = [
     "ChipShard",
@@ -71,5 +66,4 @@ __all__ = [
     "rollup_data_parallel",
     "rollup_pipeline",
     "shard_sizes",
-    "to_json",
 ]

@@ -11,7 +11,6 @@ produce identical bytes.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Dict, Union
 
@@ -20,7 +19,7 @@ from repro.cluster.pipeline import PipelinePlan
 from repro.errors import ConfigError
 from repro.cluster.link import LinkSpec
 
-__all__ = ["rollup", "rollup_pipeline", "rollup_data_parallel", "to_json"]
+__all__ = ["rollup", "rollup_pipeline", "rollup_data_parallel"]
 
 
 def _round(x: float) -> float:
@@ -103,8 +102,3 @@ def rollup(
     if isinstance(plan, DataParallelPlan):
         return rollup_data_parallel(plan)
     raise ConfigError(f"cannot roll up {type(plan).__name__}")
-
-
-def to_json(summary: Dict[str, object]) -> str:
-    """Canonical JSON: sorted keys, stable layout, newline-terminated."""
-    return json.dumps(summary, indent=2, sort_keys=True) + "\n"

@@ -25,25 +25,28 @@ The loop runs at simulated-time epoch boundaries, split the classic way:
 - :mod:`repro.control.verifier` — the **verifier**: confirms every action
   took effect within a deadline and freezes scaling when it detects
   oscillation;
-- :mod:`repro.control.loop` — :class:`~repro.control.loop.ControlLoop`
-  stepping all four per epoch, plus the static peak-/mean-provisioned
-  baselines (:func:`~repro.control.loop.run_static`) the autoscaler is
-  judged against on diurnal flash-crowd traces in
-  ``benchmarks/bench_control.py``.
+- :mod:`repro.control.healing` —
+  :class:`~repro.control.healing.SelfHealingControlLoop` stepping all four
+  per epoch; with :meth:`~repro.control.healing.HealingPolicy.disabled`
+  it is the plain autoscaler ``repro autoscale`` runs;
+- :mod:`repro.control.loop` — the run's
+  :class:`~repro.control.loop.ControlReport`, plus the static
+  peak-/mean-provisioned baselines
+  (:func:`~repro.control.loop.run_static`) the autoscaler is judged
+  against on diurnal flash-crowd traces in ``benchmarks/bench_control.py``.
 
-PR 10 adds the self-healing layer on top:
+The same loop heals itself when its policy says so:
 
 - :mod:`repro.control.chaos` — fault injection for the control plane
   itself: tampered telemetry windows (loss/stale/duplicate), actuation
   that fails or partially applies, controller crash-restart, and the
   safe-mode controller that freezes actuation when control-plane faults
   storm;
-- :mod:`repro.control.healing` —
-  :class:`~repro.control.healing.SelfHealingControlLoop`: the PR-7 loop
-  plus fleet probes, repair planning (replace crashed replicas, replan
-  degraded geometries through Algorithm 2, placement-aware spares),
-  recovery deadlines with rollback to last-known-good, and journal-based
-  restart after controller crashes;
+- :class:`~repro.control.healing.HealingPolicy` arms fleet probes,
+  repair planning (replace crashed replicas, replan degraded geometries
+  through Algorithm 2, placement-aware spares), recovery deadlines with
+  rollback to last-known-good, and journal-based restart after
+  controller crashes;
 - :mod:`repro.control.chaos_scenarios` — the chaos-under-autoscaling
   suite (``repro chaos --control``): every scenario runs four arms on
   identical seeded traffic and enforces named invariants.
@@ -83,12 +86,7 @@ from repro.control.healing import (
     SelfHealingControlLoop,
     probe_fleet,
 )
-from repro.control.loop import (
-    ControlLoop,
-    ControlReport,
-    run_static,
-    static_fleet_sizes,
-)
+from repro.control.loop import ControlReport, run_static, static_fleet_sizes
 from repro.control.policy import (
     ACTION_KINDS,
     BATCH_CANDIDATES,
@@ -113,7 +111,6 @@ __all__ = [
     "CONTROL_SCENARIO_NAMES",
     "ControlChaosScenario",
     "ControlFaultSchedule",
-    "ControlLoop",
     "ControlReport",
     "Detector",
     "Expectation",

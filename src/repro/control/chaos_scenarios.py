@@ -43,7 +43,6 @@ renders byte-stable through :func:`repro.serve.metrics.to_json`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -55,9 +54,9 @@ from repro.resilience.faults import (
     PEMask,
     ReplicaFault,
 )
+from repro.resilience.scenarios import goodput_series, mttr_ms
 from repro.serve.batcher import BatchCoster, BatchPolicy
 from repro.serve.engine import AdaptiveServingEngine
-from repro.serve.metrics import to_json
 from repro.serve.workload import diurnal_arrivals, parse_mix, poisson_arrivals
 from repro.control.chaos import (
     ActuationFault,
@@ -77,7 +76,6 @@ __all__ = [
     "ControlChaosScenario",
     "run_control_scenario",
     "build_control_scenario",
-    "rollup_to_json",
     "CONTROL_INVARIANT_NAMES",
     "CONTROL_SCENARIO_NAMES",
 ]
@@ -248,25 +246,6 @@ def _first_fault_s(schedule: FaultSchedule) -> Optional[float]:
     return min(times) if times else None
 
 
-def _goodput_series(
-    records, start_s: float, end_s: float, window_s: float
-) -> List[Tuple[float, float]]:
-    if end_s <= start_s:
-        return []
-    n_windows = int(math.ceil((end_s - start_s) / window_s))
-    counts = [0] * n_windows
-    for r in records:
-        if not r.met_deadline:
-            continue
-        k = int((r.finish_s - start_s) // window_s)
-        if 0 <= k < n_windows:
-            counts[k] += 1
-    return [
-        (start_s + k * window_s, counts[k] / window_s)
-        for k in range(n_windows)
-    ]
-
-
 def _recovery_scan(
     scenario: ControlChaosScenario,
     healthy_summary: Dict[str, object],
@@ -285,14 +264,11 @@ def _recovery_scan(
     }
     if first is None:
         return out
-    series = _goodput_series(
+    series = goodput_series(
         healing_records, first, healing_makespan_s, scenario.window_s
     )
-    for k, (_, goodput) in enumerate(series):
-        if goodput >= target:
-            out["mttr_ms"] = round((k + 1) * scenario.window_s * 1e3, 6)
-            out["recovered"] = True
-            break
+    out["mttr_ms"] = mttr_ms(series, target, scenario.window_s)
+    out["recovered"] = out["mttr_ms"] is not None
     return out
 
 
@@ -522,10 +498,6 @@ def run_control_scenario(
         },
         "invariants": invariants,
     }
-
-
-def rollup_to_json(rollup: Dict[str, object]) -> str:
-    return to_json(rollup)
 
 
 # -- the scenario catalogue --------------------------------------------------

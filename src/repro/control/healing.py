@@ -1,9 +1,14 @@
-"""Self-healing control: repair actions, journaled restart, safe mode.
+"""The control loop: autoscaling, repair actions, journaled restart, safe mode.
 
-:class:`SelfHealingControlLoop` is the PR-7 closed loop
-(:class:`~repro.control.loop.ControlLoop`) with three additions, each
-gated by :class:`HealingPolicy` so the un-healed loop remains available
-as a baseline arm:
+:class:`SelfHealingControlLoop` steps one
+:class:`~repro.serve.engine.AdaptiveServingEngine` through fixed control
+epochs of simulated time.  At every boundary the verifier resolves last
+epoch's expectations (including the oscillation freeze), the detector
+windows the telemetry, the planner decides, and the actuator applies the
+actions and registers new expectations.  That closed autoscaling loop
+gets three additions, each gated by :class:`HealingPolicy` so the
+un-healed loop (:meth:`HealingPolicy.disabled`, what ``repro autoscale``
+runs) remains available as a baseline arm:
 
 * **repair planning** — every epoch the loop *probes* the fleet
   (:func:`probe_fleet`: ground-truth machine-check state, the analogue of
@@ -44,7 +49,7 @@ bit-deterministic given the workload seed and the fault schedules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import AcceleratorConfig
@@ -53,7 +58,7 @@ from repro.perf.instrument import phase
 from repro.resilience.degrade import degraded_config
 from repro.resilience.faults import FaultSchedule, PEMask
 from repro.serve.batcher import BatchCoster, BatchPolicy
-from repro.serve.engine import AdaptiveServingEngine
+from repro.serve.engine import AdaptiveServingEngine, check_duration
 from repro.serve.queue import QueuePolicy
 from repro.serve.workload import Request, TenantSpec
 from repro.tenancy.fleet import ChipSpec, FleetSpec
@@ -66,7 +71,6 @@ from repro.control.chaos import (
     SafeModePolicy,
     TelemetryChannel,
     apply_fault_schedule,
-    naive_mask_factor,
 )
 from repro.control.loop import ControlReport
 from repro.control.policy import (
@@ -91,7 +95,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HealingPolicy:
-    """Which self-healing behaviors are armed (all off = the PR-7 loop)."""
+    """Which self-healing behaviors are armed (all off = plain autoscaling)."""
 
     #: provision a replacement for a crashed replica at the next boundary
     replace_crashed: bool = True
@@ -117,7 +121,7 @@ class HealingPolicy:
 
     @classmethod
     def disabled(cls) -> "HealingPolicy":
-        """The non-healing baseline: the PR-7 loop under the same faults."""
+        """The non-healing baseline: plain autoscaling under the same faults."""
         return cls(
             replace_crashed=False,
             replan_degraded=False,
@@ -810,9 +814,15 @@ class SelfHealingControlLoop:
         data_faults: Optional[FaultSchedule] = None,
         link_windows: Sequence[Tuple[float, float, float]] = (),
     ) -> ControlReport:
-        if duration_s <= 0:
-            raise ConfigError(f"duration must be positive, got {duration_s!r}")
-        with phase("chaos_control_run"):
+        """Serve ``requests`` under closed-loop control.
+
+        ``data_faults`` are armed on the engine before the first epoch
+        (a ``slow`` :class:`~repro.serve.failover.ReplicaFault` is the
+        gray-failure stimulus for the drain/repair path); the loop runs
+        ``ceil(duration / epoch_s)`` epochs, then drains.
+        """
+        check_duration(duration_s)
+        with phase("control_run"):
             return self._run(requests, duration_s, extra_meta, data_faults, link_windows)
 
     def _run(

@@ -1,22 +1,21 @@
-"""The control loop: detector → planner → actuator → verifier per epoch.
+"""What a closed control run reports, and the static baselines it is judged against.
 
-:class:`ControlLoop` owns one :class:`~repro.serve.engine.AdaptiveServingEngine`
-and steps it through the workload in fixed control epochs of simulated
-time.  At every boundary it (1) lets the verifier resolve last epoch's
-expectations and compute feedback (including the oscillation freeze),
-(2) asks the detector for the window's telemetry, (3) asks the planner for
-actions, (4) applies them through the actuator and registers the new
-expectations.  After the last epoch the engine drains and the run reduces
-to a :class:`ControlReport` whose ``control`` section is the full decisions
-log: one record per epoch with the window stats, the actions taken (with
+The loop itself is :class:`~repro.control.healing.SelfHealingControlLoop`:
+detector → planner → actuator → verifier per control epoch over one
+:class:`~repro.serve.engine.AdaptiveServingEngine`.  With
+:meth:`HealingPolicy.disabled() <repro.control.healing.HealingPolicy.disabled>`
+it is the plain autoscaler (``repro autoscale``); its run reduces to a
+:class:`ControlReport` whose ``control`` section is the full decisions
+log — one record per epoch with the window stats, the actions taken (with
 concrete rids), and the verification verdicts — bit-deterministic given
 the workload seed.
 
-:func:`run_static` runs the identical workload on the plain fixed-fleet
+:func:`run_static` runs the identical workload on the fixed-fleet
 :class:`~repro.serve.engine.ServingEngine` — the peak-/mean-provisioned
 baselines the autoscaler is judged against in
 ``benchmarks/bench_control.py``: SLO attainment no worse than the static
-mean fleet, chip-seconds below the static peak fleet.
+mean fleet, chip-seconds below the static peak fleet;
+:func:`static_fleet_sizes` sizes those fleets.
 """
 
 from __future__ import annotations
@@ -27,22 +26,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ConfigError
-from repro.perf.instrument import phase
 from repro.serve.batcher import BatchCoster, BatchPolicy
-from repro.serve.engine import (
-    AdaptiveServingEngine,
-    ServingEngine,
-    ServingReport,
-)
+from repro.serve.engine import ServingEngine, ServingReport
 from repro.serve.metrics import to_json
 from repro.serve.queue import QueuePolicy
 from repro.serve.workload import Request, TenantSpec
-from repro.control.actuator import Actuator
-from repro.control.policy import Action, AutoscalePolicy, Planner
-from repro.control.telemetry import Detector
-from repro.control.verifier import Verifier, VerifierPolicy
 
-__all__ = ["ControlLoop", "ControlReport", "run_static", "static_fleet_sizes"]
+__all__ = ["ControlReport", "run_static", "static_fleet_sizes"]
 
 
 @dataclass
@@ -63,138 +53,6 @@ class ControlReport:
     @property
     def chip_seconds(self) -> float:
         return float(self.summary["fleet"]["chip_seconds"])
-
-
-class ControlLoop:
-    """Closed-loop autoscaling over one adaptive serving engine."""
-
-    def __init__(
-        self,
-        config: AcceleratorConfig,
-        tenants: Sequence[TenantSpec],
-        autoscale: AutoscalePolicy = AutoscalePolicy(),
-        verifier: VerifierPolicy = VerifierPolicy(),
-        batch_policy: BatchPolicy = BatchPolicy(),
-        queue_policy: QueuePolicy = QueuePolicy(),
-        replicas: int = 1,
-        routing: str = "least-loaded",
-        plan_policy: str = "adaptive-2",
-        coster: Optional[BatchCoster] = None,
-    ) -> None:
-        if not tenants:
-            raise ConfigError("control loop needs at least one tenant")
-        if not (
-            autoscale.min_replicas <= replicas <= autoscale.max_replicas
-        ):
-            raise ConfigError(
-                f"initial replicas {replicas!r} outside the autoscale bounds "
-                f"[{autoscale.min_replicas}, {autoscale.max_replicas}]"
-            )
-        self.config = config
-        self.tenants = list(tenants)
-        self.autoscale = autoscale
-        self.verifier_policy = verifier
-        self.engine = AdaptiveServingEngine(
-            config,
-            batch_policy=batch_policy,
-            queue_policy=queue_policy,
-            replicas=replicas,
-            routing=routing,
-            plan_policy=plan_policy,
-            coster=coster,
-        )
-        self.detector = Detector(self.engine, self.tenants)
-        self.planner = Planner(
-            autoscale,
-            self.engine.coster,
-            {t.name: t.slo_ms for t in self.tenants},
-        )
-        self.actuator = Actuator(self.engine)
-        self.verifier = Verifier(verifier)
-
-    def run(
-        self,
-        requests: Sequence[Request],
-        duration_s: float,
-        extra_meta: Optional[Dict[str, object]] = None,
-        slow_injections: Sequence[Tuple[int, float, float, float]] = (),
-    ) -> ControlReport:
-        """Serve ``requests`` under closed-loop control.
-
-        ``slow_injections`` are ``(rid, factor, from_s, until_s)`` gray
-        failures planted on initial replicas, the stimulus for the
-        drain/repair path.  The loop runs ``ceil(duration / epoch_s)``
-        epochs, then drains.
-        """
-        if duration_s <= 0:
-            raise ConfigError(f"duration must be positive, got {duration_s!r}")
-        with phase("control_run"):
-            return self._run(requests, duration_s, extra_meta, slow_injections)
-
-    def _run(
-        self,
-        requests: Sequence[Request],
-        duration_s: float,
-        extra_meta: Optional[Dict[str, object]],
-        slow_injections: Sequence[Tuple[int, float, float, float]],
-    ) -> ControlReport:
-        engine = self.engine
-        policy = self.autoscale
-        for rid, factor, from_s, until_s in slow_injections:
-            engine.set_slow(rid, factor, from_s, until_s)
-        engine.ingest(requests)
-        self.planner.notify_batcher(
-            engine.batch_policy.max_batch, engine.batch_policy.max_wait_ms
-        )
-
-        epochs: List[Dict[str, object]] = []
-        n_epochs = int(math.ceil(duration_s / policy.epoch_s - 1e-9))
-        for k in range(n_epochs):
-            t_end = min((k + 1) * policy.epoch_s, duration_s)
-            engine.advance_to(t_end)
-            feedback = self.verifier.check(engine, k)
-            window = self.detector.observe(t_end)
-            actions = self.planner.plan(window, feedback)
-            applied = self.actuator.apply(actions)
-            self.verifier.register(applied, k)
-            for app in applied:
-                if app.action.kind == "retune":
-                    self.planner.notify_batcher(
-                        app.action.max_batch, app.action.max_wait_ms
-                    )
-            epochs.append(
-                {
-                    "epoch": k,
-                    "window": window.to_dict(),
-                    "actions": [app.to_dict() for app in applied],
-                    "frozen": k <= feedback.frozen_until_epoch,
-                }
-            )
-        report = engine.finish(duration_s, extra_meta)
-        # resolve anything still pending after the drain
-        final_feedback = self.verifier.check(engine, n_epochs)
-        summary = dict(report.summary)
-        action_counts: Dict[str, int] = {}
-        for record in epochs:
-            for app in record["actions"]:
-                action_counts[app["kind"]] = action_counts.get(app["kind"], 0) + 1
-        verdict_counts: Dict[str, int] = {}
-        for verdict in self.verifier.verdicts:
-            verdict_counts[verdict["status"]] = (
-                verdict_counts.get(verdict["status"], 0) + 1
-            )
-        summary["control"] = {
-            "policy": policy.to_dict(),
-            "verifier": self.verifier_policy.to_dict(),
-            "epochs": epochs,
-            "n_epochs": n_epochs,
-            "actions_by_kind": dict(sorted(action_counts.items())),
-            "verdicts": self.verifier.verdicts,
-            "verdicts_by_status": dict(sorted(verdict_counts.items())),
-            "freezes": self.verifier.freezes,
-            "unresolved_expectations": len(final_feedback.failed_kinds),
-        }
-        return ControlReport(summary=summary, serving=report, epochs=epochs)
 
 
 def static_fleet_sizes(

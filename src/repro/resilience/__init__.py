@@ -50,7 +50,6 @@ from repro.resilience.scenarios import (
     SCENARIO_NAMES,
     ChaosScenario,
     build_scenario,
-    rollup_to_json,
     run_scenario,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "flapping_link",
     "repair_pipeline",
     "replan_degraded",
-    "rollup_to_json",
     "run_scenario",
     "seeded_bitflips",
 ]

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import CONFIG_16_16, AcceleratorConfig
 from repro.cluster.link import LinkSpec
@@ -51,7 +51,6 @@ from repro.resilience.faults import FaultSchedule, PEMask, flapping_link
 from repro.resilience.repair import repair_pipeline
 from repro.serve.batcher import BatchCoster, BatchPolicy
 from repro.serve.failover import FailoverEngine, FailoverPolicy
-from repro.serve.metrics import to_json
 from repro.serve.queue import QueuePolicy
 from repro.serve.verified import SDCFault, VerificationPolicy
 from repro.serve.workload import parse_mix, poisson_arrivals
@@ -160,7 +159,7 @@ def _run_digest(summary: Dict[str, object]) -> Dict[str, object]:
     }
 
 
-def _goodput_series(
+def goodput_series(
     records, start_s: float, end_s: float, window_s: float
 ) -> List[Tuple[float, float]]:
     """(window start, deadline-met completions / window) from ``start_s``."""
@@ -178,6 +177,17 @@ def _goodput_series(
         (start_s + k * window_s, counts[k] / window_s)
         for k in range(n_windows)
     ]
+
+
+def mttr_ms(
+    series: Sequence[Tuple[float, float]], target: float, window_s: float
+) -> Optional[float]:
+    """The MTTR scan: ms until the end of the first window whose goodput
+    clears ``target``, or ``None`` if none does."""
+    for k, (_, goodput) in enumerate(series):
+        if goodput >= target:
+            return round((k + 1) * window_s * 1e3, 6)
+    return None
 
 
 def _recovery(
@@ -205,7 +215,7 @@ def _recovery(
     }
     if first_crash is None:
         return out
-    series = _goodput_series(
+    series = goodput_series(
         faulted_records, first_crash, faulted_makespan_s, scenario.window_s
     )
     out["goodput_series"] = [
@@ -214,11 +224,8 @@ def _recovery(
     ]
     if crashed >= scenario.replicas:
         return out  # nothing left to recover onto
-    for k, (_, goodput) in enumerate(series):
-        if goodput >= target:
-            out["mttr_ms"] = round((k + 1) * scenario.window_s * 1e3, 6)
-            out["recovered"] = True
-            break
+    out["mttr_ms"] = mttr_ms(series, target, scenario.window_s)
+    out["recovered"] = out["mttr_ms"] is not None
     return out
 
 
@@ -416,11 +423,6 @@ def run_scenario(
         "invariants": invariant_results,
     }
     return rollup
-
-
-def rollup_to_json(rollup: Dict[str, object]) -> str:
-    """Canonical byte-stable JSON of a scenario rollup."""
-    return to_json(rollup)
 
 
 # -- the named scenario registry -------------------------------------------

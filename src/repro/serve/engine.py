@@ -1,12 +1,14 @@
 """The serving event loop: arrivals → queue → batches → replicas → metrics.
 
-A :class:`ServingEngine` advances *simulated accelerator time* (seconds)
-through exactly two kinds of events — a request arriving, and a batch
-becoming dispatchable on an available replica — so a run is a deterministic
-function of (workload, policies, config).  Batch service time comes from
-the planned :class:`~repro.adaptive.batch.BatchRun` for that (network,
-batch size) pair via :class:`~repro.serve.batcher.BatchCoster`; no wall
-clock is ever consulted.
+There is one loop, :meth:`AdaptiveServingEngine.advance_to`.  It advances
+*simulated accelerator time* (seconds) through exactly two kinds of events
+— a request arriving, and a batch becoming dispatchable on an available
+replica — so a run is a deterministic function of (workload, policies,
+actions, config).  Batch service time comes from the planned
+:class:`~repro.adaptive.batch.BatchRun` for that (network, batch size)
+pair via :class:`~repro.serve.batcher.BatchCoster`; no wall clock is ever
+consulted.  :class:`ServingEngine` is the fixed-fleet view: a one-shot run
+with no mid-run actions, reported without the fleet timeline.
 
 Replicas model independent accelerator instances sharing the admission
 queue.  Two routing disciplines:
@@ -18,7 +20,7 @@ queue.  Two routing disciplines:
   earliest (ties broken by replica id, for determinism).
 
 The loop drains the queue after the last arrival, so every admitted
-request is either completed or shed by the time :meth:`ServingEngine.run`
+request is either completed or shed by the time ``finish``/``run``
 returns.
 """
 
@@ -42,6 +44,7 @@ __all__ = [
     "ReplicaState",
     "ServingEngine",
     "ServingReport",
+    "check_duration",
     "per_chip_rollup",
     "ROUTING_KINDS",
 ]
@@ -157,37 +160,6 @@ def per_chip_rollup(
     return out
 
 
-class _Router:
-    """Picks the replica the next batch will run on."""
-
-    def __init__(self, replicas: List[ReplicaState], kind: str) -> None:
-        if kind not in ROUTING_KINDS:
-            raise ConfigError(
-                f"unknown routing {kind!r}; choose from {ROUTING_KINDS}"
-            )
-        # normalize to rid order so routing never depends on how the
-        # caller happened to build the list
-        self.replicas = sorted(replicas, key=lambda r: r.rid)
-        self.kind = kind
-        self._next = 0
-
-    def peek(self) -> ReplicaState:
-        """The replica the next dispatch would use (no state change).
-
-        Least-loaded ties (equal ``free_at``) always resolve to the lowest
-        replica index — two equally-loaded replicas must route the same
-        way on every run.
-        """
-        if self.kind == "round-robin":
-            return self.replicas[self._next]
-        return min(self.replicas, key=lambda r: (r.free_at, r.rid))
-
-    def commit(self) -> None:
-        """Advance the turn after a dispatch actually happened."""
-        if self.kind == "round-robin":
-            self._next = (self._next + 1) % len(self.replicas)
-
-
 @dataclass
 class ServingReport:
     """Everything one simulated run produced."""
@@ -201,158 +173,12 @@ class ServingReport:
         return to_json(self.summary)
 
 
-class ServingEngine:
-    """Discrete-event simulator of a multi-tenant serving tier."""
-
-    def __init__(
-        self,
-        config: AcceleratorConfig,
-        batch_policy: BatchPolicy = BatchPolicy(),
-        queue_policy: QueuePolicy = QueuePolicy(),
-        replicas: int = 1,
-        routing: str = "round-robin",
-        plan_policy: str = "adaptive-2",
-        coster: Optional[BatchCoster] = None,
-        replica_costers: Optional[Sequence[BatchCoster]] = None,
-        chip_map: Optional[Dict[int, str]] = None,
-        chip_shares: Optional[Dict[int, float]] = None,
-    ) -> None:
-        if isinstance(replicas, bool) or not isinstance(replicas, int):
-            raise ConfigError(
-                f"replicas must be an int, got {replicas!r} "
-                f"({type(replicas).__name__})"
-            )
-        if replicas <= 0:
-            raise ConfigError(f"replicas must be positive, got {replicas!r}")
-        if routing not in ROUTING_KINDS:
-            raise ConfigError(
-                f"unknown routing {routing!r}; choose from {ROUTING_KINDS}"
-            )
-        if replica_costers is not None and len(replica_costers) != replicas:
-            raise ConfigError(
-                f"replica_costers has {len(replica_costers)} entries for "
-                f"{replicas} replicas; one coster per replica (rid order)"
-            )
-        self.config = config
-        self.batch_policy = batch_policy
-        self.queue_policy = queue_policy
-        self.n_replicas = replicas
-        self.routing = routing
-        self.plan_policy = plan_policy
-        self.coster = coster or BatchCoster(config, policy=plan_policy)
-        #: heterogeneous fleets: per-rid coster overrides (mixed chip
-        #: classes, partitions); rid order, None entries fall back
-        self.replica_costers = (
-            list(replica_costers) if replica_costers is not None else None
+def check_duration(duration_s: float) -> None:
+    """Reject an offered-load window that is not positive and finite."""
+    if not 0 < duration_s < math.inf:
+        raise ConfigError(
+            f"duration must be positive and finite, got {duration_s!r}"
         )
-        self.chip_map = dict(chip_map) if chip_map else None
-        self.chip_shares = dict(chip_shares) if chip_shares else None
-
-    # -- the event loop ---------------------------------------------------
-
-    def run(
-        self,
-        requests: Sequence[Request],
-        duration_s: float,
-        extra_meta: Optional[Dict[str, object]] = None,
-    ) -> ServingReport:
-        """Simulate serving ``requests`` and reduce the result to a report.
-
-        ``duration_s`` is the offered-load window (rate denominators);
-        the loop itself runs past it until the queue fully drains.
-        """
-        if duration_s <= 0:
-            raise ConfigError(f"duration must be positive, got {duration_s!r}")
-        with phase("serve_run"):
-            return self._run(list(requests), duration_s, extra_meta)
-
-    def _run(
-        self,
-        requests: List[Request],
-        duration_s: float,
-        extra_meta: Optional[Dict[str, object]],
-    ) -> ServingReport:
-        requests.sort(key=lambda r: (r.arrival_s, r.rid))
-        queue = AdmissionQueue(self.queue_policy)
-        metrics = MetricsCollector()
-        replicas = [ReplicaState(rid) for rid in range(self.n_replicas)]
-        _apply_chip_tags(replicas, self.chip_map, self.chip_shares)
-        router = _Router(replicas, self.routing)
-
-        t = 0.0
-        i = 0
-        n = len(requests)
-        while i < n or len(queue):
-            # -- advance to the next event ------------------------------
-            next_times: List[float] = []
-            if i < n:
-                next_times.append(requests[i].arrival_s)
-            if len(queue):
-                ready = queue.next_ready(self.batch_policy)[0]
-                next_times.append(max(ready, router.peek().free_at))
-            t = max(t, min(next_times))
-
-            # -- ingest every arrival at or before t --------------------
-            while i < n and requests[i].arrival_s <= t:
-                request = requests[i]
-                shed = queue.offer(request, request.arrival_s)
-                if shed is not None:
-                    metrics.record_shed(request.tenant, shed.reason)
-                i += 1
-
-            # -- dispatch everything dispatchable at t ------------------
-            while len(queue):
-                replica = router.peek()
-                if replica.free_at > t:
-                    break
-                ready, _, network = queue.next_ready(self.batch_policy)
-                if ready > t:
-                    break
-                batch, shed_events = queue.pop_batch(
-                    network, self.batch_policy.max_batch, t
-                )
-                for event in shed_events:
-                    metrics.record_shed(event.request.tenant, event.reason)
-                if not batch:
-                    continue
-                coster = self.coster
-                if self.replica_costers is not None:
-                    override = self.replica_costers[replica.rid]
-                    if override is not None:
-                        coster = override
-                service = coster.batch_seconds(network, len(batch))
-                finish = t + service
-                replica.free_at = finish
-                replica.busy_s += service
-                replica.batches += 1
-                replica.completed += len(batch)
-                router.commit()
-                metrics.record_served(batch, t, finish, replica.rid)
-
-        busy_s = sum(r.busy_s for r in replicas)
-        summary = metrics.summary(duration_s, self.n_replicas, busy_s)
-        summary["per_replica"] = [
-            r.detail(summary["makespan_s"]) for r in replicas
-        ]
-        if any(r.chip is not None for r in replicas):
-            makespan = summary["makespan_s"]
-            spans = {
-                r.chip: makespan for r in replicas if r.chip is not None
-            }
-            summary["per_chip"] = per_chip_rollup(replicas, spans)
-        summary["engine"] = {
-            "config": self.config.name,
-            "plan_policy": self.plan_policy,
-            "batching": self.batch_policy.describe(),
-            "max_batch": self.batch_policy.max_batch,
-            "max_wait_ms": self.batch_policy.max_wait_ms,
-            "queue_depth": self.queue_policy.max_depth,
-            "queue_order": self.queue_policy.order,
-            "routing": self.routing,
-        }
-        if extra_meta:
-            summary["workload"] = dict(sorted(extra_meta.items()))
-        return ServingReport(summary=summary, metrics=metrics, replicas=replicas)
 
 
 @dataclass
@@ -379,13 +205,6 @@ class AdaptiveReplica(ReplicaState):
         """Eligible for new dispatches (not retired, not draining)."""
         return self.retired_s is None
 
-    def service_multiplier(self, t: float) -> float:
-        worst = 1.0
-        for from_s, until_s, factor in self.slow_windows:
-            if from_s <= t < until_s:
-                worst = max(worst, factor)
-        return worst
-
     def lifetime_s(self, end_s: float) -> float:
         """Chip-seconds this replica was provisioned for."""
         end = self.retired_s if self.retired_s is not None else end_s
@@ -405,11 +224,14 @@ class AdaptiveReplica(ReplicaState):
 
 
 class AdaptiveServingEngine:
-    """A :class:`ServingEngine` whose fleet and batcher change mid-run.
+    """The serving event loop, whose fleet and batcher may change mid-run.
 
-    This is the actuation surface of the :mod:`repro.control` autoscaler.
-    The one-shot ``run()`` loop is split into a resident event loop that a
-    controller steps at *epoch boundaries*:
+    It advances *simulated accelerator time* (seconds) through arrivals and
+    dispatches onto available replicas; batch service time comes from
+    :class:`~repro.serve.batcher.BatchCoster`, and no wall clock is ever
+    consulted.  It is the actuation surface of the :mod:`repro.control`
+    autoscaler, and :class:`ServingEngine` is its fixed-fleet view.  The
+    loop is resident, so a controller steps it at *epoch boundaries*:
 
     * :meth:`ingest` feeds (time-sorted) requests into the arrival stream;
     * :meth:`advance_to` runs arrivals/dispatches/completions up to a
@@ -424,10 +246,11 @@ class AdaptiveServingEngine:
 
     Routing follows the failover engine's dynamic-membership semantics:
     round-robin cycles over the *active* rids (resuming after the last
-    dispatched one), least-loaded picks the earliest-free active replica
-    with ties to the lowest rid.  With a fixed fleet both degenerate to the
-    static engine's behavior.  Everything remains a deterministic function
-    of (workload, actions, config): no wall clock, no unordered state.
+    dispatched one, so a fixed fleet takes strict turns even when another
+    replica is already idle), least-loaded picks the earliest-free active
+    replica with ties to the lowest rid.  Everything remains a
+    deterministic function of (workload, actions, config): no wall clock,
+    no unordered state.
     """
 
     def __init__(
@@ -469,6 +292,9 @@ class AdaptiveServingEngine:
             AdaptiveReplica(rid) for rid in range(replicas)
         ]
         _apply_chip_tags(self.replicas, chip_map, chip_shares)
+        #: the replicas taking new work, in rid order (kept current by
+        #: add/drain/crash, since every dispatch picks from it)
+        self._active: List[AdaptiveReplica] = list(self.replicas)
         #: per-rid coster overrides (mixed fleets); missing rids fall back
         self._replica_costers: Dict[int, BatchCoster] = {}
         if replica_costers is not None:
@@ -507,13 +333,21 @@ class AdaptiveServingEngine:
         return len(self._queue)
 
     def active_replicas(self) -> List[AdaptiveReplica]:
-        return [r for r in self.replicas if r.active]
+        return list(self._active)
 
     def n_active(self) -> int:
-        return sum(1 for r in self.replicas if r.active)
+        return len(self._active)
+
+    def _replica(self, rid: int) -> AdaptiveReplica:
+        """The replica with id ``rid``, retired or not."""
+        state = next((r for r in self.replicas if r.rid == rid), None)
+        if state is None:
+            raise ConfigError(f"unknown replica rid {rid!r}")
+        return state
 
     def chip_seconds(self, end_s: float) -> float:
-        return sum(r.lifetime_s(end_s) for r in self.replicas)
+        # fsum rounds once, so a fixed fleet costs exactly replicas * end_s
+        return math.fsum(r.lifetime_s(end_s) for r in self.replicas)
 
     # -- actuation ---------------------------------------------------------
 
@@ -525,7 +359,7 @@ class AdaptiveServingEngine:
                 f"cannot ingest an arrival at {fresh[0].arrival_s!r}s: the "
                 f"loop has already advanced to {self._now!r}s"
             )
-        if self._pending[self._pi :] and fresh:
+        if self._pi < len(self._pending) and fresh:
             tail = self._pending[-1].arrival_s
             if fresh[0].arrival_s < tail:
                 raise ConfigError(
@@ -558,6 +392,7 @@ class AdaptiveServingEngine:
             state.chip = chip
             state.chip_share = chip_share
         self.replicas.append(state)
+        self._active.append(state)
         if coster is not None:
             self._replica_costers[rid] = coster
         self.fleet_events.append(
@@ -571,9 +406,7 @@ class AdaptiveServingEngine:
         Returns the retirement instant (``max(now, free_at)``).  Draining
         the last active replica is refused — queued work would be stranded.
         """
-        state = next((r for r in self.replicas if r.rid == rid), None)
-        if state is None:
-            raise ConfigError(f"unknown replica rid {rid!r}")
+        state = self._replica(rid)
         if not state.active:
             raise ConfigError(f"replica {rid} is already retired")
         if self.n_active() <= 1:
@@ -582,6 +415,7 @@ class AdaptiveServingEngine:
                 "be stranded"
             )
         state.retired_s = max(self._now, state.free_at)
+        self._active.remove(state)
         self.fleet_events.append((self._now, "drain", rid, reason))
         return state.retired_s
 
@@ -609,9 +443,7 @@ class AdaptiveServingEngine:
             raise ConfigError(
                 f"slow window must have until > from, got [{from_s!r}, {until_s!r})"
             )
-        state = next((r for r in self.replicas if r.rid == rid), None)
-        if state is None:
-            raise ConfigError(f"unknown replica rid {rid!r}")
+        state = self._replica(rid)
         state.slow_windows.append((from_s, until_s, factor))
 
     def schedule_crash(self, rid: int, at_s: float, reason: str = "crash") -> None:
@@ -627,9 +459,7 @@ class AdaptiveServingEngine:
             raise ConfigError(
                 f"crash time must be finite and >= 0, got {at_s!r}"
             )
-        state = next((r for r in self.replicas if r.rid == rid), None)
-        if state is None:
-            raise ConfigError(f"unknown replica rid {rid!r}")
+        self._replica(rid)
         if any(c_rid == rid for _, c_rid, _ in self._crashes):
             raise ConfigError(f"replica {rid} already has a crash scheduled")
         self._crashes.append((at_s, rid, reason))
@@ -653,13 +483,6 @@ class AdaptiveServingEngine:
             )
         self._service_windows.append((from_s, until_s, factor))
 
-    def _fleet_multiplier(self, t: float) -> float:
-        worst = 1.0
-        for from_s, until_s, factor in self._service_windows:
-            if from_s <= t < until_s:
-                worst = max(worst, factor)
-        return worst
-
     def mark_degraded(
         self,
         rid: int,
@@ -682,9 +505,7 @@ class AdaptiveServingEngine:
             raise ConfigError(
                 f"degrade time must be finite and >= 0, got {from_s!r}"
             )
-        state = next((r for r in self.replicas if r.rid == rid), None)
-        if state is None:
-            raise ConfigError(f"unknown replica rid {rid!r}")
+        state = self._replica(rid)
         if state.degraded is not None:
             raise ConfigError(f"replica {rid} is already degraded")
         state.degraded = {
@@ -712,9 +533,7 @@ class AdaptiveServingEngine:
         schedule), so healing takes effect exactly at the epoch boundary
         the controller applied it.
         """
-        state = next((r for r in self.replicas if r.rid == rid), None)
-        if state is None:
-            raise ConfigError(f"unknown replica rid {rid!r}")
+        state = self._replica(rid)
         if state.degraded is None:
             raise ConfigError(f"replica {rid} is not degraded")
         if state.degraded.get("replanned"):
@@ -734,9 +553,7 @@ class AdaptiveServingEngine:
         self, rid: int, coster: BatchCoster, note: str = ""
     ) -> None:
         """Override one replica's batch-cost model from now on."""
-        state = next((r for r in self.replicas if r.rid == rid), None)
-        if state is None:
-            raise ConfigError(f"unknown replica rid {rid!r}")
+        self._replica(rid)
         self._replica_costers[rid] = coster
         self.fleet_events.append(
             (self._now, "recoster", rid, note or coster.config.name)
@@ -752,21 +569,23 @@ class AdaptiveServingEngine:
         """Fail-stop every armed crash at or before ``up_to``."""
         while self._crashes and self._crashes[0][0] <= up_to:
             at_s, rid, reason = self._crashes.pop(0)
-            state = next((r for r in self.replicas if r.rid == rid), None)
-            if state is None or not state.active:
+            state = self._replica(rid)
+            if not state.active:
                 continue  # already drained/retired; the crash is moot
             state.crashed = True
             state.retired_s = max(at_s, state.free_at)
+            self._active.remove(state)
             self.fleet_events.append((at_s, "crash", rid, reason))
 
     def _pick(self) -> Optional[AdaptiveReplica]:
         """The active replica the next dispatch would use (deterministic)."""
-        active = self.active_replicas()
+        active = self._active
         if not active:
             return None
         if self.routing == "round-robin":
+            last = self._rr_last
             for state in active:
-                if state.rid > self._rr_last:
+                if state.rid > last:
                     return state
             return active[0]
         return min(active, key=lambda r: (r.free_at, r.rid))
@@ -782,16 +601,18 @@ class AdaptiveServingEngine:
             raise ConfigError(
                 f"cannot advance to {t_end!r}s: already at {self._now!r}s"
             )
-        n = len(self._pending)
+        pending, queue, metrics = self._pending, self._queue, self.metrics
+        batch_policy = self.batch_policy  # actions apply between calls
+        n = len(pending)
         self._apply_crashes(self._now)
         while True:
             next_times: List[float] = []
             if self._pi < n:
-                next_times.append(self._pending[self._pi].arrival_s)
-            if len(self._queue):
+                next_times.append(pending[self._pi].arrival_s)
+            if len(queue):
                 pick = self._pick()
                 if pick is not None:
-                    ready = self._queue.next_ready(self.batch_policy)[0]
+                    ready = queue.next_ready(batch_policy)[0]
                     next_times.append(max(ready, pick.free_at))
             if not next_times:
                 break
@@ -806,31 +627,33 @@ class AdaptiveServingEngine:
                 break
             self._now = t
 
-            while self._pi < n and self._pending[self._pi].arrival_s <= t:
-                request = self._pending[self._pi]
-                shed = self._queue.offer(request, request.arrival_s)
+            while self._pi < n and pending[self._pi].arrival_s <= t:
+                request = pending[self._pi]
+                shed = queue.offer(request, request.arrival_s)
                 if shed is not None:
-                    self.metrics.record_shed(request.tenant, shed.reason)
+                    metrics.record_shed(request.tenant, shed.reason)
                 self._pi += 1
 
-            while len(self._queue):
+            while len(queue):
                 replica = self._pick()
                 if replica is None or replica.free_at > t:
                     break
-                ready, _, network = self._queue.next_ready(self.batch_policy)
+                ready, _, network = queue.next_ready(batch_policy)
                 if ready > t:
                     break
-                batch, shed_events = self._queue.pop_batch(
-                    network, self.batch_policy.max_batch, t
+                batch, shed_events = queue.pop_batch(
+                    network, batch_policy.max_batch, t
                 )
                 for event in shed_events:
-                    self.metrics.record_shed(event.request.tenant, event.reason)
+                    metrics.record_shed(event.request.tenant, event.reason)
                 if not batch:
                     continue
                 coster = self._replica_costers.get(replica.rid, self.coster)
                 service = coster.batch_seconds(network, len(batch))
-                service *= replica.service_multiplier(t)
-                service *= self._fleet_multiplier(t)
+                if replica.slow_windows:
+                    service *= _worst_factor(replica.slow_windows, t)
+                if self._service_windows:
+                    service *= _worst_factor(self._service_windows, t)
                 finish = t + service
                 replica.free_at = finish
                 replica.busy_s += service
@@ -838,7 +661,7 @@ class AdaptiveServingEngine:
                 replica.completed += len(batch)
                 self._rr_last = replica.rid
                 self.busy_intervals.append((replica.rid, t, finish))
-                self.metrics.record_served(batch, t, finish, replica.rid)
+                metrics.record_served(batch, t, finish, replica.rid)
         self._apply_crashes(t_end)
         if t_end > self._now and not math.isinf(t_end):
             self._now = t_end
@@ -869,11 +692,10 @@ class AdaptiveServingEngine:
         extra_meta: Optional[Dict[str, object]] = None,
     ) -> ServingReport:
         """Drain everything outstanding and reduce to a report."""
-        if duration_s <= 0:
-            raise ConfigError(f"duration must be positive, got {duration_s!r}")
+        check_duration(duration_s)
         with phase("serve_adaptive_finish"):
             self.advance_to(math.inf)
-        if len(self._queue) and not self.active_replicas():
+        if len(self._queue) and not self._active:
             # every replica crashed: queued work cannot terminate normally,
             # but it must still terminate — offered == completed+shed+failed
             # is the zero-silent-drop invariant the chaos runner enforces
@@ -957,6 +779,96 @@ class AdaptiveServingEngine:
         """One-shot convenience: ingest, drain, report (no mid-run actions)."""
         self.ingest(requests)
         return self.finish(duration_s, extra_meta)
+
+
+class ServingEngine:
+    """A fixed fleet: one-shot runs of :class:`AdaptiveServingEngine`.
+
+    The constructor takes (and validates, chip tags included) the adaptive
+    engine's arguments.  Every :meth:`run` serves on a fresh adaptive
+    engine with no mid-run actions, sharing this engine's coster, and
+    reports a fixed fleet: no ``fleet`` section, no replica lifetimes, and
+    per-replica and per-chip utilization over the reported makespan.
+    """
+
+    def __init__(
+        self,
+        config: AcceleratorConfig,
+        batch_policy: BatchPolicy = BatchPolicy(),
+        queue_policy: QueuePolicy = QueuePolicy(),
+        replicas: int = 1,
+        routing: str = "round-robin",
+        plan_policy: str = "adaptive-2",
+        coster: Optional[BatchCoster] = None,
+        replica_costers: Optional[Sequence[BatchCoster]] = None,
+        chip_map: Optional[Dict[int, str]] = None,
+        chip_shares: Optional[Dict[int, float]] = None,
+    ) -> None:
+        self.config = config
+        self.batch_policy = batch_policy
+        self.queue_policy = queue_policy
+        self.n_replicas = replicas
+        self.routing = routing
+        self.plan_policy = plan_policy
+        self.coster = coster
+        self.replica_costers = (
+            list(replica_costers) if replica_costers is not None else None
+        )
+        self.chip_map = dict(chip_map) if chip_map else None
+        self.chip_shares = dict(chip_shares) if chip_shares else None
+        # building one engine validates every argument now; all runs then
+        # share its coster, so each plan derives once per ServingEngine
+        self.coster = self._engine().coster
+
+    def _engine(self) -> AdaptiveServingEngine:
+        return AdaptiveServingEngine(
+            self.config,
+            batch_policy=self.batch_policy,
+            queue_policy=self.queue_policy,
+            replicas=self.n_replicas,
+            routing=self.routing,
+            plan_policy=self.plan_policy,
+            coster=self.coster,
+            replica_costers=self.replica_costers,
+            chip_map=self.chip_map,
+            chip_shares=self.chip_shares,
+        )
+
+    def run(
+        self,
+        requests: Sequence[Request],
+        duration_s: float,
+        extra_meta: Optional[Dict[str, object]] = None,
+    ) -> ServingReport:
+        """Simulate serving ``requests`` and reduce the result to a report.
+
+        ``duration_s`` is the offered-load window (rate denominators);
+        the loop itself runs past it until the queue fully drains.
+        """
+        with phase("serve_run"):
+            report = self._engine().run(requests, duration_s, extra_meta)
+        summary = report.summary
+        del summary["fleet"]
+        del summary["engine"]["adaptive"]
+        makespan_s = summary["makespan_s"]
+        summary["per_replica"] = [
+            ReplicaState.detail(r, makespan_s) for r in report.replicas
+        ]
+        if "per_chip" in summary:
+            summary["per_chip"] = per_chip_rollup(
+                report.replicas, dict.fromkeys(summary["per_chip"], makespan_s)
+            )
+        return report
+
+
+def _worst_factor(windows: Sequence[Tuple[float, float, float]], t: float) -> float:
+    """The largest factor of the ``(from_s, until_s, factor)`` windows
+    containing ``t`` (1.0 outside them all)."""
+    worst = 1.0
+    for from_s, until_s, factor in windows:
+        if from_s <= t < until_s:
+            worst = max(worst, factor)
+    return worst
 
 
 def _peak_fleet_size(replicas: Sequence[AdaptiveReplica]) -> int:

@@ -1,8 +1,9 @@
 """Failover serving: health checking, fault-aware routing, retries, hedging.
 
-The plain :class:`~repro.serve.engine.ServingEngine` assumes every replica
-is immortal.  This module replays the same discrete-event semantics under
-*injected replica faults*:
+The serving loop (:class:`~repro.serve.engine.AdaptiveServingEngine`)
+fails a replica only at batch boundaries: in-flight work always finishes.
+This module replays the same discrete-event semantics under *injected
+replica faults* whose in-flight work can be lost:
 
 * **fail-stop** — a replica crashes at a scheduled instant and never
   returns.  Work in flight on it (and anything naively dispatched to it
@@ -56,7 +57,7 @@ from repro.arch.config import AcceleratorConfig
 from repro.errors import ConfigError
 from repro.perf.instrument import phase
 from repro.serve.batcher import BatchCoster, BatchPolicy
-from repro.serve.engine import ServingReport, ROUTING_KINDS
+from repro.serve.engine import ServingReport, ROUTING_KINDS, check_duration
 from repro.serve.metrics import MetricsCollector
 from repro.serve.queue import AdmissionQueue, QueuePolicy
 from repro.serve.verified import SDCFault, VerificationPolicy, VerifiedReplica
@@ -349,7 +350,7 @@ class _BatchJob:
 class FailoverEngine:
     """Discrete-event serving simulator with replica fault injection.
 
-    The interface mirrors :class:`~repro.serve.engine.ServingEngine`; the
+    The interface is :class:`~repro.serve.engine.ServingEngine`'s; the
     extra inputs are ``faults`` (the replica fault schedule) and
     ``failover_policy``.  ``service_windows`` applies a global service-time
     multiplier over ``[start, end)`` windows — the hook the chaos runner
@@ -465,8 +466,7 @@ class FailoverEngine:
         (queue policy), or failed with a reason (retry budget exhausted,
         or no replicas left alive).
         """
-        if duration_s <= 0:
-            raise ConfigError(f"duration must be positive, got {duration_s!r}")
+        check_duration(duration_s)
         with phase("serve_failover_run"):
             return self._run(list(requests), duration_s, extra_meta)
 

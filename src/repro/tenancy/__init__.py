@@ -49,7 +49,6 @@ from repro.tenancy.placement import (
 from repro.tenancy.serving import (
     compare_fleets,
     compare_partitioned,
-    rollup_to_json,
     serve_placement,
     worst_tenant_p95,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "parse_fleet",
     "partition_chip",
     "place_tenants",
-    "rollup_to_json",
     "serve_placement",
     "worst_tenant_p95",
 ]

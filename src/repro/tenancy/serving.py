@@ -32,14 +32,13 @@ from repro.errors import ConfigError
 from repro.serve.batcher import BatchCoster, BatchPolicy
 from repro.serve.candidates import rank_candidates
 from repro.serve.engine import ReplicaState, ServingEngine, per_chip_rollup
-from repro.serve.metrics import MetricsCollector, to_json
+from repro.serve.metrics import MetricsCollector
 from repro.serve.queue import QueuePolicy
 from repro.serve.workload import MixedTenantSpec, Request, mixed_arrivals
 from repro.tenancy.fleet import ChipSpec, FleetSpec
 from repro.tenancy.partition import PartitionSpec
 from repro.tenancy.placement import (
     Placement,
-    TenantDemand,
     _FitModel,
     demand_from_tenants,
     place_tenants,
@@ -49,7 +48,6 @@ __all__ = [
     "serve_placement",
     "compare_partitioned",
     "compare_fleets",
-    "rollup_to_json",
     "worst_tenant_p95",
 ]
 
@@ -366,8 +364,3 @@ def compare_fleets(
             },
         },
     }
-
-
-def rollup_to_json(rollup: Dict[str, object]) -> str:
-    """Canonical JSON (sorted keys, newline-terminated) for tenancy rollups."""
-    return to_json(rollup)

@@ -12,9 +12,9 @@ from repro.cluster import (
     rollup,
     rollup_data_parallel,
     rollup_pipeline,
-    to_json,
 )
 from repro.errors import ConfigError
+from repro.serve.metrics import to_json
 
 
 class TestPipelineRollup:

@@ -11,11 +11,11 @@ from repro.errors import ConfigError
 from repro.serve.batcher import BatchCoster, BatchPolicy
 from repro.serve.engine import (
     AdaptiveServingEngine,
-    ServingEngine,
     _peak_fleet_size,
     AdaptiveReplica,
 )
 from repro.serve.workload import TenantSpec, poisson_arrivals
+from tests.serve.test_engine_oracle import StaticLoopEngine
 
 ALEX = [TenantSpec("alexnet", "alexnet")]
 MIXED = [
@@ -33,11 +33,11 @@ def adaptive(**kwargs):
 
 def static(**kwargs):
     kwargs.setdefault("coster", _COSTER)
-    return ServingEngine(CONFIG_16_16, **kwargs)
+    return StaticLoopEngine(CONFIG_16_16, **kwargs)
 
 
 class TestParityWithStaticEngine:
-    """With no mid-run actions the adaptive engine is the static engine."""
+    """With no mid-run actions the adaptive engine is the static loop."""
 
     @pytest.mark.parametrize("routing", ["round-robin", "least-loaded"])
     def test_completions_match(self, routing):
@@ -79,6 +79,13 @@ class TestValidation:
     def test_replicas(self, bad):
         with pytest.raises(ConfigError):
             adaptive(replicas=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_finish_rejects_bad_duration(self, bad):
+        eng = adaptive()
+        eng.ingest(poisson_arrivals(20, 1, ALEX, seed=0))
+        with pytest.raises(ConfigError, match=f"finite, got {bad!r}"):
+            eng.finish(bad)
 
     def test_advance_backwards_rejected(self):
         eng = adaptive()

@@ -15,9 +15,9 @@ from repro.control.chaos_scenarios import (
     CONTROL_SCENARIO_NAMES,
     ControlChaosScenario,
     build_control_scenario,
-    rollup_to_json,
     run_control_scenario,
 )
+from repro.serve.metrics import to_json
 
 
 class TestCatalogue:
@@ -95,7 +95,7 @@ class TestRunner:
 
     def test_rollup_byte_stable(self, rollup):
         again = run_control_scenario(build_control_scenario("crash-replace"))
-        assert rollup_to_json(rollup) == rollup_to_json(again)
+        assert to_json(rollup) == to_json(again)
 
     def test_missed_deadline_fails_bounded_mttr(self):
         tight = dataclasses.replace(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.arch.config import CONFIG_16_16
@@ -204,6 +206,11 @@ class TestLoopValidation:
     def test_duration_must_be_positive(self):
         with pytest.raises(ConfigError, match="duration"):
             loop().run(requests(), 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_run_rejects_non_finite_duration(self, bad):
+        with pytest.raises(ConfigError, match=f"finite, got {bad!r}"):
+            loop().run(requests(), bad)
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
-"""Closed-loop integration: determinism, scaling economics, drain/repair."""
+"""Closed-loop autoscaling (the control loop with healing disabled):
+determinism, scaling economics, drain/repair."""
 
 from __future__ import annotations
 
@@ -8,11 +9,14 @@ import pytest
 
 from repro.arch.config import CONFIG_16_16
 from repro.errors import ConfigError
+from repro.resilience.faults import FaultSchedule
 from repro.serve.batcher import BatchCoster, BatchPolicy
+from repro.serve.failover import ReplicaFault
 from repro.serve.workload import TenantSpec, diurnal_arrivals, poisson_arrivals
 from repro.control import (
     AutoscalePolicy,
-    ControlLoop,
+    HealingPolicy,
+    SelfHealingControlLoop,
     VerifierPolicy,
     run_static,
     static_fleet_sizes,
@@ -45,13 +49,20 @@ def loop(tenants=MIXED, **kwargs):
     kwargs.setdefault(
         "autoscale", AutoscalePolicy(epoch_s=2.0, max_replicas=12)
     )
-    return ControlLoop(CONFIG_16_16, tenants, **kwargs)
+    return SelfHealingControlLoop(
+        CONFIG_16_16, tenants, healing=HealingPolicy.disabled(), **kwargs
+    )
 
 
 class TestValidation:
     def test_needs_tenants(self):
         with pytest.raises(ConfigError, match="tenant"):
-            ControlLoop(CONFIG_16_16, [], coster=_COSTER)
+            SelfHealingControlLoop(
+                CONFIG_16_16,
+                [],
+                healing=HealingPolicy.disabled(),
+                coster=_COSTER,
+            )
 
     def test_initial_replicas_within_bounds(self):
         with pytest.raises(ConfigError, match="outside the autoscale bounds"):
@@ -150,15 +161,16 @@ class TestScalingEconomics:
 
 class TestDrainRepair:
     def test_gray_failure_is_drained_and_replaced(self):
-        # steady vgg load on 2 replicas; rid 1 goes 4x slow mid-run
+        # steady vgg load on 2 replicas; rid 1 goes 4x slow from 4 s to 30 s
         reqs = poisson_arrivals(16.0, 30, VGG, seed=3)
+        slow = ReplicaFault("slow", 1, 4.0, factor=4.0, duration_s=26.0)
         autoscale = AutoscalePolicy(
             epoch_s=2.0, max_replicas=6, slow_ratio=1.5, slow_epochs=2,
             retune=False,
         )
         report = loop(
             tenants=VGG, autoscale=autoscale, replicas=2
-        ).run(reqs, 30.0, slow_injections=[(1, 4.0, 4.0, 30.0)])
+        ).run(reqs, 30.0, data_faults=FaultSchedule(replica_faults=(slow,)))
         control = report.summary["control"]
         assert control["actions_by_kind"].get("drain", 0) >= 1
         drains = [

@@ -13,10 +13,10 @@ from repro.resilience.scenarios import (
     SCENARIO_NAMES,
     ChaosScenario,
     build_scenario,
-    rollup_to_json,
     run_scenario,
 )
 from repro.serve.batcher import BatchCoster
+from repro.serve.metrics import to_json
 
 #: one shared coster so the expensive plans derive once per test session
 _COSTER = BatchCoster(CONFIG_16_16)
@@ -75,10 +75,10 @@ class TestValidation:
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, single_crash):
-        assert rollup_to_json(single_crash) == rollup_to_json(run("single-crash"))
+        assert to_json(single_crash) == to_json(run("single-crash"))
 
     def test_seed_changes_rollup(self, single_crash):
-        assert rollup_to_json(single_crash) != rollup_to_json(
+        assert to_json(single_crash) != to_json(
             run("single-crash", seed=2)
         )
 
@@ -202,7 +202,7 @@ class TestSDCScenarios:
             )
 
     def test_byte_identical_reruns(self):
-        assert rollup_to_json(run("sdc-storm")) == rollup_to_json(run("sdc-storm"))
+        assert to_json(run("sdc-storm")) == to_json(run("sdc-storm"))
 
     def test_violated_invariant_reports_false(self):
         from repro.serve.verified import SDCFault

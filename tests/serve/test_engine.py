@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.arch.config import CONFIG_16_16
@@ -39,6 +41,12 @@ class TestValidation:
     def test_duration(self):
         with pytest.raises(ConfigError, match="duration"):
             engine().run([], 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_duration(self, bad):
+        reqs = poisson_arrivals(20, 1, ALEX, seed=0)
+        with pytest.raises(ConfigError, match=f"finite, got {bad!r}"):
+            engine().run(reqs, bad)
 
 
 class TestDeterminism:
@@ -152,26 +160,28 @@ class TestReplicasAndRouting:
 
     def test_least_loaded_tie_breaks_by_replica_index(self):
         """Two equally-loaded replicas must always resolve the same way."""
-        from repro.serve.engine import ReplicaState, _Router
+        from repro.serve.engine import AdaptiveServingEngine
 
-        idle = [ReplicaState(0), ReplicaState(1)]
-        router = _Router(idle, "least-loaded")
-        assert router.peek().rid == 0
-        # equal *nonzero* load ties the same way
-        for r in idle:
-            r.free_at = 2.5
-        assert router.peek().rid == 0
-        # ... and the tie-break must not depend on list construction order
-        assert _Router([ReplicaState(1), ReplicaState(0)], "least-loaded").peek().rid == 0
-        assert (
-            _Router(
-                [ReplicaState(2), ReplicaState(0), ReplicaState(1)],
-                "least-loaded",
+        def fleet(n):
+            return AdaptiveServingEngine(
+                CONFIG_16_16, replicas=n, routing="least-loaded", coster=_COSTER
             )
-            .peek()
-            .rid
-            == 0
-        )
+
+        idle = fleet(2)
+        assert idle._pick().rid == 0
+        # equal *nonzero* load ties the same way
+        for r in idle.replicas:
+            r.free_at = 2.5
+        assert idle._pick().rid == 0
+        # ... and the tie-break must not depend on how the fleet was built:
+        # a replica that joins later loses ties to every lower rid
+        grown = fleet(1)
+        grown.add_replica()
+        assert grown._pick().rid == 0
+        swapped = fleet(3)
+        swapped.drain_replica(0)
+        assert swapped.add_replica() == 3
+        assert swapped._pick().rid == 1
 
     def test_least_loaded_routing_is_reproducible(self):
         """Regression: repeated least-loaded runs place every batch on the

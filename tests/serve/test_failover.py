@@ -64,6 +64,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="multiplier"):
             engine(service_windows=[(1.0, 2.0, 0.5)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_run_rejects_bad_duration(self, bad):
+        with pytest.raises(ConfigError, match=f"finite, got {bad!r}"):
+            engine().run(requests(), bad)
+
 
 class TestFailoverPolicy:
     def test_backoff_grows_and_caps(self):

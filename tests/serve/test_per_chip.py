@@ -63,43 +63,39 @@ class TestStaticEngineTags:
             assert "chip" not in rep
             assert "chip_share" not in rep
 
-    # the static engine materializes replicas (and validates tags) at run
+    # the constructor validates the tags, before any run
     def test_chip_map_unknown_rid(self):
-        engine = ServingEngine(
-            CONFIG_16_16, replicas=1, coster=_COSTER, chip_map={3: "c0"}
-        )
         with pytest.raises(ConfigError, match="unknown replica rid"):
-            engine.run([], 1.0)
+            ServingEngine(
+                CONFIG_16_16, replicas=1, coster=_COSTER, chip_map={3: "c0"}
+            )
 
     def test_chip_shares_without_map(self):
-        engine = ServingEngine(
-            CONFIG_16_16, replicas=1, coster=_COSTER, chip_shares={0: 0.5}
-        )
         with pytest.raises(ConfigError, match="chip_shares requires chip_map"):
-            engine.run([], 1.0)
+            ServingEngine(
+                CONFIG_16_16, replicas=1, coster=_COSTER, chip_shares={0: 0.5}
+            )
 
     def test_chip_share_without_map_entry(self):
-        engine = ServingEngine(
-            CONFIG_16_16,
-            replicas=2,
-            coster=_COSTER,
-            chip_map={0: "c0"},
-            chip_shares={1: 0.5},
-        )
         with pytest.raises(ConfigError, match="no chip_map entry"):
-            engine.run([], 1.0)
+            ServingEngine(
+                CONFIG_16_16,
+                replicas=2,
+                coster=_COSTER,
+                chip_map={0: "c0"},
+                chip_shares={1: 0.5},
+            )
 
     @pytest.mark.parametrize("share", [0.0, -0.5, 1.5])
     def test_chip_share_out_of_range(self, share):
-        engine = ServingEngine(
-            CONFIG_16_16,
-            replicas=1,
-            coster=_COSTER,
-            chip_map={0: "c0"},
-            chip_shares={0: share},
-        )
         with pytest.raises(ConfigError, match=r"in \(0, 1\]"):
-            engine.run([], 1.0)
+            ServingEngine(
+                CONFIG_16_16,
+                replicas=1,
+                coster=_COSTER,
+                chip_map={0: "c0"},
+                chip_shares={0: share},
+            )
 
 
 class TestPerChipRollup:

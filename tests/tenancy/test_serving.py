@@ -7,6 +7,7 @@ import pytest
 from repro.arch.config import CONFIG_16_16, CONFIG_32_32
 from repro.errors import ConfigError
 from repro.serve.engine import ServingEngine
+from repro.serve.metrics import to_json
 from repro.serve.workload import mixed_arrivals, parse_tenant_mix
 from repro.tenancy import (
     ChipSpec,
@@ -15,7 +16,6 @@ from repro.tenancy import (
     even_partitions,
     full_chip_spec,
     place_tenants,
-    rollup_to_json,
     serve_placement,
     worst_tenant_p95,
 )
@@ -105,7 +105,7 @@ class TestServePlacement:
     def test_rollup_byte_stable(self):
         a, _ = _serve(_partitioned_fleet())
         b, _ = _serve(_partitioned_fleet())
-        assert rollup_to_json(a) == rollup_to_json(b)
+        assert to_json(a) == to_json(b)
 
     def test_worst_tenant_p95(self):
         summary, _ = _serve(_partitioned_fleet())
