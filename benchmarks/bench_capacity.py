@@ -22,6 +22,7 @@ fault model, and rank by cost per million good requests.  Gates:
    wrote).
 
 Writes ``BENCH_capacity.json``.  Exits nonzero if any gate fails.
+``--smoke`` forecasts a 2.5 s window instead of 6 s.
 
 Usage::
 
@@ -30,12 +31,10 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import sys
 import tempfile
+
+from harness import main
 
 from repro.capacity import (
     CandidateGrid,
@@ -50,6 +49,8 @@ RATE = 260.0
 SLO_MS = 250.0
 SLO_TARGET = 0.95
 SEED = 11
+FULL_DURATION_S = 6.0
+SMOKE_DURATION_S = 2.5
 
 FAULTS = FaultModel(seed=4, crashes=1)
 
@@ -81,20 +82,8 @@ def run_search(grid: CandidateGrid, forecast: ForecastSpec, cache_dir: str):
     )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="BENCH_capacity.json")
-    parser.add_argument(
-        "--duration", type=float, default=6.0, help="forecast window, s"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="short window (the CI smoke configuration)",
-    )
-    args = parser.parse_args(argv)
-
-    duration = 2.5 if args.smoke else args.duration
+def run(args):
+    duration = SMOKE_DURATION_S if args.smoke else FULL_DURATION_S
     forecast = ForecastSpec.parse(
         TENANTS, rate=RATE, duration_s=duration, slo_ms=SLO_MS, seed=SEED
     )
@@ -152,63 +141,42 @@ def main(argv=None) -> int:
         "warm_cache_hits": warm_hits,
         "ranked_json_stable": stable,
     }
-
     payload = {
-        "benchmark": "capacity",
-        "generated_by": "benchmarks/bench_capacity.py",
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
         "smoke": args.smoke,
         "planner": {k: v for k, v in planned.items() if k != "cache"},
         "naive": {k: v for k, v in naive.items() if k != "cache"},
         "headline": headline,
     }
-    with open(args.output, "w") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    print(
+    lines = [
         f"planner: {headline['candidates']} candidates, "
         f"{headline['pruned']} pruned analytically, "
         f"{headline['simulated']} simulated; winner "
         f"{headline['planner_winner']} at "
         f"{winner_cost:.1f} chip-cost/Mreq, "
-        f"{winner_attain:.1%} attainment"
-    )
-    print(
+        f"{winner_attain:.1%} attainment",
         f"naive:   winner {headline['naive_winner']} at "
         f"{baseline_cost:.1f} chip-cost/Mreq, "
         f"{baseline_attain:.1%} attainment "
-        f"({headline['cost_ratio']:.2f}x planner's cost)"
-    )
-    print(
+        f"({headline['cost_ratio']:.2f}x planner's cost)",
         f"rerun:   {'byte-identical' if stable else 'DIFFERS'}, "
         f"{warm_hits} plan-cache hits ({warm_disk_hits} from disk — forked "
-        f"workers inherit the cold run's in-memory cache)"
-    )
-    print(f"written to {args.output}")
-
-    ok = True
-    if not planner_feasible:
-        print(
-            "FAIL: the planner's winning deployment misses the SLO target",
-            file=sys.stderr,
-        )
-        ok = False
-    if not beats_naive:
-        print(
-            "FAIL: planner did not beat the best naive homogeneous fleet "
+        f"workers inherit the cold run's in-memory cache)",
+    ]
+    gates = [
+        (
+            planner_feasible,
+            "the planner's winning deployment misses the SLO target",
+        ),
+        (
+            beats_naive,
+            "planner did not beat the best naive homogeneous fleet "
             "on cost at equal-or-better attainment",
-            file=sys.stderr,
-        )
-        ok = False
-    if not stable:
-        print(
-            "FAIL: ranked JSON differed between cold and warm runs",
-            file=sys.stderr,
-        )
-        ok = False
-    return 0 if ok else 1
+        ),
+        (stable, "ranked JSON differed between cold and warm runs"),
+    ]
+    return payload, lines, gates
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("capacity", run, __doc__))

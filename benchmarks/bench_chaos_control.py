@@ -23,7 +23,8 @@ acceptance-criteria claims and the script exits nonzero if any fails:
    settings (scenarios are independent; ``parallel_map`` preserves input
    order).
 
-All numbers are modelled accelerator time: reruns are byte-deterministic.
+``--smoke`` runs a three-scenario subset.  All numbers are modelled
+accelerator time: reruns are byte-deterministic.
 
 Usage::
 
@@ -32,11 +33,9 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import sys
+
+from harness import main, stable
 
 from repro.arch.config import CONFIG_16_16
 from repro.control.chaos_scenarios import (
@@ -45,7 +44,6 @@ from repro.control.chaos_scenarios import (
     run_control_scenario,
 )
 from repro.perf import parallel_map
-from repro.serve.metrics import to_json
 
 SEED = 1
 SMOKE_SCENARIOS = ("crash-replace", "loop-restart", "composite-storm")
@@ -78,40 +76,20 @@ def digest(rollup: dict) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="BENCH_chaos_control.json")
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="three-scenario subset (the CI smoke configuration)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="scenario-level process parallelism (output is identical "
-        "for every value)",
-    )
-    args = parser.parse_args(argv)
-
+def run(args):
     names = SMOKE_SCENARIOS if args.smoke else CONTROL_SCENARIO_NAMES
-    rollups = dict(
-        zip(names, parallel_map(_run_one, names, jobs=args.jobs))
-    )
+    storm, deterministic = stable(lambda: _run_one(HEADLINE_SCENARIO))
+    others = [name for name in names if name != HEADLINE_SCENARIO]
+    rollups = dict(zip(others, parallel_map(_run_one, others, jobs=args.jobs)))
+    rollups[HEADLINE_SCENARIO] = storm
     rows = [digest(rollups[name]) for name in names]
 
-    storm = rollups[HEADLINE_SCENARIO]
     storm_row = digest(storm)
     healing_wins = (
         storm_row["attainment_healing"] > storm_row["attainment_frozen_faulted"]
         and storm_row["attainment_healing"] > storm_row["attainment_nonhealing"]
     )
     invariants_hold = all(r["invariants_pass"] for r in rows)
-    deterministic = to_json(storm) == to_json(
-        _run_one(HEADLINE_SCENARIO)
-    )
-
     headline = {
         "all_invariants_hold": invariants_hold,
         "healing_beats_frozen_and_nonhealing": healing_wins,
@@ -121,62 +99,45 @@ def main(argv=None) -> int:
         "storm_mttr_ms": storm_row["mttr_ms"],
         "byte_deterministic": deterministic,
     }
-
     payload = {
-        "benchmark": "chaos_control",
-        "generated_by": "benchmarks/bench_chaos_control.py",
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
         "config": CONFIG_16_16.name,
         "seed": SEED,
         "smoke": args.smoke,
         "scenarios": rows,
         "headline": headline,
     }
-    with open(args.output, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
 
-    print(
+    lines = [
         f"{'scenario':<24s} {'healing':>8s} {'nonheal':>8s} {'frozen':>8s} "
         f"{'mttr ms':>8s} {'invariants':>10s}"
-    )
+    ]
     for r in rows:
         mttr = f"{r['mttr_ms']:.0f}" if r["mttr_ms"] is not None else "-"
         n_inv = len(r["invariants"])
         n_ok = sum(r["invariants"].values())
-        print(
+        lines.append(
             f"{r['scenario']:<24s} {r['attainment_healing']:>8.4f} "
             f"{r['attainment_nonhealing']:>8.4f} "
             f"{r['attainment_frozen_faulted']:>8.4f} {mttr:>8s} "
             f"{n_ok:>7d}/{n_inv}"
         )
-    ok = True
-    if not invariants_hold:
-        bad = [
-            f"{r['scenario']}:{inv}"
-            for r in rows
-            for inv, held in r["invariants"].items()
-            if not held
-        ]
-        print(f"FAIL: invariants violated: {', '.join(bad)}", file=sys.stderr)
-        ok = False
-    if not healing_wins:
-        print(
-            "FAIL: self-healing attainment is not strictly above both the "
+    bad = [
+        f"{r['scenario']}:{inv}"
+        for r in rows
+        for inv, held in r["invariants"].items()
+        if not held
+    ]
+    gates = [
+        (invariants_hold, f"invariants violated: {', '.join(bad)}"),
+        (
+            healing_wins,
+            "self-healing attainment is not strictly above both the "
             "frozen fleet and the non-healing loop on composite-storm",
-            file=sys.stderr,
-        )
-        ok = False
-    if not deterministic:
-        print(
-            "FAIL: composite-storm rollup is not byte-deterministic",
-            file=sys.stderr,
-        )
-        ok = False
-    print(f"written to {args.output}")
-    return 0 if ok else 1
+        ),
+        (deterministic, "composite-storm rollup is not byte-deterministic"),
+    ]
+    return payload, lines, gates
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("chaos_control", run, __doc__, jobs=1))

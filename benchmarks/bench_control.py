@@ -14,7 +14,8 @@ Writes ``BENCH_control.json``.  The headline records the autoscaling
 trade both baselines miss: SLO attainment at least the mean fleet's while
 spending fewer chip-seconds than the peak fleet.  The script exits nonzero
 if either side of that trade fails, or if two runs of the control loop do
-not produce byte-identical decisions logs.  All numbers are *simulated*
+not produce byte-identical decisions logs.  ``--smoke`` serves two 60 s
+days instead of three 100 s days.  All numbers are *simulated*
 accelerator time, so the artifact is deterministic across reruns.
 
 Usage::
@@ -24,10 +25,9 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import os
-import platform
 import sys
+
+from harness import main, stable
 
 from repro.arch.config import CONFIG_16_16
 from repro.control import (
@@ -45,7 +45,6 @@ from repro.serve import (
     diurnal_arrivals,
     parse_mix,
 )
-from repro.serve.metrics import to_json
 
 MIX = "vgg:3,alexnet:1"
 SLO_MS = 600.0
@@ -53,12 +52,15 @@ BASE_RATE = 6.0
 PEAK_RATE = 42.0
 MAX_BATCH = 16
 MAX_WAIT_MS = 10.0
+SEED = 42
+FULL_DAYS, FULL_DAY_S = 3.0, 100.0
+SMOKE_DAYS, SMOKE_DAY_S = 2.0, 60.0
 
 #: (start as a fraction of the run, duration in day-fractions, factor)
 FLASHES = ((0.55, 0.08, 2.5), (1.30, 0.10, 2.0), (2.75, 0.08, 3.0))
 
 
-def build_workload(days: float, day_s: float, seed: int, tenants):
+def build_workload(days: float, day_s: float, tenants):
     flash = [
         (start * day_s, dur * day_s, factor)
         for start, dur, factor in FLASHES
@@ -69,7 +71,7 @@ def build_workload(days: float, day_s: float, seed: int, tenants):
         PEAK_RATE,
         days,
         tenants,
-        seed=seed,
+        seed=SEED,
         day_s=day_s,
         flash_crowds=flash,
         churn=0.25,
@@ -77,7 +79,7 @@ def build_workload(days: float, day_s: float, seed: int, tenants):
     return requests, days * day_s, flash
 
 
-def run_autoscaled(coster, tenants, requests, duration, seed):
+def run_autoscaled(coster, tenants, requests, duration) -> dict:
     loop = SelfHealingControlLoop(
         CONFIG_16_16,
         tenants,
@@ -89,33 +91,21 @@ def run_autoscaled(coster, tenants, requests, duration, seed):
         replicas=1,
         coster=coster,
     )
-    return loop.run(requests, duration, extra_meta={"seed": seed})
+    return loop.run(requests, duration, extra_meta={"seed": SEED}).summary
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="BENCH_control.json")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--days", type=float, default=3.0)
-    parser.add_argument(
-        "--day-s", type=float, default=100.0, help="seconds per simulated day"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="short two-day run (the CI smoke configuration)",
-    )
-    args = parser.parse_args(argv)
-
-    days = 2.0 if args.smoke else args.days
-    day_s = 60.0 if args.smoke else args.day_s
+def run(args):
+    days = SMOKE_DAYS if args.smoke else FULL_DAYS
+    day_s = SMOKE_DAY_S if args.smoke else FULL_DAY_S
     tenants = parse_mix(MIX, slo_ms=SLO_MS)
     coster = BatchCoster(CONFIG_16_16)
-    requests, duration, flash = build_workload(days, day_s, args.seed, tenants)
+    requests, duration, flash = build_workload(days, day_s, tenants)
 
-    auto = run_autoscaled(coster, tenants, requests, duration, args.seed)
-    rerun = run_autoscaled(coster, tenants, requests, duration, args.seed)
-    deterministic = auto.to_json() == rerun.to_json()
+    auto, deterministic = stable(
+        lambda: run_autoscaled(coster, tenants, requests, duration)
+    )
+    attainment = auto["deadline_hit_rate"]
+    chip_seconds = auto["fleet"]["chip_seconds"]
 
     mean_rate = len(requests) / duration
     peak_inst = PEAK_RATE * max([1.0] + [f for _, _, f in flash])
@@ -141,41 +131,35 @@ def main(argv=None) -> int:
             "chip_seconds": round(chip, 6),
         }
 
-    control = auto.summary["control"]
+    control = auto["control"]
     headline = {
         "mix": MIX,
         "slo_ms": SLO_MS,
         "requests": len(requests),
         "mean_rate_rps": round(mean_rate, 3),
         "peak_instantaneous_rps": round(peak_inst, 3),
-        "autoscaler_slo_attainment": auto.slo_attainment,
+        "autoscaler_slo_attainment": attainment,
         "static_mean_slo_attainment": baselines["static_mean"]["slo_attainment"],
-        "autoscaler_chip_seconds": round(auto.chip_seconds, 6),
+        "autoscaler_chip_seconds": round(chip_seconds, 6),
         "static_peak_chip_seconds": baselines["static_peak"]["chip_seconds"],
         "chip_seconds_saved_vs_peak": round(
-            baselines["static_peak"]["chip_seconds"] - auto.chip_seconds, 6
+            baselines["static_peak"]["chip_seconds"] - chip_seconds, 6
         ),
-        "peak_replicas": auto.summary["fleet"]["peak_replicas"],
+        "peak_replicas": auto["fleet"]["peak_replicas"],
         "actions_by_kind": control["actions_by_kind"],
         "oscillation_freezes": len(control["freezes"]),
         "failed_verifications": control["verdicts_by_status"].get("failed", 0),
         "decisions_log_deterministic": deterministic,
         "attainment_not_worse_than_mean": (
-            auto.slo_attainment
-            >= baselines["static_mean"]["slo_attainment"]
+            attainment >= baselines["static_mean"]["slo_attainment"]
         ),
         "cheaper_than_peak": (
-            auto.chip_seconds < baselines["static_peak"]["chip_seconds"]
+            chip_seconds < baselines["static_peak"]["chip_seconds"]
         ),
     }
-
     payload = {
-        "benchmark": "control",
-        "generated_by": "benchmarks/bench_control.py",
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
         "config": CONFIG_16_16.name,
-        "seed": args.seed,
+        "seed": SEED,
         "smoke": args.smoke,
         "days": days,
         "day_s": day_s,
@@ -183,11 +167,11 @@ def main(argv=None) -> int:
         "autoscaler": {
             "policy": control["policy"],
             "verifier": control["verifier"],
-            "slo_attainment": auto.slo_attainment,
-            "shed": auto.summary["shed"],
-            "p95_ms": auto.summary["latency_ms"]["p95"],
-            "chip_seconds": round(auto.chip_seconds, 6),
-            "fleet": auto.summary["fleet"],
+            "slo_attainment": attainment,
+            "shed": auto["shed"],
+            "p95_ms": auto["latency_ms"]["p95"],
+            "chip_seconds": round(chip_seconds, 6),
+            "fleet": auto["fleet"],
             "n_epochs": control["n_epochs"],
             "actions_by_kind": control["actions_by_kind"],
             "verdicts_by_status": control["verdicts_by_status"],
@@ -196,68 +180,44 @@ def main(argv=None) -> int:
         "baselines": baselines,
         "headline": headline,
     }
-    with open(args.output, "w") as handle:
-        handle.write(to_json(payload))
 
-    print(
+    fleets = {
+        "autoscaled": dict(
+            payload["autoscaler"], replicas=f"1->{auto['fleet']['peak_replicas']}"
+        ),
+        **baselines,
+    }
+    lines = [
         f"{'fleet':<13s} {'replicas':>8s} {'attainment':>11s} {'shed':>6s} "
         f"{'p95 ms':>9s} {'chip-s':>10s}"
-    )
-    rows = [
-        (
-            "autoscaled",
-            f"1->{auto.summary['fleet']['peak_replicas']}",
-            auto.slo_attainment,
-            auto.summary["shed"],
-            auto.summary["latency_ms"]["p95"],
-            auto.chip_seconds,
-        )
     ] + [
-        (
-            name,
-            str(stats["replicas"]),
-            stats["slo_attainment"],
-            stats["shed"],
-            stats["p95_ms"],
-            stats["chip_seconds"],
-        )
-        for name, stats in baselines.items()
-    ]
-    for name, replicas, attain, shed, p95, chip in rows:
-        print(
-            f"{name:<13s} {replicas:>8s} {attain:>11.4f} {shed:>6d} "
-            f"{p95:>9.1f} {chip:>10.1f}"
-        )
-    print(
+        f"{name:<13s} {str(f['replicas']):>8s} {f['slo_attainment']:>11.4f} "
+        f"{f['shed']:>6d} {f['p95_ms']:>9.1f} {f['chip_seconds']:>10.1f}"
+        for name, f in fleets.items()
+    ] + [
         f"\nheadline: attainment {headline['autoscaler_slo_attainment']:.4f} vs "
         f"mean fleet's {headline['static_mean_slo_attainment']:.4f}; "
         f"chip-seconds {headline['autoscaler_chip_seconds']:.1f} vs peak "
         f"fleet's {headline['static_peak_chip_seconds']:.1f} "
         f"({headline['chip_seconds_saved_vs_peak']:.1f} saved)"
-    )
-    print(f"written to {args.output}")
-
-    ok = True
-    if not headline["decisions_log_deterministic"]:
-        print("FAIL: decisions log differed between identical runs", file=sys.stderr)
-        ok = False
-    if not headline["attainment_not_worse_than_mean"]:
-        print(
-            "FAIL: autoscaler SLO attainment below the static mean fleet",
-            file=sys.stderr,
-        )
-        ok = False
-    if not headline["cheaper_than_peak"]:
-        print(
-            "FAIL: autoscaler spent more chip-seconds than the static peak fleet",
-            file=sys.stderr,
-        )
-        ok = False
-    if headline["failed_verifications"]:
-        print("FAIL: some actions missed their verification deadline", file=sys.stderr)
-        ok = False
-    return 0 if ok else 1
+    ]
+    gates = [
+        (deterministic, "decisions log differed between identical runs"),
+        (
+            headline["attainment_not_worse_than_mean"],
+            "autoscaler SLO attainment below the static mean fleet",
+        ),
+        (
+            headline["cheaper_than_peak"],
+            "autoscaler spent more chip-seconds than the static peak fleet",
+        ),
+        (
+            not headline["failed_verifications"],
+            "some actions missed their verification deadline",
+        ),
+    ]
+    return payload, lines, gates
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("control", run, __doc__))

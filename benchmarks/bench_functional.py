@@ -20,6 +20,9 @@ the recorded backend name).  The headline asserts:
    speedup on the sweep shapes is at least 10x (timing gates are skipped
    in ``--smoke`` so shared CI runners cannot flake the job).
 
+``--smoke`` times the first three sweep shapes best-of-3 instead of every
+shape best-of-10.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_functional.py [--smoke] [--output BENCH_functional.json]
@@ -27,14 +30,12 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import sys
 import time
 
 import numpy as np
+
+from harness import main
 
 from repro.arch.config import CONFIG_16_16
 from repro.integrity.abft import (
@@ -43,8 +44,9 @@ from repro.integrity.abft import (
     quantize_conv_operands,
     verified_conv,
 )
-from repro.integrity.sweep import SWEEP_LAYERS, run_sweep, sweep_to_json
+from repro.integrity.sweep import SWEEP_LAYERS, run_sweep
 from repro.nn.layers import ConvLayer, TensorShape
+from repro.serve.metrics import to_json
 from repro.sim.backend import use_backend
 from repro.sim.functional import (
     conv_via_im2col,
@@ -65,6 +67,8 @@ PATHS = (
 )
 
 SPEEDUP_GATE = 10.0
+FULL_REPEATS = 10
+SMOKE_REPEATS = 3
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -226,7 +230,7 @@ def bench_sweep(smoke: bool) -> dict:
         vector_s = time.perf_counter() - start
     # the only permitted difference is the recorded backend name
     loop_cmp = dict(loop_rollup, backend="vector")
-    identical = sweep_to_json(loop_cmp) == sweep_to_json(vector_rollup)
+    identical = to_json(loop_cmp) == to_json(vector_rollup)
     return {
         "rollup_identical": bool(identical),
         "loop_s": round(loop_s, 4),
@@ -236,18 +240,8 @@ def bench_sweep(smoke: bool) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="BENCH_functional.json")
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced shape grid, fewer repeats, no timing gate (CI)",
-    )
-    parser.add_argument("--repeats", type=int, default=0, help="0 = auto")
-    args = parser.parse_args(argv)
-    repeats = args.repeats or (3 if args.smoke else 10)
-
+def run(args):
+    repeats = SMOKE_REPEATS if args.smoke else FULL_REPEATS
     conv = bench_conv_paths(args.smoke, repeats)
     abft = bench_abft(args.smoke, repeats)
     sweep = bench_sweep(args.smoke)
@@ -266,13 +260,8 @@ def main(argv=None) -> int:
             and conv["speedup_total"] >= SPEEDUP_GATE
         ),
     }
-
     payload = {
-        "benchmark": "functional",
-        "generated_by": "benchmarks/bench_functional.py",
-        "python": platform.python_version(),
         "numpy": np.__version__,
-        "cpu_count": os.cpu_count(),
         "config": CONFIG_16_16.name,
         "seed": SEED,
         "smoke": args.smoke,
@@ -282,45 +271,37 @@ def main(argv=None) -> int:
         "sweep": sweep,
         "headline": headline,
     }
-    with open(args.output, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
-    print(f"{'shape':<16s} {'path':<10s} {'loop ms':>9s} {'vector ms':>10s} {'speedup':>8s}")
+    lines = [
+        f"{'shape':<16s} {'path':<10s} {'loop ms':>9s} {'vector ms':>10s} {'speedup':>8s}"
+    ]
     for shape in conv["shapes"]:
         for path_name, cell in shape["paths"].items():
             flag = "" if cell["bit_identical"] else "  MISMATCH"
-            print(
+            lines.append(
                 f"{shape['name']:<16s} {path_name:<10s} {cell['loop_ms']:>9.3f} "
                 f"{cell['vector_ms']:>10.3f} {cell['speedup']:>7.1f}x{flag}"
             )
-    print(
+    lines.append(
         f"conv paths total: {conv['loop_total_ms']:.2f} ms loop -> "
         f"{conv['vector_total_ms']:.2f} ms vector = {conv['speedup_total']:.1f}x; "
         f"abft {abft['speedup_total']:.1f}x; "
         f"sweep end-to-end {sweep['speedup']:.1f}x"
     )
-
-    ok = True
-    if not bit_identical:
-        print(
-            "FAIL: vector/loop mismatch in "
+    gates = [
+        (
+            bit_identical,
+            "vector/loop mismatch in "
             + ", ".join(conv["mismatches"] + abft["mismatches"]),
-            file=sys.stderr,
-        )
-        ok = False
-    if not sweep["rollup_identical"]:
-        print("FAIL: sweep rollups differ across backends", file=sys.stderr)
-        ok = False
-    if not args.smoke and not headline["vector_speedup_10x"]:
-        print(
-            f"FAIL: conv-path speedup {conv['speedup_total']}x < {SPEEDUP_GATE}x",
-            file=sys.stderr,
-        )
-        ok = False
-    print(f"written to {args.output}")
-    return 0 if ok else 1
+        ),
+        (sweep["rollup_identical"], "sweep rollups differ across backends"),
+        (
+            args.smoke or headline["vector_speedup_10x"],
+            f"conv-path speedup {conv['speedup_total']}x < {SPEEDUP_GATE}x",
+        ),
+    ]
+    return payload, lines, gates
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("functional", run, __doc__))

@@ -18,7 +18,8 @@ claims and the script exits nonzero if any fails:
 5. **determinism** — running the sweep twice produces byte-identical
    rollup JSON.
 
-All numbers are modelled accelerator time: reruns are byte-deterministic.
+``--smoke`` runs the sweep's reduced layer/flip grid.  All numbers are
+modelled accelerator time: reruns are byte-deterministic.
 
 Usage::
 
@@ -27,33 +28,21 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import sys
 
+from harness import main, stable
+
 from repro.arch.config import CONFIG_16_16
-from repro.integrity import run_sweep, sweep_to_json
+from repro.integrity import run_sweep
 from repro.resilience import build_scenario, run_scenario
 
 SEED = 0
 CHAOS_SEED = 1
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="BENCH_integrity.json")
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced layer/flip grid (the CI smoke configuration)",
-    )
-    args = parser.parse_args(argv)
-
-    rollup = run_sweep(seed=SEED, smoke=args.smoke, config=CONFIG_16_16)
-    deterministic = sweep_to_json(rollup) == sweep_to_json(
-        run_sweep(seed=SEED, smoke=args.smoke, config=CONFIG_16_16)
+def run(args):
+    rollup, deterministic = stable(
+        lambda: run_sweep(seed=SEED, smoke=args.smoke, config=CONFIG_16_16)
     )
     head = rollup["headline"]
 
@@ -75,12 +64,7 @@ def main(argv=None) -> int:
         "sdc_storm_drains_corrupting_replica": drained,
         "byte_deterministic": deterministic,
     }
-
     payload = {
-        "benchmark": "integrity",
-        "generated_by": "benchmarks/bench_integrity.py",
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
         "config": CONFIG_16_16.name,
         "seed": SEED,
         "smoke": args.smoke,
@@ -92,57 +76,40 @@ def main(argv=None) -> int:
         },
         "headline": headline,
     }
-    with open(args.output, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
-    print(
+    lines = [
         f"{'site':<12s} {'injected':>8s} {'corrupted':>9s} {'detected':>8s} "
         f"{'escaped':>7s} {'masked':>6s} {'skipped':>7s}"
-    )
-    for site, t in rollup["sites"].items():
-        print(
-            f"{site:<12s} {t['injections']:>8d} {t['corrupted']:>9d} "
-            f"{t['detected']:>8d} {t['escaped']:>7d} {t['masked']:>6d} "
-            f"{t['skipped']:>7d}"
-        )
+    ] + [
+        f"{site:<12s} {t['injections']:>8d} {t['corrupted']:>9d} "
+        f"{t['detected']:>8d} {t['escaped']:>7d} {t['masked']:>6d} "
+        f"{t['skipped']:>7d}"
+        for site, t in rollup["sites"].items()
+    ]
     ratio = head["mean_latency_ratio"]
     overhead = f"{ratio:.3f}x" if ratio else "n/a"
-    print(
+    lines.append(
         f"detection {head['detection_rate']:.1%}, "
         f"{head['false_positives']} false positives, overhead {overhead}"
     )
-    ok = True
-    if not headline["detects_99_percent"]:
-        print(
-            f"FAIL: detection rate {head['detection_rate']:.4f} < 0.99",
-            file=sys.stderr,
-        )
-        ok = False
-    if not headline["zero_false_positives"]:
-        print(
-            f"FAIL: {head['false_positives']} clean runs were flagged",
-            file=sys.stderr,
-        )
-        ok = False
-    if not headline["recovery_bit_identical"]:
-        print(
-            "FAIL: a recovered output differed from the golden reference",
-            file=sys.stderr,
-        )
-        ok = False
-    if not drained:
-        print(
-            "FAIL: sdc-storm did not detect/drain the corrupting replica",
-            file=sys.stderr,
-        )
-        ok = False
-    if not deterministic:
-        print("FAIL: sweep rollup is not byte-deterministic", file=sys.stderr)
-        ok = False
-    print(f"written to {args.output}")
-    return 0 if ok else 1
+    gates = [
+        (
+            headline["detects_99_percent"],
+            f"detection rate {head['detection_rate']:.4f} < 0.99",
+        ),
+        (
+            headline["zero_false_positives"],
+            f"{head['false_positives']} clean runs were flagged",
+        ),
+        (
+            headline["recovery_bit_identical"],
+            "a recovered output differed from the golden reference",
+        ),
+        (drained, "sdc-storm did not detect/drain the corrupting replica"),
+        (deterministic, "sweep rollup is not byte-deterministic"),
+    ]
+    return payload, lines, gates
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("integrity", run, __doc__))

@@ -13,32 +13,33 @@ PR over PR:
    ``--jobs``-style process-pool fan-out (honest numbers: on a single-core
    host the pool can lose to serial; the cache is the headline there).
 
-Every scenario asserts cached/parallel totals are bit-identical to the
-uncached/serial reference before reporting a speedup.
+Every scenario checks that cached/parallel totals are bit-identical to
+the uncached/serial reference, and the script exits nonzero if one is
+not.  ``--smoke`` times 2 repeats instead of 10.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_planning.py [--output BENCH_planning.json]
+    PYTHONPATH=src python benchmarks/bench_planning.py [--smoke] [--jobs N] [--output BENCH_planning.json]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import sys
 import time
+
+from harness import main
 
 from repro.adaptive.planner import plan_network
 from repro.adaptive.search import search_network
 from repro.analysis.sweeps import sweep_parameter
 from repro.arch.config import CONFIG_16_16
 from repro.nn.zoo import build
-from repro.perf import schedule_cache
+from repro.perf import resolve_jobs, schedule_cache
 
 NETWORKS = ("alexnet", "vgg", "googlenet")
 SWEEP_VALUES = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
+FULL_REPEATS = 10
+SMOKE_REPEATS = 2
 
 
 def _time(fn, repeats: int) -> float:
@@ -59,9 +60,10 @@ def bench_repeated_plan(net_name: str, repeats: int, policy: str = "oracle") -> 
     cached_s = _time(lambda: plan_network(net, CONFIG_16_16, policy), repeats)
     check = plan_network(net, CONFIG_16_16, policy)
     stats = schedule_cache.stats()
-    assert check.total_cycles == reference.total_cycles, net_name
-    assert check.buffer_accesses == reference.buffer_accesses, net_name
-    assert check.dram_words == reference.dram_words, net_name
+    identical = all(
+        getattr(check, field) == getattr(reference, field)
+        for field in ("total_cycles", "buffer_accesses", "dram_words")
+    )
     return {
         "name": "repeated_plan",
         "network": net_name,
@@ -70,7 +72,7 @@ def bench_repeated_plan(net_name: str, repeats: int, policy: str = "oracle") -> 
         "uncached_s": round(uncached_s, 6),
         "cached_s": round(cached_s, 6),
         "speedup": round(uncached_s / cached_s, 3),
-        "bit_identical": True,
+        "bit_identical": identical,
         "cache": {
             "hits": stats.hits,
             "misses": stats.misses,
@@ -90,9 +92,9 @@ def bench_oracle_search(net_name: str, repeats: int) -> dict:
     schedule_cache.clear()
     cached_s = _time(lambda: search_network(net, CONFIG_16_16), repeats)
     check = search_network(net, CONFIG_16_16)
-    assert [(o.layer_name, o.scheme, o.cycles) for o in check] == [
+    identical = [(o.layer_name, o.scheme, o.cycles) for o in check] == [
         (o.layer_name, o.scheme, o.cycles) for o in reference
-    ], net_name
+    ]
     return {
         "name": "oracle_search",
         "network": net_name,
@@ -100,7 +102,7 @@ def bench_oracle_search(net_name: str, repeats: int) -> dict:
         "uncached_s": round(uncached_s, 6),
         "cached_s": round(cached_s, 6),
         "speedup": round(uncached_s / cached_s, 3),
-        "bit_identical": True,
+        "bit_identical": identical,
     }
 
 
@@ -116,7 +118,6 @@ def bench_parallel_sweep(net_name: str, repeats: int, jobs: int) -> dict:
     reference = run(1)
     serial_s = _time(lambda: run(1), repeats)
     parallel_s = _time(lambda: run(jobs), repeats)
-    assert run(jobs) == reference, net_name
     return {
         "name": "parallel_sweep",
         "network": net_name,
@@ -126,52 +127,48 @@ def bench_parallel_sweep(net_name: str, repeats: int, jobs: int) -> dict:
         "serial_s": round(serial_s, 6),
         "parallel_s": round(parallel_s, 6),
         "speedup": round(serial_s / parallel_s, 3),
-        "bit_identical": True,
+        "bit_identical": run(jobs) == reference,
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="BENCH_planning.json")
-    parser.add_argument("--repeats", type=int, default=10)
-    parser.add_argument("--jobs", type=int, default=-1, help="-1 = all CPUs")
-    args = parser.parse_args(argv)
-
-    jobs = os.cpu_count() or 1 if args.jobs < 0 else args.jobs
+def run(args):
+    repeats = SMOKE_REPEATS if args.smoke else FULL_REPEATS
     scenarios = []
     for net_name in NETWORKS:
-        scenarios.append(bench_repeated_plan(net_name, args.repeats))
-        scenarios.append(bench_oracle_search(net_name, args.repeats))
-    scenarios.append(bench_parallel_sweep("alexnet", max(1, args.repeats // 5), jobs))
+        scenarios.append(bench_repeated_plan(net_name, repeats))
+        scenarios.append(bench_oracle_search(net_name, repeats))
+    scenarios.append(
+        bench_parallel_sweep("alexnet", max(1, repeats // 5), resolve_jobs(args.jobs))
+    )
 
     cache_speedups = [
         s["speedup"] for s in scenarios if s["name"] in ("repeated_plan", "oracle_search")
     ]
     parallel_speedups = [s["speedup"] for s in scenarios if s["name"] == "parallel_sweep"]
     payload = {
-        "benchmark": "planning",
-        "generated_by": "benchmarks/bench_planning.py",
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "repeats": args.repeats,
+        "repeats": repeats,
         "scenarios": scenarios,
         "headline": {
             "best_cache_speedup": max(cache_speedups),
             "best_parallel_speedup": max(parallel_speedups),
         },
     }
-    with open(args.output, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
 
-    print(f"{'scenario':<16s} {'network':<10s} {'base s':>10s} {'new s':>10s} {'speedup':>8s}")
+    lines = [
+        f"{'scenario':<16s} {'network':<10s} {'base s':>10s} {'new s':>10s} {'speedup':>8s}"
+    ]
     for s in scenarios:
         base = s.get("uncached_s", s.get("serial_s"))
         new = s.get("cached_s", s.get("parallel_s"))
-        print(f"{s['name']:<16s} {s['network']:<10s} {base:>10.4f} {new:>10.4f} {s['speedup']:>7.2f}x")
-    print(f"\nwritten to {args.output}")
-    return 0
+        lines.append(
+            f"{s['name']:<16s} {s['network']:<10s} {base:>10.4f} {new:>10.4f} {s['speedup']:>7.2f}x"
+        )
+    differ = [f"{s['name']}/{s['network']}" for s in scenarios if not s["bit_identical"]]
+    gates = [
+        (not differ, "totals differ from the uncached/serial reference in " + ", ".join(differ)),
+    ]
+    return payload, lines, gates
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("planning", run, __doc__, jobs=-1))

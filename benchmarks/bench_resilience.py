@@ -16,7 +16,8 @@ claims and the script exits nonzero if any fails:
 3. **determinism** — running the single-crash scenario twice produces
    byte-identical rollup JSON.
 
-All numbers are modelled accelerator time: reruns are byte-deterministic.
+``--smoke`` runs a three-scenario subset.  All numbers are modelled
+accelerator time: reruns are byte-deterministic.
 
 Usage::
 
@@ -25,18 +26,19 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import sys
+
+from harness import main, stable
 
 from repro.arch.config import CONFIG_16_16
 from repro.resilience import SCENARIO_NAMES, build_scenario, run_scenario
-from repro.serve.metrics import to_json
 
 SEED = 1
 SMOKE_SCENARIOS = ("single-crash", "fail-slow", "pe-mask")
+
+
+def _run_one(name: str) -> dict:
+    return run_scenario(build_scenario(name, seed=SEED))
 
 
 def digest(rollup: dict) -> dict:
@@ -63,21 +65,14 @@ def digest(rollup: dict) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="BENCH_resilience.json")
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="three-scenario subset (the CI smoke configuration)",
-    )
-    args = parser.parse_args(argv)
-
+def run(args):
     names = SMOKE_SCENARIOS if args.smoke else SCENARIO_NAMES
-    rollups = {name: run_scenario(build_scenario(name, seed=SEED)) for name in names}
-    rows = [digest(rollups[name]) for name in names]
+    crash, deterministic = stable(lambda: _run_one("single-crash"))
+    rows = [
+        digest(crash if name == "single-crash" else _run_one(name))
+        for name in names
+    ]
 
-    crash = rollups["single-crash"]
     crash_row = digest(crash)
     goodput_floor = crash_row["survivor_fraction"]
     recovers = (
@@ -86,10 +81,6 @@ def main(argv=None) -> int:
         and crash_row["goodput_ratio"] >= goodput_floor
     )
     no_drops = all(r["no_silent_drops"] for r in rows)
-    deterministic = to_json(crash) == to_json(
-        run_scenario(build_scenario("single-crash", seed=SEED))
-    )
-
     headline = {
         "no_silent_drops_everywhere": no_drops,
         "single_crash_recovers_to_survivor_fraction": recovers,
@@ -97,51 +88,37 @@ def main(argv=None) -> int:
         "single_crash_availability": crash_row["availability"],
         "byte_deterministic": deterministic,
     }
-
     payload = {
-        "benchmark": "resilience",
-        "generated_by": "benchmarks/bench_resilience.py",
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
         "config": CONFIG_16_16.name,
         "seed": SEED,
         "smoke": args.smoke,
         "scenarios": rows,
         "headline": headline,
     }
-    with open(args.output, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
 
-    print(
+    lines = [
         f"{'scenario':<14s} {'avail':>7s} {'goodput':>8s} {'p95':>6s} "
         f"{'p99':>6s} {'mttr ms':>8s} {'retries':>7s} {'failed':>6s}"
-    )
+    ]
     for r in rows:
         mttr = f"{r['mttr_ms']:.0f}" if r["mttr_ms"] is not None else "-"
-        print(
+        lines.append(
             f"{r['scenario']:<14s} {r['availability']:>7.4f} "
             f"{r['goodput_ratio']:>8.3f} {r['latency_ratio_p95']:>6.2f} "
             f"{r['latency_ratio_p99']:>6.2f} {mttr:>8s} "
             f"{r['retries']:>7d} {r['failed']:>6d}"
         )
-    ok = True
-    if not no_drops:
-        print("FAIL: a request was silently dropped", file=sys.stderr)
-        ok = False
-    if not recovers:
-        print(
-            "FAIL: single-crash goodput did not recover to the survivor "
+    gates = [
+        (no_drops, "a request was silently dropped"),
+        (
+            recovers,
+            "single-crash goodput did not recover to the survivor "
             "fraction of healthy within a finite MTTR",
-            file=sys.stderr,
-        )
-        ok = False
-    if not deterministic:
-        print("FAIL: single-crash rollup is not byte-deterministic", file=sys.stderr)
-        ok = False
-    print(f"written to {args.output}")
-    return 0 if ok else 1
+        ),
+        (deterministic, "single-crash rollup is not byte-deterministic"),
+    ]
+    return payload, lines, gates
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("resilience", run, __doc__))

@@ -12,21 +12,20 @@ two ways at every rate:
 Writes ``BENCH_serving.json``.  The headline records the saturating-load
 comparison (offered load above batch-1 capacity): dynamic batching must
 beat batch-1 on p95 latency there, and the script exits nonzero if it
-doesn't.  All numbers are *simulated* accelerator time, so the artifact is
-deterministic — reruns produce identical measurements.
+doesn't.  ``--smoke`` serves a three-rate grid for 3 s instead of six
+rates for 10 s.  All numbers are *simulated* accelerator time, so the
+artifact is deterministic — reruns produce identical measurements.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_serving.py [--quick] [--output BENCH_serving.json]
+    PYTHONPATH=src python benchmarks/bench_serving.py [--smoke] [--output BENCH_serving.json]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import sys
+
+from harness import main
 
 from repro.arch.config import CONFIG_16_16
 from repro.serve import (
@@ -39,9 +38,12 @@ from repro.serve import (
 )
 
 NETWORK = "alexnet"
+SEED = 0
 SATURATING_RATE = 100.0  # above batch-1 capacity (~56 req/s), below dynamic's
 FULL_RATES = (25.0, 50.0, 75.0, 100.0, 150.0, 200.0)
-QUICK_RATES = (50.0, 100.0, 200.0)
+SMOKE_RATES = (50.0, 100.0, 200.0)
+FULL_DURATION_S = 10.0
+SMOKE_DURATION_S = 3.0
 
 POLICIES = {
     "batch-1": BatchPolicy(max_batch=1),
@@ -50,14 +52,10 @@ POLICIES = {
 
 
 def serve_once(
-    coster: BatchCoster,
-    rate: float,
-    duration_s: float,
-    policy_name: str,
-    seed: int = 0,
+    coster: BatchCoster, rate: float, duration_s: float, policy_name: str
 ) -> dict:
     tenants = parse_mix(NETWORK)
-    requests = poisson_arrivals(rate, duration_s, tenants, seed=seed)
+    requests = poisson_arrivals(rate, duration_s, tenants, seed=SEED)
     engine = ServingEngine(
         CONFIG_16_16,
         batch_policy=POLICIES[policy_name],
@@ -82,37 +80,17 @@ def serve_once(
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="BENCH_serving.json")
-    parser.add_argument("--duration", type=float, default=10.0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small grid + short duration (the CI smoke configuration)",
-    )
-    args = parser.parse_args(argv)
-
-    duration = 3.0 if args.quick else args.duration
-    rates = QUICK_RATES if args.quick else FULL_RATES
+def run(args):
+    duration = SMOKE_DURATION_S if args.smoke else FULL_DURATION_S
+    rates = SMOKE_RATES if args.smoke else FULL_RATES
     coster = BatchCoster(CONFIG_16_16)
-
-    scenarios = []
-    for rate in rates:
-        for policy_name in POLICIES:
-            scenarios.append(
-                serve_once(coster, rate, duration, policy_name, seed=args.seed)
-            )
-
-    def pick(rate, policy):
-        for s in scenarios:
-            if s["rate_rps"] == rate and s["policy"] == policy:
-                return s
-        raise KeyError((rate, policy))
-
-    b1 = pick(SATURATING_RATE, "batch-1")
-    dyn = pick(SATURATING_RATE, "dynamic")
+    scenarios = [
+        serve_once(coster, rate, duration, policy_name)
+        for rate in rates
+        for policy_name in POLICIES
+    ]
+    saturated = {s["policy"]: s for s in scenarios if s["rate_rps"] == SATURATING_RATE}
+    b1, dyn = saturated["batch-1"], saturated["dynamic"]
     headline = {
         "network": NETWORK,
         "saturating_rate_rps": SATURATING_RATE,
@@ -127,47 +105,39 @@ def main(argv=None) -> int:
         "dynamic_goodput_rps": dyn["goodput_rps"],
         "dynamic_beats_batch1_p95": dyn["p95_ms"] < b1["p95_ms"],
     }
-
     payload = {
-        "benchmark": "serving",
-        "generated_by": "benchmarks/bench_serving.py",
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
         "network": NETWORK,
         "config": CONFIG_16_16.name,
         "duration_s": duration,
-        "seed": args.seed,
-        "quick": args.quick,
+        "seed": SEED,
+        "smoke": args.smoke,
         "policies": {name: p.describe() for name, p in POLICIES.items()},
         "scenarios": scenarios,
         "headline": headline,
     }
-    with open(args.output, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
 
-    print(
+    lines = [
         f"{'rate':>6s} {'policy':<8s} {'goodput':>8s} {'p50 ms':>9s} "
         f"{'p95 ms':>9s} {'p99 ms':>9s} {'shed':>6s} {'batch':>6s}"
-    )
-    for s in scenarios:
-        print(
-            f"{s['rate_rps']:>6.0f} {s['policy']:<8s} {s['goodput_rps']:>8.1f} "
-            f"{s['p50_ms']:>9.1f} {s['p95_ms']:>9.1f} {s['p99_ms']:>9.1f} "
-            f"{s['shed_rate']:>6.1%} {s['mean_batch_size']:>6.2f}"
-        )
-    print(
+    ] + [
+        f"{s['rate_rps']:>6.0f} {s['policy']:<8s} {s['goodput_rps']:>8.1f} "
+        f"{s['p50_ms']:>9.1f} {s['p95_ms']:>9.1f} {s['p99_ms']:>9.1f} "
+        f"{s['shed_rate']:>6.1%} {s['mean_batch_size']:>6.2f}"
+        for s in scenarios
+    ] + [
         f"\nheadline @ {SATURATING_RATE:.0f} req/s: dynamic p95 "
         f"{headline['dynamic_p95_ms']:.1f} ms vs batch-1 p95 "
         f"{headline['batch1_p95_ms']:.1f} ms "
         f"({headline['p95_speedup']:.1f}x better)"
-    )
-    print(f"written to {args.output}")
-    if not headline["dynamic_beats_batch1_p95"]:
-        print("FAIL: dynamic batching did not beat batch-1 p95", file=sys.stderr)
-        return 1
-    return 0
+    ]
+    gates = [
+        (
+            headline["dynamic_beats_batch1_p95"],
+            "dynamic batching did not beat batch-1 p95",
+        ),
+    ]
+    return payload, lines, gates
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("serving", run, __doc__))

@@ -13,8 +13,8 @@ Writes ``BENCH_sharding.json``.  The headline asserts the structural
 claims — the DP balancer's bottleneck (compute + link) is never worse than
 the even split, and free-link data parallelism reaches N× the single-chip
 throughput at the same shard size — and the script exits nonzero if either
-fails.  All numbers are modelled accelerator time: reruns are
-byte-deterministic.
+fails.  ``--smoke`` stops the chip grid at 4.  All numbers are modelled
+accelerator time: reruns are byte-deterministic.
 
 Usage::
 
@@ -23,12 +23,10 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import os
-import platform
 import sys
+
+from harness import main
 
 from repro.arch.config import CONFIG_16_16
 from repro.cluster import LinkSpec, plan_data_parallel, plan_pipeline
@@ -74,16 +72,7 @@ def measure(network: str, chips: int) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="BENCH_sharding.json")
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small chip grid (the CI smoke configuration)",
-    )
-    args = parser.parse_args(argv)
-
+def run(args):
     chip_counts = SMOKE_CHIPS if args.smoke else FULL_CHIPS
     rows = [measure(net, chips) for net in NETWORKS for chips in chip_counts]
 
@@ -117,12 +106,7 @@ def main(argv=None) -> int:
             for net, r in best.items()
         },
     }
-
     payload = {
-        "benchmark": "sharding",
-        "generated_by": "benchmarks/bench_sharding.py",
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
         "config": CONFIG_16_16.name,
         "link_gbs": LINK.bandwidth_gbs,
         "link_latency_us": LINK.latency_s * 1e6,
@@ -131,37 +115,29 @@ def main(argv=None) -> int:
         "scenarios": rows,
         "headline": headline,
     }
-    with open(args.output, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
 
-    print(
+    lines = [
         f"{'net':<8s} {'chips':>5s} {'dp ms':>9s} {'even ms':>9s} "
         f"{'pipe img/s':>10s} {'dpar x':>7s} {'dpar eff':>8s} {'free x':>7s}"
-    )
-    for r in rows:
-        print(
-            f"{r['network']:<8s} {r['chips']:>5d} "
-            f"{r['pipeline_dp_bottleneck_ms']:>9.3f} "
-            f"{r['pipeline_even_bottleneck_ms']:>9.3f} "
-            f"{r['pipeline_dp_throughput_ips']:>10.1f} "
-            f"{r['dataparallel_speedup']:>7.2f} "
-            f"{r['dataparallel_efficiency']:>8.1%} "
-            f"{r['dataparallel_free_link_scaling']:>7.2f}"
-        )
-    ok = True
-    if not dp_always_wins:
-        print("FAIL: DP balancer lost to the even split somewhere", file=sys.stderr)
-        ok = False
-    if not free_link_scales:
-        print(
-            "FAIL: free-link data parallelism did not reach N x shard throughput",
-            file=sys.stderr,
-        )
-        ok = False
-    print(f"written to {args.output}")
-    return 0 if ok else 1
+    ] + [
+        f"{r['network']:<8s} {r['chips']:>5d} "
+        f"{r['pipeline_dp_bottleneck_ms']:>9.3f} "
+        f"{r['pipeline_even_bottleneck_ms']:>9.3f} "
+        f"{r['pipeline_dp_throughput_ips']:>10.1f} "
+        f"{r['dataparallel_speedup']:>7.2f} "
+        f"{r['dataparallel_efficiency']:>8.1%} "
+        f"{r['dataparallel_free_link_scaling']:>7.2f}"
+        for r in rows
+    ]
+    gates = [
+        (dp_always_wins, "DP balancer lost to the even split somewhere"),
+        (
+            free_link_scales,
+            "free-link data parallelism did not reach N x shard throughput",
+        ),
+    ]
+    return payload, lines, gates
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("sharding", run, __doc__))

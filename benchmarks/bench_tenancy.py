@@ -23,7 +23,8 @@ accelerator time (deterministic across reruns):
    the heterogeneous placement wins on worst-tenant p95.
 
 Writes ``BENCH_tenancy.json``.  Exits nonzero if either gate fails or
-if the rollups are not byte-identical across two runs.
+if the rollups are not byte-identical across two runs.  ``--smoke``
+offers load for 5 s instead of 20 s.
 
 Usage::
 
@@ -32,13 +33,11 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import os
-import platform
 import sys
 
+from harness import main, stable
+
 from repro.arch.config import CONFIG_32_32
-from repro.serve.metrics import to_json
 from repro.serve.workload import parse_tenant_mix
 from repro.tenancy import (
     compare_fleets,
@@ -57,6 +56,8 @@ FLEET_RATE = 600.0
 FLEET_SEED = 2
 
 SLO_MS = 250.0
+FULL_DURATION_S = 20.0
+SMOKE_DURATION_S = 5.0
 
 
 def run_partition_scenario(duration_s: float):
@@ -84,110 +85,66 @@ def run_fleet_scenario(duration_s: float):
     )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="BENCH_tenancy.json")
-    parser.add_argument(
-        "--duration", type=float, default=20.0, help="offered-load window, s"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="short window (the CI smoke configuration)",
-    )
-    args = parser.parse_args(argv)
-
-    duration = 5.0 if args.smoke else args.duration
-
-    part = run_partition_scenario(duration)
-    part_rerun = run_partition_scenario(duration)
-    fleet = run_fleet_scenario(duration)
-    fleet_rerun = run_fleet_scenario(duration)
-    deterministic = (
-        to_json(part) == to_json(part_rerun)
-        and to_json(fleet) == to_json(fleet_rerun)
-    )
+def run(args):
+    duration = SMOKE_DURATION_S if args.smoke else FULL_DURATION_S
+    part, part_stable = stable(lambda: run_partition_scenario(duration))
+    fleet, fleet_stable = stable(lambda: run_fleet_scenario(duration))
+    deterministic = part_stable and fleet_stable
 
     het_p95 = worst_tenant_p95(fleet["fleets"]["het"])
     best_homog = min(
         worst_tenant_p95(fleet["fleets"][name])
         for name in ("homog-small", "homog-big")
     )
+    part_p95 = part["headline"]["worst_tenant_p95_ms"]
     headline = {
         "duration_s": duration,
-        "partitioned_worst_p95_ms": part["headline"]["worst_tenant_p95_ms"][
-            "partitioned"
-        ],
-        "timemux_worst_p95_ms": part["headline"]["worst_tenant_p95_ms"][
-            "timemux"
-        ],
+        "partitioned_worst_p95_ms": part_p95["partitioned"],
+        "timemux_worst_p95_ms": part_p95["timemux"],
         "partitioned_wins": part["headline"]["partitioned_wins"],
         "partition_p95_ratio": part["headline"]["p95_ratio"],
         "het_worst_p95_ms": round(het_p95, 6),
         "best_homogeneous_worst_p95_ms": round(best_homog, 6),
         "het_wins": het_p95 < best_homog,
         "fleet_winner": fleet["headline"]["winner"],
-        "equal_fleet_weights": len(
-            set(fleet["scenario"]["fleets"].values())
-        )
-        == 1,
+        "equal_fleet_weights": len(set(fleet["scenario"]["fleets"].values())) == 1,
         "rollups_deterministic": deterministic,
     }
-
     payload = {
-        "benchmark": "tenancy",
-        "generated_by": "benchmarks/bench_tenancy.py",
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
         "smoke": args.smoke,
         "partition_scenario": part,
         "fleet_scenario": fleet,
         "headline": headline,
     }
-    with open(args.output, "w") as handle:
-        handle.write(to_json(payload))
 
-    print(
+    lines = [
         "partition: worst-tenant p95 "
         f"{headline['partitioned_worst_p95_ms']:.1f} ms partitioned vs "
         f"{headline['timemux_worst_p95_ms']:.1f} ms time-multiplexed "
         f"({headline['partition_p95_ratio']:.2f}x) at "
-        f"{PARTITION_RATE:g} req/s on one 32-32 chip"
-    )
-    print(
+        f"{PARTITION_RATE:g} req/s on one 32-32 chip",
         "fleet:     worst-tenant p95 "
         f"{headline['het_worst_p95_ms']:.1f} ms heterogeneous vs "
         f"{headline['best_homogeneous_worst_p95_ms']:.1f} ms best "
         f"homogeneous at equal cost weight (winner: "
-        f"{headline['fleet_winner']})"
-    )
-    print(f"written to {args.output}")
-
-    ok = True
-    if not headline["partitioned_wins"]:
-        print(
-            "FAIL: partitioned co-residency lost to time-multiplexing on "
+        f"{headline['fleet_winner']})",
+    ]
+    gates = [
+        (
+            headline["partitioned_wins"],
+            "partitioned co-residency lost to time-multiplexing on "
             "worst-tenant p95",
-            file=sys.stderr,
-        )
-        ok = False
-    if not headline["het_wins"]:
-        print(
-            "FAIL: heterogeneous fleet lost to the best homogeneous fleet "
+        ),
+        (
+            headline["het_wins"],
+            "heterogeneous fleet lost to the best homogeneous fleet "
             "on worst-tenant p95",
-            file=sys.stderr,
-        )
-        ok = False
-    if not headline["equal_fleet_weights"]:
-        print("FAIL: fleet cost weights are not equal", file=sys.stderr)
-        ok = False
-    if not headline["rollups_deterministic"]:
-        print(
-            "FAIL: rollups differed between identical runs", file=sys.stderr
-        )
-        ok = False
-    return 0 if ok else 1
+        ),
+        (headline["equal_fleet_weights"], "fleet cost weights are not equal"),
+        (deterministic, "rollups differed between identical runs"),
+    ]
+    return payload, lines, gates
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("tenancy", run, __doc__))

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 from repro.adaptive import choices_for_network, plan_network
 from repro.adaptive.planner import POLICY_NAMES
@@ -78,6 +79,23 @@ def named_config(name: str):
         return PRESETS[name]
     return _named_config(name)
 from repro.nn.zoo import NETWORK_BUILDERS, build
+
+
+def _emit_json(path: str, text: str, label: str, render: Callable[[], None]) -> None:
+    """The ``--json PATH|-`` writer every command shares.
+
+    ``-`` prints only the canonical JSON ``text``.  Otherwise ``render``
+    prints the human view and, given a ``PATH``, ``text`` is also written
+    there.
+    """
+    if path == "-":
+        print(text, end="")
+        return
+    render()
+    if path:
+        with open(path, "w") as handle:
+            handle.write(text)
+        print(f"\n{label} JSON written to {path}")
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -168,7 +186,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     config = named_config(args.config)
     choices = choices_for_network(net, config)
     if args.json:
-        import json
+        from repro.serve.metrics import to_json
 
         payload = {
             "network": net.name,
@@ -178,7 +196,7 @@ def cmd_select(args: argparse.Namespace) -> int:
                 for c in choices
             ],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(to_json(payload), end="")
         return 0
     for choice in choices:
         print(f"{choice.layer_name:<26s} -> {choice.scheme:<15s} {choice.reason}")
@@ -244,14 +262,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "slo_ms": args.slo_ms,
         },
     )
-    if args.json == "-":
-        print(report.to_json(), end="")
-        return 0
-    print(render_summary(report.summary))
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(report.to_json())
-        print(f"\nmetrics JSON written to {args.json}")
+    _emit_json(
+        args.json,
+        report.to_json(),
+        "metrics",
+        lambda: print(render_summary(report.summary)),
+    )
     return 0
 
 
@@ -368,43 +384,39 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
             }
         payload["baselines"] = baselines
 
-    if args.json == "-":
-        print(to_json(payload), end="")
-        return 0
-    print(render_summary(report.summary))
-    control = report.summary["control"]
-    print()
-    print("autoscaler:")
-    print(f"  epochs               {control['n_epochs']}")
-    actions = ", ".join(
-        f"{k}={v}" for k, v in control["actions_by_kind"].items()
-    ) or "none"
-    print(f"  actions              {actions}")
-    verdicts = ", ".join(
-        f"{k}={v}" for k, v in control["verdicts_by_status"].items()
-    ) or "none"
-    print(f"  verdicts             {verdicts}")
-    print(f"  oscillation freezes  {len(control['freezes'])}")
-    fleet = report.summary["fleet"]
-    print(
-        f"  fleet                peak {fleet['peak_replicas']}, "
-        f"final {fleet['final_replicas']}, "
-        f"{fleet['chip_seconds']:.1f} chip-seconds"
-    )
-    if args.compare:
+    def render() -> None:
+        print(render_summary(report.summary))
+        control = report.summary["control"]
         print()
-        print("vs static provisioning:")
-        for name, stats in payload["baselines"].items():
-            print(
-                f"  {name:<12s} {stats['replicas']:>2d} replicas  "
-                f"hit {stats['deadline_hit_rate']:.4f}  "
-                f"shed {stats['shed']:>5d}  "
-                f"{stats['chip_seconds']:.1f} chip-seconds"
-            )
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(to_json(payload))
-        print(f"\nmetrics JSON written to {args.json}")
+        print("autoscaler:")
+        print(f"  epochs               {control['n_epochs']}")
+        actions = ", ".join(
+            f"{k}={v}" for k, v in control["actions_by_kind"].items()
+        ) or "none"
+        print(f"  actions              {actions}")
+        verdicts = ", ".join(
+            f"{k}={v}" for k, v in control["verdicts_by_status"].items()
+        ) or "none"
+        print(f"  verdicts             {verdicts}")
+        print(f"  oscillation freezes  {len(control['freezes'])}")
+        fleet = report.summary["fleet"]
+        print(
+            f"  fleet                peak {fleet['peak_replicas']}, "
+            f"final {fleet['final_replicas']}, "
+            f"{fleet['chip_seconds']:.1f} chip-seconds"
+        )
+        if args.compare:
+            print()
+            print("vs static provisioning:")
+            for name, stats in payload["baselines"].items():
+                print(
+                    f"  {name:<12s} {stats['replicas']:>2d} replicas  "
+                    f"hit {stats['deadline_hit_rate']:.4f}  "
+                    f"shed {stats['shed']:>5d}  "
+                    f"{stats['chip_seconds']:.1f} chip-seconds"
+                )
+
+    _emit_json(args.json, to_json(payload), "metrics", render)
     return 0
 
 
@@ -436,202 +448,209 @@ def cmd_shard(args: argparse.Namespace) -> int:
             policy=args.policy,
         )
     summary = rollup(plan)
-    if args.json == "-":
-        print(to_json(summary), end="")
-        return 0
-    print(
-        f"{net.name} across {args.chips} x {config.name} chips, "
-        f"{args.strategy}"
-        + (f" ({args.partition} balancer)" if args.strategy == "pipeline" else "")
-        + f", {link.describe()}"
-    )
-    print()
-    if args.strategy == "pipeline":
-        from repro.analysis.report import format_table
 
-        rows = []
-        for s in plan.stages:
-            span = (
-                s.layer_names[0]
-                if len(s.layer_names) == 1
-                else f"{s.layer_names[0]}..{s.layer_names[-1]}"
+    def render() -> None:
+        print(
+            f"{net.name} across {args.chips} x {config.name} chips, "
+            f"{args.strategy}"
+            + (f" ({args.partition} balancer)" if args.strategy == "pipeline" else "")
+            + f", {link.describe()}"
+        )
+        print()
+        if args.strategy == "pipeline":
+            from repro.analysis.report import format_table
+
+            rows = []
+            for s in plan.stages:
+                span = (
+                    s.layer_names[0]
+                    if len(s.layer_names) == 1
+                    else f"{s.layer_names[0]}..{s.layer_names[-1]}"
+                )
+                rows.append(
+                    [
+                        str(s.chip),
+                        f"{span} ({len(s.layer_names)})",
+                        f"{s.compute_s * 1e3:.3f}",
+                        f"{s.send_s * 1e3:.3f}",
+                        f"{plan.utilization(s.chip):.1%}",
+                        f"{plan.link_occupancy(s.chip):.1%}",
+                    ]
+                )
+            print(
+                format_table(
+                    ["chip", "layers", "compute ms", "send ms", "util", "link"], rows
+                )
             )
-            rows.append(
+            print(
+                f"\nbottleneck {plan.bottleneck_s * 1e3:.3f} ms -> "
+                f"{plan.throughput_ips:.1f} img/s steady state; "
+                f"fill {plan.fill_latency_s * 1e3:.3f} ms, "
+                f"drain {plan.drain_latency_s * 1e3:.3f} ms"
+            )
+            if args.partition == "dp":
+                even = plan_pipeline(
+                    net,
+                    config,
+                    args.chips,
+                    link=link,
+                    policy=args.policy,
+                    strategy="even",
+                )
+                ratio = even.bottleneck_s / plan.bottleneck_s
+                print(
+                    f"even-split baseline bottleneck {even.bottleneck_s * 1e3:.3f} ms "
+                    f"(dp balancer is {ratio:.2f}x better)"
+                )
+        else:
+            from repro.analysis.report import format_table
+
+            rows = [
                 [
                     str(s.chip),
-                    f"{span} ({len(s.layer_names)})",
+                    str(s.batch),
                     f"{s.compute_s * 1e3:.3f}",
-                    f"{s.send_s * 1e3:.3f}",
                     f"{plan.utilization(s.chip):.1%}",
-                    f"{plan.link_occupancy(s.chip):.1%}",
                 ]
-            )
-        print(
-            format_table(
-                ["chip", "layers", "compute ms", "send ms", "util", "link"], rows
-            )
-        )
-        print(
-            f"\nbottleneck {plan.bottleneck_s * 1e3:.3f} ms -> "
-            f"{plan.throughput_ips:.1f} img/s steady state; "
-            f"fill {plan.fill_latency_s * 1e3:.3f} ms, "
-            f"drain {plan.drain_latency_s * 1e3:.3f} ms"
-        )
-        if args.partition == "dp":
-            even = plan_pipeline(
-                net,
-                config,
-                args.chips,
-                link=link,
-                policy=args.policy,
-                strategy="even",
-            )
-            ratio = even.bottleneck_s / plan.bottleneck_s
-            print(
-                f"even-split baseline bottleneck {even.bottleneck_s * 1e3:.3f} ms "
-                f"(dp balancer is {ratio:.2f}x better)"
-            )
-    else:
-        from repro.analysis.report import format_table
-
-        rows = [
-            [
-                str(s.chip),
-                str(s.batch),
-                f"{s.compute_s * 1e3:.3f}",
-                f"{plan.utilization(s.chip):.1%}",
+                for s in plan.shards
             ]
-            for s in plan.shards
-        ]
-        print(format_table(["chip", "batch", "compute ms", "util"], rows))
-        print(
-            f"\nstep {plan.step_s * 1e3:.3f} ms "
-            f"(scatter {plan.scatter_s * 1e3:.3f}, gather {plan.gather_s * 1e3:.3f}) "
-            f"-> {plan.throughput_ips:.1f} img/s, "
-            f"speedup {plan.speedup:.2f}x vs 1 chip "
-            f"(efficiency {plan.efficiency:.1%}), "
-            f"link busy {plan.link_occupancy:.1%}"
-        )
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(to_json(summary))
-        print(f"\nsharding JSON written to {args.json}")
+            print(format_table(["chip", "batch", "compute ms", "util"], rows))
+            print(
+                f"\nstep {plan.step_s * 1e3:.3f} ms "
+                f"(scatter {plan.scatter_s * 1e3:.3f}, gather {plan.gather_s * 1e3:.3f}) "
+                f"-> {plan.throughput_ips:.1f} img/s, "
+                f"speedup {plan.speedup:.2f}x vs 1 chip "
+                f"(efficiency {plan.efficiency:.1%}), "
+                f"link busy {plan.link_occupancy:.1%}"
+            )
+
+    _emit_json(args.json, to_json(summary), "sharding", render)
     return 0
 
 
-def cmd_chaos_control(args: argparse.Namespace) -> int:
-    from repro.analysis.report import format_table
-    from repro.control.chaos_scenarios import (
-        CONTROL_SCENARIO_NAMES,
-        build_control_scenario,
-        run_control_scenario,
-    )
-    from repro.serve.metrics import to_json
+def _mttr(rollup: dict) -> str:
+    mttr_ms = rollup["recovery"]["mttr_ms"]
+    return f"{mttr_ms:.0f}" if mttr_ms is not None else "-"
 
-    if args.list:
-        for name in CONTROL_SCENARIO_NAMES:
-            scenario = build_control_scenario(name, seed=args.seed)
-            print(f"{name:24s} {scenario.description}")
-        return 0
-    names = args.scenarios or list(CONTROL_SCENARIO_NAMES)
-    config = named_config(args.config)
-    rollups = {}
-    for name in names:
-        scenario = build_control_scenario(name, seed=args.seed)
-        rollups[name] = run_control_scenario(scenario, config)
-    violations = [
-        (name, inv)
-        for name in names
-        for inv, ok in rollups[name]["invariants"].items()
-        if not ok
+
+def _chaos_row(name: str, r: dict) -> list:
+    return [
+        name,
+        f"{r['availability']:.4f}",
+        f"{r['goodput_ratio']:.3f}",
+        f"{r['latency_ratio']['p95']:.2f}x",
+        f"{r['latency_ratio']['p99']:.2f}x",
+        _mttr(r),
+        str(r["failover"]["retries"]),
+        str(r["faulted"]["failed"]),
     ]
-    payload = rollups[names[0]] if len(names) == 1 else {
-        "seed": args.seed,
-        "config": config.name,
-        "scenarios": rollups,
-    }
-    if args.json == "-":
-        print(to_json(payload), end="")
-        return 1 if violations else 0
-    rows = []
-    for name in names:
-        r = rollups[name]
-        att = r["attainment"]
-        rec = r["recovery"]
-        mttr = f"{rec['mttr_ms']:.0f}" if rec["mttr_ms"] is not None else "-"
-        inv = r["invariants"]
-        rows.append(
-            [
-                name,
-                f"{att['healing']:.4f}",
-                f"{att['nonhealing']:.4f}",
-                f"{att['frozen_faulted']:.4f}",
-                f"{att['frozen_healthy']:.4f}",
-                mttr,
-                f"{sum(inv.values())}/{len(inv)}",
-            ]
+
+
+def _chaos_notes(r: dict) -> list:
+    notes = []
+    for network, d in sorted((r["degrade"] or {}).items()):
+        flips = ", ".join(
+            f"{f['layer']} {f['healthy']}->{f['degraded']}"
+            for f in d["scheme_flips"]
+        ) or "none"
+        notes.append(
+            f"{network} degraded "
+            f"{d['healthy_pe'][0]}x{d['healthy_pe'][1]} -> "
+            f"{d['degraded_pe'][0]}x{d['degraded_pe'][1]}, "
+            f"slowdown {d['slowdown']:.2f}x, flips: {flips}"
         )
-    print(f"chaos --control seed {args.seed} on {config.name}")
-    print()
-    print(
-        format_table(
-            [
-                "scenario",
-                "healing",
-                "nonheal",
-                "frozen",
-                "healthy",
-                "mttr ms",
-                "invariants",
-            ],
-            rows,
+    repair = r["repair"]
+    if repair:
+        notes.append(
+            f"lost chip(s) {repair['lost_chips']} of "
+            f"{repair['healthy_chips']}, rebalanced to "
+            f"{len(repair['surviving_chips'])} chips at "
+            f"{repair['throughput_ratio']:.1%} throughput, "
+            f"{len(repair['moved_layers'])} layers moved "
+            f"({repair['rebalance_ms']:.2f} ms of weight traffic)"
         )
-    )
-    for name in names:
-        detail = rollups[name]["healing_detail"]
-        notes = []
-        if detail["restarts"]:
-            notes.append(f"{len(detail['restarts'])} journal restart(s)")
-        if detail["safe_mode_intervals"]:
-            spans = ", ".join(
-                f"[{i['entered_epoch']}, {i['exited_epoch']}]"
-                for i in detail["safe_mode_intervals"]
-            )
-            notes.append(f"safe mode {spans}")
-        if detail["telemetry_flags"]:
-            notes.append(f"{detail['telemetry_flags']} telemetry flag(s)")
-        if detail["placements"]:
-            chips = ", ".join(p["chip"] for p in detail["placements"])
-            notes.append(f"replacement(s) placed on {chips}")
-        if notes:
-            print(f"\n{name}: " + "; ".join(notes))
-    for name, inv in violations:
-        print(f"\nINVARIANT VIOLATED: {name}: {inv}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(to_json(payload))
-        print(f"\nchaos JSON written to {args.json}")
-    return 1 if violations else 0
+    integrity = r["integrity"]
+    if integrity:
+        drained = integrity["drained_replicas"]
+        notes.append(
+            f"{integrity['corrupted_batches']} corrupted "
+            f"batches, {integrity['detected']} detected / "
+            f"{integrity['corrected']} corrected / "
+            f"{integrity['escaped_batches']} escaped, drained "
+            f"{drained if drained else 'none'}"
+        )
+    return notes
+
+
+def _control_row(name: str, r: dict) -> list:
+    att = r["attainment"]
+    inv = r["invariants"]
+    return [
+        name,
+        f"{att['healing']:.4f}",
+        f"{att['nonhealing']:.4f}",
+        f"{att['frozen_faulted']:.4f}",
+        f"{att['frozen_healthy']:.4f}",
+        _mttr(r),
+        f"{sum(inv.values())}/{len(inv)}",
+    ]
+
+
+def _control_notes(r: dict) -> list:
+    detail = r["healing_detail"]
+    notes = []
+    if detail["restarts"]:
+        notes.append(f"{len(detail['restarts'])} journal restart(s)")
+    if detail["safe_mode_intervals"]:
+        spans = ", ".join(
+            f"[{i['entered_epoch']}, {i['exited_epoch']}]"
+            for i in detail["safe_mode_intervals"]
+        )
+        notes.append(f"safe mode {spans}")
+    if detail["telemetry_flags"]:
+        notes.append(f"{detail['telemetry_flags']} telemetry flag(s)")
+    if detail["placements"]:
+        chips = ", ".join(p["chip"] for p in detail["placements"])
+        notes.append(f"replacement(s) placed on {chips}")
+    return ["; ".join(notes)] if notes else []
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
-    from repro.resilience import SCENARIO_NAMES, build_scenario, run_scenario
     from repro.serve.metrics import to_json
 
+    # the two catalogues share everything but their scenarios, table and notes
     if args.control:
-        return cmd_chaos_control(args)
+        from repro.control.chaos_scenarios import (
+            CONTROL_SCENARIO_NAMES as catalogue,
+            build_control_scenario as build,
+            run_control_scenario as run,
+        )
+
+        title, width, row, notes = "chaos --control", 24, _control_row, _control_notes
+        columns = [
+            "scenario", "healing", "nonheal", "frozen", "healthy", "mttr ms",
+            "invariants",
+        ]
+    else:
+        from repro.resilience import (
+            SCENARIO_NAMES as catalogue,
+            build_scenario as build,
+            run_scenario as run,
+        )
+
+        title, width, row, notes = "chaos", 14, _chaos_row, _chaos_notes
+        columns = [
+            "scenario", "avail", "goodput", "p95", "p99", "mttr ms", "retries",
+            "failed",
+        ]
     if args.list:
-        for name in SCENARIO_NAMES:
-            scenario = build_scenario(name, seed=args.seed)
-            print(f"{name:14s} {scenario.description}")
+        for name in catalogue:
+            print(f"{name:{width}s} {build(name, seed=args.seed).description}")
         return 0
-    names = args.scenarios or list(SCENARIO_NAMES)
+    names = args.scenarios or list(catalogue)
     config = named_config(args.config)
-    rollups = {}
-    for name in names:
-        scenario = build_scenario(name, seed=args.seed)
-        rollups[name] = run_scenario(scenario, config)
+    rollups = {name: run(build(name, seed=args.seed), config) for name in names}
     violations = [
         (name, inv)
         for name in names
@@ -643,83 +662,18 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         "config": config.name,
         "scenarios": rollups,
     }
-    if args.json == "-":
-        print(to_json(payload), end="")
-        return 1 if violations else 0
-    rows = []
-    for name in names:
-        r = rollups[name]
-        rec = r["recovery"]
-        mttr = f"{rec['mttr_ms']:.0f}" if rec["mttr_ms"] is not None else "-"
-        rows.append(
-            [
-                name,
-                f"{r['availability']:.4f}",
-                f"{r['goodput_ratio']:.3f}",
-                f"{r['latency_ratio']['p95']:.2f}x",
-                f"{r['latency_ratio']['p99']:.2f}x",
-                mttr,
-                str(r["failover"]["retries"]),
-                str(r["faulted"]["failed"]),
-            ]
-        )
-    print(f"chaos seed {args.seed} on {config.name}")
-    print()
-    print(
-        format_table(
-            [
-                "scenario",
-                "avail",
-                "goodput",
-                "p95",
-                "p99",
-                "mttr ms",
-                "retries",
-                "failed",
-            ],
-            rows,
-        )
-    )
-    for name in names:
-        degrade = rollups[name]["degrade"]
-        if degrade:
-            for network, d in sorted(degrade.items()):
-                flips = ", ".join(
-                    f"{f['layer']} {f['healthy']}->{f['degraded']}"
-                    for f in d["scheme_flips"]
-                ) or "none"
-                print(
-                    f"\n{name}: {network} degraded "
-                    f"{d['healthy_pe'][0]}x{d['healthy_pe'][1]} -> "
-                    f"{d['degraded_pe'][0]}x{d['degraded_pe'][1]}, "
-                    f"slowdown {d['slowdown']:.2f}x, flips: {flips}"
-                )
-        repair = rollups[name]["repair"]
-        if repair:
-            print(
-                f"\n{name}: lost chip(s) {repair['lost_chips']} of "
-                f"{repair['healthy_chips']}, rebalanced to "
-                f"{len(repair['surviving_chips'])} chips at "
-                f"{repair['throughput_ratio']:.1%} throughput, "
-                f"{len(repair['moved_layers'])} layers moved "
-                f"({repair['rebalance_ms']:.2f} ms of weight traffic)"
-            )
-        integrity = rollups[name]["integrity"]
-        if integrity:
-            drained = integrity["drained_replicas"]
-            print(
-                f"\n{name}: {integrity['corrupted_batches']} corrupted "
-                f"batches, {integrity['detected']} detected / "
-                f"{integrity['corrected']} corrected / "
-                f"{integrity['escaped_batches']} escaped, drained "
-                f"{drained if drained else 'none'}"
-            )
-    for name, inv in violations:
-        print(f"\nINVARIANT VIOLATED: {name}: {inv}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(to_json(payload))
-        print(f"\nchaos JSON written to {args.json}")
+
+    def render() -> None:
+        print(f"{title} seed {args.seed} on {config.name}")
+        print()
+        print(format_table(columns, [row(name, rollups[name]) for name in names]))
+        for name in names:
+            for note in notes(rollups[name]):
+                print(f"\n{name}: {note}")
+        for name, inv in violations:
+            print(f"\nINVARIANT VIOLATED: {name}: {inv}")
+
+    _emit_json(args.json, to_json(payload), "chaos", render)
     return 1 if violations else 0
 
 
@@ -777,45 +731,44 @@ def cmd_tenancy(args: argparse.Namespace) -> int:
             queue_policy=queue_policy,
             plan_policy=args.policy,
         )
-        if args.json == "-":
-            print(to_json(rollup), end="")
-            return 0
-        head = rollup["headline"]
-        p95 = head["worst_tenant_p95_ms"]
-        print(
-            f"{config.name} carved into "
-            + ", ".join(
-                f"{s.name}={s.tin}x{s.tout}" for s in specs
+
+        def render() -> None:
+            head = rollup["headline"]
+            p95 = head["worst_tenant_p95_ms"]
+            print(
+                f"{config.name} carved into "
+                + ", ".join(
+                    f"{s.name}={s.tin}x{s.tout}" for s in specs
+                )
+                + f" vs time-multiplexed whole chip, {args.rate:g} req/s "
+                f"x {args.duration:g} s (seed {args.seed})"
             )
-            + f" vs time-multiplexed whole chip, {args.rate:g} req/s "
-            f"x {args.duration:g} s (seed {args.seed})"
-        )
-        print()
-        rows = []
-        for side in ("partitioned", "timemux"):
-            s = rollup[side]
-            rows.append(
-                [
-                    side,
-                    str(s["offered"]),
-                    str(s["shed"]),
-                    f"{s['goodput_rps']:.1f}",
-                    f"{p95[side]:.1f}",
-                    f"{s['deadline_hit_rate']:.1%}",
-                ]
+            print()
+            rows = []
+            for side in ("partitioned", "timemux"):
+                s = rollup[side]
+                rows.append(
+                    [
+                        side,
+                        str(s["offered"]),
+                        str(s["shed"]),
+                        f"{s['goodput_rps']:.1f}",
+                        f"{p95[side]:.1f}",
+                        f"{s['deadline_hit_rate']:.1%}",
+                    ]
+                )
+            print(
+                format_table(
+                    ["deployment", "offered", "shed", "goodput/s",
+                     "worst-tenant p95 ms", "hit rate"],
+                    rows,
+                )
             )
-        print(
-            format_table(
-                ["deployment", "offered", "shed", "goodput/s",
-                 "worst-tenant p95 ms", "hit rate"],
-                rows,
+            verdict = "wins" if head["partitioned_wins"] else "loses"
+            print(
+                f"\npartitioned co-residency {verdict} on worst-tenant p95 "
+                f"({head['p95_ratio']:.2f}x the time-multiplexed tail)"
             )
-        )
-        verdict = "wins" if head["partitioned_wins"] else "loses"
-        print(
-            f"\npartitioned co-residency {verdict} on worst-tenant p95 "
-            f"({head['p95_ratio']:.2f}x the time-multiplexed tail)"
-        )
     else:  # fleet
         if not args.fleet:
             raise ConfigError(
@@ -841,41 +794,38 @@ def cmd_tenancy(args: argparse.Namespace) -> int:
             queue_policy=queue_policy,
             plan_policy=args.policy,
         )
-        if args.json == "-":
-            print(to_json(rollup), end="")
-            return 0
-        head = rollup["headline"]
-        print(
-            f"fleet comparison at {args.rate:g} req/s x {args.duration:g} s "
-            f"(seed {args.seed})"
-        )
-        print()
-        rows = []
-        for name in head["ranking"]:
-            s = rollup["fleets"][name]
-            rows.append(
-                [
-                    name,
-                    f"{s['fleet']['total_weight']:g}",
-                    str(s["offered"]),
-                    str(s["shed"]),
-                    f"{s['goodput_rps']:.1f}",
-                    f"{head['worst_tenant_p95_ms'][name]:.1f}",
-                    f"{s['deadline_hit_rate']:.1%}",
-                ]
+
+        def render() -> None:
+            head = rollup["headline"]
+            print(
+                f"fleet comparison at {args.rate:g} req/s x {args.duration:g} s "
+                f"(seed {args.seed})"
             )
-        print(
-            format_table(
-                ["fleet", "weight", "offered", "shed", "goodput/s",
-                 "worst-tenant p95 ms", "hit rate"],
-                rows,
+            print()
+            rows = []
+            for name in head["ranking"]:
+                s = rollup["fleets"][name]
+                rows.append(
+                    [
+                        name,
+                        f"{s['fleet']['total_weight']:g}",
+                        str(s["offered"]),
+                        str(s["shed"]),
+                        f"{s['goodput_rps']:.1f}",
+                        f"{head['worst_tenant_p95_ms'][name]:.1f}",
+                        f"{s['deadline_hit_rate']:.1%}",
+                    ]
+                )
+            print(
+                format_table(
+                    ["fleet", "weight", "offered", "shed", "goodput/s",
+                     "worst-tenant p95 ms", "hit rate"],
+                    rows,
+                )
             )
-        )
-        print(f"\nwinner: {head['winner']}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(to_json(rollup))
-        print(f"\ntenancy JSON written to {args.json}")
+            print(f"\nwinner: {head['winner']}")
+
+    _emit_json(args.json, to_json(rollup), "tenancy", render)
     return 0
 
 
@@ -942,21 +892,20 @@ def cmd_capacity(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir or None,
         progress=progress,
     )
-    if args.json == "-":
-        print(report_to_json(report), end="")
-        return 0
-    print(render_report(report, top=args.top))
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(report_to_json(report))
-        print(f"\ncapacity JSON written to {args.json}")
+    _emit_json(
+        args.json,
+        report_to_json(report),
+        "capacity",
+        lambda: print(render_report(report, top=args.top)),
+    )
     return 0
 
 
 def cmd_integrity(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
-    from repro.integrity import run_sweep, sweep_to_json
+    from repro.integrity import run_sweep
     from repro.resilience.faults import BITFLIP_SITES
+    from repro.serve.metrics import to_json
 
     config = named_config(args.config)
     rollup = run_sweep(
@@ -971,60 +920,58 @@ def cmd_integrity(args: argparse.Namespace) -> int:
         and head["detection_rate"] >= 0.99
         and head["recovery_bit_identical"]
     )
-    if args.json == "-":
-        print(sweep_to_json(rollup), end="")
-        return 0 if ok else 1
-    rows = []
-    for site in BITFLIP_SITES:
-        t = rollup["sites"][site]
-        rows.append(
-            [
-                site,
-                str(t["injections"]),
-                str(t["corrupted"]),
-                str(t["detected"]),
-                str(t["corrected"]),
-                str(t["escaped"]),
-                str(t["masked"]),
-                str(t["skipped"]),
-            ]
+
+    def render() -> None:
+        rows = []
+        for site in BITFLIP_SITES:
+            t = rollup["sites"][site]
+            rows.append(
+                [
+                    site,
+                    str(t["injections"]),
+                    str(t["corrupted"]),
+                    str(t["detected"]),
+                    str(t["corrected"]),
+                    str(t["escaped"]),
+                    str(t["masked"]),
+                    str(t["skipped"]),
+                ]
+            )
+        print(
+            f"integrity sweep seed {rollup['seed']} on {rollup['config']}"
+            + (" (smoke)" if rollup["smoke"] else "")
         )
-    print(
-        f"integrity sweep seed {rollup['seed']} on {rollup['config']}"
-        + (" (smoke)" if rollup["smoke"] else "")
-    )
-    print()
-    print(
-        format_table(
-            [
-                "site",
-                "injected",
-                "corrupted",
-                "detected",
-                "corrected",
-                "escaped",
-                "masked",
-                "skipped",
-            ],
-            rows,
+        print()
+        print(
+            format_table(
+                [
+                    "site",
+                    "injected",
+                    "corrupted",
+                    "detected",
+                    "corrected",
+                    "escaped",
+                    "masked",
+                    "skipped",
+                ],
+                rows,
+            )
         )
-    )
-    ratio = head["mean_latency_ratio"]
-    print(
-        f"\ndetection {head['detection_rate']:.1%} of {head['corrupted']} "
-        f"corruptions, {head['false_positives']} false positives in "
-        f"{head['clean_runs']} clean runs, recovery bit-identical: "
-        f"{head['recovery_bit_identical']}"
-        + (f", modeled checksum overhead {ratio:.3f}x" if ratio else "")
-    )
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(sweep_to_json(rollup))
-        print(f"\nintegrity JSON written to {args.json}")
-    if not ok:
+        ratio = head["mean_latency_ratio"]
+        print(
+            f"\ndetection {head['detection_rate']:.1%} of {head['corrupted']} "
+            f"corruptions, {head['false_positives']} false positives in "
+            f"{head['clean_runs']} clean runs, recovery bit-identical: "
+            f"{head['recovery_bit_identical']}"
+            + (f", modeled checksum overhead {ratio:.3f}x" if ratio else "")
+        )
+
+    _emit_json(args.json, to_json(rollup), "integrity", render)
+    if ok:
+        return 0
+    if args.json != "-":
         print("\nINTEGRITY GUARD FAILED ACCEPTANCE THRESHOLDS")
-        return 1
-    return 0
+    return 1
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

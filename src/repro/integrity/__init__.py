@@ -38,7 +38,7 @@ from repro.integrity.abft import (
     verified_conv,
 )
 from repro.integrity.sdc import FlipEvent, SDCInjector, flip_code
-from repro.integrity.sweep import SWEEP_LAYERS, run_sweep, sweep_to_json
+from repro.integrity.sweep import SWEEP_LAYERS, run_sweep
 
 __all__ = [
     "ABFT_PATHS",
@@ -56,6 +56,5 @@ __all__ = [
     "quantize_conv_operands",
     "recompute_flagged",
     "run_sweep",
-    "sweep_to_json",
     "verified_conv",
 ]

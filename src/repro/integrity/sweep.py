@@ -34,11 +34,10 @@ from repro.nn.network import LayerContext
 from repro.resilience.faults import BITFLIP_SITES, seeded_bitflips
 from repro.schemes import make_scheme
 from repro.schemes.abft import abft_overhead
-from repro.serve.metrics import to_json
 from repro.sim.backend import resolve_backend
 from repro.sim.functional import random_conv_tensors
 
-__all__ = ["SWEEP_LAYERS", "run_sweep", "sweep_to_json"]
+__all__ = ["SWEEP_LAYERS", "run_sweep"]
 
 #: (name, k, s, pad, groups, din, dout, hw) — chosen to cover odd/even
 #: kernels, stride > 1, stride >= kernel (partition fallback), pad > 0,
@@ -228,8 +227,3 @@ def run_sweep(
         "paths": paths,
         "headline": headline,
     }
-
-
-def sweep_to_json(rollup: Dict[str, object]) -> str:
-    """Canonical byte-stable JSON encoding of a sweep rollup."""
-    return to_json(rollup)

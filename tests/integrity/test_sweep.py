@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.integrity import SWEEP_LAYERS, run_sweep, sweep_to_json
+from repro.integrity import SWEEP_LAYERS, run_sweep
 from repro.resilience.faults import BITFLIP_SITES
+from repro.serve.metrics import to_json
 
 
 @pytest.fixture(scope="module")
@@ -54,11 +55,11 @@ class TestStructure:
 class TestDeterminism:
     def test_byte_identical_reruns(self, smoke):
         again = run_sweep(seed=0, smoke=True)
-        assert sweep_to_json(smoke) == sweep_to_json(again)
+        assert to_json(smoke) == to_json(again)
 
     def test_seed_changes_rollup(self, smoke):
         other = run_sweep(seed=1, smoke=True)
-        assert sweep_to_json(smoke) != sweep_to_json(other)
+        assert to_json(smoke) != to_json(other)
 
     def test_json_ends_with_newline(self, smoke):
-        assert sweep_to_json(smoke).endswith("\n")
+        assert to_json(smoke).endswith("\n")
