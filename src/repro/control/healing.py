@@ -58,9 +58,9 @@ from repro.perf.instrument import phase
 from repro.resilience.degrade import degraded_config
 from repro.resilience.faults import FaultSchedule, PEMask
 from repro.serve.batcher import BatchCoster, BatchPolicy
-from repro.serve.engine import AdaptiveServingEngine, check_duration
+from repro.serve.engine import AdaptiveServingEngine
 from repro.serve.queue import QueuePolicy
-from repro.serve.workload import Request, TenantSpec
+from repro.serve.workload import Request, TenantSpec, check_positive
 from repro.tenancy.fleet import ChipSpec, FleetSpec
 from repro.tenancy.placement import TenantDemand, place_tenants
 from repro.control.actuator import Actuator, AppliedAction
@@ -93,53 +93,39 @@ __all__ = [
 ]
 
 
+#: epochs an incident may stay open before rollback triggers
+RECOVERY_DEADLINE_EPOCHS = 4
+
+
 @dataclass(frozen=True)
 class HealingPolicy:
-    """Which self-healing behaviors are armed (all off = plain autoscaling)."""
+    """Whether self-healing is armed (off = plain autoscaling).
 
-    #: provision a replacement for a crashed replica at the next boundary
-    replace_crashed: bool = True
-    #: swap a PE-degraded replica's naive slowdown for Algorithm 2's replan
-    replan_degraded: bool = True
-    #: restore the last-known-good fleet when a recovery deadline is missed
-    rollback: bool = True
-    #: validate telemetry before planning on it (hold scaling when invalid)
-    telemetry_guard: bool = True
-    #: re-issue scale/replace actions whose verification failed
-    retry_failed_actions: bool = True
-    #: restart from the journal after a loop crash (else stay dead)
-    restart_on_crash: bool = True
-    #: epochs an incident may stay open before rollback triggers
-    recovery_deadline_epochs: int = 4
+    ``enabled`` arms every behavior at once: replace a crashed replica at
+    the next boundary, replan a PE-degraded one through Algorithm 2, roll
+    back to the last-known-good fleet when an incident stays open for
+    :data:`RECOVERY_DEADLINE_EPOCHS`, validate telemetry before planning on
+    it, re-issue actions whose verification failed, and restart from the
+    journal after a loop crash (else the loop stays dead).
+    """
 
-    def __post_init__(self) -> None:
-        if self.recovery_deadline_epochs < 1:
-            raise ConfigError(
-                f"recovery_deadline_epochs must be >= 1, "
-                f"got {self.recovery_deadline_epochs!r}"
-            )
+    enabled: bool = True
 
     @classmethod
     def disabled(cls) -> "HealingPolicy":
         """The non-healing baseline: plain autoscaling under the same faults."""
-        return cls(
-            replace_crashed=False,
-            replan_degraded=False,
-            rollback=False,
-            telemetry_guard=False,
-            retry_failed_actions=False,
-            restart_on_crash=False,
-        )
+        return cls(enabled=False)
 
     def to_dict(self) -> Dict[str, object]:
+        on = self.enabled
         return {
-            "replace_crashed": self.replace_crashed,
-            "replan_degraded": self.replan_degraded,
-            "rollback": self.rollback,
-            "telemetry_guard": self.telemetry_guard,
-            "retry_failed_actions": self.retry_failed_actions,
-            "restart_on_crash": self.restart_on_crash,
-            "recovery_deadline_epochs": self.recovery_deadline_epochs,
+            "replace_crashed": on,
+            "replan_degraded": on,
+            "rollback": on,
+            "telemetry_guard": on,
+            "retry_failed_actions": on,
+            "restart_on_crash": on,
+            "recovery_deadline_epochs": RECOVERY_DEADLINE_EPOCHS,
         }
 
 
@@ -321,9 +307,10 @@ class HealingPlanner(Planner):
         epoch: int,
         t: float,
     ) -> List[Action]:
-        healing = self.healing
+        if not self.healing.enabled:
+            return []
         actions: List[Action] = []
-        if healing.replace_crashed and probe.crashed_unreplaced:
+        if probe.crashed_unreplaced:
             intended = min(
                 self.policy.max_replicas,
                 probe.n_active + len(probe.crashed_unreplaced),
@@ -349,43 +336,41 @@ class HealingPlanner(Planner):
             if actions:
                 self._last_scale_epoch = epoch
                 self._last_target = intended
-        if healing.replan_degraded:
-            for rid, cols, rows in probe.degraded_pending:
-                if rid in self._replanned:
-                    continue
-                self._replanned.add(rid)
-                actions.append(
-                    Action(
-                        kind="replan",
-                        epoch=epoch,
-                        time_s=t,
-                        replica=rid,
-                        reason=(
-                            f"PE mask cols={cols} rows={rows} on replica "
-                            f"{rid}; replanning through Algorithm 2"
-                        ),
-                    )
+        for rid, cols, rows in probe.degraded_pending:
+            if rid in self._replanned:
+                continue
+            self._replanned.add(rid)
+            actions.append(
+                Action(
+                    kind="replan",
+                    epoch=epoch,
+                    time_s=t,
+                    replica=rid,
+                    reason=(
+                        f"PE mask cols={cols} rows={rows} on replica "
+                        f"{rid}; replanning through Algorithm 2"
+                    ),
                 )
-        if healing.retry_failed_actions:
-            retryable = sorted(
-                set(feedback.failed_kinds)
-                & {"scale-up", "replace", "rollback"}
             )
-            target = self._last_target
-            if retryable and target > probe.n_active:
-                actions.append(
-                    Action(
-                        kind="scale-up",
-                        epoch=epoch,
-                        time_s=t,
-                        target=min(self.policy.max_replicas, target),
-                        reason=(
-                            "retry after failed verification of "
-                            + "+".join(retryable)
-                        ),
-                    )
+        retryable = sorted(
+            set(feedback.failed_kinds)
+            & {"scale-up", "replace", "rollback"}
+        )
+        target = self._last_target
+        if retryable and target > probe.n_active:
+            actions.append(
+                Action(
+                    kind="scale-up",
+                    epoch=epoch,
+                    time_s=t,
+                    target=min(self.policy.max_replicas, target),
+                    reason=(
+                        "retry after failed verification of "
+                        + "+".join(retryable)
+                    ),
                 )
-                self._last_scale_epoch = epoch
+            )
+            self._last_scale_epoch = epoch
         return actions
 
     def plan_epoch(
@@ -407,7 +392,7 @@ class HealingPlanner(Planner):
         if safe_active:
             return []
         actions = self.plan_repairs(probe, feedback, epoch, t)
-        if rollback_to is not None and self.healing.rollback:
+        if rollback_to is not None and self.healing.enabled:
             target = int(rollback_to["fleet_size"])
             actions.append(
                 Action(
@@ -431,7 +416,7 @@ class HealingPlanner(Planner):
             a.kind in ("replace", "rollback", "scale-up") for a in actions
         )
         pending_replan = {rid for rid, _, _ in probe.degraded_pending} | (
-            self._replanned if self.healing.replan_degraded else set()
+            self._replanned if self.healing.enabled else set()
         )
         for action in super().plan(window, feedback):
             if action.kind == "drain" and action.replica in pending_replan:
@@ -679,7 +664,7 @@ class SelfHealingControlLoop:
         )
         self.verifier = Verifier(verifier)
         self.safe = SafeModeController(safe_mode)
-        self.tracker = RecoveryTracker(healing.recovery_deadline_epochs)
+        self.tracker = RecoveryTracker(RECOVERY_DEADLINE_EPOCHS)
         self._crash_by_epoch = {c.epoch: c for c in control_faults.crashes}
         self._down = False
         self._down_until = -1
@@ -789,7 +774,7 @@ class SelfHealingControlLoop:
                 if not rec.get("outage")
             ]
         )
-        self.tracker = RecoveryTracker(self.healing.recovery_deadline_epochs)
+        self.tracker = RecoveryTracker(RECOVERY_DEADLINE_EPOCHS)
         snapshots = [
             rec["recovery"] for rec in self.journal if "recovery" in rec
         ]
@@ -821,7 +806,7 @@ class SelfHealingControlLoop:
         gray-failure stimulus for the drain/repair path); the loop runs
         ``ceil(duration / epoch_s)`` epochs, then drains.
         """
-        check_duration(duration_s)
+        check_positive("duration", duration_s)
         with phase("control_run"):
             return self._run(requests, duration_s, extra_meta, data_faults, link_windows)
 
@@ -857,11 +842,7 @@ class SelfHealingControlLoop:
                     }
                 )
             restarted = False
-            if (
-                self._down
-                and k >= self._down_until
-                and self.healing.restart_on_crash
-            ):
+            if self._down and k >= self._down_until and self.healing.enabled:
                 self._restart(k)
                 self._down = False
                 restarted = True
@@ -882,7 +863,7 @@ class SelfHealingControlLoop:
             self._verdict_cursor = len(self.verifier.verdicts)
             self.all_verdicts.extend(new_verdicts)
             delivered = self.channel.deliver(t_end)
-            if self.healing.telemetry_guard:
+            if self.healing.enabled:
                 window, telemetry_flags = self._validate_telemetry(
                     delivered, k, t_end
                 )
@@ -932,7 +913,7 @@ class SelfHealingControlLoop:
             )
             rollback_to = (
                 self.tracker.lkg
-                if rollback_due and self.healing.rollback and self.tracker.lkg
+                if rollback_due and self.healing.enabled and self.tracker.lkg
                 else None
             )
             actions = self.planner.plan_epoch(

@@ -1,11 +1,14 @@
 """Chaos scenarios: one fault schedule + one workload → one rollup dict.
 
-A :class:`ChaosScenario` pins everything a chaos run needs — tenant mix,
-arrival rate, replica count, the :class:`~repro.resilience.faults.FaultSchedule`,
-failover policy — and :func:`run_scenario` executes the pair of runs that
-makes the numbers meaningful: the *same seeded requests* once on a healthy
-tier and once under the schedule, both through the
-:class:`~repro.serve.failover.FailoverEngine`.  The rollup reports:
+A :class:`ChaosScenario` pins what varies between chaos runs — replica
+count, the :class:`~repro.resilience.faults.FaultSchedule`, failover
+policy, pipeline context — over one fixed workload (:data:`MIX` at
+:data:`RATE_RPS` for :data:`DURATION_S`), and :func:`run_scenario` serves
+the *same seeded requests* through the arms that make the numbers
+meaningful, all on the :class:`~repro.serve.failover.FailoverEngine`:
+``healthy`` (no faults), ``faulted`` (the schedule) and, when the scenario
+verifies batches, ``verified`` (the healthy tier paying only the check's
+cost).  The rollup reports:
 
 * **availability** — completed over offered under fault;
 * **goodput under fault** — deadline-met throughput, absolute and relative
@@ -18,29 +21,29 @@ tier and once under the schedule, both through the
   (pipeline chip loss → DP rebalance) sections;
 * optional **integrity** section when the scenario carries SDC windows or
   a verification policy: corruption/detection/escape counters, which
-  replicas were drained, and the verified-vs-unverified latency ratio
-  (measured against an extra verified run on the *healthy* tier, so the
-  overhead is isolated from the fault's own damage).
+  replicas were drained, and the verified-vs-unverified latency ratio.
 
 A scenario may also declare **invariants** — named predicates over the
-rollup (``zero-escaped``: no corrupted batch escaped the ABFT check;
-``sdc-drained``: every SDC-targeted replica ended up drained).  They are
-evaluated into ``rollup["invariants"]`` and the ``repro chaos`` CLI exits
-non-zero when any is false, which is what makes the CI smoke job an
-actual regression gate.
+rollup (:data:`INVARIANTS`).  They are evaluated into
+``rollup["invariants"]`` and the ``repro chaos`` CLI exits non-zero when
+any is false, which is what makes the CI smoke job an actual regression
+gate.
 
-Every number is a deterministic function of (scenario, seed): rendering the
-rollup through :func:`repro.serve.metrics.to_json` is byte-stable, and the
-runner *raises* if any request fails to terminate — the accounting
-invariant ``offered == completed + shed + failed`` is enforced, not hoped
-for.
+This module also holds the runner both chaos catalogues share (the
+self-healing one is :mod:`repro.control.chaos_scenarios`): the registry
+(:func:`registry`), the record check (:func:`check_scenario`), the arm
+loop (:func:`run_arms`), which *raises* if an arm loses a request, the
+per-arm :func:`digest`, the MTTR scan (:func:`scan_recovery`) and the
+invariant evaluation (:func:`evaluate`).  Every number is a
+deterministic function of (scenario, seed): rendering the rollup through
+:func:`repro.serve.metrics.to_json` is byte-stable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from repro.arch.config import CONFIG_16_16, AcceleratorConfig
 from repro.cluster.link import LinkSpec
@@ -53,7 +56,7 @@ from repro.serve.batcher import BatchCoster, BatchPolicy
 from repro.serve.failover import FailoverEngine, FailoverPolicy
 from repro.serve.queue import QueuePolicy
 from repro.serve.verified import SDCFault, VerificationPolicy
-from repro.serve.workload import parse_mix, poisson_arrivals
+from repro.serve.workload import Request, parse_mix, poisson_arrivals
 
 __all__ = [
     "ChaosScenario",
@@ -63,100 +66,98 @@ __all__ = [
     "SCENARIO_NAMES",
 ]
 
-#: invariants a scenario may declare; evaluated into ``rollup["invariants"]``
-INVARIANT_NAMES = ("zero-silent-drops", "zero-escaped", "sdc-drained")
+#: the workload every catalogue scenario serves
+MIX = "alexnet"
+RATE_RPS = 120.0
+DURATION_S = 4.0
+ROUTING = "least-loaded"
+SLO_MS = 250.0
+MAX_BATCH = 8
+#: goodput-series window for the MTTR scan
+WINDOW_S = 0.25
+
+S = TypeVar("S")
+#: an arm: serves the requests, returns (summary, completion records)
+Arm = Callable[[List[Request]], Tuple[Dict[str, object], List[object]]]
+#: an invariant: (scenario, rollup, per-arm summaries) -> holds?
+Predicate = Callable[[object, Dict[str, object], Dict[str, Dict[str, object]]], object]
 
 
-@dataclass(frozen=True)
-class ChaosScenario:
-    """One named, fully-pinned chaos experiment."""
+# -- the shared runner ------------------------------------------------------
 
-    name: str
-    description: str
-    schedule: FaultSchedule
-    mix: str = "alexnet"
-    rate_rps: float = 120.0
-    duration_s: float = 4.0
-    replicas: int = 3
-    seed: int = 1
-    routing: str = "least-loaded"
-    slo_ms: float = 250.0
-    max_batch: int = 8
-    failover_policy: FailoverPolicy = field(default_factory=FailoverPolicy)
-    #: pipeline context for link faults and chip-loss repair (1 = none)
-    chips: int = 1
-    lost_chips: Tuple[int, ...] = ()
-    link: LinkSpec = field(default_factory=LinkSpec)
-    #: goodput-series window for the MTTR scan
-    window_s: float = 0.25
-    #: per-batch ABFT verification on the faulted tier (None = unguarded)
-    verification: Optional[VerificationPolicy] = None
-    #: named rollup predicates the CLI turns into exit codes
-    invariants: Tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.replicas <= 0:
-            raise ConfigError(f"replicas must be positive, got {self.replicas!r}")
-        for inv in self.invariants:
-            if inv not in INVARIANT_NAMES:
-                raise ConfigError(
-                    f"unknown invariant {inv!r}; choose from {INVARIANT_NAMES}"
-                )
-        if self.chips <= 0:
-            raise ConfigError(f"chips must be positive, got {self.chips!r}")
-        if not self.window_s > 0:
-            raise ConfigError(f"window_s must be positive, got {self.window_s!r}")
-        if self.schedule.link_faults and self.chips < 2:
+def registry(
+    builders: Mapping[str, Callable[[int], S]], label: str
+) -> Tuple[Tuple[str, ...], Callable[..., S]]:
+    """A catalogue's sorted names and its ``build(name, seed=1)``."""
+    names = tuple(sorted(builders))
+
+    def build(name: str, seed: int = 1) -> S:
+        """Instantiate a named scenario at a seed (the CLI's entry point)."""
+        try:
+            builder = builders[name]
+        except KeyError:
             raise ConfigError(
-                f"scenario {self.name!r} schedules link faults but has no "
-                "inter-chip link (chips < 2)"
+                f"unknown {label} {name!r}; choose from {names}"
+            ) from None
+        return builder(seed)
+
+    return names, build
+
+
+def check_scenario(scenario, table: Mapping[str, Predicate]) -> None:
+    """The record check both catalogues share: an int replica count and
+    declared invariants that ``table`` can evaluate."""
+    replicas = scenario.replicas
+    if isinstance(replicas, bool) or not isinstance(replicas, int) or replicas <= 0:
+        raise ConfigError(f"replicas must be a positive int, got {replicas!r}")
+    for inv in scenario.invariants:
+        if inv not in table:
+            raise ConfigError(
+                f"unknown invariant {inv!r}; choose from {tuple(table)}"
             )
-        self.schedule.validate_for(self.replicas)
-
-    def meta(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "mix": self.mix,
-            "rate_rps": round(self.rate_rps, 6),
-            "duration_s": round(self.duration_s, 6),
-            "replicas": self.replicas,
-            "chips": self.chips,
-            "lost_chips": list(self.lost_chips),
-            "seed": self.seed,
-            "routing": self.routing,
-            "slo_ms": round(self.slo_ms, 6),
-            "max_batch": self.max_batch,
-            "window_ms": round(self.window_s * 1e3, 6),
-            "verification": self.verification.describe()
-            if self.verification is not None
-            else None,
-            "invariants": list(self.invariants),
-        }
 
 
-# -- pieces of the rollup ---------------------------------------------------
+def _terminated(summary: Dict[str, object]) -> int:
+    return int(summary["completed"]) + int(summary["shed"]) + int(summary["failed"])
 
 
-def _run_digest(summary: Dict[str, object]) -> Dict[str, object]:
-    lat = summary["latency_ms"]
-    return {
-        "offered": summary["offered"],
-        "completed": summary["completed"],
-        "shed": summary["shed"],
-        "failed": summary["failed"],
-        "failed_by_reason": summary["failed_by_reason"],
-        "goodput_rps": summary["goodput_rps"],
-        "throughput_rps": summary["throughput_rps"],
-        "deadline_hit_rate": summary["deadline_hit_rate"],
-        "utilization": summary["utilization"],
-        "latency_ms": {
-            "p50": lat["p50"],
-            "p95": lat["p95"],
-            "p99": lat["p99"],
-        },
-        "makespan_s": summary["makespan_s"],
-    }
+def run_arms(
+    name: str, requests: Sequence[Request], arms: Mapping[str, Arm], keep: str
+) -> Tuple[Dict[str, Dict[str, object]], List[object]]:
+    """Serve the same ``requests`` through every arm, in order.
+
+    Returns each arm's summary and the completion records of arm ``keep``
+    (the MTTR scan's input).  Other arms' records are dropped as each arm
+    ends, so at most one arm's records are alive while the next one runs.
+    Raises :class:`RuntimeError` if an arm loses a request: offered must
+    equal completed + shed + failed.
+    """
+    summaries: Dict[str, Dict[str, object]] = {}
+    kept: List[object] = []
+    for arm, serve in arms.items():
+        summary, records = serve(list(requests))
+        terminated = _terminated(summary)
+        if terminated != summary["offered"]:
+            raise RuntimeError(
+                f"{name}/{arm}: {summary['offered']} requests offered but only "
+                f"{terminated} terminated — a request was silently dropped"
+            )
+        summaries[arm] = summary
+        if arm == keep:
+            kept = records
+        del records
+    return summaries, kept
+
+
+def digest(summary: Dict[str, object], *extra: str) -> Dict[str, object]:
+    """One arm's rollup entry: the keys both catalogues report, plus the
+    ``extra`` summary keys a catalogue adds."""
+    keys = ("offered", "completed", "shed", "failed", "goodput_rps")
+    keys += ("deadline_hit_rate", "utilization", "makespan_s") + extra
+    out = {key: summary[key] for key in keys}
+    out["latency_ms"] = {p: summary["latency_ms"][p] for p in ("p50", "p95", "p99")}
+    return out
 
 
 def goodput_series(
@@ -182,55 +183,161 @@ def goodput_series(
 def mttr_ms(
     series: Sequence[Tuple[float, float]], target: float, window_s: float
 ) -> Optional[float]:
-    """The MTTR scan: ms until the end of the first window whose goodput
-    clears ``target``, or ``None`` if none does."""
+    """ms until the end of the first window whose goodput clears
+    ``target``, or ``None`` if none does."""
     for k, (_, goodput) in enumerate(series):
         if goodput >= target:
             return round((k + 1) * window_s * 1e3, 6)
     return None
 
 
+def scan_recovery(
+    records,
+    start_s: Optional[float],
+    end_s: float,
+    target: float,
+    window_s: float,
+) -> Tuple[Dict[str, object], List[Tuple[float, float]]]:
+    """The MTTR scan: when does windowed goodput from ``start_s`` (the
+    first fault; ``None`` = no fault, nothing to recover from) clear
+    ``target``?  Returns the rollup fields and the goodput series."""
+    series = (
+        goodput_series(records, start_s, end_s, window_s)
+        if start_s is not None
+        else []
+    )
+    mttr = mttr_ms(series, target, window_s)
+    fields = {
+        "target_goodput_rps": round(target, 6),
+        "mttr_ms": mttr,
+        "recovered": mttr is not None,
+    }
+    return fields, series
+
+
+def conserved(scenario, rollup, summaries) -> bool:
+    """``zero-silent-drops``: every arm accounts for every request."""
+    return all(_terminated(s) == s["offered"] for s in summaries.values())
+
+
+def evaluate(
+    table: Mapping[str, Predicate],
+    scenario,
+    rollup: Dict[str, object],
+    summaries: Dict[str, Dict[str, object]],
+) -> Dict[str, bool]:
+    """Each declared invariant, in declaration order, read from ``table``."""
+    return {
+        inv: bool(table[inv](scenario, rollup, summaries))
+        for inv in scenario.invariants
+    }
+
+
+# -- the frozen-tier catalogue ----------------------------------------------
+
+
+def _integrity(rollup: Dict[str, object]) -> Dict[str, object]:
+    # no integrity section: nothing was corrupted, checked or drained
+    return rollup["integrity"] or {"escaped_batches": 0, "drained_replicas": []}
+
+
+#: invariants a scenario may declare; evaluated into ``rollup["invariants"]``
+INVARIANTS: Dict[str, Predicate] = {
+    "zero-silent-drops": conserved,
+    # no corrupted batch escaped the ABFT check
+    "zero-escaped": lambda s, r, _: _integrity(r)["escaped_batches"] == 0,
+    # every SDC-targeted replica ended up drained
+    "sdc-drained": lambda s, r, _: {f.replica for f in s.schedule.sdc_faults}
+    <= set(_integrity(r)["drained_replicas"]),
+}
+INVARIANT_NAMES = tuple(INVARIANTS)
+
+
+@dataclass(frozen=True)
+class ChaosScenario:
+    """One named, fully-pinned chaos experiment."""
+
+    name: str
+    description: str
+    schedule: FaultSchedule
+    replicas: int = 3
+    seed: int = 1
+    failover_policy: FailoverPolicy = field(default_factory=FailoverPolicy)
+    #: pipeline context for link faults and chip-loss repair (1 = none)
+    chips: int = 1
+    lost_chips: Tuple[int, ...] = ()
+    link: LinkSpec = field(default_factory=LinkSpec)
+    #: per-batch ABFT verification on the faulted tier (None = unguarded)
+    verification: Optional[VerificationPolicy] = None
+    #: named rollup predicates the CLI turns into exit codes
+    invariants: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        check_scenario(self, INVARIANTS)
+        if self.chips <= 0:
+            raise ConfigError(f"chips must be positive, got {self.chips!r}")
+        if self.schedule.link_faults and self.chips < 2:
+            raise ConfigError(
+                f"scenario {self.name!r} schedules link faults but has no "
+                "inter-chip link (chips < 2)"
+            )
+        self.schedule.validate_for(self.replicas)
+
+    def meta(self) -> Dict[str, object]:
+        return {
+            "name": self.name,
+            "description": self.description,
+            "mix": MIX,
+            "rate_rps": round(RATE_RPS, 6),
+            "duration_s": round(DURATION_S, 6),
+            "replicas": self.replicas,
+            "chips": self.chips,
+            "lost_chips": list(self.lost_chips),
+            "seed": self.seed,
+            "routing": ROUTING,
+            "slo_ms": round(SLO_MS, 6),
+            "max_batch": MAX_BATCH,
+            "window_ms": round(WINDOW_S * 1e3, 6),
+            "verification": self.verification.describe()
+            if self.verification is not None
+            else None,
+            "invariants": list(self.invariants),
+        }
+
+
 def _recovery(
     scenario: ChaosScenario,
-    schedule: FaultSchedule,
-    healthy_summary: Dict[str, object],
+    healthy_goodput_rps: float,
     faulted_records,
     faulted_makespan_s: float,
 ) -> Dict[str, object]:
-    """The MTTR scan: when does windowed goodput clear the survivor bar?"""
+    """The MTTR scan from the first crash to the survivor-fraction bar."""
+    schedule = scenario.schedule
     first_crash = schedule.first_crash_s()
     crashed = len({f.replica for f in schedule.crashes})
     survivor_frac = (scenario.replicas - crashed) / scenario.replicas
-    target = survivor_frac * float(healthy_summary["goodput_rps"])
-    out: Dict[str, object] = {
+    target = survivor_frac * healthy_goodput_rps
+    fields, series = scan_recovery(
+        faulted_records, first_crash, faulted_makespan_s, target, WINDOW_S
+    )
+    if crashed >= scenario.replicas:  # nothing left to recover onto
+        fields.update(mttr_ms=None, recovered=False)
+    return {
         "first_crash_ms": round(first_crash * 1e3, 6)
         if first_crash is not None
         else None,
         "crashed_replicas": crashed,
         "survivor_fraction": round(survivor_frac, 6),
-        "target_goodput_rps": round(target, 6),
-        "mttr_ms": None,
-        "recovered": False,
-        "goodput_series": [],
+        **fields,
+        "goodput_series": [
+            {"t_ms": round(t * 1e3, 6), "goodput_rps": round(g, 6)}
+            for t, g in series
+        ],
     }
-    if first_crash is None:
-        return out
-    series = goodput_series(
-        faulted_records, first_crash, faulted_makespan_s, scenario.window_s
-    )
-    out["goodput_series"] = [
-        {"t_ms": round(t * 1e3, 6), "goodput_rps": round(g, 6)}
-        for t, g in series
-    ]
-    if crashed >= scenario.replicas:
-        return out  # nothing left to recover onto
-    out["mttr_ms"] = mttr_ms(series, target, scenario.window_s)
-    out["recovered"] = out["mttr_ms"] is not None
-    return out
 
 
 def _link_windows(
-    scenario: ChaosScenario, config: AcceleratorConfig
+    scenario: ChaosScenario, network: str, config: AcceleratorConfig
 ) -> List[Tuple[float, float, float]]:
     """Link faults → global service-time windows for the serving tier.
 
@@ -239,16 +346,13 @@ def _link_windows(
     *frozen at the healthy partition* — a flap is transient, nobody
     repartitions mid-window — so the multiplier is the healthy cut's
     bottleneck repriced at the degraded link, over the healthy bottleneck
-    (computed on the mix's first network, the dominant tenant by
-    convention).
+    (computed on ``network``, the mix's dominant first tenant).
     """
     if not scenario.schedule.link_faults:
         return []
-    network = parse_mix(scenario.mix)[0].network
     from repro.nn.zoo import build
 
-    net = build(network)
-    healthy = plan_pipeline(net, config, scenario.chips, link=scenario.link)
+    healthy = plan_pipeline(build(network), config, scenario.chips, link=scenario.link)
     windows = []
     for fault in scenario.schedule.link_faults:
         degraded_link = scenario.link.degraded(fault.factor)
@@ -261,7 +365,16 @@ def _link_windows(
     return windows
 
 
-# -- the runner -------------------------------------------------------------
+def _ratio(a: float, b: float) -> float:
+    return round(a / b, 6) if b else 1.0
+
+
+def _latency_ratio(a: Dict[str, object], b: Dict[str, object]) -> Dict[str, float]:
+    """Arm ``a``'s p50/p95/p99 latency over arm ``b``'s."""
+    return {
+        p: _ratio(a["latency_ms"][p], b["latency_ms"][p])
+        for p in ("p50", "p95", "p99")
+    }
 
 
 def run_scenario(
@@ -271,168 +384,129 @@ def run_scenario(
 ) -> Dict[str, object]:
     """Execute one chaos scenario and reduce it to a deterministic rollup.
 
-    The healthy and faulted runs see the *identical* seeded request list,
-    so every delta in the rollup is attributable to the fault schedule.
-    Raises if any offered request fails to terminate (the zero-silent-drop
-    invariant).
+    Every arm sees the *identical* seeded request list, so every delta in
+    the rollup is attributable to the fault schedule.  Raises
+    :class:`RuntimeError` if any arm loses a request.
     """
+    from repro.nn.zoo import build
+
     schedule = scenario.schedule
-    tenants = parse_mix(scenario.mix, slo_ms=scenario.slo_ms)
-    requests = poisson_arrivals(
-        scenario.rate_rps, scenario.duration_s, tenants, seed=scenario.seed
-    )
-    batch_policy = BatchPolicy(max_batch=scenario.max_batch)
-    queue_policy = QueuePolicy()
-
-    def make_engine(
-        faults, service_windows, engine_coster, sdc=(), verification=None
-    ):
-        return FailoverEngine(
-            config,
-            batch_policy=batch_policy,
-            queue_policy=queue_policy,
-            replicas=scenario.replicas,
-            routing=scenario.routing,
-            faults=faults,
-            failover_policy=scenario.failover_policy,
-            service_windows=service_windows,
-            coster=engine_coster,
-            sdc_faults=sdc,
-            verification=verification,
-        )
-
+    tenants = parse_mix(MIX, slo_ms=SLO_MS)
+    requests = poisson_arrivals(RATE_RPS, DURATION_S, tenants, seed=scenario.seed)
     healthy_coster = coster or BatchCoster(config)
-    healthy = make_engine((), (), healthy_coster).run(
-        requests, scenario.duration_s
-    )
 
     degrade_section = None
     faulted_coster = healthy_coster
     if schedule.pe_mask is not None and not schedule.pe_mask.is_noop:
-        from repro.nn.zoo import build
-
         degrade_section = {}
         for network in sorted({t.network for t in tenants}):
-            report = replan_degraded(
-                build(network), config, schedule.pe_mask
-            )
+            report = replan_degraded(build(network), config, schedule.pe_mask)
             degrade_section[network] = report.to_dict()
         # the faulted tier actually *runs* at the degraded geometry
         faulted_coster = BatchCoster(report.degraded_cfg)
 
-    windows = _link_windows(scenario, config)
-    faulted = make_engine(
-        schedule.replica_faults,
-        windows,
-        faulted_coster,
-        sdc=schedule.sdc_faults,
-        verification=scenario.verification,
-    ).run(requests, scenario.duration_s)
+    def arm(engine_coster, faults=(), windows=(), sdc=(), verification=None) -> Arm:
+        def serve(reqs):
+            report = FailoverEngine(
+                config,
+                batch_policy=BatchPolicy(max_batch=MAX_BATCH),
+                queue_policy=QueuePolicy(),
+                replicas=scenario.replicas,
+                routing=ROUTING,
+                faults=faults,
+                failover_policy=scenario.failover_policy,
+                service_windows=windows,
+                coster=engine_coster,
+                sdc_faults=sdc,
+                verification=verification,
+            ).run(reqs, DURATION_S)
+            return report.summary, report.metrics.completed
 
-    accounting_exact = True
-    for label, report in (("healthy", healthy), ("faulted", faulted)):
-        s = report.summary
-        terminated = s["completed"] + s["shed"] + s["failed"]
-        if terminated != s["offered"]:
-            accounting_exact = False
-            if "zero-silent-drops" not in scenario.invariants:
-                # not declared: enforce the hard way rather than let a
-                # broken engine masquerade as a lossy-but-accounted one
-                raise RuntimeError(
-                    f"{scenario.name}/{label}: {s['offered']} requests "
-                    f"offered but only {terminated} terminated — a request "
-                    "was silently dropped"
-                )
+        return serve
+
+    arms = {
+        "healthy": arm(healthy_coster),
+        "faulted": arm(
+            faulted_coster,
+            schedule.replica_faults,
+            _link_windows(scenario, tenants[0].network, config),
+            schedule.sdc_faults,
+            scenario.verification,
+        ),
+    }
+    verify = scenario.verification
+    if verify is not None and verify.enabled:
+        # the check's cost in isolation: the same healthy workload with
+        # only the verification overhead switched on
+        arms["verified"] = arm(healthy_coster, verification=verify)
+    summaries, faulted_records = run_arms(scenario.name, requests, arms, "faulted")
+    h, f = summaries["healthy"], summaries["faulted"]
+
+    integrity_section = None
+    if verify is not None or schedule.sdc_faults:
+        integrity_section = dict(f["integrity"])
+        verified = summaries.get("verified")
+        integrity_section["verified_latency_ratio"] = (
+            _latency_ratio(verified, h) if verified is not None else None
+        )
 
     repair_section = None
     if scenario.lost_chips:
-        from repro.nn.zoo import build
-
-        network = tenants[0].network
         repair_section = repair_pipeline(
-            build(network),
+            build(tenants[0].network),
             config,
             scenario.chips,
             scenario.lost_chips,
             link=scenario.link,
         ).to_dict()
 
-    h, f = healthy.summary, faulted.summary
-    hl, fl = h["latency_ms"], f["latency_ms"]
-
-    def ratio(a: float, b: float) -> float:
-        return round(a / b, 6) if b else 1.0
-
-    integrity_section = None
-    invariant_results: Dict[str, bool] = {}
-    if "zero-silent-drops" in scenario.invariants:
-        invariant_results["zero-silent-drops"] = accounting_exact
-    if scenario.verification is not None or schedule.sdc_faults:
-        integrity = dict(f["integrity"])
-        verified_ratio = None
-        if scenario.verification is not None and scenario.verification.enabled:
-            # the check's cost in isolation: the same healthy workload with
-            # only the verification overhead switched on
-            vh = make_engine(
-                (), (), healthy_coster, verification=scenario.verification
-            ).run(requests, scenario.duration_s)
-            vhl = vh.summary["latency_ms"]
-            verified_ratio = {
-                "p50": ratio(vhl["p50"], hl["p50"]),
-                "p95": ratio(vhl["p95"], hl["p95"]),
-                "p99": ratio(vhl["p99"], hl["p99"]),
-            }
-        integrity["verified_latency_ratio"] = verified_ratio
-        integrity_section = integrity
-        targets = sorted({sdc.replica for sdc in schedule.sdc_faults})
-        drained = set(integrity["drained_replicas"])
-        for inv in scenario.invariants:
-            if inv == "zero-escaped":
-                invariant_results[inv] = integrity["escaped_batches"] == 0
-            elif inv == "sdc-drained":
-                invariant_results[inv] = all(r in drained for r in targets)
-
     rollup: Dict[str, object] = {
         "scenario": scenario.meta(),
         "schedule": schedule.to_dict(),
         "failover_policy": scenario.failover_policy.to_dict(),
         "config": config.name,
-        "healthy": _run_digest(h),
-        "faulted": _run_digest(f),
-        "availability": ratio(f["completed"], f["offered"]),
+        "healthy": digest(h, "failed_by_reason", "throughput_rps"),
+        "faulted": digest(f, "failed_by_reason", "throughput_rps"),
+        "availability": _ratio(f["completed"], f["offered"]),
         "goodput_under_fault": f["goodput_rps"],
-        "goodput_ratio": ratio(f["goodput_rps"], h["goodput_rps"]),
-        "latency_ratio": {
-            "p50": ratio(fl["p50"], hl["p50"]),
-            "p95": ratio(fl["p95"], hl["p95"]),
-            "p99": ratio(fl["p99"], hl["p99"]),
-        },
+        "goodput_ratio": _ratio(f["goodput_rps"], h["goodput_rps"]),
+        "latency_ratio": _latency_ratio(f, h),
         "recovery": _recovery(
-            scenario, schedule, h, faulted.metrics.completed, f["makespan_s"]
+            scenario, float(h["goodput_rps"]), faulted_records, f["makespan_s"]
         ),
         "failover": {
-            "retries": faulted.summary["failover"]["retries"],
-            "hedges": faulted.summary["failover"]["hedges"],
-            "hedge_wasted_ms": faulted.summary["failover"]["hedge_wasted_ms"],
-            "health_timeline": faulted.summary["failover"]["health_timeline"],
+            key: f["failover"][key]
+            for key in ("retries", "hedges", "hedge_wasted_ms", "health_timeline")
         },
         "degrade": degrade_section,
         "repair": repair_section,
         "integrity": integrity_section,
         "invariants_declared": list(scenario.invariants),
-        "invariants": invariant_results,
     }
+    rollup["invariants"] = evaluate(INVARIANTS, scenario, rollup, summaries)
     return rollup
 
 
 # -- the named scenario registry -------------------------------------------
 
 
+def _seeded(seed: int, replicas: int, **counts: int) -> FaultSchedule:
+    return FaultSchedule.seeded(
+        seed, n_replicas=replicas, duration_s=DURATION_S, **counts
+    )
+
+
+def _sdc_window(seed: int) -> FaultSchedule:
+    """Replica 1 corrupts every batch from 0.8 s for 1.2 s."""
+    sdc = SDCFault(replica=1, time_s=0.8, duration_s=1.2, per_batch=1.0, seed=seed)
+    return FaultSchedule(sdc_faults=(sdc,), seed=seed)
+
+
 def _single_crash(seed: int) -> ChaosScenario:
     return ChaosScenario(
         name="single-crash",
         description="one of three replicas fail-stops at steady state",
-        schedule=FaultSchedule.seeded(seed, n_replicas=3, duration_s=4.0, crashes=1),
+        schedule=_seeded(seed, 3, crashes=1),
         replicas=3,
         seed=seed,
         invariants=("zero-silent-drops",),
@@ -443,9 +517,7 @@ def _fail_slow(seed: int) -> ChaosScenario:
     return ChaosScenario(
         name="fail-slow",
         description="gray failure: two slowdown windows, hedging on",
-        schedule=FaultSchedule.seeded(
-            seed, n_replicas=3, duration_s=4.0, crashes=0, slowdowns=2
-        ),
+        schedule=_seeded(seed, 3, crashes=0, slowdowns=2),
         replicas=3,
         seed=seed,
         failover_policy=FailoverPolicy(hedge=True),
@@ -476,7 +548,7 @@ def _cascade(seed: int) -> ChaosScenario:
     return ChaosScenario(
         name="cascade",
         description="three of four replicas crash in sequence",
-        schedule=FaultSchedule.seeded(seed, n_replicas=4, duration_s=4.0, crashes=3),
+        schedule=_seeded(seed, 4, crashes=3),
         replicas=4,
         seed=seed,
         invariants=("zero-silent-drops",),
@@ -500,7 +572,7 @@ def _chip_loss(seed: int) -> ChaosScenario:
         name="chip-loss",
         description="a 3-chip pipeline loses chip 1; DP rebalance over "
         "survivors plus a replica crash on the serving tier",
-        schedule=FaultSchedule.seeded(seed, n_replicas=2, duration_s=4.0, crashes=1),
+        schedule=_seeded(seed, 2, crashes=1),
         replicas=2,
         chips=3,
         lost_chips=(1,),
@@ -514,14 +586,7 @@ def _sdc_storm(seed: int) -> ChaosScenario:
         name="sdc-storm",
         description="replica 1 silently corrupts every batch for 1.2s; "
         "verified inference detects, recomputes, and drains it",
-        schedule=FaultSchedule(
-            sdc_faults=(
-                SDCFault(
-                    replica=1, time_s=0.8, duration_s=1.2, per_batch=1.0, seed=seed
-                ),
-            ),
-            seed=seed,
-        ),
+        schedule=_sdc_window(seed),
         replicas=3,
         seed=seed,
         verification=VerificationPolicy(),
@@ -534,14 +599,7 @@ def _sdc_silent(seed: int) -> ChaosScenario:
         name="sdc-silent",
         description="the same SDC window with verification off: every "
         "corrupted batch escapes to a tenant (the case for the guard)",
-        schedule=FaultSchedule(
-            sdc_faults=(
-                SDCFault(
-                    replica=1, time_s=0.8, duration_s=1.2, per_batch=1.0, seed=seed
-                ),
-            ),
-            seed=seed,
-        ),
+        schedule=_sdc_window(seed),
         replicas=3,
         seed=seed,
         verification=VerificationPolicy(enabled=False),
@@ -560,15 +618,4 @@ _BUILDERS = {
     "sdc-silent": _sdc_silent,
 }
 
-SCENARIO_NAMES = tuple(sorted(_BUILDERS))
-
-
-def build_scenario(name: str, seed: int = 1) -> ChaosScenario:
-    """Instantiate a named scenario at a seed (the CLI's entry point)."""
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}"
-        ) from None
-    return builder(seed)
+SCENARIO_NAMES, build_scenario = registry(_BUILDERS, "scenario")

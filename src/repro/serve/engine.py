@@ -36,7 +36,7 @@ from repro.perf.instrument import phase
 from repro.serve.batcher import BatchCoster, BatchPolicy
 from repro.serve.metrics import MetricsCollector, to_json
 from repro.serve.queue import AdmissionQueue, QueuePolicy
-from repro.serve.workload import Request
+from repro.serve.workload import Request, check_positive
 
 __all__ = [
     "AdaptiveReplica",
@@ -44,7 +44,6 @@ __all__ = [
     "ReplicaState",
     "ServingEngine",
     "ServingReport",
-    "check_duration",
     "per_chip_rollup",
     "ROUTING_KINDS",
 ]
@@ -171,14 +170,6 @@ class ServingReport:
     def to_json(self) -> str:
         """Canonical JSON of the summary (byte-stable across reruns)."""
         return to_json(self.summary)
-
-
-def check_duration(duration_s: float) -> None:
-    """Reject an offered-load window that is not positive and finite."""
-    if not 0 < duration_s < math.inf:
-        raise ConfigError(
-            f"duration must be positive and finite, got {duration_s!r}"
-        )
 
 
 @dataclass
@@ -692,7 +683,7 @@ class AdaptiveServingEngine:
         extra_meta: Optional[Dict[str, object]] = None,
     ) -> ServingReport:
         """Drain everything outstanding and reduce to a report."""
-        check_duration(duration_s)
+        check_positive("duration", duration_s)
         with phase("serve_adaptive_finish"):
             self.advance_to(math.inf)
         if len(self._queue) and not self._active:

@@ -57,11 +57,11 @@ from repro.arch.config import AcceleratorConfig
 from repro.errors import ConfigError
 from repro.perf.instrument import phase
 from repro.serve.batcher import BatchCoster, BatchPolicy
-from repro.serve.engine import ServingReport, ROUTING_KINDS, check_duration
+from repro.serve.engine import ServingReport, ROUTING_KINDS
 from repro.serve.metrics import MetricsCollector
 from repro.serve.queue import AdmissionQueue, QueuePolicy
 from repro.serve.verified import SDCFault, VerificationPolicy, VerifiedReplica
-from repro.serve.workload import Request
+from repro.serve.workload import Request, check_positive
 
 __all__ = [
     "ReplicaFault",
@@ -466,7 +466,7 @@ class FailoverEngine:
         (queue policy), or failed with a reason (retry budget exhausted,
         or no replicas left alive).
         """
-        check_duration(duration_s)
+        check_positive("duration", duration_s)
         with phase("serve_failover_run"):
             return self._run(list(requests), duration_s, extra_meta)
 

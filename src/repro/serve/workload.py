@@ -44,12 +44,37 @@ __all__ = [
     "mixed_diurnal_arrivals",
     "trace_arrivals",
     "ARRIVAL_KINDS",
+    "check_positive",
+    "check_flash_crowd",
 ]
 
 ARRIVAL_KINDS = ("poisson", "bursty", "diurnal", "trace")
 
 #: default per-request latency SLO when a mix spec does not name one
 DEFAULT_SLO_MS = 250.0
+
+
+def check_positive(what: str, value: float) -> None:
+    """Reject ``value`` unless it is positive and finite, naming ``what``.
+
+    NaN and infinity fail too: an infinite rate or duration never ends a
+    generator's loop, and a NaN one silently yields an empty workload.
+    """
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{what} must be positive and finite, got {value!r}")
+
+
+def check_flash_crowd(window: Tuple[float, float, float]) -> None:
+    """Reject a flash-crowd ``(start_s, duration_s, factor)`` window that is
+    not finite with ``start >= 0``, ``duration > 0`` and ``factor >= 1``."""
+    start, duration, factor = window
+    if not (
+        0 <= start < math.inf and 0 < duration < math.inf and 1 <= factor < math.inf
+    ):
+        raise ConfigError(
+            f"flash crowd {window!r} must be finite with "
+            "(start>=0, duration>0, factor>=1)"
+        )
 
 
 @dataclass(frozen=True)
@@ -62,14 +87,8 @@ class TenantSpec:
     slo_ms: float = DEFAULT_SLO_MS
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ConfigError(
-                f"tenant {self.name!r}: weight must be positive, got {self.weight!r}"
-            )
-        if self.slo_ms <= 0:
-            raise ConfigError(
-                f"tenant {self.name!r}: slo_ms must be positive, got {self.slo_ms!r}"
-            )
+        check_positive(f"tenant {self.name!r}: weight", self.weight)
+        check_positive(f"tenant {self.name!r}: slo_ms", self.slo_ms)
 
 
 @dataclass(frozen=True)
@@ -116,19 +135,9 @@ class MixedTenantSpec:
                     f"tenant {self.name!r}: duplicate network {network!r} in mix"
                 )
             seen.add(network)
-            if share <= 0:
-                raise ConfigError(
-                    f"tenant {self.name!r}: network {network!r} share must be "
-                    f"positive, got {share!r}"
-                )
-        if self.weight <= 0:
-            raise ConfigError(
-                f"tenant {self.name!r}: weight must be positive, got {self.weight!r}"
-            )
-        if self.slo_ms <= 0:
-            raise ConfigError(
-                f"tenant {self.name!r}: slo_ms must be positive, got {self.slo_ms!r}"
-            )
+            check_positive(f"tenant {self.name!r}: network {network!r} share", share)
+        check_positive(f"tenant {self.name!r}: weight", self.weight)
+        check_positive(f"tenant {self.name!r}: slo_ms", self.slo_ms)
 
     @property
     def networks(self) -> Tuple[str, ...]:
@@ -218,10 +227,8 @@ def mixed_arrivals(
     pinned to a tenant must absorb *that tenant's whole mix*, not one
     network.
     """
-    if rate <= 0:
-        raise ConfigError(f"arrival rate must be positive, got {rate!r}")
-    if duration_s <= 0:
-        raise ConfigError(f"duration must be positive, got {duration_s!r}")
+    check_positive("arrival rate", rate)
+    check_positive("duration", duration_s)
     _validate_mixed_tenants(tenants)
     rng = random.Random(seed)
     requests: List[Request] = []
@@ -284,22 +291,16 @@ def mixed_diurnal_arrivals(
     request list — the capacity planner's whole search is deterministic
     because its traffic forecast is.
     """
-    if base_rate <= 0:
-        raise ConfigError(f"base_rate must be positive, got {base_rate!r}")
+    check_positive("base_rate", base_rate)
+    check_positive("peak_rate", peak_rate)
     if peak_rate < base_rate:
         raise ConfigError(
             f"peak_rate must be >= base_rate, got {peak_rate!r} < {base_rate!r}"
         )
-    if days <= 0:
-        raise ConfigError(f"days must be positive, got {days!r}")
-    if day_s <= 0:
-        raise ConfigError(f"day_s must be positive, got {day_s!r}")
+    check_positive("days", days)
+    check_positive("day_s", day_s)
     for window in flash_crowds:
-        start, duration, factor = window
-        if start < 0 or duration <= 0 or factor < 1:
-            raise ConfigError(
-                f"flash crowd {window!r} must be (start>=0, duration>0, factor>=1)"
-            )
+        check_flash_crowd(window)
     _validate_mixed_tenants(tenants)
 
     duration_s = days * day_s
@@ -396,10 +397,8 @@ def poisson_arrivals(
     seed: int = 0,
 ) -> List[Request]:
     """Open-loop Poisson traffic: ``rate`` requests/second for ``duration_s``."""
-    if rate <= 0:
-        raise ConfigError(f"arrival rate must be positive, got {rate!r}")
-    if duration_s <= 0:
-        raise ConfigError(f"duration must be positive, got {duration_s!r}")
+    check_positive("arrival rate", rate)
+    check_positive("duration", duration_s)
     _validate_tenants(tenants)
     rng = random.Random(seed)
     requests: List[Request] = []
@@ -428,16 +427,13 @@ def bursty_arrivals(
     long-run average stays ``rate``.  ``burst_factor * burst_fraction``
     must not exceed 1 (the off-phase rate cannot go negative).
     """
-    if rate <= 0:
-        raise ConfigError(f"arrival rate must be positive, got {rate!r}")
-    if duration_s <= 0:
-        raise ConfigError(f"duration must be positive, got {duration_s!r}")
-    if burst_factor < 1:
+    check_positive("arrival rate", rate)
+    check_positive("duration", duration_s)
+    if not burst_factor >= 1:
         raise ConfigError(f"burst_factor must be >= 1, got {burst_factor!r}")
     if not 0 < burst_fraction < 1:
         raise ConfigError(f"burst_fraction must be in (0, 1), got {burst_fraction!r}")
-    if period_s <= 0:
-        raise ConfigError(f"period_s must be positive, got {period_s!r}")
+    check_positive("period_s", period_s)
     if burst_factor * burst_fraction > 1:
         raise ConfigError(
             "burst_factor * burst_fraction must be <= 1 so the off-phase "
@@ -517,37 +513,32 @@ def diurnal_arrivals(
     :func:`bursty_arrivals`, and everything is driven by one seeded RNG —
     the same seed always yields the identical request list.
     """
-    if base_rate <= 0:
-        raise ConfigError(f"base_rate must be positive, got {base_rate!r}")
+    check_positive("base_rate", base_rate)
+    check_positive("peak_rate", peak_rate)
     if peak_rate < base_rate:
         raise ConfigError(
             f"peak_rate must be >= base_rate, got {peak_rate!r} < {base_rate!r}"
         )
-    if days <= 0:
-        raise ConfigError(f"days must be positive, got {days!r}")
-    if day_s <= 0:
-        raise ConfigError(f"day_s must be positive, got {day_s!r}")
-    if flash_per_day < 0:
-        raise ConfigError(f"flash_per_day must be >= 0, got {flash_per_day!r}")
-    if flash_factor < 1:
-        raise ConfigError(f"flash_factor must be >= 1, got {flash_factor!r}")
+    check_positive("days", days)
+    check_positive("day_s", day_s)
+    if not 0 <= flash_per_day < math.inf:
+        raise ConfigError(
+            f"flash_per_day must be finite and >= 0, got {flash_per_day!r}"
+        )
+    if not 1 <= flash_factor < math.inf:
+        raise ConfigError(
+            f"flash_factor must be finite and >= 1, got {flash_factor!r}"
+        )
     if not 0 <= churn < 1:
         raise ConfigError(f"churn must be in [0, 1), got {churn!r}")
     for window in flash_crowds:
-        start, duration, factor = window
-        if start < 0 or duration <= 0 or factor < 1:
-            raise ConfigError(
-                f"flash crowd {window!r} must be (start>=0, duration>0, factor>=1)"
-            )
+        check_flash_crowd(window)
     _validate_tenants(tenants)
 
     duration_s = days * day_s
     if flash_duration_s is None:
         flash_duration_s = 0.02 * day_s
-    elif flash_duration_s <= 0:
-        raise ConfigError(
-            f"flash_duration_s must be positive, got {flash_duration_s!r}"
-        )
+    check_positive("flash_duration_s", flash_duration_s)
     rng = random.Random(seed)
     windows = [tuple(map(float, w)) for w in flash_crowds]
     n_seeded = int(round(flash_per_day * days))
@@ -604,6 +595,8 @@ def trace_arrivals(
     when given.
     """
     _validate_tenants(tenants)
+    if duration_s is not None:
+        check_positive("duration", duration_s)
     by_name = {t.name: t for t in tenants}
     rng = random.Random(seed)
     rows = []

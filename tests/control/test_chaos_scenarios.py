@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,9 @@ from repro.control.chaos_scenarios import (
     build_control_scenario,
     run_control_scenario,
 )
-from repro.serve.metrics import to_json
+from repro.serve.metrics import MetricsCollector, to_json
+
+BENCH = Path(__file__).resolve().parents[2] / "BENCH_chaos_control.json"
 
 
 class TestCatalogue:
@@ -42,6 +46,30 @@ class TestCatalogue:
             dataclasses.replace(
                 build_control_scenario("crash-replace"),
                 invariants=("zero-silent-drops", "always-sunny"),
+            )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("rate_rps", math.nan, "rate_rps must be positive and finite, got nan"),
+            ("rate_rps", math.inf, "rate_rps must be positive and finite, got inf"),
+            ("duration_s", math.nan, "duration_s must be positive and finite, got nan"),
+            ("duration_s", math.inf, "duration_s must be positive and finite, got inf"),
+            (
+                "mttr_deadline_s",
+                math.nan,
+                "mttr_deadline_s must be positive and finite, got nan",
+            ),
+            ("flash", (16.0, math.nan, 2.2), r"flash crowd \(16.0, nan, 2.2\)"),
+            ("flash", (16.0, 14.0, math.inf), r"flash crowd \(16.0, 14.0, inf\)"),
+            ("replicas", True, "replicas must be a positive int, got True"),
+            ("replicas", 3.0, "replicas must be a positive int, got 3.0"),
+        ],
+    )
+    def test_bad_field_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(
+                build_control_scenario("crash-replace"), **{field: value}
             )
 
     def test_link_faults_rejected(self):
@@ -96,6 +124,59 @@ class TestRunner:
     def test_rollup_byte_stable(self, rollup):
         again = run_control_scenario(build_control_scenario("crash-replace"))
         assert to_json(rollup) == to_json(again)
+
+    def test_matches_committed_bench_row(self, rollup):
+        committed = json.loads(BENCH.read_text())
+        (row,) = [
+            r for r in committed["scenarios"] if r["scenario"] == "crash-replace"
+        ]
+        att = rollup["attainment"]
+        recovery = rollup["recovery"]
+        assert {
+            "attainment_healing": att["healing"],
+            "attainment_nonhealing": att["nonhealing"],
+            "attainment_frozen_faulted": att["frozen_faulted"],
+            "attainment_frozen_healthy": att["frozen_healthy"],
+            "delta_vs_frozen": att["delta_vs_frozen"],
+            "delta_vs_nonhealing": att["delta_vs_nonhealing"],
+            "mttr_ms": recovery["mttr_ms"],
+            "recovered": recovery["recovered"],
+            "invariants": rollup["invariants"],
+        } == {
+            key: row[key]
+            for key in (
+                "attainment_healing",
+                "attainment_nonhealing",
+                "attainment_frozen_faulted",
+                "attainment_frozen_healthy",
+                "delta_vs_frozen",
+                "delta_vs_nonhealing",
+                "mttr_ms",
+                "recovered",
+                "invariants",
+            )
+        }
+
+    def test_lost_request_raises_naming_scenario_arm_and_counts(
+        self, monkeypatch
+    ):
+        offered = []
+        real_summary = MetricsCollector.summary
+
+        def one_completion_short(self, *args, **kwargs):
+            summary = real_summary(self, *args, **kwargs)
+            offered.append(summary["offered"])
+            summary["completed"] -= 1
+            return summary
+
+        monkeypatch.setattr(MetricsCollector, "summary", one_completion_short)
+        with pytest.raises(RuntimeError) as excinfo:
+            run_control_scenario(build_control_scenario("crash-replace"))
+        (n,) = offered  # the first arm raised
+        assert str(excinfo.value).startswith(
+            f"crash-replace/frozen-healthy: {n} requests offered but only "
+            f"{n - 1} terminated"
+        )
 
     def test_missed_deadline_fails_bounded_mttr(self):
         tight = dataclasses.replace(

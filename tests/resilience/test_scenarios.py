@@ -16,7 +16,7 @@ from repro.resilience.scenarios import (
     run_scenario,
 )
 from repro.serve.batcher import BatchCoster
-from repro.serve.metrics import to_json
+from repro.serve.metrics import MetricsCollector, to_json
 
 #: one shared coster so the expensive plans derive once per test session
 _COSTER = BatchCoster(CONFIG_16_16)
@@ -71,6 +71,51 @@ class TestValidation:
                 ),
                 replicas=2,
             )
+
+
+class TestRecordCheck:
+    @pytest.mark.parametrize("replicas", [True, 2.0, 0])
+    def test_replicas_must_be_a_positive_int(self, replicas):
+        with pytest.raises(ConfigError, match="replicas must be a positive int"):
+            ChaosScenario(
+                name="x",
+                description="",
+                schedule=FaultSchedule(),
+                replicas=replicas,
+            )
+
+    def test_undeclared_integrity_invariants_still_evaluate(self):
+        # no verification and no SDC window: nothing to escape or drain
+        scenario = ChaosScenario(
+            name="plain",
+            description="",
+            schedule=FaultSchedule(),
+            invariants=("zero-escaped", "sdc-drained"),
+        )
+        rollup = run_scenario(scenario, coster=_COSTER)
+        assert rollup["integrity"] is None
+        assert rollup["invariants"] == {"zero-escaped": True, "sdc-drained": True}
+
+
+class TestLostRequest:
+    def test_arm_loop_raises_naming_scenario_arm_and_counts(self, monkeypatch):
+        offered = []
+        real_summary = MetricsCollector.summary
+
+        def one_completion_short(self, *args, **kwargs):
+            summary = real_summary(self, *args, **kwargs)
+            offered.append(summary["offered"])
+            summary["completed"] -= 1
+            return summary
+
+        monkeypatch.setattr(MetricsCollector, "summary", one_completion_short)
+        with pytest.raises(RuntimeError) as excinfo:
+            run("single-crash")
+        (n,) = offered  # the first arm raised
+        assert str(excinfo.value).startswith(
+            f"single-crash/healthy: {n} requests offered but only {n - 1} "
+            "terminated"
+        )
 
 
 class TestDeterminism:
