@@ -99,55 +99,19 @@ def _emit_json(path: str, text: str, label: str, render: Callable[[], None]) -> 
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis import (
-        fig3_unrolling,
-        fig7_conv1,
-        fig8_whole_network,
-        fig9_zhang_comparison,
-        fig10_buffer_traffic,
-        render_fig3,
-        render_fig7,
-        render_fig8,
-        render_fig9,
-        render_fig10,
-        render_headline,
-        render_table1,
-        render_table4,
-        render_table5,
-        headline_numbers,
-        table1_scheme_comparison,
-        table4_cpu_comparison,
-        table5_pe_energy,
-        write_csv,
-    )
+    import os
 
-    datasets = {
-        "fig3": fig3_unrolling(),
-        "fig7": fig7_conv1(),
-        "fig8": fig8_whole_network(),
-        "fig9": fig9_zhang_comparison(),
-        "table4": table4_cpu_comparison(),
-        "table5": table5_pe_energy(),
-        "fig10": fig10_buffer_traffic(),
-    }
-    artifacts = [
-        render_table1(table1_scheme_comparison()),
-        render_fig3(datasets["fig3"]),
-        render_fig7(datasets["fig7"]),
-        render_fig8(datasets["fig8"]),
-        render_fig9(datasets["fig9"]),
-        render_table4(datasets["table4"]),
-        render_table5(datasets["table5"]),
-        render_fig10(datasets["fig10"]),
-        render_headline(headline_numbers()),
-    ]
-    print(("\n\n" + "=" * 72 + "\n\n").join(artifacts))
+    from repro.analysis.export import write_csv
+    from repro.analysis.manifest import ARTIFACTS
+
+    printed = [a for a in ARTIFACTS if a.render]
+    rows = {a.name: a.driver() for a in (ARTIFACTS if args.csv_dir else printed)}
+    blocks = [a.render(rows[a.name]) for a in printed]
+    print(("\n\n" + "=" * 72 + "\n\n").join(blocks))
     if args.csv_dir:
-        import os
-
         os.makedirs(args.csv_dir, exist_ok=True)
-        for name, rows in datasets.items():
-            write_csv(rows, os.path.join(args.csv_dir, f"{name}.csv"))
+        for a in ARTIFACTS:
+            write_csv(rows[a.name], os.path.join(args.csv_dir, a.golden))
         print(f"\nCSV artifacts written to {args.csv_dir}/")
     return 0
 

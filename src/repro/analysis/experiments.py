@@ -1,7 +1,8 @@
 """Experiment drivers: one function per table/figure of the paper.
 
-Each driver returns plain data rows (dataclasses) so benchmarks can assert
-on them and :mod:`repro.analysis.report` can render them.  All drivers are
+Each driver returns plain data rows (dataclasses) so the claims of
+:mod:`repro.analysis.manifest` can check them and
+:mod:`repro.analysis.report` can render them.  All drivers are
 deterministic and pure-Python — regenerating the full evaluation takes
 seconds, not a Verilog simulation farm.
 """
@@ -69,7 +70,7 @@ def table1_scheme_comparison() -> List[Table1Row]:
     """The paper's Table 1, with a machine-checkable witness per row.
 
     Each witness (k, s, Din) names a layer geometry on which the row's
-    scheme is the oracle winner; the bench asserts those witnesses.
+    scheme is the oracle winner; the manifest's ``table1`` claims check it.
     """
     return [
         Table1Row(

@@ -1,8 +1,8 @@
 """The paper's headline aggregates, regenerated as one record.
 
 The abstract and Sec. 5 quote a handful of averages; this driver computes
-all of them in one pass so EXPERIMENTS.md and the abstract-claims bench
-have a single source of truth:
+all of them in one pass so EXPERIMENTS.md and the manifest's ``headline``
+claims have a single source of truth:
 
 * conv1: partition vs inter (paper 5.8x) and vs intra (paper 2.1x),
   averaged over the 4 networks and both PE configs;
@@ -13,6 +13,8 @@ have a single source of truth:
 * average PE energy saving of adaptive-2 vs inter (abstract: 28.04%);
 * average on-chip memory (buffer) energy saving (abstract: 90.3%);
 * average adap-2 vs adap-1 buffer-traffic reduction (Sec 5.3: 90.13%).
+
+Every whole-network aggregate is measured on the 16-16 array.
 """
 
 from __future__ import annotations

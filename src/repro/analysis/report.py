@@ -1,9 +1,9 @@
 """Text rendering of the experiment rows — the paper's figures as tables.
 
 Every render function takes the rows produced by
-:mod:`repro.analysis.experiments` and returns a printable string; the
-benchmark harness tees these into its output so ``pytest benchmarks/``
-regenerates the whole evaluation section in one run.
+:mod:`repro.analysis.experiments` and returns a printable string;
+:mod:`repro.analysis.manifest` pairs each with its driver, and
+``python -m repro report`` prints them as the whole evaluation section.
 """
 
 from __future__ import annotations

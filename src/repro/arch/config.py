@@ -12,6 +12,7 @@ array retires one operation per cycle.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
@@ -61,25 +62,22 @@ class AcceleratorConfig:
     overlap_streams: bool = True
 
     def __post_init__(self) -> None:
-        if self.tin <= 0:
-            raise ConfigError(f"tin must be positive, got {self.tin!r}")
-        if self.tout <= 0:
-            raise ConfigError(f"tout must be positive, got {self.tout!r}")
         for attr in (
+            "tin",
+            "tout",
             "input_buffer_bytes",
             "output_buffer_bytes",
             "weight_buffer_bytes",
             "bias_buffer_bytes",
             "word_bytes",
             "dram_words_per_cycle",
+            "frequency_hz",
         ):
             value = getattr(self, attr)
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ConfigError(f"{attr} must be a finite number, got {value!r}")
             if value <= 0:
                 raise ConfigError(f"{attr} must be positive, got {value!r}")
-        if self.frequency_hz <= 0:
-            raise ConfigError(
-                f"frequency_hz must be positive, got {self.frequency_hz!r}"
-            )
 
     @property
     def multipliers(self) -> int:

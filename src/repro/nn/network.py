@@ -25,7 +25,7 @@ from repro.nn.layers import (
     TensorShape,
 )
 
-__all__ = ["Network", "LayerContext", "NetworkStatsSummary"]
+__all__ = ["Network", "LayerContext", "NetworkStatsSummary", "standalone_conv"]
 
 _INPUT = "__input__"
 
@@ -53,6 +53,19 @@ class LayerContext:
     @property
     def weights(self) -> int:
         return self.layer.weight_count(self.in_shape)
+
+
+def standalone_conv(
+    in_maps: int, out_maps: int, kernel: int, stride: int, hw: int,
+    pad: int = 0, groups: int = 1, name: str = "layer",
+) -> LayerContext:
+    """A conv layer on its own, fed an ``in_maps x hw x hw`` input."""
+    layer = ConvLayer(
+        name, in_maps=in_maps, out_maps=out_maps, kernel=kernel, stride=stride,
+        pad=pad, groups=groups,
+    )
+    in_shape = TensorShape(in_maps, hw, hw)
+    return LayerContext(layer, in_shape, layer.output_shape(in_shape))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ Two pieces:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -46,8 +47,11 @@ class BatchPolicy:
             )
         if self.max_batch <= 0:
             raise ConfigError(f"max_batch must be positive, got {self.max_batch!r}")
-        if self.max_wait_ms < 0:
-            raise ConfigError(f"max_wait_ms must be >= 0, got {self.max_wait_ms!r}")
+        # a NaN or infinite timer never releases a partial batch
+        if isinstance(self.max_wait_ms, bool) or not 0 <= self.max_wait_ms < math.inf:
+            raise ConfigError(
+                f"max_wait_ms must be >= 0 and finite, got {self.max_wait_ms!r}"
+            )
 
     @property
     def max_wait_s(self) -> float:

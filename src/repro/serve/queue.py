@@ -20,6 +20,7 @@ batcher can only fuse requests that run the same model.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -47,14 +48,24 @@ class QueuePolicy:
     shed_expired: bool = False
 
     def __post_init__(self) -> None:
+        if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, int):
+            raise ConfigError(
+                f"max_depth must be an int, got {self.max_depth!r} "
+                f"({type(self.max_depth).__name__})"
+            )
         if self.max_depth <= 0:
             raise ConfigError(f"max_depth must be positive, got {self.max_depth!r}")
         if self.order not in QUEUE_ORDERS:
             raise ConfigError(
                 f"unknown queue order {self.order!r}; choose from {QUEUE_ORDERS}"
             )
-        if self.max_age_s is not None and self.max_age_s <= 0:
-            raise ConfigError(f"max_age_s must be positive, got {self.max_age_s!r}")
+        # NaN compares false against every age, silently disabling shedding
+        if self.max_age_s is not None and (
+            isinstance(self.max_age_s, bool) or not 0 < self.max_age_s < math.inf
+        ):
+            raise ConfigError(
+                f"max_age_s must be positive and finite, got {self.max_age_s!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Experiment driver tests: row structure and basic invariants.
 
-The full paper-shape assertions live in benchmarks/; here we verify the
-drivers produce complete, well-formed data quickly-checkable subsets.
+The paper-shape claims live in :mod:`repro.analysis.manifest` and are
+checked by test_manifest.py; here we verify the drivers produce complete,
+well-formed data.
 """
 
 import pytest

@@ -1,5 +1,7 @@
 """Accelerator configuration tests (the paper's Table 3)."""
 
+import math
+
 import pytest
 
 from repro.arch.config import (
@@ -99,6 +101,13 @@ class TestValidation:
                 dict(weight_buffer_bytes=-2),
                 "weight_buffer_bytes must be positive, got -2",
             ),
+            (dict(frequency_hz=math.nan), "frequency_hz must be a finite number, got nan"),
+            (dict(frequency_hz=math.inf), "frequency_hz must be a finite number, got inf"),
+            (
+                dict(dram_words_per_cycle=math.nan),
+                "dram_words_per_cycle must be a finite number, got nan",
+            ),
+            (dict(tin=True), "tin must be a finite number, got True"),
         ],
     )
     def test_message_names_the_bad_value(self, kwargs, fragment):

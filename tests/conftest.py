@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.arch import CONFIG_16_16, CONFIG_32_32
-from repro.nn.layers import ConvLayer, TensorShape
-from repro.nn.network import LayerContext
+from repro.nn.network import LayerContext, standalone_conv
 from repro.nn.zoo import build
 
 
@@ -46,27 +45,10 @@ def all_networks(alexnet, googlenet, vgg, nin):
 
 
 def make_ctx(
-    in_maps=3,
-    out_maps=8,
-    kernel=3,
-    stride=1,
-    pad=0,
-    groups=1,
-    hw=16,
-    name="layer",
+    in_maps=3, out_maps=8, kernel=3, stride=1, pad=0, groups=1, hw=16, name="layer"
 ) -> LayerContext:
     """Build a standalone conv LayerContext for unit tests."""
-    layer = ConvLayer(
-        name,
-        in_maps=in_maps,
-        out_maps=out_maps,
-        kernel=kernel,
-        stride=stride,
-        pad=pad,
-        groups=groups,
-    )
-    in_shape = TensorShape(in_maps, hw, hw)
-    return LayerContext(layer, in_shape, layer.output_shape(in_shape))
+    return standalone_conv(in_maps, out_maps, kernel, stride, hw, pad, groups, name)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """CLI (`python -m repro`) tests."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
@@ -37,6 +39,16 @@ class TestCommands:
         for artifact in ("Fig. 3", "Fig. 7", "Fig. 8", "Fig. 9",
                          "Table 4", "Table 5", "Fig. 10"):
             assert artifact in out
+
+    def test_report_csv_dir_writes_every_artifact(self, tmp_path):
+        from repro.analysis.manifest import ARTIFACTS
+
+        assert main(["report", "--csv-dir", str(tmp_path)]) == 0
+        stems = sorted(p.stem for p in tmp_path.iterdir())
+        assert stems == sorted(a.name for a in ARTIFACTS)
+        golden = Path(__file__).resolve().parents[2] / "benchmarks" / "golden"
+        for name in ("fig7.csv", "fig8.csv"):
+            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes()
 
     def test_unknown_network_rejected(self):
         with pytest.raises(SystemExit):

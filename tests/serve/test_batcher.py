@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.adaptive.batch import plan_batch
@@ -34,8 +36,10 @@ class TestBatchPolicy:
             BatchPolicy(max_batch=bad)
 
     def test_invalid_max_wait(self):
-        with pytest.raises(ConfigError, match="max_wait_ms"):
-            BatchPolicy(max_wait_ms=-1)
+        for bad in (-1, math.nan, math.inf, True):
+            with pytest.raises(ConfigError, match=f"max_wait_ms .* got {bad!r}"):
+                BatchPolicy(max_wait_ms=bad)
+        assert BatchPolicy(max_wait_ms=0).max_wait_s == 0.0
 
 
 class TestBatchCoster:

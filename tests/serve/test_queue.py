@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
@@ -27,16 +29,19 @@ def req(rid, arrival=0.0, slo=0.25, network="alexnet", tenant="t"):
 
 class TestPolicyValidation:
     def test_bad_depth(self):
-        with pytest.raises(ConfigError, match="max_depth"):
-            QueuePolicy(max_depth=0)
+        for bad in (0, True, 2.5):
+            with pytest.raises(ConfigError, match=f"max_depth .* got {bad!r}"):
+                QueuePolicy(max_depth=bad)
 
     def test_bad_order(self):
         with pytest.raises(ConfigError, match="queue order"):
             QueuePolicy(order="lifo")
 
     def test_bad_age(self):
-        with pytest.raises(ConfigError, match="max_age_s"):
-            QueuePolicy(max_age_s=-1)
+        for bad in (-1, math.nan, math.inf, True):
+            with pytest.raises(ConfigError, match=f"max_age_s .* got {bad!r}"):
+                QueuePolicy(max_age_s=bad)
+        assert QueuePolicy(max_age_s=None).max_age_s is None
 
 
 class TestAdmission:

@@ -116,6 +116,14 @@ CASES = [
      "tenant 'a': network 'alexnet' share must be positive and finite, got nan"),
     ("parse-tenant-mix-weight-inf", lambda: parse_tenant_mix("a=alexnet@inf"),
      "tenant 'a': weight must be positive and finite, got inf"),
+    # a NaN wait never releases a partial batch, which hangs the serving
+    # loop; a NaN age compares false against every age, disabling shedding
+    ("serve-max-wait-nan", lambda: main(["serve", "--duration", "1", "--max-wait-ms", "nan"]),
+     "max_wait_ms must be >= 0 and finite, got nan"),
+    ("serve-max-wait-inf", lambda: main(["serve", "--duration", "1", "--max-wait-ms", "inf"]),
+     "max_wait_ms must be >= 0 and finite, got inf"),
+    ("serve-max-age-nan", lambda: main(["serve", "--duration", "1", "--max-age-ms", "nan"]),
+     "max_age_s must be positive and finite, got nan"),
 ]
 
 
@@ -139,3 +147,4 @@ def test_trace_duration_rejected(tmp_path, duration):
 def test_serve_cli_rejects_infinite_load(flag):
     with pytest.raises(ConfigError, match="must be positive and finite, got inf"):
         main(["serve", flag, "inf"])
+
