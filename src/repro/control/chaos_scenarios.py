@@ -325,7 +325,7 @@ def run_control_scenario(
             if faults is not None:
                 apply_fault_schedule(engine, faults, config)
             report = engine.run(requests, scenario.duration_s)
-            return dict(report.summary), report.metrics.completed
+            return dict(report.summary), report.metrics
 
         return serve
 
@@ -346,11 +346,11 @@ def run_control_scenario(
                 demands=demands,
                 chip_map=chip_map,
             ).run(requests, scenario.duration_s, data_faults=data_faults)
-            return report.summary, report.serving.metrics.completed
+            return report.summary, report.serving.metrics
 
         return serve
 
-    summaries, healing_records = run_arms(
+    summaries, healing_log = run_arms(
         scenario.name,
         _requests(scenario, tenants),
         {
@@ -372,7 +372,7 @@ def run_control_scenario(
     first = _first_fault_s(scenario.data_faults)
     target = scenario.recovery_frac * float(summaries["frozen-healthy"]["goodput_rps"])
     fields, _ = scan_recovery(
-        healing_records,
+        healing_log,
         first,
         float(summaries["healing"]["makespan_s"]),
         target,

@@ -1,14 +1,19 @@
 """The detector: sliding-window telemetry over the serving event stream.
 
 A :class:`Detector` is stepped once per control epoch.  Each step reduces
-everything that *happened* in the window ``(prev_epoch_end, epoch_end]`` —
-completions are assigned to the window their ``finish_s`` falls in, never
-the window they were dispatched in — into one :class:`WindowStats` record:
-latency percentiles against each tenant's SLO, shed and deadline-miss
-rates, queue depth at the boundary, per-replica utilization and
-observed/expected service ratios (the health signal the planner's drain
-rule consumes, mirroring :class:`repro.serve.failover.HealthChecker`'s
-``slow_threshold``).
+everything that *happened* in the window ``(prev_epoch_end, epoch_end]``
+into one :class:`WindowStats` record: latency percentiles against each
+tenant's SLO, shed and deadline-miss rates, queue depth at the boundary,
+per-replica utilization and observed/expected service ratios (the health
+signal the planner's drain rule consumes, mirroring
+:class:`repro.serve.failover.HealthChecker`'s ``slow_threshold``).
+
+The detector reads the engine's batch log.  A batch, and every
+completion in it, belongs to the window its finish falls in, never the
+window it was dispatched in.  Nothing in a window's stats depends on the
+order its batches are read in — percentiles sort, health ratios are
+per-batch maxima, and the network mix is read through sorted keys — so
+the log is never re-sorted.
 
 Window assignment is exact: every completion lands in exactly one window
 (finish times are strictly greater than the dispatch instant, and the
@@ -22,11 +27,14 @@ across reruns at a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Sequence
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.serve.engine import AdaptiveServingEngine
-from repro.serve.metrics import RequestRecord, percentile
+from repro.serve.metrics import sorted_percentile
 from repro.serve.workload import TenantSpec
 
 __all__ = ["Detector", "WindowStats"]
@@ -103,13 +111,13 @@ class WindowStats:
 
 
 class Detector:
-    """Incrementally windows an :class:`AdaptiveServingEngine`'s metrics.
+    """Incrementally windows an :class:`AdaptiveServingEngine`'s batch log.
 
-    The detector holds an index into the engine's append-only completion
-    list plus cumulative shed/arrival snapshots, so each :meth:`observe`
-    touches only the records produced since the previous epoch.  Records
-    dispatched in this window but finishing in a later one are parked in a
-    small pending list until their window closes.
+    The detector holds a cursor into the engine's append-only batch log
+    plus cumulative shed/arrival snapshots, so each :meth:`observe`
+    touches only the batches logged since the previous epoch.  Batches
+    dispatched in this window but finishing in a later one are parked in
+    a small list until their window closes.
     """
 
     def __init__(
@@ -119,14 +127,14 @@ class Detector:
     ) -> None:
         self.engine = engine
         self.slo_ms = {t.name: t.slo_ms for t in tenants}
-        self._ci = 0
+        #: the next batch in the engine's log this detector has not read
+        self._bi = 0
         self._prev_end = 0.0
         self._prev_shed = 0
         self._prev_arrivals = 0
         self._epoch = 0
-        #: dispatched records whose finish time lies beyond the last
-        #: observed boundary, ordered by (finish_s, rid)
-        self._inflight: List[RequestRecord] = []
+        #: read batches whose finish lies beyond the last observed boundary
+        self._parked: List[int] = []
 
     @classmethod
     def resume(
@@ -138,23 +146,22 @@ class Detector:
     ) -> "Detector":
         """Rebuild a detector mid-run after a control-plane crash.
 
-        The engine's metrics are the ground truth a restarted loop still
-        has: every record dispatched by ``boundary_s`` is in the completion
-        list, and pre-crash windows consumed exactly the records finishing
-        at or before the boundary.  Reconstructing ``(consumed index,
-        in-flight list, cumulative snapshots)`` from that state is
-        therefore *exact* — the resumed detector's future windows are
-        bit-identical to an uncrashed detector's.
+        The engine's batch log is the ground truth a restarted loop still
+        has: every batch dispatched by ``boundary_s`` is in it, and
+        pre-crash windows consumed exactly the batches finishing at or
+        before the boundary.  Reconstructing ``(cursor, parked batches,
+        cumulative snapshots)`` from that state is therefore *exact* — the
+        resumed detector's future windows are bit-identical to an
+        uncrashed detector's.
         """
         detector = cls(engine, tenants)
-        completed = engine.metrics.completed
-        detector._ci = len(completed)
-        detector._inflight = sorted(
-            (r for r in completed if r.finish_s > boundary_s),
-            key=lambda r: (r.finish_s, r.rid),
-        )
+        log = engine.metrics
+        detector._bi = len(log.batch_sizes)
+        detector._parked = [
+            b for b, finish in enumerate(log.batch_finishes) if finish > boundary_s
+        ]
         detector._prev_end = boundary_s
-        detector._prev_shed = engine.metrics.shed_total
+        detector._prev_shed = log.shed_total
         detector._prev_arrivals = engine.offered
         detector._epoch = epoch
         return detector
@@ -166,21 +173,17 @@ class Detector:
                 f"observe({t_end!r}) does not advance past {self._prev_end!r}"
             )
         engine = self.engine
-        completed = engine.metrics.completed
-        fresh = completed[self._ci :]
-        self._ci = len(completed)
-        self._inflight.extend(fresh)
-        self._inflight.sort(key=lambda r: (r.finish_s, r.rid))
-        cut = 0
-        for record in self._inflight:
-            if record.finish_s <= t_end:
-                cut += 1
-            else:
-                break
-        window = self._inflight[:cut]
-        self._inflight = self._inflight[cut:]
+        log = engine.metrics
+        finishes = log.batch_finishes
+        fresh = range(self._bi, len(finishes))
+        self._bi = len(finishes)
+        window: List[int] = []
+        parked: List[int] = []
+        for b in chain(self._parked, fresh):
+            (window if finishes[b] <= t_end else parked).append(b)
+        self._parked = parked
 
-        shed_total = engine.metrics.shed_total
+        shed_total = log.shed_total
         shed = shed_total - self._prev_shed
         self._prev_shed = shed_total
         arrivals = engine.offered - self._prev_arrivals
@@ -188,42 +191,39 @@ class Detector:
 
         start_s = self._prev_end
         span = t_end - start_s
-        latencies = [r.latency_s * 1e3 for r in window]
-        met = sum(1 for r in window if r.met_deadline)
+        cols = log.columns(window)
+        latencies = (cols.finish - cols.arrival) * 1e3
+        met = int(np.count_nonzero(cols.finish <= cols.deadline))
+        ordered = np.sort(latencies)
 
         # worst per-tenant p95 over that tenant's SLO
         slo_frac = 0.0
-        by_tenant: Dict[str, List[float]] = {}
-        for r in window:
-            by_tenant.setdefault(r.tenant, []).append(r.latency_s * 1e3)
-        for tenant, values in by_tenant.items():
+        for code, tenant in enumerate(cols.tenants):
             slo = self.slo_ms.get(tenant)
             if slo:
-                slo_frac = max(slo_frac, percentile(values, 95) / slo)
+                values = np.sort(latencies[cols.tenant == code])
+                slo_frac = max(slo_frac, sorted_percentile(values, 95) / slo)
 
         # per-replica health: max observed/expected service ratio over the
-        # window's batches (one batch = one distinct (replica, start) pair)
-        batches: Dict[Tuple[int, float], RequestRecord] = {}
-        for r in window:
-            batches.setdefault((r.replica, r.start_s), r)
+        # window's batches
+        starts, replicas = log.batch_starts, log.batch_replicas
         ratios: Dict[int, float] = {}
         counts: Dict[int, int] = {}
-        for (rid, _), r in sorted(batches.items()):
+        for b in window:
+            rid = replicas[b]
             # expected cost under the replica's *own* coster: a degraded
             # replica replanned through Algorithm 2 reads healthy again,
             # so the ratio separates faults from load
             expected = engine.coster_for(rid).batch_seconds(
-                r.network, r.batch_size
+                log.batch_network(b), log.batch_sizes[b]
             )
             if expected > 0:
-                ratio = r.service_s / expected
+                ratio = (finishes[b] - starts[b]) / expected
                 ratios[rid] = max(ratios.get(rid, 0.0), ratio)
                 counts[rid] = counts.get(rid, 0) + 1
 
-        mix_counts: Dict[str, int] = {}
-        for r in window:
-            mix_counts[r.network] = mix_counts.get(r.network, 0) + 1
-        total_mix = sum(mix_counts.values())
+        completed = len(latencies)
+        mix_counts = np.bincount(cols.network, minlength=len(cols.networks))
 
         busy = sum(engine.busy_overlap(start_s, t_end).values())
         provisioned = engine.provisioned_overlap(start_s, t_end)
@@ -233,23 +233,22 @@ class Detector:
             start_s=start_s,
             end_s=t_end,
             arrivals=arrivals,
-            completed=len(window),
+            completed=completed,
             shed=shed,
             deadline_met=met,
             queue_depth=engine.queue_depth(),
             active_replicas=engine.n_active(),
-            p50_ms=percentile(latencies, 50),
-            p95_ms=percentile(latencies, 95),
-            p99_ms=percentile(latencies, 99),
+            p50_ms=sorted_percentile(ordered, 50),
+            p95_ms=sorted_percentile(ordered, 95),
+            p99_ms=sorted_percentile(ordered, 99),
             slo_p95_frac=slo_frac,
             shed_rate=shed / arrivals if arrivals else 0.0,
             utilization=busy / provisioned if provisioned else 0.0,
             arrival_rate_rps=arrivals / span if span else 0.0,
             network_mix={
-                k: v / total_mix for k, v in mix_counts.items()
-            }
-            if total_mix
-            else {},
+                net: int(count) / completed
+                for net, count in zip(cols.networks, mix_counts)
+            },
             replica_service_ratio=ratios,
             replica_batches=counts,
         )

@@ -54,6 +54,7 @@ from repro.resilience.faults import FaultSchedule, PEMask, flapping_link
 from repro.resilience.repair import repair_pipeline
 from repro.serve.batcher import BatchCoster, BatchPolicy
 from repro.serve.failover import FailoverEngine, FailoverPolicy
+from repro.serve.metrics import MetricsCollector
 from repro.serve.queue import QueuePolicy
 from repro.serve.verified import SDCFault, VerificationPolicy
 from repro.serve.workload import Request, parse_mix, poisson_arrivals
@@ -77,8 +78,8 @@ MAX_BATCH = 8
 WINDOW_S = 0.25
 
 S = TypeVar("S")
-#: an arm: serves the requests, returns (summary, completion records)
-Arm = Callable[[List[Request]], Tuple[Dict[str, object], List[object]]]
+#: an arm: serves the requests, returns (summary, completion log)
+Arm = Callable[[List[Request]], Tuple[Dict[str, object], MetricsCollector]]
 #: an invariant: (scenario, rollup, per-arm summaries) -> holds?
 Predicate = Callable[[object, Dict[str, object], Dict[str, Dict[str, object]]], object]
 
@@ -124,19 +125,19 @@ def _terminated(summary: Dict[str, object]) -> int:
 
 def run_arms(
     name: str, requests: Sequence[Request], arms: Mapping[str, Arm], keep: str
-) -> Tuple[Dict[str, Dict[str, object]], List[object]]:
+) -> Tuple[Dict[str, Dict[str, object]], MetricsCollector]:
     """Serve the same ``requests`` through every arm, in order.
 
-    Returns each arm's summary and the completion records of arm ``keep``
-    (the MTTR scan's input).  Other arms' records are dropped as each arm
-    ends, so at most one arm's records are alive while the next one runs.
+    Returns each arm's summary and the completion log of arm ``keep``
+    (the MTTR scan's input).  Other arms' logs are dropped as each arm
+    ends, so at most one arm's log is alive while the next one runs.
     Raises :class:`RuntimeError` if an arm loses a request: offered must
     equal completed + shed + failed.
     """
     summaries: Dict[str, Dict[str, object]] = {}
-    kept: List[object] = []
+    kept = MetricsCollector()
     for arm, serve in arms.items():
-        summary, records = serve(list(requests))
+        summary, log = serve(list(requests))
         terminated = _terminated(summary)
         if terminated != summary["offered"]:
             raise RuntimeError(
@@ -145,8 +146,8 @@ def run_arms(
             )
         summaries[arm] = summary
         if arm == keep:
-            kept = records
-        del records
+            kept = log
+        del log
     return summaries, kept
 
 
@@ -161,17 +162,16 @@ def digest(summary: Dict[str, object], *extra: str) -> Dict[str, object]:
 
 
 def goodput_series(
-    records, start_s: float, end_s: float, window_s: float
+    log: MetricsCollector, start_s: float, end_s: float, window_s: float
 ) -> List[Tuple[float, float]]:
     """(window start, deadline-met completions / window) from ``start_s``."""
     if end_s <= start_s:
         return []
     n_windows = int(math.ceil((end_s - start_s) / window_s))
     counts = [0] * n_windows
-    for r in records:
-        if not r.met_deadline:
-            continue
-        k = int((r.finish_s - start_s) // window_s)
+    cols = log.columns()
+    for finish_s in cols.finish[cols.finish <= cols.deadline].tolist():
+        k = int((finish_s - start_s) // window_s)
         if 0 <= k < n_windows:
             counts[k] += 1
     return [
@@ -192,7 +192,7 @@ def mttr_ms(
 
 
 def scan_recovery(
-    records,
+    log: MetricsCollector,
     start_s: Optional[float],
     end_s: float,
     target: float,
@@ -202,7 +202,7 @@ def scan_recovery(
     first fault; ``None`` = no fault, nothing to recover from) clear
     ``target``?  Returns the rollup fields and the goodput series."""
     series = (
-        goodput_series(records, start_s, end_s, window_s)
+        goodput_series(log, start_s, end_s, window_s)
         if start_s is not None
         else []
     )
@@ -308,7 +308,7 @@ class ChaosScenario:
 def _recovery(
     scenario: ChaosScenario,
     healthy_goodput_rps: float,
-    faulted_records,
+    faulted_log: MetricsCollector,
     faulted_makespan_s: float,
 ) -> Dict[str, object]:
     """The MTTR scan from the first crash to the survivor-fraction bar."""
@@ -318,7 +318,7 @@ def _recovery(
     survivor_frac = (scenario.replicas - crashed) / scenario.replicas
     target = survivor_frac * healthy_goodput_rps
     fields, series = scan_recovery(
-        faulted_records, first_crash, faulted_makespan_s, target, WINDOW_S
+        faulted_log, first_crash, faulted_makespan_s, target, WINDOW_S
     )
     if crashed >= scenario.replicas:  # nothing left to recover onto
         fields.update(mttr_ms=None, recovered=False)
@@ -420,7 +420,7 @@ def run_scenario(
                 sdc_faults=sdc,
                 verification=verification,
             ).run(reqs, DURATION_S)
-            return report.summary, report.metrics.completed
+            return report.summary, report.metrics
 
         return serve
 
@@ -439,7 +439,7 @@ def run_scenario(
         # the check's cost in isolation: the same healthy workload with
         # only the verification overhead switched on
         arms["verified"] = arm(healthy_coster, verification=verify)
-    summaries, faulted_records = run_arms(scenario.name, requests, arms, "faulted")
+    summaries, faulted_log = run_arms(scenario.name, requests, arms, "faulted")
     h, f = summaries["healthy"], summaries["faulted"]
 
     integrity_section = None
@@ -472,7 +472,7 @@ def run_scenario(
         "goodput_ratio": _ratio(f["goodput_rps"], h["goodput_rps"]),
         "latency_ratio": _latency_ratio(f, h),
         "recovery": _recovery(
-            scenario, float(h["goodput_rps"]), faulted_records, f["makespan_s"]
+            scenario, float(h["goodput_rps"]), faulted_log, f["makespan_s"]
         ),
         "failover": {
             key: f["failover"][key]

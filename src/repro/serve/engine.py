@@ -4,7 +4,13 @@ There is one loop, :meth:`AdaptiveServingEngine.advance_to`.  It advances
 *simulated accelerator time* (seconds) through exactly two kinds of events
 — a request arriving, and a batch becoming dispatchable on an available
 replica — so a run is a deterministic function of (workload, policies,
-actions, config).  Batch service time comes from the planned
+actions, config).  Arrivals are offered in bulk between dispatches: one
+pass admits or sheds every arrival strictly before the next possible
+dispatch and the next armed crash.  That is exact: admission uses each
+arrival's own time, queue depth falls only at a dispatch, an arrival never
+changes which replica is picked, and an accepted offer can only pull its
+group's ready time earlier, so the pass keeps its bound current as offers
+land.  Batch service time comes from the planned
 :class:`~repro.adaptive.batch.BatchRun` for that (network, batch size)
 pair via :class:`~repro.serve.batcher.BatchCoster`; no wall clock is ever
 consulted.  :class:`ServingEngine` is the fixed-fleet view: a one-shot run
@@ -27,7 +33,9 @@ returns.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import AcceleratorConfig
@@ -49,6 +57,9 @@ __all__ = [
 ]
 
 ROUTING_KINDS = ("round-robin", "least-loaded")
+
+#: the arrival stream's order: by arrival instant, ties by request id
+_ARRIVAL_ORDER = attrgetter("arrival_s", "rid")
 
 
 @dataclass
@@ -299,9 +310,10 @@ class AdaptiveServingEngine:
         self._pi = 0
         self._now = 0.0
         self._rr_last = -1
-        #: (rid, dispatch_s, finish_s) of every batch, for windowed
-        #: utilization accounting in the detector
-        self.busy_intervals: List[Tuple[int, float, float]] = []
+        #: busy_overlap's cursor: every logged batch before ``_busy_lo``
+        #: finished at or before ``_busy_from``
+        self._busy_lo = 0
+        self._busy_from = -math.inf
         #: (time_s, event, rid-or-None, detail) fleet/batcher change log
         self.fleet_events: List[Tuple[float, str, Optional[int], str]] = []
         #: armed fail-stops, (at_s, rid, reason) sorted by time
@@ -344,7 +356,7 @@ class AdaptiveServingEngine:
 
     def ingest(self, requests: Sequence[Request]) -> None:
         """Append arrivals to the stream (must not predate current time)."""
-        fresh = sorted(requests, key=lambda r: (r.arrival_s, r.rid))
+        fresh = sorted(requests, key=_ARRIVAL_ORDER)
         if fresh and fresh[0].arrival_s < self._now:
             raise ConfigError(
                 f"cannot ingest an arrival at {fresh[0].arrival_s!r}s: the "
@@ -579,7 +591,12 @@ class AdaptiveServingEngine:
                 if state.rid > last:
                     return state
             return active[0]
-        return min(active, key=lambda r: (r.free_at, r.rid))
+        # earliest free; ``_active`` is in rid order, so ties keep the lowest
+        best = active[0]
+        for state in active:
+            if state.free_at < best.free_at:
+                best = state
+        return best
 
     def advance_to(self, t_end: float) -> None:
         """Run the event loop up to simulated time ``t_end`` and stop.
@@ -587,31 +604,68 @@ class AdaptiveServingEngine:
         Every arrival at or before ``t_end`` is ingested (admitted or
         shed), and every dispatch whose instant is at or before ``t_end``
         happens; nothing later does.  Idempotent for the same ``t_end``.
+        ``t_end=inf`` runs until nothing is left to happen; crashes armed
+        past that point stay armed (:meth:`finish` drops those past the
+        makespan).
         """
+        if math.isnan(t_end):
+            raise ConfigError(f"advance_to needs a time or inf, got {t_end!r}")
         if t_end < self._now:
             raise ConfigError(
                 f"cannot advance to {t_end!r}s: already at {self._now!r}s"
             )
         pending, queue, metrics = self._pending, self._queue, self.metrics
         batch_policy = self.batch_policy  # actions apply between calls
+        offer, record_shed = queue.offer, metrics.record_shed
         n = len(pending)
         self._apply_crashes(self._now)
         while True:
+            pick = self._pick()
+            free_at = pick.free_at if pick is not None else math.inf
+            crash_at = self._crashes[0][0] if self._crashes else math.inf
+            ready = (
+                queue.next_ready(batch_policy)[0]
+                if len(queue) and pick is not None
+                else math.inf
+            )
+            # -- bulk ingest: offer every arrival strictly before the next
+            # possible dispatch and the next crash.  Offers never change
+            # the pick, and can only pull ``ready`` earlier, so it is kept
+            # current while it still bounds the dispatch instant.
+            bound = min(max(ready, free_at), crash_at)
+            i = self._pi
+            while i < n:
+                request = pending[i]
+                arrival = request.arrival_s
+                if arrival >= bound or arrival > t_end:
+                    break
+                shed = offer(request, arrival)
+                i += 1
+                if shed is not None:
+                    record_shed(request.tenant, shed.reason)
+                elif ready > free_at:
+                    group_ready = queue.ready_time(request.network, batch_policy)
+                    if group_ready < ready:
+                        ready = group_ready
+                        bound = min(max(ready, free_at), crash_at)
+            if i > self._pi:
+                self._now = max(self._now, pending[i - 1].arrival_s)
+                self._pi = i
+
+            # -- the next event: an arrival at or after the dispatch
+            # instant, a dispatch, or a crash
             next_times: List[float] = []
-            if self._pi < n:
-                next_times.append(pending[self._pi].arrival_s)
-            if len(queue):
-                pick = self._pick()
-                if pick is not None:
-                    ready = queue.next_ready(batch_policy)[0]
-                    next_times.append(max(ready, pick.free_at))
+            if i < n:
+                next_times.append(pending[i].arrival_s)
+            if len(queue) and pick is not None:
+                next_times.append(max(ready, free_at))
             if not next_times:
                 break
             t = max(self._now, min(next_times))
             # an armed crash before the next event changes who is eligible
             # to dispatch — fail-stop first, then recompute the event
-            if self._crashes and self._crashes[0][0] <= min(t, t_end):
-                self._now = max(self._now, self._crashes[0][0])
+            if crash_at <= min(t, t_end):
+                self._now = max(self._now, crash_at)
                 self._apply_crashes(self._now)
                 continue
             if t > t_end:
@@ -620,9 +674,9 @@ class AdaptiveServingEngine:
 
             while self._pi < n and pending[self._pi].arrival_s <= t:
                 request = pending[self._pi]
-                shed = queue.offer(request, request.arrival_s)
+                shed = offer(request, request.arrival_s)
                 if shed is not None:
-                    metrics.record_shed(request.tenant, shed.reason)
+                    record_shed(request.tenant, shed.reason)
                 self._pi += 1
 
             while len(queue):
@@ -636,7 +690,7 @@ class AdaptiveServingEngine:
                     network, batch_policy.max_batch, t
                 )
                 for event in shed_events:
-                    metrics.record_shed(event.request.tenant, event.reason)
+                    record_shed(event.request.tenant, event.reason)
                 if not batch:
                     continue
                 coster = self._replica_costers.get(replica.rid, self.coster)
@@ -651,20 +705,34 @@ class AdaptiveServingEngine:
                 replica.batches += 1
                 replica.completed += len(batch)
                 self._rr_last = replica.rid
-                self.busy_intervals.append((replica.rid, t, finish))
                 metrics.record_served(batch, t, finish, replica.rid)
-        self._apply_crashes(t_end)
-        if t_end > self._now and not math.isinf(t_end):
-            self._now = t_end
+        if not math.isinf(t_end):
+            self._apply_crashes(t_end)
+            self._now = max(self._now, t_end)
 
     def busy_overlap(self, start_s: float, end_s: float) -> Dict[int, float]:
-        """Per-replica busy seconds clipped to ``[start_s, end_s)``."""
+        """Per-replica busy seconds clipped to ``[start_s, end_s)``.
+
+        Reads the batch log.  Batches are logged in dispatch order, so
+        those starting before ``end_s`` are a prefix; a cursor skips the
+        batches that finished before an earlier query's ``start_s``.
+        """
+        log = self.metrics
+        starts, finishes = log.batch_starts, log.batch_finishes
+        replicas = log.batch_replicas
+        if start_s < self._busy_from:
+            self._busy_lo = 0
+        lo = self._busy_lo
+        while lo < len(finishes) and finishes[lo] <= start_s:
+            lo += 1
+        self._busy_lo, self._busy_from = lo, start_s
         out: Dict[int, float] = {}
-        for rid, s, e in self.busy_intervals:
-            lo = max(s, start_s)
-            hi = min(e, end_s)
-            if hi > lo:
-                out[rid] = out.get(rid, 0.0) + (hi - lo)
+        for b in range(lo, bisect_left(starts, end_s)):
+            overlap_lo = max(starts[b], start_s)
+            overlap_hi = min(finishes[b], end_s)
+            if overlap_hi > overlap_lo:
+                rid = replicas[b]
+                out[rid] = out.get(rid, 0.0) + (overlap_hi - overlap_lo)
         return out
 
     def provisioned_overlap(self, start_s: float, end_s: float) -> float:
@@ -703,9 +771,9 @@ class AdaptiveServingEngine:
                         self.metrics.record_failure(
                             request.tenant, "no_active_replica"
                         )
-        makespan_s = max(
-            [duration_s] + [r.finish_s for r in self.metrics.completed]
-        )
+        makespan_s = self.metrics.makespan(duration_s)
+        # a crash armed past the makespan is moot: no retirement, no event
+        self._apply_crashes(makespan_s)
         busy_s = sum(r.busy_s for r in self.replicas)
         peak = _peak_fleet_size(self.replicas)
         summary = self.metrics.summary(

@@ -1,10 +1,21 @@
-"""SLO accounting: latency percentiles, goodput, shed rate, utilization.
+"""SLO accounting: a columnar completion log, reduced to latency
+percentiles, goodput, shed rate and utilization.
 
-The collector records one :class:`RequestRecord` per completed request and
-one shed counter per dropped request, then reduces them into a plain-dict
-summary that is stable enough to diff byte-for-byte: every float is rounded
-to microsecond-ish precision and every mapping is emitted with sorted keys,
-so two runs with the same seed produce identical JSON.
+The collector logs one row per batch run on a replica (start, finish,
+replica, size) and keeps that batch's requests, so each completion's
+columns (arrival, deadline, tenant, network) are read off its request
+when a reduction needs them.  Shed and failed requests are counters.
+Reductions work on NumPy columns; :class:`RequestRecord` objects are
+built only when a caller asks for :attr:`MetricsCollector.completed`.
+
+The summary is a plain dict stable enough to diff byte for byte: every
+float is rounded to microsecond-ish precision and every mapping is
+emitted with sorted keys, so two runs with the same seed produce
+identical JSON.  It is also the dict a record-by-record reduction gives:
+percentiles interpolate on one sorted array per distribution, and means
+and totals are builtin ``sum`` over Python floats in completion order
+(``np.sum`` is pairwise, and Python 3.12's ``sum`` is compensated, so
+neither can stand in).
 
 Glossary (all times in milliseconds unless suffixed otherwise):
 
@@ -21,11 +32,30 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.serve.workload import Request
 
-__all__ = ["RequestRecord", "percentile", "MetricsCollector", "to_json"]
+__all__ = [
+    "Columns",
+    "RequestRecord",
+    "percentile",
+    "sorted_percentile",
+    "MetricsCollector",
+    "to_json",
+]
+
+_ARRIVAL = attrgetter("arrival_s")
+_DEADLINE = attrgetter("deadline_s")
+_TENANT = attrgetter("tenant")
+_NETWORK = attrgetter("network")
+_RID = attrgetter("rid")
+#: floats boxed at a time when a column is summed (bounds the temporaries)
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,75 +89,118 @@ class RequestRecord:
         return self.finish_s <= self.deadline_s
 
 
+def sorted_percentile(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of values already in ascending order (a list or
+    an array), with the same interpolation and the same float result."""
+    n = len(ordered)
+    if not n:
+        return 0.0
+    if n == 1:
+        return float(ordered[0])
+    pos = (n - 1) * q / 100.0
+    lo = int(pos)
+    hi = min(lo + 1, n - 1)
+    frac = pos - lo
+    return float(ordered[lo]) * (1 - frac) + float(ordered[hi]) * frac
+
+
 def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolation percentile (``q`` in [0, 100]) of ``values``."""
     if not values:
         return 0.0
     if not 0 <= q <= 100:
         raise ValueError(f"percentile q must be in [0, 100], got {q!r}")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    pos = (len(ordered) - 1) * q / 100.0
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = pos - lo
-    return ordered[lo] * (1 - frac) + ordered[hi] * frac
+    return sorted_percentile(sorted(values), q)
 
 
 def _round(x: float) -> float:
     return round(x, 6)
 
 
-def _distribution_ms(values_s: Sequence[float]) -> Dict[str, float]:
-    ms = [v * 1e3 for v in values_s]
+def _sum(values: np.ndarray) -> float:
+    """Builtin ``sum`` of ``values`` in order, over Python floats."""
+    chunks = (values[i : i + _CHUNK].tolist() for i in range(0, len(values), _CHUNK))
+    return sum(chain.from_iterable(chunks))
+
+
+def _floats(requests: Sequence[Request], field: attrgetter) -> np.ndarray:
+    return np.fromiter(map(field, requests), np.float64, len(requests))
+
+
+def _codes(values: List[str]) -> Tuple[np.ndarray, List[str]]:
+    """Each value's index into the sorted distinct values, and those values."""
+    names = sorted(set(values))
+    index = {name: code for code, name in enumerate(names)}
+    return np.fromiter(map(index.__getitem__, values), np.intp, len(values)), names
+
+
+def _distribution_ms(values_s: np.ndarray) -> Dict[str, float]:
+    if not len(values_s):
+        return {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
+    ms = values_s * 1e3
+    mean = _sum(ms) / len(ms)
+    ms.sort()
     return {
-        "mean": _round(sum(ms) / len(ms)) if ms else 0.0,
-        "p50": _round(percentile(ms, 50)),
-        "p95": _round(percentile(ms, 95)),
-        "p99": _round(percentile(ms, 99)),
-        "max": _round(max(ms)) if ms else 0.0,
+        "mean": _round(mean),
+        "p50": _round(sorted_percentile(ms, 50)),
+        "p95": _round(sorted_percentile(ms, 95)),
+        "p99": _round(sorted_percentile(ms, 99)),
+        "max": _round(float(ms[-1])),
     }
 
 
+class Columns(NamedTuple):
+    """Per-completion columns of some logged batches, one row per request."""
+
+    arrival: np.ndarray
+    deadline: np.ndarray
+    start: np.ndarray
+    finish: np.ndarray
+    #: index into ``tenants`` (the sorted distinct tenant names)
+    tenant: np.ndarray
+    tenants: List[str]
+    #: index into ``networks`` (the sorted distinct network names)
+    network: np.ndarray
+    networks: List[str]
+
+
 class MetricsCollector:
-    """Accumulates completions and sheds; reduces to a summary dict."""
+    """A columnar log of completions plus shed/failure counters.
+
+    Every batch run adds one row to ``batch_starts``, ``batch_finishes``,
+    ``batch_replicas`` and ``batch_sizes`` (log order: dispatch order for
+    the serving loop, completion order for the failover tier) and appends
+    the batch's requests to the completion log.
+    """
 
     def __init__(self) -> None:
-        self.completed: List[RequestRecord] = []
+        self.batch_starts: List[float] = []
+        self.batch_finishes: List[float] = []
+        self.batch_replicas: List[int] = []
+        self.batch_sizes: List[int] = []
+        #: where each batch's requests start in ``_requests``
+        self._offsets: List[int] = []
+        self._requests: List[Request] = []
+        #: completion order as indices into ``_requests`` once a merge has
+        #: re-sorted it by rid; None means log order
+        self._order: Optional[np.ndarray] = None
         self.shed_counts: Dict[str, int] = {}
         self._shed_by_tenant: Dict[str, int] = {}
         self.failed_counts: Dict[str, int] = {}
         self._failed_by_tenant: Dict[str, int] = {}
-        self.batch_sizes: List[int] = []
 
     # -- recording --------------------------------------------------------
-
-    def record_completion(self, record: RequestRecord) -> None:
-        self.completed.append(record)
-
-    def record_batch(self, size: int) -> None:
-        self.batch_sizes.append(size)
 
     def record_served(
         self, batch: Sequence[Request], start_s: float, finish_s: float, replica: int
     ) -> None:
-        """One batch run on ``replica``: its size, and a record per request."""
-        self.record_batch(len(batch))
-        for request in batch:
-            self.record_completion(
-                RequestRecord(
-                    rid=request.rid,
-                    tenant=request.tenant,
-                    network=request.network,
-                    arrival_s=request.arrival_s,
-                    start_s=start_s,
-                    finish_s=finish_s,
-                    deadline_s=request.deadline_s,
-                    batch_size=len(batch),
-                    replica=replica,
-                )
-            )
+        """One batch run on ``replica``: its row, and its requests."""
+        self.batch_starts.append(start_s)
+        self.batch_finishes.append(finish_s)
+        self.batch_replicas.append(replica)
+        self.batch_sizes.append(len(batch))
+        self._offsets.append(len(self._requests))
+        self._requests.extend(batch)
 
     def record_shed(self, tenant: str, reason: str) -> None:
         self.shed_counts[reason] = self.shed_counts.get(reason, 0) + 1
@@ -141,7 +214,7 @@ class MetricsCollector:
         self._failed_by_tenant[tenant] = self._failed_by_tenant.get(tenant, 0) + 1
 
     def merge(self, other: "MetricsCollector") -> None:
-        """Fold another collector's records into this one.
+        """Fold another collector's log and counters into this one.
 
         The tenancy layer serves co-resident partitions as independent
         lanes, one collector each, then merges them into one fleet-level
@@ -149,9 +222,18 @@ class MetricsCollector:
         are globally unique per workload), so the merged summary is
         independent of lane order.
         """
-        self.completed.extend(other.completed)
-        self.completed.sort(key=lambda r: r.rid)
+        base = len(self._requests)
+        order = np.concatenate(
+            [self._completion_order(), other._completion_order() + base]
+        )
+        self.batch_starts.extend(other.batch_starts)
+        self.batch_finishes.extend(other.batch_finishes)
+        self.batch_replicas.extend(other.batch_replicas)
         self.batch_sizes.extend(other.batch_sizes)
+        self._offsets.extend(offset + base for offset in other._offsets)
+        self._requests.extend(other._requests)
+        rids = np.fromiter(map(_RID, self._requests), np.int64, len(self._requests))
+        self._order = order[np.argsort(rids[order], kind="stable")]
         for reason, count in other.shed_counts.items():
             self.shed_counts[reason] = self.shed_counts.get(reason, 0) + count
         for tenant, count in other._shed_by_tenant.items():
@@ -167,6 +249,94 @@ class MetricsCollector:
                 self._failed_by_tenant.get(tenant, 0) + count
             )
 
+    # -- reading the log --------------------------------------------------
+
+    def _completion_order(self) -> np.ndarray:
+        n = len(self._requests)
+        if self._order is None:
+            return np.arange(n)
+        # completions logged after the last merge follow in log order
+        return np.concatenate([self._order, np.arange(len(self._order), n)])
+
+    @property
+    def completed(self) -> List[RequestRecord]:
+        """One :class:`RequestRecord` per completion, in completion order
+        (built on each call; the reductions never need them)."""
+        records = [
+            RequestRecord(
+                rid=request.rid,
+                tenant=request.tenant,
+                network=request.network,
+                arrival_s=request.arrival_s,
+                start_s=start,
+                finish_s=finish,
+                deadline_s=request.deadline_s,
+                batch_size=size,
+                replica=replica,
+            )
+            for start, finish, replica, size, offset in zip(
+                self.batch_starts,
+                self.batch_finishes,
+                self.batch_replicas,
+                self.batch_sizes,
+                self._offsets,
+            )
+            for request in self._requests[offset : offset + size]
+        ]
+        if self._order is None:
+            return records
+        return [records[i] for i in self._completion_order().tolist()]
+
+    def batch_network(self, batch: int) -> str:
+        """The network batch ``batch`` ran (a batch shares one network)."""
+        return self._requests[self._offsets[batch]].network
+
+    def makespan(self, duration_s: float) -> float:
+        """The later of ``duration_s`` and the last completion."""
+        finishes = [f for f, size in zip(self.batch_finishes, self.batch_sizes) if size]
+        return max([duration_s] + finishes)
+
+    def columns(self, batches: Optional[Iterable[int]] = None) -> Columns:
+        """Per-completion columns of the logged ``batches``, their requests
+        in log order, or of every completion in completion order."""
+        if batches is None:
+            requests = self._requests
+            starts, finishes, sizes = (
+                self.batch_starts,
+                self.batch_finishes,
+                self.batch_sizes,
+            )
+        else:
+            batches = list(batches)
+            starts = [self.batch_starts[b] for b in batches]
+            finishes = [self.batch_finishes[b] for b in batches]
+            sizes = [self.batch_sizes[b] for b in batches]
+            requests = list(
+                chain.from_iterable(
+                    self._requests[self._offsets[b] : self._offsets[b] + size]
+                    for b, size in zip(batches, sizes)
+                )
+            )
+        repeats = np.array(sizes, dtype=np.intp)
+        start = np.repeat(np.array(starts, dtype=np.float64), repeats)
+        finish = np.repeat(np.array(finishes, dtype=np.float64), repeats)
+        if batches is None and self._order is not None:
+            order = self._completion_order()
+            requests = [requests[i] for i in order.tolist()]
+            start, finish = start[order], finish[order]
+        tenant, tenants = _codes(list(map(_TENANT, requests)))
+        network, networks = _codes(list(map(_NETWORK, requests)))
+        return Columns(
+            arrival=_floats(requests, _ARRIVAL),
+            deadline=_floats(requests, _DEADLINE),
+            start=start,
+            finish=finish,
+            tenant=tenant,
+            tenants=tenants,
+            network=network,
+            networks=networks,
+        )
+
     # -- reduction --------------------------------------------------------
 
     @property
@@ -177,30 +347,6 @@ class MetricsCollector:
     def failed_total(self) -> int:
         return sum(self.failed_counts.values())
 
-    def _group_summary(
-        self,
-        records: Sequence[RequestRecord],
-        shed: int,
-        duration_s: float,
-        failed: int = 0,
-    ) -> Dict[str, object]:
-        offered = len(records) + shed + failed
-        within = sum(1 for r in records if r.met_deadline)
-        return {
-            "offered": offered,
-            "completed": len(records),
-            "shed": shed,
-            "shed_rate": _round(shed / offered) if offered else 0.0,
-            "failed": failed,
-            "deadline_met": within,
-            "deadline_hit_rate": _round(within / offered) if offered else 0.0,
-            "goodput_rps": _round(within / duration_s) if duration_s else 0.0,
-            "throughput_rps": _round(len(records) / duration_s) if duration_s else 0.0,
-            "latency_ms": _distribution_ms([r.latency_s for r in records]),
-            "queue_wait_ms": _distribution_ms([r.queue_wait_s for r in records]),
-            "service_ms": _distribution_ms([r.service_s for r in records]),
-        }
-
     def summary(
         self,
         duration_s: float,
@@ -210,28 +356,45 @@ class MetricsCollector:
     ) -> Dict[str, object]:
         """Reduce everything recorded into one deterministic dict."""
         if makespan_s is None:
-            makespan_s = max(
-                [duration_s] + [r.finish_s for r in self.completed]
+            makespan_s = self.makespan(duration_s)
+        cols = self.columns()
+        latency = cols.finish - cols.arrival
+        wait = cols.start - cols.arrival
+        service = cols.finish - cols.start
+        met = cols.finish <= cols.deadline
+        by_tenant = dict(zip(cols.tenants, _groups(cols.tenant, len(cols.tenants))))
+        by_network = dict(zip(cols.networks, _groups(cols.network, len(cols.networks))))
+        del cols
+        total_wait = _sum(wait)
+        denom = total_wait + _sum(service)
+
+        def group(index, shed: int, failed: int = 0) -> Dict[str, object]:
+            # each group's columns are temporaries, freed as it returns
+            return _group_summary(
+                latency[index],
+                wait[index],
+                service[index],
+                met[index],
+                shed,
+                duration_s,
+                failed,
             )
-        total_wait = sum(r.queue_wait_s for r in self.completed)
-        total_busy_req = sum(r.service_s for r in self.completed)
-        denom = total_wait + total_busy_req
+
         tenants = sorted(
-            {r.tenant for r in self.completed}
-            | set(self._shed_by_tenant)
-            | set(self._failed_by_tenant)
+            set(by_tenant) | set(self._shed_by_tenant) | set(self._failed_by_tenant)
         )
-        networks = sorted({r.network for r in self.completed})
-        out: Dict[str, object] = self._group_summary(
-            self.completed, self.shed_total, duration_s, self.failed_total
+        no_completions = np.zeros(0, dtype=np.intp)
+        out: Dict[str, object] = group(
+            slice(None), self.shed_total, self.failed_total
         )
         out.update(
             {
                 "duration_s": _round(duration_s),
                 "makespan_s": _round(makespan_s),
                 "replicas": replicas,
+                # a fleet whose only replica crashed as it joined peaks at 0
                 "utilization": _round(busy_s / (replicas * makespan_s))
-                if makespan_s
+                if replicas and makespan_s
                 else 0.0,
                 "queue_wait_fraction": _round(total_wait / denom) if denom else 0.0,
                 "shed_by_reason": dict(sorted(self.shed_counts.items())),
@@ -243,25 +406,54 @@ class MetricsCollector:
                 if self.batch_sizes
                 else 0.0,
                 "per_tenant": {
-                    t: self._group_summary(
-                        [r for r in self.completed if r.tenant == t],
+                    t: group(
+                        by_tenant.get(t, no_completions),
                         self._shed_by_tenant.get(t, 0),
-                        duration_s,
                         self._failed_by_tenant.get(t, 0),
                     )
                     for t in tenants
                 },
                 "per_network": {
-                    n: self._group_summary(
-                        [r for r in self.completed if r.network == n],
-                        0,
-                        duration_s,
-                    )
-                    for n in networks
+                    n: group(index, 0) for n, index in by_network.items()
                 },
             }
         )
         return out
+
+
+def _groups(codes: np.ndarray, n_groups: int) -> List[np.ndarray]:
+    """Each code's positions in ``codes``, ascending (one stable argsort)."""
+    order = np.argsort(codes, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(codes, minlength=n_groups))])
+    return [order[bounds[g] : bounds[g + 1]] for g in range(n_groups)]
+
+
+def _group_summary(
+    latency: np.ndarray,
+    wait: np.ndarray,
+    service: np.ndarray,
+    met: np.ndarray,
+    shed: int,
+    duration_s: float,
+    failed: int = 0,
+) -> Dict[str, object]:
+    completed = len(latency)
+    offered = completed + shed + failed
+    within = int(np.count_nonzero(met))
+    return {
+        "offered": offered,
+        "completed": completed,
+        "shed": shed,
+        "shed_rate": _round(shed / offered) if offered else 0.0,
+        "failed": failed,
+        "deadline_met": within,
+        "deadline_hit_rate": _round(within / offered) if offered else 0.0,
+        "goodput_rps": _round(within / duration_s) if duration_s else 0.0,
+        "throughput_rps": _round(completed / duration_s) if duration_s else 0.0,
+        "latency_ms": _distribution_ms(latency),
+        "queue_wait_ms": _distribution_ms(wait),
+        "service_ms": _distribution_ms(service),
+    }
 
 
 def to_json(summary: Dict[str, object]) -> str:

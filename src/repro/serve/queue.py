@@ -117,13 +117,24 @@ class AdmissionQueue:
             heapq.heappop(arrivals)
         return arrivals[0][0]
 
+    def ready_time(self, network: str, batch_policy: BatchPolicy) -> float:
+        """When ``network``'s (non-empty) group may dispatch."""
+        return batch_policy.ready_time(
+            self.oldest_arrival(network), len(self._groups[network])
+        )
+
     def next_ready(self, batch_policy: BatchPolicy) -> Tuple[float, float, str]:
-        """``(ready_time, oldest_arrival, network)`` of the group to dispatch next."""
+        """``(ready_time, oldest_arrival, network)`` of the group to dispatch next.
+
+        The tuple is a total order, so the minimum does not depend on the
+        order the groups are visited in.
+        """
         candidates = []
-        for net in self.networks():
-            oldest = self.oldest_arrival(net)
-            ready = batch_policy.ready_time(oldest, self.depth(net))
-            candidates.append((ready, oldest, net))
+        for net, group in self._groups.items():
+            if group:
+                oldest = self.oldest_arrival(net)
+                ready = batch_policy.ready_time(oldest, len(group))
+                candidates.append((ready, oldest, net))
         return min(candidates)
 
     # -- admission --------------------------------------------------------

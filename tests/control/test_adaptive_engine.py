@@ -93,6 +93,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="already at"):
             eng.advance_to(1.0)
 
+    def test_advance_to_nan_rejected(self):
+        # every comparison with NaN is false: a NaN bound would run the
+        # whole stream and leave the engine "already at" its last event
+        eng = adaptive()
+        eng.ingest(poisson_arrivals(50, 2, ALEX, seed=0))
+        with pytest.raises(ConfigError, match="got nan"):
+            eng.advance_to(math.nan)
+        assert eng.offered == 0 and eng.now == 0.0
+        eng.advance_to(1.0)
+
     def test_stale_ingest_rejected(self):
         eng = adaptive()
         eng.advance_to(5.0)
@@ -204,6 +214,33 @@ class TestChipSeconds:
         assert busy.free_at > 0.5  # in-flight batch
         retired = eng.drain_replica(1)
         assert retired == pytest.approx(busy.free_at)
+
+    def test_crash_after_the_makespan_is_moot(self):
+        reqs = poisson_arrivals(50, 2, ALEX, seed=0)
+        healthy = adaptive(replicas=2).run(reqs, 2)
+        eng = adaptive(replicas=2)
+        eng.schedule_crash(1, 100.0)
+        crashed = eng.run(reqs, 2)
+        # no retirement at 100 s, no crash event: chip-seconds stay 4.04
+        assert crashed.summary["fleet"]["chip_seconds"] == 4.043069
+        assert crashed.summary["utilization"] == 0.317366
+        assert crashed.to_json() == healthy.to_json()
+
+    def test_crash_inside_the_makespan_still_retires(self):
+        reqs = poisson_arrivals(50, 2, ALEX, seed=0)
+        eng = adaptive(replicas=2)
+        eng.schedule_crash(1, 1.99)
+        events = eng.run(reqs, 2).summary["fleet"]["events"]
+        assert [(e["event"], e["replica"]) for e in events] == [("crash", 1)]
+
+    def test_only_replica_crashing_as_it_joins(self):
+        # the fleet peaks at zero replicas, so utilization must not divide by it
+        eng = adaptive(replicas=1)
+        eng.schedule_crash(0, 0.0)
+        summary = eng.run(poisson_arrivals(20, 1, ALEX, seed=0), 1).summary
+        assert summary["replicas"] == 0
+        assert summary["utilization"] == 0.0
+        assert summary["failed"] == summary["offered"] > 0
 
     def test_peak_fleet_size_orders_swap_correctly(self):
         # drain + add at the same instant must not read as peak+1

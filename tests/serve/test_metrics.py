@@ -12,6 +12,7 @@ from repro.serve.metrics import (
     percentile,
     to_json,
 )
+from repro.serve.workload import Request
 
 
 def rec(rid, arrival, start, finish, deadline, tenant="t", network="alexnet", batch=1):
@@ -26,6 +27,12 @@ def rec(rid, arrival, start, finish, deadline, tenant="t", network="alexnet", ba
         batch_size=batch,
         replica=0,
     )
+
+
+def serve(m, rid, arrival, start, finish, deadline, tenant="t", network="alexnet"):
+    """Log one request as its own batch, run on replica 0."""
+    request = Request(rid, tenant, network, arrival, deadline)
+    m.record_served([request], start, finish, replica=0)
 
 
 class TestPercentile:
@@ -68,11 +75,9 @@ class TestSummary:
     def _collector(self):
         m = MetricsCollector()
         # two tenants, one missed deadline, one shed
-        m.record_completion(rec(0, 0.0, 0.1, 0.2, 0.5, tenant="a"))
-        m.record_completion(rec(1, 0.0, 0.3, 0.9, 0.5, tenant="a"))
-        m.record_completion(rec(2, 0.5, 0.5, 0.6, 1.0, tenant="b", network="nin"))
-        m.record_batch(2)
-        m.record_batch(1)
+        serve(m, 0, 0.0, 0.1, 0.2, 0.5, tenant="a")
+        serve(m, 1, 0.0, 0.3, 0.9, 0.5, tenant="a")
+        serve(m, 2, 0.5, 0.5, 0.6, 1.0, tenant="b", network="nin")
         m.record_shed("a", "queue_full")
         return m
 
@@ -119,7 +124,7 @@ class TestSummary:
 class TestJson:
     def test_round_trips(self):
         m = MetricsCollector()
-        m.record_completion(rec(0, 0.0, 0.1, 0.2, 0.5))
+        serve(m, 0, 0.0, 0.1, 0.2, 0.5)
         text = to_json(m.summary(1.0, 1, 0.1))
         assert text.endswith("\n")
         assert json.loads(text)["completed"] == 1
@@ -127,7 +132,7 @@ class TestJson:
     def test_byte_stable(self):
         def build():
             m = MetricsCollector()
-            m.record_completion(rec(0, 0.0, 0.1, 0.2, 0.5))
+            serve(m, 0, 0.0, 0.1, 0.2, 0.5)
             m.record_shed("t", "max_age")
             return to_json(m.summary(1.0, 1, 0.1))
 
