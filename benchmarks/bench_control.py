@@ -34,7 +34,6 @@ from repro.control import (
     AutoscalePolicy,
     HealingPolicy,
     SelfHealingControlLoop,
-    VerifierPolicy,
     run_static,
     static_fleet_sizes,
 )
@@ -84,7 +83,6 @@ def run_autoscaled(coster, tenants, requests, duration) -> dict:
         CONFIG_16_16,
         tenants,
         autoscale=AutoscalePolicy(epoch_s=2.0, max_replicas=12),
-        verifier=VerifierPolicy(),
         healing=HealingPolicy.disabled(),
         batch_policy=BatchPolicy(max_batch=MAX_BATCH, max_wait_ms=MAX_WAIT_MS),
         queue_policy=QueuePolicy(max_depth=256),

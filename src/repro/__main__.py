@@ -249,7 +249,6 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
         AutoscalePolicy,
         HealingPolicy,
         SelfHealingControlLoop,
-        VerifierPolicy,
         run_static,
         static_fleet_sizes,
     )
@@ -294,7 +293,6 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
         config,
         tenants,
         autoscale=autoscale,
-        verifier=VerifierPolicy(),
         healing=HealingPolicy.disabled(),
         batch_policy=BatchPolicy(
             max_batch=args.max_batch, max_wait_ms=args.max_wait_ms

@@ -41,13 +41,6 @@ from repro.analysis.metrics import (
     speedup,
 )
 from repro.analysis.plots import grouped_log_chart, hbar_chart
-from repro.analysis.power import (
-    PowerSample,
-    average_power_w,
-    peak_power_w,
-    power_trace,
-    render_power,
-)
 from repro.analysis.quantization import (
     LayerSqnr,
     quantization_report,
@@ -99,11 +92,6 @@ __all__ = [
     "write_csv",
     "write_json",
     "grouped_log_chart",
-    "PowerSample",
-    "average_power_w",
-    "peak_power_w",
-    "power_trace",
-    "render_power",
     "LayerSqnr",
     "quantization_report",
     "render_quantization",

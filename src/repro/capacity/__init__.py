@@ -28,7 +28,6 @@ obligation, and the report schema.
 from repro.capacity.bounds import (
     attainment_bound,
     candidate_capacity_rps,
-    mix_image_seconds,
     probe_batches,
 )
 from repro.capacity.forecast import FORECAST_KINDS, ForecastSpec
@@ -51,7 +50,6 @@ __all__ = [
     "STRATEGIES",
     "attainment_bound",
     "candidate_capacity_rps",
-    "mix_image_seconds",
     "plan_capacity",
     "probe_batches",
     "render_report",

@@ -26,17 +26,16 @@ regression test that holds it to account.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.arch.config import AcceleratorConfig
 from repro.capacity.forecast import ForecastSpec
 from repro.capacity.grid import Candidate
-from repro.serve.batcher import BatchCoster
+from repro.serve.batcher import BatchCoster, mix_image_seconds
 
 __all__ = [
     "attainment_bound",
     "candidate_capacity_rps",
-    "mix_image_seconds",
     "probe_batches",
 ]
 
@@ -51,16 +50,6 @@ def probe_batches(max_batch: int) -> List[int]:
     if max_batch > 1:
         probes.append(max_batch)
     return probes
-
-
-def mix_image_seconds(
-    coster, shares: Sequence[Tuple[str, float]], batch_size: int
-) -> float:
-    """Expected per-image service time over a traffic mix at one batch size."""
-    return sum(
-        share * coster.image_seconds(network, batch_size)
-        for network, share in shares
-    )
 
 
 def candidate_capacity_rps(

@@ -2,10 +2,10 @@
 
 A :class:`ForecastSpec` is a small, frozen, picklable description of the
 traffic a deployment must absorb — tenant mixes with per-tenant SLOs plus
-an arrival shape (steady Poisson or a diurnal day/night cycle with flash
-crowds).  :meth:`ForecastSpec.requests` materializes it into the concrete
-request list through the seeded generators in :mod:`repro.serve.workload`,
-so the same spec always yields the identical workload.
+an arrival shape (steady Poisson or a diurnal day/night cycle).
+:meth:`ForecastSpec.requests` materializes it into the concrete request
+list through the seeded generators in :mod:`repro.serve.workload`, so the
+same spec always yields the identical workload.
 
 The spec-not-requests split matters for the planner's process fan-out: a
 worker evaluating one candidate receives the few-hundred-byte spec and
@@ -16,7 +16,7 @@ across the pipe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import ConfigError
@@ -40,8 +40,7 @@ class ForecastSpec:
     ``kind="steady"`` is Poisson at ``rate`` for ``duration_s``;
     ``kind="diurnal"`` sweeps the sinusoidal day/night cycle from ``rate``
     (trough) to ``peak_rate`` (crest) over ``duration_s`` simulated
-    seconds with ``day_s`` seconds per day, plus explicit flash-crowd
-    windows ``(start_s, duration_s, factor)``.  Tenants carry their own
+    seconds with ``day_s`` seconds per day.  Tenants carry their own
     network mixes and SLOs (:class:`~repro.serve.workload.MixedTenantSpec`).
     """
 
@@ -51,9 +50,6 @@ class ForecastSpec:
     kind: str = "steady"
     peak_rate: float = 0.0
     day_s: float = 86400.0
-    flash_crowds: Tuple[Tuple[float, float, float], ...] = field(
-        default_factory=tuple
-    )
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -139,7 +135,6 @@ class ForecastSpec:
             list(self.tenants),
             seed=self.seed,
             day_s=self.day_s,
-            flash_crowds=self.flash_crowds,
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -161,8 +156,4 @@ class ForecastSpec:
         if self.kind == "diurnal":
             out["peak_rate_rps"] = round(self.peak_rate, 6)
             out["day_s"] = round(self.day_s, 6)
-            if self.flash_crowds:
-                out["flash_crowds"] = [
-                    [round(v, 6) for v in w] for w in self.flash_crowds
-                ]
         return out

@@ -25,7 +25,7 @@ tile) — the grid is declarative, the feasibility rules live here once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from repro.arch.config import AcceleratorConfig, named_config
@@ -174,7 +174,6 @@ class CandidateGrid:
     max_batches: Tuple[int, ...] = (16,)
     #: inter-chip bandwidth (GB/s) the sharded strategies cost against
     link_gbs: float = 25.0
-    extras: Tuple[Candidate, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if not self.geometries:
@@ -238,10 +237,6 @@ class CandidateGrid:
                                 continue
                             seen.add(candidate.name)
                             out.append(candidate)
-        for candidate in self.extras:
-            if candidate.name not in seen:
-                seen.add(candidate.name)
-                out.append(candidate)
         if not out:
             raise ConfigError(
                 "candidate grid is empty: no axis combination type-checks "

@@ -54,6 +54,8 @@ __all__ = [
 
 #: planner-local plan-cache directory (created on demand, safe to delete)
 DEFAULT_CACHE_DIR = ".repro-plan-cache"
+#: chance that an SDC window corrupts each batch it covers
+SDC_PER_BATCH = 1.0
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,6 @@ class FaultModel:
     crashes: int = 1
     slowdowns: int = 0
     sdc_windows: int = 0
-    sdc_per_batch: float = 1.0
 
     def __post_init__(self) -> None:
         for label in ("seed", "crashes", "slowdowns", "sdc_windows"):
@@ -87,10 +88,6 @@ class FaultModel:
                 raise ConfigError(
                     f"fault model {label} must be >= 0, got {getattr(self, label)!r}"
                 )
-        if not 0 < self.sdc_per_batch <= 1:
-            raise ConfigError(
-                f"sdc_per_batch must be in (0, 1], got {self.sdc_per_batch!r}"
-            )
 
     @property
     def any_faults(self) -> bool:
@@ -102,7 +99,7 @@ class FaultModel:
             "crashes": self.crashes,
             "slowdowns": self.slowdowns,
             "sdc_windows": self.sdc_windows,
-            "sdc_per_batch": round(self.sdc_per_batch, 6),
+            "sdc_per_batch": round(SDC_PER_BATCH, 6),
         }
 
 
@@ -214,7 +211,7 @@ def _mapped_faults(candidate: Candidate, fault_model: FaultModel, duration_s: fl
                 replica=rid,
                 time_s=start,
                 duration_s=0.1 * duration_s,
-                per_batch=fault_model.sdc_per_batch,
+                per_batch=SDC_PER_BATCH,
                 seed=fault_model.seed + i,
             )
         )

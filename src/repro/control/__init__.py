@@ -96,7 +96,7 @@ from repro.control.policy import (
     PlannerFeedback,
 )
 from repro.control.telemetry import Detector, WindowStats
-from repro.control.verifier import Expectation, Verifier, VerifierPolicy
+from repro.control.verifier import Expectation, Verifier
 
 __all__ = [
     "ACTION_KINDS",
@@ -130,7 +130,6 @@ __all__ = [
     "TelemetryChannel",
     "TelemetryFault",
     "Verifier",
-    "VerifierPolicy",
     "WindowStats",
     "apply_fault_schedule",
     "build_control_scenario",

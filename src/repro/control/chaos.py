@@ -64,6 +64,7 @@ __all__ = [
     "SafeModePolicy",
     "SafeModeController",
     "naive_mask_factor",
+    "check_armable",
     "apply_fault_schedule",
 ]
 
@@ -422,6 +423,27 @@ def naive_mask_factor(config: AcceleratorConfig, masked_cols: int, masked_rows: 
     return (config.tin * config.tout) / (degraded.tin * degraded.tout)
 
 
+def check_armable(schedule: FaultSchedule) -> None:
+    """Refuse fault kinds :func:`apply_fault_schedule` cannot arm.
+
+    SDC windows need the verified-inference tier of
+    :class:`~repro.serve.failover.FailoverEngine`, and a static ``pe_mask``
+    degrades every replica from t=0, which the control scenarios express
+    as timed ``mask_faults`` instead.
+    """
+    unsupported = []
+    if schedule.sdc_faults:
+        unsupported.append("sdc_faults")
+    if schedule.pe_mask is not None and not schedule.pe_mask.is_noop:
+        unsupported.append("pe_mask")
+    if unsupported:
+        raise ConfigError(
+            f"the adaptive engine cannot arm {' or '.join(unsupported)}; "
+            f"serve SDC windows through repro.resilience.scenarios and "
+            f"express PE masks as timed mask_faults"
+        )
+
+
 def apply_fault_schedule(
     engine: AdaptiveServingEngine,
     schedule: FaultSchedule,
@@ -439,7 +461,11 @@ def apply_fault_schedule(
       fault into a service multiplier (``link_windows``) because that
       needs pipeline context the engine does not have; the schedule's raw
       link faults are refused here if no pricing was supplied.
+
+    SDC windows and a static ``pe_mask`` have no adaptive-engine analogue;
+    :func:`check_armable` refuses them.
     """
+    check_armable(schedule)
     schedule.validate_for(len(engine.replicas))
     for fault in schedule.replica_faults:
         if fault.kind == "crash":

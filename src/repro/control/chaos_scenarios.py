@@ -69,10 +69,10 @@ from repro.control.chaos import (
     SafeModePolicy,
     TelemetryFault,
     apply_fault_schedule,
+    check_armable,
 )
 from repro.control.healing import HealingPolicy, SelfHealingControlLoop
 from repro.control.policy import AutoscalePolicy
-from repro.control.verifier import VerifierPolicy
 from repro.tenancy.fleet import FleetSpec, parse_fleet
 from repro.tenancy.placement import demand_from_tenants
 
@@ -88,7 +88,6 @@ __all__ = [
 MIX = "alexnet"
 SLO_MS = 120.0
 MAX_BATCH = 8
-VERIFIER = VerifierPolicy()
 HEALING = HealingPolicy()
 #: goodput-series window for the MTTR scan
 WINDOW_S = 2.0
@@ -229,6 +228,7 @@ class ControlChaosScenario:
                 "control scenarios have no inter-chip pipeline context; "
                 "price link faults via repro.resilience.scenarios instead"
             )
+        check_armable(self.data_faults)
         self.data_faults.validate_for(self.replicas)
 
     def meta(self) -> Dict[str, object]:
@@ -335,7 +335,6 @@ def run_control_scenario(
                 config,
                 tenants,
                 autoscale=scenario.autoscale,
-                verifier=VERIFIER,
                 healing=healing,
                 safe_mode=safe,
                 control_faults=scenario.control_faults,

@@ -80,7 +80,7 @@ from repro.control.policy import (
     PlannerFeedback,
 )
 from repro.control.telemetry import Detector, WindowStats
-from repro.control.verifier import Verifier, VerifierPolicy
+from repro.control.verifier import Verifier
 
 __all__ = [
     "HealingPolicy",
@@ -613,7 +613,6 @@ class SelfHealingControlLoop:
         config: AcceleratorConfig,
         tenants: Sequence[TenantSpec],
         autoscale: AutoscalePolicy = AutoscalePolicy(),
-        verifier: VerifierPolicy = VerifierPolicy(),
         healing: HealingPolicy = HealingPolicy(),
         safe_mode: SafeModePolicy = SafeModePolicy(),
         control_faults: ControlFaultSchedule = ControlFaultSchedule(),
@@ -637,7 +636,6 @@ class SelfHealingControlLoop:
         self.config = config
         self.tenants = list(tenants)
         self.autoscale = autoscale
-        self.verifier_policy = verifier
         self.healing = healing
         self.safe_policy = safe_mode
         self.control_faults = control_faults
@@ -662,7 +660,7 @@ class SelfHealingControlLoop:
             HealingActuator(self.engine, config, plan_policy),
             control_faults.actuation,
         )
-        self.verifier = Verifier(verifier)
+        self.verifier = Verifier()
         self.safe = SafeModeController(safe_mode)
         self.tracker = RecoveryTracker(RECOVERY_DEADLINE_EPOCHS)
         self._crash_by_epoch = {c.epoch: c for c in control_faults.crashes}
@@ -739,7 +737,7 @@ class SelfHealingControlLoop:
         )
         self._offered_seen = engine.offered
         lost = len(self.verifier._pending)
-        self.verifier = Verifier(self.verifier_policy)
+        self.verifier = Verifier()
         self._verdict_cursor = 0
         frozen = max(
             (int(rec.get("frozen_until", -1)) for rec in self.journal),
@@ -969,7 +967,7 @@ class SelfHealingControlLoop:
             )
         summary["control"] = {
             "policy": policy.to_dict(),
-            "verifier": self.verifier_policy.to_dict(),
+            "verifier": Verifier.settings(),
             "epochs": self.journal,
             "n_epochs": n_epochs,
             "actions_by_kind": dict(sorted(action_counts.items())),

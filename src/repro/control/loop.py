@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ConfigError
-from repro.serve.batcher import BatchCoster, BatchPolicy
+from repro.serve.batcher import BatchCoster, BatchPolicy, mix_image_seconds
 from repro.serve.engine import ServingEngine, ServingReport
 from repro.serve.metrics import to_json
 from repro.serve.queue import QueuePolicy
@@ -75,9 +75,8 @@ def static_fleet_sizes(
             f"peak rate {peak_rate_rps!r} below mean rate {mean_rate_rps!r}"
         )
     total_weight = sum(t.weight for t in tenants)
-    sec_per_req = sum(
-        (t.weight / total_weight) * coster.image_seconds(t.network, max_batch)
-        for t in tenants
+    sec_per_req = mix_image_seconds(
+        coster, [(t.network, t.weight / total_weight) for t in tenants], max_batch
     )
     capacity = 1.0 / sec_per_req
     mean_n = max(1, math.ceil(mean_rate_rps * (1 + headroom) / capacity - 1e-9))

@@ -12,7 +12,7 @@ Design rules that keep the loop stable and bit-deterministic:
 * **hysteresis bands** — scale up when the worst tenant's windowed p95
   exceeds ``high_band`` of its SLO (or anything is shed, or the queue
   backs up); scale down only when p95 is below ``low_band`` *and* fleet
-  utilization is below ``low_util``.  The gap between the bands is the
+  utilization is below :data:`LOW_UTIL`.  The gap between the bands is the
   dead zone where the planner does nothing;
 * **demand sizing** — a breach does not creep up one replica per epoch:
   the planner jumps straight to ``ceil(arrival_rate / per-replica
@@ -25,13 +25,13 @@ Design rules that keep the loop stable and bit-deterministic:
   cooldown; shrinking waits), and the verifier can freeze scaling
   entirely when it sees oscillation;
 * **drain/repair** — a replica whose observed/expected service ratio has
-  been at or above ``slow_ratio`` for ``slow_epochs`` consecutive windows
-  (with at least ``min_health_batches`` batches observed) is drained and
-  replaced one-for-one, reusing the fail-slow health-signal semantics of
-  :class:`repro.serve.failover.HealthChecker`;
+  been at or above :data:`SLOW_RATIO` for :data:`SLOW_EPOCHS` consecutive
+  windows (with at least :data:`MIN_HEALTH_BATCHES` batches observed) is
+  drained and replaced one-for-one, reusing the fail-slow health-signal
+  semantics of :class:`repro.serve.failover.HealthChecker`;
 * **batch retune** — the planner picks the largest candidate batch whose
   costed service time plus expected fill time fits inside
-  ``batch_slo_frac`` of the tightest SLO at the current per-replica
+  :data:`BATCH_SLO_FRAC` of the tightest SLO at the current per-replica
   arrival rate, so the batcher tracks the traffic level instead of being
   frozen at construction.
 
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError
-from repro.serve.batcher import BatchCoster
+from repro.serve.batcher import BatchCoster, mix_image_seconds
 from repro.control.telemetry import WindowStats
 
 __all__ = [
@@ -120,6 +120,24 @@ class Action:
         return out
 
 
+#: scale-down also needs fleet utilization below this
+LOW_UTIL = 0.5
+#: any windowed shed rate above this is an immediate breach
+SHED_HI = 0.0
+#: queued requests per active replica that count as a backlog breach
+QUEUE_HI = 32
+#: observed/expected service ratio that marks a replica unhealthy
+SLOW_RATIO = 1.5
+#: consecutive unhealthy windows before drain/repair triggers
+SLOW_EPOCHS = 2
+#: minimum observed batches per window for a health verdict
+MIN_HEALTH_BATCHES = 1
+#: budget for batch service + fill as a fraction of the tightest SLO
+BATCH_SLO_FRAC = 0.5
+#: epochs between batch retunes
+RETUNE_COOLDOWN_EPOCHS = 4
+
+
 @dataclass(frozen=True)
 class AutoscalePolicy:
     """Knobs of the control loop (see ``docs/autoscaling.md``)."""
@@ -130,30 +148,15 @@ class AutoscalePolicy:
     max_replicas: int = 8
     #: scale-up band: worst tenant windowed p95 over its SLO
     high_band: float = 0.8
-    #: scale-down band: only shrink when p95/SLO is below this...
+    #: scale-down band: only shrink when p95/SLO is below this (and
+    #: utilization is below :data:`LOW_UTIL`)
     low_band: float = 0.35
-    #: ...and fleet utilization is below this
-    low_util: float = 0.5
-    #: any windowed shed rate above this is an immediate breach
-    shed_hi: float = 0.0
-    #: queued requests per active replica that count as a backlog breach
-    queue_hi: int = 32
     #: capacity headroom when demand-sizing the fleet (0.25 = +25%)
     headroom: float = 0.25
     #: epochs to hold after a scale action before acting again
     cooldown_epochs: int = 2
-    #: observed/expected service ratio that marks a replica unhealthy
-    slow_ratio: float = 1.5
-    #: consecutive unhealthy windows before drain/repair triggers
-    slow_epochs: int = 2
-    #: minimum observed batches per window for a health verdict
-    min_health_batches: int = 1
     #: retune the batcher (False freezes max-batch/max-wait at construction)
     retune: bool = True
-    #: budget for batch service + fill as a fraction of the tightest SLO
-    batch_slo_frac: float = 0.5
-    #: epochs between batch retunes
-    retune_cooldown_epochs: int = 4
 
     def __post_init__(self) -> None:
         if self.epoch_s <= 0:
@@ -172,34 +175,11 @@ class AutoscalePolicy:
                 f"bands must satisfy 0 < low_band < high_band, got "
                 f"{self.low_band!r} vs {self.high_band!r}"
             )
-        if not 0 < self.low_util <= 1:
-            raise ConfigError(f"low_util must be in (0, 1], got {self.low_util!r}")
-        if self.shed_hi < 0:
-            raise ConfigError(f"shed_hi must be >= 0, got {self.shed_hi!r}")
-        if self.queue_hi < 1:
-            raise ConfigError(f"queue_hi must be >= 1, got {self.queue_hi!r}")
         if self.headroom < 0:
             raise ConfigError(f"headroom must be >= 0, got {self.headroom!r}")
         if self.cooldown_epochs < 0:
             raise ConfigError(
                 f"cooldown_epochs must be >= 0, got {self.cooldown_epochs!r}"
-            )
-        if self.slow_ratio <= 1:
-            raise ConfigError(f"slow_ratio must be > 1, got {self.slow_ratio!r}")
-        if self.slow_epochs < 1:
-            raise ConfigError(f"slow_epochs must be >= 1, got {self.slow_epochs!r}")
-        if self.min_health_batches < 1:
-            raise ConfigError(
-                f"min_health_batches must be >= 1, got {self.min_health_batches!r}"
-            )
-        if not 0 < self.batch_slo_frac <= 1:
-            raise ConfigError(
-                f"batch_slo_frac must be in (0, 1], got {self.batch_slo_frac!r}"
-            )
-        if self.retune_cooldown_epochs < 0:
-            raise ConfigError(
-                f"retune_cooldown_epochs must be >= 0, "
-                f"got {self.retune_cooldown_epochs!r}"
             )
 
     def to_dict(self) -> Dict[str, object]:
@@ -209,16 +189,16 @@ class AutoscalePolicy:
             "max_replicas": self.max_replicas,
             "high_band": round(self.high_band, 6),
             "low_band": round(self.low_band, 6),
-            "low_util": round(self.low_util, 6),
-            "shed_hi": round(self.shed_hi, 6),
-            "queue_hi": self.queue_hi,
+            "low_util": round(LOW_UTIL, 6),
+            "shed_hi": round(SHED_HI, 6),
+            "queue_hi": QUEUE_HI,
             "headroom": round(self.headroom, 6),
             "cooldown_epochs": self.cooldown_epochs,
-            "slow_ratio": round(self.slow_ratio, 6),
-            "slow_epochs": self.slow_epochs,
+            "slow_ratio": round(SLOW_RATIO, 6),
+            "slow_epochs": SLOW_EPOCHS,
             "retune": self.retune,
-            "batch_slo_frac": round(self.batch_slo_frac, 6),
-            "retune_cooldown_epochs": self.retune_cooldown_epochs,
+            "batch_slo_frac": round(BATCH_SLO_FRAC, 6),
+            "retune_cooldown_epochs": RETUNE_COOLDOWN_EPOCHS,
         }
 
 
@@ -270,9 +250,8 @@ class Planner:
         if not window.network_mix:
             return 0.0
         # harmonic blend: seconds per request averaged over the mix
-        sec_per_req = sum(
-            share * self.coster.image_seconds(net, max_batch)
-            for net, share in sorted(window.network_mix.items())
+        sec_per_req = mix_image_seconds(
+            self.coster, sorted(window.network_mix.items()), max_batch
         )
         return 1.0 / sec_per_req if sec_per_req > 0 else 0.0
 
@@ -301,15 +280,15 @@ class Planner:
 
         # -- drain/repair: unhealthy replicas first ---------------------
         for rid, ratio in sorted(window.replica_service_ratio.items()):
-            enough = window.replica_batches.get(rid, 0) >= policy.min_health_batches
-            if ratio >= policy.slow_ratio and enough:
+            enough = window.replica_batches.get(rid, 0) >= MIN_HEALTH_BATCHES
+            if ratio >= SLOW_RATIO and enough:
                 self._unhealthy_streak[rid] = self._unhealthy_streak.get(rid, 0) + 1
             else:
                 self._unhealthy_streak[rid] = 0
         for rid in sorted(self._unhealthy_streak):
             if rid in self._drained:
                 continue
-            if self._unhealthy_streak[rid] >= policy.slow_epochs:
+            if self._unhealthy_streak[rid] >= SLOW_EPOCHS:
                 self._drained.add(rid)
                 actions.append(
                     Action(
@@ -320,8 +299,8 @@ class Planner:
                         reason=(
                             f"service ratio "
                             f"{window.replica_service_ratio.get(rid, 0.0):.2f} "
-                            f">= {policy.slow_ratio:g} for "
-                            f"{policy.slow_epochs} epochs"
+                            f">= {SLOW_RATIO:g} for "
+                            f"{SLOW_EPOCHS} epochs"
                         ),
                     )
                 )
@@ -330,16 +309,16 @@ class Planner:
         # -- scaling -----------------------------------------------------
         frozen = epoch <= feedback.frozen_until_epoch
         cooling = epoch - self._last_scale_epoch <= policy.cooldown_epochs
-        backlog = window.queue_depth > policy.queue_hi * max(1, active)
+        backlog = window.queue_depth > QUEUE_HI * max(1, active)
         breach = (
             window.slo_p95_frac > policy.high_band
-            or window.shed_rate > policy.shed_hi
+            or window.shed_rate > SHED_HI
             or backlog
         )
         calm = (
             window.slo_p95_frac < policy.low_band
             and window.shed_rate == 0.0
-            and window.utilization < policy.low_util
+            and window.utilization < LOW_UTIL
             and window.queue_depth <= max(1, active)
         )
         if not frozen and breach:
@@ -353,7 +332,7 @@ class Planner:
                         f"p95 at {window.slo_p95_frac:.2f} of SLO "
                         f"> {policy.high_band:g}"
                     )
-                if window.shed_rate > policy.shed_hi:
+                if window.shed_rate > SHED_HI:
                     why.append(f"shed rate {window.shed_rate:.3f}")
                 if backlog:
                     why.append(f"queue depth {window.queue_depth}")
@@ -381,7 +360,7 @@ class Planner:
                         reason=(
                             f"p95 at {window.slo_p95_frac:.2f} of SLO "
                             f"< {policy.low_band:g}, utilization "
-                            f"{window.utilization:.2f} < {policy.low_util:g}"
+                            f"{window.utilization:.2f} < {LOW_UTIL:g}"
                         ),
                     )
                 )
@@ -392,7 +371,7 @@ class Planner:
         if (
             policy.retune
             and window.completed
-            and epoch - self._last_retune_epoch > policy.retune_cooldown_epochs
+            and epoch - self._last_retune_epoch > RETUNE_COOLDOWN_EPOCHS
         ):
             choice = self.retune_batch(window)
             if choice is not None and choice[0] != max_batch:
@@ -406,7 +385,7 @@ class Planner:
                         max_wait_ms=new_wait,
                         reason=(
                             f"largest batch fitting "
-                            f"{policy.batch_slo_frac:g} of the tightest SLO "
+                            f"{BATCH_SLO_FRAC:g} of the tightest SLO "
                             f"at {window.arrival_rate_rps:.1f} req/s"
                         ),
                     )
@@ -423,16 +402,16 @@ class Planner:
 
         Picks the largest candidate whose costed service time plus expected
         fill time — ``(B-1)`` further arrivals at this replica's share of
-        the window rate — stays inside ``batch_slo_frac`` of the tightest
-        SLO.  Larger batches amortize the FC weight streams (the serving
-        win measured in ``BENCH_serving.json``), so "largest that fits" is
-        "cheapest that is safe".
+        the window rate — stays inside :data:`BATCH_SLO_FRAC` of the
+        tightest SLO.  Larger batches amortize the FC weight streams (the
+        serving win measured in ``BENCH_serving.json``), so "largest that
+        fits" is "cheapest that is safe".
         """
         net = self._dominant_network(window)
         if net is None:
             return None
         slo_s = min(self.slo_ms.values()) / 1e3
-        budget = self.policy.batch_slo_frac * slo_s
+        budget = BATCH_SLO_FRAC * slo_s
         per_replica_rate = window.arrival_rate_rps / max(1, window.active_replicas)
         best = None
         for candidate in BATCH_CANDIDATES:

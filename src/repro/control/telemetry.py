@@ -6,7 +6,8 @@ into one :class:`WindowStats` record: latency percentiles against each
 tenant's SLO, shed and deadline-miss rates, queue depth at the boundary,
 per-replica utilization and observed/expected service ratios (the health
 signal the planner's drain rule consumes, mirroring
-:class:`repro.serve.failover.HealthChecker`'s ``slow_threshold``).
+:class:`repro.serve.failover.HealthChecker`'s
+:data:`~repro.serve.failover.SLOW_THRESHOLD`).
 
 The detector reads the engine's batch log.  A batch, and every
 completion in it, belongs to the window its finish falls in, never the

@@ -4,7 +4,7 @@ Two jobs, both fed back into the planner:
 
 * **action verification** — every applied action registers an expectation
   (fleet size reached, replica actually retired, batcher knobs live) with
-  a deadline of ``verify_deadline_epochs``.  At each epoch boundary the
+  a deadline of :data:`VERIFY_DEADLINE_EPOCHS`.  At each epoch boundary the
   verifier resolves expectations against the engine's real state; an
   expectation that misses its deadline is reported as *failed* (and the
   planner sees the failure kinds in its feedback).  In this simulator
@@ -12,10 +12,10 @@ Two jobs, both fed back into the planner:
   check is the point: the loop never *assumes* an action took effect;
 * **oscillation guard** — scale direction flips (up followed by down or
   vice versa) inside a sliding window of epochs are counted; at
-  ``max_flips`` the verifier freezes scaling for ``freeze_epochs`` via
-  :class:`~repro.control.policy.PlannerFeedback`.  A policy whose bands
-  are mis-tuned then degrades to a static fleet instead of thrashing
-  chips on every epoch.
+  :data:`MAX_FLIPS` the verifier freezes scaling for
+  :data:`FREEZE_EPOCHS` via :class:`~repro.control.policy.PlannerFeedback`.
+  A policy whose bands are mis-tuned then degrades to a static fleet
+  instead of thrashing chips on every epoch.
 
 The verdict log (confirmed/failed, epochs waited, freezes) is part of the
 decisions log and byte-stable across reruns.
@@ -26,50 +26,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import ConfigError
 from repro.serve.engine import AdaptiveServingEngine
 from repro.control.actuator import AppliedAction
 from repro.control.policy import PlannerFeedback
 
-__all__ = ["Verifier", "VerifierPolicy", "Expectation"]
+__all__ = ["Verifier", "Expectation"]
 
 
-@dataclass(frozen=True)
-class VerifierPolicy:
-    """Deadlines and oscillation-guard knobs."""
-
-    #: epochs an action may take to become visible in the fleet state
-    verify_deadline_epochs: int = 1
-    #: scale-direction flips within ``oscillation_window`` that trip the guard
-    max_flips: int = 3
-    oscillation_window: int = 8
-    #: epochs scaling stays frozen once the guard trips
-    freeze_epochs: int = 6
-
-    def __post_init__(self) -> None:
-        if self.verify_deadline_epochs < 0:
-            raise ConfigError(
-                f"verify_deadline_epochs must be >= 0, "
-                f"got {self.verify_deadline_epochs!r}"
-            )
-        if self.max_flips < 1:
-            raise ConfigError(f"max_flips must be >= 1, got {self.max_flips!r}")
-        if self.oscillation_window < 2:
-            raise ConfigError(
-                f"oscillation_window must be >= 2, got {self.oscillation_window!r}"
-            )
-        if self.freeze_epochs < 1:
-            raise ConfigError(
-                f"freeze_epochs must be >= 1, got {self.freeze_epochs!r}"
-            )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "verify_deadline_epochs": self.verify_deadline_epochs,
-            "max_flips": self.max_flips,
-            "oscillation_window": self.oscillation_window,
-            "freeze_epochs": self.freeze_epochs,
-        }
+#: epochs an action may take to become visible in the fleet state
+VERIFY_DEADLINE_EPOCHS = 1
+#: scale-direction flips within :data:`OSCILLATION_WINDOW` epochs that
+#: trip the oscillation guard
+MAX_FLIPS = 3
+OSCILLATION_WINDOW = 8
+#: epochs scaling stays frozen once the guard trips
+FREEZE_EPOCHS = 6
 
 
 @dataclass
@@ -120,8 +91,7 @@ class Expectation:
 class Verifier:
     """Resolves expectations and guards against oscillation."""
 
-    def __init__(self, policy: VerifierPolicy = VerifierPolicy()) -> None:
-        self.policy = policy
+    def __init__(self) -> None:
         self._pending: List[Expectation] = []
         #: (epoch, +1 for up / -1 for down) scale-direction history
         self._directions: List[tuple] = []
@@ -130,6 +100,16 @@ class Verifier:
         self.verdicts: List[Dict[str, object]] = []
         self.freezes: List[Dict[str, object]] = []
 
+    @staticmethod
+    def settings() -> Dict[str, object]:
+        """The deadline and oscillation-guard constants, for the decisions log."""
+        return {
+            "verify_deadline_epochs": VERIFY_DEADLINE_EPOCHS,
+            "max_flips": MAX_FLIPS,
+            "oscillation_window": OSCILLATION_WINDOW,
+            "freeze_epochs": FREEZE_EPOCHS,
+        }
+
     def register(self, applied: Sequence[AppliedAction], epoch: int) -> None:
         """Turn applied actions into pending expectations."""
         for app in applied:
@@ -137,7 +117,7 @@ class Verifier:
             expectation = Expectation(
                 kind=action.kind,
                 registered_epoch=epoch,
-                deadline_epoch=epoch + self.policy.verify_deadline_epochs,
+                deadline_epoch=epoch + VERIFY_DEADLINE_EPOCHS,
             )
             if action.kind in ("scale-up", "scale-down"):
                 self._directions.append(
@@ -195,7 +175,7 @@ class Verifier:
         self._pending = still_pending
 
         # oscillation guard over the recent direction history
-        window_start = epoch - self.policy.oscillation_window
+        window_start = epoch - OSCILLATION_WINDOW
         recent = [d for d in self._directions if d[0] > window_start]
         self._directions = recent
         flips = sum(
@@ -203,8 +183,8 @@ class Verifier:
             for a, b in zip(recent, recent[1:])
             if a[1] != b[1]
         )
-        if flips >= self.policy.max_flips and epoch > self._frozen_until:
-            self._frozen_until = epoch + self.policy.freeze_epochs
+        if flips >= MAX_FLIPS and epoch > self._frozen_until:
+            self._frozen_until = epoch + FREEZE_EPOCHS
             self.freezes.append(
                 {
                     "epoch": epoch,

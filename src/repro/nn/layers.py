@@ -13,7 +13,7 @@ actual numerical execution lives in :mod:`repro.sim.functional`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro.errors import ShapeError
@@ -321,8 +321,3 @@ class EltwiseAddLayer(Layer):
 
     def weight_count(self, in_shape: TensorShape) -> int:
         return 0
-
-
-def with_name(layer: Layer, name: str) -> Layer:
-    """Return a copy of ``layer`` renamed to ``name``."""
-    return replace(layer, name=name)

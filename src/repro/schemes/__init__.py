@@ -1,6 +1,6 @@
 """Parallelization schemes: inter, improved inter, intra, partition, ideal."""
 
-from typing import Dict, List
+from typing import List
 
 from repro.errors import ConfigError
 from repro.schemes.abft import AbftOverhead, abft_overhead
@@ -61,8 +61,3 @@ def make_scheme(name: str) -> Scheme:
 def all_scheme_names() -> List[str]:
     """Names of every registered scheme."""
     return sorted(_SCHEMES)
-
-
-def scheme_registry() -> Dict[str, type]:
-    """The name -> class mapping (read-only copy)."""
-    return dict(_SCHEMES)

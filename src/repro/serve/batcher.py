@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.adaptive.batch import BatchRun, plan_batch
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ConfigError
 from repro.nn.network import Network
 
-__all__ = ["BatchPolicy", "BatchCoster"]
+__all__ = ["BatchPolicy", "BatchCoster", "mix_image_seconds"]
 
 
 @dataclass(frozen=True)
@@ -134,3 +134,19 @@ class BatchCoster:
     def capacity_rps(self, network: str, batch_size: int) -> float:
         """Sustainable per-replica throughput at a fixed batch size."""
         return 1.0 / self.image_seconds(network, batch_size)
+
+
+def mix_image_seconds(
+    coster, shares: Iterable[Tuple[str, float]], batch_size: int
+) -> float:
+    """Expected per-image service time over a traffic mix at one batch size.
+
+    ``shares`` are ``(network, share)`` pairs; the blend sums
+    ``share * coster.image_seconds(network, batch_size)`` in their order.
+    ``coster`` is anything with ``image_seconds`` (a :class:`BatchCoster`
+    or a sharded replica).
+    """
+    return sum(
+        share * coster.image_seconds(network, batch_size)
+        for network, share in shares
+    )

@@ -98,6 +98,43 @@ class ReplicaState:
         return out
 
 
+def check_fleet(replicas: int, routing: str) -> None:
+    """Reject a fleet size that is not a positive int, or an unknown routing."""
+    if isinstance(replicas, bool) or not isinstance(replicas, int):
+        raise ConfigError(
+            f"replicas must be an int, got {replicas!r} "
+            f"({type(replicas).__name__})"
+        )
+    if replicas <= 0:
+        raise ConfigError(f"replicas must be positive, got {replicas!r}")
+    if routing not in ROUTING_KINDS:
+        raise ConfigError(
+            f"unknown routing {routing!r}; choose from {ROUTING_KINDS}"
+        )
+
+
+def engine_summary(
+    config_name: str,
+    plan_policy: str,
+    batch_policy: BatchPolicy,
+    queue_policy: QueuePolicy,
+    routing: str,
+    **extra: object,
+) -> Dict[str, object]:
+    """The ``engine`` block of a serving summary: what served the run."""
+    return {
+        "config": config_name,
+        "plan_policy": plan_policy,
+        "batching": batch_policy.describe(),
+        "max_batch": batch_policy.max_batch,
+        "max_wait_ms": batch_policy.max_wait_ms,
+        "queue_depth": queue_policy.max_depth,
+        "queue_order": queue_policy.order,
+        "routing": routing,
+        **extra,
+    }
+
+
 def _apply_chip_tags(
     replicas: Sequence[ReplicaState],
     chip_map: Optional[Dict[int, str]],
@@ -268,17 +305,7 @@ class AdaptiveServingEngine:
         chip_map: Optional[Dict[int, str]] = None,
         chip_shares: Optional[Dict[int, float]] = None,
     ) -> None:
-        if isinstance(replicas, bool) or not isinstance(replicas, int):
-            raise ConfigError(
-                f"replicas must be an int, got {replicas!r} "
-                f"({type(replicas).__name__})"
-            )
-        if replicas <= 0:
-            raise ConfigError(f"replicas must be positive, got {replicas!r}")
-        if routing not in ROUTING_KINDS:
-            raise ConfigError(
-                f"unknown routing {routing!r}; choose from {ROUTING_KINDS}"
-            )
+        check_fleet(replicas, routing)
         if replica_costers is not None and len(replica_costers) != replicas:
             raise ConfigError(
                 f"replica_costers has {len(replica_costers)} entries for "
@@ -552,16 +579,6 @@ class AdaptiveServingEngine:
             (self._now, "replan", rid, note or coster.config.name)
         )
 
-    def set_replica_coster(
-        self, rid: int, coster: BatchCoster, note: str = ""
-    ) -> None:
-        """Override one replica's batch-cost model from now on."""
-        self._replica(rid)
-        self._replica_costers[rid] = coster
-        self.fleet_events.append(
-            (self._now, "recoster", rid, note or coster.config.name)
-        )
-
     def coster_for(self, rid: int) -> BatchCoster:
         """The cost model pricing ``rid``'s batches (override or fleet)."""
         return self._replica_costers.get(rid, self.coster)
@@ -812,17 +829,14 @@ class AdaptiveServingEngine:
                 for t, event, rid, detail in self.fleet_events
             ],
         }
-        summary["engine"] = {
-            "config": self.config.name,
-            "plan_policy": self.plan_policy,
-            "batching": self.batch_policy.describe(),
-            "max_batch": self.batch_policy.max_batch,
-            "max_wait_ms": self.batch_policy.max_wait_ms,
-            "queue_depth": self.queue_policy.max_depth,
-            "queue_order": self.queue_policy.order,
-            "routing": self.routing,
-            "adaptive": True,
-        }
+        summary["engine"] = engine_summary(
+            self.config.name,
+            self.plan_policy,
+            self.batch_policy,
+            self.queue_policy,
+            self.routing,
+            adaptive=True,
+        )
         if extra_meta:
             summary["workload"] = dict(sorted(extra_meta.items()))
         return ServingReport(

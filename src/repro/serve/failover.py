@@ -57,10 +57,23 @@ from repro.arch.config import AcceleratorConfig
 from repro.errors import ConfigError
 from repro.perf.instrument import phase
 from repro.serve.batcher import BatchCoster, BatchPolicy
-from repro.serve.engine import ServingReport, ROUTING_KINDS
+from repro.serve.engine import (
+    ServingReport,
+    _worst_factor,
+    check_fleet,
+    engine_summary,
+)
 from repro.serve.metrics import MetricsCollector
 from repro.serve.queue import AdmissionQueue, QueuePolicy
-from repro.serve.verified import SDCFault, VerificationPolicy, VerifiedReplica
+from repro.serve.verified import (
+    DETECTION_RATE,
+    DRAIN_THRESHOLD,
+    LATENCY_OVERHEAD,
+    RECOMPUTE_OVERHEAD,
+    SDCFault,
+    VerificationPolicy,
+    VerifiedReplica,
+)
 from repro.serve.workload import Request, check_positive
 
 __all__ = [
@@ -139,77 +152,50 @@ class ReplicaFault:
         return out
 
 
+#: health probe period; a crash is noticed at the first probe tick
+#: strictly after it happens
+DETECT_INTERVAL_S = 0.05
+#: retry budget per request beyond the first attempt
+MAX_RETRIES = 2
+#: capped exponential backoff before a retry re-enters the queue
+BACKOFF_BASE_MS = 5.0
+BACKOFF_CAP_MS = 80.0
+#: observed/expected service ratio at which a replica is marked slow
+SLOW_THRESHOLD = 1.5
+
+
+def backoff_s(attempt: int) -> float:
+    """Backoff before retry number ``attempt`` (1-based) re-queues."""
+    if attempt < 1:
+        raise ConfigError(f"attempt must be >= 1, got {attempt!r}")
+    return min(BACKOFF_CAP_MS, BACKOFF_BASE_MS * 2 ** (attempt - 1)) / 1e3
+
+
 @dataclass(frozen=True)
 class FailoverPolicy:
-    """Detection, retry, and hedging knobs of the failover tier."""
+    """Whether the failover tier hedges batches sent to slow replicas."""
 
-    #: health probe period; a crash is noticed at the first probe tick
-    #: strictly after it happens
-    detect_interval_s: float = 0.05
-    #: retry budget per request beyond the first attempt
-    max_retries: int = 2
-    #: capped exponential backoff before a retry re-enters the queue
-    backoff_base_ms: float = 5.0
-    backoff_cap_ms: float = 80.0
     #: duplicate batches dispatched to slow-marked replicas onto a healthy
     #: idle one (first finisher wins)
     hedge: bool = False
-    #: observed/expected service ratio at which a replica is marked slow
-    slow_threshold: float = 1.5
-
-    def __post_init__(self) -> None:
-        if not self.detect_interval_s > 0 or math.isinf(self.detect_interval_s):
-            raise ConfigError(
-                f"detect_interval_s must be positive and finite, "
-                f"got {self.detect_interval_s!r}"
-            )
-        if isinstance(self.max_retries, bool) or not isinstance(
-            self.max_retries, int
-        ):
-            raise ConfigError(
-                f"max_retries must be an int, got {self.max_retries!r}"
-            )
-        if self.max_retries < 0:
-            raise ConfigError(
-                f"max_retries must be >= 0, got {self.max_retries!r}"
-            )
-        if not self.backoff_base_ms >= 0:
-            raise ConfigError(
-                f"backoff_base_ms must be >= 0, got {self.backoff_base_ms!r}"
-            )
-        if not self.backoff_cap_ms >= self.backoff_base_ms:
-            raise ConfigError(
-                f"backoff_cap_ms must be >= backoff_base_ms, "
-                f"got {self.backoff_cap_ms!r} < {self.backoff_base_ms!r}"
-            )
-        if not self.slow_threshold > 1:
-            raise ConfigError(
-                f"slow_threshold must be > 1, got {self.slow_threshold!r}"
-            )
-
-    def backoff_s(self, attempt: int) -> float:
-        """Backoff before retry number ``attempt`` (1-based) re-queues."""
-        if attempt < 1:
-            raise ConfigError(f"attempt must be >= 1, got {attempt!r}")
-        return min(self.backoff_cap_ms, self.backoff_base_ms * 2 ** (attempt - 1)) / 1e3
 
     def describe(self) -> str:
         return (
-            f"failover(detect={self.detect_interval_s * 1e3:g}ms, "
-            f"retries={self.max_retries}, "
-            f"backoff={self.backoff_base_ms:g}..{self.backoff_cap_ms:g}ms"
+            f"failover(detect={DETECT_INTERVAL_S * 1e3:g}ms, "
+            f"retries={MAX_RETRIES}, "
+            f"backoff={BACKOFF_BASE_MS:g}..{BACKOFF_CAP_MS:g}ms"
             + (", hedged" if self.hedge else "")
             + ")"
         )
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "detect_interval_ms": round(self.detect_interval_s * 1e3, 6),
-            "max_retries": self.max_retries,
-            "backoff_base_ms": round(self.backoff_base_ms, 6),
-            "backoff_cap_ms": round(self.backoff_cap_ms, 6),
+            "detect_interval_ms": round(DETECT_INTERVAL_S * 1e3, 6),
+            "max_retries": MAX_RETRIES,
+            "backoff_base_ms": round(BACKOFF_BASE_MS, 6),
+            "backoff_cap_ms": round(BACKOFF_CAP_MS, 6),
             "hedge": self.hedge,
-            "slow_threshold": round(self.slow_threshold, 6),
+            "slow_threshold": round(SLOW_THRESHOLD, 6),
         }
 
 
@@ -223,8 +209,7 @@ class HealthChecker:
     dispatches happen.
     """
 
-    def __init__(self, n_replicas: int, policy: FailoverPolicy) -> None:
-        self.policy = policy
+    def __init__(self, n_replicas: int) -> None:
         self._status: Dict[int, str] = {rid: "up" for rid in range(n_replicas)}
         #: replicas slow-marked sticky (SDC drain): completions can't revive
         self._quarantined: Set[int] = set()
@@ -233,9 +218,6 @@ class HealthChecker:
 
     def status(self, rid: int) -> str:
         return self._status[rid]
-
-    def is_down(self, rid: int) -> bool:
-        return self._status[rid] == "down"
 
     def is_slow(self, rid: int) -> bool:
         return self._status[rid] == "slow"
@@ -246,8 +228,8 @@ class HealthChecker:
 
     def detection_time(self, crash_s: float) -> float:
         """First probe tick strictly after the crash instant."""
-        k = math.floor(crash_s / self.policy.detect_interval_s) + 1
-        return k * self.policy.detect_interval_s
+        k = math.floor(crash_s / DETECT_INTERVAL_S) + 1
+        return k * DETECT_INTERVAL_S
 
     def _transition(self, t: float, rid: int, status: str) -> None:
         if self._status[rid] != status:
@@ -277,7 +259,7 @@ class HealthChecker:
         """Classify a replica from one completed batch's service time."""
         if self._status[rid] == "down" or rid in self._quarantined:
             return
-        if expected_s > 0 and observed_s >= self.policy.slow_threshold * expected_s:
+        if expected_s > 0 and observed_s >= SLOW_THRESHOLD * expected_s:
             self._transition(t, rid, "slow")
         else:
             self._transition(t, rid, "up")
@@ -373,17 +355,7 @@ class FailoverEngine:
         sdc_faults: Sequence[SDCFault] = (),
         verification: Optional[VerificationPolicy] = None,
     ) -> None:
-        if isinstance(replicas, bool) or not isinstance(replicas, int):
-            raise ConfigError(
-                f"replicas must be an int, got {replicas!r} "
-                f"({type(replicas).__name__})"
-            )
-        if replicas <= 0:
-            raise ConfigError(f"replicas must be positive, got {replicas!r}")
-        if routing not in ROUTING_KINDS:
-            raise ConfigError(
-                f"unknown routing {routing!r}; choose from {ROUTING_KINDS}"
-            )
+        check_fleet(replicas, routing)
         for fault in faults:
             if fault.replica >= replicas:
                 raise ConfigError(
@@ -424,13 +396,6 @@ class FailoverEngine:
         self.verification = verification
 
     # -- helpers -----------------------------------------------------------
-
-    def _window_multiplier(self, t: float) -> float:
-        mult = 1.0
-        for start, end, m in self.service_windows:
-            if start <= t < end:
-                mult = max(mult, m)
-        return mult
 
     def _pick_replica(
         self, states: List[FaultyReplica], health: HealthChecker, rr_last: int
@@ -480,7 +445,7 @@ class FailoverEngine:
         requests.sort(key=lambda r: (r.arrival_s, r.rid))
         queue = AdmissionQueue(self.queue_policy)
         metrics = MetricsCollector()
-        health = HealthChecker(self.n_replicas, policy)
+        health = HealthChecker(self.n_replicas)
         states = [FaultyReplica(rid) for rid in range(self.n_replicas)]
         attempts: Dict[int, int] = {}
         #: (available_at, request) retries waiting out their backoff
@@ -511,11 +476,11 @@ class FailoverEngine:
             for request in job.requests:
                 attempt = attempts.get(request.rid, 0) + 1
                 attempts[request.rid] = attempt
-                if attempt > policy.max_retries:
+                if attempt > MAX_RETRIES:
                     fail(request, FAILED_RETRIES)
                 else:
                     retries_scheduled += 1
-                    retry_pool.append((t + policy.backoff_s(attempt), request))
+                    retry_pool.append((t + backoff_s(attempt), request))
             retry_pool.sort(key=lambda e: (e[0], e[1].rid))
 
         fault_idx = 0
@@ -593,7 +558,7 @@ class FailoverEngine:
                         vrep.corrected += 1
                         if (
                             ver is not None
-                            and vrep.detected >= ver.drain_threshold
+                            and vrep.detected >= DRAIN_THRESHOLD
                             and not vrep.drained
                         ):
                             vrep.drained_at = s.free_at
@@ -649,10 +614,10 @@ class FailoverEngine:
                 if not batch:
                     continue
                 expected = self.coster.batch_seconds(network, len(batch))
-                expected *= self._window_multiplier(t)
+                expected *= _worst_factor(self.service_windows, t)
                 if checking:
                     # every batch pays the ABFT checksum passes
-                    expected *= ver.latency_overhead
+                    expected *= LATENCY_OVERHEAD
                 job = _BatchJob(
                     requests=batch,
                     network=network,
@@ -669,8 +634,8 @@ class FailoverEngine:
                         job.sdc_rid = replica.rid
                         if checking:
                             job.sdc_detected = (
-                                ver.detection_rate >= 1.0
-                                or sdc_rngs[idx].random() < ver.detection_rate
+                                DETECTION_RATE >= 1.0
+                                or sdc_rngs[idx].random() < DETECTION_RATE
                             )
                 rr_last = replica.rid
                 if replica.crashed_by(t):
@@ -683,7 +648,7 @@ class FailoverEngine:
                 if job.corrupted and job.sdc_detected:
                     # detect-and-recompute: only the flagged partial maps
                     # re-execute, so the surcharge is a fraction, not 2x
-                    service *= 1.0 + ver.recompute_overhead
+                    service *= 1.0 + RECOMPUTE_OVERHEAD
                 replica.inflight = job
                 replica.free_at = t + service
                 replica.busy_s += service
@@ -755,17 +720,14 @@ class FailoverEngine:
                 "drained_replicas": [v.rid for v in vreps if v.drained],
                 "per_replica": [v.detail() for v in vreps],
             }
-        summary["engine"] = {
-            "config": self.config.name,
-            "plan_policy": self.plan_policy,
-            "batching": self.batch_policy.describe(),
-            "max_batch": self.batch_policy.max_batch,
-            "max_wait_ms": self.batch_policy.max_wait_ms,
-            "queue_depth": self.queue_policy.max_depth,
-            "queue_order": self.queue_policy.order,
-            "routing": self.routing,
-            "failover": policy.describe(),
-        }
+        summary["engine"] = engine_summary(
+            self.config.name,
+            self.plan_policy,
+            self.batch_policy,
+            self.queue_policy,
+            self.routing,
+            failover=policy.describe(),
+        )
         if extra_meta:
             summary["workload"] = dict(sorted(extra_meta.items()))
         return ServingReport(summary=summary, metrics=metrics, replicas=list(states))

@@ -9,10 +9,12 @@ user-visible wrong answers:
   a fraction of its batches (a marginal voltage rail, a flaky HBM stack —
   the gray-failure analogue of fail-slow, but for *correctness*);
 * :class:`VerificationPolicy` — whether replicas run the ABFT check on
-  every batch, the latency overhead of doing so (from the
+  every batch; the latency overhead of doing so (from the
   :func:`repro.schemes.abft.abft_overhead` cost model), the measured
   detection rate, the detect-and-recompute surcharge, and how many
-  detections drain a replica;
+  detections drain a replica are the module constants
+  :data:`LATENCY_OVERHEAD`, :data:`DETECTION_RATE`,
+  :data:`RECOMPUTE_OVERHEAD` and :data:`DRAIN_THRESHOLD`;
 * :class:`VerifiedReplica` — per-replica corruption bookkeeping: batches
   checked, corruptions detected/corrected/escaped, and when the replica
   was drained.
@@ -98,78 +100,48 @@ class SDCFault:
         }
 
 
+#: service-time multiplier of the checksum passes (>= 1, from the
+#: scheme-level overhead model — see ``repro integrity``)
+LATENCY_OVERHEAD = 1.08
+#: fraction of corruptions the check catches (the benchmark sweep
+#: measures 1.0 for single bit flips)
+DETECTION_RATE = 1.0
+#: extra service fraction when a detection triggers recompute of the
+#: flagged partial maps (cheap: only flagged sub-kernels re-execute)
+RECOMPUTE_OVERHEAD = 0.15
+#: detections on one replica before it is drained like a fail-slow one
+DRAIN_THRESHOLD = 3
+
+
 @dataclass(frozen=True)
 class VerificationPolicy:
-    """The verified-inference knobs of a serving tier."""
+    """Whether a serving tier runs the verified-inference check."""
 
     #: run the ABFT check on every batch (False models an unguarded tier
     #: that still *experiences* SDC windows — everything escapes)
     enabled: bool = True
-    #: service-time multiplier of the checksum passes (>= 1, from the
-    #: scheme-level overhead model — see ``repro integrity``)
-    latency_overhead: float = 1.08
-    #: fraction of corruptions the check catches (the benchmark sweep
-    #: measures 1.0 for single bit flips; < 1 models multi-bit escapes)
-    detection_rate: float = 1.0
-    #: extra service fraction when a detection triggers recompute of the
-    #: flagged partial maps (cheap: only flagged sub-kernels re-execute)
-    recompute_overhead: float = 0.15
-    #: detections on one replica before it is drained like a fail-slow one
-    drain_threshold: int = 3
 
     def __post_init__(self) -> None:
         if not isinstance(self.enabled, bool):
             raise ConfigError(f"enabled must be a bool, got {self.enabled!r}")
-        if (
-            math.isnan(self.latency_overhead)
-            or math.isinf(self.latency_overhead)
-            or self.latency_overhead < 1
-        ):
-            raise ConfigError(
-                f"latency_overhead must be finite and >= 1, "
-                f"got {self.latency_overhead!r}"
-            )
-        if math.isnan(self.detection_rate) or not 0 <= self.detection_rate <= 1:
-            raise ConfigError(
-                f"detection_rate must be in [0, 1], got {self.detection_rate!r}"
-            )
-        if (
-            math.isnan(self.recompute_overhead)
-            or math.isinf(self.recompute_overhead)
-            or self.recompute_overhead < 0
-        ):
-            raise ConfigError(
-                f"recompute_overhead must be finite and >= 0, "
-                f"got {self.recompute_overhead!r}"
-            )
-        if isinstance(self.drain_threshold, bool) or not isinstance(
-            self.drain_threshold, int
-        ):
-            raise ConfigError(
-                f"drain_threshold must be an int, got {self.drain_threshold!r}"
-            )
-        if self.drain_threshold < 1:
-            raise ConfigError(
-                f"drain_threshold must be >= 1, got {self.drain_threshold!r}"
-            )
 
     def describe(self) -> str:
         if not self.enabled:
             return "verification(off)"
         return (
-            f"verification(overhead={self.latency_overhead:g}x, "
-            f"detect={self.detection_rate:g}, "
-            f"recompute=+{self.recompute_overhead:g}, "
-            f"drain@{self.drain_threshold})"
+            f"verification(overhead={LATENCY_OVERHEAD:g}x, "
+            f"detect={DETECTION_RATE:g}, "
+            f"recompute=+{RECOMPUTE_OVERHEAD:g}, "
+            f"drain@{DRAIN_THRESHOLD})"
         )
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "enabled": self.enabled,
-            "latency_overhead": round(self.latency_overhead, 6),
-            "detection_rate": round(self.detection_rate, 6),
-            "recompute_overhead": round(self.recompute_overhead, 6),
-            "drain_threshold": self.drain_threshold,
+            "latency_overhead": round(LATENCY_OVERHEAD, 6),
+            "detection_rate": round(DETECTION_RATE, 6),
+            "recompute_overhead": round(RECOMPUTE_OVERHEAD, 6),
+            "drain_threshold": DRAIN_THRESHOLD,
         }
 
 

@@ -10,7 +10,6 @@ from repro.sim.backend import (
 )
 from repro.sim.event import PipelineTimeline, simulate_layer, simulate_run
 from repro.sim.machine import Machine, MachineResult, RegionStats
-from repro.sim.memorymap import MemoryMap, Region, allocate_memory_map
 from repro.sim.trace import NetworkRun
 
 __all__ = [
@@ -23,9 +22,6 @@ __all__ = [
     "PipelineTimeline",
     "simulate_layer",
     "simulate_run",
-    "MemoryMap",
-    "Region",
-    "allocate_memory_map",
     "Machine",
     "MachineResult",
     "RegionStats",

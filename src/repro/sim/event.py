@@ -57,11 +57,6 @@ class PipelineTimeline:
     drain_cycles: float
     total_cycles: float
 
-    @property
-    def startup_bubble(self) -> float:
-        """Cycles before the PE array first fires (the pipeline fill)."""
-        return self.passes[0].compute_start if self.passes else 0.0
-
 
 def simulate_layer(
     result: ScheduleResult, passes: int = 8

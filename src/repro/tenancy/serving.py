@@ -31,7 +31,12 @@ from repro.arch.config import AcceleratorConfig
 from repro.errors import ConfigError
 from repro.serve.batcher import BatchCoster, BatchPolicy
 from repro.serve.candidates import rank_candidates
-from repro.serve.engine import ReplicaState, ServingEngine, per_chip_rollup
+from repro.serve.engine import (
+    ReplicaState,
+    ServingEngine,
+    engine_summary,
+    per_chip_rollup,
+)
 from repro.serve.metrics import MetricsCollector
 from repro.serve.queue import QueuePolicy
 from repro.serve.workload import MixedTenantSpec, Request, mixed_arrivals
@@ -180,16 +185,9 @@ def serve_placement(
         "lanes_used": len(lane_requests),
     }
     summary["placement"] = placement.to_dict()
-    summary["engine"] = {
-        "config": "fleet",
-        "plan_policy": plan_policy,
-        "batching": batch_policy.describe(),
-        "max_batch": batch_policy.max_batch,
-        "max_wait_ms": batch_policy.max_wait_ms,
-        "queue_depth": queue_policy.max_depth,
-        "queue_order": queue_policy.order,
-        "routing": "pinned",
-    }
+    summary["engine"] = engine_summary(
+        "fleet", plan_policy, batch_policy, queue_policy, "pinned"
+    )
     if extra_meta:
         summary["workload"] = dict(sorted(extra_meta.items()))
     return summary

@@ -7,12 +7,11 @@ import pytest
 from repro.capacity.bounds import (
     attainment_bound,
     candidate_capacity_rps,
-    mix_image_seconds,
     probe_batches,
 )
 from repro.capacity.forecast import ForecastSpec
 from repro.capacity.grid import Candidate
-from repro.serve.batcher import BatchCoster
+from repro.serve.batcher import BatchCoster, mix_image_seconds
 from repro.serve.workload import parse_tenant_mix
 
 TENANTS = tuple(parse_tenant_mix("acme=alexnet:1/nin:1", slo_ms=200.0))

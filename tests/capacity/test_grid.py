@@ -94,12 +94,6 @@ class TestCandidateGrid:
         assert not any("x1 pipeline" in name for name in first)
         assert "16-16 x4 pipeline/g2 b16" in first
 
-    def test_extras_join_the_grid_once(self):
-        extra = Candidate("32-32", 1, max_batch=4)
-        grid = CandidateGrid(geometries=("16-16",), extras=(extra, extra))
-        names = [c.name for c in grid.enumerate()]
-        assert names.count(extra.name) == 1
-
     def test_empty_grid_is_an_error(self):
         with pytest.raises(ConfigError, match="empty"):
             CandidateGrid(

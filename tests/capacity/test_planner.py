@@ -193,5 +193,3 @@ class TestValidation:
     def test_fault_model_validation(self):
         with pytest.raises(ConfigError, match="crashes"):
             FaultModel(crashes=-1)
-        with pytest.raises(ConfigError, match="sdc_per_batch"):
-            FaultModel(sdc_per_batch=0.0)

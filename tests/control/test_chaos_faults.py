@@ -6,10 +6,11 @@ import pytest
 
 from repro.arch.config import CONFIG_16_16
 from repro.errors import ConfigError
-from repro.resilience.faults import FaultSchedule, MaskFault, PEMask
+from repro.resilience.faults import FaultSchedule, LinkFault, MaskFault, PEMask
 from repro.serve.batcher import BatchCoster
 from repro.serve.engine import AdaptiveServingEngine
 from repro.serve.failover import ReplicaFault
+from repro.serve.verified import SDCFault
 from repro.serve.workload import parse_mix, poisson_arrivals
 from repro.control.actuator import Actuator
 from repro.control.chaos import (
@@ -246,11 +247,35 @@ class TestApplyFaultSchedule:
         factor = naive_mask_factor(CONFIG_16_16, 4, 0)
         assert factor == pytest.approx((16 * 16) / (12 * 16))
 
-    def test_link_faults_require_priced_windows(self):
-        from repro.resilience.faults import LinkFault
-
-        schedule = FaultSchedule(
-            link_faults=(LinkFault(time_s=1.0, factor=4.0, duration_s=0.5),)
-        )
-        with pytest.raises(ConfigError, match="link_windows"):
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            pytest.param(
+                FaultSchedule(
+                    link_faults=(LinkFault(time_s=1.0, factor=4.0, duration_s=0.5),)
+                ),
+                "link_windows",
+                id="link_faults",
+            ),
+            pytest.param(
+                FaultSchedule(sdc_faults=(SDCFault(0, 0.1, 1.0),)),
+                "cannot arm sdc_faults;",
+                id="sdc_faults",
+            ),
+            pytest.param(
+                FaultSchedule(pe_mask=PEMask(4, 0)),
+                "cannot arm pe_mask;",
+                id="pe_mask",
+            ),
+            pytest.param(
+                FaultSchedule(
+                    sdc_faults=(SDCFault(0, 0.1, 1.0),), pe_mask=PEMask(4, 0)
+                ),
+                "cannot arm sdc_faults or pe_mask;",
+                id="sdc_faults+pe_mask",
+            ),
+        ],
+    )
+    def test_unarmable_faults_rejected(self, schedule, message):
+        with pytest.raises(ConfigError, match=message):
             apply_fault_schedule(engine(), schedule, CONFIG_16_16)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.errors import ConfigError
-from repro.resilience.faults import FaultSchedule, LinkFault
+from repro.resilience.faults import FaultSchedule, LinkFault, PEMask
 from repro.control.chaos_scenarios import (
     CONTROL_INVARIANT_NAMES,
     CONTROL_SCENARIO_NAMES,
@@ -20,6 +20,7 @@ from repro.control.chaos_scenarios import (
     run_control_scenario,
 )
 from repro.serve.metrics import MetricsCollector, to_json
+from repro.serve.verified import SDCFault
 
 BENCH = Path(__file__).resolve().parents[2] / "BENCH_chaos_control.json"
 
@@ -64,6 +65,16 @@ class TestCatalogue:
             ("flash", (16.0, 14.0, math.inf), r"flash crowd \(16.0, 14.0, inf\)"),
             ("replicas", True, "replicas must be a positive int, got True"),
             ("replicas", 3.0, "replicas must be a positive int, got 3.0"),
+            (
+                "data_faults",
+                FaultSchedule(sdc_faults=(SDCFault(0, 0.1, 1.0),)),
+                "cannot arm sdc_faults;",
+            ),
+            (
+                "data_faults",
+                FaultSchedule(pe_mask=PEMask(4, 0)),
+                "cannot arm pe_mask;",
+            ),
         ],
     )
     def test_bad_field_rejected(self, field, value, message):

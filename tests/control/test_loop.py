@@ -17,10 +17,10 @@ from repro.control import (
     AutoscalePolicy,
     HealingPolicy,
     SelfHealingControlLoop,
-    VerifierPolicy,
     run_static,
     static_fleet_sizes,
 )
+from repro.control import policy, verifier
 
 #: vgg is the heavy network (~12 req/s per replica at batch 16), so small
 #: request counts already force multi-replica fleets
@@ -164,10 +164,7 @@ class TestDrainRepair:
         # steady vgg load on 2 replicas; rid 1 goes 4x slow from 4 s to 30 s
         reqs = poisson_arrivals(16.0, 30, VGG, seed=3)
         slow = ReplicaFault("slow", 1, 4.0, factor=4.0, duration_s=26.0)
-        autoscale = AutoscalePolicy(
-            epoch_s=2.0, max_replicas=6, slow_ratio=1.5, slow_epochs=2,
-            retune=False,
-        )
+        autoscale = AutoscalePolicy(epoch_s=2.0, max_replicas=6, retune=False)
         report = loop(
             tenants=VGG, autoscale=autoscale, replicas=2
         ).run(reqs, 30.0, data_faults=FaultSchedule(replica_faults=(slow,)))
@@ -196,18 +193,18 @@ class TestDrainRepair:
 
 
 class TestOscillationGuard:
-    def test_thrash_prone_policy_gets_frozen(self):
+    def test_thrash_prone_policy_gets_frozen(self, monkeypatch):
         # bands glued together + zero cooldown: every epoch flips direction
+        monkeypatch.setattr(policy, "LOW_UTIL", 0.98)
+        monkeypatch.setattr(verifier, "MAX_FLIPS", 2)
+        monkeypatch.setattr(verifier, "OSCILLATION_WINDOW", 6)
+        monkeypatch.setattr(verifier, "FREEZE_EPOCHS", 8)
         reqs, duration = diurnal(days=1, base=10.0, peak=14.0)
         autoscale = AutoscalePolicy(
             epoch_s=1.0, max_replicas=8, high_band=0.30, low_band=0.29,
-            low_util=0.98, cooldown_epochs=0, headroom=0.0, retune=False,
+            cooldown_epochs=0, headroom=0.0, retune=False,
         )
-        verifier = VerifierPolicy(max_flips=2, oscillation_window=6,
-                                  freeze_epochs=8)
-        report = loop(autoscale=autoscale, verifier=verifier, replicas=2).run(
-            reqs, duration
-        )
+        report = loop(autoscale=autoscale, replicas=2).run(reqs, duration)
         control = report.summary["control"]
         ups = control["actions_by_kind"].get("scale-up", 0)
         downs = control["actions_by_kind"].get("scale-down", 0)

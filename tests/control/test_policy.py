@@ -11,13 +11,15 @@ from repro.serve.engine import AdaptiveServingEngine
 from repro.control.actuator import Actuator, AppliedAction
 from repro.control.policy import (
     ACTION_KINDS,
+    MIN_HEALTH_BATCHES,
+    SLOW_EPOCHS,
     Action,
     AutoscalePolicy,
     Planner,
     PlannerFeedback,
 )
 from repro.control.telemetry import WindowStats
-from repro.control.verifier import Verifier, VerifierPolicy
+from repro.control.verifier import Verifier
 
 _COSTER = BatchCoster(CONFIG_16_16)
 
@@ -62,16 +64,8 @@ class TestPolicyValidation:
             {"min_replicas": 0},
             {"max_replicas": 0},
             {"low_band": 0.9, "high_band": 0.8},
-            {"low_util": 0},
-            {"shed_hi": -0.1},
-            {"queue_hi": 0},
             {"headroom": -0.5},
             {"cooldown_epochs": -1},
-            {"slow_ratio": 1.0},
-            {"slow_epochs": 0},
-            {"min_health_batches": 0},
-            {"batch_slo_frac": 0},
-            {"retune_cooldown_epochs": -1},
         ],
     )
     def test_bad_knobs(self, kwargs):
@@ -182,7 +176,7 @@ class TestScaling:
 
 class TestDrainRepair:
     def test_slow_streak_triggers_one_drain(self):
-        p = planner(retune=False, slow_ratio=1.5, slow_epochs=2)
+        p = planner(retune=False)
         sick = dict(
             utilization=0.6,  # dead zone: no scale action rides along
             replica_service_ratio={0: 2.5, 1: 1.0},
@@ -196,7 +190,7 @@ class TestDrainRepair:
         assert p.plan(window(epoch=2, **sick)) == []
 
     def test_recovery_resets_the_streak(self):
-        p = planner(retune=False, slow_epochs=2)
+        p = planner(retune=False)
         p.plan(window(epoch=0, utilization=0.6, replica_service_ratio={0: 2.0},
                       replica_batches={0: 2}))
         p.plan(window(epoch=1, utilization=0.6, replica_service_ratio={0: 1.0},
@@ -207,11 +201,12 @@ class TestDrainRepair:
         assert acts == []  # streak restarted
 
     def test_too_few_batches_is_not_a_verdict(self):
-        p = planner(retune=False, slow_epochs=1, min_health_batches=4)
-        acts = p.plan(window(epoch=0, utilization=0.6,
-                             replica_service_ratio={0: 3.0},
-                             replica_batches={0: 1}))
-        assert acts == []
+        p = planner(retune=False)
+        for epoch in range(SLOW_EPOCHS):
+            acts = p.plan(window(epoch=epoch, utilization=0.6,
+                                 replica_service_ratio={0: 3.0},
+                                 replica_batches={0: MIN_HEALTH_BATCHES - 1}))
+            assert acts == []
 
 
 class TestRetune:
@@ -226,7 +221,7 @@ class TestRetune:
         assert retunes[0].max_wait_ms <= 10.0
 
     def test_retune_cooldown(self):
-        p = planner(retune_cooldown_epochs=10)
+        p = planner()
         p.notify_batcher(16, 10.0)
         acts = p.plan(window(epoch=0, completed=50, arrival_rate_rps=20.0))
         assert any(a.kind == "retune" for a in acts)
@@ -299,9 +294,9 @@ class TestActuator:
 
 
 class TestVerifier:
-    def make(self, replicas=2, **kwargs):
+    def make(self, replicas=2):
         eng = AdaptiveServingEngine(CONFIG_16_16, replicas=replicas, coster=_COSTER)
-        return eng, Actuator(eng), Verifier(VerifierPolicy(**kwargs))
+        return eng, Actuator(eng), Verifier()
 
     def act(self, kind, **kwargs):
         return Action(kind=kind, epoch=0, time_s=0.0, reason="t", **kwargs)
@@ -315,7 +310,7 @@ class TestVerifier:
         assert [v["status"] for v in ver.verdicts] == ["confirmed"]
 
     def test_unmet_expectation_fails_after_deadline(self):
-        eng, actuator, ver = self.make(2, verify_deadline_epochs=1)
+        eng, actuator, ver = self.make(2)
         # register an expectation by hand that the engine never satisfies
         ver.register(
             [AppliedAction(self.act("scale-up", target=9), added=[])], epoch=0
@@ -326,7 +321,7 @@ class TestVerifier:
         assert [v["status"] for v in ver.verdicts] == ["failed"]
 
     def test_oscillation_trips_the_freeze(self):
-        eng, actuator, ver = self.make(2, max_flips=3, freeze_epochs=6)
+        eng, actuator, ver = self.make(2)
         kinds = ["scale-up", "scale-down", "scale-up", "scale-down"]
         for k, kind in enumerate(kinds):
             target = eng.n_active() + (1 if kind == "scale-up" else -1)
@@ -337,7 +332,7 @@ class TestVerifier:
         assert ver.freezes and ver.freezes[0]["flips"] == 3
 
     def test_steady_scaling_never_freezes(self):
-        eng, actuator, ver = self.make(1, max_flips=3)
+        eng, actuator, ver = self.make(1)
         for k in range(4):
             applied = actuator.apply(
                 [self.act("scale-up", target=eng.n_active() + 1)]
@@ -345,16 +340,3 @@ class TestVerifier:
             ver.register(applied, epoch=k)
         fb = ver.check(eng, epoch=4)
         assert fb.frozen_until_epoch == -1 and not ver.freezes
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"verify_deadline_epochs": -1},
-            {"max_flips": 0},
-            {"oscillation_window": 1},
-            {"freeze_epochs": 0},
-        ],
-    )
-    def test_bad_policy(self, kwargs):
-        with pytest.raises(ConfigError):
-            VerifierPolicy(**kwargs)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.arch.config import CONFIG_16_16
 from repro.serve.batcher import BatchCoster
 from repro.serve.engine import AdaptiveServingEngine
 from repro.control.actuator import AppliedAction
 from repro.control.policy import Action, AutoscalePolicy, Planner
 from repro.control.telemetry import WindowStats
-from repro.control.verifier import Verifier, VerifierPolicy
+from repro.control import verifier as verifier_module
+from repro.control.verifier import FREEZE_EPOCHS, Verifier
 
 _COSTER = BatchCoster(CONFIG_16_16)
 
@@ -84,17 +87,20 @@ class TestHysteresisBandEdges:
         ) == []
 
     def test_queue_exactly_at_backlog_threshold_is_not_a_breach(self):
-        # queue_hi=32 per active replica; 64 queued on 2 replicas is the edge
+        # QUEUE_HI=32 per active replica; 64 queued on 2 replicas is the edge
         assert planner().plan(window(queue_depth=64)) == []
         acts = planner().plan(window(queue_depth=65, arrival_rate_rps=50.0))
         assert [a.kind for a in acts] == ["scale-up"]
 
 
 class TestOscillationWindowEdge:
-    POLICY = VerifierPolicy(max_flips=1, oscillation_window=4)
+    @pytest.fixture(autouse=True)
+    def guard(self, monkeypatch):
+        monkeypatch.setattr(verifier_module, "MAX_FLIPS", 1)
+        monkeypatch.setattr(verifier_module, "OSCILLATION_WINDOW", 4)
 
     def flip_pair(self):
-        verifier = Verifier(self.POLICY)
+        verifier = Verifier()
         verifier.register([scale("scale-up", 0)], 0)
         verifier.register([scale("scale-down", 1)], 1)
         return verifier
@@ -103,10 +109,9 @@ class TestOscillationWindowEdge:
         verifier = self.flip_pair()
         feedback = verifier.check(engine(), 3)
         assert verifier.freezes == [
-            {"epoch": 3, "until_epoch": 3 + self.POLICY.freeze_epochs,
-             "flips": 1}
+            {"epoch": 3, "until_epoch": 3 + FREEZE_EPOCHS, "flips": 1}
         ]
-        assert feedback.frozen_until_epoch == 3 + self.POLICY.freeze_epochs
+        assert feedback.frozen_until_epoch == 3 + FREEZE_EPOCHS
 
     def test_flip_exactly_at_window_edge_is_excluded(self):
         # window_start = epoch - oscillation_window = 0: the scale-up at
@@ -117,19 +122,21 @@ class TestOscillationWindowEdge:
         assert feedback.frozen_until_epoch == -1
 
     def test_repairs_never_feed_the_guard(self):
-        verifier = Verifier(self.POLICY)
+        verifier = Verifier()
         verifier.register([scale("replace", 0)], 0)
         verifier.register([scale("rollback", 1)], 1)
         assert verifier.check(engine(), 3).frozen_until_epoch == -1
 
 
 class TestGuardRelease:
-    POLICY = VerifierPolicy(
-        max_flips=1, oscillation_window=10, freeze_epochs=2
-    )
+    @pytest.fixture(autouse=True)
+    def guard(self, monkeypatch):
+        monkeypatch.setattr(verifier_module, "MAX_FLIPS", 1)
+        monkeypatch.setattr(verifier_module, "OSCILLATION_WINDOW", 10)
+        monkeypatch.setattr(verifier_module, "FREEZE_EPOCHS", 2)
 
     def test_no_refreeze_inside_the_freeze_window(self):
-        verifier = Verifier(self.POLICY)
+        verifier = Verifier()
         verifier.register([scale("scale-up", 0)], 0)
         verifier.register([scale("scale-down", 1)], 1)
         assert verifier.check(engine(), 2).frozen_until_epoch == 4
@@ -139,7 +146,7 @@ class TestGuardRelease:
         assert len(verifier.freezes) == 1
 
     def test_rearms_after_the_freeze_window_expires(self):
-        verifier = Verifier(self.POLICY)
+        verifier = Verifier()
         verifier.register([scale("scale-up", 0)], 0)
         verifier.register([scale("scale-down", 1)], 1)
         verifier.check(engine(), 2)
@@ -148,7 +155,7 @@ class TestGuardRelease:
         assert [f["epoch"] for f in verifier.freezes] == [2, 5]
 
     def test_planner_resumes_after_release(self):
-        verifier = Verifier(self.POLICY)
+        verifier = Verifier()
         verifier.register([scale("scale-up", 0)], 0)
         verifier.register([scale("scale-down", 1)], 1)
         feedback = verifier.check(engine(), 2)

@@ -1,7 +1,7 @@
 """The bench scripts must regenerate their committed ``BENCH_*.json``.
 
 The committed BENCH files are the behaviour oracle for refactors.  The
-four fastest scripts run here in subprocesses (concurrently, to fit the
+seven fastest scripts run here in subprocesses (concurrently, to fit the
 tier-1 budget) with the flags their committed file records, and each
 written file must equal the committed one byte for byte, apart from the
 host fields ``python`` and ``cpu_count``.  A throwaway bench checks the
@@ -29,6 +29,9 @@ COMMITTED = {
     "sharding": [],
     "resilience": [],
     "integrity": ["--smoke"],
+    "control": [],
+    "tenancy": [],
+    "capacity": ["--smoke"],
 }
 
 

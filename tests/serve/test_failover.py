@@ -13,6 +13,7 @@ import pytest
 
 from repro.arch.config import CONFIG_16_16
 from repro.errors import ConfigError
+from repro.serve import failover
 from repro.serve.batcher import BatchCoster, BatchPolicy
 from repro.serve.failover import (
     FAILED_NO_REPLICAS,
@@ -21,6 +22,7 @@ from repro.serve.failover import (
     FailoverPolicy,
     HealthChecker,
     ReplicaFault,
+    backoff_s,
 )
 from repro.serve.workload import TenantSpec, poisson_arrivals
 
@@ -72,42 +74,29 @@ class TestValidation:
 
 class TestFailoverPolicy:
     def test_backoff_grows_and_caps(self):
-        policy = FailoverPolicy(backoff_base_ms=5.0, backoff_cap_ms=80.0)
-        assert policy.backoff_s(1) == pytest.approx(0.005)
-        assert policy.backoff_s(2) == pytest.approx(0.010)
-        assert policy.backoff_s(5) == pytest.approx(0.080)  # capped
-        assert policy.backoff_s(10) == pytest.approx(0.080)
-
-    def test_cap_below_base_rejected(self):
-        with pytest.raises(ConfigError, match="backoff_cap_ms"):
-            FailoverPolicy(backoff_base_ms=10.0, backoff_cap_ms=5.0)
-
-    def test_slow_threshold_above_one(self):
-        with pytest.raises(ConfigError, match="slow_threshold"):
-            FailoverPolicy(slow_threshold=1.0)
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ConfigError, match="max_retries"):
-            FailoverPolicy(max_retries=-1)
+        # 5 ms base, 80 ms cap
+        assert backoff_s(1) == pytest.approx(0.005)
+        assert backoff_s(2) == pytest.approx(0.010)
+        assert backoff_s(5) == pytest.approx(0.080)  # capped
+        assert backoff_s(10) == pytest.approx(0.080)
 
 
 class TestHealthChecker:
     def test_detection_is_first_probe_after_crash(self):
-        health = HealthChecker(2, FailoverPolicy(detect_interval_s=0.05))
+        health = HealthChecker(2)  # 50 ms probe period
         assert health.detection_time(0.12) == pytest.approx(0.15)
         # a crash exactly on a probe tick is noticed at the *next* tick
         assert health.detection_time(0.10) == pytest.approx(0.15)
 
     def test_timeline_records_transitions(self):
-        health = HealthChecker(2, FailoverPolicy())
+        health = HealthChecker(2)
         health.mark_down(1.0, 0)
         health.mark_down(1.5, 0)  # idempotent
         assert health.timeline == [(1.0, 0, "down")]
         assert health.alive_rids() == [1]
 
     def test_slow_classification(self):
-        policy = FailoverPolicy(slow_threshold=1.5)
-        health = HealthChecker(1, policy)
+        health = HealthChecker(1)  # slow at 1.5x expected
         health.observe_completion(1.0, 0, observed_s=0.2, expected_s=0.1)
         assert health.is_slow(0)
         health.observe_completion(2.0, 0, observed_s=0.1, expected_s=0.1)
@@ -151,11 +140,8 @@ class TestFailStop:
         assert detail[1]["status"] != "down"
 
     def test_down_transition_at_detection_tick(self):
-        policy = FailoverPolicy(detect_interval_s=0.05)
         report = engine(
-            replicas=2,
-            faults=[ReplicaFault("crash", 0, 1.02)],
-            failover_policy=policy,
+            replicas=2, faults=[ReplicaFault("crash", 0, 1.02)]
         ).run(requests(), 3)
         downs = [
             e
@@ -172,11 +158,10 @@ class TestFailStop:
         # replica 1 keeps completing after the crash; replica 0 stops
         assert by_replica[1] > by_replica[0]
 
-    def test_zero_retry_budget_fails_lost_batch(self):
+    def test_zero_retry_budget_fails_lost_batch(self, monkeypatch):
+        monkeypatch.setattr(failover, "MAX_RETRIES", 0)
         report = engine(
-            replicas=2,
-            faults=[ReplicaFault("crash", 0, 1.0)],
-            failover_policy=FailoverPolicy(max_retries=0),
+            replicas=2, faults=[ReplicaFault("crash", 0, 1.0)]
         ).run(requests(), 3)
         s = report.summary
         assert terminated(s) == s["offered"]

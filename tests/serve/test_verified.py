@@ -75,21 +75,6 @@ class TestVerificationPolicy:
     def test_disabled_describe(self):
         assert VerificationPolicy(enabled=False).describe() == "verification(off)"
 
-    @pytest.mark.parametrize("bad", [0.99, 0.0, math.nan, math.inf])
-    def test_latency_overhead_must_cover_cost(self, bad):
-        with pytest.raises(ConfigError, match="latency_overhead"):
-            VerificationPolicy(latency_overhead=bad)
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
-    def test_detection_rate_bounds(self, bad):
-        with pytest.raises(ConfigError, match="detection_rate"):
-            VerificationPolicy(detection_rate=bad)
-
-    @pytest.mark.parametrize("bad", [0, -1, True, 1.5])
-    def test_drain_threshold(self, bad):
-        with pytest.raises(ConfigError, match="drain_threshold"):
-            VerificationPolicy(drain_threshold=bad)
-
 
 class TestVerifiedReplica:
     def test_drained_state(self):
@@ -118,7 +103,7 @@ class TestEngineIntegration:
         summary = engine(
             replicas=3,
             sdc_faults=[STORM],
-            verification=VerificationPolicy(drain_threshold=3),
+            verification=VerificationPolicy(),
         ).run(requests(), 3.0).summary
         integrity = summary["integrity"]
         assert integrity["corrupted_batches"] > 0
@@ -149,7 +134,7 @@ class TestEngineIntegration:
     def test_checking_inflates_service_times(self):
         plain = engine(replicas=2).run(requests(), 3.0).summary
         checked = engine(
-            replicas=2, verification=VerificationPolicy(latency_overhead=1.25)
+            replicas=2, verification=VerificationPolicy()
         ).run(requests(), 3.0).summary
         assert checked["latency_ms"]["mean"] > plain["latency_ms"]["mean"]
         assert checked["integrity"]["checked_batches"] > 0
