@@ -18,8 +18,8 @@ fault model, and rank by cost per million good requests.  Gates:
    attainment — batching lets a smaller fleet meet the same SLO, so the
    win is structural, not a tie-break;
 3. the ranked JSON is byte-identical across a cold and a warm rerun
-   (the second run starts from the on-disk plan cache the first one
-   wrote).
+   (the second run starts from the in-memory plan cache the first one
+   filled).
 
 Writes ``BENCH_capacity.json``.  Exits nonzero if any gate fails.
 ``--smoke`` forecasts a 2.5 s window instead of 6 s.
@@ -32,7 +32,6 @@ Usage::
 from __future__ import annotations
 
 import sys
-import tempfile
 
 from harness import main
 
@@ -72,14 +71,8 @@ NAIVE_GRID = CandidateGrid(
 )
 
 
-def run_search(grid: CandidateGrid, forecast: ForecastSpec, cache_dir: str):
-    return plan_capacity(
-        grid,
-        forecast,
-        slo_target=SLO_TARGET,
-        fault_model=FAULTS,
-        cache_dir=cache_dir,
-    )
+def run_search(grid: CandidateGrid, forecast: ForecastSpec):
+    return plan_capacity(grid, forecast, slo_target=SLO_TARGET, fault_model=FAULTS)
 
 
 def run(args):
@@ -88,14 +81,10 @@ def run(args):
         TENANTS, rate=RATE, duration_s=duration, slo_ms=SLO_MS, seed=SEED
     )
 
-    with tempfile.TemporaryDirectory(prefix="bench-capacity-") as cache_dir:
-        planned = run_search(PLANNER_GRID, forecast, cache_dir)
-        warm = run_search(PLANNER_GRID, forecast, cache_dir)
-        naive = run_search(NAIVE_GRID, forecast, cache_dir)
-        warm_disk_hits = (
-            warm["cache"]["disk_hits"] + warm["cache"]["workers"]["disk_hits"]
-        )
-        warm_hits = warm["cache"]["planner_hits"] + warm["cache"]["workers"]["hits"]
+    planned = run_search(PLANNER_GRID, forecast)
+    warm = run_search(PLANNER_GRID, forecast)
+    naive = run_search(NAIVE_GRID, forecast)
+    warm_hits = warm["cache"]["planner_hits"] + warm["cache"]["workers"]["hits"]
 
     stable = report_to_json(planned) == report_to_json(warm)
     winner = planned["deployments"][planned["winner"]]
@@ -137,7 +126,6 @@ def run(args):
         "candidates": planned["search"]["candidates"],
         "pruned": planned["search"]["pruned"],
         "simulated": planned["search"]["simulated"],
-        "warm_disk_hits": warm_disk_hits,
         "warm_cache_hits": warm_hits,
         "ranked_json_stable": stable,
     }
@@ -160,8 +148,7 @@ def run(args):
         f"{baseline_attain:.1%} attainment "
         f"({headline['cost_ratio']:.2f}x planner's cost)",
         f"rerun:   {'byte-identical' if stable else 'DIFFERS'}, "
-        f"{warm_hits} plan-cache hits ({warm_disk_hits} from disk — forked "
-        f"workers inherit the cold run's in-memory cache)",
+        f"{warm_hits} plan-cache hits",
     ]
     gates = [
         (

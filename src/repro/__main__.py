@@ -40,9 +40,7 @@ capacity [--tenants ...] [--rate 300] [--slo-target 0.95] ...
     batching) against a traffic forecast, per-tenant SLOs, a chip-level
     fault model and ABFT on/off; prune with analytic capacity bounds,
     simulate the survivors, and rank by cost per million within-SLO
-    requests (see ``docs/capacity.md``).  The schedule cache persists
-    to ``.repro-plan-cache`` by default (``--no-persist-cache`` to
-    disable).
+    requests (see ``docs/capacity.md``).
 integrity [--seed 0] [--flips 4] [--smoke] [--json PATH]
     Run the ABFT bit-flip injection sweep: detection / false-positive /
     correction rates per buffer site and scheme path, plus the costed
@@ -59,6 +57,10 @@ cache, ``--backend {loop,vector}`` picks the functional-simulator execution
 (``vector`` is the default fast path; ``loop`` is the bit-exactness
 oracle), and ``--perf-report`` prints phase timings and cache statistics
 after the command finishes.
+
+Invalid input (a :class:`~repro.errors.ConfigError`, e.g. ``serve --rate
+nan``) prints ``error: <message>`` on stderr and exits 2, argparse's
+usage-error code.
 """
 
 from __future__ import annotations
@@ -850,8 +852,6 @@ def cmd_capacity(args: argparse.Namespace) -> int:
         abft=args.abft,
         plan_policy=args.policy,
         prune=not args.no_prune,
-        persist_cache=not args.no_persist_cache,
-        cache_dir=args.cache_dir or None,
         progress=progress,
     )
     _emit_json(
@@ -1410,16 +1410,6 @@ def main(argv=None) -> int:
         "--no-prune", action="store_true", help="simulate every candidate (skip bounds pruning)"
     )
     p_cap.add_argument(
-        "--no-persist-cache",
-        action="store_true",
-        help="do not persist the schedule cache to disk for this run",
-    )
-    p_cap.add_argument(
-        "--cache-dir",
-        default="",
-        help=f"plan-cache directory (default {'.repro-plan-cache'!r} or $REPRO_PLAN_CACHE_DIR)",
-    )
-    p_cap.add_argument(
         "--progress", action="store_true", help="log per-candidate progress to stderr"
     )
     p_cap.add_argument("--top", type=int, default=0, help="show only the N best deployments")
@@ -1529,8 +1519,14 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    from repro.errors import ConfigError
+
     try:
         sys.exit(main())
     except BrokenPipeError:
         # output piped into a pager/head that closed early — not an error
         sys.exit(0)
+    except ConfigError as exc:
+        # bad input is a usage error, reported like argparse's (exit 2)
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

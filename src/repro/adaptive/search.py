@@ -126,24 +126,19 @@ _WINNER_MEMO: "OrderedDict[Tuple, str]" = OrderedDict()
 _WINNER_MEMO_MAX = 4096
 
 
-def best_scheme_name_for_layer(
-    ctx: LayerContext,
-    config: AcceleratorConfig,
-    candidates: Sequence[str] = CANDIDATE_SCHEMES,
-    objective: str = "cycles",
-) -> str:
-    """The oracle winner's scheme name, memoized.
+def best_scheme_name_for_layer(ctx: LayerContext, config: AcceleratorConfig) -> str:
+    """The cycle oracle's winning scheme name, memoized.
 
     A replanned layer costs one dict probe instead of re-ranking every
     candidate; disabled together with the schedule cache so
     ``--no-plan-cache`` reproduces the fully uncached pipeline.
     """
     if not schedule_cache.enabled:
-        return best_scheme_for_layer(ctx, config, candidates, objective).scheme
-    key = (layer_key(ctx), config_key(config), tuple(candidates), objective)
+        return best_scheme_for_layer(ctx, config).scheme
+    key = (layer_key(ctx), config_key(config))
     name = _WINNER_MEMO.get(key)
     if name is None:
-        name = best_scheme_for_layer(ctx, config, candidates, objective).scheme
+        name = best_scheme_for_layer(ctx, config).scheme
         _WINNER_MEMO[key] = name
         if len(_WINNER_MEMO) > _WINNER_MEMO_MAX:
             _WINNER_MEMO.popitem(last=False)
@@ -151,17 +146,16 @@ def best_scheme_name_for_layer(
 
 
 def _search_layer_task(
-    payload: Tuple[LayerContext, AcceleratorConfig, Tuple[str, ...], str]
+    payload: Tuple[LayerContext, AcceleratorConfig, str]
 ) -> SearchOutcome:
     """Picklable per-layer unit of work for the parallel oracle."""
-    ctx, config, candidates, objective = payload
-    return best_scheme_for_layer(ctx, config, candidates, objective=objective)
+    ctx, config, objective = payload
+    return best_scheme_for_layer(ctx, config, objective=objective)
 
 
 def search_network(
     net: Network,
     config: AcceleratorConfig,
-    candidates: Sequence[str] = CANDIDATE_SCHEMES,
     objective: str = "cycles",
     jobs: Optional[int] = None,
 ) -> List[SearchOutcome]:
@@ -172,8 +166,5 @@ def search_network(
     identical either way.
     """
     with phase("search_network"):
-        payloads = [
-            (ctx, config, tuple(candidates), objective)
-            for ctx in net.conv_contexts()
-        ]
+        payloads = [(ctx, config, objective) for ctx in net.conv_contexts()]
         return parallel_map(_search_layer_task, payloads, jobs=jobs)

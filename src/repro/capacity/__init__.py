@@ -33,7 +33,6 @@ from repro.capacity.bounds import (
 from repro.capacity.forecast import FORECAST_KINDS, ForecastSpec
 from repro.capacity.grid import STRATEGIES, Candidate, CandidateGrid
 from repro.capacity.planner import (
-    DEFAULT_CACHE_DIR,
     FaultModel,
     plan_capacity,
     render_report,
@@ -43,7 +42,6 @@ from repro.capacity.planner import (
 __all__ = [
     "Candidate",
     "CandidateGrid",
-    "DEFAULT_CACHE_DIR",
     "FORECAST_KINDS",
     "FaultModel",
     "ForecastSpec",

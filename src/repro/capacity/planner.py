@@ -15,8 +15,7 @@ which deployment should I buy?*  The search runs in three phases:
    candidate's topology (a crashed chip takes its whole pipeline group or
    all its co-resident partitions down with it).  Candidates fan out over
    worker processes via :func:`~repro.perf.parallel.parallel_map`; every
-   per-layer schedule goes through the plan cache, persisted on disk by
-   default so repeated what-ifs start warm.
+   per-layer schedule goes through the in-memory plan cache.
 3. **rank** — feasible candidates (healthy worst-tenant attainment meets
    the target) by cost per million good requests, then infeasible ones by
    how close they come.  If pruning left no feasible survivor, a *rescue
@@ -31,7 +30,6 @@ cache counters are text-report only).
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -45,15 +43,12 @@ from repro.perf.parallel import parallel_map
 from repro.serve.metrics import to_json
 
 __all__ = [
-    "DEFAULT_CACHE_DIR",
     "FaultModel",
     "plan_capacity",
     "render_report",
     "report_to_json",
 ]
 
-#: planner-local plan-cache directory (created on demand, safe to delete)
-DEFAULT_CACHE_DIR = ".repro-plan-cache"
 #: chance that an SDC window corrupts each batch it covers
 SDC_PER_BATCH = 1.0
 
@@ -288,8 +283,6 @@ def _evaluate_payload(
     delta = {
         "hits": after.hits - before.hits,
         "misses": after.misses - before.misses,
-        "disk_hits": after.disk_hits - before.disk_hits,
-        "disk_writes": after.disk_writes - before.disk_writes,
     }
     entry: Dict[str, object] = {
         "healthy": _trim(healthy),
@@ -318,30 +311,17 @@ def plan_capacity(
     plan_policy: str = "adaptive-2",
     jobs: Optional[int] = None,
     prune: bool = True,
-    persist_cache: bool = True,
-    cache_dir: Optional[str] = None,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> Dict[str, object]:
     """Search the grid against the forecast; return the ranked report.
 
-    ``persist_cache`` (default on) points the process-wide schedule cache
-    at an on-disk directory — ``cache_dir``, else ``$REPRO_PLAN_CACHE_DIR``,
-    else ``.repro-plan-cache`` under the current directory — so repeated
-    what-ifs and the benchmark's rerun gate start warm.  ``progress`` is
-    called as ``progress(done, total)`` after each simulated candidate.
-    The returned dict's ``"cache"`` section is volatile (counters differ
-    across ``--jobs`` and warm/cold disk); :func:`report_to_json` strips
-    it so the ranked JSON is byte-stable.
+    ``progress`` is called as ``progress(done, total)`` after each
+    simulated candidate.  The returned dict's ``"cache"`` section is
+    volatile (counters differ across ``--jobs`` and cache warmth);
+    :func:`report_to_json` strips it so the ranked JSON is byte-stable.
     """
     if not 0 < slo_target <= 1:
         raise ConfigError(f"slo_target must be in (0, 1], got {slo_target!r}")
-    if persist_cache:
-        directory = (
-            cache_dir
-            or os.environ.get("REPRO_PLAN_CACHE_DIR")
-            or DEFAULT_CACHE_DIR
-        )
-        schedule_cache.configure(persist_dir=directory)
     stats_before = schedule_cache.stats()
 
     candidates = grid.enumerate()
@@ -389,7 +369,7 @@ def plan_capacity(
         )
 
     evaluated: Dict[str, Dict[str, object]] = {}
-    cache_delta = {"hits": 0, "misses": 0, "disk_hits": 0, "disk_writes": 0}
+    cache_delta = {"hits": 0, "misses": 0}
 
     def absorb(batch: List[Candidate], results: List) -> None:
         for candidate, result in zip(batch, results):
@@ -476,15 +456,12 @@ def plan_capacity(
         "deployments": deployments,
         "ranking": ranking,
         "winner": ranking[0],
-        # volatile: counters depend on --jobs and warm/cold disk state;
+        # volatile: counters depend on --jobs and cache warmth;
         # report_to_json strips this section to keep the ranking byte-stable
         "cache": {
             "workers": dict(cache_delta),
             "planner_hits": stats_after.hits - stats_before.hits,
             "planner_misses": stats_after.misses - stats_before.misses,
-            "disk_hits": stats_after.disk_hits - stats_before.disk_hits,
-            "disk_writes": stats_after.disk_writes - stats_before.disk_writes,
-            "persist_dir": stats_after.persist_dir,
         },
     }
     return report
@@ -543,19 +520,11 @@ def render_report(report: Dict[str, object], top: int = 0) -> str:
     )
     lines.append("")
     lines.append(f"winner: {report['winner']}")
-    cache = report["cache"]
-    workers = cache["workers"]
+    workers = report["cache"]["workers"]
     lookups = workers["hits"] + workers["misses"]
     rate = workers["hits"] / lookups if lookups else 0.0
     lines.append(
         f"plan cache: {workers['hits']} hits / {workers['misses']} misses "
-        f"({rate:.1%}) in workers, "
-        f"{cache['disk_hits'] + workers['disk_hits']} disk hits, "
-        f"{cache['disk_writes'] + workers['disk_writes']} disk writes"
-        + (
-            f", dir {cache['persist_dir']}"
-            if cache["persist_dir"]
-            else " (persistence off)"
-        )
+        f"({rate:.1%}) in workers"
     )
     return "\n".join(lines)

@@ -11,8 +11,8 @@ one-line change (:func:`compare_deployments`).
 Latency semantics per strategy:
 
 * ``pipeline`` — a dispatched batch streams image-by-image through the
-  stage pipeline: ``fill + (B - 1) * bottleneck``.  The partition is
-  batch-independent, planned once per network.
+  stage pipeline: ``fill + (B - 1) * bottleneck``.  The DP-balanced
+  partition is batch-independent, planned once per network.
 * ``data-parallel`` — the batch is sharded across the replicas:
   ``scatter + max shard compute + gather``, planned per (network, B).
 """
@@ -47,9 +47,7 @@ class PipelinedReplica:
         n_chips: int,
         link: LinkSpec = LinkSpec(),
         strategy: str = "pipeline",
-        partition: str = "dp",
         policy: str = "adaptive-2",
-        include_non_conv: bool = True,
     ) -> None:
         if strategy not in SHARD_STRATEGIES:
             raise ConfigError(
@@ -67,9 +65,7 @@ class PipelinedReplica:
         self.n_chips = n_chips
         self.link = link
         self.strategy = strategy
-        self.partition = partition
         self.policy = policy
-        self.include_non_conv = include_non_conv
         self._networks: Dict[str, Network] = {}
         self._pipelines: Dict[str, PipelinePlan] = {}
         self._dp_plans: Dict[Tuple[str, int], DataParallelPlan] = {}
@@ -92,8 +88,6 @@ class PipelinedReplica:
                 self.n_chips,
                 link=self.link,
                 policy=self.policy,
-                strategy=self.partition,
-                include_non_conv=self.include_non_conv,
             )
         return plan
 
@@ -109,7 +103,6 @@ class PipelinedReplica:
                 link=self.link,
                 batch_size=batch_size,
                 policy=self.policy,
-                include_non_conv=self.include_non_conv,
             )
         return plan
 

@@ -31,9 +31,8 @@ a mis-behaving controller must never be able to shrink a healthy fleet.
 :func:`apply_fault_schedule` threads a data-plane
 :class:`~repro.resilience.faults.FaultSchedule` through an
 :class:`~repro.serve.engine.AdaptiveServingEngine` — crashes armed as
-batch-boundary fail-stops, fail-slow windows, timed per-replica PE masks
-(with the naive frozen-schedule slowdown until someone replans), and link
-faults as fleet-wide service windows.
+batch-boundary fail-stops, fail-slow windows and timed per-replica PE
+masks (with the naive frozen-schedule slowdown until someone replans).
 """
 
 from __future__ import annotations
@@ -426,12 +425,15 @@ def naive_mask_factor(config: AcceleratorConfig, masked_cols: int, masked_rows: 
 def check_armable(schedule: FaultSchedule) -> None:
     """Refuse fault kinds :func:`apply_fault_schedule` cannot arm.
 
-    SDC windows need the verified-inference tier of
-    :class:`~repro.serve.failover.FailoverEngine`, and a static ``pe_mask``
-    degrades every replica from t=0, which the control scenarios express
-    as timed ``mask_faults`` instead.
+    Link faults need an inter-chip pipeline to price and SDC windows need
+    the verified-inference tier, both of which
+    :class:`~repro.serve.failover.FailoverEngine` has; a static
+    ``pe_mask`` degrades every replica from t=0, which the control
+    scenarios express as timed ``mask_faults`` instead.
     """
     unsupported = []
+    if schedule.link_faults:
+        unsupported.append("link_faults")
     if schedule.sdc_faults:
         unsupported.append("sdc_faults")
     if schedule.pe_mask is not None and not schedule.pe_mask.is_noop:
@@ -439,8 +441,9 @@ def check_armable(schedule: FaultSchedule) -> None:
     if unsupported:
         raise ConfigError(
             f"the adaptive engine cannot arm {' or '.join(unsupported)}; "
-            f"serve SDC windows through repro.resilience.scenarios and "
-            f"express PE masks as timed mask_faults"
+            f"price link faults and serve SDC windows through "
+            f"repro.resilience.scenarios, and express PE masks as timed "
+            f"mask_faults"
         )
 
 
@@ -448,7 +451,6 @@ def apply_fault_schedule(
     engine: AdaptiveServingEngine,
     schedule: FaultSchedule,
     config: AcceleratorConfig,
-    link_windows: Sequence[Tuple[float, float, float]] = (),
 ) -> None:
     """Arm a data-plane fault schedule on a live adaptive engine.
 
@@ -456,14 +458,10 @@ def apply_fault_schedule(
       boundary fail-stop, applied at the exact fault instant mid-epoch);
     * fail-slow → :meth:`~AdaptiveServingEngine.set_slow` windows;
     * timed PE masks → :meth:`~AdaptiveServingEngine.mark_degraded` at the
-      naive frozen-schedule factor (the control plane replans later);
-    * link faults → fleet-wide service windows.  The caller prices each
-      fault into a service multiplier (``link_windows``) because that
-      needs pipeline context the engine does not have; the schedule's raw
-      link faults are refused here if no pricing was supplied.
+      naive frozen-schedule factor (the control plane replans later).
 
-    SDC windows and a static ``pe_mask`` have no adaptive-engine analogue;
-    :func:`check_armable` refuses them.
+    Link faults, SDC windows and a static ``pe_mask`` have no
+    adaptive-engine analogue; :func:`check_armable` refuses them.
     """
     check_armable(schedule)
     schedule.validate_for(len(engine.replicas))
@@ -484,11 +482,3 @@ def apply_fault_schedule(
             factor,
             mask_fault.time_s,
         )
-    if schedule.link_faults and not link_windows:
-        raise ConfigError(
-            "schedule has link faults but no priced link_windows were "
-            "supplied; compute service multipliers from the pipeline plan"
-        )
-    for from_s, until_s, factor in link_windows:
-        if factor > 1.0:
-            engine.add_service_window(from_s, until_s, factor)

@@ -223,11 +223,6 @@ class ControlChaosScenario:
             raise ConfigError(
                 f"recovery_frac must be in (0, 1], got {self.recovery_frac!r}"
             )
-        if self.data_faults.link_faults:
-            raise ConfigError(
-                "control scenarios have no inter-chip pipeline context; "
-                "price link faults via repro.resilience.scenarios instead"
-            )
         check_armable(self.data_faults)
         self.data_faults.validate_for(self.replicas)
 

@@ -619,7 +619,6 @@ class SelfHealingControlLoop:
         batch_policy: BatchPolicy = BatchPolicy(),
         queue_policy: QueuePolicy = QueuePolicy(),
         replicas: int = 1,
-        routing: str = "least-loaded",
         plan_policy: str = "adaptive-2",
         coster: Optional[BatchCoster] = None,
         fleet: Optional[FleetSpec] = None,
@@ -647,7 +646,7 @@ class SelfHealingControlLoop:
             batch_policy=batch_policy,
             queue_policy=queue_policy,
             replicas=replicas,
-            routing=routing,
+            routing="least-loaded",
             plan_policy=plan_policy,
             coster=coster,
             chip_map=chip_map,
@@ -795,7 +794,6 @@ class SelfHealingControlLoop:
         duration_s: float,
         extra_meta: Optional[Dict[str, object]] = None,
         data_faults: Optional[FaultSchedule] = None,
-        link_windows: Sequence[Tuple[float, float, float]] = (),
     ) -> ControlReport:
         """Serve ``requests`` under closed-loop control.
 
@@ -806,7 +804,7 @@ class SelfHealingControlLoop:
         """
         check_positive("duration", duration_s)
         with phase("control_run"):
-            return self._run(requests, duration_s, extra_meta, data_faults, link_windows)
+            return self._run(requests, duration_s, extra_meta, data_faults)
 
     def _run(
         self,
@@ -814,12 +812,11 @@ class SelfHealingControlLoop:
         duration_s: float,
         extra_meta: Optional[Dict[str, object]],
         data_faults: Optional[FaultSchedule],
-        link_windows: Sequence[Tuple[float, float, float]],
     ) -> ControlReport:
         engine = self.engine
         policy = self.autoscale
         if data_faults is not None and not data_faults.is_empty:
-            apply_fault_schedule(engine, data_faults, self.config, link_windows)
+            apply_fault_schedule(engine, data_faults, self.config)
         engine.ingest(requests)
         self.planner.notify_batcher(
             engine.batch_policy.max_batch, engine.batch_policy.max_wait_ms

@@ -34,6 +34,9 @@ from repro.serve.workload import Request, TenantSpec
 
 __all__ = ["ControlReport", "run_static", "static_fleet_sizes"]
 
+#: capacity headroom of the static baselines (the autoscaler's default)
+HEADROOM = 0.25
+
 
 @dataclass
 class ControlReport:
@@ -61,14 +64,13 @@ def static_fleet_sizes(
     mean_rate_rps: float,
     peak_rate_rps: float,
     max_batch: int,
-    headroom: float = 0.25,
 ) -> Tuple[int, int]:
     """(mean-provisioned, peak-provisioned) static fleet sizes.
 
     Uses the same blended capacity model as the planner — seconds per
-    request averaged over the tenants' weight shares — so the baselines
-    are sized by the identical arithmetic the autoscaler uses, not a
-    hand-picked number.
+    request averaged over the tenants' weight shares, plus
+    :data:`HEADROOM` — so the baselines are sized by the identical
+    arithmetic the autoscaler uses, not a hand-picked number.
     """
     if peak_rate_rps < mean_rate_rps:
         raise ConfigError(
@@ -79,8 +81,8 @@ def static_fleet_sizes(
         coster, [(t.network, t.weight / total_weight) for t in tenants], max_batch
     )
     capacity = 1.0 / sec_per_req
-    mean_n = max(1, math.ceil(mean_rate_rps * (1 + headroom) / capacity - 1e-9))
-    peak_n = max(1, math.ceil(peak_rate_rps * (1 + headroom) / capacity - 1e-9))
+    mean_n = max(1, math.ceil(mean_rate_rps * (1 + HEADROOM) / capacity - 1e-9))
+    peak_n = max(1, math.ceil(peak_rate_rps * (1 + HEADROOM) / capacity - 1e-9))
     return mean_n, peak_n
 
 
@@ -91,12 +93,11 @@ def run_static(
     replicas: int,
     batch_policy: BatchPolicy = BatchPolicy(),
     queue_policy: QueuePolicy = QueuePolicy(),
-    routing: str = "least-loaded",
     plan_policy: str = "adaptive-2",
     coster: Optional[BatchCoster] = None,
-    extra_meta: Optional[Dict[str, object]] = None,
 ) -> Tuple[ServingReport, float]:
-    """Serve the workload on a fixed fleet; returns (report, chip-seconds).
+    """Serve the workload on a fixed least-loaded fleet; returns (report,
+    chip-seconds).
 
     Chip-seconds for a static fleet are ``replicas * makespan`` — the
     provisioned chips are held for the entire run, which is exactly the
@@ -107,10 +108,10 @@ def run_static(
         batch_policy=batch_policy,
         queue_policy=queue_policy,
         replicas=replicas,
-        routing=routing,
+        routing="least-loaded",
         plan_policy=plan_policy,
         coster=coster,
     )
-    report = engine.run(requests, duration_s, extra_meta=extra_meta)
+    report = engine.run(requests, duration_s)
     chip_seconds = replicas * float(report.summary["makespan_s"])
     return report, chip_seconds

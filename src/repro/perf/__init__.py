@@ -22,7 +22,6 @@ from repro.perf.cache import (
     CacheStats,
     ScheduleCache,
     cached_schedule,
-    canonical_key,
     config_key,
     layer_key,
     schedule_cache,
@@ -39,7 +38,6 @@ __all__ = [
     "CacheStats",
     "ScheduleCache",
     "cached_schedule",
-    "canonical_key",
     "config_key",
     "layer_key",
     "schedule_cache",

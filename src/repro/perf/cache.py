@@ -21,27 +21,16 @@ Illegal mappings are cached too (negative entries): the oracle probes every
 candidate scheme on every layer, and "partition cannot map this geometry"
 is just as deterministic as a successful schedule.
 
-The cache is LRU-bounded, counts hits/misses/evictions, and can be disabled
-globally (``--no-plan-cache`` / ``REPRO_NO_PLAN_CACHE=1``) or per instance.
-Entries are defensive copies in both directions — callers may freely mutate
-returned results without corrupting the cache.
-
-Opt-in on-disk persistence (``REPRO_PLAN_CACHE_DIR=/path`` or
-``configure(persist_dir=...)``) spills every entry — including negative
-ones — to one versioned pickle per content digest, so repeated sweep and
-planner invocations across processes and CI runs start warm.  Writes are
-atomic (tmp file + ``os.replace``), loads verify the stored key against
-the requested one (a digest collision or stale format loses to a re-plan,
-never to a wrong answer), and every disk error is swallowed and counted —
-a broken cache directory degrades to a cold cache, not a crash.
-``clear()`` drops only the in-memory entries; the directory is yours.
+The cache is one in-memory LRU per process: it counts hits, misses and
+evictions, and can be disabled globally (``--no-plan-cache`` /
+``REPRO_NO_PLAN_CACHE=1``) or per instance.  Entries are defensive copies
+in both directions — callers may freely mutate returned results without
+corrupting the cache.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -61,7 +50,6 @@ __all__ = [
     "cached_schedule",
     "layer_key",
     "config_key",
-    "canonical_key",
     "DEFAULT_MAXSIZE",
 ]
 
@@ -102,12 +90,6 @@ def config_key(config: AcceleratorConfig) -> Tuple:
     )
 
 
-def canonical_key(scheme_name: str, ctx: LayerContext, config: AcceleratorConfig) -> str:
-    """Stable content-address digest of one cache entry (for reporting)."""
-    raw = repr((scheme_name, layer_key(ctx), config_key(config)))
-    return hashlib.sha1(raw.encode("utf-8")).hexdigest()
-
-
 @dataclass(frozen=True)
 class CacheStats:
     """Snapshot of one cache's counters."""
@@ -118,10 +100,6 @@ class CacheStats:
     size: int
     maxsize: int
     enabled: bool
-    disk_hits: int = 0
-    disk_writes: int = 0
-    disk_errors: int = 0
-    persist_dir: Optional[str] = None
 
     @property
     def lookups(self) -> int:
@@ -165,60 +143,28 @@ def _copy_result(
 class ScheduleCache:
     """LRU memo of per-layer schedule results, keyed by content."""
 
-    #: bump when the pickle payload layout changes; mismatched files are
-    #: silently ignored (treated as a miss) rather than migrated
-    _PERSIST_FORMAT = 1
-
-    def __init__(
-        self,
-        maxsize: int = DEFAULT_MAXSIZE,
-        enabled: bool = True,
-        persist_dir: Optional[str] = None,
-    ) -> None:
+    def __init__(self, maxsize: int = DEFAULT_MAXSIZE, enabled: bool = True) -> None:
         self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
         self._lock = threading.Lock()
         self._schemes: Dict[str, Scheme] = {}
         self.maxsize = maxsize
         self.enabled = enabled
-        self.persist_dir = persist_dir or None
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.disk_hits = 0
-        self.disk_writes = 0
-        self.disk_errors = 0
 
     # -- configuration ----------------------------------------------------
 
-    def configure(
-        self,
-        enabled: Optional[bool] = None,
-        maxsize: Optional[int] = None,
-        persist_dir: Optional[str] = None,
-    ) -> None:
-        """Flip the enable switch, resize the LRU bound, or point the cache
-        at an on-disk directory (``""`` turns persistence off again)."""
+    def configure(self, enabled: bool) -> None:
+        """Flip the enable switch (``--no-plan-cache``)."""
         with self._lock:
-            if enabled is not None:
-                self.enabled = enabled
-            if maxsize is not None:
-                self.maxsize = maxsize
-                while len(self._entries) > self.maxsize:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
-            if persist_dir is not None:
-                self.persist_dir = persist_dir or None
+            self.enabled = enabled
 
     def clear(self) -> None:
-        """Drop all in-memory entries and zero the counters.
-
-        The on-disk directory (if any) is left untouched — it is shared
-        state across processes; delete its files to cold-start it.
-        """
+        """Drop all entries and zero the counters."""
         with self._lock:
             self._entries.clear()
             self.hits = self.misses = self.evictions = 0
-            self.disk_hits = self.disk_writes = self.disk_errors = 0
 
     def stats(self) -> CacheStats:
         with self._lock:
@@ -229,10 +175,6 @@ class ScheduleCache:
                 size=len(self._entries),
                 maxsize=self.maxsize,
                 enabled=self.enabled,
-                disk_hits=self.disk_hits,
-                disk_writes=self.disk_writes,
-                disk_errors=self.disk_errors,
-                persist_dir=self.persist_dir,
             )
 
     def __len__(self) -> int:
@@ -264,17 +206,6 @@ class ScheduleCache:
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-        if entry is None:
-            entry = self._disk_load(key)
-            if entry is not None:
-                with self._lock:
-                    self.hits += 1
-                    self.disk_hits += 1
-                    self._entries[key] = entry
-                    self._entries.move_to_end(key)
-                    while len(self._entries) > self.maxsize:
-                        self._entries.popitem(last=False)
-                        self.evictions += 1
         if entry is not None:
             if isinstance(entry, tuple) and entry[0] is _ILLEGAL:
                 raise ScheduleError(entry[1])
@@ -295,62 +226,11 @@ class ScheduleCache:
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-        self._disk_store(key, entry)
-
-    # -- optional on-disk persistence --------------------------------------
-
-    def _disk_path(self, key: Tuple) -> str:
-        digest = hashlib.sha1(repr(key).encode("utf-8")).hexdigest()
-        return os.path.join(self.persist_dir, digest + ".pkl")  # type: ignore[arg-type]
-
-    def _disk_load(self, key: Tuple) -> Optional[object]:
-        """Fetch one entry from the persist directory; None on any problem."""
-        if not self.persist_dir:
-            return None
-        try:
-            with open(self._disk_path(key), "rb") as handle:
-                payload = pickle.load(handle)
-            version, stored_key, entry = payload
-        except FileNotFoundError:
-            return None
-        except Exception:
-            with self._lock:
-                self.disk_errors += 1
-            return None
-        # a digest collision or a stale format must lose to a re-plan,
-        # never produce a wrong schedule
-        if version != self._PERSIST_FORMAT or stored_key != key:
-            return None
-        if isinstance(entry, tuple) and entry and entry[0] == _ILLEGAL:
-            # re-intern the sentinel: the memory path compares by identity
-            entry = (_ILLEGAL,) + tuple(entry[1:])
-        return entry
-
-    def _disk_store(self, key: Tuple, entry: object) -> None:
-        """Spill one entry to the persist directory; errors count, not raise."""
-        if not self.persist_dir:
-            return
-        try:
-            os.makedirs(self.persist_dir, exist_ok=True)
-            path = self._disk_path(key)
-            tmp = f"{path}.tmp.{os.getpid()}"
-            with open(tmp, "wb") as handle:
-                pickle.dump((self._PERSIST_FORMAT, key, entry), handle)
-            os.replace(tmp, path)
-            with self._lock:
-                self.disk_writes += 1
-        except Exception:
-            with self._lock:
-                self.disk_errors += 1
 
 
 #: process-wide cache used by the planner, the oracle and the sweeps;
-#: REPRO_NO_PLAN_CACHE=1 (or --no-plan-cache on the CLI) disables it, and
-#: REPRO_PLAN_CACHE_DIR=/path persists it across processes.
-schedule_cache = ScheduleCache(
-    enabled=not os.environ.get("REPRO_NO_PLAN_CACHE"),
-    persist_dir=os.environ.get("REPRO_PLAN_CACHE_DIR") or None,
-)
+#: REPRO_NO_PLAN_CACHE=1 (or --no-plan-cache on the CLI) disables it
+schedule_cache = ScheduleCache(enabled=not os.environ.get("REPRO_NO_PLAN_CACHE"))
 
 
 def cached_schedule(

@@ -92,9 +92,4 @@ def render_perf_report(recorder: Optional[PerfRecorder] = None, cache=None) -> s
         f"{stats.size}/{stats.maxsize} entries"
     )
     lines.append(f"scheme evaluations avoided: {stats.evaluations_avoided}")
-    if stats.persist_dir:
-        lines.append(
-            f"plan cache disk ({stats.persist_dir}): {stats.disk_hits} hits, "
-            f"{stats.disk_writes} writes, {stats.disk_errors} errors"
-        )
     return "\n".join(lines)

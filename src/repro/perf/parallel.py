@@ -66,7 +66,6 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     jobs: Optional[int] = None,
-    chunksize: Optional[int] = None,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> List[R]:
     """``[fn(x) for x in items]`` — possibly on a process pool.
@@ -98,8 +97,9 @@ def parallel_map(
 
     if workers <= 1:
         return serial()
-    if chunksize is None:
-        chunksize = max(1, total // (workers * 4))
+    # about four chunks per worker: few enough to amortize IPC, enough to
+    # balance uneven items
+    chunksize = max(1, total // (workers * 4))
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             if progress is None:

@@ -143,23 +143,20 @@ def geometry_flips(
 
 
 def replan_degraded(
-    net: Network,
-    config: AcceleratorConfig,
-    mask: PEMask,
-    policy: str = "adaptive-2",
-    include_non_conv: bool = False,
+    net: Network, config: AcceleratorConfig, mask: PEMask
 ) -> DegradeReport:
-    """Re-run Algorithm 2 and the planner under a PE mask.
+    """Re-run Algorithm 2 (``adaptive-2``) and the conv planner under a PE mask.
 
     Both passes go through the schedule cache; the degraded config's
     distinct ``tin``/``tout`` give it distinct cache keys, so replanning
     never pollutes the healthy entries (and a repeated chaos sweep hits
     the cache on both sides).
     """
+    policy = "adaptive-2"
     degraded = degraded_config(config, mask)
     flips = geometry_flips(net, config, degraded, policy)
-    healthy_run = plan_network(net, config, policy, include_non_conv=include_non_conv)
-    degraded_run = plan_network(net, degraded, policy, include_non_conv=include_non_conv)
+    healthy_run = plan_network(net, config, policy)
+    degraded_run = plan_network(net, degraded, policy)
     return DegradeReport(
         network=net.name,
         policy=policy,

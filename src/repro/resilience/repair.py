@@ -72,8 +72,6 @@ def repair_pipeline(
     n_chips: int,
     lost_chips: Sequence[int],
     link: LinkSpec = LinkSpec(),
-    policy: str = "adaptive-2",
-    include_non_conv: bool = True,
 ) -> RepairPlan:
     """Rebalance an ``n_chips`` pipeline after losing ``lost_chips``.
 
@@ -99,14 +97,8 @@ def repair_pipeline(
         raise ConfigError(
             f"all {n_chips} chips lost; nothing left to rebalance onto"
         )
-    healthy = plan_pipeline(
-        net, config, n_chips, link=link, policy=policy,
-        strategy="dp", include_non_conv=include_non_conv,
-    )
-    repaired = plan_pipeline(
-        net, config, len(survivors), link=link, policy=policy,
-        strategy="dp", include_non_conv=include_non_conv,
-    )
+    healthy = plan_pipeline(net, config, n_chips, link=link)
+    repaired = plan_pipeline(net, config, len(survivors), link=link)
 
     old_home: Dict[str, int] = {}
     for stage in healthy.stages:

@@ -75,19 +75,13 @@ class BatchPolicy:
 class BatchCoster:
     """Memoized batch latency model on top of ``plan_batch``.
 
-    Costs cover the *full* forward pass by default (conv + pooling + FC +
-    LRN) — FC amortization is the whole point of batching a serving tier.
+    Costs cover the *full* forward pass (conv + pooling + FC + LRN) — FC
+    amortization is the whole point of batching a serving tier.
     """
 
-    def __init__(
-        self,
-        config: AcceleratorConfig,
-        policy: str = "adaptive-2",
-        include_non_conv: bool = True,
-    ) -> None:
+    def __init__(self, config: AcceleratorConfig, policy: str = "adaptive-2") -> None:
         self.config = config
         self.policy = policy
-        self.include_non_conv = include_non_conv
         self._networks: Dict[str, Network] = {}
         #: (network, B) -> (planned run, its seconds on one replica)
         self._runs: Dict[Tuple[str, int], Tuple[BatchRun, float]] = {}
@@ -110,11 +104,7 @@ class BatchCoster:
             return memo
         self.memo_misses += 1
         run = plan_batch(
-            self._network(network),
-            self.config,
-            self.policy,
-            batch_size=batch_size,
-            include_non_conv=self.include_non_conv,
+            self._network(network), self.config, self.policy, batch_size=batch_size
         )
         memo = self._runs[key] = (run, self.config.cycles_to_seconds(run.total_cycles))
         return memo

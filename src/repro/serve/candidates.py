@@ -25,8 +25,8 @@ can be a whole sharded deployment).  Identical configs share one memoized
 coster via ``coster_memo`` so planning work is never repeated across
 candidates in a race.
 
-When a fault schedule, SDC windows, service windows or a verification
-policy are supplied, the run goes through the
+When a fault schedule, SDC windows or a verification policy are
+supplied, the run goes through the
 :class:`~repro.serve.failover.FailoverEngine` instead (which models them);
 that engine is single-coster, so faulted candidates must be homogeneous —
 exactly one group.
@@ -132,8 +132,6 @@ def evaluate_candidate(
     candidate: str = "candidate",
     extra_meta: Optional[Dict[str, object]] = None,
     faults: Sequence[object] = (),
-    failover_policy: Optional[object] = None,
-    service_windows: Sequence[Tuple[float, float, float]] = (),
     sdc_faults: Sequence[object] = (),
     verification: Optional[object] = None,
 ) -> Dict[str, object]:
@@ -145,9 +143,7 @@ def evaluate_candidate(
     only — exactly one group), so planners can score the same candidate
     healthy and under chaos through one call signature.
     """
-    faulted = bool(faults or sdc_faults or service_windows) or (
-        verification is not None or failover_policy is not None
-    )
+    faulted = bool(faults or sdc_faults) or verification is not None
     lead_config, replica_costers, chip_map = build_replica_set(
         groups,
         plan_policy=plan_policy,
@@ -156,7 +152,7 @@ def evaluate_candidate(
         candidate=candidate,
     )
     if faulted:
-        from repro.serve.failover import FailoverEngine, FailoverPolicy
+        from repro.serve.failover import FailoverEngine
 
         if len(groups) != 1:
             raise ConfigError(
@@ -172,8 +168,6 @@ def evaluate_candidate(
             plan_policy=plan_policy,
             coster=replica_costers[0],
             faults=faults,
-            failover_policy=failover_policy or FailoverPolicy(),
-            service_windows=service_windows,
             sdc_faults=sdc_faults,
             verification=verification,
         )

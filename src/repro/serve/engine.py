@@ -345,8 +345,6 @@ class AdaptiveServingEngine:
         self.fleet_events: List[Tuple[float, str, Optional[int], str]] = []
         #: armed fail-stops, (at_s, rid, reason) sorted by time
         self._crashes: List[Tuple[float, int, str]] = []
-        #: fleet-wide (from_s, until_s, factor) service windows (link faults)
-        self._service_windows: List[Tuple[float, float, float]] = []
 
     # -- fleet state -------------------------------------------------------
 
@@ -398,33 +396,17 @@ class AdaptiveServingEngine:
                 )
         self._pending.extend(fresh)
 
-    def add_replica(
-        self,
-        chip: Optional[str] = None,
-        chip_share: float = 1.0,
-        coster: Optional[BatchCoster] = None,
-    ) -> int:
+    def add_replica(self, chip: Optional[str] = None) -> int:
         """Provision one replica now; returns its (never-reused) rid.
 
-        ``chip``/``chip_share`` tag the replica with its hosting chip for
-        shared-chip accounting (a partition joining an already-provisioned
-        chip), and ``coster`` overrides the fleet coster so mixed chip
-        classes can scale side by side.
+        ``chip`` tags the replica with its hosting chip for per-chip
+        accounting; it is costed by the fleet coster.
         """
-        if not 0 < chip_share <= 1:
-            raise ConfigError(
-                f"chip_share must be in (0, 1], got {chip_share!r}"
-            )
         rid = self._next_rid
         self._next_rid += 1
-        state = AdaptiveReplica(rid, free_at=self._now, added_s=self._now)
-        if chip is not None:
-            state.chip = chip
-            state.chip_share = chip_share
+        state = AdaptiveReplica(rid, free_at=self._now, added_s=self._now, chip=chip)
         self.replicas.append(state)
         self._active.append(state)
-        if coster is not None:
-            self._replica_costers[rid] = coster
         self.fleet_events.append(
             (self._now, "add", rid, chip if chip is not None else "")
         )
@@ -494,24 +476,6 @@ class AdaptiveServingEngine:
             raise ConfigError(f"replica {rid} already has a crash scheduled")
         self._crashes.append((at_s, rid, reason))
         self._crashes.sort(key=lambda c: (c[0], c[1]))
-
-    def add_service_window(
-        self, from_s: float, until_s: float, factor: float
-    ) -> None:
-        """A fleet-wide service-time window (a degraded interconnect).
-
-        Every dispatch inside ``[from_s, until_s)`` pays ``factor`` on top
-        of any per-replica slowdown — link faults hit all replicas at once,
-        replica faults hit one.
-        """
-        if factor < 1:
-            raise ConfigError(f"service factor must be >= 1, got {factor!r}")
-        if not until_s > from_s:
-            raise ConfigError(
-                f"service window must have until > from, "
-                f"got [{from_s!r}, {until_s!r})"
-            )
-        self._service_windows.append((from_s, until_s, factor))
 
     def mark_degraded(
         self,
@@ -714,8 +678,6 @@ class AdaptiveServingEngine:
                 service = coster.batch_seconds(network, len(batch))
                 if replica.slow_windows:
                     service *= _worst_factor(replica.slow_windows, t)
-                if self._service_windows:
-                    service *= _worst_factor(self._service_windows, t)
                 finish = t + service
                 replica.free_at = finish
                 replica.busy_s += service

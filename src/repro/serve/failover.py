@@ -282,19 +282,17 @@ class FaultyReplica:
     completed: int = 0
     crashed_at: Optional[float] = None
     detected: bool = False
-    slow_from: float = math.inf
-    slow_until: float = -math.inf
-    slow_factor: float = 1.0
+    #: fail-slow ``(from_s, until_s, factor)`` windows, as on
+    #: :class:`~repro.serve.engine.AdaptiveReplica`
+    slow_windows: List[Tuple[float, float, float]] = field(default_factory=list)
     inflight: Optional["_BatchJob"] = None
 
     def crashed_by(self, t: float) -> bool:
         return self.crashed_at is not None and self.crashed_at <= t
 
     def service_multiplier(self, t: float) -> float:
-        """The fail-slow multiplier in force at dispatch time ``t``."""
-        if self.slow_from <= t < self.slow_until:
-            return self.slow_factor
-        return 1.0
+        """The worst fail-slow factor in force at dispatch time ``t``."""
+        return _worst_factor(self.slow_windows, t)
 
     def detail(self, makespan_s: float, status: str) -> Dict[str, object]:
         return {
@@ -526,9 +524,9 @@ class FailoverEngine:
                             # busy until the probe loop notices the crash
                             s.free_at = math.inf
                 else:
-                    s.slow_from = fault.time_s
-                    s.slow_until = fault.time_s + fault.duration_s
-                    s.slow_factor = fault.factor
+                    s.slow_windows.append(
+                        (fault.time_s, fault.time_s + fault.duration_s, fault.factor)
+                    )
 
             # -- 2. completions on live replicas ------------------------
             for s in states:

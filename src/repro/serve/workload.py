@@ -278,18 +278,17 @@ def mixed_diurnal_arrivals(
     tenants: Sequence[MixedTenantSpec],
     seed: int = 0,
     day_s: float = 86400.0,
-    flash_crowds: Sequence[Tuple[float, float, float]] = (),
 ) -> List[Request]:
     """Diurnal traffic over *mixed-tenant* sources: the planner's input.
 
     The rate envelope is the :func:`diurnal_rate` sinusoid (``base_rate``
-    in the trough, ``peak_rate`` at the crest, explicit flash-crowd
-    windows), sampled by exact thinning like :func:`diurnal_arrivals`;
-    each accepted arrival then draws its tenant by weight and its network
-    by that tenant's mix shares, like :func:`mixed_arrivals`.  One seeded
-    RNG drives everything, so the same seed always yields the identical
-    request list — the capacity planner's whole search is deterministic
-    because its traffic forecast is.
+    in the trough, ``peak_rate`` at the crest), sampled by exact thinning
+    like :func:`diurnal_arrivals`; each accepted arrival then draws its
+    tenant by weight and its network by that tenant's mix shares, like
+    :func:`mixed_arrivals`.  One seeded RNG drives everything, so the same
+    seed always yields the identical request list — the capacity
+    planner's whole search is deterministic because its traffic forecast
+    is.
     """
     check_positive("base_rate", base_rate)
     check_positive("peak_rate", peak_rate)
@@ -299,23 +298,18 @@ def mixed_diurnal_arrivals(
         )
     check_positive("days", days)
     check_positive("day_s", day_s)
-    for window in flash_crowds:
-        check_flash_crowd(window)
     _validate_mixed_tenants(tenants)
 
     duration_s = days * day_s
-    windows = [tuple(map(float, w)) for w in sorted(flash_crowds)]
-    max_factor = max([1.0] + [f for _, _, f in windows])
-    envelope = peak_rate * max_factor
     rng = random.Random(seed)
     requests: List[Request] = []
     t = 0.0
     while True:
-        t += rng.expovariate(envelope)
+        t += rng.expovariate(peak_rate)
         if t >= duration_s:
             break
-        current = diurnal_rate(t, base_rate, peak_rate, day_s, windows)
-        if rng.random() * envelope >= current:
+        current = diurnal_rate(t, base_rate, peak_rate, day_s)
+        if rng.random() * peak_rate >= current:
             continue
         tenant, network = _pick_mixed(rng, tenants)
         requests.append(
@@ -495,7 +489,6 @@ def diurnal_arrivals(
     flash_crowds: Sequence[Tuple[float, float, float]] = (),
     flash_per_day: float = 0.0,
     flash_factor: float = 3.0,
-    flash_duration_s: Optional[float] = None,
     churn: float = 0.0,
 ) -> List[Request]:
     """Multi-day diurnal traffic: day/night cycle, flash crowds, churn.
@@ -505,11 +498,11 @@ def diurnal_arrivals(
     and benchmarks can compress a day).  Flash crowds are ``(start_s,
     duration_s, factor)`` rate-multiplier windows — pass them explicitly in
     ``flash_crowds`` and/or let ``flash_per_day`` of them be drawn at seeded
-    uniform times with ``flash_factor`` x ``flash_duration_s`` (default 2%%
-    of a day) each.  ``churn`` in [0, 1) slowly rotates the tenant mix: each
-    tenant's weight is modulated by ``1 + churn * sin(2 pi t/day_s + phase)``
-    with a seeded per-tenant phase, so which network dominates drifts over
-    the day.  Sampling is exact thinning against the envelope rate, like
+    uniform times, each ``flash_factor`` x for 2% of a day.  ``churn`` in
+    [0, 1) slowly rotates the tenant mix: each tenant's weight is
+    modulated by ``1 + churn * sin(2 pi t/day_s + phase)`` with a seeded
+    per-tenant phase, so which network dominates drifts over the day.
+    Sampling is exact thinning against the envelope rate, like
     :func:`bursty_arrivals`, and everything is driven by one seeded RNG —
     the same seed always yields the identical request list.
     """
@@ -536,14 +529,11 @@ def diurnal_arrivals(
     _validate_tenants(tenants)
 
     duration_s = days * day_s
-    if flash_duration_s is None:
-        flash_duration_s = 0.02 * day_s
-    check_positive("flash_duration_s", flash_duration_s)
     rng = random.Random(seed)
     windows = [tuple(map(float, w)) for w in flash_crowds]
     n_seeded = int(round(flash_per_day * days))
     seeded_starts = sorted(rng.uniform(0.0, duration_s) for _ in range(n_seeded))
-    windows.extend((s, float(flash_duration_s), float(flash_factor)) for s in seeded_starts)
+    windows.extend((s, 0.02 * day_s, float(flash_factor)) for s in seeded_starts)
     windows.sort()
 
     max_factor = max([1.0] + [f for _, _, f in windows])

@@ -8,7 +8,6 @@ import pytest
 
 from repro.__main__ import main
 from repro.errors import ConfigError
-from repro.perf.cache import schedule_cache
 
 _FAST = [
     "--tenants", "acme=alexnet:3/nin:1@2,beta=nin",
@@ -20,18 +19,8 @@ _FAST = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _leave_cache_unpersisted():
-    yield
-    schedule_cache.configure(persist_dir="")
-
-
-def _cache_args(tmp_path):
-    return ["--cache-dir", str(tmp_path / "cache")]
-
-
-def test_table_output(capsys, tmp_path):
-    assert main(["capacity"] + _FAST + _cache_args(tmp_path)) == 0
+def test_table_output(capsys):
+    assert main(["capacity"] + _FAST) == 0
     out = capsys.readouterr().out
     assert "capacity plan:" in out
     assert "winner:" in out
@@ -39,8 +28,8 @@ def test_table_output(capsys, tmp_path):
     assert "cost/Mreq" in out
 
 
-def test_json_stdout_is_ranked_and_stable(capsys, tmp_path):
-    args = ["capacity"] + _FAST + _cache_args(tmp_path) + ["--json", "-"]
+def test_json_stdout_is_ranked_and_stable(capsys):
+    args = ["capacity"] + _FAST + ["--json", "-"]
     assert main(args) == 0
     first = capsys.readouterr().out
     assert main(args + ["--jobs", "2"]) == 0
@@ -56,8 +45,7 @@ def test_json_to_file_with_faults(capsys, tmp_path):
     target = tmp_path / "capacity.json"
     assert (
         main(
-            ["capacity"] + _FAST + _cache_args(tmp_path)
-            + ["--crashes", "1", "--json", str(target)]
+            ["capacity"] + _FAST + ["--crashes", "1", "--json", str(target)]
         )
         == 0
     )
@@ -67,26 +55,25 @@ def test_json_to_file_with_faults(capsys, tmp_path):
     assert winner["degraded"] is not None
 
 
-def test_progress_goes_to_stderr(capsys, tmp_path):
-    assert main(["capacity"] + _FAST + _cache_args(tmp_path) + ["--progress"]) == 0
+def test_progress_goes_to_stderr(capsys):
+    assert main(["capacity"] + _FAST + ["--progress"]) == 0
     captured = capsys.readouterr()
     assert "simulated" in captured.err
     assert "candidates" in captured.err
 
 
-def test_no_persist_cache_opt_out(capsys, tmp_path, monkeypatch):
+def test_run_leaves_the_working_directory_empty(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("REPRO_PLAN_CACHE_DIR", raising=False)
     args = [
         "capacity", "--tenants", "t=nin", "--rate", "30", "--duration", "1",
         "--slo-target", "0.5", "--geometries", "16-16", "--chips", "1",
-        "--max-batches", "4", "--no-persist-cache",
+        "--max-batches", "4",
     ]
     assert main(args) == 0
-    assert not (tmp_path / ".repro-plan-cache").exists()
-    assert "persistence off" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+    assert "plan cache:" in capsys.readouterr().out
 
 
-def test_bad_tenant_mix_rejected(tmp_path):
+def test_bad_tenant_mix_rejected():
     with pytest.raises(ConfigError, match="bad tenant-mix entry"):
-        main(["capacity", "--tenants", "oops"] + _cache_args(tmp_path))
+        main(["capacity", "--tenants", "oops"])

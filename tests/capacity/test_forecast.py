@@ -33,21 +33,9 @@ class TestMixedDiurnalArrivals:
         assert by_tenant["acme"] == {"alexnet", "nin"}
         assert by_tenant["beta"] == {"nin"}
 
-    def test_flash_crowd_adds_traffic(self):
-        calm = mixed_diurnal_arrivals(20.0, 40.0, 1.0, TENANTS, seed=3, day_s=4.0)
-        flashy = mixed_diurnal_arrivals(
-            20.0, 40.0, 1.0, TENANTS, seed=3, day_s=4.0,
-            flash_crowds=((1.0, 2.0, 4.0),),
-        )
-        assert len(flashy) > len(calm)
-
     def test_validation(self):
         with pytest.raises(ConfigError, match="peak_rate"):
             mixed_diurnal_arrivals(10.0, 5.0, 1.0, TENANTS)
-        with pytest.raises(ConfigError, match="flash crowd"):
-            mixed_diurnal_arrivals(
-                10.0, 20.0, 1.0, TENANTS, flash_crowds=((0.0, -1.0, 2.0),)
-            )
 
 
 class TestForecastSpec:

@@ -254,7 +254,7 @@ class TestApplyFaultSchedule:
                 FaultSchedule(
                     link_faults=(LinkFault(time_s=1.0, factor=4.0, duration_s=0.5),)
                 ),
-                "link_windows",
+                "cannot arm link_faults;",
                 id="link_faults",
             ),
             pytest.param(

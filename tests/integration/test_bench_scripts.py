@@ -35,9 +35,15 @@ COMMITTED = {
 }
 
 
+#: switches that change what a bench records; the committed files were
+#: made without them, so the caller's values must not reach the scripts
+STRIPPED_ENV = ("REPRO_SIM_BACKEND", "REPRO_NO_PLAN_CACHE")
+
+
 def _env():
     path = os.pathsep.join([str(ROOT / "src"), str(BENCHMARKS)])
-    return dict(os.environ, PYTHONPATH=path)
+    env = {k: v for k, v in os.environ.items() if k not in STRIPPED_ENV}
+    return dict(env, PYTHONPATH=path)
 
 
 @pytest.fixture(scope="module")

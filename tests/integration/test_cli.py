@@ -1,5 +1,8 @@
 """CLI (`python -m repro`) tests."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +64,21 @@ class TestCommands:
     def test_no_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_bad_input_is_a_usage_error_not_a_traceback(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--rate", "nan"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=300,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: arrival rate must be positive and finite, got nan\n"
+        )
 
 
 class TestAnalyze:

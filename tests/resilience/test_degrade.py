@@ -13,7 +13,7 @@ from repro.arch.config import CONFIG_16_16
 from repro.errors import ConfigError
 from repro.nn.zoo import build
 from repro.nn.zoo.custom import sequential_cnn
-from repro.perf.cache import canonical_key, config_key
+from repro.perf.cache import config_key, layer_key
 from repro.resilience.degrade import degraded_config, replan_degraded
 from repro.resilience.faults import PEMask
 
@@ -79,17 +79,18 @@ class TestCacheKeys:
         assert config_key(degraded) != config_key(CONFIG_16_16)
 
     def test_canonical_keys_distinct_per_geometry(self):
+        # the full cache key of one layer: healthy and degraded never share
         ctx = DIN8.conv_contexts()[0]
         degraded = degraded_config(CONFIG_16_16, PEMask(masked_cols=9))
-        healthy_key = canonical_key("partition", ctx, CONFIG_16_16)
-        degraded_key = canonical_key("partition", ctx, degraded)
+        healthy_key = ("partition", layer_key(ctx), config_key(CONFIG_16_16))
+        degraded_key = ("partition", layer_key(ctx), config_key(degraded))
         assert healthy_key != degraded_key
 
     def test_row_only_mask_also_distinct(self):
         ctx = DIN8.conv_contexts()[0]
         degraded = degraded_config(CONFIG_16_16, PEMask(masked_rows=1))
-        assert canonical_key("intra", ctx, degraded) != canonical_key(
-            "intra", ctx, CONFIG_16_16
+        assert ("intra", layer_key(ctx), config_key(degraded)) != (
+            "intra", layer_key(ctx), config_key(CONFIG_16_16)
         )
 
 

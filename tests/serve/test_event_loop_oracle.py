@@ -10,11 +10,11 @@ judge against the makespan.
 
 The live loop offers arrivals in bulk between dispatches.  On generated
 scenarios — crashes (often at arrival instants and epoch boundaries),
-drains and adds, slow and service windows, batch-policy retunes between
-epochs, epoch boundaries on arrival instants, FIFO and EDF, both
-routings, ``max_wait_ms=0``, whole or per-epoch ingest — both engines
-must agree on the summary JSON, the fleet events, every batch row and
-every completion record.
+drains and adds, slow windows, batch-policy retunes between epochs,
+epoch boundaries on arrival instants, FIFO and EDF, both routings,
+``max_wait_ms=0``, whole or per-epoch ingest — both engines must agree
+on the summary JSON, the fleet events, every batch row and every
+completion record.
 """
 
 from __future__ import annotations
@@ -117,8 +117,6 @@ class PerEventEngine(AdaptiveServingEngine):
                 service = coster.batch_seconds(network, len(batch))
                 if replica.slow_windows:
                     service *= _worst_factor(replica.slow_windows, t)
-                if self._service_windows:
-                    service *= _worst_factor(self._service_windows, t)
                 finish = t + service
                 replica.free_at = finish
                 replica.busy_s += service
@@ -168,7 +166,7 @@ actions = st.tuples(
     st.integers(0, 7),
     batch_policies,
 )
-#: (from, span, factor) of a slow or service window
+#: (from, span, factor) of a slow window
 windows = st.tuples(
     TIMES, st.integers(1, 200).map(lambda ms: ms / 1e3), st.sampled_from((1.5, 3.0))
 )
@@ -183,12 +181,12 @@ windows = st.tuples(
     replicas=st.integers(min_value=1, max_value=4),
     crashes=st.lists(st.tuples(st.integers(0, 3), TIMES), max_size=3),
     slows=st.lists(st.tuples(st.integers(0, 3), windows), max_size=2),
-    service=st.lists(windows, max_size=1),
     epochs=st.lists(st.tuples(TIMES, actions), max_size=5),
     chunked=st.booleans(),
 )
 # shrunk from a deep run: the round-robin pick crashes with work queued, so
-# arrivals past the crash instant must wait for the re-picked dispatch
+# arrivals past the crash instant must wait for the re-picked dispatch (a x3
+# slow window on every replica keeps the queue deep)
 @example(
     specs=[
         (0.0, 0, "acme", 0.02),
@@ -207,14 +205,13 @@ windows = st.tuples(
     routing="round-robin",
     replicas=3,
     crashes=[(2, 0.078)],
-    slows=[],
-    service=[(0.003, 0.038, 3.0)],
+    slows=[(rid, (0.003, 0.038, 3.0)) for rid in range(3)],
     epochs=[],
     chunked=False,
 )
 def test_bulk_ingest_matches_per_event_loop(
-    specs, queue_policy, batch_policy, routing, replicas, crashes, slows, service,
-    epochs, chunked,
+    specs, queue_policy, batch_policy, routing, replicas, crashes, slows, epochs,
+    chunked,
 ):
     requests = [
         Request(
@@ -246,8 +243,6 @@ def test_bulk_ingest_matches_per_event_loop(
         for rid, (from_s, span_s, factor) in slows:
             if rid < replicas:
                 engine.set_slow(rid, factor, from_s, from_s + span_s)
-        for from_s, span_s, factor in service:
-            engine.add_service_window(from_s, from_s + span_s, factor)
         if not chunked:
             engine.ingest(requests)
 

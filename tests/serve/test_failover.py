@@ -24,7 +24,7 @@ from repro.serve.failover import (
     ReplicaFault,
     backoff_s,
 )
-from repro.serve.workload import TenantSpec, poisson_arrivals
+from repro.serve.workload import Request, TenantSpec, poisson_arrivals
 
 ALEX = [TenantSpec("alexnet", "alexnet")]
 
@@ -209,6 +209,31 @@ class TestFailSlow:
             e["status"] for e in report.summary["failover"]["health_timeline"]
         }
         assert "slow" in statuses
+
+
+    def test_nested_slow_windows_pay_the_worst_factor(self):
+        # a [1.5, 2) x4 window inside a [1, 3) x2 one must not cut the
+        # outer window short: the adaptive engine's rule, on one schedule
+        faults = [
+            ReplicaFault("slow", 0, 1.0, factor=2.0, duration_s=2.0),
+            ReplicaFault("slow", 0, 1.5, factor=4.0, duration_s=0.5),
+        ]
+        arrivals = (0.5, 1.25, 1.75, 2.5, 3.5)
+        reqs = [
+            Request(rid, "alexnet", "alexnet", t, t + 1.0)
+            for rid, t in enumerate(arrivals)
+        ]
+        report = engine(faults=faults, batch_policy=BatchPolicy(max_batch=1)).run(
+            reqs, 4.0
+        )
+        log = report.metrics
+        assert log.batch_starts == list(arrivals)
+        base = _COSTER.batch_seconds("alexnet", 1)
+        factors = [
+            (finish - start) / base
+            for start, finish in zip(log.batch_starts, log.batch_finishes)
+        ]
+        assert factors == pytest.approx([1.0, 2.0, 4.0, 2.0, 1.0])
 
 
 class TestHedging:

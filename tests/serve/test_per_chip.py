@@ -130,7 +130,7 @@ class TestAdaptiveEngineTags:
         engine = AdaptiveServingEngine(
             CONFIG_16_16, replicas=1, coster=_COSTER, chip_map={0: "c0"}
         )
-        rid = engine.add_replica(chip="c0", chip_share=0.5, coster=_COSTER)
+        rid = engine.add_replica(chip="c0")
         assert rid == 1
         report = engine.run(_requests(), 3.0)
         entry = report.summary["per_chip"]["c0"]
@@ -146,7 +146,7 @@ class TestAdaptiveEngineTags:
         )
         engine.ingest(requests)
         engine.advance_to(1.0)
-        rid = engine.add_replica(chip="c1", coster=_COSTER)
+        rid = engine.add_replica(chip="c1")
         engine.advance_to(2.0)
         retired = engine.drain_replica(rid)
         report = engine.finish(4.0)
@@ -154,13 +154,6 @@ class TestAdaptiveEngineTags:
         # c1 held only from add (t=1) to retirement, not the whole run
         assert span == pytest.approx(retired - 1.0, rel=1e-6)
         assert span < report.summary["makespan_s"]
-
-    def test_add_replica_bad_share(self):
-        engine = AdaptiveServingEngine(
-            CONFIG_16_16, replicas=1, coster=_COSTER
-        )
-        with pytest.raises(ConfigError, match="chip_share"):
-            engine.add_replica(chip="c0", chip_share=0.0)
 
     def test_adaptive_untagged_regression(self):
         summary = AdaptiveServingEngine(

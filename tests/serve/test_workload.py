@@ -198,7 +198,6 @@ class TestDiurnal:
             {"day_s": 0},
             {"flash_per_day": -1},
             {"flash_factor": 0.5},
-            {"flash_duration_s": 0},
             {"churn": 1.0},
             {"churn": -0.1},
             {"flash_crowds": [(-1.0, 5.0, 2.0)]},

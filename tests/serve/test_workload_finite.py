@@ -80,17 +80,10 @@ CASES = [
      lambda: diurnal_arrivals(5.0, 20.0, 1.0, ALEX, day_s=40.0,
                               flash_per_day=1.0, flash_factor=INF),
      "flash_factor must be finite and >= 1, got inf"),
-    ("diurnal-flash-duration-s-nan",
-     lambda: diurnal_arrivals(5.0, 20.0, 1.0, ALEX, flash_duration_s=NAN),
-     "flash_duration_s must be positive and finite, got nan"),
     ("mixed-diurnal-base-nan", lambda: mixed_diurnal_arrivals(NAN, 20.0, 1.0, MIXED),
      "base_rate must be positive and finite, got nan"),
     ("mixed-diurnal-peak-inf", lambda: mixed_diurnal_arrivals(5.0, INF, 1.0, MIXED),
      "peak_rate must be positive and finite, got inf"),
-    ("mixed-diurnal-flash-nan",
-     lambda: mixed_diurnal_arrivals(5.0, 20.0, 1.0, MIXED, day_s=40.0,
-                                    flash_crowds=[(NAN, 4.0, 2.0)]),
-     r"flash crowd \(nan, 4.0, 2.0\) must be finite"),
     ("tenant-weight-nan", lambda: TenantSpec("t", "alexnet", weight=NAN),
      "tenant 't': weight must be positive and finite, got nan"),
     ("tenant-weight-inf", lambda: TenantSpec("t", "alexnet", weight=INF),
