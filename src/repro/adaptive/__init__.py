@@ -3,7 +3,6 @@
 from repro.adaptive.planner import (
     POLICY_NAMES,
     choices_for_network,
-    plan_layer,
     plan_network,
 )
 from repro.adaptive.batch import BatchRun, batch_layer, plan_batch
@@ -19,7 +18,6 @@ from repro.adaptive.selector import SchemeChoice, layout_for_scheme, select_sche
 __all__ = [
     "POLICY_NAMES",
     "choices_for_network",
-    "plan_layer",
     "plan_network",
     "BatchRun",
     "batch_layer",

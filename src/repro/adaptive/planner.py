@@ -26,12 +26,12 @@ from repro.adaptive.selector import SchemeChoice, layout_for_scheme, select_sche
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ConfigError, ScheduleError
 from repro.nn.network import LayerContext, Network
-from repro.perf.cache import cached_schedule
+from repro.perf.cache import schedule_cache
 from repro.perf.instrument import phase
 from repro.sim.trace import NetworkRun
 from repro.tiling.layout import Layout, reorder_moves
 
-__all__ = ["plan_network", "plan_layer", "POLICY_NAMES", "choices_for_network"]
+__all__ = ["plan_network", "POLICY_NAMES", "choices_for_network"]
 
 POLICY_NAMES = (
     "ideal",
@@ -87,18 +87,6 @@ def _chooser(policy: str) -> Callable[[LayerContext, AcceleratorConfig], str]:
     raise ConfigError(f"unknown policy {policy!r}; choose from {POLICY_NAMES}")
 
 
-def plan_layer(
-    ctx: LayerContext, config: AcceleratorConfig, scheme_name: str
-):
-    """Schedule one layer under one scheme.
-
-    Memoized through :mod:`repro.perf.cache`: layers sharing a geometry
-    (VGG's repeated 3x3 stacks, replans of the same network) reuse the
-    stored schedule instead of re-deriving the tiling.
-    """
-    return cached_schedule(scheme_name, ctx, config)
-
-
 def choices_for_network(
     net: Network, config: AcceleratorConfig, improved_inter: bool = True
 ) -> List[SchemeChoice]:
@@ -137,11 +125,11 @@ def plan_network(
             if isinstance(ctx.layer, ConvLayer):
                 name = choose(ctx, config)
                 try:
-                    result = plan_layer(ctx, config, name)
+                    result = schedule_cache.get_or_schedule(name, ctx, config)
                 except ScheduleError:
                     # a fixed policy hit a layer its scheme cannot map — fall
                     # back to intra-kernel, which is always legal
-                    result = plan_layer(ctx, config, "intra")
+                    result = schedule_cache.get_or_schedule("intra", ctx, config)
                 if first_conv_ctx is None:
                     first_conv_ctx = ctx
                     first_conv_result = result

@@ -14,7 +14,6 @@ simultaneous those two really are).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -22,7 +21,7 @@ from repro.arch.config import AcceleratorConfig
 from repro.arch.energy import EnergyModel
 from repro.errors import ConfigError, ScheduleError
 from repro.nn.network import LayerContext, Network
-from repro.perf.cache import cached_schedule, config_key, layer_key, schedule_cache
+from repro.perf.cache import schedule_cache
 from repro.perf.instrument import phase
 from repro.perf.parallel import parallel_map
 from repro.schemes.base import ScheduleResult
@@ -90,7 +89,7 @@ def best_scheme_for_layer(
     evaluated: List[ScheduleResult] = []
     for name in candidates:
         try:
-            evaluated.append(cached_schedule(name, ctx, config))
+            evaluated.append(schedule_cache.get_or_schedule(name, ctx, config))
         except ScheduleError:
             continue
     if not evaluated:
@@ -118,31 +117,18 @@ def best_scheme_for_layer(
     )
 
 
-#: memo of search winners' *names* for choosers that never look at the full
-#: outcome (the oracle planning policy): geometry/config-keyed like the
-#: schedule cache, honors its enable switch, and being a pure-function memo
-#: it needs no invalidation — only an LRU bound.
-_WINNER_MEMO: "OrderedDict[Tuple, str]" = OrderedDict()
-_WINNER_MEMO_MAX = 4096
+def _cycle_winner(ctx: LayerContext, config: AcceleratorConfig) -> str:
+    return best_scheme_for_layer(ctx, config).scheme
 
 
 def best_scheme_name_for_layer(ctx: LayerContext, config: AcceleratorConfig) -> str:
-    """The cycle oracle's winning scheme name, memoized.
+    """The cycle oracle's winning scheme name, memoized by the schedule cache.
 
-    A replanned layer costs one dict probe instead of re-ranking every
-    candidate; disabled together with the schedule cache so
-    ``--no-plan-cache`` reproduces the fully uncached pipeline.
+    A replanned layer costs one table probe instead of re-ranking every
+    candidate.  The memo is part of :data:`~repro.perf.cache.schedule_cache`,
+    so ``clear()`` empties it and ``--no-plan-cache`` bypasses it.
     """
-    if not schedule_cache.enabled:
-        return best_scheme_for_layer(ctx, config).scheme
-    key = (layer_key(ctx), config_key(config))
-    name = _WINNER_MEMO.get(key)
-    if name is None:
-        name = best_scheme_for_layer(ctx, config).scheme
-        _WINNER_MEMO[key] = name
-        if len(_WINNER_MEMO) > _WINNER_MEMO_MAX:
-            _WINNER_MEMO.popitem(last=False)
-    return name
+    return schedule_cache.get_or_search(ctx, config, _cycle_winner)
 
 
 def _search_layer_task(

@@ -4,7 +4,7 @@ The paper's energy argument (Sec 4.1.2, Table 5, Fig 10) rests on *counting
 buffer accesses* per scheme: inter-kernel reloads both data and weights every
 operation, intra-kernel holds one side resident, and the improved inter-kernel
 trades extra output-buffer stores for far fewer input loads.  This module
-provides the counters those models write into, plus capacity checks used by
+provides the counters those models report, plus capacity checks used by
 :mod:`repro.tiling.fit`.
 """
 
@@ -13,29 +13,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator
 
-from repro.errors import CapacityError, ConfigError
+from repro.errors import CapacityError, ConfigError, ScheduleError
 
 __all__ = ["AccessCounter", "Buffer", "BufferSet"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessCounter:
-    """Load/store word counts for one buffer."""
+    """Load/store word counts for one buffer: an immutable, non-negative value."""
 
     loads: int = 0
     stores: int = 0
 
+    def __post_init__(self) -> None:
+        if self.loads < 0 or self.stores < 0:
+            raise ScheduleError(f"access counts must be non-negative: {self!r}")
+
     @property
     def total(self) -> int:
         return self.loads + self.stores
-
-    def add(self, other: "AccessCounter") -> None:
-        self.loads += other.loads
-        self.stores += other.stores
-
-    def scaled(self, factor: int) -> "AccessCounter":
-        """A copy with both counters multiplied (used for per-group repeats)."""
-        return AccessCounter(self.loads * factor, self.stores * factor)
 
 
 @dataclass
@@ -66,13 +62,13 @@ class Buffer:
         """Record ``words`` read from this buffer into the PE array."""
         if words < 0:
             raise ConfigError("load word count must be non-negative")
-        self.counter.loads += words
+        self.counter = AccessCounter(self.counter.loads + words, self.counter.stores)
 
     def store(self, words: int) -> None:
         """Record ``words`` written into this buffer."""
         if words < 0:
             raise ConfigError("store word count must be non-negative")
-        self.counter.stores += words
+        self.counter = AccessCounter(self.counter.loads, self.counter.stores + words)
 
 
 class BufferSet:

@@ -38,12 +38,7 @@ from repro.cluster.pipeline import (
     partition_even,
     plan_pipeline,
 )
-from repro.cluster.replica import (
-    SHARD_STRATEGIES,
-    PipelinedReplica,
-    compare_compositions,
-    compare_deployments,
-)
+from repro.cluster.replica import SHARD_STRATEGIES, PipelinedReplica
 from repro.cluster.rollup import rollup, rollup_data_parallel, rollup_pipeline
 
 __all__ = [
@@ -56,8 +51,6 @@ __all__ = [
     "SHARD_STRATEGIES",
     "StagePlan",
     "activation_bytes",
-    "compare_compositions",
-    "compare_deployments",
     "partition_dp",
     "partition_even",
     "plan_data_parallel",

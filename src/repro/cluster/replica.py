@@ -5,8 +5,8 @@ same coster interface :class:`~repro.serve.batcher.BatchCoster` gives a
 single chip — ``batch_seconds(network, B)`` — so it plugs straight into
 :class:`~repro.serve.engine.ServingEngine` via its ``coster`` argument.
 The serving event loop then schedules work onto "replicas" that are in
-fact whole clusters, which makes 1×big-chip vs N×small-chip comparisons a
-one-line change (:func:`compare_deployments`).
+fact whole clusters, so ``repro capacity`` can race 1×big-chip against
+N×small-chip deployments through the same engine.
 
 Latency semantics per strategy:
 
@@ -28,12 +28,7 @@ from repro.cluster.pipeline import PipelinePlan, plan_pipeline
 from repro.errors import ConfigError
 from repro.nn.network import Network
 
-__all__ = [
-    "PipelinedReplica",
-    "SHARD_STRATEGIES",
-    "compare_compositions",
-    "compare_deployments",
-]
+__all__ = ["PipelinedReplica", "SHARD_STRATEGIES"]
 
 SHARD_STRATEGIES = ("pipeline", "data-parallel")
 
@@ -128,128 +123,3 @@ class PipelinedReplica:
             f"[{self.link.describe()}]"
         )
 
-
-def compare_deployments(
-    big_config: AcceleratorConfig,
-    small_config: AcceleratorConfig,
-    n_chips: int,
-    requests,
-    duration_s: float,
-    link: LinkSpec = LinkSpec(),
-    strategy: str = "pipeline",
-    batch_policy=None,
-    queue_policy=None,
-    policy: str = "adaptive-2",
-) -> Dict[str, Dict[str, object]]:
-    """Serve one workload on 1×big-chip and on N×small-chip, same knobs.
-
-    Returns ``{"big": summary, "sharded": summary}`` — the two
-    :class:`~repro.serve.engine.ServingEngine` summaries under identical
-    requests, batching and queueing, differing only in the accelerator
-    behind the coster.  Both sides cost through the shared
-    :func:`~repro.serve.candidates.evaluate_candidate` path.
-    """
-    from repro.serve.batcher import BatchPolicy
-    from repro.serve.candidates import evaluate_candidate
-    from repro.serve.queue import QueuePolicy
-
-    batch_policy = batch_policy or BatchPolicy()
-    queue_policy = queue_policy or QueuePolicy()
-    requests = list(requests)
-    knobs = dict(
-        batch_policy=batch_policy,
-        queue_policy=queue_policy,
-        routing="round-robin",
-        plan_policy=policy,
-        label_chips=False,
-    )
-    big = evaluate_candidate(
-        [(big_config, 1)],
-        requests,
-        duration_s,
-        candidate="big",
-        extra_meta={"deployment": "1x big chip"},
-        **knobs,
-    )
-    sharded = evaluate_candidate(
-        [
-            (
-                small_config,
-                1,
-                PipelinedReplica(
-                    small_config, n_chips, link=link, strategy=strategy, policy=policy
-                ),
-            )
-        ],
-        requests,
-        duration_s,
-        candidate="sharded",
-        extra_meta={"deployment": f"{n_chips}x small chip ({strategy})"},
-        **knobs,
-    )
-    return {"big": big, "sharded": sharded}
-
-
-def compare_compositions(
-    compositions: Dict[str, object],
-    requests,
-    duration_s: float,
-    batch_policy=None,
-    queue_policy=None,
-    routing: str = "least-loaded",
-    policy: str = "adaptive-2",
-) -> Dict[str, object]:
-    """Serve one workload on several fleet compositions, same knobs.
-
-    Generalizes :func:`compare_deployments` beyond 1-big-vs-N-small: each
-    composition is ``{"name": [(config, count), ...]}`` — a *heterogeneous*
-    replica set sharing one admission queue, realised through
-    :class:`~repro.serve.engine.ServingEngine`'s per-replica costers and
-    chip tags (so the summary carries per-chip accounting and mixed chip
-    classes serve side by side).  Replicas are laid out in group order,
-    chips named ``<class index>-<instance>``; identical configs share one
-    memoized coster.  The verdict ranks compositions by
-    (worst p95 latency, -goodput, name).
-
-    Returns ``{"compositions": {name: summary}, "ranking": [...],
-    "winner": name}``.
-    """
-    from repro.serve.batcher import BatchCoster, BatchPolicy
-    from repro.serve.candidates import evaluate_candidate, rank_candidates
-    from repro.serve.queue import QueuePolicy
-
-    if not compositions:
-        raise ConfigError("compare_compositions needs at least one composition")
-    batch_policy = batch_policy or BatchPolicy()
-    queue_policy = queue_policy or QueuePolicy()
-    requests = list(requests)
-    costers: Dict[AcceleratorConfig, BatchCoster] = {}
-    results: Dict[str, Dict[str, object]] = {}
-    for name in sorted(compositions):
-        groups = list(compositions[name])
-        results[name] = evaluate_candidate(
-            groups,
-            requests,
-            duration_s,
-            batch_policy=batch_policy,
-            queue_policy=queue_policy,
-            routing=routing,
-            plan_policy=policy,
-            coster_memo=costers,
-            candidate=name,
-            extra_meta={
-                "deployment": " + ".join(
-                    f"{count}x {config.name}" for config, count in groups
-                )
-            },
-        )
-
-    ranking = rank_candidates(
-        results,
-        key=lambda s: (s["latency_ms"]["p95"], -s["goodput_rps"]),
-    )
-    return {
-        "compositions": results,
-        "ranking": ranking,
-        "winner": ranking[0],
-    }

@@ -6,9 +6,9 @@ real workloads repeat those pairs constantly: VGG stacks the same 3x3 conv
 geometry dozens of times, and a sweep replans the same network at every grid
 point.  This package makes that redundancy free:
 
-- :mod:`repro.perf.cache` — content-addressed memoization of
-  :class:`~repro.schemes.base.ScheduleResult` keyed by layer geometry plus
-  the config knobs that actually affect scheduling (LRU-bounded, opt-out);
+- :mod:`repro.perf.cache` — content-addressed memoization of schedules
+  and oracle winners, keyed by layer geometry plus the config knobs that
+  actually affect scheduling (LRU-bounded, opt-out);
 - :mod:`repro.perf.parallel` — a process-pool ``parallel_map`` with
   deterministic result ordering and graceful serial fallback, used to fan
   out oracle searches and sweep grids;
@@ -21,7 +21,6 @@ See ``docs/performance.md`` for the cache-key design and CLI semantics.
 from repro.perf.cache import (
     CacheStats,
     ScheduleCache,
-    cached_schedule,
     config_key,
     layer_key,
     schedule_cache,
@@ -37,7 +36,6 @@ from repro.perf.parallel import (
 __all__ = [
     "CacheStats",
     "ScheduleCache",
-    "cached_schedule",
     "config_key",
     "layer_key",
     "schedule_cache",

@@ -13,19 +13,19 @@ exploits that: results are memoized under a canonical key
 so AlexNet's conv4 and conv5 (identical geometry), VGG's repeated 3x3
 stacks, and every re-plan of the same network hit instead of re-deriving the
 whole tiling.  Knobs that do *not* affect the schedule arithmetic
-(``frequency_hz``, ``overlap_streams``) are deliberately excluded; a cached
-result is rebound to the caller's exact ``ctx``/``config`` on the way out,
-so time conversion and overlap semantics always follow the caller's config.
+(``frequency_hz``, ``overlap_streams``) are deliberately excluded; a hit is
+rebound to the caller's exact layer name and config, so time conversion and
+overlap semantics always follow the caller's config.
 
 Illegal mappings are cached too (negative entries): the oracle probes every
 candidate scheme on every layer, and "partition cannot map this geometry"
-is just as deterministic as a successful schedule.
+is just as deterministic as a successful schedule.  The cycle oracle's
+winning scheme name, a function of the same key, has a second table.
 
 The cache is one in-memory LRU per process: it counts hits, misses and
 evictions, and can be disabled globally (``--no-plan-cache`` /
-``REPRO_NO_PLAN_CACHE=1``) or per instance.  Entries are defensive copies
-in both directions — callers may freely mutate returned results without
-corrupting the cache.
+``REPRO_NO_PLAN_CACHE=1``) or per instance.  Results are immutable values,
+so the cache shares the stored object instead of copying it.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
-from repro.arch.buffers import AccessCounter
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ScheduleError
 from repro.nn.network import LayerContext
@@ -47,16 +46,12 @@ __all__ = [
     "CacheStats",
     "ScheduleCache",
     "schedule_cache",
-    "cached_schedule",
     "layer_key",
     "config_key",
     "DEFAULT_MAXSIZE",
 ]
 
 DEFAULT_MAXSIZE = 4096
-
-#: sentinel marker for negative entries (the scheme raised ScheduleError)
-_ILLEGAL = "illegal"
 
 
 def layer_key(ctx: LayerContext) -> Tuple:
@@ -115,36 +110,14 @@ class CacheStats:
         return self.hits
 
 
-def _copy_result(
-    result: ScheduleResult,
-    layer_name: Optional[str] = None,
-    config: Optional[AcceleratorConfig] = None,
-) -> ScheduleResult:
-    """Copy with fresh mutable containers, optionally rebound to a caller.
-
-    Hand-rolled instead of :func:`dataclasses.replace` because this is the
-    cache's hot path — a hit must stay several times cheaper than running
-    the scheme, and ``replace`` alone costs a third of a schedule.
-    """
-    clone = object.__new__(ScheduleResult)
-    clone.__dict__.update(result.__dict__)
-    clone.accesses = {
-        name: AccessCounter(c.loads, c.stores)
-        for name, c in result.accesses.items()
-    }
-    clone.notes = dict(result.notes)
-    if layer_name is not None:
-        clone.layer_name = layer_name
-    if config is not None:
-        clone.config = config
-    return clone
-
-
 class ScheduleCache:
-    """LRU memo of per-layer schedule results, keyed by content."""
+    """LRU memo of per-layer schedule results and oracle winners, keyed by content."""
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE, enabled: bool = True) -> None:
+        #: schedule key -> the scheme's result, or its ScheduleError message
         self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
+        #: (layer key, config key) -> the cycle oracle's winning scheme name
+        self._winners: "OrderedDict[Tuple, str]" = OrderedDict()
         self._lock = threading.Lock()
         self._schemes: Dict[str, Scheme] = {}
         self.maxsize = maxsize
@@ -161,9 +134,10 @@ class ScheduleCache:
             self.enabled = enabled
 
     def clear(self) -> None:
-        """Drop all entries and zero the counters."""
+        """Drop all schedules and winners and zero the counters."""
         with self._lock:
             self._entries.clear()
+            self._winners.clear()
             self.hits = self.misses = self.evictions = 0
 
     def stats(self) -> CacheStats:
@@ -193,8 +167,9 @@ class ScheduleCache:
     ) -> ScheduleResult:
         """Return the memoized schedule for ``(scheme, geometry, config)``.
 
-        On a miss the scheme runs once and the result is stored; on a hit a
-        fresh copy is rebound to the caller's layer name and config.  Raises
+        A miss stores and returns the scheme's own result.  A hit returns
+        that stored object when its layer name and config object are the
+        caller's, else one shallow copy rebound to them.  Raises
         :class:`ScheduleError` exactly as the uncached path would (negative
         entries replay the failure without re-probing the scheme).
         """
@@ -206,17 +181,23 @@ class ScheduleCache:
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-        if entry is not None:
-            if isinstance(entry, tuple) and entry[0] is _ILLEGAL:
-                raise ScheduleError(entry[1])
-            return _copy_result(entry, layer_name=ctx.name, config=config)
-        try:
-            result = self._scheme(scheme_name).schedule(ctx, config)
-        except ScheduleError as exc:
-            self._store(key, (_ILLEGAL, str(exc)))
-            raise
-        self._store(key, _copy_result(result))
-        return result
+        if entry is None:
+            try:
+                result = self._scheme(scheme_name).schedule(ctx, config)
+            except ScheduleError as exc:
+                self._store(key, str(exc))
+                raise
+            self._store(key, result)
+            return result
+        if isinstance(entry, str):
+            raise ScheduleError(entry)
+        if entry.layer_name == ctx.name and entry.config is config:
+            return entry
+        # a frozen record's fields are values, so a shallow copy shares them;
+        # built by hand because dataclasses.replace would re-run __init__
+        clone = object.__new__(ScheduleResult)
+        clone.__dict__.update(entry.__dict__, layer_name=ctx.name, config=config)
+        return clone
 
     def _store(self, key: Tuple, entry: object) -> None:
         with self._lock:
@@ -227,14 +208,35 @@ class ScheduleCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
 
+    def get_or_search(
+        self,
+        ctx: LayerContext,
+        config: AcceleratorConfig,
+        search: Callable[[LayerContext, AcceleratorConfig], str],
+    ) -> str:
+        """Return the memoized ``search(ctx, config)``, a winning scheme name.
+
+        ``search`` must depend only on the key's geometry and config, like
+        the cycle oracle.  The winners share the schedules' lock, bound,
+        ``clear()`` and enable switch, but not the hit/miss counters.
+        """
+        if not self.enabled:
+            return search(ctx, config)
+        key = (layer_key(ctx), config_key(config))
+        with self._lock:
+            name = self._winners.get(key)
+            if name is not None:
+                self._winners.move_to_end(key)
+                return name
+        name = search(ctx, config)
+        with self._lock:
+            self._winners[key] = name
+            while len(self._winners) > self.maxsize:
+                self._winners.popitem(last=False)
+        return name
+
 
 #: process-wide cache used by the planner, the oracle and the sweeps;
 #: REPRO_NO_PLAN_CACHE=1 (or --no-plan-cache on the CLI) disables it
 schedule_cache = ScheduleCache(enabled=not os.environ.get("REPRO_NO_PLAN_CACHE"))
 
-
-def cached_schedule(
-    scheme_name: str, ctx: LayerContext, config: AcceleratorConfig
-) -> ScheduleResult:
-    """Schedule through the process-wide cache (the planner's entry point)."""
-    return schedule_cache.get_or_schedule(scheme_name, ctx, config)

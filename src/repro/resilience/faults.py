@@ -419,10 +419,6 @@ class FaultSchedule:
                     f"mask fault targets replica {mask.replica} but the "
                     f"deployment has only {n_replicas} replicas"
                 )
-        if len({f.replica for f in self.crashes}) >= n_replicas:
-            # allowed, but the run will end in FAILED_NO_REPLICAS for the
-            # tail of the workload — that is a legitimate scenario
-            pass
 
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -9,7 +9,6 @@ from repro.schemes.base import (
     ScheduleResult,
     Scheme,
     group_geometry,
-    merge_accesses,
 )
 from repro.schemes.ideal import IdealScheme
 from repro.schemes.inter import InterKernelScheme
@@ -25,7 +24,6 @@ __all__ = [
     "ScheduleResult",
     "Scheme",
     "group_geometry",
-    "merge_accesses",
     "IdealScheme",
     "InterKernelScheme",
     "ImprovedInterKernelScheme",

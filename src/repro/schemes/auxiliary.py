@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 
+from repro.arch.buffers import AccessCounter
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ScheduleError
 from repro.nn.layers import (
@@ -36,10 +37,14 @@ from repro.nn.layers import (
     ReLULayer,
 )
 from repro.nn.network import LayerContext
-from repro.schemes.base import ScheduleResult, merge_accesses
+from repro.schemes.base import ScheduleResult
 from repro.tiling.layout import Layout
 
 __all__ = ["schedule_auxiliary", "supports_auxiliary"]
+
+
+#: the counter of a buffer the layer never touches (a value, so shared)
+_IDLE = AccessCounter()
 
 
 def supports_auxiliary(ctx: LayerContext) -> bool:
@@ -78,14 +83,12 @@ def _schedule_pool(ctx: LayerContext, config: AcceleratorConfig) -> ScheduleResu
         * math.ceil(ctx.out_shape.depth / config.tout)
     )
     input_loads = out_pixels * window * ctx.out_shape.depth
-    accesses = merge_accesses(
-        {
-            "input_loads": input_loads,
-            "input_stores": ctx.in_shape.elements,
-            "output_stores": ctx.out_shape.elements,
-            "output_loads": ctx.out_shape.elements,
-        }
-    )
+    accesses = {
+        "input": AccessCounter(input_loads, ctx.in_shape.elements),
+        "output": AccessCounter(ctx.out_shape.elements, ctx.out_shape.elements),
+        "weight": _IDLE,
+        "bias": _IDLE,
+    }
     dram = ctx.in_shape.elements + ctx.out_shape.elements
     # pooling performs reductions, not MACs
     return _result(ctx, config, "aux-pool", operations, 0, accesses, dram)
@@ -100,17 +103,12 @@ def _schedule_fc(ctx: LayerContext, config: AcceleratorConfig) -> ScheduleResult
     )
     macs = in_words * out_words
     weight_words = macs + (out_words if layer.bias else 0)
-    accesses = merge_accesses(
-        {
-            "input_loads": in_words * math.ceil(out_words / config.tout),
-            "input_stores": in_words,
-            "weight_loads": macs,
-            "weight_stores": weight_words,
-            "output_stores": out_words,
-            "output_loads": out_words,
-            "bias_loads": out_words if layer.bias else 0,
-        }
-    )
+    accesses = {
+        "input": AccessCounter(in_words * math.ceil(out_words / config.tout), in_words),
+        "output": AccessCounter(out_words, out_words),
+        "weight": AccessCounter(macs, weight_words),
+        "bias": AccessCounter(out_words if layer.bias else 0),
+    }
     dram = in_words + weight_words + out_words
     return _result(ctx, config, "aux-fc", operations, macs, accesses, dram)
 
@@ -120,12 +118,12 @@ def _schedule_elementwise(
 ) -> ScheduleResult:
     elements = ctx.out_shape.elements
     operations = elements * per_element
-    accesses = merge_accesses(
-        {
-            "input_loads": ctx.in_shape.elements if per_element else 0,
-            "output_stores": elements if per_element else 0,
-        }
-    )
+    accesses = {
+        "input": AccessCounter(loads=ctx.in_shape.elements if per_element else 0),
+        "output": AccessCounter(stores=elements if per_element else 0),
+        "weight": _IDLE,
+        "bias": _IDLE,
+    }
     return _result(ctx, config, name, operations, 0, accesses, 0)
 
 

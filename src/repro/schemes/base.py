@@ -20,23 +20,42 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Mapping
 
 from repro.arch.buffers import AccessCounter
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ScheduleError
 from repro.nn.layers import ConvLayer
 from repro.nn.network import LayerContext
-from repro.tiling.fit import FitReport, analyze_fit
+from repro.tiling.fit import FitReport
 from repro.tiling.layout import Layout
 
 __all__ = [
+    "FrozenDict",
     "ScheduleResult",
     "Scheme",
     "GroupGeometry",
     "group_geometry",
-    "merge_accesses",
 ]
+
+
+class FrozenDict(dict):
+    """A ``dict`` that refuses every mutation but still pickles.
+
+    :class:`types.MappingProxyType` is read-only too, but it cannot cross
+    the ``--jobs`` process pools that carry schedule records.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return (type(self), (dict(self),))
 
 
 @dataclass(frozen=True)
@@ -82,11 +101,13 @@ def group_geometry(ctx: LayerContext) -> GroupGeometry:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScheduleResult:
     """Activity record of one scheme on one layer.
 
-    All counts are totals over the whole layer (all groups).
+    All counts are totals over the whole layer (all groups).  A value: the
+    record is frozen and ``accesses``/``notes`` become :class:`FrozenDict`,
+    so the schedule cache and every plan reading a record share one object.
     """
 
     scheme: str
@@ -99,7 +120,7 @@ class ScheduleResult:
     #: extra adder ops for add-and-store accumulation (improved inter, partition)
     extra_adds: int
     #: per-buffer word access counters ("input"/"output"/"weight"/"bias")
-    accesses: Dict[str, AccessCounter]
+    accesses: Mapping[str, AccessCounter]
     #: off-chip words moved (compulsory + spill, including unroll inflation)
     dram_words: int
     #: cycles the DMA engines need for dram_words
@@ -109,7 +130,13 @@ class ScheduleResult:
     input_layout: Layout = Layout.INTRA
     output_layout: Layout = Layout.INTRA
     fit: FitReport = None  # type: ignore[assignment]
-    notes: Dict[str, object] = field(default_factory=dict)
+    notes: Mapping[str, object] = field(default_factory=FrozenDict)
+
+    def __post_init__(self) -> None:
+        if type(self.accesses) is not FrozenDict:
+            object.__setattr__(self, "accesses", FrozenDict(self.accesses))
+        if type(self.notes) is not FrozenDict:
+            object.__setattr__(self, "notes", FrozenDict(self.notes))
 
     @property
     def compute_cycles(self) -> int:
@@ -154,29 +181,6 @@ class ScheduleResult:
         return self.config.cycles_to_ms(self.total_cycles)
 
 
-def merge_accesses(*counts: Dict[str, int]) -> Dict[str, AccessCounter]:
-    """Build an access dict from ``{"input_loads": n, "output_stores": m, ...}``.
-
-    Helper used by the scheme implementations; keys are
-    ``<buffer>_loads`` / ``<buffer>_stores``.
-    """
-    result: Dict[str, AccessCounter] = {
-        name: AccessCounter() for name in ("input", "output", "weight", "bias")
-    }
-    for mapping in counts:
-        for key, value in mapping.items():
-            buffer_name, _, kind = key.rpartition("_")
-            if buffer_name not in result or kind not in ("loads", "stores"):
-                raise ScheduleError(f"bad access key {key!r}")
-            if value < 0:
-                raise ScheduleError(f"negative access count for {key!r}")
-            if kind == "loads":
-                result[buffer_name].loads += value
-            else:
-                result[buffer_name].stores += value
-    return result
-
-
 class Scheme(abc.ABC):
     """A data-level parallelization scheme (Sec. 4)."""
 
@@ -196,9 +200,6 @@ class Scheme(abc.ABC):
             return True
         except ScheduleError:
             return False
-
-    def _fit(self, ctx: LayerContext, config: AcceleratorConfig) -> FitReport:
-        return analyze_fit(ctx, config)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<scheme {self.name}>"

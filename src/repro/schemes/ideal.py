@@ -9,14 +9,11 @@ from __future__ import annotations
 
 import math
 
+from repro.arch.buffers import AccessCounter
 from repro.arch.config import AcceleratorConfig
 from repro.nn.network import LayerContext
-from repro.schemes.base import (
-    ScheduleResult,
-    Scheme,
-    group_geometry,
-    merge_accesses,
-)
+from repro.schemes.base import ScheduleResult, Scheme, group_geometry
+from repro.tiling.fit import analyze_fit
 from repro.tiling.layout import Layout
 
 __all__ = ["IdealScheme"]
@@ -35,18 +32,14 @@ class IdealScheme(Scheme):
         operations = math.ceil(macs / config.multipliers)
 
         weights = geom.groups * geom.k * geom.k * geom.d * geom.dout_g
-        accesses = merge_accesses(
-            {
-                # each word crosses its buffer exactly once, fill + use
-                "input_loads": ctx.in_shape.elements,
-                "input_stores": ctx.in_shape.elements,
-                "weight_loads": weights,
-                "weight_stores": weights,
-                "output_stores": ctx.out_shape.elements,
-                "output_loads": ctx.out_shape.elements,
-            }
-        )
-        fit = self._fit(ctx, config)
+        # each word crosses its buffer exactly once, fill + use
+        accesses = {
+            "input": AccessCounter(ctx.in_shape.elements, ctx.in_shape.elements),
+            "output": AccessCounter(ctx.out_shape.elements, ctx.out_shape.elements),
+            "weight": AccessCounter(weights, weights),
+            "bias": AccessCounter(),
+        }
+        fit = analyze_fit(ctx, config)
         dram_words = fit.compulsory_words
         return ScheduleResult(
             scheme=self.name,

@@ -19,14 +19,11 @@ from __future__ import annotations
 
 import math
 
+from repro.arch.buffers import AccessCounter
 from repro.arch.config import AcceleratorConfig
 from repro.nn.network import LayerContext
-from repro.schemes.base import (
-    ScheduleResult,
-    Scheme,
-    group_geometry,
-    merge_accesses,
-)
+from repro.schemes.base import ScheduleResult, Scheme, group_geometry
+from repro.tiling.fit import analyze_fit
 from repro.tiling.layout import Layout
 
 __all__ = ["InterKernelScheme"]
@@ -71,22 +68,17 @@ class InterKernelScheme(Scheme):
         # accumulation completes inside the PE: one store per output pixel
         output_stores = ctx.out_shape.elements
 
-        fit = self._fit(ctx, config)
+        fit = analyze_fit(ctx, config)
         dram_words = fit.total_traffic_words
         # DMA-side: weight/input buffer fills and the output drain
         weight_words = fit.working_set.weight_words
         input_fills = dram_words - weight_words - ctx.out_shape.elements
-        accesses = merge_accesses(
-            {
-                "input_loads": input_loads,
-                "input_stores": max(0, input_fills),
-                "weight_loads": weight_loads,
-                "weight_stores": weight_words,
-                "output_stores": output_stores,
-                "output_loads": ctx.out_shape.elements,
-                "bias_loads": ctx.out_shape.depth,
-            }
-        )
+        accesses = {
+            "input": AccessCounter(loads=input_loads, stores=max(0, input_fills)),
+            "output": AccessCounter(loads=ctx.out_shape.elements, stores=output_stores),
+            "weight": AccessCounter(loads=weight_loads, stores=weight_words),
+            "bias": AccessCounter(loads=ctx.out_shape.depth),
+        }
         return ScheduleResult(
             scheme=self.name,
             layer_name=ctx.name,

@@ -37,14 +37,11 @@ from __future__ import annotations
 
 import math
 
+from repro.arch.buffers import AccessCounter
 from repro.arch.config import AcceleratorConfig
 from repro.nn.network import LayerContext
-from repro.schemes.base import (
-    ScheduleResult,
-    Scheme,
-    group_geometry,
-    merge_accesses,
-)
+from repro.schemes.base import ScheduleResult, Scheme, group_geometry
+from repro.tiling.fit import analyze_fit
 from repro.tiling.layout import Layout
 from repro.tiling.unroll import unroll_stats
 
@@ -89,7 +86,7 @@ class IntraKernelScheme(Scheme):
         extra_adds = output_loads
 
         sliding = geom.k == geom.s and ctx.layer.pad == 0
-        fit = self._fit(ctx, config)
+        fit = analyze_fit(ctx, config)
         if sliding:
             # no duplication, spatial strip tiling works: use the fit model
             stream_words = ctx.in_shape.elements
@@ -119,17 +116,14 @@ class IntraKernelScheme(Scheme):
         # DMA-side buffer accesses: fills into input/weight, output drain
         weight_words = geom.groups * field_len * geom.dout_g
         input_fills = dram_words - weight_words - ctx.out_shape.elements
-        accesses = merge_accesses(
-            {
-                "input_loads": input_loads,
-                "input_stores": max(0, input_fills),
-                "weight_loads": weight_loads,
-                "weight_stores": weight_words,
-                "output_stores": output_stores,
-                "output_loads": output_loads + ctx.out_shape.elements,
-                "bias_loads": ctx.out_shape.depth,
-            }
-        )
+        accesses = {
+            "input": AccessCounter(loads=input_loads, stores=max(0, input_fills)),
+            "output": AccessCounter(
+                loads=output_loads + ctx.out_shape.elements, stores=output_stores
+            ),
+            "weight": AccessCounter(loads=weight_loads, stores=weight_words),
+            "bias": AccessCounter(loads=ctx.out_shape.depth),
+        }
         return ScheduleResult(
             scheme=self.name,
             layer_name=ctx.name,

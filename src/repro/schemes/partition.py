@@ -30,15 +30,12 @@ from __future__ import annotations
 
 import math
 
+from repro.arch.buffers import AccessCounter
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ScheduleError
 from repro.nn.network import LayerContext
-from repro.schemes.base import (
-    ScheduleResult,
-    Scheme,
-    group_geometry,
-    merge_accesses,
-)
+from repro.schemes.base import ScheduleResult, Scheme, group_geometry
+from repro.tiling.fit import analyze_fit
 from repro.tiling.layout import Layout
 from repro.tiling.partition import padded_input_extent, partition_geometry
 
@@ -88,7 +85,7 @@ class KernelPartitionScheme(Scheme):
         output_loads = ctx.out_shape.elements * (passes - 1)
         extra_adds = output_loads
 
-        fit = self._fit(ctx, config)
+        fit = analyze_fit(ctx, config)
         # off-chip input grows only by the partition zero-padding margin
         _, ph = padded_input_extent(
             ctx.in_shape.height, geom.k, geom.s, ctx.layer.pad
@@ -111,17 +108,14 @@ class KernelPartitionScheme(Scheme):
 
         # DMA-side: weight/input buffer fills and the output drain
         input_fills = dram_words - padded_weight_words - ctx.out_shape.elements
-        accesses = merge_accesses(
-            {
-                "input_loads": input_loads,
-                "input_stores": max(0, input_fills),
-                "weight_loads": weight_loads,
-                "weight_stores": padded_weight_words,
-                "output_stores": output_stores,
-                "output_loads": output_loads + ctx.out_shape.elements,
-                "bias_loads": ctx.out_shape.depth,
-            }
-        )
+        accesses = {
+            "input": AccessCounter(loads=input_loads, stores=max(0, input_fills)),
+            "output": AccessCounter(
+                loads=output_loads + ctx.out_shape.elements, stores=output_stores
+            ),
+            "weight": AccessCounter(loads=weight_loads, stores=padded_weight_words),
+            "bias": AccessCounter(loads=ctx.out_shape.depth),
+        }
 
         # useful MACs exclude multiplies against partition zero padding
         useful = geom.macs

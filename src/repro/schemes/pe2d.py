@@ -37,14 +37,11 @@ from __future__ import annotations
 
 import math
 
+from repro.arch.buffers import AccessCounter
 from repro.arch.config import AcceleratorConfig
 from repro.nn.network import LayerContext
-from repro.schemes.base import (
-    ScheduleResult,
-    Scheme,
-    group_geometry,
-    merge_accesses,
-)
+from repro.schemes.base import ScheduleResult, Scheme, group_geometry
+from repro.tiling.fit import analyze_fit
 from repro.tiling.layout import Layout
 
 __all__ = ["Pe2dScheme"]
@@ -77,21 +74,16 @@ class Pe2dScheme(Scheme):
         weight_loads = geom.groups * geom.k * geom.k * geom.d * geom.dout_g
         output_stores = ctx.out_shape.elements
 
-        fit = self._fit(ctx, config)
+        fit = analyze_fit(ctx, config)
         dram_words = fit.total_traffic_words
         weight_words = fit.working_set.weight_words
         input_fills = dram_words - weight_words - ctx.out_shape.elements
-        accesses = merge_accesses(
-            {
-                "input_loads": input_loads,
-                "input_stores": max(0, input_fills),
-                "weight_loads": weight_loads,
-                "weight_stores": weight_words,
-                "output_stores": output_stores,
-                "output_loads": ctx.out_shape.elements,
-                "bias_loads": ctx.out_shape.depth,
-            }
-        )
+        accesses = {
+            "input": AccessCounter(loads=input_loads, stores=max(0, input_fills)),
+            "output": AccessCounter(loads=ctx.out_shape.elements, stores=output_stores),
+            "weight": AccessCounter(loads=weight_loads, stores=weight_words),
+            "bias": AccessCounter(loads=ctx.out_shape.depth),
+        }
 
         # utilization: edge tiles idle the mesh fringe; report the true
         # useful-MAC fraction of the clocked array including supply stalls

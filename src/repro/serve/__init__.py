@@ -28,10 +28,9 @@ existing planning machinery:
   corruption windows (:class:`~repro.serve.verified.SDCFault`), and
   per-replica detected/corrected/escaped bookkeeping
   (:class:`~repro.serve.verified.VerifiedReplica`);
-- :mod:`repro.serve.candidates` — the shared candidate-evaluation path
-  (build replica groups → serve the common workload → rank) behind
-  ``cluster.compare_deployments``/``compare_compositions``,
-  ``tenancy.compare_fleets`` and the ``repro.capacity`` planner.
+- :mod:`repro.serve.candidates` — the candidate-evaluation path (build
+  replica groups → serve the common workload → rank) behind the
+  ``repro.capacity`` planner; ``tenancy.compare_fleets`` ranks through it.
 
 See ``docs/serving.md`` for the queueing model and the metrics glossary.
 """

@@ -1,10 +1,8 @@
 """One shared candidate-evaluation path for deployment comparisons.
 
-Every "race N deployments on the identical workload" driver in the repo —
-``cluster.compare_deployments`` (1 big chip vs N small),
-``cluster.compare_compositions`` (heterogeneous replica sets),
-``tenancy.compare_fleets`` (placed fleets) and the ``repro.capacity``
-what-if planner — reduces to the same three steps:
+The ``repro capacity`` what-if planner races deployments on the identical
+workload — one big chip against N small ones, heterogeneous replica sets,
+pipelined and data-parallel shards — in three steps:
 
 1. **build** — turn a list of *replica groups* ``(config, count[, coster])``
    into the per-replica costers, chip labels and lead config a
@@ -12,18 +10,14 @@ what-if planner — reduces to the same three steps:
 2. **run** — serve the shared request list through one engine per
    candidate, identical batching/queueing/routing knobs on every side;
 3. **rank** — order the resulting summaries by a deterministic key with
-   the candidate name as the final tiebreaker.
-
-Concentrating those steps here means a costing bug fix or a new metric
-lands in every comparison CLI and in the capacity planner at once, instead
-of drifting across three near-duplicate drivers.
+   the candidate name as the final tiebreaker (``tenancy.compare_fleets``
+   ranks its placed fleets here too).
 
 A *group* is ``(config, count)`` or ``(config, count, coster)`` — the
 optional third element substitutes a custom BatchCoster-compatible object
 (e.g. a :class:`~repro.cluster.replica.PipelinedReplica`, so one "replica"
-can be a whole sharded deployment).  Identical configs share one memoized
-coster via ``coster_memo`` so planning work is never repeated across
-candidates in a race.
+can be a whole sharded deployment).  Groups with identical configs share
+one coster, so a candidate plans each config once.
 
 When a fault schedule, SDC windows or a verification policy are
 supplied, the run goes through the
@@ -39,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ConfigError
 from repro.serve.batcher import BatchCoster, BatchPolicy
-from repro.serve.queue import QueuePolicy
 from repro.serve.workload import Request
 
 __all__ = [
@@ -84,21 +77,15 @@ def _normalize_groups(
 def build_replica_set(
     groups: Sequence[Tuple],
     plan_policy: str = "adaptive-2",
-    coster_memo: Optional[Dict[AcceleratorConfig, BatchCoster]] = None,
-    label_chips: bool = True,
     candidate: str = "candidate",
-) -> Tuple[AcceleratorConfig, List[object], Optional[Dict[int, str]]]:
+) -> Tuple[AcceleratorConfig, List[object], Dict[int, str]]:
     """Flatten replica groups into engine arguments.
 
     Returns ``(lead_config, replica_costers, chip_map)`` — replicas laid
-    out in group order, chips labelled ``"<config> g<group>-<instance>"``
-    when ``label_chips`` (pass False to keep summaries free of per-chip
-    accounting, e.g. for single-deployment baselines).  ``coster_memo``
-    lets several candidates in one race share planned costers per config.
+    out in group order, chips labelled ``"<config> g<group>-<instance>"``.
     """
     normalized = _normalize_groups(groups, candidate)
-    if coster_memo is None:
-        coster_memo = {}
+    coster_memo: Dict[AcceleratorConfig, BatchCoster] = {}
     replica_costers: List[object] = []
     chip_map: Dict[int, str] = {}
     lead_config: Optional[AcceleratorConfig] = None
@@ -116,7 +103,7 @@ def build_replica_set(
             replica_costers.append(coster)
             chip_map[rid] = f"{config.name} g{gi}-{instance}"
     assert lead_config is not None
-    return lead_config, replica_costers, (chip_map if label_chips else None)
+    return lead_config, replica_costers, chip_map
 
 
 def evaluate_candidate(
@@ -124,20 +111,16 @@ def evaluate_candidate(
     requests: Sequence[Request],
     duration_s: float,
     batch_policy: BatchPolicy = BatchPolicy(),
-    queue_policy: QueuePolicy = QueuePolicy(),
-    routing: str = "least-loaded",
     plan_policy: str = "adaptive-2",
-    coster_memo: Optional[Dict[AcceleratorConfig, BatchCoster]] = None,
-    label_chips: bool = True,
     candidate: str = "candidate",
-    extra_meta: Optional[Dict[str, object]] = None,
     faults: Sequence[object] = (),
     sdc_faults: Sequence[object] = (),
     verification: Optional[object] = None,
 ) -> Dict[str, object]:
     """Serve ``requests`` on one candidate deployment; return its summary.
 
-    The healthy path builds a :class:`~repro.serve.engine.ServingEngine`
+    Every candidate is served least-loaded behind the default queue.  The
+    healthy path builds a :class:`~repro.serve.engine.ServingEngine`
     from the replica groups.  Supplying any fault input switches to the
     :class:`~repro.serve.failover.FailoverEngine` (homogeneous candidates
     only — exactly one group), so planners can score the same candidate
@@ -145,11 +128,7 @@ def evaluate_candidate(
     """
     faulted = bool(faults or sdc_faults) or verification is not None
     lead_config, replica_costers, chip_map = build_replica_set(
-        groups,
-        plan_policy=plan_policy,
-        coster_memo=coster_memo,
-        label_chips=label_chips,
-        candidate=candidate,
+        groups, plan_policy=plan_policy, candidate=candidate
     )
     if faulted:
         from repro.serve.failover import FailoverEngine
@@ -162,31 +141,29 @@ def evaluate_candidate(
         engine = FailoverEngine(
             lead_config,
             batch_policy=batch_policy,
-            queue_policy=queue_policy,
             replicas=len(replica_costers),
-            routing=routing,
+            routing="least-loaded",
             plan_policy=plan_policy,
             coster=replica_costers[0],
             faults=faults,
             sdc_faults=sdc_faults,
             verification=verification,
         )
-        return engine.run(requests, duration_s, extra_meta=extra_meta).summary
+        return engine.run(requests, duration_s).summary
 
     from repro.serve.engine import ServingEngine
 
     engine = ServingEngine(
         lead_config,
         batch_policy=batch_policy,
-        queue_policy=queue_policy,
         replicas=len(replica_costers),
-        routing=routing,
+        routing="least-loaded",
         plan_policy=plan_policy,
         coster=replica_costers[0],
         replica_costers=replica_costers,
         chip_map=chip_map,
     )
-    return engine.run(requests, duration_s, extra_meta=extra_meta).summary
+    return engine.run(requests, duration_s).summary
 
 
 def rank_candidates(

@@ -449,8 +449,10 @@ class AdaptiveServingEngine:
         Windows accumulate: a replica can degrade more than once, and a
         dispatch inside overlapping windows pays the worst factor.
         """
-        if factor < 1:
-            raise ConfigError(f"slow factor must be >= 1, got {factor!r}")
+        if not math.isfinite(factor) or factor < 1:
+            raise ConfigError(
+                f"slow factor must be finite and >= 1, got {factor!r}"
+            )
         if not until_s > from_s:
             raise ConfigError(
                 f"slow window must have until > from, got [{from_s!r}, {until_s!r})"
@@ -493,8 +495,10 @@ class AdaptiveServingEngine:
         :meth:`heal_degraded` ends the naive window and swaps in a coster
         planned for the degraded geometry (Algorithm 2's answer).
         """
-        if factor < 1:
-            raise ConfigError(f"degrade factor must be >= 1, got {factor!r}")
+        if not math.isfinite(factor) or factor < 1:
+            raise ConfigError(
+                f"degrade factor must be finite and >= 1, got {factor!r}"
+            )
         if math.isnan(from_s) or math.isinf(from_s) or from_s < 0:
             raise ConfigError(
                 f"degrade time must be finite and >= 0, got {from_s!r}"

@@ -127,9 +127,9 @@ class ReplicaFault:
         if math.isnan(self.time_s) or self.time_s < 0:
             raise ConfigError(f"fault time must be >= 0, got {self.time_s!r}")
         if self.kind == "slow":
-            if math.isnan(self.factor) or self.factor < 1:
+            if not math.isfinite(self.factor) or self.factor < 1:
                 raise ConfigError(
-                    f"slow factor must be >= 1, got {self.factor!r}"
+                    f"slow factor must be finite and >= 1, got {self.factor!r}"
                 )
             if math.isnan(self.duration_s) or self.duration_s <= 0:
                 raise ConfigError(
@@ -372,9 +372,9 @@ class FailoverEngine:
                     f"service window must have end > start, got "
                     f"[{start!r}, {end!r})"
                 )
-            if not mult >= 1:
+            if not math.isfinite(mult) or mult < 1:
                 raise ConfigError(
-                    f"service multiplier must be >= 1, got {mult!r}"
+                    f"service multiplier must be finite and >= 1, got {mult!r}"
                 )
         self.config = config
         self.batch_policy = batch_policy

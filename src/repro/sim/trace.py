@@ -85,11 +85,13 @@ class NetworkRun:
 
     def access_totals(self) -> Dict[str, AccessCounter]:
         """Access counters summed per buffer across layers."""
-        totals: Dict[str, AccessCounter] = {}
+        loads: Dict[str, int] = {}
+        stores: Dict[str, int] = {}
         for r in self.layers:
-            for name, counter in r.accesses.items():
-                totals.setdefault(name, AccessCounter()).add(counter)
-        return totals
+            for name, c in r.accesses.items():
+                loads[name] = loads.get(name, 0) + c.loads
+                stores[name] = stores.get(name, 0) + c.stores
+        return {name: AccessCounter(loads[name], stores[name]) for name in loads}
 
     @property
     def utilization(self) -> float:

@@ -12,14 +12,6 @@ class TestAccessCounter:
         c = AccessCounter(loads=3, stores=2)
         assert c.total == 5
 
-    def test_add(self):
-        a = AccessCounter(1, 2)
-        a.add(AccessCounter(10, 20))
-        assert (a.loads, a.stores) == (11, 22)
-
-    def test_scaled(self):
-        assert AccessCounter(2, 3).scaled(4) == AccessCounter(8, 12)
-
 
 class TestBuffer:
     def test_fits(self):
@@ -36,10 +28,13 @@ class TestBuffer:
     def test_load_store_counting(self):
         b = Buffer("b", capacity_words=10)
         b.load(5)
+        before = b.counter
         b.store(3)
         b.load(2)
         assert b.counter.loads == 7
         assert b.counter.stores == 3
+        # counting replaces the counter; a counter already handed out stays
+        assert before == AccessCounter(5, 0)
 
     def test_negative_rejected(self):
         b = Buffer("b", capacity_words=10)

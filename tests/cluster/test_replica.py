@@ -3,8 +3,7 @@ engine's coster interface."""
 
 import pytest
 
-from repro.arch.config import AcceleratorConfig, CONFIG_16_16
-from repro.cluster import LinkSpec, PipelinedReplica, compare_deployments
+from repro.cluster import PipelinedReplica
 from repro.errors import ConfigError
 from repro.serve import BatchPolicy, ServingEngine, parse_mix, poisson_arrivals
 
@@ -83,21 +82,3 @@ class TestServingIntegration:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
-
-    def test_compare_big_vs_sharded_deployments(self):
-        """1 x 32-32 chip vs 4 x 16-16 chips on the identical workload."""
-        big = AcceleratorConfig(tin=32, tout=32)
-        requests, duration = self._workload(rate=30.0)
-        result = compare_deployments(
-            big,
-            CONFIG_16_16,
-            n_chips=4,
-            requests=requests,
-            duration_s=duration,
-            link=LinkSpec(25.0, 1e-6),
-        )
-        assert set(result) == {"big", "sharded"}
-        for summary in result.values():
-            assert summary["offered"] == len(requests)
-        assert result["big"]["workload"]["deployment"] == "1x big chip"
-        assert "4x small chip" in result["sharded"]["workload"]["deployment"]

@@ -130,6 +130,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="until > from"):
             eng.set_slow(0, 2.0, 3, 3)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_slow_and_degrade_factors_rejected(self, bad):
+        # an infinite factor used to spin finish() forever; NaN was a no-op
+        eng = adaptive(replicas=1)
+        with pytest.raises(
+            ConfigError, match=f"slow factor must be finite and >= 1, got {bad!r}"
+        ):
+            eng.set_slow(0, bad, 0, 1)
+        with pytest.raises(
+            ConfigError, match=f"degrade factor must be finite and >= 1, got {bad!r}"
+        ):
+            eng.mark_degraded(0, 1, 0, bad, 0.0)
+
     def test_set_batch_policy_type_checked(self):
         with pytest.raises(ConfigError, match="BatchPolicy"):
             adaptive().set_batch_policy({"max_batch": 4})

@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from repro.adaptive.planner import POLICY_NAMES, plan_network
+from repro.arch.buffers import AccessCounter
 from repro.arch.config import CONFIG_16_16, CONFIG_32_32, AcceleratorConfig
 from repro.errors import ScheduleError
 from repro.nn.zoo import NETWORK_BUILDERS, build
@@ -134,14 +135,40 @@ def test_hit_rebinds_layer_name_and_config():
     assert hit.milliseconds() == pytest.approx(fast.milliseconds() * 10)
 
 
-def test_returned_results_are_independent_copies():
+def test_returned_results_are_immutable():
+    """No caller can corrupt the cache: every part of a result refuses writes."""
     ctx = build("alexnet").conv1()
     first = schedule_cache.get_or_schedule("intra", ctx, CONFIG_16_16)
-    first.accesses["input"].loads += 12345
-    first.notes["tainted"] = True
+    fingerprint = _layer_fingerprint(first)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.accesses["input"].loads += 12345
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.operations = 0
+    with pytest.raises(TypeError):
+        first.accesses["input"] = AccessCounter()
+    with pytest.raises(TypeError):
+        first.notes["tainted"] = True
     second = schedule_cache.get_or_schedule("intra", ctx, CONFIG_16_16)
-    assert second.accesses["input"].loads == first.accesses["input"].loads - 12345
+    assert second is first  # same layer name and config object: the stored value
+    assert _layer_fingerprint(second) == fingerprint
     assert "tainted" not in second.notes
+
+
+def test_clear_leaves_no_warm_state():
+    """A pass after clear() misses exactly as often as the first pass."""
+    nets = [build("alexnet"), build("nin")]
+    configs = [AcceleratorConfig(tin=t, tout=u) for t in (16, 32) for u in (16, 32)]
+
+    def plan_all():
+        for net in nets:
+            for config in configs:
+                for policy in ("adaptive-2", "oracle"):
+                    plan_network(net, config, policy)
+        return schedule_cache.stats().misses
+
+    first = plan_all()
+    schedule_cache.clear()
+    assert plan_all() == first
 
 
 def test_illegal_schedules_are_negative_cached():

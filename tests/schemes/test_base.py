@@ -1,13 +1,16 @@
-"""Scheme base-layer tests: geometry, result record, access merging."""
+"""Scheme base-layer tests: geometry, result record, access counts."""
+
+import pickle
 
 import pytest
 
+from repro.arch.buffers import AccessCounter
 from repro.arch.config import CONFIG_16_16
 from repro.errors import ScheduleError
 from repro.nn.layers import PoolLayer, TensorShape
 from repro.nn.network import LayerContext
 from repro.schemes import make_scheme
-from repro.schemes.base import group_geometry, merge_accesses
+from repro.schemes.base import FrozenDict, group_geometry
 
 from tests.conftest import make_ctx
 
@@ -41,26 +44,12 @@ class TestGroupGeometry:
             group_geometry(ctx)
 
 
-class TestMergeAccesses:
-    def test_basic(self):
-        acc = merge_accesses({"input_loads": 5, "output_stores": 7})
-        assert acc["input"].loads == 5
-        assert acc["output"].stores == 7
-        assert acc["weight"].total == 0
-
-    def test_multiple_mappings_accumulate(self):
-        acc = merge_accesses({"input_loads": 5}, {"input_loads": 3})
-        assert acc["input"].loads == 8
-
-    def test_bad_key(self):
-        with pytest.raises(ScheduleError):
-            merge_accesses({"cache_loads": 1})
-        with pytest.raises(ScheduleError):
-            merge_accesses({"input_reads": 1})
-
+class TestAccessCounts:
     def test_negative(self):
-        with pytest.raises(ScheduleError):
-            merge_accesses({"input_loads": -1})
+        with pytest.raises(ScheduleError, match="loads=-1"):
+            AccessCounter(loads=-1)
+        with pytest.raises(ScheduleError, match="stores=-2"):
+            AccessCounter(loads=3, stores=-2)
 
 
 class TestScheduleResult:
@@ -96,3 +85,21 @@ class TestScheduleResult:
         partition = make_scheme("partition")
         assert partition.supports(make_ctx(kernel=3, stride=1), cfg16)
         assert not partition.supports(make_ctx(kernel=1, stride=1), cfg16)
+
+    def test_frozen_dict_refuses_mutation_and_pickles(self):
+        d = FrozenDict(a=1)
+        for mutate in (
+            lambda: d.__setitem__("a", 2),
+            lambda: d.__delitem__("a"),
+            lambda: d.update(b=2),
+            lambda: d.setdefault("b", 2),
+            lambda: d.pop("a"),
+            lambda: d.popitem(),
+            lambda: d.clear(),
+        ):
+            with pytest.raises(TypeError):
+                mutate()
+        with pytest.raises(TypeError):
+            d |= {"b": 2}
+        clone = pickle.loads(pickle.dumps(d))
+        assert clone == {"a": 1} and type(clone) is FrozenDict

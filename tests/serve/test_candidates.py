@@ -1,4 +1,4 @@
-"""The shared candidate-evaluation path behind every comparison driver."""
+"""The shared candidate-evaluation path behind the capacity planner."""
 
 from __future__ import annotations
 
@@ -34,29 +34,20 @@ class TestBuildReplicaSet:
         }
 
     def test_identical_configs_share_one_memoized_coster(self):
-        memo = {}
-        _, costers, _ = build_replica_set(
-            [(CONFIG_16_16, 2), (CONFIG_16_16, 1)], coster_memo=memo
-        )
+        _, costers, _ = build_replica_set([(CONFIG_16_16, 2), (CONFIG_16_16, 1)])
         assert costers[0] is costers[1] is costers[2]
-        assert memo[CONFIG_16_16] is costers[0]
 
     def test_custom_coster_passes_through(self):
         shard = BatchCoster(CONFIG_16_16)
         _, costers, _ = build_replica_set([(CONFIG_16_16, 2, shard)])
         assert costers == [shard, shard]
 
-    def test_label_chips_off_returns_no_chip_map(self):
-        _, _, chip_map = build_replica_set(
-            [(CONFIG_16_16, 1)], label_chips=False
-        )
-        assert chip_map is None
-
     def test_validation_names_the_candidate_and_group(self):
         with pytest.raises(ConfigError, match="no chip groups"):
             build_replica_set([], candidate="empty")
-        with pytest.raises(ConfigError, match="count must be"):
-            build_replica_set([(CONFIG_16_16, 0)], candidate="zero")
+        for count in (0, -1, True, 2.0):
+            with pytest.raises(ConfigError, match="count must be"):
+                build_replica_set([(CONFIG_16_16, count)], candidate="bad-count")
         with pytest.raises(ConfigError, match="group 1"):
             build_replica_set(
                 [(CONFIG_16_16, 1), (CONFIG_16_16, 1, None, "extra")],
@@ -66,18 +57,15 @@ class TestBuildReplicaSet:
 
 class TestEvaluateCandidate:
     def test_matches_a_hand_built_serving_engine(self):
-        summary = evaluate_candidate(
-            [(CONFIG_16_16, 2)], REQUESTS, 2.0, label_chips=False,
+        summary = evaluate_candidate([(CONFIG_16_16, 2)], REQUESTS, 2.0)
+        engine = ServingEngine(
+            CONFIG_16_16,
+            replicas=2,
+            routing="least-loaded",
+            chip_map={0: "16-16 g0-0", 1: "16-16 g0-1"},
         )
-        engine = ServingEngine(CONFIG_16_16, replicas=2, routing="least-loaded")
         assert summary == engine.run(REQUESTS, 2.0).summary
-
-    def test_extra_meta_lands_in_the_summary(self):
-        summary = evaluate_candidate(
-            [(CONFIG_16_16, 1)], REQUESTS, 2.0,
-            extra_meta={"deployment": "1x 16-16"},
-        )
-        assert summary["workload"]["deployment"] == "1x 16-16"
+        assert set(summary["per_chip"]) == {"16-16 g0-0", "16-16 g0-1"}
 
     def test_faulted_path_goes_through_the_failover_engine(self):
         summary = evaluate_candidate(

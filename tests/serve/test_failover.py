@@ -66,6 +66,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="multiplier"):
             engine(service_windows=[(1.0, 2.0, 0.5)])
 
+    def test_slow_fault_and_service_window_need_finite_factors(self):
+        # an infinite multiplier used to fail live replicas' requests as
+        # no_replicas, and an infinite slow fault hung the adaptive engine
+        with pytest.raises(
+            ConfigError, match="slow factor must be finite and >= 1, got inf"
+        ):
+            ReplicaFault("slow", 0, 0.2, factor=math.inf, duration_s=0.5)
+        with pytest.raises(
+            ConfigError, match="service multiplier must be finite and >= 1, got inf"
+        ):
+            engine(service_windows=[(0.2, 0.5, math.inf)])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_run_rejects_bad_duration(self, bad):
         with pytest.raises(ConfigError, match=f"finite, got {bad!r}"):
