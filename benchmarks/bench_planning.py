@@ -107,8 +107,11 @@ def bench_oracle_search(net_name: str, repeats: int) -> dict:
 
 
 def bench_parallel_sweep(net_name: str, repeats: int, jobs: int) -> dict:
+    """Serial against pooled sweeps; ``jobs`` is recorded as requested (-1 =
+    all CPUs), so the file does not depend on the host's CPU count."""
     net = build(net_name)
     schedule_cache.configure(enabled=True)
+    workers = resolve_jobs(jobs)
 
     def run(n_jobs):
         return sweep_parameter(
@@ -117,7 +120,7 @@ def bench_parallel_sweep(net_name: str, repeats: int, jobs: int) -> dict:
 
     reference = run(1)
     serial_s = _time(lambda: run(1), repeats)
-    parallel_s = _time(lambda: run(jobs), repeats)
+    parallel_s = _time(lambda: run(workers), repeats)
     return {
         "name": "parallel_sweep",
         "network": net_name,
@@ -127,7 +130,7 @@ def bench_parallel_sweep(net_name: str, repeats: int, jobs: int) -> dict:
         "serial_s": round(serial_s, 6),
         "parallel_s": round(parallel_s, 6),
         "speedup": round(serial_s / parallel_s, 3),
-        "bit_identical": run(jobs) == reference,
+        "bit_identical": run(workers) == reference,
     }
 
 
@@ -138,7 +141,7 @@ def run(args):
         scenarios.append(bench_repeated_plan(net_name, repeats))
         scenarios.append(bench_oracle_search(net_name, repeats))
     scenarios.append(
-        bench_parallel_sweep("alexnet", max(1, repeats // 5), resolve_jobs(args.jobs))
+        bench_parallel_sweep("alexnet", max(1, repeats // 5), args.jobs)
     )
 
     cache_speedups = [

@@ -426,8 +426,8 @@ def check_armable(schedule: FaultSchedule) -> None:
     """Refuse fault kinds :func:`apply_fault_schedule` cannot arm.
 
     Link faults need an inter-chip pipeline to price and SDC windows need
-    the verified-inference tier, both of which
-    :class:`~repro.serve.failover.FailoverEngine` has; a static
+    the verified-inference tier, both of which the chaos runner's failover
+    runs have (:func:`repro.resilience.scenarios.run_scenario`); a static
     ``pe_mask`` degrades every replica from t=0, which the control
     scenarios express as timed ``mask_faults`` instead.
     """
@@ -440,7 +440,7 @@ def check_armable(schedule: FaultSchedule) -> None:
         unsupported.append("pe_mask")
     if unsupported:
         raise ConfigError(
-            f"the adaptive engine cannot arm {' or '.join(unsupported)}; "
+            f"the control loop cannot arm {' or '.join(unsupported)}; "
             f"price link faults and serve SDC windows through "
             f"repro.resilience.scenarios, and express PE masks as timed "
             f"mask_faults"

@@ -173,7 +173,7 @@ def probe_fleet(
         sorted(
             r.rid
             for r in engine.replicas
-            if r.crashed and r.rid not in covered
+            if r.crashed_at is not None and r.rid not in covered
         )
     )
     degraded = tuple(
@@ -198,7 +198,9 @@ def probe_fleet(
             {
                 r.chip
                 for r in engine.replicas
-                if r.crashed and r.chip is not None and r.chip not in live_chips
+                if r.crashed_at is not None
+                and r.chip is not None
+                and r.chip not in live_chips
             }
         )
     )

@@ -25,10 +25,10 @@ Design rules that keep the loop stable and bit-deterministic:
   cooldown; shrinking waits), and the verifier can freeze scaling
   entirely when it sees oscillation;
 * **drain/repair** — a replica whose observed/expected service ratio has
-  been at or above :data:`SLOW_RATIO` for :data:`SLOW_EPOCHS` consecutive
-  windows (with at least :data:`MIN_HEALTH_BATCHES` batches observed) is
-  drained and replaced one-for-one, reusing the fail-slow health-signal
-  semantics of :class:`repro.serve.failover.HealthChecker`;
+  been at or above the failover health checker's
+  :data:`~repro.serve.failover.SLOW_THRESHOLD` for :data:`SLOW_EPOCHS`
+  consecutive windows (with at least :data:`MIN_HEALTH_BATCHES` batches
+  observed) is drained and replaced one-for-one;
 * **batch retune** — the planner picks the largest candidate batch whose
   costed service time plus expected fill time fits inside
   :data:`BATCH_SLO_FRAC` of the tightest SLO at the current per-replica
@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.serve.batcher import BatchCoster, mix_image_seconds
+from repro.serve.failover import SLOW_THRESHOLD
 from repro.control.telemetry import WindowStats
 
 __all__ = [
@@ -126,8 +127,6 @@ LOW_UTIL = 0.5
 SHED_HI = 0.0
 #: queued requests per active replica that count as a backlog breach
 QUEUE_HI = 32
-#: observed/expected service ratio that marks a replica unhealthy
-SLOW_RATIO = 1.5
 #: consecutive unhealthy windows before drain/repair triggers
 SLOW_EPOCHS = 2
 #: minimum observed batches per window for a health verdict
@@ -194,7 +193,7 @@ class AutoscalePolicy:
             "queue_hi": QUEUE_HI,
             "headroom": round(self.headroom, 6),
             "cooldown_epochs": self.cooldown_epochs,
-            "slow_ratio": round(SLOW_RATIO, 6),
+            "slow_ratio": round(SLOW_THRESHOLD, 6),
             "slow_epochs": SLOW_EPOCHS,
             "retune": self.retune,
             "batch_slo_frac": round(BATCH_SLO_FRAC, 6),
@@ -281,7 +280,7 @@ class Planner:
         # -- drain/repair: unhealthy replicas first ---------------------
         for rid, ratio in sorted(window.replica_service_ratio.items()):
             enough = window.replica_batches.get(rid, 0) >= MIN_HEALTH_BATCHES
-            if ratio >= SLOW_RATIO and enough:
+            if ratio >= SLOW_THRESHOLD and enough:
                 self._unhealthy_streak[rid] = self._unhealthy_streak.get(rid, 0) + 1
             else:
                 self._unhealthy_streak[rid] = 0
@@ -299,7 +298,7 @@ class Planner:
                         reason=(
                             f"service ratio "
                             f"{window.replica_service_ratio.get(rid, 0.0):.2f} "
-                            f">= {SLOW_RATIO:g} for "
+                            f">= {SLOW_THRESHOLD:g} for "
                             f"{SLOW_EPOCHS} epochs"
                         ),
                     )

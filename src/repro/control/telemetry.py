@@ -5,9 +5,8 @@ everything that *happened* in the window ``(prev_epoch_end, epoch_end]``
 into one :class:`WindowStats` record: latency percentiles against each
 tenant's SLO, shed and deadline-miss rates, queue depth at the boundary,
 per-replica utilization and observed/expected service ratios (the health
-signal the planner's drain rule consumes, mirroring
-:class:`repro.serve.failover.HealthChecker`'s
-:data:`~repro.serve.failover.SLOW_THRESHOLD`).
+signal the planner's drain rule consumes against the failover health
+checker's :data:`~repro.serve.failover.SLOW_THRESHOLD`).
 
 The detector reads the engine's batch log.  A batch, and every
 completion in it, belongs to the window its finish falls in, never the

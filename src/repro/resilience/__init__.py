@@ -18,7 +18,7 @@ instead of inventing new models:
   weight re-shipment charged through the link model;
 - :mod:`repro.resilience.scenarios` — named chaos scenarios pairing a
   fault schedule with a serving workload: the same seeded requests run
-  healthy and faulted through :class:`~repro.serve.failover.FailoverEngine`,
+  healthy and faulted as failover runs of :class:`~repro.serve.engine.ServingEngine`,
   reduced to availability, goodput-under-fault, MTTR and latency ratios
   as byte-stable JSON.
 

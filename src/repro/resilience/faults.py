@@ -4,8 +4,8 @@ A :class:`FaultSchedule` bundles everything that can go wrong with a
 deployment into one validated, serializable object:
 
 * **replica faults** — :class:`~repro.serve.failover.ReplicaFault`
-  fail-stop crashes and fail-slow windows, consumed by the
-  :class:`~repro.serve.failover.FailoverEngine`;
+  fail-stop crashes and fail-slow windows, served as a failover run of
+  :class:`~repro.serve.engine.ServingEngine`;
 * **link faults** — :class:`LinkFault` degradation windows on the
   inter-chip :class:`~repro.cluster.link.LinkSpec` (a *flap* is just a
   periodic train of short windows, see :func:`flapping_link`);
@@ -19,7 +19,7 @@ deployment into one validated, serializable object:
   checksums of :mod:`repro.integrity.abft`;
 * **serving-tier SDC windows** — :class:`~repro.serve.verified.SDCFault`,
   a window during which one replica's batches are silently corrupted,
-  consumed by the :class:`~repro.serve.failover.FailoverEngine` when a
+  served in the same failover run, checked when a
   :class:`~repro.serve.verified.VerificationPolicy` is in force.
 
 Schedules are either written explicitly or drawn from

@@ -5,7 +5,7 @@ count, the :class:`~repro.resilience.faults.FaultSchedule`, failover
 policy, pipeline context — over one fixed workload (:data:`MIX` at
 :data:`RATE_RPS` for :data:`DURATION_S`), and :func:`run_scenario` serves
 the *same seeded requests* through the arms that make the numbers
-meaningful, all on the :class:`~repro.serve.failover.FailoverEngine`:
+meaningful, each a failover run of :class:`~repro.serve.engine.ServingEngine`:
 ``healthy`` (no faults), ``faulted`` (the schedule) and, when the scenario
 verifies batches, ``verified`` (the healthy tier paying only the check's
 cost).  The rollup reports:
@@ -53,7 +53,8 @@ from repro.resilience.degrade import replan_degraded
 from repro.resilience.faults import FaultSchedule, PEMask, flapping_link
 from repro.resilience.repair import repair_pipeline
 from repro.serve.batcher import BatchCoster, BatchPolicy
-from repro.serve.failover import FailoverEngine, FailoverPolicy
+from repro.serve.engine import ServingEngine
+from repro.serve.failover import FailoverPolicy
 from repro.serve.metrics import MetricsCollector
 from repro.serve.queue import QueuePolicy
 from repro.serve.verified import SDCFault, VerificationPolicy
@@ -407,7 +408,7 @@ def run_scenario(
 
     def arm(engine_coster, faults=(), windows=(), sdc=(), verification=None) -> Arm:
         def serve(reqs):
-            report = FailoverEngine(
+            report = ServingEngine(
                 config,
                 batch_policy=BatchPolicy(max_batch=MAX_BATCH),
                 queue_policy=QueuePolicy(),

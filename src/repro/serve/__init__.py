@@ -15,14 +15,15 @@ existing planning machinery:
   formation, costed through :func:`repro.adaptive.batch.plan_batch` (and
   therefore through the schedule cache);
 - :mod:`repro.serve.engine` — the event loop over one or more accelerator
-  replicas with round-robin or least-loaded routing;
+  replicas with round-robin or least-loaded routing, which also serves
+  under lossy replica faults;
 - :mod:`repro.serve.metrics` — per-tenant/per-network latency percentiles,
   queue-wait vs. compute breakdown, goodput, shed rate and utilization,
   exportable as byte-stable JSON;
-- :mod:`repro.serve.failover` — the fault-aware tier: replica fail-stop /
-  fail-slow injection, health checking, retry with capped exponential
-  backoff, hedging, and drain-to-survivors (driven by
-  :mod:`repro.resilience`);
+- :mod:`repro.serve.failover` — the fault-aware tier's records: replica
+  fail-stop / fail-slow faults, the health checker's probe period and
+  slow threshold, retry with capped exponential backoff, and the hedging
+  policy (driven by :mod:`repro.resilience`);
 - :mod:`repro.serve.verified` — verified inference: per-batch ABFT checks
   (:class:`~repro.serve.verified.VerificationPolicy`), silent-data-
   corruption windows (:class:`~repro.serve.verified.SDCFault`), and
@@ -49,14 +50,7 @@ from repro.serve.engine import (
     ServingReport,
     ROUTING_KINDS,
 )
-from repro.serve.failover import (
-    FAULT_KINDS,
-    FailoverEngine,
-    FailoverPolicy,
-    FaultyReplica,
-    HealthChecker,
-    ReplicaFault,
-)
+from repro.serve.failover import FAULT_KINDS, FailoverPolicy, ReplicaFault
 from repro.serve.metrics import (
     MetricsCollector,
     RequestRecord,
@@ -86,10 +80,7 @@ __all__ = [
     "BatchCoster",
     "BatchPolicy",
     "FAULT_KINDS",
-    "FailoverEngine",
     "FailoverPolicy",
-    "FaultyReplica",
-    "HealthChecker",
     "ReplicaFault",
     "MetricsCollector",
     "QUEUE_ORDERS",

@@ -19,11 +19,9 @@ optional third element substitutes a custom BatchCoster-compatible object
 can be a whole sharded deployment).  Groups with identical configs share
 one coster, so a candidate plans each config once.
 
-When a fault schedule, SDC windows or a verification policy are
-supplied, the run goes through the
-:class:`~repro.serve.failover.FailoverEngine` instead (which models them);
-that engine is single-coster, so faulted candidates must be homogeneous —
-exactly one group.
+A fault schedule, SDC windows or a verification policy, when supplied,
+go to the same engine, which then serves a failover run of the candidate,
+mixed fleets included.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ConfigError
 from repro.serve.batcher import BatchCoster, BatchPolicy
+from repro.serve.engine import ServingEngine
 from repro.serve.workload import Request
 
 __all__ = [
@@ -119,40 +118,14 @@ def evaluate_candidate(
 ) -> Dict[str, object]:
     """Serve ``requests`` on one candidate deployment; return its summary.
 
-    Every candidate is served least-loaded behind the default queue.  The
-    healthy path builds a :class:`~repro.serve.engine.ServingEngine`
-    from the replica groups.  Supplying any fault input switches to the
-    :class:`~repro.serve.failover.FailoverEngine` (homogeneous candidates
-    only — exactly one group), so planners can score the same candidate
-    healthy and under chaos through one call signature.
+    Every candidate is served least-loaded behind the default queue, on a
+    :class:`~repro.serve.engine.ServingEngine` built from the replica
+    groups.  Any fault input makes it a failover run, so planners score
+    the same candidate healthy and under chaos through one call.
     """
-    faulted = bool(faults or sdc_faults) or verification is not None
     lead_config, replica_costers, chip_map = build_replica_set(
         groups, plan_policy=plan_policy, candidate=candidate
     )
-    if faulted:
-        from repro.serve.failover import FailoverEngine
-
-        if len(groups) != 1:
-            raise ConfigError(
-                f"candidate {candidate!r}: faulted evaluation needs a "
-                f"homogeneous deployment (exactly one replica group)"
-            )
-        engine = FailoverEngine(
-            lead_config,
-            batch_policy=batch_policy,
-            replicas=len(replica_costers),
-            routing="least-loaded",
-            plan_policy=plan_policy,
-            coster=replica_costers[0],
-            faults=faults,
-            sdc_faults=sdc_faults,
-            verification=verification,
-        )
-        return engine.run(requests, duration_s).summary
-
-    from repro.serve.engine import ServingEngine
-
     engine = ServingEngine(
         lead_config,
         batch_policy=batch_policy,
@@ -162,6 +135,9 @@ def evaluate_candidate(
         coster=replica_costers[0],
         replica_costers=replica_costers,
         chip_map=chip_map,
+        faults=faults,
+        sdc_faults=sdc_faults,
+        verification=verification,
     )
     return engine.run(requests, duration_s).summary
 

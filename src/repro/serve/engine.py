@@ -1,20 +1,23 @@
 """The serving event loop: arrivals → queue → batches → replicas → metrics.
 
 There is one loop, :meth:`AdaptiveServingEngine.advance_to`.  It advances
-*simulated accelerator time* (seconds) through exactly two kinds of events
-— a request arriving, and a batch becoming dispatchable on an available
-replica — so a run is a deterministic function of (workload, policies,
-actions, config).  Arrivals are offered in bulk between dispatches: one
-pass admits or sheds every arrival strictly before the next possible
-dispatch and the next armed crash.  That is exact: admission uses each
-arrival's own time, queue depth falls only at a dispatch, an arrival never
-changes which replica is picked, and an accepted offer can only pull its
-group's ready time earlier, so the pass keeps its bound current as offers
-land.  Batch service time comes from the planned
+*simulated accelerator time* (seconds) through a request arriving, a batch
+becoming dispatchable on an available replica, and pending fault events
+(a batch-boundary crash; in a failover run also a lossy replica fault, a
+batch completion, a crash detection and a retry), so a run is a
+deterministic function of (workload, policies, actions, faults, config).
+Arrivals are offered in bulk between dispatches: one pass admits or sheds
+every arrival strictly before the next possible dispatch and the next
+fault event.  That is exact: admission uses each arrival's own time,
+queue depth falls only at a dispatch, an arrival never changes which
+replica is picked, and an accepted offer can only pull its group's ready
+time earlier, so the pass keeps its bound current as offers land.  Batch
+service time comes from the planned
 :class:`~repro.adaptive.batch.BatchRun` for that (network, batch size)
 pair via :class:`~repro.serve.batcher.BatchCoster`; no wall clock is ever
 consulted.  :class:`ServingEngine` is the fixed-fleet view: a one-shot run
-with no mid-run actions, reported without the fleet timeline.
+with no mid-run actions, reported without the fleet timeline, and the
+way failover runs are served.
 
 Replicas model independent accelerator instances sharing the admission
 queue.  Two routing disciplines:
@@ -32,7 +35,9 @@ returns.
 
 from __future__ import annotations
 
+import heapq
 import math
+import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -42,8 +47,27 @@ from repro.arch.config import AcceleratorConfig
 from repro.errors import ConfigError
 from repro.perf.instrument import phase
 from repro.serve.batcher import BatchCoster, BatchPolicy
+from repro.serve.failover import (
+    FAILED_NO_REPLICAS,
+    FAILED_RETRIES,
+    MAX_RETRIES,
+    SLOW_THRESHOLD,
+    FailoverPolicy,
+    ReplicaFault,
+    backoff_s,
+    detection_time,
+)
 from repro.serve.metrics import MetricsCollector, to_json
 from repro.serve.queue import AdmissionQueue, QueuePolicy
+from repro.serve.verified import (
+    DETECTION_RATE,
+    DRAIN_THRESHOLD,
+    LATENCY_OVERHEAD,
+    RECOMPUTE_OVERHEAD,
+    SDCFault,
+    VerificationPolicy,
+    VerifiedReplica,
+)
 from repro.serve.workload import Request, check_positive
 
 __all__ = [
@@ -60,6 +84,12 @@ ROUTING_KINDS = ("round-robin", "least-loaded")
 
 #: the arrival stream's order: by arrival instant, ties by request id
 _ARRIVAL_ORDER = attrgetter("arrival_s", "rid")
+
+#: pending fault events, ``(at_s, kind, key, seq, replica, detail)``: at one
+#: instant a batch-boundary crash or a replica fault applies first, then
+#: completions, crash detections and (after that instant's arrivals)
+#: retries, each in ``key`` order (replica rid; request rid for retries)
+_CRASH, _FAULT, _DONE, _DETECT, _RETRY = range(5)
 
 
 @dataclass
@@ -232,12 +262,25 @@ class AdaptiveReplica(ReplicaState):
     #: gray-failure injection: ``(from_s, until_s, factor)`` windows; a
     #: dispatch at ``t`` pays the worst factor of every window containing it
     slow_windows: List[Tuple[float, float, float]] = field(default_factory=list)
-    #: set when the replica fail-stopped (vs an orderly drain)
-    crashed: bool = False
+    #: the instant the replica fail-stopped (vs an orderly drain)
+    crashed_at: Optional[float] = None
     #: hardware self-report of a partial PE failure: ``{"masked_cols",
     #: "masked_rows", "from_s"}`` plus ``"replanned"`` once healed — the
     #: health probe's input, opaque to the engine itself
     degraded: Optional[Dict[str, object]] = None
+    # -- failover run state (:meth:`AdaptiveServingEngine.arm_failover`) --
+    #: what the health checker believes: ``"up"``, ``"slow"`` or ``"down"``
+    status: str = field(default="up", init=False)
+    #: slow-marked for good (SDC drain): completions cannot revive it
+    quarantined: bool = field(default=False, init=False)
+    #: the batch running on the replica, or lost with it after a crash
+    inflight: Optional["_Flight"] = field(default=None, init=False)
+    #: SDC windows on this replica, each with its seeded corruption stream
+    sdc_windows: List[Tuple[SDCFault, random.Random]] = field(
+        default_factory=list, init=False
+    )
+    #: ABFT bookkeeping, when the run has SDC windows or a verification policy
+    verified: Optional[VerifiedReplica] = field(default=None, init=False)
 
     @property
     def active(self) -> bool:
@@ -257,9 +300,49 @@ class AdaptiveReplica(ReplicaState):
         )
         life = self.lifetime_s(makespan_s)
         out["utilization"] = round(self.busy_s / life, 6) if life else 0.0
-        if self.crashed:
+        if self.crashed_at is not None:
             out["crashed"] = True
         return out
+
+
+@dataclass(eq=False)
+class _Flight:
+    """A batch dispatched in a failover run: on one replica or, hedged, two."""
+
+    batch: List[Request]
+    start_s: float
+    #: completed by one copy, or lost to crashes with no copy left running
+    done: bool = False
+    #: the replica whose SDC window corrupted the batch; the corruption
+    #: only materializes if that replica's copy wins
+    corrupted_on: Optional[int] = None
+    #: the ABFT check flags the corruption (decided at dispatch)
+    flagged: bool = False
+
+
+@dataclass
+class _Failover:
+    """An armed failover run's inputs, counters and health timeline."""
+
+    policy: FailoverPolicy
+    faults: Tuple[ReplicaFault, ...]
+    #: global ``(start_s, end_s, multiplier)`` service-time windows
+    service_windows: Tuple[Tuple[float, float, float], ...]
+    sdc_faults: Tuple[SDCFault, ...]
+    verification: Optional[VerificationPolicy]
+    #: every batch pays the ABFT check
+    checking: bool
+    attempts: Dict[int, int] = field(default_factory=dict)
+    retries: int = 0
+    hedges: int = 0
+    hedge_wasted_s: float = 0.0
+    #: (time_s, rid, new status) transitions, in occurrence order
+    timeline: List[Tuple[float, int, str]] = field(default_factory=list)
+
+    @property
+    def integrity(self) -> bool:
+        """The run keeps ABFT bookkeeping (SDC windows or a policy)."""
+        return self.verification is not None or bool(self.sdc_faults)
 
 
 class AdaptiveServingEngine:
@@ -283,13 +366,14 @@ class AdaptiveServingEngine:
       :class:`ServingReport` whose ``fleet`` section carries chip-seconds,
       the resize timeline, and per-replica lifetimes.
 
-    Routing follows the failover engine's dynamic-membership semantics:
-    round-robin cycles over the *active* rids (resuming after the last
-    dispatched one, so a fixed fleet takes strict turns even when another
-    replica is already idle), least-loaded picks the earliest-free active
-    replica with ties to the lowest rid.  Everything remains a
-    deterministic function of (workload, actions, config): no wall clock,
-    no unordered state.
+    Routing has dynamic-membership semantics: round-robin cycles over the
+    *active* rids (resuming after the last dispatched one, so a fixed fleet
+    takes strict turns even when another replica is already idle),
+    least-loaded picks the earliest-free active replica with ties to the
+    lowest rid.  :meth:`arm_failover` turns a run into a failover run,
+    whose crashes lose in-flight work.  Everything remains a deterministic
+    function of (workload, actions, faults, config): no wall clock, no
+    unordered state.
     """
 
     def __init__(
@@ -343,8 +427,11 @@ class AdaptiveServingEngine:
         self._busy_from = -math.inf
         #: (time_s, event, rid-or-None, detail) fleet/batcher change log
         self.fleet_events: List[Tuple[float, str, Optional[int], str]] = []
-        #: armed fail-stops, (at_s, rid, reason) sorted by time
-        self._crashes: List[Tuple[float, int, str]] = []
+        #: heap of pending fault events (see ``_CRASH``); ``_seq`` breaks ties
+        self._faults: List[tuple] = []
+        self._seq = 0
+        #: set by :meth:`arm_failover`
+        self._failover: Optional[_Failover] = None
 
     # -- fleet state -------------------------------------------------------
 
@@ -405,6 +492,8 @@ class AdaptiveServingEngine:
         rid = self._next_rid
         self._next_rid += 1
         state = AdaptiveReplica(rid, free_at=self._now, added_s=self._now, chip=chip)
+        if self._failover is not None and self._failover.integrity:
+            state.verified = VerifiedReplica(rid)
         self.replicas.append(state)
         self._active.append(state)
         self.fleet_events.append(
@@ -473,11 +562,84 @@ class AdaptiveServingEngine:
             raise ConfigError(
                 f"crash time must be finite and >= 0, got {at_s!r}"
             )
-        self._replica(rid)
-        if any(c_rid == rid for _, c_rid, _ in self._crashes):
+        state = self._replica(rid)
+        if any(e[1] == _CRASH and e[4] is state for e in self._faults):
             raise ConfigError(f"replica {rid} already has a crash scheduled")
-        self._crashes.append((at_s, rid, reason))
-        self._crashes.sort(key=lambda c: (c[0], c[1]))
+        self._push(at_s, _CRASH, rid, state, reason)
+
+    def arm_failover(
+        self,
+        faults: Sequence[ReplicaFault] = (),
+        policy: FailoverPolicy = FailoverPolicy(),
+        service_windows: Sequence[Tuple[float, float, float]] = (),
+        sdc_faults: Sequence[SDCFault] = (),
+        verification: Optional[VerificationPolicy] = None,
+    ) -> None:
+        """Serve from now on under faults whose in-flight work is lost.
+
+        A ``crash`` fault is fail-stop at its instant: the batch running on
+        the replica is lost, and routing keeps choosing the replica (each
+        dispatch onto it lost too) until the first probe tick after the
+        crash marks it down.  Lost requests retry after a capped backoff
+        while the retry budget lasts and otherwise fail with a reason.
+        Completions mark a replica slow when its service reached
+        ``SLOW_THRESHOLD`` times the expected one (least-loaded routing
+        then prefers healthy replicas at equal load), and ``policy.hedge``
+        duplicates a batch sent to a slow replica onto an idle healthy one.
+        ``service_windows`` stretch every batch's expected time by the
+        worst ``(start_s, end_s, multiplier)`` window containing its
+        dispatch.  ``sdc_faults`` corrupt batches silently; with a
+        ``verification`` policy every batch pays the ABFT check, a caught
+        corruption is recomputed, and ``DRAIN_THRESHOLD`` catches
+        quarantine the replica as slow.
+        """
+        if self._failover is not None:
+            raise ConfigError("failover is already armed")
+        for kind, rid in [("fault", f.replica) for f in faults] + [
+            ("SDC fault", f.replica) for f in sdc_faults
+        ]:
+            if rid >= len(self.replicas):
+                raise ConfigError(
+                    f"{kind} targets replica {rid} but the tier has only "
+                    f"{len(self.replicas)} replicas"
+                )
+        for start, end, mult in service_windows:
+            if not end > start:
+                raise ConfigError(
+                    f"service window must have end > start, got "
+                    f"[{start!r}, {end!r})"
+                )
+            if not math.isfinite(mult) or mult < 1:
+                raise ConfigError(
+                    f"service multiplier must be finite and >= 1, got {mult!r}"
+                )
+        faults = tuple(sorted(faults, key=lambda f: (f.time_s, f.replica)))
+        sdc_faults = tuple(sorted(sdc_faults, key=lambda f: (f.time_s, f.replica)))
+        self._failover = _Failover(
+            policy=policy,
+            faults=faults,
+            service_windows=tuple(
+                sorted((float(s), float(e), float(m)) for s, e, m in service_windows)
+            ),
+            sdc_faults=sdc_faults,
+            verification=verification,
+            checking=verification is not None and verification.enabled,
+        )
+        for fault in faults:
+            state = self._replica(fault.replica)
+            self._push(fault.time_s, _FAULT, fault.replica, state, fault)
+        # one seeded stream per SDC window, consumed in dispatch order
+        for idx, fault in enumerate(sdc_faults):
+            self._replica(fault.replica).sdc_windows.append(
+                (fault, random.Random(fault.seed + 7919 * idx))
+            )
+        if self._failover.integrity:
+            for state in self.replicas:
+                state.verified = VerifiedReplica(state.rid)
+
+    def _push(self, at_s: float, kind: int, key: int, state, detail) -> None:
+        heapq.heappush(self._faults, (at_s, kind, key, self._seq, state, detail))
+        self._seq += 1
 
     def mark_degraded(
         self,
@@ -553,17 +715,26 @@ class AdaptiveServingEngine:
 
     # -- the resident event loop -------------------------------------------
 
-    def _apply_crashes(self, up_to: float) -> None:
-        """Fail-stop every armed crash at or before ``up_to``."""
-        while self._crashes and self._crashes[0][0] <= up_to:
-            at_s, rid, reason = self._crashes.pop(0)
-            state = self._replica(rid)
-            if not state.active:
-                continue  # already drained/retired; the crash is moot
-            state.crashed = True
-            state.retired_s = max(at_s, state.free_at)
-            self._active.remove(state)
-            self.fleet_events.append((at_s, "crash", rid, reason))
+    def _apply_faults(self, up_to: float) -> None:
+        """Apply every pending fault event at or before ``up_to``, in order."""
+        faults = self._faults
+        while faults and faults[0][0] <= up_to:
+            at_s, kind, _, _, state, detail = heapq.heappop(faults)
+            if kind == _CRASH:
+                if not state.active:
+                    continue  # already drained/retired; the crash is moot
+                state.crashed_at = at_s
+                state.retired_s = max(at_s, state.free_at)
+                self._active.remove(state)
+                self.fleet_events.append((at_s, "crash", state.rid, detail))
+            elif kind == _FAULT:
+                self._fault(state, detail)
+            elif kind == _DONE:
+                self._complete(state, at_s, detail)
+            elif kind == _DETECT:
+                self._detect(state, at_s)
+            else:
+                self._retry(detail, at_s)
 
     def _pick(self) -> Optional[AdaptiveReplica]:
         """The active replica the next dispatch would use (deterministic)."""
@@ -577,6 +748,9 @@ class AdaptiveServingEngine:
                     return state
             return active[0]
         # earliest free; ``_active`` is in rid order, so ties keep the lowest
+        # (in a failover run, once healthy replicas have beaten slow ones)
+        if self._failover is not None:
+            return min(active, key=lambda r: (r.free_at, r.status == "slow"))
         best = active[0]
         for state in active:
             if state.free_at < best.free_at:
@@ -602,22 +776,23 @@ class AdaptiveServingEngine:
         pending, queue, metrics = self._pending, self._queue, self.metrics
         batch_policy = self.batch_policy  # actions apply between calls
         offer, record_shed = queue.offer, metrics.record_shed
+        failover, faults = self._failover, self._faults
         n = len(pending)
-        self._apply_crashes(self._now)
+        self._apply_faults(self._now)
         while True:
             pick = self._pick()
             free_at = pick.free_at if pick is not None else math.inf
-            crash_at = self._crashes[0][0] if self._crashes else math.inf
+            fault_at = faults[0][0] if faults else math.inf
             ready = (
                 queue.next_ready(batch_policy)[0]
                 if len(queue) and pick is not None
                 else math.inf
             )
             # -- bulk ingest: offer every arrival strictly before the next
-            # possible dispatch and the next crash.  Offers never change
-            # the pick, and can only pull ``ready`` earlier, so it is kept
-            # current while it still bounds the dispatch instant.
-            bound = min(max(ready, free_at), crash_at)
+            # possible dispatch and the next fault event.  Offers never
+            # change the pick, and can only pull ``ready`` earlier, so it is
+            # kept current while it still bounds the dispatch instant.
+            bound = min(max(ready, free_at), fault_at)
             i = self._pi
             while i < n:
                 request = pending[i]
@@ -632,26 +807,26 @@ class AdaptiveServingEngine:
                     group_ready = queue.ready_time(request.network, batch_policy)
                     if group_ready < ready:
                         ready = group_ready
-                        bound = min(max(ready, free_at), crash_at)
+                        bound = min(max(ready, free_at), fault_at)
             if i > self._pi:
                 self._now = max(self._now, pending[i - 1].arrival_s)
                 self._pi = i
 
             # -- the next event: an arrival at or after the dispatch
-            # instant, a dispatch, or a crash
-            next_times: List[float] = []
-            if i < n:
-                next_times.append(pending[i].arrival_s)
-            if len(queue) and pick is not None:
-                next_times.append(max(ready, free_at))
-            if not next_times:
+            # instant, a dispatch, or a fault event.  A failover run's
+            # events wake the loop; a batch-boundary crash only gates it
+            t = pending[i].arrival_s if i < n else math.inf
+            t = min(t, max(ready, free_at))
+            if failover is not None:
+                t = min(t, fault_at)
+            if t == math.inf:
                 break
-            t = max(self._now, min(next_times))
-            # an armed crash before the next event changes who is eligible
-            # to dispatch — fail-stop first, then recompute the event
-            if crash_at <= min(t, t_end):
-                self._now = max(self._now, crash_at)
-                self._apply_crashes(self._now)
+            t = max(self._now, t)
+            # a fault event before the next event changes who is eligible
+            # to dispatch — apply it first, then recompute the event
+            if fault_at <= min(t, t_end):
+                self._now = max(self._now, fault_at)
+                self._apply_faults(self._now)
                 continue
             if t > t_end:
                 break
@@ -678,6 +853,9 @@ class AdaptiveServingEngine:
                     record_shed(event.request.tenant, event.reason)
                 if not batch:
                     continue
+                if failover is not None:
+                    self._dispatch(replica, batch, network, t)
+                    continue
                 coster = self._replica_costers.get(replica.rid, self.coster)
                 service = coster.batch_seconds(network, len(batch))
                 if replica.slow_windows:
@@ -690,8 +868,186 @@ class AdaptiveServingEngine:
                 self._rr_last = replica.rid
                 metrics.record_served(batch, t, finish, replica.rid)
         if not math.isinf(t_end):
-            self._apply_crashes(t_end)
+            self._apply_faults(t_end)
             self._now = max(self._now, t_end)
+
+    # -- failover runs (armed by :meth:`arm_failover`) ----------------------
+
+    def _expected_s(
+        self, replica: AdaptiveReplica, network: str, size: int, t: float
+    ) -> float:
+        """A batch's service time on a healthy ``replica`` dispatched at ``t``."""
+        failover = self._failover
+        expected = self.coster_for(replica.rid).batch_seconds(network, size)
+        if failover.service_windows:
+            expected *= _worst_factor(failover.service_windows, t)
+        if failover.checking:
+            expected *= LATENCY_OVERHEAD  # every batch pays the checksum passes
+        return expected
+
+    def _dispatch(
+        self, replica: AdaptiveReplica, batch: List[Request], network: str, t: float
+    ) -> None:
+        """Start ``batch`` on ``replica`` (and its hedge copy) at ``t``."""
+        failover = self._failover
+        expected = self._expected_s(replica, network, len(batch), t)
+        flight = _Flight(batch, t)
+        # SDC windows corrupt at dispatch, and the check's verdict is drawn
+        # here too, so hedging and crash races cannot skew the streams
+        for sdc, rng in replica.sdc_windows:
+            if sdc.active_at(t) and rng.random() < sdc.per_batch:
+                flight.corrupted_on = replica.rid
+                if failover.checking:
+                    flight.flagged = (
+                        DETECTION_RATE >= 1.0 or rng.random() < DETECTION_RATE
+                    )
+        self._rr_last = replica.rid
+        replica.inflight = flight
+        if replica.crashed_at is not None:
+            # a doomed dispatch into the detection window: the batch is
+            # lost, and recovered at the probe tick
+            replica.free_at = math.inf
+            return
+        service = expected
+        if replica.slow_windows:
+            service *= _worst_factor(replica.slow_windows, t)
+        if flight.flagged:
+            # detect-and-recompute: only the flagged partial maps re-execute
+            service *= 1.0 + RECOMPUTE_OVERHEAD
+        self._run_copy(replica, flight, t, service, expected)
+        if failover.policy.hedge and replica.status == "slow":
+            twin = next(
+                (
+                    r
+                    for r in self._active
+                    if r.status == "up" and r.free_at <= t and r.crashed_at is None
+                ),
+                None,
+            )
+            if twin is not None:
+                failover.hedges += 1
+                expected = self._expected_s(twin, network, len(batch), t)
+                service = expected
+                if twin.slow_windows:
+                    service *= _worst_factor(twin.slow_windows, t)
+                twin.inflight = flight
+                self._run_copy(twin, flight, t, service, expected)
+
+    def _run_copy(
+        self,
+        replica: AdaptiveReplica,
+        flight: _Flight,
+        t: float,
+        service: float,
+        expected: float,
+    ) -> None:
+        """Occupy ``replica`` with one copy of ``flight`` and schedule its
+        completion."""
+        replica.free_at = t + service
+        replica.busy_s += service
+        replica.batches += 1
+        self._push(replica.free_at, _DONE, replica.rid, replica, (flight, expected))
+
+    def _fault(self, replica: AdaptiveReplica, fault: ReplicaFault) -> None:
+        """A replica fault at its instant: a slow window, or a lossy crash."""
+        if fault.kind == "slow":
+            replica.slow_windows.append(
+                (fault.time_s, fault.time_s + fault.duration_s, fault.factor)
+            )
+            return
+        if replica.crashed_at is not None:
+            return
+        replica.crashed_at = fault.time_s
+        if replica.inflight is not None:
+            # the batch will never complete; the replica looks busy until
+            # the probe tick notices the crash
+            replica.free_at = math.inf
+            faults = self._faults
+            k = next(
+                k for k, e in enumerate(faults) if e[1] == _DONE and e[4] is replica
+            )
+            faults[k] = faults[-1]
+            faults.pop()
+            heapq.heapify(faults)
+        self._push(detection_time(fault.time_s), _DETECT, replica.rid, replica, None)
+
+    def _mark(self, replica: AdaptiveReplica, t: float, status: str) -> None:
+        """The health checker's belief changes (a no-op when it does not)."""
+        if replica.status != status:
+            replica.status = status
+            self._failover.timeline.append((t, replica.rid, status))
+
+    def _complete(self, replica: AdaptiveReplica, t: float, detail) -> None:
+        """One copy of a flight finishes: the first one completes the batch."""
+        flight, expected = detail
+        failover = self._failover
+        replica.inflight = None
+        service = t - flight.start_s
+        if flight.done:
+            failover.hedge_wasted_s += service  # the hedge copy finished first
+            return
+        flight.done = True
+        replica.completed += len(flight.batch)
+        if not replica.quarantined:
+            slow = expected > 0 and service >= SLOW_THRESHOLD * expected
+            self._mark(replica, t, "slow" if slow else "up")
+        verified = replica.verified
+        if verified is not None:
+            if failover.checking:
+                verified.checked_batches += 1
+            if flight.corrupted_on == replica.rid:
+                verified.corrupted_batches += 1
+                if flight.flagged:
+                    verified.detected += 1
+                    verified.corrected += 1
+                    if verified.detected >= DRAIN_THRESHOLD and not verified.drained:
+                        # quarantine: the timing is fine, the silicon is not
+                        verified.drained_at = t
+                        replica.quarantined = True
+                        self._mark(replica, t, "slow")
+                else:
+                    verified.escaped_batches += 1
+                    verified.escaped_requests += len(flight.batch)
+        self.metrics.record_served(flight.batch, flight.start_s, t, replica.rid)
+
+    def _detect(self, replica: AdaptiveReplica, t: float) -> None:
+        """The probe tick that notices a crash: drain the replica's batch."""
+        failover = self._failover
+        self._mark(replica, t, "down")
+        if replica.active:
+            self._active.remove(replica)
+        flight, replica.inflight = replica.inflight, None
+        replica.free_at = math.inf
+        if flight is None or flight.done:
+            return
+        if any(r.inflight is flight and r.crashed_at is None for r in self._active):
+            # a hedge copy still runs on a live replica and completes the
+            # batch; only the crashed copy's run was wasted
+            failover.hedge_wasted_s += replica.crashed_at - flight.start_s
+            return
+        flight.done = True
+        for request in flight.batch:
+            attempt = failover.attempts.get(request.rid, 0) + 1
+            failover.attempts[request.rid] = attempt
+            if attempt > MAX_RETRIES:
+                self.metrics.record_failure(request.tenant, FAILED_RETRIES)
+            else:
+                failover.retries += 1
+                self._push(t + backoff_s(attempt), _RETRY, request.rid, None, request)
+
+    def _retry(self, request: Request, t: float) -> None:
+        """Re-offer a lost request after its backoff, behind the arrivals
+        due at the same instant."""
+        pending, queue = self._pending, self._queue
+        while self._pi < len(pending) and pending[self._pi].arrival_s <= t:
+            arrival = pending[self._pi]
+            shed = queue.offer(arrival, arrival.arrival_s)
+            if shed is not None:
+                self.metrics.record_shed(arrival.tenant, shed.reason)
+            self._pi += 1
+        shed = queue.offer(request, t)
+        if shed is not None:
+            self.metrics.record_shed(request.tenant, shed.reason)
 
     def busy_overlap(self, start_s: float, end_s: float) -> Dict[int, float]:
         """Per-replica busy seconds clipped to ``[start_s, end_s)``.
@@ -752,11 +1108,11 @@ class AdaptiveServingEngine:
                         )
                     for request in batch:
                         self.metrics.record_failure(
-                            request.tenant, "no_active_replica"
+                            request.tenant, FAILED_NO_REPLICAS
                         )
         makespan_s = self.metrics.makespan(duration_s)
         # a crash armed past the makespan is moot: no retirement, no event
-        self._apply_crashes(makespan_s)
+        self._apply_faults(makespan_s)
         busy_s = sum(r.busy_s for r in self.replicas)
         peak = _peak_fleet_size(self.replicas)
         summary = self.metrics.summary(
@@ -795,19 +1151,69 @@ class AdaptiveServingEngine:
                 for t, event, rid, detail in self.fleet_events
             ],
         }
+        failover = self._failover
+        extra: Dict[str, object] = {"adaptive": True}
+        if failover is not None:
+            extra["failover"] = failover.policy.describe()
+            self._failover_sections(summary)
         summary["engine"] = engine_summary(
             self.config.name,
             self.plan_policy,
             self.batch_policy,
             self.queue_policy,
             self.routing,
-            adaptive=True,
+            **extra,
         )
         if extra_meta:
             summary["workload"] = dict(sorted(extra_meta.items()))
         return ServingReport(
             summary=summary, metrics=self.metrics, replicas=list(self.replicas)
         )
+
+    def _failover_sections(self, summary: Dict[str, object]) -> None:
+        """A failover run's ``terminated``, ``failover`` and ``integrity``."""
+        failover = self._failover
+        summary["terminated"] = (
+            summary["completed"] + summary["shed"] + summary["failed"]
+        )
+        summary["failover"] = {
+            "policy": failover.policy.to_dict(),
+            "faults": [f.to_dict() for f in failover.faults],
+            "retries": failover.retries,
+            "hedges": failover.hedges,
+            "hedge_wasted_ms": round(failover.hedge_wasted_s * 1e3, 6),
+            "health_timeline": [
+                {"time_ms": round(t * 1e3, 6), "replica": rid, "status": status}
+                for t, rid, status in failover.timeline
+            ],
+            "service_windows": [
+                {
+                    "start_ms": round(s * 1e3, 6),
+                    "end_ms": round(e * 1e3, 6),
+                    "multiplier": round(m, 6),
+                }
+                for s, e, m in failover.service_windows
+            ],
+        }
+        if not failover.integrity:
+            return
+        ver = failover.verification
+        vreps = [r.verified for r in self.replicas]
+        corrupted = sum(v.corrupted_batches for v in vreps)
+        detected = sum(v.detected for v in vreps)
+        summary["integrity"] = {
+            "policy": ver.to_dict() if ver is not None else None,
+            "sdc_faults": [f.to_dict() for f in failover.sdc_faults],
+            "checked_batches": sum(v.checked_batches for v in vreps),
+            "corrupted_batches": corrupted,
+            "detected": detected,
+            "corrected": sum(v.corrected for v in vreps),
+            "escaped_batches": sum(v.escaped_batches for v in vreps),
+            "escaped_requests": sum(v.escaped_requests for v in vreps),
+            "detection_rate": round(detected / corrupted, 6) if corrupted else None,
+            "drained_replicas": [v.rid for v in vreps if v.drained],
+            "per_replica": [v.detail() for v in vreps],
+        }
 
     def run(
         self,
@@ -828,6 +1234,16 @@ class ServingEngine:
     engine with no mid-run actions, sharing this engine's coster, and
     reports a fixed fleet: no ``fleet`` section, no replica lifetimes, and
     per-replica and per-chip utilization over the reported makespan.
+
+    Any of the fault inputs (``faults``, ``failover_policy``,
+    ``service_windows``, ``sdc_faults``, ``verification``) makes every run
+    a failover run (:meth:`AdaptiveServingEngine.arm_failover`, with the
+    default :class:`~repro.serve.failover.FailoverPolicy` unless one is
+    given).  Its report adds each replica's health ``status`` and
+    ``crashed_ms``, the ``terminated`` count, the ``failover`` section and,
+    with SDC windows or a verification policy, the ``integrity`` section.
+    A crashed replica stays provisioned: utilization is busy time over
+    ``replicas * makespan``.
     """
 
     def __init__(
@@ -842,6 +1258,11 @@ class ServingEngine:
         replica_costers: Optional[Sequence[BatchCoster]] = None,
         chip_map: Optional[Dict[int, str]] = None,
         chip_shares: Optional[Dict[int, float]] = None,
+        faults: Sequence[ReplicaFault] = (),
+        failover_policy: Optional[FailoverPolicy] = None,
+        service_windows: Sequence[Tuple[float, float, float]] = (),
+        sdc_faults: Sequence[SDCFault] = (),
+        verification: Optional[VerificationPolicy] = None,
     ) -> None:
         self.config = config
         self.batch_policy = batch_policy
@@ -855,12 +1276,22 @@ class ServingEngine:
         )
         self.chip_map = dict(chip_map) if chip_map else None
         self.chip_shares = dict(chip_shares) if chip_shares else None
+        self.faults = tuple(faults)
+        self.failover_policy = failover_policy
+        self.service_windows = tuple(service_windows)
+        self.sdc_faults = tuple(sdc_faults)
+        self.verification = verification
+        self._faulted = (
+            failover_policy is not None
+            or bool(self.faults or self.service_windows or self.sdc_faults)
+            or verification is not None
+        )
         # building one engine validates every argument now; all runs then
         # share its coster, so each plan derives once per ServingEngine
         self.coster = self._engine().coster
 
     def _engine(self) -> AdaptiveServingEngine:
-        return AdaptiveServingEngine(
+        engine = AdaptiveServingEngine(
             self.config,
             batch_policy=self.batch_policy,
             queue_policy=self.queue_policy,
@@ -872,6 +1303,15 @@ class ServingEngine:
             chip_map=self.chip_map,
             chip_shares=self.chip_shares,
         )
+        if self._faulted:
+            engine.arm_failover(
+                self.faults,
+                self.failover_policy or FailoverPolicy(),
+                self.service_windows,
+                self.sdc_faults,
+                self.verification,
+            )
+        return engine
 
     def run(
         self,
@@ -893,6 +1333,12 @@ class ServingEngine:
         summary["per_replica"] = [
             ReplicaState.detail(r, makespan_s) for r in report.replicas
         ]
+        if self._faulted:
+            for detail, r in zip(summary["per_replica"], report.replicas):
+                detail["status"] = r.status
+                detail["crashed_ms"] = (
+                    round(r.crashed_at * 1e3, 6) if r.crashed_at is not None else None
+                )
         if "per_chip" in summary:
             summary["per_chip"] = per_chip_rollup(
                 report.replicas, dict.fromkeys(summary["per_chip"], makespan_s)

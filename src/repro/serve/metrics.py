@@ -168,9 +168,10 @@ class MetricsCollector:
     """A columnar log of completions plus shed/failure counters.
 
     Every batch run adds one row to ``batch_starts``, ``batch_finishes``,
-    ``batch_replicas`` and ``batch_sizes`` (log order: dispatch order for
-    the serving loop, completion order for the failover tier) and appends
-    the batch's requests to the completion log.
+    ``batch_replicas`` and ``batch_sizes`` (log order: dispatch order, or
+    completion order in failover runs, which log neither a lost batch nor
+    a hedge copy that finished second) and appends the batch's requests to
+    the completion log.
     """
 
     def __init__(self) -> None:

@@ -19,7 +19,8 @@ user-visible wrong answers:
   checked, corruptions detected/corrected/escaped, and when the replica
   was drained.
 
-The :class:`~repro.serve.failover.FailoverEngine` consumes all three: a
+A failover run of :class:`~repro.serve.engine.ServingEngine` (its
+``sdc_faults`` and ``verification`` inputs) consumes all three: a
 detected corruption is recomputed on the spot (the batch completes late
 but *correct*), repeated detections mark the replica ``slow`` — sticky, so
 the health checker does not flip it back to ``up`` — and the router drains

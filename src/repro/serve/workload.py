@@ -467,7 +467,7 @@ def diurnal_rate(
     The daily cycle is sinusoidal — ``base_rate`` at midnight, ``peak_rate``
     at mid-day — and any flash-crowd window ``(start, duration, factor)``
     covering ``t`` multiplies the rate (overlapping windows take the max
-    factor, mirroring the service-window semantics in the failover engine).
+    factor, mirroring the service-window semantics of failover runs).
     """
     rate = base_rate + (peak_rate - base_rate) * 0.5 * (
         1.0 - math.cos(2.0 * math.pi * t / day_s)

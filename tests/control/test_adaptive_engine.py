@@ -255,6 +255,15 @@ class TestChipSeconds:
         assert summary["utilization"] == 0.0
         assert summary["failed"] == summary["offered"] > 0
 
+    def test_stranded_work_fails_as_no_replicas(self):
+        # the failover runs' name for requests no replica is left to serve
+        eng = adaptive(replicas=2)
+        eng.schedule_crash(0, 0.3)
+        eng.schedule_crash(1, 0.5)
+        summary = eng.run(poisson_arrivals(50, 1, ALEX, seed=0), 1).summary
+        assert summary["failed"] > 0
+        assert summary["failed_by_reason"] == {"no_replicas": summary["failed"]}
+
     def test_peak_fleet_size_orders_swap_correctly(self):
         # drain + add at the same instant must not read as peak+1
         rs = [

@@ -67,20 +67,34 @@ class TestEvaluateCandidate:
         assert summary == engine.run(REQUESTS, 2.0).summary
         assert set(summary["per_chip"]) == {"16-16 g0-0", "16-16 g0-1"}
 
-    def test_faulted_path_goes_through_the_failover_engine(self):
+    def test_faulted_path_matches_a_failover_run(self):
+        faults = [ReplicaFault("crash", 0, 0.5)]
         summary = evaluate_candidate(
-            [(CONFIG_16_16, 2)], REQUESTS, 2.0,
+            [(CONFIG_16_16, 2)], REQUESTS, 2.0, faults=faults
+        )
+        engine = ServingEngine(
+            CONFIG_16_16,
+            replicas=2,
+            routing="least-loaded",
+            chip_map={0: "16-16 g0-0", 1: "16-16 g0-1"},
+            faults=faults,
+        )
+        assert summary == engine.run(REQUESTS, 2.0).summary
+        assert summary["failover"]["faults"][0]["kind"] == "crash"
+        assert summary["per_replica"][0]["status"] == "down"
+
+    def test_faulted_path_serves_a_mixed_fleet(self):
+        summary = evaluate_candidate(
+            [(CONFIG_16_16, 1), (CONFIG_32_32, 1)], REQUESTS, 2.0,
             faults=[ReplicaFault("crash", 0, 0.5)],
         )
-        assert summary["failover"]["faults"][0]["kind"] == "crash"
-        assert summary["deadline_hit_rate"] <= 1.0
-
-    def test_faulted_path_requires_a_homogeneous_candidate(self):
-        with pytest.raises(ConfigError, match="homogeneous"):
-            evaluate_candidate(
-                [(CONFIG_16_16, 1), (CONFIG_32_32, 1)], REQUESTS, 2.0,
-                faults=[ReplicaFault("crash", 0, 0.5)],
-            )
+        assert summary["terminated"] == summary["offered"]
+        assert [d["chip"] for d in summary["per_replica"]] == [
+            "16-16 g0-0",
+            "32-32 g1-0",
+        ]
+        # the survivor is the 32-32 chip, which serves the tail
+        assert summary["per_replica"][1]["completed"] > 0
 
 
 class TestRankCandidates:

@@ -69,7 +69,7 @@ class PerEventEngine(AdaptiveServingEngine):
         pending, queue, metrics = self._pending, self._queue, self.metrics
         batch_policy = self.batch_policy  # actions apply between calls
         n = len(pending)
-        self._apply_crashes(self._now)
+        self._apply_faults(self._now)
         while True:
             next_times: List[float] = []
             if self._pi < n:
@@ -84,9 +84,9 @@ class PerEventEngine(AdaptiveServingEngine):
             t = max(self._now, min(next_times))
             # an armed crash before the next event changes who is eligible
             # to dispatch — fail-stop first, then recompute the event
-            if self._crashes and self._crashes[0][0] <= min(t, t_end):
-                self._now = max(self._now, self._crashes[0][0])
-                self._apply_crashes(self._now)
+            if self._faults and self._faults[0][0] <= min(t, t_end):
+                self._now = max(self._now, self._faults[0][0])
+                self._apply_faults(self._now)
                 continue
             if t > t_end:
                 break
@@ -125,7 +125,7 @@ class PerEventEngine(AdaptiveServingEngine):
                 self._rr_last = replica.rid
                 metrics.record_served(batch, t, finish, replica.rid)
         if not math.isinf(t_end):
-            self._apply_crashes(t_end)
+            self._apply_faults(t_end)
         if t_end > self._now and not math.isinf(t_end):
             self._now = t_end
 

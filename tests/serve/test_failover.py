@@ -1,4 +1,4 @@
-"""Failover engine: fault injection, detection, retries, hedging, draining.
+"""Failover runs: fault injection, detection, retries, hedging, draining.
 
 The load-bearing invariant throughout: every offered request terminates
 exactly once — completed, shed, or failed with a reason.  No silent drops,
@@ -13,16 +13,16 @@ import pytest
 
 from repro.arch.config import CONFIG_16_16
 from repro.errors import ConfigError
-from repro.serve import failover
+from repro.serve import engine as engine_module
 from repro.serve.batcher import BatchCoster, BatchPolicy
+from repro.serve.engine import AdaptiveServingEngine, ServingEngine
 from repro.serve.failover import (
     FAILED_NO_REPLICAS,
     FAILED_RETRIES,
-    FailoverEngine,
     FailoverPolicy,
-    HealthChecker,
     ReplicaFault,
     backoff_s,
+    detection_time,
 )
 from repro.serve.workload import Request, TenantSpec, poisson_arrivals
 
@@ -34,7 +34,8 @@ _COSTER = BatchCoster(CONFIG_16_16)
 
 def engine(**kwargs):
     kwargs.setdefault("coster", _COSTER)
-    return FailoverEngine(CONFIG_16_16, **kwargs)
+    kwargs.setdefault("failover_policy", FailoverPolicy())
+    return ServingEngine(CONFIG_16_16, **kwargs)
 
 
 def requests(rate=100, duration=3, seed=0, tenants=ALEX):
@@ -95,24 +96,29 @@ class TestFailoverPolicy:
 
 class TestHealthChecker:
     def test_detection_is_first_probe_after_crash(self):
-        health = HealthChecker(2)  # 50 ms probe period
-        assert health.detection_time(0.12) == pytest.approx(0.15)
+        # 50 ms probe period
+        assert detection_time(0.12) == pytest.approx(0.15)
         # a crash exactly on a probe tick is noticed at the *next* tick
-        assert health.detection_time(0.10) == pytest.approx(0.15)
+        assert detection_time(0.10) == pytest.approx(0.15)
 
     def test_timeline_records_transitions(self):
-        health = HealthChecker(2)
-        health.mark_down(1.0, 0)
-        health.mark_down(1.5, 0)  # idempotent
-        assert health.timeline == [(1.0, 0, "down")]
-        assert health.alive_rids() == [1]
+        summary = engine(
+            replicas=2, faults=[ReplicaFault("crash", 0, 1.0)]
+        ).run(requests(), 3).summary
+        # one entry per change: the crash is marked down once, at the tick
+        assert summary["failover"]["health_timeline"] == [
+            {"time_ms": 1050.0, "replica": 0, "status": "down"}
+        ]
+        assert [d["status"] for d in summary["per_replica"]] == ["down", "up"]
 
     def test_slow_classification(self):
-        health = HealthChecker(1)  # slow at 1.5x expected
-        health.observe_completion(1.0, 0, observed_s=0.2, expected_s=0.1)
-        assert health.is_slow(0)
-        health.observe_completion(2.0, 0, observed_s=0.1, expected_s=0.1)
-        assert health.status(0) == "up"
+        # x2 service from 0.5 s to 1 s: slow at 1.5x expected, then up again
+        summary = engine(
+            faults=[ReplicaFault("slow", 0, 0.5, factor=2.0, duration_s=0.5)]
+        ).run(requests(), 3).summary
+        timeline = summary["failover"]["health_timeline"]
+        assert [e["status"] for e in timeline] == ["slow", "up"]
+        assert 500.0 < timeline[0]["time_ms"] < 1000.0 < timeline[1]["time_ms"]
 
 
 class TestHealthyBaseline:
@@ -171,7 +177,7 @@ class TestFailStop:
         assert by_replica[1] > by_replica[0]
 
     def test_zero_retry_budget_fails_lost_batch(self, monkeypatch):
-        monkeypatch.setattr(failover, "MAX_RETRIES", 0)
+        monkeypatch.setattr(engine_module, "MAX_RETRIES", 0)
         report = engine(
             replicas=2, faults=[ReplicaFault("crash", 0, 1.0)]
         ).run(requests(), 3)
@@ -180,6 +186,18 @@ class TestFailStop:
         if s["failed"]:
             assert FAILED_RETRIES in s["failed_by_reason"]
         assert s["failover"]["retries"] == 0
+
+    def test_crash_of_a_drained_replica_is_still_detected(self):
+        eng = AdaptiveServingEngine(CONFIG_16_16, replicas=2, coster=_COSTER)
+        eng.arm_failover([ReplicaFault("crash", 1, 1.0)])
+        eng.ingest(requests())
+        eng.advance_to(0.5)
+        eng.drain_replica(1)
+        s = eng.finish(3).summary
+        assert terminated(s) == s["offered"]
+        assert s["failover"]["health_timeline"] == [
+            {"time_ms": 1050.0, "replica": 1, "status": "down"}
+        ]
 
     def test_all_replicas_dead_drains_to_failed(self):
         report = engine(
@@ -277,6 +295,41 @@ class TestHedging:
             hedged.summary["latency_ms"]["p95"]
             <= unhedged.summary["latency_ms"]["p95"]
         )
+
+    @staticmethod
+    def _hedged_crash(crash):
+        # replica 0 runs x4 slow, so the request at 89.9 ms is hedged from
+        # it onto replica 1; then one copy's replica crashes
+        reqs = [
+            Request(rid, "alexnet", "alexnet", t, t + 1.0)
+            for rid, t in enumerate((0.0, 0.001, 0.0899))
+        ]
+        report = engine(
+            replicas=2,
+            batch_policy=BatchPolicy(max_batch=1, max_wait_ms=0),
+            faults=[ReplicaFault("slow", 0, 0.0, factor=4.0), crash],
+            failover_policy=FailoverPolicy(hedge=True),
+        ).run(reqs, 0.1)
+        hedged = next(r for r in report.metrics.completed if r.rid == 2)
+        return report.summary["failover"], hedged
+
+    def test_slow_copy_completes_when_the_twin_replica_crashes(self):
+        failover, hedged = self._hedged_crash(ReplicaFault("crash", 1, 0.0917))
+        # no retry: the copy on replica 0 finishes at 161.8 ms, and the
+        # twin's 1.8 ms run up to its crash is the waste
+        assert (hedged.replica, hedged.start_s) == (0, 0.0899)
+        assert hedged.finish_s == pytest.approx(0.161825, abs=1e-6)
+        assert (failover["retries"], failover["hedges"]) == (0, 1)
+        assert failover["hedge_wasted_ms"] == pytest.approx(1.8)
+
+    def test_twin_completes_when_the_slow_replica_crashes(self):
+        failover, hedged = self._hedged_crash(ReplicaFault("crash", 0, 0.095))
+        # no retry: the twin on replica 1 finishes at 107.9 ms, and only
+        # replica 0's 5.1 ms run up to its crash is the waste
+        assert (hedged.replica, hedged.start_s) == (1, 0.0899)
+        assert hedged.finish_s == pytest.approx(0.107881, abs=1e-6)
+        assert (failover["retries"], failover["hedges"]) == (0, 1)
+        assert failover["hedge_wasted_ms"] == pytest.approx(5.1)
 
 
 class TestServiceWindows:

@@ -262,7 +262,7 @@ batches = st.tuples(
 outcomes = st.lists(
     st.tuples(
         st.sampled_from(TENANTS + ("delta", "omega")),
-        st.sampled_from(("queue_full", "no_active_replica")),
+        st.sampled_from(("queue_full", "no_replicas")),
     ),
     max_size=4,
 )
@@ -305,7 +305,7 @@ def _fill(collectors, log, batch_requests, outcomes) -> None:
             collector.record_served(batch, start, start + service, replica)
     for tenant, reason in outcomes:
         for collector in collectors:
-            if reason == "no_active_replica":
+            if reason == "no_replicas":
                 collector.record_failure(tenant, reason)
             else:
                 collector.record_shed(tenant, reason)

@@ -9,7 +9,8 @@ import pytest
 from repro.arch.config import CONFIG_16_16
 from repro.errors import ConfigError
 from repro.serve.batcher import BatchCoster
-from repro.serve.failover import FailoverEngine
+from repro.serve.engine import ServingEngine
+from repro.serve.failover import FailoverPolicy
 from repro.serve.verified import SDCFault, VerificationPolicy, VerifiedReplica
 from repro.serve.workload import TenantSpec, poisson_arrivals
 
@@ -20,7 +21,8 @@ _COSTER = BatchCoster(CONFIG_16_16)
 
 def engine(**kwargs):
     kwargs.setdefault("coster", _COSTER)
-    return FailoverEngine(CONFIG_16_16, **kwargs)
+    kwargs.setdefault("failover_policy", FailoverPolicy())
+    return ServingEngine(CONFIG_16_16, **kwargs)
 
 
 def requests(rate=100, duration=3, seed=0):
