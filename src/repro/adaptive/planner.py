@@ -15,19 +15,22 @@ A *policy* decides which scheme runs each conv layer:
 Layout handoff (Algorithm 2 lines 4-5): the planner walks the conv layers in
 order and asks each layer to store its output in the layout the *next*
 layer's scheme streams from.  Only the raw network input may need a
-conversion, charged as one extra DMA pass.
+conversion, charged as one extra DMA pass.  Each layer is one lookup of
+its cost table, which holds the policy's inputs and the kept record.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.adaptive.selector import SchemeChoice, layout_for_scheme, select_scheme
+from repro.adaptive.selector import SchemeChoice, algorithm2, select_scheme
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ConfigError, ScheduleError
+from repro.nn.layers import ConvLayer
 from repro.nn.network import LayerContext, Network
 from repro.perf.cache import schedule_cache
 from repro.perf.instrument import phase
+from repro.schemes import CostTable
 from repro.sim.trace import NetworkRun
 from repro.tiling.layout import Layout, reorder_moves
 
@@ -47,35 +50,25 @@ POLICY_NAMES = (
 _INPUT_LAYOUT = Layout.INTRA
 
 
-def _fixed_chooser(scheme_name: str) -> Callable[[LayerContext, AcceleratorConfig], str]:
-    def choose(ctx: LayerContext, config: AcceleratorConfig) -> str:
-        if scheme_name == "partition":
-            # degenerate layers (s >= k, e.g. 1x1 convs) cannot be
-            # partitioned; the scheme falls back to plain intra-kernel
-            geom_k = ctx.layer.kernel
-            geom_s = ctx.layer.stride
-            if geom_s >= geom_k:
-                return "intra"
-        return scheme_name
-
-    return choose
+#: a policy's scheme for one conv layer, read from the layer's cost table
+Chooser = Callable[[LayerContext, AcceleratorConfig, CostTable], str]
 
 
-def _adaptive_chooser(improved: bool) -> Callable[[LayerContext, AcceleratorConfig], str]:
-    def choose(ctx: LayerContext, config: AcceleratorConfig) -> str:
-        return select_scheme(ctx, config, improved_inter=improved).scheme
-
-    return choose
-
-
-def _oracle_chooser(ctx: LayerContext, config: AcceleratorConfig) -> str:
-    # imported lazily to avoid an import cycle with search.py
-    from repro.adaptive.search import best_scheme_name_for_layer
-
-    return best_scheme_name_for_layer(ctx, config)
+def _fixed_chooser(scheme_name: str) -> Chooser:
+    # a layer the scheme cannot map (partition on s >= k, e.g. 1x1 convs)
+    # falls back to plain intra-kernel in plan_network
+    return lambda ctx, config, table: scheme_name
 
 
-def _chooser(policy: str) -> Callable[[LayerContext, AcceleratorConfig], str]:
+def _adaptive_chooser(improved: bool) -> Chooser:
+    return lambda ctx, config, table: algorithm2(table.geom, config.tin, improved)
+
+
+def _oracle_chooser(ctx: LayerContext, config: AcceleratorConfig, table: CostTable) -> str:
+    return table.winner(ctx, config)
+
+
+def _chooser(policy: str) -> Chooser:
     if policy in ("ideal", "inter", "intra", "partition"):
         return _fixed_chooser(policy)
     if policy == "adaptive-1":
@@ -113,9 +106,6 @@ def plan_network(
     scheme streams a layout other than the planar order the image arrives
     in.
     """
-    from repro.nn.layers import ConvLayer
-    from repro.schemes.auxiliary import schedule_auxiliary
-
     choose = _chooser(policy)
     with phase("plan_network"):
         run = NetworkRun(network_name=net.name, policy=policy, config=config)
@@ -123,19 +113,20 @@ def plan_network(
         first_conv_result = None
         for ctx in net.contexts():
             if isinstance(ctx.layer, ConvLayer):
-                name = choose(ctx, config)
+                table = schedule_cache.table(ctx, config)
+                name = choose(ctx, config, table)
                 try:
-                    result = schedule_cache.get_or_schedule(name, ctx, config)
+                    result = table.result(name, ctx, config)
                 except ScheduleError:
                     # a fixed policy hit a layer its scheme cannot map — fall
                     # back to intra-kernel, which is always legal
-                    result = schedule_cache.get_or_schedule("intra", ctx, config)
+                    result = table.result("intra", ctx, config)
                 if first_conv_ctx is None:
                     first_conv_ctx = ctx
                     first_conv_result = result
                 run.append(result)
             elif include_non_conv:
-                run.append(schedule_auxiliary(ctx, config))
+                run.append(schedule_cache.table(ctx, config).auxiliary(ctx, config))
         if first_conv_result is not None:
             run.input_reorder_words = reorder_moves(
                 first_conv_ctx.in_shape, _INPUT_LAYOUT, first_conv_result.input_layout

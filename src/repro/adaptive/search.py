@@ -25,6 +25,7 @@ from repro.perf.cache import schedule_cache
 from repro.perf.instrument import phase
 from repro.perf.parallel import parallel_map
 from repro.schemes.base import ScheduleResult
+from repro.schemes.table import CANDIDATES
 
 __all__ = [
     "SearchOutcome",
@@ -51,7 +52,7 @@ def layer_energy_pj(result: ScheduleResult, model: EnergyModel) -> float:
     return breakdown.total_pj
 
 #: schemes the oracle considers (ideal is a bound, not a real mapping)
-CANDIDATE_SCHEMES: Sequence[str] = ("inter", "inter-improved", "intra", "partition")
+CANDIDATE_SCHEMES: Sequence[str] = CANDIDATES
 
 
 @dataclass(frozen=True)
@@ -86,18 +87,17 @@ def best_scheme_for_layer(
         raise ConfigError(
             f"unknown objective {objective!r}; choose from {OBJECTIVES}"
         )
-    evaluated: List[ScheduleResult] = []
-    for name in candidates:
-        try:
-            evaluated.append(schedule_cache.get_or_schedule(name, ctx, config))
-        except ScheduleError:
-            continue
-    if not evaluated:
+    table = schedule_cache.table(ctx, config)
+    legal = [name for name in candidates if table.legal(name)]
+    if not legal:
         raise ScheduleError(f"{ctx.name}: no candidate scheme is legal")
+    evaluated = tuple(table.result(name, ctx, config) for name in legal)
     # every key ends on the scheme name so ties break identically no matter
     # how the candidate list was ordered (or which pool worker evaluated it)
     if objective == "cycles":
-        key = lambda r: (r.total_cycles, r.buffer_accesses, r.scheme)
+        overlap = config.overlap_streams
+        best_name = min(table.cycle_rank(name, overlap) for name in legal)[2]
+        best = evaluated[legal.index(best_name)]
     else:
         model = EnergyModel(config)
         if objective == "energy":
@@ -108,27 +108,23 @@ def best_scheme_for_layer(
                 r.total_cycles,
                 r.scheme,
             )
-    best = min(evaluated, key=key)
+        best = min(evaluated, key=key)
     return SearchOutcome(
         layer_name=ctx.name,
         scheme=best.scheme,
         result=best,
-        alternatives=tuple(evaluated),
+        alternatives=evaluated,
     )
 
 
-def _cycle_winner(ctx: LayerContext, config: AcceleratorConfig) -> str:
-    return best_scheme_for_layer(ctx, config).scheme
-
-
 def best_scheme_name_for_layer(ctx: LayerContext, config: AcceleratorConfig) -> str:
-    """The cycle oracle's winning scheme name, memoized by the schedule cache.
+    """The cycle oracle's winning scheme name, memoized in the layer's cost table.
 
     A replanned layer costs one table probe instead of re-ranking every
-    candidate.  The memo is part of :data:`~repro.perf.cache.schedule_cache`,
-    so ``clear()`` empties it and ``--no-plan-cache`` bypasses it.
+    candidate.  The winner is kept per ``overlap_streams`` flag, since
+    the ranking reads wall-clock cycles.
     """
-    return schedule_cache.get_or_search(ctx, config, _cycle_winner)
+    return schedule_cache.table(ctx, config).winner(ctx, config)
 
 
 def _search_layer_task(

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 from repro.arch.config import AcceleratorConfig
 from repro.nn.network import LayerContext
-from repro.schemes import group_geometry
+from repro.schemes import GroupGeometry, group_geometry
 from repro.tiling.layout import Layout
 
-__all__ = ["SchemeChoice", "select_scheme", "layout_for_scheme"]
+__all__ = ["SchemeChoice", "algorithm2", "select_scheme", "layout_for_scheme"]
 
 
 @dataclass(frozen=True)
@@ -37,37 +37,37 @@ class SchemeChoice:
     reason: str
 
 
+def algorithm2(geom: GroupGeometry, tin: int, improved_inter: bool = True) -> str:
+    """Algorithm 2's scheme for a conv layer of per-group geometry ``geom``;
+    ``improved_inter`` picks adap-2's inter-kernel (Sec 4.2.2) over adap-1's."""
+    if geom.k == geom.s and geom.k != 1:
+        return "intra"
+    if geom.s < geom.k and geom.d < tin:
+        return "partition"
+    return "inter-improved" if improved_inter else "inter"
+
+
 def select_scheme(
     ctx: LayerContext,
     config: AcceleratorConfig,
     improved_inter: bool = True,
 ) -> SchemeChoice:
-    """Apply Algorithm 2 to one conv layer.
-
-    ``improved_inter`` distinguishes adap-2 (Sec 4.2.2 inter-kernel, the
-    default) from adap-1 (original inter-kernel).
-    """
+    """Apply Algorithm 2 to one conv layer, with the rule that decided it."""
     geom = group_geometry(ctx)
-    inter_name = "inter-improved" if improved_inter else "inter"
-    if geom.k == geom.s and geom.k != 1:
-        return SchemeChoice(
-            ctx.name,
-            "intra",
-            f"k == s == {geom.k}: sliding window aligns perfectly",
-        )
-    if geom.s < geom.k and geom.d < config.tin:
-        return SchemeChoice(
-            ctx.name,
-            "partition",
+    scheme = algorithm2(geom, config.tin, improved_inter)
+    if scheme == "intra":
+        reason = f"k == s == {geom.k}: sliding window aligns perfectly"
+    elif scheme == "partition":
+        reason = (
             f"Din = {geom.d} < Tin = {config.tin}: inter-kernel would idle "
-            f"{config.tin - geom.d}/{config.tin} of the array",
+            f"{config.tin - geom.d}/{config.tin} of the array"
         )
-    return SchemeChoice(
-        ctx.name,
-        inter_name,
-        f"Din = {geom.d} >= Tin = {config.tin} (or 1x1 kernel): "
-        "depth parallelism saturates the array",
-    )
+    else:
+        reason = (
+            f"Din = {geom.d} >= Tin = {config.tin} (or 1x1 kernel): "
+            "depth parallelism saturates the array"
+        )
+    return SchemeChoice(ctx.name, scheme, reason)
 
 
 def layout_for_scheme(scheme_name: str) -> Layout:

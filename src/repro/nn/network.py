@@ -13,6 +13,7 @@ point of construction, not at analysis time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ShapeError
@@ -53,6 +54,19 @@ class LayerContext:
     @property
     def weights(self) -> int:
         return self.layer.weight_count(self.in_shape)
+
+    @cached_property
+    def geometry_key(self) -> Tuple:
+        """Canonical geometry (name-independent), computed once per context."""
+        layer = self.layer
+        return (
+            type(layer).__name__,
+            *(getattr(layer, f, 0) for f in ("kernel", "stride", "pad", "in_maps", "out_maps")),
+            getattr(layer, "groups", 1),
+            getattr(layer, "bias", False),
+            self.in_shape.as_tuple(),
+            self.out_shape.as_tuple(),
+        )
 
 
 def standalone_conv(
@@ -100,6 +114,8 @@ class Network:
         self._inputs: Dict[str, Tuple[str, ...]] = {}
         self._shapes: Dict[str, TensorShape] = {_INPUT: input_shape}
         self._order: List[str] = []
+        #: contexts() since the last add, so their geometry keys persist
+        self._contexts: Optional[List[LayerContext]] = None
 
     # -- construction -----------------------------------------------------
 
@@ -124,6 +140,7 @@ class Network:
         self._layers.append(layer)
         self._inputs[layer.name] = inputs
         self._order.append(layer.name)
+        self._contexts = None
         return layer
 
     def _infer_shape(self, layer: Layer, inputs: Tuple[str, ...]) -> TensorShape:
@@ -195,11 +212,12 @@ class Network:
 
     def contexts(self) -> List[LayerContext]:
         """All layers with resolved shapes, in construction (topological) order."""
-        out = []
-        for lyr in self._layers:
-            in_shape = self.input_shape_of(lyr.name)
-            out.append(LayerContext(lyr, in_shape, self._shapes[lyr.name]))
-        return out
+        if self._contexts is None:
+            self._contexts = [
+                LayerContext(lyr, self.input_shape_of(lyr.name), self._shapes[lyr.name])
+                for lyr in self._layers
+            ]
+        return list(self._contexts)
 
     def conv_contexts(self) -> List[LayerContext]:
         """Only the convolutional layers (the paper's unit of evaluation)."""

@@ -1,14 +1,15 @@
 """Planning-performance subsystem: schedule cache, parallel executor, timers.
 
-The planner, the oracle search and every design-space sweep ultimately call
-``scheme.schedule(ctx, config)`` on (layer geometry, config) pairs — and
-real workloads repeat those pairs constantly: VGG stacks the same 3x3 conv
-geometry dozens of times, and a sweep replans the same network at every grid
-point.  This package makes that redundancy free:
+The planner, the oracle search and every design-space sweep ultimately
+price schemes on (layer geometry, config) pairs — and real workloads
+repeat those pairs constantly: VGG stacks the same 3x3 conv geometry dozens
+of times, and a sweep replans the same network at every grid point.  This
+package makes that redundancy free:
 
-- :mod:`repro.perf.cache` — content-addressed memoization of schedules
-  and oracle winners, keyed by layer geometry plus the config knobs that
-  actually affect scheduling (LRU-bounded, opt-out);
+- :mod:`repro.perf.cache` — content-addressed memoization of cost tables
+  (every scheme's costs, kept records and oracle winners on one layer
+  geometry), keyed by layer geometry plus the config knobs that actually
+  affect scheduling (LRU-bounded, opt-out);
 - :mod:`repro.perf.parallel` — a process-pool ``parallel_map`` with
   deterministic result ordering and graceful serial fallback, used to fan
   out oracle searches and sweep grids;
@@ -22,7 +23,6 @@ from repro.perf.cache import (
     CacheStats,
     ScheduleCache,
     config_key,
-    layer_key,
     schedule_cache,
 )
 from repro.perf.instrument import PERF, PerfRecorder, phase, render_perf_report
@@ -37,7 +37,6 @@ __all__ = [
     "CacheStats",
     "ScheduleCache",
     "config_key",
-    "layer_key",
     "schedule_cache",
     "PERF",
     "PerfRecorder",

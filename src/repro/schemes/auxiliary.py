@@ -18,14 +18,14 @@ layer types on the same hardware:
 * **ReLU** — fused into the store path, zero cycles.
 
 ``plan_network(..., include_non_conv=True)`` appends these records to the
-run.
+run; each is the one row of the layer's cost table.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
-from repro.arch.buffers import AccessCounter
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ScheduleError
 from repro.nn.layers import (
@@ -37,43 +37,22 @@ from repro.nn.layers import (
     ReLULayer,
 )
 from repro.nn.network import LayerContext
-from repro.schemes.base import ScheduleResult
-from repro.tiling.layout import Layout
+from repro.schemes.base import Costs, ScheduleResult
 
-__all__ = ["schedule_auxiliary", "supports_auxiliary"]
-
-
-#: the counter of a buffer the layer never touches (a value, so shared)
-_IDLE = AccessCounter()
+__all__ = ["auxiliary_costs", "schedule_auxiliary"]
 
 
-def supports_auxiliary(ctx: LayerContext) -> bool:
-    """Whether :func:`schedule_auxiliary` can cost this layer."""
-    return isinstance(
-        ctx.layer,
-        (PoolLayer, FCLayer, LRNLayer, ReLULayer, ConcatLayer, EltwiseAddLayer),
+def _costs(config, operations, macs, dram_words, input_loads=0, input_stores=0,
+           output_loads=0, output_stores=0, weight_loads=0, weight_stores=0,
+           bias_loads=0) -> Costs:
+    return Costs(
+        operations, macs, 0, input_loads, input_stores, output_loads,
+        output_stores, weight_loads, weight_stores, bias_loads,
+        dram_words, dram_words / config.dram_words_per_cycle,
     )
 
 
-def _result(ctx, config, name, operations, macs, accesses, dram_words,
-            extra_adds=0) -> ScheduleResult:
-    return ScheduleResult(
-        scheme=name,
-        layer_name=ctx.name,
-        config=config,
-        operations=operations,
-        useful_macs=macs,
-        extra_adds=extra_adds,
-        accesses=accesses,
-        dram_words=dram_words,
-        dma_cycles=dram_words / config.dram_words_per_cycle,
-        input_layout=Layout.INTRA,
-        output_layout=Layout.INTRA,
-        fit=None,
-    )
-
-
-def _schedule_pool(ctx: LayerContext, config: AcceleratorConfig) -> ScheduleResult:
+def _pool(ctx: LayerContext, config: AcceleratorConfig) -> Costs:
     layer: PoolLayer = ctx.layer
     window = layer.kernel * layer.kernel
     out_pixels = ctx.out_shape.height * ctx.out_shape.width
@@ -83,18 +62,16 @@ def _schedule_pool(ctx: LayerContext, config: AcceleratorConfig) -> ScheduleResu
         * math.ceil(ctx.out_shape.depth / config.tout)
     )
     input_loads = out_pixels * window * ctx.out_shape.depth
-    accesses = {
-        "input": AccessCounter(input_loads, ctx.in_shape.elements),
-        "output": AccessCounter(ctx.out_shape.elements, ctx.out_shape.elements),
-        "weight": _IDLE,
-        "bias": _IDLE,
-    }
     dram = ctx.in_shape.elements + ctx.out_shape.elements
     # pooling performs reductions, not MACs
-    return _result(ctx, config, "aux-pool", operations, 0, accesses, dram)
+    return _costs(
+        config, operations, 0, dram,
+        input_loads=input_loads, input_stores=ctx.in_shape.elements,
+        output_loads=ctx.out_shape.elements, output_stores=ctx.out_shape.elements,
+    )
 
 
-def _schedule_fc(ctx: LayerContext, config: AcceleratorConfig) -> ScheduleResult:
+def _fc(ctx: LayerContext, config: AcceleratorConfig) -> Costs:
     layer: FCLayer = ctx.layer
     in_words = ctx.in_shape.elements
     out_words = layer.out_features
@@ -103,52 +80,60 @@ def _schedule_fc(ctx: LayerContext, config: AcceleratorConfig) -> ScheduleResult
     )
     macs = in_words * out_words
     weight_words = macs + (out_words if layer.bias else 0)
-    accesses = {
-        "input": AccessCounter(in_words * math.ceil(out_words / config.tout), in_words),
-        "output": AccessCounter(out_words, out_words),
-        "weight": AccessCounter(macs, weight_words),
-        "bias": AccessCounter(out_words if layer.bias else 0),
-    }
     dram = in_words + weight_words + out_words
-    return _result(ctx, config, "aux-fc", operations, macs, accesses, dram)
+    return _costs(
+        config, operations, macs, dram,
+        input_loads=in_words * math.ceil(out_words / config.tout),
+        input_stores=in_words, output_loads=out_words, output_stores=out_words,
+        weight_loads=macs, weight_stores=weight_words,
+        bias_loads=out_words if layer.bias else 0,
+    )
 
 
-def _schedule_elementwise(
-    ctx: LayerContext, config: AcceleratorConfig, name: str, per_element: int
-) -> ScheduleResult:
+def _elementwise(ctx: LayerContext, config: AcceleratorConfig, per_element: int) -> Costs:
     elements = ctx.out_shape.elements
-    operations = elements * per_element
-    accesses = {
-        "input": AccessCounter(loads=ctx.in_shape.elements if per_element else 0),
-        "output": AccessCounter(stores=elements if per_element else 0),
-        "weight": _IDLE,
-        "bias": _IDLE,
-    }
-    return _result(ctx, config, name, operations, 0, accesses, 0)
+    return _costs(
+        config, elements * per_element, 0, 0,
+        input_loads=ctx.in_shape.elements if per_element else 0,
+        output_stores=elements if per_element else 0,
+    )
+
+
+def auxiliary_costs(
+    ctx: LayerContext, config: AcceleratorConfig
+) -> Tuple[str, Costs]:
+    """A non-conv layer's scheme name and costs; raises :class:`ScheduleError`,
+    with a text that does not name the layer, for any other layer."""
+    layer = ctx.layer
+    if isinstance(layer, PoolLayer):
+        return "aux-pool", _pool(ctx, config)
+    if isinstance(layer, FCLayer):
+        return "aux-fc", _fc(ctx, config)
+    if isinstance(layer, LRNLayer):
+        # one element per cycle through the activation-function unit
+        return "aux-lrn", _elementwise(ctx, config, 1)
+    if isinstance(layer, ReLULayer):
+        # fused into the preceding layer's store path
+        return "aux-relu", _elementwise(ctx, config, 0)
+    if isinstance(layer, ConcatLayer):
+        # pure wiring: the planner's layout handoff makes it free
+        return "aux-concat", _elementwise(ctx, config, 0)
+    if isinstance(layer, EltwiseAddLayer):
+        # one add per element on the accumulate adder group
+        return "aux-add", _elementwise(ctx, config, 1)
+    raise ScheduleError(
+        f"auxiliary scheduler does not handle {type(layer).__name__} "
+        "(conv layers use the parallelization schemes)"
+    )
 
 
 def schedule_auxiliary(
     ctx: LayerContext, config: AcceleratorConfig
 ) -> ScheduleResult:
-    """Cost a non-conv layer; raises :class:`ScheduleError` for conv layers."""
-    layer = ctx.layer
-    if isinstance(layer, PoolLayer):
-        return _schedule_pool(ctx, config)
-    if isinstance(layer, FCLayer):
-        return _schedule_fc(ctx, config)
-    if isinstance(layer, LRNLayer):
-        # one element per cycle through the activation-function unit
-        return _schedule_elementwise(ctx, config, "aux-lrn", 1)
-    if isinstance(layer, ReLULayer):
-        # fused into the preceding layer's store path
-        return _schedule_elementwise(ctx, config, "aux-relu", 0)
-    if isinstance(layer, ConcatLayer):
-        # pure wiring: the planner's layout handoff makes it free
-        return _schedule_elementwise(ctx, config, "aux-concat", 0)
-    if isinstance(layer, EltwiseAddLayer):
-        # one add per element on the accumulate adder group
-        return _schedule_elementwise(ctx, config, "aux-add", 1)
-    raise ScheduleError(
-        f"{ctx.name}: auxiliary scheduler does not handle "
-        f"{type(layer).__name__} (conv layers use the parallelization schemes)"
-    )
+    """Cost a non-conv layer; raises :class:`ScheduleError` for conv layers.
+
+    The view over a fresh (uncached) cost table.
+    """
+    from repro.schemes.table import CostTable  # the table imports this module
+
+    return CostTable(ctx, config).auxiliary(ctx, config)

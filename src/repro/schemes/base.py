@@ -1,9 +1,12 @@
-"""Scheme interface and the schedule-result record.
+"""Scheme interface, the cost row and the schedule-result record.
 
-A *scheme* maps one convolutional layer onto the PE array and produces a
-:class:`ScheduleResult`: array compute cycles, buffer word accesses, off-chip
-traffic, and the layouts it consumes/produces.  Everything downstream
-(planners, energy model, benchmarks) works from these records.
+A *scheme* maps one convolutional layer onto the PE array.  What that
+costs — array compute cycles, buffer word accesses, off-chip traffic, and
+the layout it streams — is a :class:`Costs` row of plain numbers in the
+layer's :class:`~repro.schemes.table.CostTable`, which builds a
+:class:`ScheduleResult` record only for a scheme a caller keeps.
+Everything downstream (planners, energy model, benchmarks) works from
+these records.
 
 Timing model
 ------------
@@ -18,9 +21,8 @@ memory-bound, which is exactly the paper's VGG story.  Output *stores* are
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple, Optional
 
 from repro.arch.buffers import AccessCounter
 from repro.arch.config import AcceleratorConfig
@@ -31,6 +33,7 @@ from repro.tiling.fit import FitReport
 from repro.tiling.layout import Layout
 
 __all__ = [
+    "Costs",
     "FrozenDict",
     "ScheduleResult",
     "Scheme",
@@ -101,6 +104,39 @@ def group_geometry(ctx: LayerContext) -> GroupGeometry:
     )
 
 
+class Costs(NamedTuple):
+    """One scheme's costs on one layer and config, as plain numbers: a
+    :class:`ScheduleResult`'s, its access counters spread over seven fields
+    (no scheme stores into the bias buffer), one layout for both sides."""
+
+    operations: int
+    useful_macs: int
+    extra_adds: int
+    input_loads: int
+    input_stores: int
+    output_loads: int
+    output_stores: int
+    weight_loads: int
+    weight_stores: int
+    bias_loads: int
+    dram_words: int
+    dma_cycles: float
+    reshape_cycles: float = 0.0
+    layout: Layout = Layout.INTRA
+    notes: Optional[Mapping[str, object]] = None
+
+    @property
+    def buffer_accesses(self) -> int:
+        return sum(self[3:10])  # the seven access counts
+
+    def total_cycles(self, overlap: bool) -> float:
+        """:attr:`ScheduleResult.total_cycles` under the overlap rule ``overlap``."""
+        stream = max(self.dma_cycles, self.reshape_cycles)
+        if overlap:
+            return max(float(self.operations), stream)
+        return float(self.operations) + stream
+
+
 @dataclass(frozen=True)
 class ScheduleResult:
     """Activity record of one scheme on one layer.
@@ -154,9 +190,10 @@ class ScheduleResult:
         With double buffering (the default) compute and the memory streams
         overlap; with ``config.overlap_streams = False`` they serialize —
         the hardware the paper's tiling is designed to avoid."""
+        stream = max(self.dma_cycles, self.reshape_cycles)  # stream_cycles
         if self.config.overlap_streams:
-            return max(float(self.operations), self.stream_cycles)
-        return float(self.operations) + self.stream_cycles
+            return max(float(self.operations), stream)
+        return float(self.operations) + stream
 
     @property
     def utilization(self) -> float:
@@ -181,25 +218,22 @@ class ScheduleResult:
         return self.config.cycles_to_ms(self.total_cycles)
 
 
-class Scheme(abc.ABC):
-    """A data-level parallelization scheme (Sec. 4)."""
+class Scheme:
+    """A data-level parallelization scheme (Sec. 4); its model is its
+    module's docstring and its arithmetic a row of
+    :class:`~repro.schemes.table.CostTable`."""
 
     #: short identifier used in reports ("inter", "intra", "partition", ...)
     name: str = "base"
 
-    @abc.abstractmethod
     def schedule(
         self, ctx: LayerContext, config: AcceleratorConfig
     ) -> ScheduleResult:
-        """Map ``ctx`` onto the array; raise :class:`ScheduleError` if illegal."""
+        """Map ``ctx`` onto the array; raise :class:`ScheduleError` if illegal.
+        Prices the scheme on a fresh (uncached) cost table."""
+        from repro.schemes.table import CostTable  # the table imports every scheme
 
-    def supports(self, ctx: LayerContext, config: AcceleratorConfig) -> bool:
-        """Whether this scheme can legally schedule the layer."""
-        try:
-            self.schedule(ctx, config)
-            return True
-        except ScheduleError:
-            return False
+        return CostTable(ctx, config).result(self.name, ctx, config)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<scheme {self.name}>"

@@ -35,15 +35,11 @@ inter-kernel scheme borrows for the top layers.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 
-from repro.arch.buffers import AccessCounter
 from repro.arch.config import AcceleratorConfig
 from repro.nn.network import LayerContext
-from repro.schemes.base import ScheduleResult, Scheme, group_geometry
-from repro.tiling.fit import analyze_fit
-from repro.tiling.layout import Layout
-from repro.tiling.unroll import unroll_stats
+from repro.schemes.base import ScheduleResult, Scheme
 
 __all__ = ["IntraKernelScheme"]
 
@@ -67,76 +63,12 @@ class IntraKernelScheme(Scheme):
     def schedule(
         self, ctx: LayerContext, config: AcceleratorConfig
     ) -> ScheduleResult:
-        geom = group_geometry(ctx)
-        field_len = geom.k * geom.k * geom.d  # one receptive field
-        field_chunks = math.ceil(field_len / config.tin)
-        dout_chunks = math.ceil(geom.dout_g / config.tout)
-
-        ops_per_group = geom.out_pixels * field_chunks * dout_chunks
-        operations = geom.groups * ops_per_group
-
-        # data: each receptive field streamed once per Dout chunk
-        input_loads = geom.groups * geom.out_pixels * field_len * dout_chunks
-        # weights: resident per (field chunk, Dout chunk) pass — once each
-        weight_loads = geom.groups * field_len * geom.dout_g
-        # add-and-store: one partial sum per (pixel, field chunk) pass
-        passes = field_chunks
-        output_stores = ctx.out_shape.elements * passes
-        output_loads = ctx.out_shape.elements * (passes - 1)
-        extra_adds = output_loads
-
-        sliding = geom.k == geom.s and ctx.layer.pad == 0
-        fit = analyze_fit(ctx, config)
-        if sliding:
-            # no duplication, spatial strip tiling works: use the fit model
-            stream_words = ctx.in_shape.elements
-            reshape_cycles = 0.0
-            dram_words = fit.total_traffic_words
-            mode = "sliding"
-        else:
-            stats = unroll_stats(ctx.layer, ctx.in_shape)
-            stream_words = stats.unrolled_elements
-            # the host reshapes the raw input once, into DRAM
-            reshape_cycles = stream_words / self.reshape_words_per_cycle
-            # compulsory: unrolled input replaces the raw input
-            dram_words = (
-                fit.compulsory_words
-                - fit.working_set.input_words
-                + stream_words
-            )
-            # no strip tiling: whatever doesn't stay resident in the input
-            # buffer is re-fetched on every subsequent output-chunk pass
-            excess = max(0, stream_words - config.input_buffer_words)
-            dram_words += (dout_chunks - 1) * excess
-            # weight-buffer overflow still re-streams like everyone else
-            dram_words += fit.spill_words
-            mode = "unrolling"
-        dma_cycles = dram_words / config.dram_words_per_cycle
-
-        # DMA-side buffer accesses: fills into input/weight, output drain
-        weight_words = geom.groups * field_len * geom.dout_g
-        input_fills = dram_words - weight_words - ctx.out_shape.elements
-        accesses = {
-            "input": AccessCounter(loads=input_loads, stores=max(0, input_fills)),
-            "output": AccessCounter(
-                loads=output_loads + ctx.out_shape.elements, stores=output_stores
-            ),
-            "weight": AccessCounter(loads=weight_loads, stores=weight_words),
-            "bias": AccessCounter(loads=ctx.out_shape.depth),
-        }
-        return ScheduleResult(
-            scheme=self.name,
-            layer_name=ctx.name,
-            config=config,
-            operations=operations,
-            useful_macs=geom.macs,
-            extra_adds=extra_adds,
-            accesses=accesses,
-            dram_words=dram_words,
-            dma_cycles=dma_cycles,
-            reshape_cycles=reshape_cycles,
-            input_layout=Layout.INTRA,
-            output_layout=Layout.INTRA,
-            fit=fit,
-            notes={"mode": mode, "stream_words": stream_words},
+        # cost tables price at the default rate; only the host reshape
+        # stream depends on it
+        result = super().schedule(ctx, config)
+        rate = self.reshape_words_per_cycle
+        if rate == DEFAULT_RESHAPE_WORDS_PER_CYCLE or result.notes["mode"] == "sliding":
+            return result
+        return dataclasses.replace(
+            result, reshape_cycles=result.notes["stream_words"] / rate
         )

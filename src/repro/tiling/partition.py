@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -71,6 +72,7 @@ class PartitionGeometry:
         return self.sub_kernel ** 2
 
 
+@lru_cache(maxsize=256)
 def partition_geometry(kernel: int, stride: int) -> PartitionGeometry:
     """Equation 2: ``g = ceil(k/s)``, ``ks = s``.
 

@@ -115,6 +115,27 @@ class TestQueries:
         with pytest.raises(KeyError):
             net.layer("zzz")
 
+    def test_contexts_persist_until_the_next_add(self):
+        """Contexts (and so their cached geometry keys) are built once per
+        shape of the graph; a caller's list is its own."""
+        net = small_net()
+        first = net.contexts()
+        first.clear()
+        again = net.contexts()
+        assert [c.name for c in again] == ["c1", "r1", "p1", "c2"]
+        assert all(a is b for a, b in zip(again, net.contexts()))
+        net.add(ReLULayer("r2"))
+        grown = net.contexts()
+        assert [c.name for c in grown] == ["c1", "r1", "p1", "c2", "r2"]
+        assert grown[0] is not again[0]
+
+    def test_geometry_key_ignores_the_name(self):
+        net = small_net()
+        twin = Network("twin", TensorShape(3, 16, 16))
+        twin.add(ConvLayer("other", in_maps=3, out_maps=8, kernel=3, pad=1))
+        assert twin.conv1().geometry_key == net.conv1().geometry_key
+        assert net.conv_contexts()[1].geometry_key != net.conv1().geometry_key
+
     def test_context_macs_match_layer(self):
         net = small_net()
         ctx = net.conv_contexts()[0]

@@ -12,6 +12,7 @@ from repro.arch.config import CONFIG_16_16, CONFIG_32_32, AcceleratorConfig
 from repro.errors import ScheduleError
 from repro.nn.zoo import NETWORK_BUILDERS, build
 from repro.perf.cache import ScheduleCache, config_key, schedule_cache
+from repro.schemes import make_scheme
 
 ZOO = sorted(NETWORK_BUILDERS)
 
@@ -182,6 +183,36 @@ def test_illegal_schedules_are_negative_cached():
             schedule_cache.get_or_schedule("partition", degenerate, CONFIG_16_16)
     stats = schedule_cache.stats()
     assert stats.misses == 1 and stats.hits == 1
+
+
+def test_oracle_winner_follows_the_overlap_rule():
+    """The winner ranks wall-clock cycles, which read ``overlap_streams``,
+    though the flag is not part of the key: a serialized plan must not
+    reuse the winners of an overlapped plan of the same layers."""
+    net = build("alexnet")
+    overlapped = AcceleratorConfig(tin=4, tout=64)
+    serial = dataclasses.replace(overlapped, overlap_streams=False)
+    plan_network(net, overlapped, "oracle")
+    warm = plan_network(net, serial, "oracle")
+    schedule_cache.clear()
+    cold = plan_network(net, serial, "oracle")
+    assert cold.layers[0].scheme == "partition"
+    assert _run_fingerprint(warm) == _run_fingerprint(cold)
+
+
+def test_cached_illegality_names_the_caller():
+    """A negative entry replays the reason, not the first layer's name."""
+    convs = {c.name: c for c in build("googlenet").conv_contexts()}
+    first, second = convs["inception_3b/1x1"], convs["inception_3b/3x3_reduce"]
+    with pytest.raises(ScheduleError, match="^inception_3b/1x1: partitioning"):
+        schedule_cache.get_or_schedule("partition", first, CONFIG_16_16)
+    with pytest.raises(ScheduleError) as cached:
+        schedule_cache.get_or_schedule("partition", second, CONFIG_16_16)
+    with pytest.raises(ScheduleError) as uncached:
+        make_scheme("partition").schedule(second, CONFIG_16_16)
+    assert schedule_cache.stats().hits == 1
+    assert str(cached.value) == str(uncached.value)
+    assert str(cached.value).startswith("inception_3b/3x3_reduce: partitioning")
 
 
 def test_lru_eviction_bound():

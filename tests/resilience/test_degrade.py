@@ -13,7 +13,7 @@ from repro.arch.config import CONFIG_16_16
 from repro.errors import ConfigError
 from repro.nn.zoo import build
 from repro.nn.zoo.custom import sequential_cnn
-from repro.perf.cache import config_key, layer_key
+from repro.perf.cache import config_key
 from repro.resilience.degrade import degraded_config, replan_degraded
 from repro.resilience.faults import PEMask
 
@@ -82,15 +82,15 @@ class TestCacheKeys:
         # the full cache key of one layer: healthy and degraded never share
         ctx = DIN8.conv_contexts()[0]
         degraded = degraded_config(CONFIG_16_16, PEMask(masked_cols=9))
-        healthy_key = ("partition", layer_key(ctx), config_key(CONFIG_16_16))
-        degraded_key = ("partition", layer_key(ctx), config_key(degraded))
+        healthy_key = (ctx.geometry_key, config_key(CONFIG_16_16))
+        degraded_key = (ctx.geometry_key, config_key(degraded))
         assert healthy_key != degraded_key
 
     def test_row_only_mask_also_distinct(self):
         ctx = DIN8.conv_contexts()[0]
         degraded = degraded_config(CONFIG_16_16, PEMask(masked_rows=1))
-        assert ("intra", layer_key(ctx), config_key(degraded)) != (
-            "intra", layer_key(ctx), config_key(CONFIG_16_16)
+        assert (ctx.geometry_key, config_key(degraded)) != (
+            ctx.geometry_key, config_key(CONFIG_16_16)
         )
 
 

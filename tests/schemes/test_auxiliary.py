@@ -15,7 +15,8 @@ from repro.nn.layers import (
     TensorShape,
 )
 from repro.nn.network import LayerContext
-from repro.schemes.auxiliary import schedule_auxiliary, supports_auxiliary
+from repro.schemes import CostTable
+from repro.schemes.auxiliary import schedule_auxiliary
 
 from tests.conftest import make_ctx
 
@@ -83,8 +84,11 @@ class TestElementwise:
 
 class TestDispatch:
     def test_supports(self, cfg16):
-        assert supports_auxiliary(aux_ctx(ReLULayer("r"), TensorShape(1, 2, 2)))
-        assert not supports_auxiliary(make_ctx())
+        relu = aux_ctx(ReLULayer("r"), TensorShape(1, 2, 2))
+        assert CostTable(relu, cfg16).auxiliary(relu, cfg16).scheme == "aux-relu"
+        conv = make_ctx()
+        with pytest.raises(ScheduleError, match="auxiliary scheduler does not handle"):
+            CostTable(conv, cfg16).auxiliary(conv, cfg16)
 
     def test_conv_rejected(self, cfg16):
         with pytest.raises(ScheduleError):

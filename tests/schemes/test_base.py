@@ -9,7 +9,7 @@ from repro.arch.config import CONFIG_16_16
 from repro.errors import ScheduleError
 from repro.nn.layers import PoolLayer, TensorShape
 from repro.nn.network import LayerContext
-from repro.schemes import make_scheme
+from repro.schemes import CostTable, make_scheme
 from repro.schemes.base import FrozenDict, group_geometry
 
 from tests.conftest import make_ctx
@@ -82,9 +82,8 @@ class TestScheduleResult:
         assert r.buffer_access_bits == 16 * r.buffer_accesses
 
     def test_supports(self, cfg16):
-        partition = make_scheme("partition")
-        assert partition.supports(make_ctx(kernel=3, stride=1), cfg16)
-        assert not partition.supports(make_ctx(kernel=1, stride=1), cfg16)
+        assert CostTable(make_ctx(kernel=3, stride=1), cfg16).legal("partition")
+        assert not CostTable(make_ctx(kernel=1, stride=1), cfg16).legal("partition")
 
     def test_frozen_dict_refuses_mutation_and_pickles(self):
         d = FrozenDict(a=1)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.arch.config import AcceleratorConfig, CONFIG_16_16
 from repro.errors import ScheduleError
-from repro.schemes import all_scheme_names, make_scheme
+from repro.schemes import CostTable, all_scheme_names, make_scheme
 
 from tests.conftest import make_ctx
 
@@ -89,9 +89,8 @@ class TestUniversalInvariants:
         ctx = random_ctx(params)
         if ctx is None:
             return
-        scheme = make_scheme("partition")
         legal = ctx.layer.stride < ctx.layer.kernel
-        assert scheme.supports(ctx, CONFIG_16_16) == legal
+        assert CostTable(ctx, CONFIG_16_16).legal("partition") == legal
 
     @settings(deadline=None, max_examples=30)
     @given(params=layer_params)
