@@ -78,6 +78,19 @@ class AcceleratorConfig:
                 raise ConfigError(f"{attr} must be a finite number, got {value!r}")
             if value <= 0:
                 raise ConfigError(f"{attr} must be positive, got {value!r}")
+        # the buffer fit divides by each data buffer's whole words (never
+        # by the bias buffer's), so each must hold at least one word
+        for attr in (
+            "input_buffer_bytes",
+            "output_buffer_bytes",
+            "weight_buffer_bytes",
+        ):
+            value = getattr(self, attr)
+            if value < self.word_bytes:
+                raise ConfigError(
+                    f"{attr} must hold at least one {self.word_bytes!r}-byte "
+                    f"word, got {value!r}"
+                )
 
     @property
     def multipliers(self) -> int:

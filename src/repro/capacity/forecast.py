@@ -9,9 +9,9 @@ same spec always yields the identical workload.
 
 The spec-not-requests split matters for the planner's process fan-out: a
 worker evaluating one candidate receives the few-hundred-byte spec and
-regenerates the request list locally (memoized per process), instead of
-every work item pickling tens of thousands of :class:`Request` records
-across the pipe.
+regenerates the request stream locally (memoized per process), instead of
+every work item pickling a stream of tens of thousands of requests across
+the pipe.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Dict, List, Tuple
 
 from repro.errors import ConfigError
 from repro.serve.workload import (
+    Arrivals,
     MixedTenantSpec,
-    Request,
     mixed_arrivals,
     mixed_diurnal_arrivals,
     parse_tenant_mix,
@@ -122,8 +122,8 @@ class ForecastSpec:
                 ) * (share / mix_total)
         return sorted(shares.items())
 
-    def requests(self) -> List[Request]:
-        """Materialize the concrete, deterministic request list."""
+    def requests(self) -> Arrivals:
+        """Materialize the concrete, deterministic request stream."""
         if self.kind == "steady":
             return mixed_arrivals(
                 self.rate, self.duration_s, list(self.tenants), seed=self.seed

@@ -213,7 +213,7 @@ def _mapped_faults(candidate: Candidate, fault_model: FaultModel, duration_s: fl
     return faults, sdc
 
 
-#: per-worker-process memo: forecasts are tiny, request lists are not —
+#: per-worker-process memo: forecasts are tiny, request streams are not —
 #: regenerate once per process instead of pickling them per work item
 _REQUEST_MEMO: Dict[ForecastSpec, list] = {}
 

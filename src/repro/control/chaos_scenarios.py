@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.arch.config import CONFIG_16_16, AcceleratorConfig
 from repro.errors import ConfigError
@@ -55,7 +55,7 @@ from repro.resilience.scenarios import (
 from repro.serve.batcher import BatchCoster, BatchPolicy
 from repro.serve.engine import AdaptiveServingEngine
 from repro.serve.workload import (
-    Request,
+    Arrivals,
     check_flash_crowd,
     check_positive,
     diurnal_arrivals,
@@ -250,7 +250,7 @@ class ControlChaosScenario:
 # -- the runner --------------------------------------------------------------
 
 
-def _requests(scenario: ControlChaosScenario, tenants) -> List[Request]:
+def _requests(scenario: ControlChaosScenario, tenants) -> Arrivals:
     if scenario.flash is None:
         return poisson_arrivals(
             scenario.rate_rps,

@@ -207,6 +207,7 @@ class Detector:
         # per-replica health: max observed/expected service ratio over the
         # window's batches
         starts, replicas = log.batch_starts, log.batch_replicas
+        networks, sizes = log.batch_networks, log.batch_sizes
         ratios: Dict[int, float] = {}
         counts: Dict[int, int] = {}
         for b in window:
@@ -214,9 +215,7 @@ class Detector:
             # expected cost under the replica's *own* coster: a degraded
             # replica replanned through Algorithm 2 reads healthy again,
             # so the ratio separates faults from load
-            expected = engine.coster_for(rid).batch_seconds(
-                log.batch_network(b), log.batch_sizes[b]
-            )
+            expected = engine.coster_for(rid).batch_seconds(networks[b], sizes[b])
             if expected > 0:
                 ratio = (finishes[b] - starts[b]) / expected
                 ratios[rid] = max(ratios.get(rid, 0.0), ratio)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, List, Optional, TypeVar
 
 from repro.errors import ConfigError
@@ -97,6 +95,11 @@ def parallel_map(
 
     if workers <= 1:
         return serial()
+    # imported here, so a process that never builds a pool never loads
+    # concurrent.futures and multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     # about four chunks per worker: few enough to amortize IPC, enough to
     # balance uneven items
     chunksize = max(1, total // (workers * 4))

@@ -58,7 +58,7 @@ from repro.serve.failover import FailoverPolicy
 from repro.serve.metrics import MetricsCollector
 from repro.serve.queue import QueuePolicy
 from repro.serve.verified import SDCFault, VerificationPolicy
-from repro.serve.workload import Request, parse_mix, poisson_arrivals
+from repro.serve.workload import Arrivals, parse_mix, poisson_arrivals
 
 __all__ = [
     "ChaosScenario",
@@ -80,7 +80,7 @@ WINDOW_S = 0.25
 
 S = TypeVar("S")
 #: an arm: serves the requests, returns (summary, completion log)
-Arm = Callable[[List[Request]], Tuple[Dict[str, object], MetricsCollector]]
+Arm = Callable[[Arrivals], Tuple[Dict[str, object], MetricsCollector]]
 #: an invariant: (scenario, rollup, per-arm summaries) -> holds?
 Predicate = Callable[[object, Dict[str, object], Dict[str, Dict[str, object]]], object]
 
@@ -125,9 +125,9 @@ def _terminated(summary: Dict[str, object]) -> int:
 
 
 def run_arms(
-    name: str, requests: Sequence[Request], arms: Mapping[str, Arm], keep: str
+    name: str, requests: Arrivals, arms: Mapping[str, Arm], keep: str
 ) -> Tuple[Dict[str, Dict[str, object]], MetricsCollector]:
-    """Serve the same ``requests`` through every arm, in order.
+    """Serve the same ``requests`` stream through every arm, in order.
 
     Returns each arm's summary and the completion log of arm ``keep``
     (the MTTR scan's input).  Other arms' logs are dropped as each arm
@@ -138,7 +138,7 @@ def run_arms(
     summaries: Dict[str, Dict[str, object]] = {}
     kept = MetricsCollector()
     for arm, serve in arms.items():
-        summary, log = serve(list(requests))
+        summary, log = serve(requests)
         terminated = _terminated(summary)
         if terminated != summary["offered"]:
             raise RuntimeError(
@@ -385,7 +385,7 @@ def run_scenario(
 ) -> Dict[str, object]:
     """Execute one chaos scenario and reduce it to a deterministic rollup.
 
-    Every arm sees the *identical* seeded request list, so every delta in
+    Every arm sees the *identical* seeded request stream, so every delta in
     the rollup is attributable to the fault schedule.  Raises
     :class:`RuntimeError` if any arm loses a request.
     """

@@ -8,7 +8,8 @@ latency.  This package layers a discrete-event serving tier on top of the
 existing planning machinery:
 
 - :mod:`repro.serve.workload` — seeded Poisson/bursty/trace request
-  generators over a mix of zoo networks;
+  generators over a mix of zoo networks, each emitting one columnar
+  :class:`~repro.serve.workload.Arrivals` stream;
 - :mod:`repro.serve.queue` — bounded admission queue with FIFO/EDF
   ordering and age/deadline load shedding;
 - :mod:`repro.serve.batcher` — max-batch + max-wait dynamic batch
@@ -58,10 +59,11 @@ from repro.serve.metrics import (
     render_summary,
     to_json,
 )
-from repro.serve.queue import AdmissionQueue, QueuePolicy, ShedEvent, QUEUE_ORDERS
+from repro.serve.queue import AdmissionQueue, QueuePolicy, QUEUE_ORDERS
 from repro.serve.verified import SDCFault, VerificationPolicy, VerifiedReplica
 from repro.serve.workload import (
     ARRIVAL_KINDS,
+    Arrivals,
     Request,
     TenantSpec,
     bursty_arrivals,
@@ -77,6 +79,7 @@ __all__ = [
     "AdaptiveReplica",
     "AdaptiveServingEngine",
     "AdmissionQueue",
+    "Arrivals",
     "BatchCoster",
     "BatchPolicy",
     "FAULT_KINDS",
@@ -92,7 +95,6 @@ __all__ = [
     "SDCFault",
     "ServingEngine",
     "ServingReport",
-    "ShedEvent",
     "TenantSpec",
     "VerificationPolicy",
     "VerifiedReplica",

@@ -7,7 +7,7 @@ pipelined and data-parallel shards — in three steps:
 1. **build** — turn a list of *replica groups* ``(config, count[, coster])``
    into the per-replica costers, chip labels and lead config a
    :class:`~repro.serve.engine.ServingEngine` wants;
-2. **run** — serve the shared request list through one engine per
+2. **run** — serve the shared request stream through one engine per
    candidate, identical batching/queueing/routing knobs on every side;
 3. **rank** — order the resulting summaries by a deterministic key with
    the candidate name as the final tiebreaker (``tenancy.compare_fleets``

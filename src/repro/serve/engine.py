@@ -19,6 +19,12 @@ consulted.  :class:`ServingEngine` is the fixed-fleet view: a one-shot run
 with no mid-run actions, reported without the fleet timeline, and the
 way failover runs are served.
 
+The loop carries row numbers of the columnar request stream
+(:class:`~repro.serve.workload.Arrivals`) through the queue, the
+failover paths and the completion log.  It reads the stream's values as
+Python floats one window of rows at a time, never the whole stream at
+once and never by NumPy scalar indexing on the arrival path.
+
 Replicas model independent accelerator instances sharing the admission
 queue.  Two routing disciplines:
 
@@ -40,7 +46,6 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import AcceleratorConfig
@@ -68,7 +73,7 @@ from repro.serve.verified import (
     VerificationPolicy,
     VerifiedReplica,
 )
-from repro.serve.workload import Request, check_positive
+from repro.serve.workload import Arrivals, Request, check_positive
 
 __all__ = [
     "AdaptiveReplica",
@@ -82,13 +87,14 @@ __all__ = [
 
 ROUTING_KINDS = ("round-robin", "least-loaded")
 
-#: the arrival stream's order: by arrival instant, ties by request id
-_ARRIVAL_ORDER = attrgetter("arrival_s", "rid")
+#: stream rows read into Python values at a time by the loop
+_WINDOW = 4096
 
 #: pending fault events, ``(at_s, kind, key, seq, replica, detail)``: at one
 #: instant a batch-boundary crash or a replica fault applies first, then
 #: completions, crash detections and (after that instant's arrivals)
-#: retries, each in ``key`` order (replica rid; request rid for retries)
+#: retries, each in ``key`` order (replica rid; request rid for retries,
+#: whose detail is the request's stream row)
 _CRASH, _FAULT, _DONE, _DETECT, _RETRY = range(5)
 
 
@@ -309,7 +315,9 @@ class AdaptiveReplica(ReplicaState):
 class _Flight:
     """A batch dispatched in a failover run: on one replica or, hedged, two."""
 
-    batch: List[Request]
+    #: the batch's stream rows
+    batch: List[int]
+    network: str
     start_s: float
     #: completed by one copy, or lost to crashes with no copy left running
     done: bool = False
@@ -416,9 +424,14 @@ class AdaptiveServingEngine:
                     self._replica_costers[rid] = override
         self._next_rid = replicas
         self._queue = AdmissionQueue(queue_policy)
-        self.metrics = MetricsCollector()
-        self._pending: List[Request] = []
+        #: every ingested request, in (arrival, rid) order; rows before
+        #: ``_pi`` have been offered
+        self._stream = Arrivals.from_requests(())
+        self.metrics = MetricsCollector(self._stream)
         self._pi = 0
+        #: ``(lo, hi, arrivals, deadlines, rids, networks)``: stream rows
+        #: ``[lo, hi)`` as Python values (see :meth:`_window`)
+        self._win: tuple = (0, 0, [], [], [], [])
         self._now = 0.0
         self._rr_last = -1
         #: busy_overlap's cursor: every logged batch before ``_busy_lo``
@@ -467,21 +480,62 @@ class AdaptiveServingEngine:
     # -- actuation ---------------------------------------------------------
 
     def ingest(self, requests: Sequence[Request]) -> None:
-        """Append arrivals to the stream (must not predate current time)."""
-        fresh = sorted(requests, key=_ARRIVAL_ORDER)
-        if fresh and fresh[0].arrival_s < self._now:
-            raise ConfigError(
-                f"cannot ingest an arrival at {fresh[0].arrival_s!r}s: the "
-                f"loop has already advanced to {self._now!r}s"
-            )
-        if self._pi < len(self._pending) and fresh:
-            tail = self._pending[-1].arrival_s
-            if fresh[0].arrival_s < tail:
+        """Append arrivals to the stream (must not predate current time).
+
+        An :class:`~repro.serve.workload.Arrivals` stream already in
+        (arrival, rid) order is shared as it is; one out of order, or a
+        sequence of :class:`Request` records, is converted (and sorted)
+        once.
+        """
+        fresh = Arrivals.from_requests(requests)
+        if len(fresh):
+            first = float(fresh.arrival[0])
+            if first < self._now:
                 raise ConfigError(
-                    f"ingested arrivals start at {fresh[0].arrival_s!r}s, "
-                    f"before the pending stream's tail at {tail!r}s"
+                    f"cannot ingest an arrival at {first!r}s: the "
+                    f"loop has already advanced to {self._now!r}s"
                 )
-        self._pending.extend(fresh)
+            if self._pi < len(self._stream):
+                tail = float(self._stream.arrival[-1])
+                if first < tail:
+                    raise ConfigError(
+                        f"ingested arrivals start at {first!r}s, "
+                        f"before the pending stream's tail at {tail!r}s"
+                    )
+        self._stream = self.metrics.stream = self._stream.concat(fresh)
+
+    def _window(self, row: int) -> tuple:
+        """Read stream rows from ``row`` on, ``_WINDOW`` at a time, into
+        Python values; returns (and keeps) the new ``_win``."""
+        stream = self._stream
+        hi = min(row + _WINDOW, len(stream))
+        names = stream.networks
+        self._win = (
+            row,
+            hi,
+            stream.arrival[row:hi].tolist(),
+            stream.deadline[row:hi].tolist(),
+            stream.rid[row:hi].tolist() if stream.rid is not None else range(row, hi),
+            [names[code] for code in stream.network[row:hi].tolist()],
+        )
+        return self._win
+
+    def _offer_through(self, t: float) -> None:
+        """Offer every pending arrival at or before ``t``."""
+        queue, n = self._queue, len(self._stream)
+        i = self._pi
+        lo, hi, arrivals, deadlines, rids, networks = self._win
+        while i < n:
+            if i >= hi:
+                lo, hi, arrivals, deadlines, rids, networks = self._window(i)
+            k = i - lo
+            if arrivals[k] > t:
+                break
+            shed = queue.offer(i, rids[k], networks[k], arrivals[k], deadlines[k])
+            if shed is not None:
+                self.metrics.record_shed(i, shed)
+            i += 1
+        self._pi = i
 
     def add_replica(self, chip: Optional[str] = None) -> int:
         """Provision one replica now; returns its (never-reused) rid.
@@ -773,11 +827,11 @@ class AdaptiveServingEngine:
             raise ConfigError(
                 f"cannot advance to {t_end!r}s: already at {self._now!r}s"
             )
-        pending, queue, metrics = self._pending, self._queue, self.metrics
+        queue, metrics = self._queue, self.metrics
         batch_policy = self.batch_policy  # actions apply between calls
         offer, record_shed = queue.offer, metrics.record_shed
         failover, faults = self._failover, self._faults
-        n = len(pending)
+        n = len(self._stream)
         self._apply_faults(self._now)
         while True:
             pick = self._pick()
@@ -793,30 +847,40 @@ class AdaptiveServingEngine:
             # change the pick, and can only pull ``ready`` earlier, so it is
             # kept current while it still bounds the dispatch instant.
             bound = min(max(ready, free_at), fault_at)
+            lo, hi, arrivals, deadlines, rids, networks = self._win
             i = self._pi
             while i < n:
-                request = pending[i]
-                arrival = request.arrival_s
+                if i >= hi:
+                    lo, hi, arrivals, deadlines, rids, networks = self._window(i)
+                k = i - lo
+                arrival = arrivals[k]
                 if arrival >= bound or arrival > t_end:
                     break
-                shed = offer(request, arrival)
-                i += 1
+                network = networks[k]
+                shed = offer(i, rids[k], network, arrival, deadlines[k])
                 if shed is not None:
-                    record_shed(request.tenant, shed.reason)
+                    record_shed(i, shed)
                 elif ready > free_at:
-                    group_ready = queue.ready_time(request.network, batch_policy)
+                    group_ready = queue.ready_time(network, batch_policy)
                     if group_ready < ready:
                         ready = group_ready
                         bound = min(max(ready, free_at), fault_at)
+                i += 1
             if i > self._pi:
-                self._now = max(self._now, pending[i - 1].arrival_s)
+                # the last offered arrival; a window refilled at ``i`` and
+                # not yet read holds it no more
+                if i > lo:
+                    last = arrivals[i - 1 - lo]
+                else:
+                    last = float(self._stream.arrival[i - 1])
+                self._now = max(self._now, last)
                 self._pi = i
 
             # -- the next event: an arrival at or after the dispatch
             # instant, a dispatch, or a fault event.  A failover run's
             # events wake the loop; a batch-boundary crash only gates it
-            t = pending[i].arrival_s if i < n else math.inf
-            t = min(t, max(ready, free_at))
+            arrival = arrivals[i - lo] if i < n else math.inf
+            t = min(arrival, max(ready, free_at))
             if failover is not None:
                 t = min(t, fault_at)
             if t == math.inf:
@@ -831,13 +895,8 @@ class AdaptiveServingEngine:
             if t > t_end:
                 break
             self._now = t
-
-            while self._pi < n and pending[self._pi].arrival_s <= t:
-                request = pending[self._pi]
-                shed = offer(request, request.arrival_s)
-                if shed is not None:
-                    record_shed(request.tenant, shed.reason)
-                self._pi += 1
+            if arrival <= t:
+                self._offer_through(t)
 
             while len(queue):
                 replica = self._pick()
@@ -846,11 +905,9 @@ class AdaptiveServingEngine:
                 ready, _, network = queue.next_ready(batch_policy)
                 if ready > t:
                     break
-                batch, shed_events = queue.pop_batch(
-                    network, batch_policy.max_batch, t
-                )
-                for event in shed_events:
-                    record_shed(event.request.tenant, event.reason)
+                batch, shed_rows = queue.pop_batch(network, batch_policy.max_batch, t)
+                for row, reason in shed_rows:
+                    record_shed(row, reason)
                 if not batch:
                     continue
                 if failover is not None:
@@ -866,7 +923,7 @@ class AdaptiveServingEngine:
                 replica.batches += 1
                 replica.completed += len(batch)
                 self._rr_last = replica.rid
-                metrics.record_served(batch, t, finish, replica.rid)
+                metrics.record_served(batch, t, finish, replica.rid, network)
         if not math.isinf(t_end):
             self._apply_faults(t_end)
             self._now = max(self._now, t_end)
@@ -886,12 +943,13 @@ class AdaptiveServingEngine:
         return expected
 
     def _dispatch(
-        self, replica: AdaptiveReplica, batch: List[Request], network: str, t: float
+        self, replica: AdaptiveReplica, batch: List[int], network: str, t: float
     ) -> None:
-        """Start ``batch`` on ``replica`` (and its hedge copy) at ``t``."""
+        """Start ``batch`` (stream rows) on ``replica`` (and its hedge copy)
+        at ``t``."""
         failover = self._failover
         expected = self._expected_s(replica, network, len(batch), t)
-        flight = _Flight(batch, t)
+        flight = _Flight(batch, network, t)
         # SDC windows corrupt at dispatch, and the check's verdict is drawn
         # here too, so hedging and crash races cannot skew the streams
         for sdc, rng in replica.sdc_windows:
@@ -1008,7 +1066,9 @@ class AdaptiveServingEngine:
                 else:
                     verified.escaped_batches += 1
                     verified.escaped_requests += len(flight.batch)
-        self.metrics.record_served(flight.batch, flight.start_s, t, replica.rid)
+        self.metrics.record_served(
+            flight.batch, flight.start_s, t, replica.rid, flight.network
+        )
 
     def _detect(self, replica: AdaptiveReplica, t: float) -> None:
         """The probe tick that notices a crash: drain the replica's batch."""
@@ -1026,28 +1086,31 @@ class AdaptiveServingEngine:
             failover.hedge_wasted_s += replica.crashed_at - flight.start_s
             return
         flight.done = True
-        for request in flight.batch:
-            attempt = failover.attempts.get(request.rid, 0) + 1
-            failover.attempts[request.rid] = attempt
+        ids = self._stream.rid
+        for row in flight.batch:
+            rid = int(ids[row]) if ids is not None else row
+            attempt = failover.attempts.get(rid, 0) + 1
+            failover.attempts[rid] = attempt
             if attempt > MAX_RETRIES:
-                self.metrics.record_failure(request.tenant, FAILED_RETRIES)
+                self.metrics.record_failure(row, FAILED_RETRIES)
             else:
                 failover.retries += 1
-                self._push(t + backoff_s(attempt), _RETRY, request.rid, None, request)
+                self._push(t + backoff_s(attempt), _RETRY, rid, None, row)
 
-    def _retry(self, request: Request, t: float) -> None:
-        """Re-offer a lost request after its backoff, behind the arrivals
-        due at the same instant."""
-        pending, queue = self._pending, self._queue
-        while self._pi < len(pending) and pending[self._pi].arrival_s <= t:
-            arrival = pending[self._pi]
-            shed = queue.offer(arrival, arrival.arrival_s)
-            if shed is not None:
-                self.metrics.record_shed(arrival.tenant, shed.reason)
-            self._pi += 1
-        shed = queue.offer(request, t)
+    def _retry(self, row: int, t: float) -> None:
+        """Re-offer a lost request (a stream row) after its backoff, behind
+        the arrivals due at the same instant."""
+        self._offer_through(t)
+        stream = self._stream
+        shed = self._queue.offer(
+            row,
+            int(stream.rid[row]) if stream.rid is not None else row,
+            stream.networks[stream.network[row]],
+            float(stream.arrival[row]),
+            float(stream.deadline[row]),
+        )
         if shed is not None:
-            self.metrics.record_shed(request.tenant, shed.reason)
+            self.metrics.record_shed(row, shed)
 
     def busy_overlap(self, start_s: float, end_s: float) -> Dict[int, float]:
         """Per-replica busy seconds clipped to ``[start_s, end_s)``.
@@ -1094,22 +1157,7 @@ class AdaptiveServingEngine:
         with phase("serve_adaptive_finish"):
             self.advance_to(math.inf)
         if len(self._queue) and not self._active:
-            # every replica crashed: queued work cannot terminate normally,
-            # but it must still terminate — offered == completed+shed+failed
-            # is the zero-silent-drop invariant the chaos runner enforces
-            for net in list(self._queue.networks()):
-                while self._queue.depth(net):
-                    batch, shed_events = self._queue.pop_batch(
-                        net, max(1, self._queue.depth(net)), self._now
-                    )
-                    for event in shed_events:
-                        self.metrics.record_shed(
-                            event.request.tenant, event.reason
-                        )
-                    for request in batch:
-                        self.metrics.record_failure(
-                            request.tenant, FAILED_NO_REPLICAS
-                        )
+            self._fail_stranded()
         makespan_s = self.metrics.makespan(duration_s)
         # a crash armed past the makespan is moot: no retirement, no event
         self._apply_faults(makespan_s)
@@ -1169,6 +1217,18 @@ class AdaptiveServingEngine:
         return ServingReport(
             summary=summary, metrics=self.metrics, replicas=list(self.replicas)
         )
+
+    def _fail_stranded(self) -> None:
+        """Every replica crashed: queued work cannot terminate normally,
+        but it must still terminate — offered == completed+shed+failed is
+        the zero-silent-drop invariant the chaos runner enforces."""
+        queue, metrics = self._queue, self.metrics
+        for net in queue.networks():
+            batch, shed_rows = queue.pop_batch(net, queue.depth(net), self._now)
+            for row, reason in shed_rows:
+                metrics.record_shed(row, reason)
+            for row in batch:
+                metrics.record_failure(row, FAILED_NO_REPLICAS)
 
     def _failover_sections(self, summary: Dict[str, object]) -> None:
         """A failover run's ``terminated``, ``failover`` and ``integrity``."""

@@ -14,7 +14,10 @@ accelerator's finite service rate.  Three policies interact:
   is waiting for anymore.
 
 Requests are grouped *per network* because a batch must share weights: the
-batcher can only fuse requests that run the same model.
+batcher can only fuse requests that run the same model.  The queue holds
+row numbers of the engine's request stream
+(:class:`~repro.serve.workload.Arrivals`) next to the values that order
+and shed them, so it never reads a request record.
 """
 
 from __future__ import annotations
@@ -26,9 +29,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.serve.batcher import BatchPolicy
-from repro.serve.workload import Request
 
-__all__ = ["QueuePolicy", "AdmissionQueue", "ShedEvent", "QUEUE_ORDERS"]
+__all__ = ["QueuePolicy", "AdmissionQueue", "QUEUE_ORDERS"]
 
 QUEUE_ORDERS = ("fifo", "edf")
 
@@ -68,28 +70,22 @@ class QueuePolicy:
             )
 
 
-@dataclass(frozen=True)
-class ShedEvent:
-    """One dropped request and why."""
-
-    request: Request
-    reason: str
-    time_s: float
-
-
 class AdmissionQueue:
     """Per-network request queues under one :class:`QueuePolicy`.
 
-    Each group is a heap of ``[*order key, seq, request]`` entries (``seq``
-    counts offers, so ties pop in offer order): O(log depth) offer, O(1)
+    Each group is a heap of ``[*order key, seq, row]`` entries (``seq``
+    counts offers, so ties pop in offer order), with the request's
+    deadline carried after ``seq`` under ``fifo``: O(log depth) offer, O(1)
     oldest arrival, O(batch · log depth) pop.  Under ``edf`` a second heap
-    orders the same entries by arrival; a pop sets the entry's request slot
+    orders the same entries by arrival; a pop sets the entry's row slot
     to ``None`` and the arrival heap discards such entries from its top.
     """
 
     def __init__(self, policy: QueuePolicy = QueuePolicy()) -> None:
         self.policy = policy
         self._edf = policy.order == "edf"
+        #: where an entry holds its arrival and its deadline
+        self._at, self._due = (1, 0) if self._edf else (0, 3)
         self._groups: Dict[str, List[list]] = {}
         #: edf only: network -> heap of (arrival_s, rid, seq, group entry)
         self._arrivals: Dict[str, List[tuple]] = {}
@@ -139,21 +135,22 @@ class AdmissionQueue:
 
     # -- admission --------------------------------------------------------
 
-    def offer(self, request: Request, now: float) -> Optional[ShedEvent]:
-        """Admit ``request`` or return the :class:`ShedEvent` rejecting it."""
+    def offer(
+        self, row: int, rid: int, network: str, arrival_s: float, deadline_s: float
+    ) -> Optional[str]:
+        """Admit stream row ``row`` (request ``rid``), or return why not."""
         if self._depth >= self.policy.max_depth:
-            return ShedEvent(request, SHED_QUEUE_FULL, now)
+            return SHED_QUEUE_FULL
         seq = self._seq
         self._seq += 1
         if self._edf:
-            entry = [request.deadline_s, request.arrival_s, request.rid, seq, request]
+            entry = [deadline_s, arrival_s, rid, seq, row]
             heapq.heappush(
-                self._arrivals.setdefault(request.network, []),
-                (request.arrival_s, request.rid, seq, entry),
+                self._arrivals.setdefault(network, []), (arrival_s, rid, seq, entry)
             )
         else:
-            entry = [request.arrival_s, request.rid, seq, request]
-        heapq.heappush(self._groups.setdefault(request.network, []), entry)
+            entry = [arrival_s, rid, seq, deadline_s, row]
+        heapq.heappush(self._groups.setdefault(network, []), entry)
         self._depth += 1
         return None
 
@@ -161,27 +158,29 @@ class AdmissionQueue:
 
     def pop_batch(
         self, network: str, max_batch: int, now: float
-    ) -> Tuple[List[Request], List[ShedEvent]]:
-        """Take up to ``max_batch`` servable requests for ``network``.
+    ) -> Tuple[List[int], List[Tuple[int, str]]]:
+        """Take up to ``max_batch`` servable rows for ``network``, and the
+        ``(row, reason)`` of each request shed on the way.
 
         Requests that aged out (or expired) while queued are shed rather
         than returned; shedding continues past them so a stale head of the
         queue cannot starve fresh requests behind it.
         """
         group = self._groups.get(network, [])
-        batch: List[Request] = []
-        shed: List[ShedEvent] = []
+        max_age, expired = self.policy.max_age_s, self.policy.shed_expired
+        at, due = self._at, self._due
+        batch: List[int] = []
+        shed: List[Tuple[int, str]] = []
         while group and len(batch) < max_batch:
             entry = heapq.heappop(group)
-            request = entry[-1]
+            row = entry[-1]
             entry[-1] = None  # dead in the edf arrival heap
-            age = now - request.arrival_s
-            if self.policy.max_age_s is not None and age > self.policy.max_age_s:
-                shed.append(ShedEvent(request, SHED_MAX_AGE, now))
-            elif self.policy.shed_expired and now > request.deadline_s:
-                shed.append(ShedEvent(request, SHED_EXPIRED, now))
+            if max_age is not None and now - entry[at] > max_age:
+                shed.append((row, SHED_MAX_AGE))
+            elif expired and now > entry[due]:
+                shed.append((row, SHED_EXPIRED))
             else:
-                batch.append(request)
+                batch.append(row)
         self._depth -= len(batch) + len(shed)
         arrivals = self._arrivals.get(network, [])
         if len(arrivals) > 2 * len(group):  # keep it within twice the depth

@@ -1,9 +1,14 @@
 """Request generators for the serving simulator.
 
-A *workload* is a time-ordered list of :class:`Request` records: who wants
-an inference (tenant), on which zoo network, when it arrives, and by when
-the answer is due (the tenant's SLO).  Three arrival processes cover the
-traffic shapes a deployed accelerator sees:
+A *workload* is an :class:`Arrivals` stream: one row per inference
+request, in arrival order — who wants it (tenant), on which zoo network,
+when it arrives, and by when the answer is due (the tenant's SLO).  The
+stream is columnar: arrival and deadline seconds are float64 columns,
+tenant and network are small-int codes into the stream's name tuples,
+and a generated stream's row number is its request id.  Indexing,
+slicing and iteration give :class:`Request` records built on demand, so
+a stream reads like the list of records it stands for.  Three arrival
+processes cover the traffic shapes a deployed accelerator sees:
 
 * :func:`poisson_arrivals` — memoryless open-loop traffic at a fixed mean
   rate, the classic serving benchmark;
@@ -25,12 +30,19 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.errors import ConfigError
 
 __all__ = [
+    "Arrivals",
     "TenantSpec",
     "MixedTenantSpec",
     "Request",
@@ -103,6 +115,235 @@ class Request:
 
     def slo_s(self) -> float:
         return self.deadline_s - self.arrival_s
+
+
+_ARRIVAL = attrgetter("arrival_s")
+_DEADLINE = attrgetter("deadline_s")
+_TENANT = attrgetter("tenant")
+_NETWORK = attrgetter("network")
+_RID = attrgetter("rid")
+#: rows converted to Python values at a time when a stream is iterated
+_CHUNK = 4096
+
+
+def _code_dtype(n_names: int) -> type:
+    """The smallest code column that indexes ``n_names`` names."""
+    return np.int8 if n_names <= 127 else np.int32
+
+
+def _coded(values: List[str]) -> Tuple[np.ndarray, Tuple[str, ...]]:
+    """Each value's code, and the distinct values in first-seen order."""
+    names = tuple(dict.fromkeys(values))
+    code = {name: k for k, name in enumerate(names)}
+    codes = map(code.__getitem__, values)
+    return np.fromiter(codes, _code_dtype(len(names)), len(values)), names
+
+
+def _column(values: array) -> np.ndarray:
+    """A NumPy view of an :mod:`array` column (no copy)."""
+    return np.frombuffer(values, dtype=values.typecode)
+
+
+class Arrivals(SequenceABC):
+    """A request stream as columns, one row per request in arrival order.
+
+    ``arrival`` and ``deadline`` are float64 seconds; ``tenant`` and
+    ``network`` are int8 codes into the ``tenants`` and ``networks`` name
+    tuples (wider only past 127 names), so a row takes 18 bytes.  ``rid``
+    holds the request ids of a stream converted from :class:`Request`
+    records or cut from another stream; ``None`` means a row's id is its
+    row number, as in every generated stream.  Indexing, slicing,
+    iteration and equality read :class:`Request` views built on demand.
+    A stream is never modified, so engines share one.
+    """
+
+    __slots__ = (
+        "arrival", "deadline", "tenant", "network", "tenants", "networks", "rid"
+    )
+
+    def __init__(
+        self,
+        arrival: np.ndarray,
+        deadline: np.ndarray,
+        tenant: np.ndarray,
+        network: np.ndarray,
+        tenants: Tuple[str, ...],
+        networks: Tuple[str, ...],
+        rid: Optional[np.ndarray] = None,
+    ) -> None:
+        self.arrival = arrival
+        self.deadline = deadline
+        self.tenant = tenant
+        self.network = network
+        self.tenants = tenants
+        self.networks = networks
+        if rid is not None and np.array_equal(rid, np.arange(len(rid))):
+            rid = None
+        self.rid = rid
+
+    @classmethod
+    def from_requests(cls, requests: Sequence[Request]) -> "Arrivals":
+        """The stream of ``requests``, in (arrival, rid) order, ids kept."""
+        if isinstance(requests, Arrivals):
+            return requests.sorted()
+        tenant, tenants = _coded(list(map(_TENANT, requests)))
+        network, networks = _coded(list(map(_NETWORK, requests)))
+        n = len(requests)
+        return cls(
+            np.fromiter(map(_ARRIVAL, requests), np.float64, n),
+            np.fromiter(map(_DEADLINE, requests), np.float64, n),
+            tenant,
+            network,
+            tenants,
+            networks,
+            np.fromiter(map(_RID, requests), np.int64, n),
+        ).sorted()
+
+    def __len__(self) -> int:
+        return len(self.arrival)
+
+    def rids(self) -> np.ndarray:
+        """Every row's request id."""
+        return np.arange(len(self)) if self.rid is None else self.rid
+
+    def take(self, rows: np.ndarray) -> "Arrivals":
+        """The rows ``rows`` (an index array) as a stream of their own."""
+        return Arrivals(
+            self.arrival[rows],
+            self.deadline[rows],
+            self.tenant[rows],
+            self.network[rows],
+            self.tenants,
+            self.networks,
+            self.rids()[rows],
+        )
+
+    def sorted(self) -> "Arrivals":
+        """This stream in (arrival, rid) order: itself when it already is."""
+        step = np.diff(self.arrival)
+        if self.rid is None:
+            ordered = bool(np.all(step >= 0))
+        else:
+            ties = (step == 0) & (np.diff(self.rid) >= 0)
+            ordered = bool(np.all((step > 0) | ties))
+        if ordered:
+            return self
+        return self.take(np.lexsort((self.rids(), self.arrival)))
+
+    def concat(self, other: "Arrivals") -> "Arrivals":
+        """This stream's rows, then ``other``'s, over the union of the names."""
+        if not len(other):
+            return self
+        if not len(self):
+            return other
+        tenants = tuple(dict.fromkeys(self.tenants + other.tenants))
+        networks = tuple(dict.fromkeys(self.networks + other.networks))
+
+        def codes(col, names, union):
+            lookup = [union.index(name) for name in names]
+            return np.array(lookup, _code_dtype(len(union)))[col]
+
+        return Arrivals(
+            np.concatenate([self.arrival, other.arrival]),
+            np.concatenate([self.deadline, other.deadline]),
+            np.concatenate(
+                [
+                    codes(self.tenant, self.tenants, tenants),
+                    codes(other.tenant, other.tenants, tenants),
+                ]
+            ),
+            np.concatenate(
+                [
+                    codes(self.network, self.networks, networks),
+                    codes(other.network, other.networks, networks),
+                ]
+            ),
+            tenants,
+            networks,
+            np.concatenate([self.rids(), other.rids()]),
+        )
+
+    def __getitem__(self, key: Union[int, slice]) -> Union[Request, "Arrivals"]:
+        if isinstance(key, slice):
+            return self.take(np.arange(len(self))[key])
+        row = range(len(self))[key]  # IndexError past either end
+        return Request(
+            int(self.rid[row]) if self.rid is not None else row,
+            self.tenants[self.tenant[row]],
+            self.networks[self.network[row]],
+            float(self.arrival[row]),
+            float(self.deadline[row]),
+        )
+
+    def __iter__(self) -> Iterator[Request]:
+        rids = self.rids()
+        for lo in range(0, len(self), _CHUNK):
+            hi = lo + _CHUNK
+            yield from map(
+                Request,
+                rids[lo:hi].tolist(),
+                [self.tenants[c] for c in self.tenant[lo:hi].tolist()],
+                [self.networks[c] for c in self.network[lo:hi].tolist()],
+                self.arrival[lo:hi].tolist(),
+                self.deadline[lo:hi].tolist(),
+            )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Arrivals, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def _codes(n_names: int) -> array:
+    """An empty code column for ``n_names`` names (see :func:`_code_dtype`)."""
+    return array(np.dtype(_code_dtype(n_names)).char)
+
+
+def _stream(
+    times: array,
+    picks: array,
+    tenants: Sequence[Union[TenantSpec, "MixedTenantSpec"]],
+    nets: Optional[array] = None,
+    networks: Tuple[str, ...] = (),
+) -> Arrivals:
+    """A generated stream: arrival times and tenant codes as drawn, each
+    deadline the arrival plus its tenant's SLO (float64 addition, the same
+    bits as Python's), and the network codes ``nets`` into ``networks`` —
+    or, when each tenant pins one network, the picked tenant's."""
+    arrival = _column(times)
+    tenant = _column(picks)
+    slo_s = np.array([t.slo_ms / 1e3 for t in tenants], np.float64)
+    if nets is None:
+        networks = tuple(dict.fromkeys(t.network for t in tenants))
+        lookup = [networks.index(t.network) for t in tenants]
+        network = np.array(lookup, _code_dtype(len(networks)))[tenant]
+    else:
+        network = _column(nets)
+    return Arrivals(
+        arrival,
+        arrival + slo_s[tenant],
+        tenant,
+        network,
+        tuple(t.name for t in tenants),
+        networks,
+    )
+
+
+def _walk(x: float, weights: Sequence[float]) -> int:
+    """The index at which ``x`` drops below zero as each weight is
+    subtracted in turn; the last index if it never does.
+
+    The subtractions round one at a time, so this is not the same draw
+    as comparing ``x`` with running sums: with weights ``(a, b, ...)``,
+    ``x - a - b`` can fall below zero while ``x < a + b`` is false.
+    """
+    for k, w in enumerate(weights):
+        x -= w
+        if x < 0:
+            return k
+    return len(weights) - 1
 
 
 @dataclass(frozen=True)
@@ -216,13 +457,13 @@ def mixed_arrivals(
     duration_s: float,
     tenants: Sequence[MixedTenantSpec],
     seed: int = 0,
-) -> List[Request]:
+) -> Arrivals:
     """Poisson traffic where each tenant spreads over a network mix.
 
     One arrival stream at mean ``rate``: each request draws its tenant by
     tenant weight, then its network by that tenant's mix shares — two RNG
     draws per arrival from one seeded generator, so the same seed always
-    produces the identical request list.  This is the multi-tenant input
+    produces the identical request stream.  This is the multi-tenant input
     the tenancy and control benchmarks are judged on: a partition or chip
     pinned to a tenant must absorb *that tenant's whole mix*, not one
     network.
@@ -230,45 +471,39 @@ def mixed_arrivals(
     check_positive("arrival rate", rate)
     check_positive("duration", duration_s)
     _validate_mixed_tenants(tenants)
-    rng = random.Random(seed)
-    requests: List[Request] = []
-    t = rng.expovariate(rate)
+    draw = _MixedDraw(tenants, seed)
+    times, picks, nets = array("d"), _codes(len(tenants)), _codes(len(draw.networks))
+    rng, log = draw.rng.random, math.log
+    # expovariate's own formula, inlined: the draws are unchanged
+    t = -log(1.0 - rng()) / rate
     while t < duration_s:
-        picked, network = _pick_mixed(rng, tenants)
-        requests.append(
-            Request(
-                rid=len(requests),
-                tenant=picked.name,
-                network=network,
-                arrival_s=t,
-                deadline_s=t + picked.slo_ms / 1e3,
-            )
-        )
-        t += rng.expovariate(rate)
-    return requests
+        k, j = draw.pick()
+        times.append(t)
+        picks.append(k)
+        nets.append(j)
+        t += -log(1.0 - rng()) / rate
+    return _stream(times, picks, tenants, nets, draw.networks)
 
 
-def _pick_mixed(
-    rng: random.Random, tenants: Sequence[MixedTenantSpec]
-) -> Tuple[MixedTenantSpec, str]:
-    """Two weighted draws: tenant by weight, then network by mix share."""
-    total = sum(tenant.weight for tenant in tenants)
-    x = rng.random() * total
-    picked = tenants[-1]
-    for tenant in tenants:
-        x -= tenant.weight
-        if x < 0:
-            picked = tenant
-            break
-    share_total = sum(share for _, share in picked.mix)
-    y = rng.random() * share_total
-    network = picked.mix[-1][0]
-    for net, share in picked.mix:
-        y -= share
-        if y < 0:
-            network = net
-            break
-    return picked, network
+class _MixedDraw:
+    """Seeded (tenant, network) draws over mixed tenants: tenant by weight,
+    then network by that tenant's mix shares, each by :func:`_walk`."""
+
+    def __init__(self, tenants: Sequence[MixedTenantSpec], seed: int) -> None:
+        self.rng = random.Random(seed)
+        self.weights = tuple(t.weight for t in tenants)
+        self.total = sum(self.weights)
+        networks = chain.from_iterable(t.networks for t in tenants)
+        self.networks = tuple(dict.fromkeys(networks))
+        self.shares = [tuple(share for _, share in t.mix) for t in tenants]
+        self.share_totals = [sum(shares) for shares in self.shares]
+        self.codes = [tuple(map(self.networks.index, t.networks)) for t in tenants]
+
+    def pick(self) -> Tuple[int, int]:
+        rng = self.rng.random
+        k = _walk(rng() * self.total, self.weights)
+        j = _walk(rng() * self.share_totals[k], self.shares[k])
+        return k, self.codes[k][j]
 
 
 def mixed_diurnal_arrivals(
@@ -278,7 +513,7 @@ def mixed_diurnal_arrivals(
     tenants: Sequence[MixedTenantSpec],
     seed: int = 0,
     day_s: float = 86400.0,
-) -> List[Request]:
+) -> Arrivals:
     """Diurnal traffic over *mixed-tenant* sources: the planner's input.
 
     The rate envelope is the :func:`diurnal_rate` sinusoid (``base_rate``
@@ -286,7 +521,7 @@ def mixed_diurnal_arrivals(
     like :func:`diurnal_arrivals`; each accepted arrival then draws its
     tenant by weight and its network by that tenant's mix shares, like
     :func:`mixed_arrivals`.  One seeded RNG drives everything, so the same
-    seed always yields the identical request list — the capacity
+    seed always yields the identical request stream — the capacity
     planner's whole search is deterministic because its traffic forecast
     is.
     """
@@ -301,27 +536,22 @@ def mixed_diurnal_arrivals(
     _validate_mixed_tenants(tenants)
 
     duration_s = days * day_s
-    rng = random.Random(seed)
-    requests: List[Request] = []
+    draw = _MixedDraw(tenants, seed)
+    times, picks, nets = array("d"), _codes(len(tenants)), _codes(len(draw.networks))
+    rng, log = draw.rng.random, math.log
     t = 0.0
     while True:
-        t += rng.expovariate(peak_rate)
+        t += -log(1.0 - rng()) / peak_rate
         if t >= duration_s:
             break
         current = diurnal_rate(t, base_rate, peak_rate, day_s)
-        if rng.random() * peak_rate >= current:
+        if rng() * peak_rate >= current:
             continue
-        tenant, network = _pick_mixed(rng, tenants)
-        requests.append(
-            Request(
-                rid=len(requests),
-                tenant=tenant.name,
-                network=network,
-                arrival_s=t,
-                deadline_s=t + tenant.slo_ms / 1e3,
-            )
-        )
-    return requests
+        k, j = draw.pick()
+        times.append(t)
+        picks.append(k)
+        nets.append(j)
+    return _stream(times, picks, tenants, nets, draw.networks)
 
 
 def _validate_tenants(tenants: Sequence[TenantSpec]) -> None:
@@ -362,46 +592,27 @@ def parse_mix(spec: str, slo_ms: float = DEFAULT_SLO_MS) -> List[TenantSpec]:
     return tenants
 
 
-def _pick_tenant(rng: random.Random, tenants: Sequence[TenantSpec]) -> TenantSpec:
-    total = sum(t.weight for t in tenants)
-    x = rng.random() * total
-    for t in tenants:
-        x -= t.weight
-        if x < 0:
-            return t
-    return tenants[-1]
-
-
-def _make_request(
-    rid: int, tenant: TenantSpec, arrival_s: float
-) -> Request:
-    return Request(
-        rid=rid,
-        tenant=tenant.name,
-        network=tenant.network,
-        arrival_s=arrival_s,
-        deadline_s=arrival_s + tenant.slo_ms / 1e3,
-    )
-
-
 def poisson_arrivals(
     rate: float,
     duration_s: float,
     tenants: Sequence[TenantSpec],
     seed: int = 0,
-) -> List[Request]:
+) -> Arrivals:
     """Open-loop Poisson traffic: ``rate`` requests/second for ``duration_s``."""
     check_positive("arrival rate", rate)
     check_positive("duration", duration_s)
     _validate_tenants(tenants)
-    rng = random.Random(seed)
-    requests: List[Request] = []
-    t = rng.expovariate(rate)
+    rng, log = random.Random(seed).random, math.log
+    weights = tuple(t.weight for t in tenants)
+    total = sum(weights)
+    times, picks = array("d"), _codes(len(tenants))
+    # expovariate's own formula, inlined: the draws are unchanged
+    t = -log(1.0 - rng()) / rate
     while t < duration_s:
-        tenant = _pick_tenant(rng, tenants)
-        requests.append(_make_request(len(requests), tenant, t))
-        t += rng.expovariate(rate)
-    return requests
+        times.append(t)
+        picks.append(_walk(rng() * total, weights))
+        t += -log(1.0 - rng()) / rate
+    return _stream(times, picks, tenants)
 
 
 def bursty_arrivals(
@@ -412,7 +623,7 @@ def bursty_arrivals(
     burst_factor: float = 4.0,
     burst_fraction: float = 0.2,
     period_s: float = 1.0,
-) -> List[Request]:
+) -> Arrivals:
     """On/off modulated Poisson traffic with the same *mean* rate.
 
     Each ``period_s`` window starts with a burst lasting
@@ -436,23 +647,25 @@ def bursty_arrivals(
     _validate_tenants(tenants)
     on_rate = rate * burst_factor
     off_rate = rate * (1 - burst_factor * burst_fraction) / (1 - burst_fraction)
-    rng = random.Random(seed)
-    requests: List[Request] = []
+    rng, log = random.Random(seed).random, math.log
+    weights = tuple(t.weight for t in tenants)
+    total = sum(weights)
+    times, picks = array("d"), _codes(len(tenants))
     # thinning: draw candidates at the envelope (burst) rate, accept each
     # with probability rate(t)/on_rate — an exact non-homogeneous Poisson
     # sampler, so the long-run mean stays `rate` with no phase-edge bias
     t = 0.0
     while True:
-        t += rng.expovariate(on_rate)
+        t += -log(1.0 - rng()) / on_rate
         if t >= duration_s:
             break
         phase = (t % period_s) / period_s
         current = on_rate if phase < burst_fraction else off_rate
-        if rng.random() * on_rate >= current:
+        if rng() * on_rate >= current:
             continue
-        tenant = _pick_tenant(rng, tenants)
-        requests.append(_make_request(len(requests), tenant, t))
-    return requests
+        times.append(t)
+        picks.append(_walk(rng() * total, weights))
+    return _stream(times, picks, tenants)
 
 
 def diurnal_rate(
@@ -490,7 +703,7 @@ def diurnal_arrivals(
     flash_per_day: float = 0.0,
     flash_factor: float = 3.0,
     churn: float = 0.0,
-) -> List[Request]:
+) -> Arrivals:
     """Multi-day diurnal traffic: day/night cycle, flash crowds, churn.
 
     The mean rate follows a sinusoid per simulated day (``base_rate`` in the
@@ -504,7 +717,7 @@ def diurnal_arrivals(
     per-tenant phase, so which network dominates drifts over the day.
     Sampling is exact thinning against the envelope rate, like
     :func:`bursty_arrivals`, and everything is driven by one seeded RNG —
-    the same seed always yields the identical request list.
+    the same seed always yields the identical request stream.
     """
     check_positive("base_rate", base_rate)
     check_positive("peak_rate", peak_rate)
@@ -539,33 +752,28 @@ def diurnal_arrivals(
     max_factor = max([1.0] + [f for _, _, f in windows])
     envelope = peak_rate * max_factor
     phases = [rng.uniform(0.0, 2.0 * math.pi) for _ in tenants]
-
-    def pick_tenant(t: float) -> TenantSpec:
-        if not churn:
-            return _pick_tenant(rng, tenants)
-        weights = [
-            tenant.weight
-            * (1.0 + churn * math.sin(2.0 * math.pi * t / day_s + phases[k]))
-            for k, tenant in enumerate(tenants)
-        ]
-        x = rng.random() * sum(weights)
-        for tenant, w in zip(tenants, weights):
-            x -= w
-            if x < 0:
-                return tenant
-        return tenants[-1]
-
-    requests: List[Request] = []
+    weights = tuple(t.weight for t in tenants)
+    total = sum(weights)
+    random_, log = rng.random, math.log
+    times, picks = array("d"), _codes(len(tenants))
     t = 0.0
     while True:
-        t += rng.expovariate(envelope)
+        t += -log(1.0 - random_()) / envelope
         if t >= duration_s:
             break
         current = diurnal_rate(t, base_rate, peak_rate, day_s, windows)
-        if rng.random() * envelope >= current:
+        if random_() * envelope >= current:
             continue
-        requests.append(_make_request(len(requests), pick_tenant(t), t))
-    return requests
+        times.append(t)
+        if not churn:
+            picks.append(_walk(random_() * total, weights))
+            continue
+        churned = [
+            w * (1.0 + churn * math.sin(2.0 * math.pi * t / day_s + phase))
+            for w, phase in zip(weights, phases)
+        ]
+        picks.append(_walk(random_() * sum(churned), churned))
+    return _stream(times, picks, tenants)
 
 
 def trace_arrivals(
@@ -573,7 +781,7 @@ def trace_arrivals(
     tenants: Sequence[TenantSpec],
     seed: int = 0,
     duration_s: Optional[float] = None,
-) -> List[Request]:
+) -> Arrivals:
     """Replay arrival times from a trace file.
 
     Each non-empty, non-``#`` line is ``<arrival_seconds>[,<tenant>]``.
@@ -624,10 +832,16 @@ def trace_arrivals(
                     f"trace tenants must be in {sorted(by_name)}"
                 )
             rows.append((arrival, tenant_name))
-    requests: List[Request] = []
+    code = {t.name: k for k, t in enumerate(tenants)}
+    weights = tuple(t.weight for t in tenants)
+    total = sum(weights)
+    times, picks = array("d"), _codes(len(tenants))
     for arrival, tenant_name in rows:
         if duration_s is not None and arrival >= duration_s:
             break
-        tenant = by_name[tenant_name] if tenant_name else _pick_tenant(rng, tenants)
-        requests.append(_make_request(len(requests), tenant, arrival))
-    return requests
+        times.append(arrival)
+        if tenant_name:
+            picks.append(code[tenant_name])
+        else:
+            picks.append(_walk(rng.random() * total, weights))
+    return _stream(times, picks, tenants)

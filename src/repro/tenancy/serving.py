@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ConfigError
 from repro.serve.batcher import BatchCoster, BatchPolicy
@@ -39,7 +41,7 @@ from repro.serve.engine import (
 )
 from repro.serve.metrics import MetricsCollector
 from repro.serve.queue import QueuePolicy
-from repro.serve.workload import MixedTenantSpec, Request, mixed_arrivals
+from repro.serve.workload import Arrivals, MixedTenantSpec, Request, mixed_arrivals
 from repro.tenancy.fleet import ChipSpec, FleetSpec
 from repro.tenancy.partition import PartitionSpec
 from repro.tenancy.placement import (
@@ -89,18 +91,24 @@ def serve_placement(
         raise ConfigError(f"duration must be positive, got {duration_s!r}")
     slots = fleet.slots()
     by_id = {s.slot_id: s for s in slots}
-    unknown = sorted(
-        {r.tenant for r in requests} - set(placement.slot_of)
-    )
+    stream = Arrivals.from_requests(requests)
+    used = [stream.tenants[code] for code in np.unique(stream.tenant).tolist()]
+    unknown = sorted(set(used) - set(placement.slot_of))
     if unknown:
         raise ConfigError(
             f"requests from unplaced tenants {unknown}; every tenant with "
             f"traffic needs a slot (placed: {sorted(placement.slot_of)})"
         )
 
-    lane_requests: Dict[int, List[Request]] = {}
-    for r in requests:
-        lane_requests.setdefault(placement.slot_of[r.tenant], []).append(r)
+    # each lane serves its tenants' rows, which keep their request ids
+    slot_of_code = np.array(
+        [placement.slot_of.get(name, -1) for name in stream.tenants], dtype=np.int64
+    )
+    slot_of_row = slot_of_code[stream.tenant]
+    lane_requests = {
+        slot_id: stream.take(np.flatnonzero(slot_of_row == slot_id))
+        for slot_id in sorted({placement.slot_of[name] for name in used})
+    }
 
     costers: Dict[AcceleratorConfig, BatchCoster] = {}
     merged = MetricsCollector()

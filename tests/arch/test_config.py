@@ -116,6 +116,28 @@ class TestValidation:
             AcceleratorConfig(**kwargs)
         assert fragment in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "attr", ["input_buffer_bytes", "output_buffer_bytes", "weight_buffer_bytes"]
+    )
+    def test_data_buffer_holds_a_word(self, attr):
+        """A buffer smaller than one word has zero words, and every fit
+        divided by it (a ZeroDivisionError while planning)."""
+        with pytest.raises(ConfigError) as excinfo:
+            AcceleratorConfig(**{attr: 1})
+        assert f"{attr} must hold at least one 2-byte word, got 1" in str(excinfo.value)
+        with pytest.raises(ConfigError, match=f"{attr} .* got 3"):
+            AcceleratorConfig(**{attr: 3, "word_bytes": 4})
+        assert AcceleratorConfig(**{attr: 4, "word_bytes": 4}).word_bytes == 4
+
+    def test_one_byte_bias_buffer_still_plans(self):
+        from repro.adaptive.planner import plan_network
+        from repro.nn.zoo import build
+
+        run = plan_network(
+            build("alexnet"), AcceleratorConfig(bias_buffer_bytes=1), "adaptive-2"
+        )
+        assert run.total_cycles > 0
+
 
 class TestSerialization:
     def test_roundtrip(self):

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.adaptive.search import (
@@ -35,6 +40,27 @@ def _restore_default_jobs():
     before = get_default_jobs()
     yield
     set_default_jobs(before)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """Only a ``parallel_map`` that builds a pool imports it: a serving,
+    planning or chaos process never loads ``concurrent.futures`` or
+    ``multiprocessing``."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    code = (
+        "import sys\n"
+        "import repro.serve, repro.adaptive.planner, repro.control.chaos_scenarios\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_resolve_jobs_semantics():

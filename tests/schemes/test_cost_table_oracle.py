@@ -812,20 +812,23 @@ def plan_network(
 
 ZOO = {name: build(name) for name in ("alexnet", "googlenet", "vgg", "nin")}
 
-#: buffers from a few bytes (zero words at wide words, tiny tiles) to 8 MB
-_BUFFER = st.one_of(st.integers(1, 4096), st.integers(4096, 8 * MB))
+def _buffer(word_bytes: int) -> st.SearchStrategy:
+    """Data-buffer sizes from one word (tiny tiles) to 8 MB; a config
+    rejects anything smaller."""
+    return st.one_of(st.integers(word_bytes, 4096), st.integers(4096, 8 * MB))
 
 
 @st.composite
 def configs(draw) -> AcceleratorConfig:
+    word_bytes = draw(st.sampled_from([1, 2, 4]))
     return AcceleratorConfig(
         tin=draw(st.integers(1, 64)),
         tout=draw(st.integers(1, 64)),
-        input_buffer_bytes=draw(_BUFFER),
-        output_buffer_bytes=draw(_BUFFER),
-        weight_buffer_bytes=draw(_BUFFER),
+        input_buffer_bytes=draw(_buffer(word_bytes)),
+        output_buffer_bytes=draw(_buffer(word_bytes)),
+        weight_buffer_bytes=draw(_buffer(word_bytes)),
         bias_buffer_bytes=draw(st.integers(1, 64 * 1024)),
-        word_bytes=draw(st.sampled_from([1, 2, 4])),
+        word_bytes=word_bytes,
         frequency_hz=draw(st.sampled_from([1e9, 1e8])),
         dram_words_per_cycle=draw(st.floats(0.25, 64.0)),
         overlap_streams=draw(st.booleans()),
@@ -953,9 +956,9 @@ def _fresh_cache():
     ctx=_ctx(ConvLayer("conv", in_maps=8, out_maps=8, kernel=1), TensorShape(8, 7, 7)),
     config=AcceleratorConfig(),
 )
-@example(  # a one-byte buffer holds no 2-byte word: every fit divides by zero
+@example(  # a one-word buffer: the smallest tile a config allows
     ctx=_ctx(ConvLayer("conv", in_maps=3, out_maps=8, kernel=3), TensorShape(3, 9, 9)),
-    config=AcceleratorConfig(weight_buffer_bytes=1),
+    config=AcceleratorConfig(weight_buffer_bytes=2),
 )
 def test_every_record_matches_the_reference(ctx, config):
     _check_layer(ctx, config)

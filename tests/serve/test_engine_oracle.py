@@ -3,8 +3,10 @@
 ``StaticLoopEngine`` and ``_Router`` are the original fixed-fleet
 ``ServingEngine`` event loop and its router, kept verbatim.  The loop
 handles only a fixed fleet, with no crashes, drains or slow windows, so it
-is easy to check by eye.  :class:`~repro.serve.engine.ServingEngine`, a
-one-shot run of :class:`~repro.serve.engine.AdaptiveServingEngine`, must
+is easy to check by eye; it queues and logs :class:`Request` objects
+through the reference queue and collector (``reference.py``).
+:class:`~repro.serve.engine.ServingEngine`, a one-shot run of
+:class:`~repro.serve.engine.AdaptiveServingEngine`, must
 agree with it on the canonical summary JSON and on every completion
 record, whatever the routing, queue policy, fleet, costers, chip tags and
 traffic.
@@ -29,9 +31,10 @@ from repro.serve.engine import (
     _apply_chip_tags,
     per_chip_rollup,
 )
-from repro.serve.metrics import MetricsCollector, to_json
-from repro.serve.queue import AdmissionQueue, QueuePolicy
+from repro.serve.metrics import to_json
+from repro.serve.queue import QueuePolicy
 from repro.serve.workload import Request
+from tests.serve.reference import AdmissionQueue, MetricsCollector
 
 
 class _Router:

@@ -7,7 +7,8 @@ retries, hedging, service windows and SDC windows moved into
 :meth:`~repro.serve.engine.AdaptiveServingEngine.advance_to`, but for
 two edits: the class is renamed, and it already carries the fix that
 keeps a hedged batch alive while one of its copies still runs on a live
-replica.
+replica.  It queues and logs :class:`Request` objects through the
+reference queue and collector (``reference.py``).
 
 On generated runs — both routings, one to four replicas, FIFO and EDF
 queues with depth limits, crashes anywhere, on probe ticks, as a batch
@@ -56,8 +57,7 @@ from repro.serve.failover import (
     backoff_s,
 )
 from repro.serve import engine as engine_module
-from repro.serve.metrics import MetricsCollector
-from repro.serve.queue import AdmissionQueue, QueuePolicy
+from repro.serve.queue import QueuePolicy
 from repro.serve.verified import (
     DETECTION_RATE,
     DRAIN_THRESHOLD,
@@ -68,6 +68,7 @@ from repro.serve.verified import (
     VerifiedReplica,
 )
 from repro.serve.workload import Request, check_positive
+from tests.serve.reference import AdmissionQueue, MetricsCollector
 
 
 class HealthChecker:

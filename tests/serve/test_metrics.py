@@ -12,7 +12,7 @@ from repro.serve.metrics import (
     percentile,
     to_json,
 )
-from repro.serve.workload import Request
+from repro.serve.workload import Arrivals, Request
 
 
 def rec(rid, arrival, start, finish, deadline, tenant="t", network="alexnet", batch=1):
@@ -29,10 +29,21 @@ def rec(rid, arrival, start, finish, deadline, tenant="t", network="alexnet", ba
     )
 
 
+def _row(m, request):
+    """Append ``request`` to ``m``'s stream, as an engine ingests it; its row."""
+    m.stream = m.stream.concat(Arrivals.from_requests([request]))
+    return len(m.stream) - 1
+
+
 def serve(m, rid, arrival, start, finish, deadline, tenant="t", network="alexnet"):
     """Log one request as its own batch, run on replica 0."""
-    request = Request(rid, tenant, network, arrival, deadline)
-    m.record_served([request], start, finish, replica=0)
+    row = _row(m, Request(rid, tenant, network, arrival, deadline))
+    m.record_served([row], start, finish, replica=0, network=network)
+
+
+def shed(m, tenant, reason):
+    """Log one request of ``tenant`` shed for ``reason``."""
+    m.record_shed(_row(m, Request(-1, tenant, "alexnet", 0.0, 0.0)), reason)
 
 
 class TestPercentile:
@@ -78,7 +89,7 @@ class TestSummary:
         serve(m, 0, 0.0, 0.1, 0.2, 0.5, tenant="a")
         serve(m, 1, 0.0, 0.3, 0.9, 0.5, tenant="a")
         serve(m, 2, 0.5, 0.5, 0.6, 1.0, tenant="b", network="nin")
-        m.record_shed("a", "queue_full")
+        shed(m, "a", "queue_full")
         return m
 
     def test_counts_and_rates(self):
@@ -133,7 +144,7 @@ class TestJson:
         def build():
             m = MetricsCollector()
             serve(m, 0, 0.0, 0.1, 0.2, 0.5)
-            m.record_shed("t", "max_age")
+            shed(m, "t", "max_age")
             return to_json(m.summary(1.0, 1, 0.1))
 
         assert build() == build()

@@ -2,8 +2,9 @@
 
 ``RecordCollector`` is the original ``MetricsCollector``, kept verbatim: it
 builds one :class:`~repro.serve.metrics.RequestRecord` per completion and
-reduces them record by record.  The columnar collector must render the
-same summary JSON, byte for byte, and return the same records from
+reduces them record by record.  The columnar collector, logging rows of
+each lane's request stream where the record collector logs requests, must
+render the same summary JSON, byte for byte, and return the same records from
 ``completed``, over generated batch logs: empty logs, groups of one,
 tenants with only sheds or only failures, tied finish times, floats over
 twelve orders of magnitude, and merges of lanes into one collector.
@@ -14,13 +15,13 @@ reduction divided by zero, and the columnar one reports utilization 0.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve.metrics import MetricsCollector, RequestRecord, to_json
-from repro.serve.workload import Request
+from repro.serve.workload import Arrivals, Request
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -299,16 +300,35 @@ def _requests(logs):
     ]
 
 
-def _fill(collectors, log, batch_requests, outcomes) -> None:
-    for (start, service, _, replica, _), batch in zip(log, batch_requests):
-        for collector in collectors:
-            collector.record_served(batch, start, start + service, replica)
-    for tenant, reason in outcomes:
-        for collector in collectors:
-            if reason == "no_replicas":
-                collector.record_failure(tenant, reason)
-            else:
-                collector.record_shed(tenant, reason)
+def _stream(batch_requests, outcomes) -> Tuple[Arrivals, Dict[int, int]]:
+    """A lane's request stream — its batches' requests, then one request
+    per shed or failure (rid ``-1 - k`` for the ``k``-th) — and each
+    rid's row in it."""
+    extra = [
+        Request(-1 - k, tenant, "alexnet", 0.0, 0.0)
+        for k, (tenant, _) in enumerate(outcomes)
+    ]
+    stream = Arrivals.from_requests(
+        [request for batch in batch_requests for request in batch] + extra
+    )
+    return stream, {rid: row for row, rid in enumerate(stream.rids().tolist())}
+
+
+def _fill(pair, log, batch_requests, outcomes, row) -> None:
+    """Log the same batches, sheds and failures: request objects in the
+    record collector, stream rows (``row`` maps rids) in the columnar one."""
+    new, old = pair
+    for (start, service, network, replica, _), batch in zip(log, batch_requests):
+        old.record_served(batch, start, start + service, replica)
+        rows = [row[request.rid] for request in batch]
+        new.record_served(rows, start, start + service, replica, network)
+    for k, (tenant, reason) in enumerate(outcomes):
+        if reason == "no_replicas":
+            old.record_failure(tenant, reason)
+            new.record_failure(row[-1 - k], reason)
+        else:
+            old.record_shed(tenant, reason)
+            new.record_shed(row[-1 - k], reason)
 
 
 @settings(max_examples=100, deadline=None)
@@ -325,15 +345,23 @@ def test_columnar_summary_matches_record_summary(
 ):
     logs = [log for log, _ in lane_specs] + [tail]
     *lane_requests, tail_requests = _requests(logs)
-    pairs = [(MetricsCollector(), RecordCollector()) for _ in lane_specs]
-    for (log, terminal), requests, pair in zip(lane_specs, lane_requests, pairs):
-        _fill(pair, log, requests, terminal)
+    pairs = []
+    for (log, terminal), requests in zip(lane_specs, lane_requests):
+        stream, row = _stream(requests, terminal)
+        pair = (MetricsCollector(stream), RecordCollector())
+        _fill(pair, log, requests, terminal, row)
+        pairs.append(pair)
     got, want = pairs[0]
     for new, old in pairs[1:]:
         got.merge(new)
         want.merge(old)
-    # completions logged after a merge follow the merged ones
-    _fill((got, want), tail, tail_requests, [])
+    # completions logged after a merge follow the merged ones, their
+    # requests ingested after the merged lanes' streams
+    stream, row = _stream(tail_requests, [])
+    base = len(got.stream)
+    got.stream = got.stream.concat(stream)
+    row = {rid: base + r for rid, r in row.items()}
+    _fill((got, want), tail, tail_requests, [], row)
 
     args = (duration_s, replicas, busy_s, makespan_s)
     assert to_json(got.summary(*args)) == to_json(want.summary(*args))

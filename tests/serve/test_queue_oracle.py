@@ -4,7 +4,9 @@
 verbatim: every ``pop_batch`` re-sorts the whole group and rebuilds it, and
 ``oldest_arrival`` min-scans it.  It is slow but obviously right, so the
 production queue must agree with it on every batch, shed event, head and
-depth, whatever sequence of offers and pops drives them.
+depth, whatever sequence of offers and pops drives them.  The production
+queue holds stream rows where the oracle holds requests; here request
+``rid`` is row ``rid``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from repro.serve.queue import (
     SHED_QUEUE_FULL,
     AdmissionQueue,
     QueuePolicy,
-    ShedEvent,
 )
 from repro.serve.workload import Request
+from tests.serve.reference import ShedEvent
 
 
 class SortScanQueue:
@@ -164,33 +166,45 @@ def assert_same_state(new: AdmissionQueue, old: SortScanQueue, batch_policy) -> 
 @given(policy=policies, batch_policy=batch_policies, ops=operations)
 def test_heap_queue_matches_sort_and_scan(policy, batch_policy, ops):
     new, old = AdmissionQueue(policy), SortScanQueue(policy)
+    requests: List[Request] = []  # by row
     popped: List[Request] = []
-    next_rid = 0
     for op in ops:
         kind = op[0]
         if kind in ("offer", "reoffer"):
             if kind == "offer":
                 _, net, arrival, slo, now = op
+                rid = len(requests)
                 request = Request(
-                    rid=next_rid,
-                    tenant=f"t{next_rid % 2}",
+                    rid=rid,
+                    tenant=f"t{rid % 2}",
                     network=net,
                     arrival_s=arrival,
                     deadline_s=arrival + slo,
                 )
-                next_rid += 1
+                requests.append(request)
             else:
                 if not popped:
                     continue
                 _, index, now = op
                 request = popped[index % len(popped)]
-            assert new.offer(request, now) == old.offer(request, now)
+            want = old.offer(request, now)
+            got = new.offer(
+                request.rid,
+                request.rid,
+                request.network,
+                request.arrival_s,
+                request.deadline_s,
+            )
+            assert got == (want.reason if want is not None else None)
         else:
             _, net, size, now = op
             if kind == "drain":  # size is a flag: the whole queue, or the group
                 size = max(1, len(old) if size else old.depth(net))
-            got = new.pop_batch(net, size, now)
-            want = old.pop_batch(net, size, now)
-            assert got == want
-            popped.extend(got[0])
+            rows, shed = new.pop_batch(net, size, now)
+            batch, events = old.pop_batch(net, size, now)
+            assert [requests[row] for row in rows] == batch
+            assert [(requests[row], reason) for row, reason in shed] == [
+                (event.request, event.reason) for event in events
+            ]
+            popped.extend(batch)
         assert_same_state(new, old, batch_policy)
