@@ -17,13 +17,7 @@ from repro.analysis.compare import (
     compare_runs,
     render_comparison,
 )
-from repro.analysis.export import (
-    rows_to_dicts,
-    to_csv,
-    to_json,
-    write_csv,
-    write_json,
-)
+from repro.analysis.export import rows_to_dicts, to_csv, write_csv
 from repro.analysis.headline import (
     HeadlineNumbers,
     headline_numbers,
@@ -88,9 +82,7 @@ __all__ = [
     "render_comparison",
     "rows_to_dicts",
     "to_csv",
-    "to_json",
     "write_csv",
-    "write_json",
     "grouped_log_chart",
     "LayerSqnr",
     "quantization_report",

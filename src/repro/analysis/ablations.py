@@ -13,6 +13,7 @@ from typing import List
 
 from repro.adaptive import plan_batch, plan_network
 from repro.adaptive.search import best_scheme_for_layer, layer_energy_pj, search_network
+from repro.adaptive.selector import algorithm2
 from repro.arch.config import CONFIG_16_16, MB
 from repro.arch.dram import DEFAULT_DRAM
 from repro.arch.energy import EnergyModel
@@ -21,6 +22,7 @@ from repro.isa.compiler import compile_network
 from repro.nn.network import standalone_conv
 from repro.nn.zoo import benchmark_networks, build
 from repro.schemes import make_scheme
+from repro.schemes.base import group_geometry
 from repro.sim.event import simulate_run
 from repro.sim.loopnest import enumerate_inter, enumerate_intra, enumerate_partition
 from repro.sim.machine import Machine
@@ -221,14 +223,7 @@ def _rule_cycles(net, config, alpha: float) -> float:
     """Total conv cycles under Algorithm 2 with ``Din < alpha * Tin``."""
     total = 0.0
     for ctx in net.conv_contexts():
-        k, s = ctx.layer.kernel, ctx.layer.stride
-        d = ctx.layer.in_maps // ctx.layer.groups
-        if k == s and k != 1:
-            name = "intra"
-        elif s < k and d < alpha * config.tin:
-            name = "partition"
-        else:
-            name = "inter-improved"
+        name = algorithm2(group_geometry(ctx), alpha * config.tin)
         try:
             total += make_scheme(name).schedule(ctx, config).total_cycles
         except ScheduleError:

@@ -1,4 +1,4 @@
-"""Export experiment rows to CSV / JSON artifacts.
+"""Export experiment rows to CSV artifacts.
 
 Research repositories need machine-readable outputs next to the pretty
 tables; these helpers serialize any of the dataclass row lists produced by
@@ -11,12 +11,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import json
 from typing import Any, Dict, List, Sequence
 
 from repro.errors import ConfigError
 
-__all__ = ["rows_to_dicts", "to_csv", "to_json", "write_csv", "write_json"]
+__all__ = ["rows_to_dicts", "to_csv", "write_csv"]
 
 #: computed properties worth exporting, per row type name
 _EXTRA_PROPERTIES = {
@@ -52,18 +51,7 @@ def to_csv(rows: Sequence[Any]) -> str:
     return buffer.getvalue()
 
 
-def to_json(rows: Sequence[Any], indent: int = 2) -> str:
-    """Serialize rows as a JSON array."""
-    return json.dumps(rows_to_dicts(rows), indent=indent)
-
-
 def write_csv(rows: Sequence[Any], path: str) -> None:
     """Write rows to a CSV file."""
     with open(path, "w", newline="") as handle:
         handle.write(to_csv(rows))
-
-
-def write_json(rows: Sequence[Any], path: str) -> None:
-    """Write rows to a JSON file."""
-    with open(path, "w") as handle:
-        handle.write(to_json(rows))

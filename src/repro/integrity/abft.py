@@ -21,14 +21,13 @@ schemes — the very differences this repo exists to study).
 
 A mismatch localizes the damage: the flagged (map, row, column) triple of
 a single-element corruption (psum or output-stage flip) pins it to at
-most two rows, which are recomputed directly from the clean operands; a
-wide corruption (activation/weight flip smears across a window of rows
-and columns) triggers a whole-map recompute.  Recompute is cheap for the
-partition scheme precisely because Algorithm 1's ``g*g`` sub-kernels are
-independent — re-executing a row touches only the sub-windows that cover
-it.  :func:`verified_conv` packages the whole detect-and-recompute loop
-and guarantees the recovered output is bit-identical to
-:func:`~repro.sim.functional.reference_conv` on the same codes.
+most two rows; a wide corruption (activation/weight flip smears across a
+window of rows and columns) flags the whole map.  Recovery re-executes the
+flagged rows from the clean operands by running
+:func:`~repro.sim.functional.reference_conv` over the input band they
+read — the module has no convolution of its own.  :func:`verified_conv`
+packages the whole detect-and-recompute loop and guarantees the recovered
+output is bit-identical to ``reference_conv`` on the same codes.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from repro.arch.fixedpoint import FixedPointFormat, Q7_8, quantize
 from repro.errors import ConfigError
 from repro.integrity.sdc import SDCInjector
 from repro.nn.layers import conv_output_hw
-from repro.sim.backend import conv_window_view, resolve_backend
+from repro.sim.backend import resolve_backend
 from repro.sim.functional import (
     conv_via_im2col,
     conv_via_inter_improved,
@@ -275,81 +274,40 @@ class RecoveryReport:
 _LOCAL_LIMIT = 2
 
 
-def _recompute_row(
-    out: np.ndarray,
-    data_codes: np.ndarray,
-    weight_codes: np.ndarray,
-    bias_codes: Optional[np.ndarray],
-    stride: int,
-    pad: int,
-    groups: int,
-    oc: int,
-    oy: int,
-) -> None:
-    """Re-execute one output row of one map from the clean operands."""
-    dout = weight_codes.shape[0]
-    k = weight_codes.shape[-1]
-    din_g = data_codes.shape[0] // groups
-    dout_g = dout // groups
-    g = oc // dout_g
-    padded = pad_input(data_codes[g * din_g : (g + 1) * din_g], pad)
-    kern = weight_codes[oc]
-    iy = oy * stride
-    ow = out.shape[2]
-    for ox in range(ow):
-        ix = ox * stride
-        patch = padded[:, iy : iy + k, ix : ix + k]
-        out[oc, oy, ox] = np.sum(patch * kern, dtype=np.int64)
-    if bias_codes is not None:
-        out[oc, oy, :] += bias_codes[oc]
-
-
 def _recompute_rows(
     out: np.ndarray,
-    data_codes: np.ndarray,
+    padded: np.ndarray,
     weight_codes: np.ndarray,
     bias_codes: Optional[np.ndarray],
     stride: int,
-    pad: int,
     groups: int,
     oc: int,
     rows,
     backend: Optional[str] = None,
 ) -> None:
-    """Re-execute a batch of output rows of one map from the clean operands.
+    """Re-execute output rows ``rows`` of map ``oc`` from the clean, padded
+    input codes.
 
-    The ``loop`` backend recomputes pixel by pixel (the oracle); ``vector``
-    gathers every flagged row's windows through one strided view and runs a
-    single einsum — bit-identical in the integer-code domain.
+    One :func:`~repro.sim.functional.reference_conv` runs over the input
+    band that the lowest to the highest of ``rows`` read; only ``rows`` are
+    written back.
     """
-    rows_arr = np.asarray(list(rows), dtype=np.intp)
-    if rows_arr.size == 0:
-        return
-    if resolve_backend(backend) != "vector":
-        for oy in rows_arr:
-            _recompute_row(
-                out,
-                data_codes,
-                weight_codes,
-                bias_codes,
-                stride,
-                pad,
-                groups,
-                oc,
-                int(oy),
-            )
-        return
-    dout = weight_codes.shape[0]
-    k = weight_codes.shape[-1]
-    din_g = data_codes.shape[0] // groups
-    dout_g = dout // groups
-    g = oc // dout_g
-    padded = pad_input(data_codes[g * din_g : (g + 1) * din_g], pad)
-    win = conv_window_view(padded, k, stride, out.shape[1], out.shape[2])
-    fresh = np.einsum("dyxuv,duv->yx", win[:, rows_arr], weight_codes[oc])
-    if bias_codes is not None:
-        fresh = fresh + bias_codes[oc]
-    out[oc, rows_arr] = fresh
+    rows = np.asarray(rows, dtype=np.intp)
+    lo, hi = int(rows.min()), int(rows.max())
+    din_g = padded.shape[0] // groups
+    g = oc // (weight_codes.shape[0] // groups)
+    band = padded[
+        g * din_g : (g + 1) * din_g,
+        lo * stride : hi * stride + weight_codes.shape[-1],
+    ]
+    fresh = reference_conv(
+        band,
+        weight_codes[oc : oc + 1],
+        None if bias_codes is None else bias_codes[oc : oc + 1],
+        stride,
+        backend=backend,
+    )
+    out[oc, rows] = fresh[0, rows - lo]
 
 
 def recompute_flagged(
@@ -370,6 +328,7 @@ def recompute_flagged(
     good data), so re-executing flagged work from them restores the exact
     reference result.
     """
+    padded = pad_input(data_codes, pad)
     row_recomputes = 0
     map_recomputes = 0
     recomputed = []
@@ -387,15 +346,7 @@ def recompute_flagged(
             map_recomputes += 1
             recomputed.append((oc, -1))
         _recompute_rows(
-            out,
-            data_codes,
-            weight_codes,
-            bias_codes,
-            stride,
-            pad,
-            groups,
-            oc,
-            target_rows,
+            out, padded, weight_codes, bias_codes, stride, groups, oc, target_rows,
             backend,
         )
     after = check_output(out, predicted)
@@ -406,16 +357,8 @@ def recompute_flagged(
             map_recomputes += 1
             recomputed.append((oc, -1))
             _recompute_rows(
-                out,
-                data_codes,
-                weight_codes,
-                bias_codes,
-                stride,
-                pad,
-                groups,
-                oc,
-                range(out.shape[1]),
-                backend,
+                out, padded, weight_codes, bias_codes, stride, groups, oc,
+                range(out.shape[1]), backend,
             )
         after = check_output(out, predicted)
     return RecoveryReport(

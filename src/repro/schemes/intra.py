@@ -17,7 +17,7 @@ Realizations, following the paper's analysis:
   - off-chip footprint and DMA traffic inflate by T;
   - the raw->unrolled reshape is done by the host processor "at
     considerable overhead" — charged as a serial reshape stream at
-    ``reshape_words_per_cycle`` (default 2: a 32-bit host interface
+    ``DEFAULT_RESHAPE_WORDS_PER_CYCLE`` (2: a 32-bit host interface
     feeding 16-bit words);
   - the unrolled stream has no spatial structure left, so it cannot be
     strip-tiled: when the unrolled tensor overflows the input buffer, the
@@ -35,11 +35,7 @@ inter-kernel scheme borrows for the top layers.
 
 from __future__ import annotations
 
-import dataclasses
-
-from repro.arch.config import AcceleratorConfig
-from repro.nn.network import LayerContext
-from repro.schemes.base import ScheduleResult, Scheme
+from repro.schemes.base import Scheme
 
 __all__ = ["IntraKernelScheme"]
 
@@ -52,23 +48,3 @@ class IntraKernelScheme(Scheme):
     """Intra-kernel scheme: sliding window when ``k == s``, else unrolling."""
 
     name = "intra"
-
-    def __init__(
-        self, reshape_words_per_cycle: float = DEFAULT_RESHAPE_WORDS_PER_CYCLE
-    ) -> None:
-        if reshape_words_per_cycle <= 0:
-            raise ValueError("reshape rate must be positive")
-        self.reshape_words_per_cycle = reshape_words_per_cycle
-
-    def schedule(
-        self, ctx: LayerContext, config: AcceleratorConfig
-    ) -> ScheduleResult:
-        # cost tables price at the default rate; only the host reshape
-        # stream depends on it
-        result = super().schedule(ctx, config)
-        rate = self.reshape_words_per_cycle
-        if rate == DEFAULT_RESHAPE_WORDS_PER_CYCLE or result.notes["mode"] == "sliding":
-            return result
-        return dataclasses.replace(
-            result, reshape_cycles=result.notes["stream_words"] / rate
-        )

@@ -65,7 +65,6 @@ from repro.serve.failover import (
 from repro.serve.metrics import MetricsCollector, to_json
 from repro.serve.queue import AdmissionQueue, QueuePolicy
 from repro.serve.verified import (
-    DETECTION_RATE,
     DRAIN_THRESHOLD,
     LATENCY_OVERHEAD,
     RECOMPUTE_OVERHEAD,
@@ -950,15 +949,13 @@ class AdaptiveServingEngine:
         failover = self._failover
         expected = self._expected_s(replica, network, len(batch), t)
         flight = _Flight(batch, network, t)
-        # SDC windows corrupt at dispatch, and the check's verdict is drawn
-        # here too, so hedging and crash races cannot skew the streams
+        # SDC windows corrupt at dispatch, so hedging and crash races cannot
+        # skew the streams; the check catches every corruption
+        # (``DETECTION_RATE`` is 1)
         for sdc, rng in replica.sdc_windows:
             if sdc.active_at(t) and rng.random() < sdc.per_batch:
                 flight.corrupted_on = replica.rid
-                if failover.checking:
-                    flight.flagged = (
-                        DETECTION_RATE >= 1.0 or rng.random() < DETECTION_RATE
-                    )
+                flight.flagged = failover.checking
         self._rr_last = replica.rid
         replica.inflight = flight
         if replica.crashed_at is not None:
@@ -1016,8 +1013,13 @@ class AdaptiveServingEngine:
         if replica.crashed_at is not None:
             return
         replica.crashed_at = fault.time_s
-        if replica.inflight is not None:
-            # the batch will never complete; the replica looks busy until
+        flight = replica.inflight
+        if flight is not None:
+            if flight.done:
+                # a hedge copy whose twin already completed the batch: its
+                # run until this instant was wasted
+                self._failover.hedge_wasted_s += fault.time_s - flight.start_s
+            # the copy will never complete; the replica looks busy until
             # the probe tick notices the crash
             replica.free_at = math.inf
             faults = self._faults

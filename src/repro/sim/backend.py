@@ -1,9 +1,10 @@
 """Functional-simulator backend selection: ``loop`` oracle vs ``vector`` fast path.
 
-The numerical conv paths in :mod:`repro.sim.functional` (and the integer
-datapath in :mod:`repro.sim.datapath`, the ABFT reductions in
-:mod:`repro.integrity.abft`, and the unroller in
-:mod:`repro.tiling.unroll`) each exist in two executions:
+The numerical conv paths in :mod:`repro.sim.functional` (and the ABFT
+reductions in :mod:`repro.integrity.abft` and the unroller in
+:mod:`repro.tiling.unroll`) each exist in two executions; the integer
+datapath in :mod:`repro.sim.datapath` and ABFT recovery run the functional
+paths, so they follow the same choice:
 
 * ``loop`` — the original Python loop nests, kept verbatim.  They walk
   the paper's orders one output pixel / one accumulation step at a time

@@ -6,29 +6,28 @@ and executes convolution on the integer datapath the paper's PE actually
 has — 16-bit fixed-point operands, full-width products, a wide accumulator,
 and a single saturating round back to 16 bits at the output.
 
-Because integer addition is associative, the kernel-partitioned (Algorithm
-1) and improved-inter accumulation orders are **bit-identical** to the
-direct order on this datapath — no tolerance needed — which is the hardware
-form of the paper's Fig. 5(d) claim.  Tests assert exact equality of the
-output codes.
+The accumulation orders themselves are :mod:`repro.sim.functional`'s: each
+``conv_codes_*`` runs the matching functional path on int64 codes, with the
+bias aligned to the accumulator, and adds only the PE output stage
+(:func:`requantize`).  Because integer addition is associative, the
+kernel-partitioned (Algorithm 1) and improved-inter accumulation orders are
+**bit-identical** to the direct order on this datapath — no tolerance
+needed — which is the hardware form of the paper's Fig. 5(d) claim.  Tests
+assert exact equality of the output codes.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.arch.fixedpoint import Q7_8, FixedPointFormat
-from repro.errors import ShapeError
-from repro.nn.layers import conv_output_hw
-from repro.sim.backend import conv_window_view, resolve_backend, window_columns
-from repro.tiling.partition import (
-    pad_data_for_partition,
-    partition_geometry,
-    partition_weights,
+from repro.sim.functional import (
+    conv_via_inter_improved,
+    conv_via_partition,
+    reference_conv,
 )
-from repro.tiling.unroll import pad_input
 
 __all__ = [
     "saturate",
@@ -63,13 +62,24 @@ def requantize(
     return saturate(shifted, fmt)
 
 
-def _check(data_codes: np.ndarray, weight_codes: np.ndarray) -> None:
-    if data_codes.ndim != 3 or weight_codes.ndim != 4:
-        raise ShapeError("expected (D,H,W) data codes and (O,D,k,k) weight codes")
-    if data_codes.shape[0] != weight_codes.shape[1]:
-        raise ShapeError("depth mismatch between data and weights")
-    if weight_codes.shape[-1] != weight_codes.shape[-2]:
-        raise ShapeError("kernel must be square")
+def _on_datapath(
+    order: Callable[..., np.ndarray],
+    data_codes: np.ndarray,
+    weight_codes: np.ndarray,
+    bias_codes: Optional[np.ndarray],
+    stride: int,
+    pad: int,
+    fmt: FixedPointFormat,
+    backend: Optional[str],
+) -> np.ndarray:
+    """Run the functional accumulation ``order`` on int64 codes, then the
+    output stage."""
+    bias = None
+    if bias_codes is not None:
+        # bias is a Qm.n code; align it to the 2n-fraction accumulator
+        bias = bias_codes.astype(np.int64) << fmt.frac_bits
+    data, weights = data_codes.astype(np.int64), weight_codes.astype(np.int64)
+    return requantize(order(data, weights, bias, stride, pad, backend=backend), fmt)
 
 
 def conv_codes_direct(
@@ -82,29 +92,9 @@ def conv_codes_direct(
     backend: Optional[str] = None,
 ) -> np.ndarray:
     """Reference integer convolution: direct window order, wide accumulator."""
-    _check(data_codes, weight_codes)
-    k = weight_codes.shape[-1]
-    padded = pad_input(data_codes.astype(np.int64), pad)
-    _, h, w = padded.shape
-    oh = conv_output_hw(h, k, stride, 0)
-    ow = conv_output_hw(w, k, stride, 0)
-    dout = weight_codes.shape[0]
-    wc = weight_codes.astype(np.int64)
-    if resolve_backend(backend) == "vector":
-        cols = window_columns(conv_window_view(padded, k, stride, oh, ow))
-        acc = (cols @ wc.reshape(dout, -1).T).T.reshape(dout, oh, ow)
-    else:
-        acc = np.zeros((dout, oh, ow), dtype=np.int64)
-        for oy in range(oh):
-            iy = oy * stride
-            for ox in range(ow):
-                ix = ox * stride
-                patch = padded[:, iy : iy + k, ix : ix + k]
-                acc[:, oy, ox] = np.einsum("dhw,odhw->o", patch, wc)
-    if bias_codes is not None:
-        # bias is a Qm.n code; align it to the 2n-fraction accumulator
-        acc += bias_codes.astype(np.int64)[:, None, None] << fmt.frac_bits
-    return requantize(acc, fmt)
+    return _on_datapath(
+        reference_conv, data_codes, weight_codes, bias_codes, stride, pad, fmt, backend
+    )
 
 
 def conv_codes_partitioned(
@@ -117,46 +107,10 @@ def conv_codes_partitioned(
     backend: Optional[str] = None,
 ) -> np.ndarray:
     """Integer convolution in Algorithm 1's order (partition, accumulate)."""
-    _check(data_codes, weight_codes)
-    k = weight_codes.shape[-1]
-    if stride >= k:
-        return conv_codes_direct(
-            data_codes, weight_codes, bias_codes, stride, pad, fmt, backend
-        )
-    geom = partition_geometry(k, stride)
-    ks, g = geom.sub_kernel, geom.groups_per_side
-    padded = pad_data_for_partition(data_codes.astype(np.int64), k, stride, pad)
-    sub = partition_weights(weight_codes.astype(np.int64), stride)
-    oh = conv_output_hw(data_codes.shape[1] + 2 * pad, k, stride, 0)
-    ow = conv_output_hw(data_codes.shape[2] + 2 * pad, k, stride, 0)
-    dout = weight_codes.shape[0]
-    # the "output buffer" running sum of Algorithm 1, kept at accumulator width
-    acc = np.zeros((dout, oh, ow), dtype=np.int64)
-    if resolve_backend(backend) == "vector":
-        din = data_codes.shape[0]
-        for piece in range(geom.pieces):
-            i, j = divmod(piece, g)
-            cols = window_columns(
-                conv_window_view(padded, ks, stride, oh, ow, i * ks, j * ks)
-            )
-            wmat = np.ascontiguousarray(
-                sub[:, :, piece].reshape(dout, din * ks * ks)
-            )
-            acc += (cols @ wmat.T).T.reshape(dout, oh, ow)
-    else:
-        for piece in range(geom.pieces):
-            i, j = divmod(piece, g)
-            for oy in range(oh):
-                iy = oy * stride + i * ks
-                for ox in range(ow):
-                    ix = ox * stride + j * ks
-                    window = padded[:, iy : iy + ks, ix : ix + ks]
-                    acc[:, oy, ox] += np.einsum(
-                        "dhw,odhw->o", window, sub[:, :, piece]
-                    )
-    if bias_codes is not None:
-        acc += bias_codes.astype(np.int64)[:, None, None] << fmt.frac_bits
-    return requantize(acc, fmt)
+    return _on_datapath(
+        conv_via_partition, data_codes, weight_codes, bias_codes, stride, pad, fmt,
+        backend,
+    )
 
 
 def conv_codes_inter_improved(
@@ -168,32 +122,8 @@ def conv_codes_inter_improved(
     fmt: FixedPointFormat = Q7_8,
     backend: Optional[str] = None,
 ) -> np.ndarray:
-    """Integer convolution in the Sec 4.2.2 partial-sum order.
-
-    Already per-step vectorized (one strided-view ``einsum`` per kernel
-    element); on the ``vector`` backend the ``k*k`` steps fuse into one
-    im2col/GEMM — bit-identical, integer addition being associative.
-    """
-    _check(data_codes, weight_codes)
-    k = weight_codes.shape[-1]
-    padded = pad_input(data_codes.astype(np.int64), pad)
-    oh = conv_output_hw(padded.shape[1], k, stride, 0)
-    ow = conv_output_hw(padded.shape[2], k, stride, 0)
-    dout = weight_codes.shape[0]
-    wc = weight_codes.astype(np.int64)
-    if resolve_backend(backend) == "vector":
-        cols = window_columns(conv_window_view(padded, k, stride, oh, ow))
-        acc = (cols @ wc.reshape(dout, -1).T).T.reshape(dout, oh, ow)
-    else:
-        acc = np.zeros((dout, oh, ow), dtype=np.int64)
-        for u in range(k):
-            for v in range(k):
-                view = padded[
-                    :,
-                    u : u + (oh - 1) * stride + 1 : stride,
-                    v : v + (ow - 1) * stride + 1 : stride,
-                ]
-                acc += np.einsum("dhw,od->ohw", view, wc[:, :, u, v])
-    if bias_codes is not None:
-        acc += bias_codes.astype(np.int64)[:, None, None] << fmt.frac_bits
-    return requantize(acc, fmt)
+    """Integer convolution in the Sec 4.2.2 partial-sum order."""
+    return _on_datapath(
+        conv_via_inter_improved, data_codes, weight_codes, bias_codes, stride, pad,
+        fmt, backend,
+    )

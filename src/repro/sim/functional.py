@@ -87,22 +87,6 @@ def _check_conv_args(
         raise ShapeError("stride must be positive and pad non-negative")
 
 
-def _gemm_conv_group(
-    padded_group: np.ndarray,
-    weights_group: np.ndarray,
-    kernel: int,
-    stride: int,
-    oh: int,
-    ow: int,
-) -> np.ndarray:
-    """One group's direct conv as im2col/GEMM: ``(dout_g, oh, ow)``."""
-    cols = window_columns(
-        conv_window_view(padded_group, kernel, stride, oh, ow)
-    )  # (oh*ow, din_g*k*k)
-    wmat = weights_group.reshape(weights_group.shape[0], -1)
-    return (cols @ wmat.T).T.reshape(weights_group.shape[0], oh, ow)
-
-
 def reference_conv(
     data: np.ndarray,
     weights: np.ndarray,
@@ -130,13 +114,12 @@ def reference_conv(
     dout_g = dout // groups
     if resolve_backend(backend) == "vector":
         for g in range(groups):
-            out[g * dout_g : (g + 1) * dout_g] = _gemm_conv_group(
-                padded[g * din_g : (g + 1) * din_g],
-                weights[g * dout_g : (g + 1) * dout_g],
-                k,
-                stride,
-                oh,
-                ow,
+            cols = window_columns(
+                conv_window_view(padded[g * din_g : (g + 1) * din_g], k, stride, oh, ow)
+            )  # (oh*ow, din_g*k*k)
+            wmat = weights[g * dout_g : (g + 1) * dout_g].reshape(dout_g, -1)
+            out[g * dout_g : (g + 1) * dout_g] = (cols @ wmat.T).T.reshape(
+                dout_g, oh, ow
             )
     else:
         for g in range(groups):
@@ -341,17 +324,19 @@ def conv_via_inter_improved(
     1/(k*k) partial sums of *all* output pixels and maps are add-and-stored
     onto the output buffer before the next element is visited.
 
-    The ``vector`` backend fuses all ``k*k`` add-and-store steps into one
-    GEMM — bit-identical on integer codes because integer addition is
-    associative.  When an ``inject`` hook is present the stepwise order is
-    always used (on either backend): the per-``(u, v)`` psum hook needs the
-    live accumulator after each step, which the fused GEMM never
-    materializes.
+    Without an ``inject`` hook the ``vector`` backend fuses all ``k*k``
+    add-and-store steps into :func:`reference_conv`'s GEMM — bit-identical
+    on integer codes because integer addition is associative.  When a hook
+    is present the stepwise order is always used (on either backend): the
+    per-``(u, v)`` psum hook needs the live accumulator after each step,
+    which the fused GEMM never materializes.
     """
     _check_conv_args(data, weights, stride, pad, groups)
     if inject is not None:
         data = inject.on_activation(data)
         weights = inject.on_weight(weights)
+    elif resolve_backend(backend) == "vector":
+        return reference_conv(data, weights, bias, stride, pad, groups, "vector")
     din = data.shape[0]
     dout = weights.shape[0]
     k = weights.shape[-1]
@@ -361,19 +346,6 @@ def conv_via_inter_improved(
     oh = conv_output_hw(padded.shape[1], k, stride, 0)
     ow = conv_output_hw(padded.shape[2], k, stride, 0)
     out = np.zeros((dout, oh, ow), dtype=np.result_type(data, weights))
-    if inject is None and resolve_backend(backend) == "vector":
-        for g in range(groups):
-            out[g * dout_g : (g + 1) * dout_g] = _gemm_conv_group(
-                padded[g * din_g : (g + 1) * din_g],
-                weights[g * dout_g : (g + 1) * dout_g],
-                k,
-                stride,
-                oh,
-                ow,
-            )
-        if bias is not None:
-            out += bias[:, None, None]
-        return out
     steps_total = k * k * groups
     for u in range(k):
         for v in range(k):

@@ -1,13 +1,12 @@
-"""CSV/JSON export tests."""
+"""CSV export tests."""
 
 import csv
 import io
-import json
 
 import pytest
 
 from repro.analysis.experiments import fig3_unrolling, fig7_conv1, table4_cpu_comparison
-from repro.analysis.export import rows_to_dicts, to_csv, to_json, write_csv, write_json
+from repro.analysis.export import rows_to_dicts, to_csv, write_csv
 from repro.arch.config import CONFIG_16_16
 from repro.errors import ConfigError
 
@@ -53,15 +52,3 @@ class TestCsv:
         write_csv(fig7_conv1(configs=[CONFIG_16_16]), str(path))
         assert path.read_text().startswith("config,network,scheme,cycles")
 
-
-class TestJson:
-    def test_roundtrip(self):
-        rows = fig3_unrolling()
-        parsed = json.loads(to_json(rows))
-        assert len(parsed) == 10
-        assert parsed[0]["network"] == "alexnet"
-
-    def test_write(self, tmp_path):
-        path = tmp_path / "fig3.json"
-        write_json(fig3_unrolling(), str(path))
-        assert json.loads(path.read_text())[0]["layer"] == "conv1"

@@ -2,10 +2,7 @@
 
 import math
 
-import pytest
-
 from repro.schemes import make_scheme
-from repro.schemes.intra import IntraKernelScheme
 from repro.tiling.layout import Layout
 
 from tests.conftest import make_ctx
@@ -97,21 +94,3 @@ class TestTraffic:
         r = make_scheme("intra").schedule(make_ctx(), cfg16)
         assert r.input_layout is Layout.INTRA
         assert r.output_layout is Layout.INTRA
-
-
-class TestReshapeRate:
-    def test_reshape_cycles_scale_with_rate(self):
-        from repro.arch.config import CONFIG_16_16
-
-        ctx = make_ctx(in_maps=4, out_maps=8, kernel=3, stride=1, hw=32)
-        slow = IntraKernelScheme(reshape_words_per_cycle=1.0).schedule(
-            ctx, CONFIG_16_16
-        )
-        fast = IntraKernelScheme(reshape_words_per_cycle=4.0).schedule(
-            ctx, CONFIG_16_16
-        )
-        assert slow.reshape_cycles == pytest.approx(4 * fast.reshape_cycles)
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            IntraKernelScheme(reshape_words_per_cycle=0)

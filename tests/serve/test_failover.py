@@ -331,6 +331,14 @@ class TestHedging:
         assert (failover["retries"], failover["hedges"]) == (0, 1)
         assert failover["hedge_wasted_ms"] == pytest.approx(5.1)
 
+    def test_slow_copy_crashing_after_its_twin_won_is_wasted(self):
+        failover, hedged = self._hedged_crash(ReplicaFault("crash", 0, 0.120))
+        # the twin on replica 1 completed the batch at 107.9 ms; the copy
+        # on replica 0 still ran until its crash, 30.1 ms after dispatch
+        assert (hedged.replica, hedged.start_s) == (1, 0.0899)
+        assert (failover["retries"], failover["hedges"]) == (0, 1)
+        assert failover["hedge_wasted_ms"] == pytest.approx(30.1)
+
 
 class TestServiceWindows:
     def test_window_multiplies_service_time(self):

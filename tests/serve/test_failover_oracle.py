@@ -399,6 +399,9 @@ class FailoverLoopEngine:
                 if fault.kind == "crash":
                     if s.crashed_at is None:
                         s.crashed_at = fault.time_s
+                        if s.inflight is not None and s.inflight.done:
+                            # the twin won; this copy ran until the crash
+                            hedge_wasted_s += fault.time_s - s.inflight.dispatched_at
                         if s.inflight is not None:
                             # it will never report the completion: appears
                             # busy until the probe loop notices the crash
@@ -753,6 +756,7 @@ _HEDGED = dict(
 )
 @example(crashes=[(1, 0.0917, "at", 0)], **_HEDGED)
 @example(crashes=[(0, 0.095, "at", 0)], **_HEDGED)
+@example(crashes=[(0, 0.120, "at", 0)], **_HEDGED)
 # one request lost three times: a running batch, then two doomed
 # dispatches onto replicas that crashed but are not yet marked down
 @example(
