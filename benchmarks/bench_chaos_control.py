@@ -40,6 +40,7 @@ from harness import main, stable
 from repro.arch.config import CONFIG_16_16
 from repro.control.chaos_scenarios import (
     CONTROL_SCENARIO_NAMES,
+    CONTROL_VIEW,
     build_control_scenario,
     run_control_scenario,
 )
@@ -107,20 +108,7 @@ def run(args):
         "headline": headline,
     }
 
-    lines = [
-        f"{'scenario':<24s} {'healing':>8s} {'nonheal':>8s} {'frozen':>8s} "
-        f"{'mttr ms':>8s} {'invariants':>10s}"
-    ]
-    for r in rows:
-        mttr = f"{r['mttr_ms']:.0f}" if r["mttr_ms"] is not None else "-"
-        n_inv = len(r["invariants"])
-        n_ok = sum(r["invariants"].values())
-        lines.append(
-            f"{r['scenario']:<24s} {r['attainment_healing']:>8.4f} "
-            f"{r['attainment_nonhealing']:>8.4f} "
-            f"{r['attainment_frozen_faulted']:>8.4f} {mttr:>8s} "
-            f"{n_ok:>7d}/{n_inv}"
-        )
+    lines = [CONTROL_VIEW.render(SEED, CONFIG_16_16.name, rollups, names)]
     bad = [
         f"{r['scenario']}:{inv}"
         for r in rows

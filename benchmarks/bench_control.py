@@ -30,13 +30,8 @@ import sys
 from harness import main, stable
 
 from repro.arch.config import CONFIG_16_16
-from repro.control import (
-    AutoscalePolicy,
-    HealingPolicy,
-    SelfHealingControlLoop,
-    run_static,
-    static_fleet_sizes,
-)
+from repro.control import AutoscalePolicy, HealingPolicy, SelfHealingControlLoop
+from repro.control.loop import run_static_baselines
 from repro.serve import (
     BatchCoster,
     BatchPolicy,
@@ -51,6 +46,8 @@ BASE_RATE = 6.0
 PEAK_RATE = 42.0
 MAX_BATCH = 16
 MAX_WAIT_MS = 10.0
+BATCH_POLICY = BatchPolicy(max_batch=MAX_BATCH, max_wait_ms=MAX_WAIT_MS)
+QUEUE_POLICY = QueuePolicy(max_depth=256)
 SEED = 42
 FULL_DAYS, FULL_DAY_S = 3.0, 100.0
 SMOKE_DAYS, SMOKE_DAY_S = 2.0, 60.0
@@ -84,8 +81,8 @@ def run_autoscaled(coster, tenants, requests, duration) -> dict:
         tenants,
         autoscale=AutoscalePolicy(epoch_s=2.0, max_replicas=12),
         healing=HealingPolicy.disabled(),
-        batch_policy=BatchPolicy(max_batch=MAX_BATCH, max_wait_ms=MAX_WAIT_MS),
-        queue_policy=QueuePolicy(max_depth=256),
+        batch_policy=BATCH_POLICY,
+        queue_policy=QUEUE_POLICY,
         replicas=1,
         coster=coster,
     )
@@ -107,27 +104,19 @@ def run(args):
 
     mean_rate = len(requests) / duration
     peak_inst = PEAK_RATE * max([1.0] + [f for _, _, f in flash])
-    mean_n, peak_n = static_fleet_sizes(
-        coster, tenants, mean_rate, peak_inst, MAX_BATCH
-    )
-    baselines = {}
-    for name, replicas in (("static_mean", mean_n), ("static_peak", peak_n)):
-        report, chip = run_static(
-            CONFIG_16_16,
-            requests,
-            duration,
-            replicas,
-            batch_policy=BatchPolicy(max_batch=MAX_BATCH, max_wait_ms=MAX_WAIT_MS),
-            queue_policy=QueuePolicy(max_depth=256),
-            coster=coster,
-        )
-        baselines[name] = {
+    baselines = {
+        name: {
             "replicas": replicas,
             "slo_attainment": report.summary["deadline_hit_rate"],
             "shed": report.summary["shed"],
             "p95_ms": report.summary["latency_ms"]["p95"],
             "chip_seconds": round(chip, 6),
         }
+        for name, (replicas, report, chip) in run_static_baselines(
+            CONFIG_16_16, coster, tenants, requests, duration, peak_inst,
+            BATCH_POLICY, QUEUE_POLICY,
+        ).items()
+    }
 
     control = auto["control"]
     headline = {

@@ -33,7 +33,7 @@ import sys
 from harness import main, stable
 
 from repro.arch.config import CONFIG_16_16
-from repro.integrity import run_sweep
+from repro.integrity.sweep import render_sweep, run_sweep
 from repro.resilience import build_scenario, run_scenario
 
 SEED = 0
@@ -77,21 +77,7 @@ def run(args):
         "headline": headline,
     }
 
-    lines = [
-        f"{'site':<12s} {'injected':>8s} {'corrupted':>9s} {'detected':>8s} "
-        f"{'escaped':>7s} {'masked':>6s} {'skipped':>7s}"
-    ] + [
-        f"{site:<12s} {t['injections']:>8d} {t['corrupted']:>9d} "
-        f"{t['detected']:>8d} {t['escaped']:>7d} {t['masked']:>6d} "
-        f"{t['skipped']:>7d}"
-        for site, t in rollup["sites"].items()
-    ]
-    ratio = head["mean_latency_ratio"]
-    overhead = f"{ratio:.3f}x" if ratio else "n/a"
-    lines.append(
-        f"detection {head['detection_rate']:.1%}, "
-        f"{head['false_positives']} false positives, overhead {overhead}"
-    )
+    lines = [render_sweep(rollup)]
     gates = [
         (
             headline["detects_99_percent"],

@@ -32,6 +32,7 @@ from harness import main, stable
 
 from repro.arch.config import CONFIG_16_16
 from repro.resilience import SCENARIO_NAMES, build_scenario, run_scenario
+from repro.resilience.scenarios import VIEW
 
 SEED = 1
 SMOKE_SCENARIOS = ("single-crash", "fail-slow", "pe-mask")
@@ -68,10 +69,11 @@ def digest(rollup: dict) -> dict:
 def run(args):
     names = SMOKE_SCENARIOS if args.smoke else SCENARIO_NAMES
     crash, deterministic = stable(lambda: _run_one("single-crash"))
-    rows = [
-        digest(crash if name == "single-crash" else _run_one(name))
+    rollups = {
+        name: crash if name == "single-crash" else _run_one(name)
         for name in names
-    ]
+    }
+    rows = [digest(rollup) for rollup in rollups.values()]
 
     crash_row = digest(crash)
     goodput_floor = crash_row["survivor_fraction"]
@@ -96,18 +98,7 @@ def run(args):
         "headline": headline,
     }
 
-    lines = [
-        f"{'scenario':<14s} {'avail':>7s} {'goodput':>8s} {'p95':>6s} "
-        f"{'p99':>6s} {'mttr ms':>8s} {'retries':>7s} {'failed':>6s}"
-    ]
-    for r in rows:
-        mttr = f"{r['mttr_ms']:.0f}" if r["mttr_ms"] is not None else "-"
-        lines.append(
-            f"{r['scenario']:<14s} {r['availability']:>7.4f} "
-            f"{r['goodput_ratio']:>8.3f} {r['latency_ratio_p95']:>6.2f} "
-            f"{r['latency_ratio_p99']:>6.2f} {mttr:>8s} "
-            f"{r['retries']:>7d} {r['failed']:>6d}"
-        )
+    lines = [VIEW.render(SEED, CONFIG_16_16.name, rollups)]
     gates = [
         (no_drops, "a request was silently dropped"),
         (

@@ -73,6 +73,8 @@ from repro.adaptive import choices_for_network, plan_network
 from repro.adaptive.planner import POLICY_NAMES
 from repro.arch.config import named_config as _named_config
 from repro.arch.presets import PRESETS
+from repro.errors import ConfigError
+from repro.nn.zoo import NETWORK_BUILDERS, build
 
 
 def named_config(name: str):
@@ -80,7 +82,6 @@ def named_config(name: str):
     if name in PRESETS:
         return PRESETS[name]
     return _named_config(name)
-from repro.nn.zoo import NETWORK_BUILDERS, build
 
 
 def _emit_json(path: str, text: str, label: str, render: Callable[[], None]) -> None:
@@ -98,6 +99,13 @@ def _emit_json(path: str, text: str, label: str, render: Callable[[], None]) -> 
         with open(path, "w") as handle:
             handle.write(text)
         print(f"\n{label} JSON written to {path}")
+
+
+def _print_energy(energy) -> None:
+    print(
+        f"energy: PE {energy.pe_pj / 1e6:.2f} uJ, buffers "
+        f"{energy.buffer_pj / 1e6:.2f} uJ, DRAM {energy.dram_pj / 1e6:.2f} uJ"
+    )
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -139,11 +147,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         f"buffer traffic {run.buffer_accesses:,} words, "
         f"DRAM {run.dram_words:,} words"
     )
-    energy = run.energy()
-    print(
-        f"energy: PE {energy.pe_pj / 1e6:.2f} uJ, buffers "
-        f"{energy.buffer_pj / 1e6:.2f} uJ, DRAM {energy.dram_pj / 1e6:.2f} uJ"
-    )
+    _print_energy(run.energy())
     return 0
 
 
@@ -170,7 +174,6 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigError
     from repro.serve import (
         BatchPolicy,
         QueuePolicy,
@@ -238,7 +241,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_autoscale(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigError
     from repro.serve import (
         BatchCoster,
         BatchPolicy,
@@ -247,13 +249,8 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
         parse_mix,
         render_summary,
     )
-    from repro.control import (
-        AutoscalePolicy,
-        HealingPolicy,
-        SelfHealingControlLoop,
-        run_static,
-        static_fleet_sizes,
-    )
+    from repro.control import AutoscalePolicy, HealingPolicy, SelfHealingControlLoop
+    from repro.control.loop import run_static_baselines
     from repro.serve.metrics import to_json
 
     config = named_config(args.config)
@@ -281,6 +278,8 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
         churn=args.churn,
     )
     coster = BatchCoster(config, policy=args.policy)
+    batch_policy = BatchPolicy(max_batch=args.max_batch, max_wait_ms=args.max_wait_ms)
+    queue_policy = QueuePolicy(max_depth=args.queue_depth)
     autoscale = AutoscalePolicy(
         epoch_s=args.epoch_s,
         min_replicas=args.min_replicas,
@@ -296,10 +295,8 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
         tenants,
         autoscale=autoscale,
         healing=HealingPolicy.disabled(),
-        batch_policy=BatchPolicy(
-            max_batch=args.max_batch, max_wait_ms=args.max_wait_ms
-        ),
-        queue_policy=QueuePolicy(max_depth=args.queue_depth),
+        batch_policy=batch_policy,
+        queue_policy=queue_policy,
         replicas=args.replicas,
         plan_policy=args.policy,
         coster=coster,
@@ -318,35 +315,26 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
     payload = dict(report.summary)
 
     if args.compare:
-        mean_rate = len(requests) / duration
         peak_inst = args.peak_rate * max(
             [args.flash_factor if args.flash_per_day else 1.0]
             + [f for _, _, f in flash]
         )
-        mean_n, peak_n = static_fleet_sizes(
-            coster, tenants, mean_rate, peak_inst, args.max_batch
+        baselines = run_static_baselines(
+            config, coster, tenants, requests, duration, peak_inst,
+            batch_policy, queue_policy, args.policy,
         )
-        baselines = {}
-        for name, n in (("static_mean", mean_n), ("static_peak", peak_n)):
-            static_report, chip = run_static(
-                config,
-                requests,
-                duration,
-                n,
-                batch_policy=BatchPolicy(
-                    max_batch=args.max_batch, max_wait_ms=args.max_wait_ms
-                ),
-                queue_policy=QueuePolicy(max_depth=args.queue_depth),
-                plan_policy=args.policy,
-                coster=coster,
-            )
-            baselines[name] = {
+        payload["baselines"] = {
+            name: {
                 "replicas": n,
-                "deadline_hit_rate": static_report.summary["deadline_hit_rate"],
-                "shed": static_report.summary["shed"],
+                "deadline_hit_rate": static.summary["deadline_hit_rate"],
+                "shed": static.summary["shed"],
                 "chip_seconds": round(chip, 6),
             }
-        payload["baselines"] = baselines
+            for name, (n, static, chip) in baselines.items()
+        }
+
+    def counts(by_kind: dict) -> str:
+        return ", ".join(f"{k}={v}" for k, v in by_kind.items()) or "none"
 
     def render() -> None:
         print(render_summary(report.summary))
@@ -354,14 +342,8 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
         print()
         print("autoscaler:")
         print(f"  epochs               {control['n_epochs']}")
-        actions = ", ".join(
-            f"{k}={v}" for k, v in control["actions_by_kind"].items()
-        ) or "none"
-        print(f"  actions              {actions}")
-        verdicts = ", ".join(
-            f"{k}={v}" for k, v in control["verdicts_by_status"].items()
-        ) or "none"
-        print(f"  verdicts             {verdicts}")
+        print(f"  actions              {counts(control['actions_by_kind'])}")
+        print(f"  verdicts             {counts(control['verdicts_by_status'])}")
         print(f"  oscillation freezes  {len(control['freezes'])}")
         fleet = report.summary["fleet"]
         print(
@@ -393,15 +375,14 @@ def cmd_shard(args: argparse.Namespace) -> int:
     link = LinkSpec(
         bandwidth_gbs=args.link_gbs, latency_s=args.link_latency_us / 1e6
     )
-    if args.strategy == "pipeline":
-        plan = plan_pipeline(
-            net,
-            config,
-            args.chips,
-            link=link,
-            policy=args.policy,
-            strategy=args.partition,
+
+    def pipeline(strategy: str):
+        return plan_pipeline(
+            net, config, args.chips, link=link, policy=args.policy, strategy=strategy
         )
+
+    if args.strategy == "pipeline":
+        plan = pipeline(args.partition)
     else:
         plan = plan_data_parallel(
             net,
@@ -414,6 +395,8 @@ def cmd_shard(args: argparse.Namespace) -> int:
     summary = rollup(plan)
 
     def render() -> None:
+        from repro.analysis.report import format_table
+
         print(
             f"{net.name} across {args.chips} x {config.name} chips, "
             f"{args.strategy}"
@@ -422,8 +405,6 @@ def cmd_shard(args: argparse.Namespace) -> int:
         )
         print()
         if args.strategy == "pipeline":
-            from repro.analysis.report import format_table
-
             rows = []
             for s in plan.stages:
                 span = (
@@ -453,22 +434,13 @@ def cmd_shard(args: argparse.Namespace) -> int:
                 f"drain {plan.drain_latency_s * 1e3:.3f} ms"
             )
             if args.partition == "dp":
-                even = plan_pipeline(
-                    net,
-                    config,
-                    args.chips,
-                    link=link,
-                    policy=args.policy,
-                    strategy="even",
-                )
+                even = pipeline("even")
                 ratio = even.bottleneck_s / plan.bottleneck_s
                 print(
                     f"even-split baseline bottleneck {even.bottleneck_s * 1e3:.3f} ms "
                     f"(dp balancer is {ratio:.2f}x better)"
                 )
         else:
-            from repro.analysis.report import format_table
-
             rows = [
                 [
                     str(s.chip),
@@ -492,158 +464,48 @@ def cmd_shard(args: argparse.Namespace) -> int:
     return 0
 
 
-def _mttr(rollup: dict) -> str:
-    mttr_ms = rollup["recovery"]["mttr_ms"]
-    return f"{mttr_ms:.0f}" if mttr_ms is not None else "-"
-
-
-def _chaos_row(name: str, r: dict) -> list:
-    return [
-        name,
-        f"{r['availability']:.4f}",
-        f"{r['goodput_ratio']:.3f}",
-        f"{r['latency_ratio']['p95']:.2f}x",
-        f"{r['latency_ratio']['p99']:.2f}x",
-        _mttr(r),
-        str(r["failover"]["retries"]),
-        str(r["faulted"]["failed"]),
-    ]
-
-
-def _chaos_notes(r: dict) -> list:
-    notes = []
-    for network, d in sorted((r["degrade"] or {}).items()):
-        flips = ", ".join(
-            f"{f['layer']} {f['healthy']}->{f['degraded']}"
-            for f in d["scheme_flips"]
-        ) or "none"
-        notes.append(
-            f"{network} degraded "
-            f"{d['healthy_pe'][0]}x{d['healthy_pe'][1]} -> "
-            f"{d['degraded_pe'][0]}x{d['degraded_pe'][1]}, "
-            f"slowdown {d['slowdown']:.2f}x, flips: {flips}"
-        )
-    repair = r["repair"]
-    if repair:
-        notes.append(
-            f"lost chip(s) {repair['lost_chips']} of "
-            f"{repair['healthy_chips']}, rebalanced to "
-            f"{len(repair['surviving_chips'])} chips at "
-            f"{repair['throughput_ratio']:.1%} throughput, "
-            f"{len(repair['moved_layers'])} layers moved "
-            f"({repair['rebalance_ms']:.2f} ms of weight traffic)"
-        )
-    integrity = r["integrity"]
-    if integrity:
-        drained = integrity["drained_replicas"]
-        notes.append(
-            f"{integrity['corrupted_batches']} corrupted "
-            f"batches, {integrity['detected']} detected / "
-            f"{integrity['corrected']} corrected / "
-            f"{integrity['escaped_batches']} escaped, drained "
-            f"{drained if drained else 'none'}"
-        )
-    return notes
-
-
-def _control_row(name: str, r: dict) -> list:
-    att = r["attainment"]
-    inv = r["invariants"]
-    return [
-        name,
-        f"{att['healing']:.4f}",
-        f"{att['nonhealing']:.4f}",
-        f"{att['frozen_faulted']:.4f}",
-        f"{att['frozen_healthy']:.4f}",
-        _mttr(r),
-        f"{sum(inv.values())}/{len(inv)}",
-    ]
-
-
-def _control_notes(r: dict) -> list:
-    detail = r["healing_detail"]
-    notes = []
-    if detail["restarts"]:
-        notes.append(f"{len(detail['restarts'])} journal restart(s)")
-    if detail["safe_mode_intervals"]:
-        spans = ", ".join(
-            f"[{i['entered_epoch']}, {i['exited_epoch']}]"
-            for i in detail["safe_mode_intervals"]
-        )
-        notes.append(f"safe mode {spans}")
-    if detail["telemetry_flags"]:
-        notes.append(f"{detail['telemetry_flags']} telemetry flag(s)")
-    if detail["placements"]:
-        chips = ", ".join(p["chip"] for p in detail["placements"])
-        notes.append(f"replacement(s) placed on {chips}")
-    return ["; ".join(notes)] if notes else []
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.analysis.report import format_table
+    from repro.resilience.scenarios import violations
     from repro.serve.metrics import to_json
 
-    # the two catalogues share everything but their scenarios, table and notes
+    # the two catalogues share everything but their scenarios and view
     if args.control:
         from repro.control.chaos_scenarios import (
             CONTROL_SCENARIO_NAMES as catalogue,
+            CONTROL_VIEW as view,
             build_control_scenario as build,
             run_control_scenario as run,
         )
-
-        title, width, row, notes = "chaos --control", 24, _control_row, _control_notes
-        columns = [
-            "scenario", "healing", "nonheal", "frozen", "healthy", "mttr ms",
-            "invariants",
-        ]
     else:
-        from repro.resilience import (
+        from repro.resilience.scenarios import (
             SCENARIO_NAMES as catalogue,
+            VIEW as view,
             build_scenario as build,
             run_scenario as run,
         )
-
-        title, width, row, notes = "chaos", 14, _chaos_row, _chaos_notes
-        columns = [
-            "scenario", "avail", "goodput", "p95", "p99", "mttr ms", "retries",
-            "failed",
-        ]
     if args.list:
         for name in catalogue:
-            print(f"{name:{width}s} {build(name, seed=args.seed).description}")
+            print(f"{name:{view.width}s} {build(name, seed=args.seed).description}")
         return 0
     names = args.scenarios or list(catalogue)
     config = named_config(args.config)
     rollups = {name: run(build(name, seed=args.seed), config) for name in names}
-    violations = [
-        (name, inv)
-        for name in names
-        for inv, ok in rollups[name]["invariants"].items()
-        if not ok
-    ]
     payload = rollups[names[0]] if len(names) == 1 else {
         "seed": args.seed,
         "config": config.name,
         "scenarios": rollups,
     }
-
-    def render() -> None:
-        print(f"{title} seed {args.seed} on {config.name}")
-        print()
-        print(format_table(columns, [row(name, rollups[name]) for name in names]))
-        for name in names:
-            for note in notes(rollups[name]):
-                print(f"\n{name}: {note}")
-        for name, inv in violations:
-            print(f"\nINVARIANT VIOLATED: {name}: {inv}")
-
-    _emit_json(args.json, to_json(payload), "chaos", render)
-    return 1 if violations else 0
+    _emit_json(
+        args.json,
+        to_json(payload),
+        "chaos",
+        lambda: print(view.render(args.seed, config.name, rollups, names)),
+    )
+    return 1 if violations(rollups, names) else 0
 
 
 def cmd_tenancy(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
-    from repro.errors import ConfigError
     from repro.serve import BatchPolicy, QueuePolicy
     from repro.serve.workload import parse_tenant_mix
     from repro.tenancy import (
@@ -656,10 +518,24 @@ def cmd_tenancy(args: argparse.Namespace) -> int:
     from repro.serve.metrics import to_json
 
     tenants = parse_tenant_mix(args.tenants, slo_ms=args.slo_ms)
-    batch_policy = BatchPolicy(
-        max_batch=args.max_batch, max_wait_ms=args.max_wait_ms
+    # what both modes pass their comparison, and the cells both tables share
+    common = dict(
+        seed=args.seed,
+        batch_policy=BatchPolicy(
+            max_batch=args.max_batch, max_wait_ms=args.max_wait_ms
+        ),
+        queue_policy=QueuePolicy(max_depth=args.queue_depth),
+        plan_policy=args.policy,
     )
-    queue_policy = QueuePolicy(max_depth=args.queue_depth)
+
+    def cells(s: dict, p95_ms: float) -> list:
+        return [
+            str(s["offered"]),
+            str(s["shed"]),
+            f"{s['goodput_rps']:.1f}",
+            f"{p95_ms:.1f}",
+            f"{s['deadline_hit_rate']:.1%}",
+        ]
 
     if args.mode == "partition":
         config = named_config(args.config)
@@ -685,54 +561,27 @@ def cmd_tenancy(args: argparse.Namespace) -> int:
         else:
             specs = even_partitions(config, args.split)
         rollup = compare_partitioned(
-            config,
-            specs,
-            tenants,
-            args.rate,
-            args.duration,
-            seed=args.seed,
-            batch_policy=batch_policy,
-            queue_policy=queue_policy,
-            plan_policy=args.policy,
+            config, specs, tenants, args.rate, args.duration, **common
         )
-
-        def render() -> None:
-            head = rollup["headline"]
-            p95 = head["worst_tenant_p95_ms"]
-            print(
-                f"{config.name} carved into "
-                + ", ".join(
-                    f"{s.name}={s.tin}x{s.tout}" for s in specs
-                )
-                + f" vs time-multiplexed whole chip, {args.rate:g} req/s "
-                f"x {args.duration:g} s (seed {args.seed})"
+        head = rollup["headline"]
+        title = (
+            f"{config.name} carved into "
+            + ", ".join(
+                f"{s.name}={s.tin}x{s.tout}" for s in specs
             )
-            print()
-            rows = []
-            for side in ("partitioned", "timemux"):
-                s = rollup[side]
-                rows.append(
-                    [
-                        side,
-                        str(s["offered"]),
-                        str(s["shed"]),
-                        f"{s['goodput_rps']:.1f}",
-                        f"{p95[side]:.1f}",
-                        f"{s['deadline_hit_rate']:.1%}",
-                    ]
-                )
-            print(
-                format_table(
-                    ["deployment", "offered", "shed", "goodput/s",
-                     "worst-tenant p95 ms", "hit rate"],
-                    rows,
-                )
-            )
-            verdict = "wins" if head["partitioned_wins"] else "loses"
-            print(
-                f"\npartitioned co-residency {verdict} on worst-tenant p95 "
-                f"({head['p95_ratio']:.2f}x the time-multiplexed tail)"
-            )
+            + f" vs time-multiplexed whole chip, {args.rate:g} req/s "
+            f"x {args.duration:g} s (seed {args.seed})"
+        )
+        columns = ["deployment"]
+        rows = [
+            [side] + cells(rollup[side], head["worst_tenant_p95_ms"][side])
+            for side in ("partitioned", "timemux")
+        ]
+        verdict = "wins" if head["partitioned_wins"] else "loses"
+        footer = (
+            f"partitioned co-residency {verdict} on worst-tenant p95 "
+            f"({head['p95_ratio']:.2f}x the time-multiplexed tail)"
+        )
     else:  # fleet
         if not args.fleet:
             raise ConfigError(
@@ -748,54 +597,29 @@ def cmd_tenancy(args: argparse.Namespace) -> int:
                     "'name=class:Tin-Tout[:count],...'"
                 )
             fleets.append(parse_fleet(spec, name=name))
-        rollup = compare_fleets(
-            fleets,
-            tenants,
-            args.rate,
-            args.duration,
-            seed=args.seed,
-            batch_policy=batch_policy,
-            queue_policy=queue_policy,
-            plan_policy=args.policy,
+        rollup = compare_fleets(fleets, tenants, args.rate, args.duration, **common)
+        head = rollup["headline"]
+        title = (
+            f"fleet comparison at {args.rate:g} req/s x {args.duration:g} s "
+            f"(seed {args.seed})"
         )
+        columns = ["fleet", "weight"]
+        rows = [
+            [name, f"{rollup['fleets'][name]['fleet']['total_weight']:g}"]
+            + cells(rollup["fleets"][name], head["worst_tenant_p95_ms"][name])
+            for name in head["ranking"]
+        ]
+        footer = f"winner: {head['winner']}"
+    columns += ["offered", "shed", "goodput/s", "worst-tenant p95 ms", "hit rate"]
 
-        def render() -> None:
-            head = rollup["headline"]
-            print(
-                f"fleet comparison at {args.rate:g} req/s x {args.duration:g} s "
-                f"(seed {args.seed})"
-            )
-            print()
-            rows = []
-            for name in head["ranking"]:
-                s = rollup["fleets"][name]
-                rows.append(
-                    [
-                        name,
-                        f"{s['fleet']['total_weight']:g}",
-                        str(s["offered"]),
-                        str(s["shed"]),
-                        f"{s['goodput_rps']:.1f}",
-                        f"{head['worst_tenant_p95_ms'][name]:.1f}",
-                        f"{s['deadline_hit_rate']:.1%}",
-                    ]
-                )
-            print(
-                format_table(
-                    ["fleet", "weight", "offered", "shed", "goodput/s",
-                     "worst-tenant p95 ms", "hit rate"],
-                    rows,
-                )
-            )
-            print(f"\nwinner: {head['winner']}")
+    def render() -> None:
+        print(f"{title}\n\n{format_table(columns, rows)}\n\n{footer}")
 
     _emit_json(args.json, to_json(rollup), "tenancy", render)
     return 0
 
 
 def cmd_capacity(args: argparse.Namespace) -> int:
-    import sys as _sys
-
     from repro.capacity import (
         CandidateGrid,
         FaultModel,
@@ -842,7 +666,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     progress = None
     if args.progress:
         def progress(done: int, total: int) -> None:
-            print(f"  simulated {done}/{total} candidates", file=_sys.stderr)
+            print(f"  simulated {done}/{total} candidates", file=sys.stderr)
 
     report = plan_capacity(
         grid,
@@ -864,9 +688,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
 
 
 def cmd_integrity(args: argparse.Namespace) -> int:
-    from repro.analysis.report import format_table
-    from repro.integrity import run_sweep
-    from repro.resilience.faults import BITFLIP_SITES
+    from repro.integrity.sweep import render_sweep, run_sweep
     from repro.serve.metrics import to_json
 
     config = named_config(args.config)
@@ -882,53 +704,9 @@ def cmd_integrity(args: argparse.Namespace) -> int:
         and head["detection_rate"] >= 0.99
         and head["recovery_bit_identical"]
     )
-
-    def render() -> None:
-        rows = []
-        for site in BITFLIP_SITES:
-            t = rollup["sites"][site]
-            rows.append(
-                [
-                    site,
-                    str(t["injections"]),
-                    str(t["corrupted"]),
-                    str(t["detected"]),
-                    str(t["corrected"]),
-                    str(t["escaped"]),
-                    str(t["masked"]),
-                    str(t["skipped"]),
-                ]
-            )
-        print(
-            f"integrity sweep seed {rollup['seed']} on {rollup['config']}"
-            + (" (smoke)" if rollup["smoke"] else "")
-        )
-        print()
-        print(
-            format_table(
-                [
-                    "site",
-                    "injected",
-                    "corrupted",
-                    "detected",
-                    "corrected",
-                    "escaped",
-                    "masked",
-                    "skipped",
-                ],
-                rows,
-            )
-        )
-        ratio = head["mean_latency_ratio"]
-        print(
-            f"\ndetection {head['detection_rate']:.1%} of {head['corrupted']} "
-            f"corruptions, {head['false_positives']} false positives in "
-            f"{head['clean_runs']} clean runs, recovery bit-identical: "
-            f"{head['recovery_bit_identical']}"
-            + (f", modeled checksum overhead {ratio:.3f}x" if ratio else "")
-        )
-
-    _emit_json(args.json, to_json(rollup), "integrity", render)
+    _emit_json(
+        args.json, to_json(rollup), "integrity", lambda: print(render_sweep(rollup))
+    )
     if ok:
         return 0
     if args.json != "-":
@@ -987,11 +765,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"{result.buffer_accesses:,} buffer words, "
         f"{result.dram_words:,} DRAM words"
     )
-    energy = result.energy()
-    print(
-        f"energy: PE {energy.pe_pj / 1e6:.2f} uJ, buffers "
-        f"{energy.buffer_pj / 1e6:.2f} uJ, DRAM {energy.dram_pj / 1e6:.2f} uJ"
-    )
+    _print_energy(result.energy())
     if args.asm:
         from repro.isa.assembly import disassemble
 
@@ -1030,7 +804,10 @@ def cmd_networks(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command table: one subparser per command, its handler bound as
+    ``args.handler``.  Handlers import their subsystem when they run, so
+    parsing never loads serving or control code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="C-Brain (DAC'16) reproduction toolkit",
@@ -1064,16 +841,27 @@ def main(argv=None) -> int:
         help="print phase timings and cache statistics when done",
     )
 
-    p_report = sub.add_parser(
-        "report", help="regenerate all tables and figures", parents=[perf_opts]
-    )
+    def command(name: str, help: str, handler) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=[perf_opts])
+        p.set_defaults(handler=handler)
+        return p
+
+    def json_flag(p: argparse.ArgumentParser, noun: str) -> None:
+        p.add_argument(
+            "--json",
+            default="",
+            metavar="PATH",
+            help=f"write the {noun} JSON here ('-' = stdout only)",
+        )
+
+    p_report = command("report", "regenerate all tables and figures", cmd_report)
     p_report.add_argument(
         "--csv-dir",
         default="",
         help="also write each dataset as CSV into this directory",
     )
 
-    p_plan = sub.add_parser("plan", help="plan one network", parents=[perf_opts])
+    p_plan = command("plan", "plan one network", cmd_plan)
     p_plan.add_argument("network", choices=sorted(NETWORK_BUILDERS))
     p_plan.add_argument("--config", default="16-16")
     p_plan.add_argument("--policy", default="adaptive-2", choices=POLICY_NAMES)
@@ -1094,7 +882,7 @@ def main(argv=None) -> int:
         help="draw the compute-vs-stream timeline",
     )
 
-    p_sel = sub.add_parser("select", help="show Algorithm 2 choices", parents=[perf_opts])
+    p_sel = command("select", "show Algorithm 2 choices", cmd_select)
     p_sel.add_argument("network", choices=sorted(NETWORK_BUILDERS))
     p_sel.add_argument("--config", default="16-16")
     p_sel.add_argument(
@@ -1103,10 +891,8 @@ def main(argv=None) -> int:
         help="emit the per-layer choices as machine-readable JSON",
     )
 
-    p_srv = sub.add_parser(
-        "serve",
-        help="simulate multi-tenant serving with dynamic batching",
-        parents=[perf_opts],
+    p_srv = command(
+        "serve", "simulate multi-tenant serving with dynamic batching", cmd_serve
     )
     p_srv.add_argument(
         "--mix",
@@ -1152,17 +938,12 @@ def main(argv=None) -> int:
     )
     p_srv.add_argument("--policy", default="adaptive-2", choices=POLICY_NAMES)
     p_srv.add_argument("--config", default="16-16")
-    p_srv.add_argument(
-        "--json",
-        default="",
-        metavar="PATH",
-        help="write the metrics JSON here ('-' = stdout only)",
-    )
+    json_flag(p_srv, "metrics")
 
-    p_auto = sub.add_parser(
+    p_auto = command(
         "autoscale",
-        help="closed-loop autoscaling over a diurnal flash-crowd workload",
-        parents=[perf_opts],
+        "closed-loop autoscaling over a diurnal flash-crowd workload",
+        cmd_autoscale,
     )
     p_auto.add_argument(
         "--mix",
@@ -1224,17 +1005,10 @@ def main(argv=None) -> int:
     )
     p_auto.add_argument("--policy", default="adaptive-2", choices=POLICY_NAMES)
     p_auto.add_argument("--config", default="16-16")
-    p_auto.add_argument(
-        "--json",
-        default="",
-        metavar="PATH",
-        help="write the metrics JSON here ('-' = stdout only)",
-    )
+    json_flag(p_auto, "metrics")
 
-    p_shard = sub.add_parser(
-        "shard",
-        help="partition a network across multiple accelerator chips",
-        parents=[perf_opts],
+    p_shard = command(
+        "shard", "partition a network across multiple accelerator chips", cmd_shard
     )
     p_shard.add_argument("network", choices=sorted(NETWORK_BUILDERS))
     p_shard.add_argument("--chips", type=int, default=2, help="accelerator instances")
@@ -1270,17 +1044,10 @@ def main(argv=None) -> int:
     )
     p_shard.add_argument("--config", default="16-16")
     p_shard.add_argument("--policy", default="adaptive-2", choices=POLICY_NAMES)
-    p_shard.add_argument(
-        "--json",
-        default="",
-        metavar="PATH",
-        help="write the rollup JSON here ('-' = stdout only)",
-    )
+    json_flag(p_shard, "rollup")
 
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="run fault-injection scenarios against the serving tier",
-        parents=[perf_opts],
+    p_chaos = command(
+        "chaos", "run fault-injection scenarios against the serving tier", cmd_chaos
     )
     p_chaos.add_argument(
         "scenarios",
@@ -1299,17 +1066,12 @@ def main(argv=None) -> int:
         help="run chaos-under-autoscaling scenarios (self-healing loop vs "
         "frozen fleet vs non-healing loop)",
     )
-    p_chaos.add_argument(
-        "--json",
-        default="",
-        metavar="PATH",
-        help="write the rollup JSON here ('-' = stdout only)",
-    )
+    json_flag(p_chaos, "rollup")
 
-    p_ten = sub.add_parser(
+    p_ten = command(
         "tenancy",
-        help="partition a chip among tenants / compare fleet compositions",
-        parents=[perf_opts],
+        "partition a chip among tenants / compare fleet compositions",
+        cmd_tenancy,
     )
     p_ten.add_argument(
         "mode",
@@ -1351,17 +1113,12 @@ def main(argv=None) -> int:
     )
     p_ten.add_argument("--queue-depth", type=int, default=256, help="admission queue bound")
     p_ten.add_argument("--policy", default="adaptive-2", choices=POLICY_NAMES)
-    p_ten.add_argument(
-        "--json",
-        default="",
-        metavar="PATH",
-        help="write the rollup JSON here ('-' = stdout only)",
-    )
+    json_flag(p_ten, "rollup")
 
-    p_cap = sub.add_parser(
+    p_cap = command(
         "capacity",
-        help="what-if capacity planning: rank deployments vs SLOs/faults/cost",
-        parents=[perf_opts],
+        "what-if capacity planning: rank deployments vs SLOs/faults/cost",
+        cmd_capacity,
     )
     p_cap.add_argument(
         "--tenants",
@@ -1413,18 +1170,9 @@ def main(argv=None) -> int:
         "--progress", action="store_true", help="log per-candidate progress to stderr"
     )
     p_cap.add_argument("--top", type=int, default=0, help="show only the N best deployments")
-    p_cap.add_argument(
-        "--json",
-        default="",
-        metavar="PATH",
-        help="write the ranked report JSON here ('-' = stdout only)",
-    )
+    json_flag(p_cap, "ranked report")
 
-    p_int = sub.add_parser(
-        "integrity",
-        help="run the ABFT bit-flip injection sweep",
-        parents=[perf_opts],
-    )
+    p_int = command("integrity", "run the ABFT bit-flip injection sweep", cmd_integrity)
     p_int.add_argument("--seed", type=int, default=0, help="tensor/fault RNG seed")
     p_int.add_argument(
         "--flips", type=int, default=4, help="flips per (layer, path, site) cell"
@@ -1433,30 +1181,23 @@ def main(argv=None) -> int:
         "--smoke", action="store_true", help="reduced sweep for CI smoke runs"
     )
     p_int.add_argument("--config", default="16-16")
-    p_int.add_argument(
-        "--json",
-        default="",
-        metavar="PATH",
-        help="write the rollup JSON here ('-' = stdout only)",
-    )
+    json_flag(p_int, "rollup")
 
-    p_sim = sub.add_parser(
-        "simulate",
-        help="compile, lint and machine-execute a network",
-        parents=[perf_opts],
+    p_sim = command(
+        "simulate", "compile, lint and machine-execute a network", cmd_simulate
     )
     p_sim.add_argument("network", choices=sorted(NETWORK_BUILDERS))
     p_sim.add_argument("--config", default="16-16")
     p_sim.add_argument("--policy", default="adaptive-2", choices=POLICY_NAMES)
     p_sim.add_argument("--asm", default="", help="also dump the assembly to a file")
 
-    p_cmp = sub.add_parser("compare", help="diff two policies layer by layer", parents=[perf_opts])
+    p_cmp = command("compare", "diff two policies layer by layer", cmd_compare)
     p_cmp.add_argument("network", choices=sorted(NETWORK_BUILDERS))
     p_cmp.add_argument("policy_a", choices=POLICY_NAMES)
     p_cmp.add_argument("policy_b", choices=POLICY_NAMES)
     p_cmp.add_argument("--config", default="16-16")
 
-    p_an = sub.add_parser("analyze", help="reuse/quantization analytics", parents=[perf_opts])
+    p_an = command("analyze", "reuse/quantization analytics", cmd_analyze)
     p_an.add_argument("network", choices=sorted(NETWORK_BUILDERS))
     p_an.add_argument("--config", default="16-16")
     p_an.add_argument(
@@ -1465,9 +1206,7 @@ def main(argv=None) -> int:
         help="also run the 16-bit fixed-point SQNR probe",
     )
 
-    p_nets = sub.add_parser(
-        "networks", help="list benchmark networks (Table 2)", parents=[perf_opts]
-    )
+    p_nets = command("networks", "list benchmark networks (Table 2)", cmd_networks)
     p_nets.add_argument(
         "--detail",
         default="",
@@ -1475,42 +1214,28 @@ def main(argv=None) -> int:
         help="per-layer statistics for one network",
     )
     p_nets.add_argument("--top", type=int, default=0)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "report": cmd_report,
-        "plan": cmd_plan,
-        "select": cmd_select,
-        "analyze": cmd_analyze,
-        "compare": cmd_compare,
-        "simulate": cmd_simulate,
-        "networks": cmd_networks,
-        "serve": cmd_serve,
-        "autoscale": cmd_autoscale,
-        "shard": cmd_shard,
-        "chaos": cmd_chaos,
-        "integrity": cmd_integrity,
-        "tenancy": cmd_tenancy,
-        "capacity": cmd_capacity,
-    }
 
     from repro.perf import schedule_cache, set_default_jobs
 
-    if getattr(args, "no_plan_cache", False):
+    if args.no_plan_cache:
         schedule_cache.configure(enabled=False)
-    if getattr(args, "backend", None):
+    if args.backend:
         from repro.sim.backend import set_backend
 
         set_backend(args.backend)
-    if getattr(args, "jobs", None) is not None:
-        from repro.errors import ConfigError
-
+    if args.jobs is not None:
         try:
             set_default_jobs(args.jobs)
         except ConfigError as exc:
             parser.error(str(exc))
-    rc = handlers[args.command](args)
-    if getattr(args, "perf_report", False):
+    rc = args.handler(args)
+    if args.perf_report:
         from repro.perf import render_perf_report
 
         print()
@@ -1519,8 +1244,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    from repro.errors import ConfigError
-
     try:
         sys.exit(main())
     except BrokenPipeError:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.config import CONFIG_16_16, AcceleratorConfig
 from repro.errors import ConfigError
@@ -43,11 +43,13 @@ from repro.resilience.faults import (
     ReplicaFault,
 )
 from repro.resilience.scenarios import (
+    CatalogueView,
     Predicate,
     check_scenario,
     conserved,
     digest,
     evaluate,
+    mttr_cell,
     registry,
     run_arms,
     scan_recovery,
@@ -411,6 +413,49 @@ def run_control_scenario(
     }
     rollup["invariants"] = evaluate(CONTROL_INVARIANTS, scenario, rollup, summaries)
     return rollup
+
+
+def _row(name: str, r: Dict[str, object]) -> List[str]:
+    att = r["attainment"]
+    inv = r["invariants"]
+    return [
+        name,
+        f"{att['healing']:.4f}",
+        f"{att['nonhealing']:.4f}",
+        f"{att['frozen_faulted']:.4f}",
+        f"{att['frozen_healthy']:.4f}",
+        mttr_cell(r),
+        f"{sum(inv.values())}/{len(inv)}",
+    ]
+
+
+def _notes(r: Dict[str, object]) -> List[str]:
+    detail = r["healing_detail"]
+    notes = []
+    if detail["restarts"]:
+        notes.append(f"{len(detail['restarts'])} journal restart(s)")
+    if detail["safe_mode_intervals"]:
+        spans = ", ".join(
+            f"[{i['entered_epoch']}, {i['exited_epoch']}]"
+            for i in detail["safe_mode_intervals"]
+        )
+        notes.append(f"safe mode {spans}")
+    if detail["telemetry_flags"]:
+        notes.append(f"{detail['telemetry_flags']} telemetry flag(s)")
+    if detail["placements"]:
+        chips = ", ".join(p["chip"] for p in detail["placements"])
+        notes.append(f"replacement(s) placed on {chips}")
+    return ["; ".join(notes)] if notes else []
+
+
+#: the ``repro chaos --control`` table
+CONTROL_VIEW = CatalogueView(
+    "chaos --control",
+    24,
+    ("scenario", "healing", "nonheal", "frozen", "healthy", "mttr ms", "invariants"),
+    _row,
+    _notes,
+)
 
 
 # -- the scenario catalogue --------------------------------------------------

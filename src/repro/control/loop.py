@@ -15,7 +15,9 @@ the workload seed.
 baselines the autoscaler is judged against in
 ``benchmarks/bench_control.py``: SLO attainment no worse than the static
 mean fleet, chip-seconds below the static peak fleet;
-:func:`static_fleet_sizes` sizes those fleets.
+:func:`static_fleet_sizes` sizes those fleets, and
+:func:`run_static_baselines` sizes and runs both (``repro autoscale
+--compare`` and the bench share it).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.serve.metrics import to_json
 from repro.serve.queue import QueuePolicy
 from repro.serve.workload import Request, TenantSpec
 
-__all__ = ["ControlReport", "run_static", "static_fleet_sizes"]
+__all__ = ["ControlReport", "run_static", "run_static_baselines", "static_fleet_sizes"]
 
 #: capacity headroom of the static baselines (the autoscaler's default)
 HEADROOM = 0.25
@@ -115,3 +117,36 @@ def run_static(
     report = engine.run(requests, duration_s)
     chip_seconds = replicas * float(report.summary["makespan_s"])
     return report, chip_seconds
+
+
+def run_static_baselines(
+    config: AcceleratorConfig,
+    coster: BatchCoster,
+    tenants: Sequence[TenantSpec],
+    requests: Sequence[Request],
+    duration_s: float,
+    peak_rate_rps: float,
+    batch_policy: BatchPolicy,
+    queue_policy: QueuePolicy,
+    plan_policy: str = "adaptive-2",
+) -> Dict[str, Tuple[int, ServingReport, float]]:
+    """Size and serve the mean- and peak-provisioned static fleets.
+
+    The mean fleet is sized for the workload's mean arrival rate, the peak
+    fleet for ``peak_rate_rps`` (:func:`static_fleet_sizes`); each then
+    serves ``requests`` through :func:`run_static`.  Returns
+    ``{"static_mean": ..., "static_peak": ...}``, each ``(replicas,
+    report, chip-seconds)``.
+    """
+    sizes = static_fleet_sizes(
+        coster, tenants, len(requests) / duration_s, peak_rate_rps,
+        batch_policy.max_batch,
+    )
+    baselines = {}
+    for name, replicas in zip(("static_mean", "static_peak"), sizes):
+        report, chip_seconds = run_static(
+            config, requests, duration_s, replicas, batch_policy, queue_policy,
+            plan_policy, coster,
+        )
+        baselines[name] = (replicas, report, chip_seconds)
+    return baselines

@@ -281,33 +281,35 @@ def _recompute_rows(
     bias_codes: Optional[np.ndarray],
     stride: int,
     groups: int,
-    oc: int,
+    maps,
     rows,
     backend: Optional[str] = None,
 ) -> None:
-    """Re-execute output rows ``rows`` of map ``oc`` from the clean, padded
-    input codes.
+    """Re-execute output rows ``rows`` of each map in ``maps`` from the
+    clean, padded input codes.
 
-    One :func:`~repro.sim.functional.reference_conv` runs over the input
-    band that the lowest to the highest of ``rows`` read; only ``rows`` are
-    written back.
+    One :func:`~repro.sim.functional.reference_conv` per group runs all of
+    the group's ``maps`` over the input band that the lowest to the highest
+    of ``rows`` read; only ``rows`` are written back.
     """
     rows = np.asarray(rows, dtype=np.intp)
     lo, hi = int(rows.min()), int(rows.max())
     din_g = padded.shape[0] // groups
-    g = oc // (weight_codes.shape[0] // groups)
-    band = padded[
-        g * din_g : (g + 1) * din_g,
-        lo * stride : hi * stride + weight_codes.shape[-1],
-    ]
-    fresh = reference_conv(
-        band,
-        weight_codes[oc : oc + 1],
-        None if bias_codes is None else bias_codes[oc : oc + 1],
-        stride,
-        backend=backend,
-    )
-    out[oc, rows] = fresh[0, rows - lo]
+    dout_g = weight_codes.shape[0] // groups
+    for g in sorted({oc // dout_g for oc in maps}):
+        ocs = np.array([oc for oc in maps if oc // dout_g == g], dtype=np.intp)
+        band = padded[
+            g * din_g : (g + 1) * din_g,
+            lo * stride : hi * stride + weight_codes.shape[-1],
+        ]
+        fresh = reference_conv(
+            band,
+            weight_codes[ocs],
+            None if bias_codes is None else bias_codes[ocs],
+            stride,
+            backend=backend,
+        )
+        out[np.ix_(ocs, rows)] = fresh[:, rows - lo]
 
 
 def recompute_flagged(
@@ -330,36 +332,36 @@ def recompute_flagged(
     """
     padded = pad_input(data_codes, pad)
     row_recomputes = 0
-    map_recomputes = 0
     recomputed = []
+    whole = []
     for oc in report.flagged_maps:
         rows = report.flagged_rows.get(oc, ())
         cols = report.flagged_cols.get(oc, ())
-        local = (
-            0 < len(rows) <= _LOCAL_LIMIT and 0 < len(cols) <= _LOCAL_LIMIT
-        )
-        target_rows = rows if local else range(out.shape[1])
-        if local:
-            row_recomputes += len(target_rows)
-            recomputed.extend((oc, oy) for oy in target_rows)
+        if 0 < len(rows) <= _LOCAL_LIMIT and 0 < len(cols) <= _LOCAL_LIMIT:
+            row_recomputes += len(rows)
+            recomputed.extend((oc, oy) for oy in rows)
+            _recompute_rows(
+                out, padded, weight_codes, bias_codes, stride, groups, [oc], rows,
+                backend,
+            )
         else:
-            map_recomputes += 1
+            whole.append(oc)
             recomputed.append((oc, -1))
-        _recompute_rows(
-            out, padded, weight_codes, bias_codes, stride, groups, oc, target_rows,
-            backend,
-        )
+    _recompute_rows(
+        out, padded, weight_codes, bias_codes, stride, groups, whole,
+        range(out.shape[1]), backend,
+    )
+    map_recomputes = len(whole)
     after = check_output(out, predicted)
     if not after.clean:
         # the local repair under-reached: a corrupted row whose net change
         # cancelled was never flagged.  Escalate to whole-map recompute.
-        for oc in after.flagged_maps:
-            map_recomputes += 1
-            recomputed.append((oc, -1))
-            _recompute_rows(
-                out, padded, weight_codes, bias_codes, stride, groups, oc,
-                range(out.shape[1]), backend,
-            )
+        map_recomputes += len(after.flagged_maps)
+        recomputed.extend((oc, -1) for oc in after.flagged_maps)
+        _recompute_rows(
+            out, padded, weight_codes, bias_codes, stride, groups,
+            after.flagged_maps, range(out.shape[1]), backend,
+        )
         after = check_output(out, predicted)
     return RecoveryReport(
         row_recomputes=row_recomputes,

@@ -37,7 +37,7 @@ from repro.schemes.abft import abft_overhead
 from repro.sim.backend import resolve_backend
 from repro.sim.functional import random_conv_tensors
 
-__all__ = ["SWEEP_LAYERS", "run_sweep"]
+__all__ = ["SWEEP_LAYERS", "render_sweep", "run_sweep"]
 
 #: (name, k, s, pad, groups, din, dout, hw) — chosen to cover odd/even
 #: kernels, stride > 1, stride >= kernel (partition fallback), pad > 0,
@@ -227,3 +227,31 @@ def run_sweep(
         "paths": paths,
         "headline": headline,
     }
+
+
+def render_sweep(rollup: Dict[str, object]) -> str:
+    """The ``repro integrity`` table: one row of counters per buffer site,
+    then the headline detection, false-positive and overhead line."""
+    from repro.analysis.report import format_table
+
+    head = rollup["headline"]
+    counts = ("injections", "corrupted", "detected", "corrected")
+    counts += ("escaped", "masked", "skipped")
+    rows = [
+        [site] + [str(rollup["sites"][site][key]) for key in counts]
+        for site in BITFLIP_SITES
+    ]
+    ratio = head["mean_latency_ratio"]
+    return "\n".join(
+        [
+            f"integrity sweep seed {rollup['seed']} on {rollup['config']}"
+            + (" (smoke)" if rollup["smoke"] else ""),
+            "",
+            format_table(("site", "injected") + counts[1:], rows),
+            f"\ndetection {head['detection_rate']:.1%} of {head['corrupted']} "
+            f"corruptions, {head['false_positives']} false positives in "
+            f"{head['clean_runs']} clean runs, recovery bit-identical: "
+            f"{head['recovery_bit_identical']}"
+            + (f", modeled checksum overhead {ratio:.3f}x" if ratio else ""),
+        ]
+    )

@@ -234,6 +234,61 @@ def evaluate(
     }
 
 
+def violations(
+    rollups: Mapping[str, Dict[str, object]], names: Sequence[str] = ()
+) -> List[Tuple[str, str]]:
+    """(scenario, invariant) for each declared invariant that does not
+    hold, over ``names`` (default: every rollup)."""
+    return [
+        (name, inv)
+        for name in names or list(rollups)
+        for inv, ok in rollups[name]["invariants"].items()
+        if not ok
+    ]
+
+
+def mttr_cell(rollup: Dict[str, object]) -> str:
+    """A rollup's MTTR in whole ms, or ``-`` if it never recovered."""
+    mttr = rollup["recovery"]["mttr_ms"]
+    return f"{mttr:.0f}" if mttr is not None else "-"
+
+
+@dataclass(frozen=True)
+class CatalogueView:
+    """How one catalogue prints: ``repro chaos`` and the catalogue's bench
+    script render the same view."""
+
+    title: str
+    #: width of the name column in ``repro chaos --list``
+    width: int
+    columns: Tuple[str, ...]
+    #: one table row per scenario, from its name and rollup
+    row: Callable[[str, Dict[str, object]], List[str]]
+    #: the lines printed under the table for one rollup
+    notes: Callable[[Dict[str, object]], List[str]]
+
+    def render(
+        self,
+        seed: int,
+        config: str,
+        rollups: Mapping[str, Dict[str, object]],
+        names: Sequence[str] = (),
+    ) -> str:
+        """The title line, one row per scenario in ``names`` (default:
+        every rollup), their notes and each violated invariant."""
+        from repro.analysis.report import format_table
+
+        names = list(names) or list(rollups)
+        rows = [self.row(name, rollups[name]) for name in names]
+        lines = [f"{self.title} seed {seed} on {config}", ""]
+        lines.append(format_table(self.columns, rows))
+        for name in names:
+            lines.extend(f"\n{name}: {note}" for note in self.notes(rollups[name]))
+        for name, inv in violations(rollups, names):
+            lines.append(f"\nINVARIANT VIOLATED: {name}: {inv}")
+        return "\n".join(lines)
+
+
 # -- the frozen-tier catalogue ----------------------------------------------
 
 
@@ -486,6 +541,65 @@ def run_scenario(
     }
     rollup["invariants"] = evaluate(INVARIANTS, scenario, rollup, summaries)
     return rollup
+
+
+def _row(name: str, r: Dict[str, object]) -> List[str]:
+    return [
+        name,
+        f"{r['availability']:.4f}",
+        f"{r['goodput_ratio']:.3f}",
+        f"{r['latency_ratio']['p95']:.2f}x",
+        f"{r['latency_ratio']['p99']:.2f}x",
+        mttr_cell(r),
+        str(r["failover"]["retries"]),
+        str(r["faulted"]["failed"]),
+    ]
+
+
+def _notes(r: Dict[str, object]) -> List[str]:
+    notes = []
+    for network, d in sorted((r["degrade"] or {}).items()):
+        flips = ", ".join(
+            f"{f['layer']} {f['healthy']}->{f['degraded']}"
+            for f in d["scheme_flips"]
+        ) or "none"
+        notes.append(
+            f"{network} degraded "
+            f"{d['healthy_pe'][0]}x{d['healthy_pe'][1]} -> "
+            f"{d['degraded_pe'][0]}x{d['degraded_pe'][1]}, "
+            f"slowdown {d['slowdown']:.2f}x, flips: {flips}"
+        )
+    repair = r["repair"]
+    if repair:
+        notes.append(
+            f"lost chip(s) {repair['lost_chips']} of "
+            f"{repair['healthy_chips']}, rebalanced to "
+            f"{len(repair['surviving_chips'])} chips at "
+            f"{repair['throughput_ratio']:.1%} throughput, "
+            f"{len(repair['moved_layers'])} layers moved "
+            f"({repair['rebalance_ms']:.2f} ms of weight traffic)"
+        )
+    integrity = r["integrity"]
+    if integrity:
+        drained = integrity["drained_replicas"]
+        notes.append(
+            f"{integrity['corrupted_batches']} corrupted "
+            f"batches, {integrity['detected']} detected / "
+            f"{integrity['corrected']} corrected / "
+            f"{integrity['escaped_batches']} escaped, drained "
+            f"{drained if drained else 'none'}"
+        )
+    return notes
+
+
+#: the ``repro chaos`` table
+VIEW = CatalogueView(
+    "chaos",
+    14,
+    ("scenario", "avail", "goodput", "p95", "p99", "mttr ms", "retries", "failed"),
+    _row,
+    _notes,
+)
 
 
 # -- the named scenario registry -------------------------------------------

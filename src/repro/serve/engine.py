@@ -320,6 +320,11 @@ class _Flight:
     start_s: float
     #: completed by one copy, or lost to crashes with no copy left running
     done: bool = False
+    #: lost to crashes with no copy left running: the batch retries
+    lost: bool = False
+    #: runs of crashed copies whose crash was noticed while another copy
+    #: still ran: wasted once that copy completes the batch
+    crashed_run_s: float = 0.0
     #: the replica whose SDC window corrupted the batch; the corruption
     #: only materializes if that replica's copy wins
     corrupted_on: Optional[int] = None
@@ -1015,10 +1020,6 @@ class AdaptiveServingEngine:
         replica.crashed_at = fault.time_s
         flight = replica.inflight
         if flight is not None:
-            if flight.done:
-                # a hedge copy whose twin already completed the batch: its
-                # run until this instant was wasted
-                self._failover.hedge_wasted_s += fault.time_s - flight.start_s
             # the copy will never complete; the replica looks busy until
             # the probe tick notices the crash
             replica.free_at = math.inf
@@ -1047,6 +1048,7 @@ class AdaptiveServingEngine:
             failover.hedge_wasted_s += service  # the hedge copy finished first
             return
         flight.done = True
+        failover.hedge_wasted_s += flight.crashed_run_s
         replica.completed += len(flight.batch)
         if not replica.quarantined:
             slow = expected > 0 and service >= SLOW_THRESHOLD * expected
@@ -1080,14 +1082,18 @@ class AdaptiveServingEngine:
             self._active.remove(replica)
         flight, replica.inflight = replica.inflight, None
         replica.free_at = math.inf
-        if flight is None or flight.done:
+        if flight is None or flight.lost:
+            return
+        # the crashed copy's run until its crash is wasted if another copy
+        # completes the batch, before or after this probe
+        run_s = replica.crashed_at - flight.start_s
+        if flight.done:
+            failover.hedge_wasted_s += run_s
             return
         if any(r.inflight is flight and r.crashed_at is None for r in self._active):
-            # a hedge copy still runs on a live replica and completes the
-            # batch; only the crashed copy's run was wasted
-            failover.hedge_wasted_s += replica.crashed_at - flight.start_s
+            flight.crashed_run_s += run_s  # charged when that copy completes
             return
-        flight.done = True
+        flight.done = flight.lost = True
         ids = self._stream.rid
         for row in flight.batch:
             rid = int(ids[row]) if ids is not None else row

@@ -1,13 +1,21 @@
 """CLI (`python -m repro`) tests."""
 
+import argparse
+import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[2]
+#: a shell line running the CLI, after an optional prompt and env settings
+CLI_LINE = re.compile(r"^\s*(?:\$\s+)?(?:\w+=\S+\s+)*python -m repro(\s.*)?$")
 
 
 class TestCommands:
@@ -115,3 +123,67 @@ class TestSimulate:
         assert main(["simulate", "nin", "--asm", target]) == 0
         text = open(target).read()
         assert "compute" in text and ".meta network nin" in text
+
+
+def option_table(parser):
+    """Each subcommand's options, in the form ``cli_options.json`` holds."""
+    sub = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: [
+            {
+                "flags": list(a.option_strings),
+                "dest": a.dest,
+                "default": a.default,
+                "type": getattr(a.type, "__name__", None),
+                "choices": list(a.choices) if a.choices is not None else None,
+                "nargs": a.nargs,
+                "required": a.required,
+            }
+            for a in p._actions
+        ]
+        for name, p in sub.choices.items()
+    }
+
+
+def doc_commands():
+    """``(file, argv)`` of every ``python -m repro`` line in README.md and
+    docs/*.md, with continuation lines joined and comments dropped."""
+    found = []
+    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        lines = path.read_text().splitlines()
+        k = 0
+        while k < len(lines):
+            match = CLI_LINE.match(lines[k])
+            if match:
+                text = match.group(1) or ""
+                while text.rstrip().endswith("\\"):
+                    k += 1
+                    text = text.rstrip()[:-1] + " " + lines[k]
+                found.append((path.name, shlex.split(text, comments=True)))
+            k += 1
+    return found
+
+
+DOC_COMMANDS = doc_commands()
+
+
+class TestSurface:
+    def test_options_equal_the_committed_table(self):
+        committed = json.loads((Path(__file__).parent / "cli_options.json").read_text())
+        table = option_table(build_parser())
+        assert list(table) == list(committed)
+        for name, options in committed.items():
+            assert table[name] == options, name
+
+    def test_docs_quote_the_cli(self):
+        assert len(DOC_COMMANDS) >= 40
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for _, argv in DOC_COMMANDS],
+        ids=[f"{name}:{'_'.join(argv)}" for name, argv in DOC_COMMANDS],
+    )
+    def test_doc_command_parses(self, argv):
+        assert callable(build_parser().parse_args(argv).handler)

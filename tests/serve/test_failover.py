@@ -297,9 +297,9 @@ class TestHedging:
         )
 
     @staticmethod
-    def _hedged_crash(crash):
+    def _hedged_crash(*crashes):
         # replica 0 runs x4 slow, so the request at 89.9 ms is hedged from
-        # it onto replica 1; then one copy's replica crashes
+        # it onto replica 1; then one copy's replica crashes (or both do)
         reqs = [
             Request(rid, "alexnet", "alexnet", t, t + 1.0)
             for rid, t in enumerate((0.0, 0.001, 0.0899))
@@ -307,10 +307,10 @@ class TestHedging:
         report = engine(
             replicas=2,
             batch_policy=BatchPolicy(max_batch=1, max_wait_ms=0),
-            faults=[ReplicaFault("slow", 0, 0.0, factor=4.0), crash],
+            faults=[ReplicaFault("slow", 0, 0.0, factor=4.0), *crashes],
             failover_policy=FailoverPolicy(hedge=True),
         ).run(reqs, 0.1)
-        hedged = next(r for r in report.metrics.completed if r.rid == 2)
+        hedged = next((r for r in report.metrics.completed if r.rid == 2), None)
         return report.summary["failover"], hedged
 
     def test_slow_copy_completes_when_the_twin_replica_crashes(self):
@@ -330,6 +330,26 @@ class TestHedging:
         assert hedged.finish_s == pytest.approx(0.107881, abs=1e-6)
         assert (failover["retries"], failover["hedges"]) == (0, 1)
         assert failover["hedge_wasted_ms"] == pytest.approx(5.1)
+
+    def test_slow_copy_crashing_before_its_twin_won_is_wasted(self):
+        failover, hedged = self._hedged_crash(ReplicaFault("crash", 0, 0.105))
+        # replica 0 crashes at 105 ms, the twin on replica 1 completes the
+        # batch at 107.9 ms and the probe notices the crash at 150 ms: the
+        # crashed copy's 15.1 ms run was wasted
+        assert (hedged.replica, hedged.start_s) == (1, 0.0899)
+        assert (failover["retries"], failover["hedges"]) == (0, 1)
+        assert failover["hedge_wasted_ms"] == pytest.approx(15.1)
+
+    def test_batch_whose_every_copy_crashed_wastes_nothing(self):
+        failover, hedged = self._hedged_crash(
+            ReplicaFault("crash", 0, 0.095), ReplicaFault("crash", 1, 0.102)
+        )
+        # the 100 ms probe notices replica 0's crash while the twin still
+        # runs; then replica 1 crashes too, so no copy completes the batch:
+        # it retries, and no copy's run is charged as waste
+        assert hedged is None
+        assert (failover["retries"], failover["hedges"]) == (1, 1)
+        assert failover["hedge_wasted_ms"] == 0.0
 
     def test_slow_copy_crashing_after_its_twin_won_is_wasted(self):
         failover, hedged = self._hedged_crash(ReplicaFault("crash", 0, 0.120))

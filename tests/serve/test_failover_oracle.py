@@ -191,6 +191,11 @@ class _BatchJob:
     dispatched_at: float
     expected_s: float
     done: bool = field(default=False)
+    #: lost to crashes with no copy left running: the batch retries
+    lost: bool = False
+    #: runs of crashed copies whose crash was noticed while another copy
+    #: still ran: wasted once that copy completes the batch
+    crashed_run_s: float = 0.0
     #: silently corrupted by the SDC window of replica ``sdc_rid``; the
     #: corruption only materializes if that replica's run wins
     corrupted: bool = False
@@ -340,17 +345,21 @@ class FailoverLoopEngine:
         def lose_job(job: _BatchJob, crashed: FaultyReplica, t: float) -> None:
             """Drain a lost batch to retries / failures (crash recovery)."""
             nonlocal retries_scheduled, hedge_wasted_s
+            if job.lost:
+                return
+            # the crashed copy's run until its crash is wasted if another
+            # copy completes the batch, before or after this probe
+            run_s = crashed.crashed_at - job.dispatched_at
             if job.done:
+                hedge_wasted_s += run_s
                 return
             if any(
                 s is not crashed and s.inflight is job and not s.crashed_by(t)
                 for s in states
             ):
-                # a hedge copy still runs on a live replica and completes
-                # the batch; only the crashed copy's run was wasted
-                hedge_wasted_s += crashed.crashed_at - job.dispatched_at
+                job.crashed_run_s += run_s  # charged when that copy completes
                 return
-            job.done = True
+            job.done = job.lost = True
             for request in job.requests:
                 attempt = attempts.get(request.rid, 0) + 1
                 attempts[request.rid] = attempt
@@ -399,9 +408,6 @@ class FailoverLoopEngine:
                 if fault.kind == "crash":
                     if s.crashed_at is None:
                         s.crashed_at = fault.time_s
-                        if s.inflight is not None and s.inflight.done:
-                            # the twin won; this copy ran until the crash
-                            hedge_wasted_s += fault.time_s - s.inflight.dispatched_at
                         if s.inflight is not None:
                             # it will never report the completion: appears
                             # busy until the probe loop notices the crash
@@ -425,6 +431,7 @@ class FailoverLoopEngine:
                     hedge_wasted_s += service
                     continue
                 job.done = True
+                hedge_wasted_s += job.crashed_run_s
                 s.completed += len(job.requests)
                 health.observe_completion(s.free_at, s.rid, service, job.expected_s)
                 vrep = vreps[s.rid]
@@ -756,6 +763,8 @@ _HEDGED = dict(
 )
 @example(crashes=[(1, 0.0917, "at", 0)], **_HEDGED)
 @example(crashes=[(0, 0.095, "at", 0)], **_HEDGED)
+@example(crashes=[(0, 0.105, "at", 0)], **_HEDGED)
+@example(crashes=[(0, 0.095, "at", 0), (1, 0.102, "at", 0)], **_HEDGED)
 @example(crashes=[(0, 0.120, "at", 0)], **_HEDGED)
 # one request lost three times: a running batch, then two doomed
 # dispatches onto replicas that crashed but are not yet marked down
