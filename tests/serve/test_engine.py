@@ -9,7 +9,8 @@ import pytest
 from repro.arch.config import CONFIG_16_16
 from repro.errors import ConfigError
 from repro.serve.batcher import BatchCoster, BatchPolicy
-from repro.serve.engine import ServingEngine
+from repro.serve.engine import AdaptiveServingEngine, ServingEngine
+from repro.serve.failover import ReplicaFault
 from repro.serve.queue import QueuePolicy
 from repro.serve.workload import TenantSpec, poisson_arrivals
 
@@ -281,3 +282,37 @@ class TestPerReplicaStats:
             assert 0.0 <= d["utilization"] <= 1.0
             if d["batches"] == 0:
                 assert d["completed"] == 0 and d["busy_ms"] == 0.0
+
+
+class TestOneRun:
+    """A ServingEngine is the adaptive engine it serves on, run once."""
+
+    @pytest.mark.parametrize("faults", [(), (ReplicaFault("crash", 1, 0.5),)])
+    def test_second_run_is_refused(self, faults):
+        reqs = poisson_arrivals(40, 1, ALEX, seed=0)
+        eng = engine(replicas=2, faults=faults)
+        eng.run(reqs, 1)
+        # a second run would continue the first: its clock, queue and log
+        with pytest.raises(ConfigError, match="serves one run"):
+            eng.run(reqs, 1)
+
+    def test_report_replicas_are_the_engines_own(self):
+        eng = engine(replicas=2, routing="least-loaded")
+        report = eng.run(poisson_arrivals(40, 1, ALEX, seed=0), 1)
+        assert len(report.replicas) == 2
+        assert all(a is b for a, b in zip(report.replicas, eng.replicas))
+        assert report.metrics is eng.metrics
+
+    def test_building_and_running_builds_no_other_engine(self, monkeypatch):
+        built = []
+        init = AdaptiveServingEngine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AdaptiveServingEngine, "__init__", counting_init)
+        eng = engine(replicas=2, faults=[ReplicaFault("slow", 0, 0.2, 2.0)])
+        eng.run(poisson_arrivals(40, 1, ALEX, seed=0), 1)
+        assert isinstance(eng, AdaptiveServingEngine)
+        assert built == [eng]
