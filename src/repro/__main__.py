@@ -487,7 +487,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         for name in catalogue:
             print(f"{name:{view.width}s} {build(name, seed=args.seed).description}")
         return 0
-    names = args.scenarios or list(catalogue)
+    names = list(dict.fromkeys(args.scenarios or catalogue))
     config = named_config(args.config)
     rollups = {name: run(build(name, seed=args.seed), config) for name in names}
     payload = rollups[names[0]] if len(names) == 1 else {

@@ -372,10 +372,7 @@ def plan_capacity(
     cache_delta = {"hits": 0, "misses": 0}
 
     def absorb(batch: List[Candidate], results: List) -> None:
-        for candidate, result in zip(batch, results):
-            if result is None:  # user skipped / worker died — leave unranked
-                continue
-            entry, delta = result
+        for candidate, (entry, delta) in zip(batch, results):
             for key in cache_delta:
                 cache_delta[key] += delta[key]
             evaluated[candidate.name] = entry

@@ -337,6 +337,11 @@ class ChaosScenario:
                 f"scenario {self.name!r} schedules link faults but has no "
                 "inter-chip link (chips < 2)"
             )
+        if self.schedule.mask_faults:
+            raise ConfigError(
+                f"scenario {self.name!r} schedules mask_faults, which only "
+                "the control tier arms (repro.control.chaos_scenarios)"
+            )
         self.schedule.validate_for(self.replicas)
 
     def meta(self) -> Dict[str, object]:

@@ -38,6 +38,15 @@ class TestChaosCommand:
         assert payload["seed"] == 1
         assert set(payload["scenarios"]) == {"single-crash", "pe-mask"}
 
+    def test_repeated_name_runs_once(self, capsys):
+        assert main(["chaos", "single-crash", "single-crash"]) == 0
+        twice = capsys.readouterr().out
+        assert main(["chaos", "single-crash"]) == 0
+        assert twice == capsys.readouterr().out
+        assert main(["chaos", "single-crash", "single-crash", "--json", "-"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["scenario"]["name"] == "single-crash"
+
     def test_json_to_file(self, capsys, tmp_path):
         target = tmp_path / "chaos.json"
         assert main(["chaos", "single-crash", "--json", str(target)]) == 0
