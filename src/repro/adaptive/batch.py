@@ -25,12 +25,11 @@ import dataclasses
 from dataclasses import dataclass
 from typing import List
 
-from repro.arch.buffers import AccessCounter
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ConfigError
 from repro.nn.network import Network
 from repro.perf.instrument import phase
-from repro.schemes.base import ScheduleResult
+from repro.schemes.base import FrozenDict, ScheduleResult
 from repro.sim.trace import NetworkRun
 
 __all__ = ["BatchRun", "batch_layer", "plan_batch"]
@@ -51,6 +50,13 @@ def _validate_batch_size(batch_size: int) -> None:
         raise ConfigError(f"batch size must be positive, got {batch_size!r}")
 
 
+#: the row's counts that grow with the batch: all but the weight fills
+_PER_IMAGE = (
+    "operations", "useful_macs", "extra_adds", "input_loads", "input_stores",
+    "output_loads", "output_stores", "weight_loads", "bias_loads",
+)
+
+
 def batch_layer(result: ScheduleResult, batch_size: int) -> ScheduleResult:
     """Scale one layer's single-image schedule to a batch.
 
@@ -60,29 +66,17 @@ def batch_layer(result: ScheduleResult, batch_size: int) -> ScheduleResult:
     _validate_batch_size(batch_size)
     if batch_size == 1:
         return result
-    b = batch_size
-    weight_fills = result.accesses["weight"].stores
-    accesses = {
-        name: AccessCounter(counter.loads * b, counter.stores * b)
-        for name, counter in result.accesses.items()
-    }
+    b, row = batch_size, result.costs
     # weights are fetched from DRAM once per batch
-    accesses["weight"] = AccessCounter(
-        result.accesses["weight"].loads * b, weight_fills
-    )
-    dram_words = (result.dram_words - weight_fills) * b + weight_fills
-    config = result.config
-    return dataclasses.replace(
-        result,
-        operations=result.operations * b,
-        useful_macs=result.useful_macs * b,
-        extra_adds=result.extra_adds * b,
-        accesses=accesses,
+    dram_words = (row.dram_words - row.weight_stores) * b + row.weight_stores
+    costs = row._replace(
+        **{name: getattr(row, name) * b for name in _PER_IMAGE},
         dram_words=dram_words,
-        dma_cycles=dram_words / config.dram_words_per_cycle,
-        reshape_cycles=result.reshape_cycles * b,
-        notes={**result.notes, "batch_size": b},
+        dma_cycles=dram_words / result.config.dram_words_per_cycle,
+        reshape_cycles=row.reshape_cycles * b,
+        notes=FrozenDict(row.notes, batch_size=b),
     )
+    return dataclasses.replace(result, costs=costs)
 
 
 @dataclass

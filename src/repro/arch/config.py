@@ -14,7 +14,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 
@@ -91,6 +92,16 @@ class AcceleratorConfig:
                     f"{attr} must hold at least one {self.word_bytes!r}-byte "
                     f"word, got {value!r}"
                 )
+
+    @cached_property
+    def schedule_key(self) -> Tuple:
+        """The knobs that shape schedule arithmetic — not the clock or the
+        overlap rule — computed once per config (the cost-table cache key)."""
+        return (
+            self.tin, self.tout, self.input_buffer_bytes, self.output_buffer_bytes,
+            self.weight_buffer_bytes, self.bias_buffer_bytes, self.word_bytes,
+            self.dram_words_per_cycle,
+        )
 
     @property
     def multipliers(self) -> int:

@@ -13,8 +13,8 @@ point of construction, not at analysis time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property, wraps
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import ShapeError
 from repro.nn.layers import (
@@ -26,9 +26,10 @@ from repro.nn.layers import (
     TensorShape,
 )
 
-__all__ = ["Network", "LayerContext", "NetworkStatsSummary", "standalone_conv"]
+__all__ = ["Network", "LayerContext", "NetworkStatsSummary", "per_context", "standalone_conv"]
 
 _INPUT = "__input__"
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,19 @@ class LayerContext:
             self.in_shape.as_tuple(),
             self.out_shape.as_tuple(),
         )
+
+
+def per_context(derive: Callable[[LayerContext], T]) -> Callable[[LayerContext], T]:
+    """``derive`` memoized on each context it reads: a quantity of the layer
+    alone is derived once per context, as :attr:`LayerContext.geometry_key` is."""
+    slot = f"{derive.__module__}.{derive.__qualname__}"
+
+    @wraps(derive)
+    def memoized(ctx: LayerContext) -> T:
+        memo = ctx.__dict__  # as functools.cached_property keeps its values
+        return memo[slot] if slot in memo else memo.setdefault(slot, derive(ctx))
+
+    return memoized
 
 
 def standalone_conv(

@@ -22,7 +22,6 @@ See ``docs/performance.md`` for the cache-key design and CLI semantics.
 from repro.perf.cache import (
     CacheStats,
     ScheduleCache,
-    config_key,
     schedule_cache,
 )
 from repro.perf.instrument import PERF, PerfRecorder, phase, render_perf_report
@@ -36,7 +35,6 @@ from repro.perf.parallel import (
 __all__ = [
     "CacheStats",
     "ScheduleCache",
-    "config_key",
     "schedule_cache",
     "PERF",
     "PerfRecorder",

@@ -3,8 +3,8 @@
 A *scheme* maps one convolutional layer onto the PE array.  What that
 costs — array compute cycles, buffer word accesses, off-chip traffic, and
 the layout it streams — is a :class:`Costs` row of plain numbers in the
-layer's :class:`~repro.schemes.table.CostTable`, which builds a
-:class:`ScheduleResult` record only for a scheme a caller keeps.
+layer's :class:`~repro.schemes.table.CostTable`, which binds the row of
+a scheme a caller keeps to the caller as a :class:`ScheduleResult` record.
 Everything downstream (planners, energy model, benchmarks) works from
 these records.
 
@@ -22,13 +22,15 @@ memory-bound, which is exactly the paper's VGG story.  Output *stores* are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Optional
 
 from repro.arch.buffers import AccessCounter
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ScheduleError
 from repro.nn.layers import ConvLayer
-from repro.nn.network import LayerContext
+from repro.nn.network import LayerContext, per_context
 from repro.tiling.fit import FitReport
 from repro.tiling.layout import Layout
 
@@ -88,6 +90,7 @@ class GroupGeometry:
         return self.groups * self.out_pixels * self.k * self.k * self.d * self.dout_g
 
 
+@per_context
 def group_geometry(ctx: LayerContext) -> GroupGeometry:
     """Extract the per-group geometry of a conv layer context."""
     layer = ctx.layer
@@ -105,9 +108,10 @@ def group_geometry(ctx: LayerContext) -> GroupGeometry:
 
 
 class Costs(NamedTuple):
-    """One scheme's costs on one layer and config, as plain numbers: a
-    :class:`ScheduleResult`'s, its access counters spread over seven fields
-    (no scheme stores into the bias buffer), one layout for both sides."""
+    """One scheme's costs on one layer and config, as plain numbers: the row a
+    :class:`ScheduleResult` views, its access counters spread over seven
+    fields (no scheme stores into the bias buffer), one layout for both
+    sides and the notes a :class:`FrozenDict` fixed when the row is priced."""
 
     operations: int
     useful_macs: int
@@ -123,14 +127,22 @@ class Costs(NamedTuple):
     dma_cycles: float
     reshape_cycles: float = 0.0
     layout: Layout = Layout.INTRA
-    notes: Optional[Mapping[str, object]] = None
+    notes: Mapping[str, object] = FrozenDict()  # a value, so shared
 
     @property
     def buffer_accesses(self) -> int:
         return sum(self[3:10])  # the seven access counts
 
+    def check_counts(self) -> None:
+        """Raise :class:`ScheduleError` unless the seven access counts are
+        non-negative, as each :class:`AccessCounter` must be."""
+        if min(self[3:10]) < 0:
+            raise ScheduleError(f"access counts must be non-negative: {self!r}")
+
     def total_cycles(self, overlap: bool) -> float:
-        """:attr:`ScheduleResult.total_cycles` under the overlap rule ``overlap``."""
+        """Wall-clock cycles: with double buffering (``overlap``, the default)
+        compute and the memory streams overlap; without, they serialize —
+        the hardware the paper's tiling is designed to avoid."""
         stream = max(self.dma_cycles, self.reshape_cycles)
         if overlap:
             return max(float(self.operations), stream)
@@ -139,61 +151,60 @@ class Costs(NamedTuple):
 
 @dataclass(frozen=True)
 class ScheduleResult:
-    """Activity record of one scheme on one layer.
+    """Activity record of one scheme on one layer: its cost table's
+    :class:`Costs` row bound to a caller's layer name and config.
 
     All counts are totals over the whole layer (all groups).  A value: the
-    record is frozen and ``accesses``/``notes`` become :class:`FrozenDict`,
-    so the schedule cache and every plan reading a record share one object.
+    record and its row are frozen and ``accesses``/``notes`` are
+    :class:`FrozenDict`, so the schedule cache and every plan reading a
+    record share one object.
     """
 
     scheme: str
     layer_name: str
     config: AcceleratorConfig
-    #: PE-array compute cycles (one operation per cycle)
-    operations: int
-    #: multiplies that produced a real output (<= operations * Tin * Tout)
-    useful_macs: int
-    #: extra adder ops for add-and-store accumulation (improved inter, partition)
-    extra_adds: int
-    #: per-buffer word access counters ("input"/"output"/"weight"/"bias")
-    accesses: Mapping[str, AccessCounter]
-    #: off-chip words moved (compulsory + spill, including unroll inflation)
-    dram_words: int
-    #: cycles the DMA engines need for dram_words
-    dma_cycles: float
-    #: host-side data-reshape stream cycles (unrolling realization only)
-    reshape_cycles: float = 0.0
-    input_layout: Layout = Layout.INTRA
-    output_layout: Layout = Layout.INTRA
-    fit: FitReport = None  # type: ignore[assignment]
-    notes: Mapping[str, object] = field(default_factory=FrozenDict)
+    costs: Costs
+    fit: Optional[FitReport] = None
+    #: wall-clock cycles under ``config``'s overlap rule (:meth:`Costs.total_cycles`),
+    #: fixed when the record is bound to ``config``
+    total_cycles: float = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if type(self.accesses) is not FrozenDict:
-            object.__setattr__(self, "accesses", FrozenDict(self.accesses))
-        if type(self.notes) is not FrozenDict:
-            object.__setattr__(self, "notes", FrozenDict(self.notes))
+        self.costs.check_counts()
+        cycles = self.costs.total_cycles(self.config.overlap_streams)
+        object.__setattr__(self, "total_cycles", cycles)
 
-    @property
-    def compute_cycles(self) -> int:
-        return self.operations
+    #: PE-array compute cycles (one operation per cycle)
+    operations = compute_cycles = property(attrgetter("costs.operations"))
+    #: multiplies that produced a real output (<= operations * Tin * Tout)
+    useful_macs = property(attrgetter("costs.useful_macs"))
+    #: extra adder ops for add-and-store accumulation (improved inter, partition)
+    extra_adds = property(attrgetter("costs.extra_adds"))
+    #: off-chip words moved (compulsory + spill, including unroll inflation)
+    dram_words = property(attrgetter("costs.dram_words"))
+    #: cycles the DMA engines need for dram_words
+    dma_cycles = property(attrgetter("costs.dma_cycles"))
+    #: host-side data-reshape stream cycles (unrolling realization only)
+    reshape_cycles = property(attrgetter("costs.reshape_cycles"))
+    input_layout = output_layout = property(attrgetter("costs.layout"))
+    notes = property(attrgetter("costs.notes"))
+
+    @cached_property
+    def accesses(self) -> Mapping[str, AccessCounter]:
+        """Per-buffer word access counters ("input"/"output"/"weight"/"bias"),
+        built from the row on first read."""
+        row = self.costs
+        return FrozenDict(
+            input=AccessCounter(row.input_loads, row.input_stores),
+            output=AccessCounter(row.output_loads, row.output_stores),
+            weight=AccessCounter(row.weight_loads, row.weight_stores),
+            bias=AccessCounter(row.bias_loads),
+        )
 
     @property
     def stream_cycles(self) -> float:
         """Cycles of the memory side: DMA and host reshape pipeline strip-wise."""
         return max(self.dma_cycles, self.reshape_cycles)
-
-    @property
-    def total_cycles(self) -> float:
-        """Wall-clock cycles.
-
-        With double buffering (the default) compute and the memory streams
-        overlap; with ``config.overlap_streams = False`` they serialize —
-        the hardware the paper's tiling is designed to avoid."""
-        stream = max(self.dma_cycles, self.reshape_cycles)  # stream_cycles
-        if self.config.overlap_streams:
-            return max(float(self.operations), stream)
-        return float(self.operations) + stream
 
     @property
     def utilization(self) -> float:
@@ -206,7 +217,7 @@ class ScheduleResult:
     @property
     def buffer_accesses(self) -> int:
         """Total on-chip buffer word accesses (the Fig. 10 metric, in words)."""
-        return sum(c.total for c in self.accesses.values())
+        return self.costs.buffer_accesses
 
     @property
     def buffer_access_bits(self) -> int:

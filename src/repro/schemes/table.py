@@ -6,16 +6,18 @@ geometry and buffer fit.  A :class:`CostTable` derives those once, prices
 the oracle's four candidates in one pass over them (the ideal bound and
 the 2D-mesh extension on demand) as :class:`~repro.schemes.base.Costs`
 rows of plain numbers, or the name-free text of why a scheme cannot map
-the layer, and builds a :class:`~repro.schemes.base.ScheduleResult` only
-for a scheme a caller keeps, memoized and rebound to each caller's layer
-name and config.  Each scheme's model is its module's docstring.  A
-non-conv layer's table holds one row, its
+the layer.  A :class:`~repro.schemes.base.ScheduleResult` is a row bound to
+a caller's layer name and config, built only for a scheme a caller keeps,
+memoized and rebound to each later caller.  Each scheme's model is its
+module's docstring.  A non-conv layer's table holds one row, its
 :func:`~repro.schemes.auxiliary.auxiliary_costs`.
 
 Rows read the layer's geometry and the config knobs of
-:func:`repro.perf.cache.config_key`, never the layer's name, the clock or
-``overlap_streams``.  The oracle's winner ranks wall-clock cycles, which
-do read ``overlap_streams``, so a table keeps one winner per overlap flag.
+``AcceleratorConfig.schedule_key``, never the layer's name, the clock or
+``overlap_streams``; what they read of the layer alone is derived once per
+:class:`~repro.nn.network.LayerContext`.  The oracle's winner ranks
+wall-clock cycles, which do read ``overlap_streams``, so the pass that
+prices the candidates ranks them under both overlap rules.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Union
 
-from repro.arch.buffers import AccessCounter
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ConfigError, ScheduleError
 from repro.nn.layers import ConvLayer
-from repro.nn.network import LayerContext
+from repro.nn.network import LayerContext, per_context
 from repro.schemes.auxiliary import auxiliary_costs
 from repro.schemes.base import Costs, FrozenDict, ScheduleResult, Scheme, group_geometry
 from repro.schemes.ideal import IdealScheme
@@ -76,10 +77,10 @@ def all_scheme_names() -> List[str]:
 
 
 def _new_record(fields: Dict[str, object]) -> ScheduleResult:
-    """A record whose instance dict is ``fields`` (all of them, ``accesses``
-    and ``notes`` already :class:`FrozenDict`s): built by hand, as the
-    frozen ``__init__`` takes twice as long and a design-space sweep builds
-    tens of thousands."""
+    """A record whose instance dict is ``fields`` (all of them, its row's
+    counts checked and ``total_cycles`` under its config's overlap rule):
+    built by hand, as the frozen ``__init__`` takes twice as long and a
+    design-space sweep builds tens of thousands."""
     record = object.__new__(ScheduleResult)
     object.__setattr__(record, "__dict__", fields)
     return record
@@ -89,10 +90,28 @@ def _rebind(
     record: ScheduleResult, ctx: LayerContext, config: AcceleratorConfig
 ) -> ScheduleResult:
     """``record`` as the caller's: itself if it already is, else a shallow
-    copy (its fields are values, so the copy shares them)."""
+    copy (its fields are values, so the copy shares them) whose cycles
+    follow ``config``'s overlap rule."""
     if record.layer_name == ctx.name and record.config is config:
         return record
-    return _new_record({**record.__dict__, "layer_name": ctx.name, "config": config})
+    fields = {**record.__dict__, "layer_name": ctx.name, "config": config}
+    if config.overlap_streams != record.config.overlap_streams:
+        fields["total_cycles"] = record.costs.total_cycles(config.overlap_streams)
+    return _new_record(fields)
+
+
+@per_context
+def _unrolled_words(ctx: LayerContext) -> int:
+    return unroll_stats(ctx.layer, ctx.in_shape).unrolled_elements
+
+
+@per_context
+def _padded_input_words(ctx: LayerContext) -> int:
+    """Partition's input, zero-padded for every sub-kernel's scan."""
+    layer, shape = ctx.layer, ctx.in_shape
+    _, ph = padded_input_extent(shape.height, layer.kernel, layer.stride, layer.pad)
+    _, pw = padded_input_extent(shape.width, layer.kernel, layer.stride, layer.pad)
+    return shape.depth * ph * pw
 
 
 class CostTable:
@@ -153,9 +172,9 @@ class CostTable:
         but the output drain; and loads the bias once per output map.  Rows
         list :class:`Costs` fields in order: operations, useful MACs, extra
         adds, input, output and weight loads and stores, bias loads, DRAM
-        words, DMA cycles.
+        words, DMA cycles.  Ranks them for :meth:`winner` from those numbers.
         """
-        geom, config, ctx, rows = self.geom, self.config, self.ctx, self._rows
+        geom, config, ctx, rows = self.geom, self.config, self.ctx, {}
         k, s, d, dout_g = geom.k, geom.s, geom.d, geom.dout_g
         fit = self.fit
         out, bias, macs = ctx.out_shape.elements, ctx.out_shape.depth, geom.macs
@@ -183,7 +202,7 @@ class CostTable:
         rows["inter-improved"] = Costs(
             ops, macs, out * (passes - 1), data, fills, out * passes,
             out * passes, weights, weights, bias, traffic, fit.dma_cycles,
-            layout=Layout.INTER, notes={"passes": passes},
+            layout=Layout.INTER, notes=FrozenDict(passes=passes),
         )
 
         # intra-kernel: a receptive field of k*k*d words in Tin-word chunks,
@@ -198,7 +217,7 @@ class CostTable:
             # unrolled input replaces the raw one, cannot be strip-tiled, so
             # what the input buffer cannot hold is re-fetched per Dout chunk,
             # and weight overflow re-streams like everyone else's
-            stream = unroll_stats(ctx.layer, ctx.in_shape).unrolled_elements
+            stream = _unrolled_words(ctx)
             reshape = stream / DEFAULT_RESHAPE_WORDS_PER_CYCLE
             dram = fit.compulsory_words - fit.working_set.input_words + stream
             dram += (dout_chunks - 1) * max(0, stream - config.input_buffer_words)
@@ -209,46 +228,49 @@ class CostTable:
             pixels * field * dout_chunks, max(0, dram - weights - out),
             out * passes, out * passes, weights, weights, bias, dram,
             dram / config.dram_words_per_cycle, reshape,
-            notes={"mode": mode, "stream_words": stream},
+            notes=FrozenDict(mode=mode, stream_words=stream),
         )
 
-        if s >= k:
-            return  # row() holds partition's illegality
-        # kernel partitioning: G = g*g sub-kernels of ks*ks; one scan of the
-        # output map per (piece, input map, Dout chunk), Tin // (ks*ks)
-        # windows per op (or ceil(ks*ks / Tin) ops per window); pieces * d
-        # accumulation passes (Algorithm 1 lines 7-8); the zero-padded
-        # weights are loaded and multiplied, but are not useful MACs
-        pgeom = partition_geometry(k, s)
-        window, pieces = pgeom.sub_window_elements, pgeom.pieces
-        if window <= config.tin:
-            windows_per_op = config.tin // window
-            ops_per_scan = math.ceil(geom.out_pixels / windows_per_op)
-        else:
-            windows_per_op = 1
-            ops_per_scan = geom.out_pixels * math.ceil(window / config.tin)
-        scans = geom.groups * pieces * d * dout_chunks
-        padded = geom.groups * pieces * window * d * dout_g
-        # off-chip input grows only by the partition zero-padding margin
-        _, ph = padded_input_extent(ctx.in_shape.height, k, s, ctx.layer.pad)
-        _, pw = padded_input_extent(ctx.in_shape.width, k, s, ctx.layer.pad)
-        dram = (
-            traffic - fit.working_set.input_words + ctx.in_shape.depth * ph * pw
-            - weights + padded
-        )
-        passes = pieces * d
-        rows["partition"] = Costs(
-            scans * ops_per_scan, macs, out * (passes - 1),
-            scans * geom.out_pixels * window, max(0, dram - padded - out),
-            out * passes, out * passes, padded, padded, bias, dram,
-            dram / config.dram_words_per_cycle,
-            notes={
-                "pieces": pieces,
-                "sub_kernel": pgeom.sub_kernel,
-                "windows_per_op": windows_per_op,
-                "pad_overhead": pgeom.pad_overhead,
-            },
-        )
+        if s < k:  # else row() holds partition's illegality
+            # kernel partitioning: G = g*g sub-kernels of ks*ks; one scan of the
+            # output map per (piece, input map, Dout chunk), Tin // (ks*ks)
+            # windows per op (or ceil(ks*ks / Tin) ops per window); pieces * d
+            # accumulation passes (Algorithm 1 lines 7-8); the zero-padded
+            # weights are loaded and multiplied, but are not useful MACs
+            pgeom = partition_geometry(k, s)
+            window, pieces = pgeom.sub_window_elements, pgeom.pieces
+            if window <= config.tin:
+                windows_per_op = config.tin // window
+                ops_per_scan = math.ceil(geom.out_pixels / windows_per_op)
+            else:
+                windows_per_op = 1
+                ops_per_scan = geom.out_pixels * math.ceil(window / config.tin)
+            scans = geom.groups * pieces * d * dout_chunks
+            padded = geom.groups * pieces * window * d * dout_g
+            # off-chip input grows only by the partition zero-padding margin
+            dram = (
+                traffic - fit.working_set.input_words + _padded_input_words(ctx)
+                - weights + padded
+            )
+            passes = pieces * d
+            rows["partition"] = Costs(
+                scans * ops_per_scan, macs, out * (passes - 1),
+                scans * geom.out_pixels * window, max(0, dram - padded - out),
+                out * passes, out * passes, padded, padded, bias, dram,
+                dram / config.dram_words_per_cycle,
+                notes=FrozenDict(
+                    pieces=pieces,
+                    sub_kernel=pgeom.sub_kernel,
+                    windows_per_op=windows_per_op,
+                    pad_overhead=pgeom.pad_overhead,
+                ),
+            )
+        ranked = [(row.buffer_accesses, name, row) for name, row in rows.items()]
+        for overlap in (False, True):  # the cycle oracle's pick, in cycle_rank's order
+            self._winners[overlap] = min(
+                [(row.total_cycles(overlap), accesses, name) for accesses, name, row in ranked]
+            )[2]
+        self._rows.update(rows)  # last: winner() trusts the winners once a row is there
 
     def _price_ideal(self) -> None:
         """Every multiplier busy, every word across each interface once."""
@@ -277,11 +299,11 @@ class CostTable:
             int(tiles * work * max(1, geom.s)), geom.macs, 0,
             ctx.in_shape.elements * geom.dout_g, max(0, traffic - weights - out),
             out, out, work, weights, ctx.out_shape.depth, traffic, fit.dma_cycles,
-            notes={
-                "tiles": tiles,
-                "mesh": f"{config.tin}x{config.tout}",
-                "stride_stall_factor": max(1, geom.s),
-            },
+            notes=FrozenDict(
+                tiles=tiles,
+                mesh=f"{config.tin}x{config.tout}",
+                stride_stall_factor=max(1, geom.s),
+            ),
         )
 
     def legal(self, name: str) -> bool:
@@ -291,26 +313,11 @@ class CostTable:
     def _record(
         self, name: str, row: Costs, ctx: LayerContext, config: AcceleratorConfig
     ) -> ScheduleResult:
+        row.check_counts()
         return _new_record({
-            "scheme": name,
-            "layer_name": ctx.name,
-            "config": config,
-            "operations": row.operations,
-            "useful_macs": row.useful_macs,
-            "extra_adds": row.extra_adds,
-            "accesses": FrozenDict(
-                input=AccessCounter(row.input_loads, row.input_stores),
-                output=AccessCounter(row.output_loads, row.output_stores),
-                weight=AccessCounter(row.weight_loads, row.weight_stores),
-                bias=AccessCounter(row.bias_loads),
-            ),
-            "dram_words": row.dram_words,
-            "dma_cycles": row.dma_cycles,
-            "reshape_cycles": row.reshape_cycles,
-            "input_layout": row.layout,
-            "output_layout": row.layout,
+            "scheme": name, "layer_name": ctx.name, "config": config, "costs": row,
             "fit": None if self.geom is None else self.fit,
-            "notes": FrozenDict(row.notes or ()),
+            "total_cycles": row.total_cycles(config.overlap_streams),
         })
 
     def result(
@@ -348,15 +355,10 @@ class CostTable:
 
     def winner(self, ctx: LayerContext, config: AcceleratorConfig) -> str:
         """The cycle oracle's pick among :data:`CANDIDATES` under ``config``'s
-        overlap rule, memoized per overlap flag."""
-        overlap = config.overlap_streams
-        name = self._winners.get(overlap)
-        if name is None:
-            ranks = [self.cycle_rank(n, overlap) for n in CANDIDATES if self.legal(n)]
-            if not ranks:
-                raise ScheduleError(f"{ctx.name}: no candidate scheme is legal")
-            name = self._winners[overlap] = min(ranks)[2]
-        return name
+        overlap rule, ranked under both rules when the candidates are priced."""
+        if isinstance(self.row("intra"), str):  # not a conv layer
+            raise ScheduleError(f"{ctx.name}: no candidate scheme is legal")
+        return self._winners[config.overlap_streams]
 
 
 #: how a table prices each scheme's row (the oracle's candidates at once)

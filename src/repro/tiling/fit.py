@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ShapeError
 from repro.nn.layers import ConvLayer, TensorShape
-from repro.nn.network import LayerContext
+from repro.nn.network import LayerContext, per_context
 
 __all__ = ["WorkingSet", "FitReport", "working_set", "analyze_fit"]
 
@@ -73,6 +73,7 @@ class FitReport:
         return self.compulsory_words + self.spill_words
 
 
+@per_context
 def working_set(ctx: LayerContext) -> WorkingSet:
     """On-chip words needed to hold a conv layer's tensors whole."""
     layer = ctx.layer

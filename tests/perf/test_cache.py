@@ -11,7 +11,7 @@ from repro.arch.buffers import AccessCounter
 from repro.arch.config import CONFIG_16_16, CONFIG_32_32, AcceleratorConfig
 from repro.errors import ScheduleError
 from repro.nn.zoo import NETWORK_BUILDERS, build
-from repro.perf.cache import ScheduleCache, config_key, schedule_cache
+from repro.perf.cache import ScheduleCache, schedule_cache
 from repro.schemes import make_scheme
 
 ZOO = sorted(NETWORK_BUILDERS)
@@ -105,12 +105,12 @@ def test_distinct_configs_never_share_entries():
         ),
         "32-32": CONFIG_32_32,
     }
-    base_key = config_key(CONFIG_16_16)
+    base_key = CONFIG_16_16.schedule_key
     schedule_cache.get_or_schedule("inter", ctx, CONFIG_16_16)
     baseline = schedule_cache.stats()
     assert baseline.misses == 1
     for name, variant in variants.items():
-        assert config_key(variant) != base_key, name
+        assert variant.schedule_key != base_key, name
     # requesting each variant is a fresh miss, never a cross-config hit
     misses = baseline.misses
     for variant in variants.values():
@@ -149,6 +149,14 @@ def test_returned_results_are_immutable():
         first.accesses["input"] = AccessCounter()
     with pytest.raises(TypeError):
         first.notes["tainted"] = True
+    # the record is a view over its table's row: the row and its notes refuse writes too
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.costs = first.costs._replace(operations=0)
+    with pytest.raises(AttributeError):
+        first.costs.operations = 0
+    with pytest.raises(TypeError):
+        first.costs.notes["tainted"] = True
+    assert first.notes is first.costs.notes
     second = schedule_cache.get_or_schedule("intra", ctx, CONFIG_16_16)
     assert second is first  # same layer name and config object: the stored value
     assert _layer_fingerprint(second) == fingerprint

@@ -13,7 +13,6 @@ from repro.arch.config import CONFIG_16_16
 from repro.errors import ConfigError
 from repro.nn.zoo import build
 from repro.nn.zoo.custom import sequential_cnn
-from repro.perf.cache import config_key
 from repro.resilience.degrade import degraded_config, replan_degraded
 from repro.resilience.faults import PEMask
 
@@ -76,21 +75,21 @@ class TestSchemeFlip:
 class TestCacheKeys:
     def test_degraded_config_keys_distinct(self):
         degraded = degraded_config(CONFIG_16_16, PEMask(masked_cols=9))
-        assert config_key(degraded) != config_key(CONFIG_16_16)
+        assert degraded.schedule_key != CONFIG_16_16.schedule_key
 
     def test_canonical_keys_distinct_per_geometry(self):
         # the full cache key of one layer: healthy and degraded never share
         ctx = DIN8.conv_contexts()[0]
         degraded = degraded_config(CONFIG_16_16, PEMask(masked_cols=9))
-        healthy_key = (ctx.geometry_key, config_key(CONFIG_16_16))
-        degraded_key = (ctx.geometry_key, config_key(degraded))
+        healthy_key = (ctx.geometry_key, CONFIG_16_16.schedule_key)
+        degraded_key = (ctx.geometry_key, degraded.schedule_key)
         assert healthy_key != degraded_key
 
     def test_row_only_mask_also_distinct(self):
         ctx = DIN8.conv_contexts()[0]
         degraded = degraded_config(CONFIG_16_16, PEMask(masked_rows=1))
-        assert (ctx.geometry_key, config_key(degraded)) != (
-            ctx.geometry_key, config_key(CONFIG_16_16)
+        assert (ctx.geometry_key, degraded.schedule_key) != (
+            ctx.geometry_key, CONFIG_16_16.schedule_key
         )
 
 

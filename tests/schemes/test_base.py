@@ -10,7 +10,7 @@ from repro.errors import ScheduleError
 from repro.nn.layers import PoolLayer, TensorShape
 from repro.nn.network import LayerContext
 from repro.schemes import CostTable, make_scheme
-from repro.schemes.base import FrozenDict, group_geometry
+from repro.schemes.base import FrozenDict, ScheduleResult, group_geometry
 
 from tests.conftest import make_ctx
 
@@ -50,6 +50,18 @@ class TestAccessCounts:
             AccessCounter(loads=-1)
         with pytest.raises(ScheduleError, match="stores=-2"):
             AccessCounter(loads=3, stores=-2)
+
+    def test_negative_row_count_refuses_the_record(self, cfg16):
+        """A record's counters are built on first read, so the row's counts
+        are checked when the record is built, from a table or by hand."""
+        ctx = make_ctx()
+        table = CostTable(ctx, cfg16)
+        row = table.row("intra")._replace(input_loads=-1)
+        table._rows["intra"] = row
+        with pytest.raises(ScheduleError, match="input_loads=-1"):
+            table.result("intra", ctx, cfg16)
+        with pytest.raises(ScheduleError, match="input_loads=-1"):
+            ScheduleResult("intra", ctx.name, cfg16, row)
 
 
 class TestScheduleResult:

@@ -1,11 +1,11 @@
 """Schedule-cache keys include effective geometry (the tenancy guarantee).
 
 A partitioned or masked chip must never share cache entries with the
-full chip — ``config_key`` carries tin/tout, the four buffer sizes, and
-the DMA rate, so every distinct effective geometry gets distinct keys —
-while the *degenerate* whole-chip partition derives a config equal to
-the parent and therefore hits exactly the parent's entries (bit-identical
-plans, by construction rather than by luck).
+full chip — ``AcceleratorConfig.schedule_key`` carries tin/tout, the four
+buffer sizes, and the DMA rate, so every distinct effective geometry gets
+distinct keys — while the *degenerate* whole-chip partition derives a
+config equal to the parent and therefore hits exactly the parent's
+entries (bit-identical plans, by construction rather than by luck).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ except ImportError:  # pragma: no cover
 
 from repro.adaptive import plan_network
 from repro.arch.config import CONFIG_32_32
-from repro.perf.cache import config_key
 from repro.resilience import PEMask, degraded_config
 from repro.tenancy import even_partitions, full_chip_spec, partition_chip
 
@@ -31,7 +30,7 @@ class TestKeyDistinctness:
     def test_partition_key_differs_from_parent(self):
         subs = partition_chip(CONFIG_32_32, even_partitions(CONFIG_32_32, 2))
         for sub in subs:
-            assert config_key(sub.config) != config_key(CONFIG_32_32)
+            assert sub.config.schedule_key != CONFIG_32_32.schedule_key
 
     def test_mask_and_partition_same_pe_still_distinct(self):
         # a PE mask shrinks the array but keeps the whole SRAM; a
@@ -40,18 +39,18 @@ class TestKeyDistinctness:
         sub = partition_chip(CONFIG_32_32, even_partitions(CONFIG_32_32, 2))[0]
         assert masked.tin == sub.config.tin
         assert masked.tout == sub.config.tout
-        assert config_key(masked) != config_key(sub.config)
+        assert masked.schedule_key != sub.config.schedule_key
 
     def test_degenerate_partition_hits_parent_entries(self):
         (sub,) = partition_chip(CONFIG_32_32, [full_chip_spec(CONFIG_32_32)])
-        assert config_key(sub.config) == config_key(CONFIG_32_32)
+        assert sub.config.schedule_key == CONFIG_32_32.schedule_key
 
     def test_sibling_partitions_of_equal_shape_share_keys(self):
         # two 16x32 strips are the *same* geometry — they should share
         # cache entries with each other (that's the win), just not with
         # the parent
         a, b = partition_chip(CONFIG_32_32, even_partitions(CONFIG_32_32, 2))
-        assert config_key(a.config) == config_key(b.config)
+        assert a.config.schedule_key == b.config.schedule_key
 
 
 class TestDegenerateBitIdentity:
@@ -83,9 +82,9 @@ if HAVE_HYPOTHESIS:
             for i, s in enumerate(specs)
         ]
         subs = partition_chip(CONFIG_32_32, specs)
-        parent_key = config_key(CONFIG_32_32)
+        parent_key = CONFIG_32_32.schedule_key
         for sub in subs:
-            assert config_key(sub.config) != parent_key
+            assert sub.config.schedule_key != parent_key
 else:  # pragma: no cover
 
     @pytest.mark.skip(reason="hypothesis not installed")
