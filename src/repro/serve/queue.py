@@ -17,15 +17,20 @@ Requests are grouped *per network* because a batch must share weights: the
 batcher can only fuse requests that run the same model.  The queue holds
 row numbers of the engine's request stream
 (:class:`~repro.serve.workload.Arrivals`) next to the values that order
-and shed them, so it never reads a request record.
+and shed them, so it never reads a request record.  A ``fifo`` group is
+a deque in arrival order, since stream offers arrive in that order; an
+``edf`` group is a heap.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import insort
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.serve.batcher import BatchPolicy
@@ -73,12 +78,16 @@ class QueuePolicy:
 class AdmissionQueue:
     """Per-network request queues under one :class:`QueuePolicy`.
 
-    Each group is a heap of ``[*order key, seq, row]`` entries (``seq``
-    counts offers, so ties pop in offer order), with the request's
-    deadline carried after ``seq`` under ``fifo``: O(log depth) offer, O(1)
-    oldest arrival, O(batch · log depth) pop.  Under ``edf`` a second heap
-    orders the same entries by arrival; a pop sets the entry's row slot
-    to ``None`` and the arrival heap discards such entries from its top.
+    Under ``fifo`` each group is a deque of ``(arrival_s, rid, seq,
+    deadline_s, row)`` entries in ascending order (``seq`` counts offers,
+    so ties pop in offer order): an offer at or above the tail is
+    appended in O(1), one below it (a failover retry re-offered with its
+    original arrival) is inserted at its place, the head is the oldest
+    arrival and a pop takes from the left.  Under ``edf`` each group is a
+    heap of ``[deadline_s, arrival_s, rid, seq, row]`` entries, and a
+    second heap orders the same entries by arrival; a pop sets the entry's
+    row slot to ``None`` and the arrival heap discards such entries from
+    its top.
     """
 
     def __init__(self, policy: QueuePolicy = QueuePolicy()) -> None:
@@ -86,9 +95,11 @@ class AdmissionQueue:
         self._edf = policy.order == "edf"
         #: where an entry holds its arrival and its deadline
         self._at, self._due = (1, 0) if self._edf else (0, 3)
-        self._groups: Dict[str, List[list]] = {}
+        self._groups: Dict[str, Union[deque, List[list]]] = defaultdict(
+            list if self._edf else deque
+        )
         #: edf only: network -> heap of (arrival_s, rid, seq, group entry)
-        self._arrivals: Dict[str, List[tuple]] = {}
+        self._arrivals: Dict[str, List[tuple]] = defaultdict(list)
         self._seq = 0
         self._depth = 0
 
@@ -115,9 +126,9 @@ class AdmissionQueue:
 
     def ready_time(self, network: str, batch_policy: BatchPolicy) -> float:
         """When ``network``'s (non-empty) group may dispatch."""
-        return batch_policy.ready_time(
-            self.oldest_arrival(network), len(self._groups[network])
-        )
+        group = self._groups[network]
+        oldest = self.oldest_arrival(network) if self._edf else group[0][0]
+        return batch_policy.ready_time(oldest, len(group))
 
     def next_ready(self, batch_policy: BatchPolicy) -> Tuple[float, float, str]:
         """``(ready_time, oldest_arrival, network)`` of the group to dispatch next.
@@ -125,12 +136,12 @@ class AdmissionQueue:
         The tuple is a total order, so the minimum does not depend on the
         order the groups are visited in.
         """
+        edf, ready_time = self._edf, batch_policy.ready_time
         candidates = []
         for net, group in self._groups.items():
             if group:
-                oldest = self.oldest_arrival(net)
-                ready = batch_policy.ready_time(oldest, len(group))
-                candidates.append((ready, oldest, net))
+                oldest = self.oldest_arrival(net) if edf else group[0][0]
+                candidates.append((ready_time(oldest, len(group)), oldest, net))
         return min(candidates)
 
     # -- admission --------------------------------------------------------
@@ -143,15 +154,18 @@ class AdmissionQueue:
             return SHED_QUEUE_FULL
         seq = self._seq
         self._seq += 1
+        self._depth += 1
+        group = self._groups[network]
         if self._edf:
             entry = [deadline_s, arrival_s, rid, seq, row]
-            heapq.heappush(
-                self._arrivals.setdefault(network, []), (arrival_s, rid, seq, entry)
-            )
+            heapq.heappush(self._arrivals[network], (arrival_s, rid, seq, entry))
+            heapq.heappush(group, entry)
+            return None
+        entry = (arrival_s, rid, seq, deadline_s, row)
+        if group and entry < group[-1]:
+            insort(group, entry)
         else:
-            entry = [arrival_s, rid, seq, deadline_s, row]
-        heapq.heappush(self._groups.setdefault(network, []), entry)
-        self._depth += 1
+            group.append(entry)
         return None
 
     # -- dispatch ---------------------------------------------------------
@@ -166,15 +180,18 @@ class AdmissionQueue:
         than returned; shedding continues past them so a stale head of the
         queue cannot starve fresh requests behind it.
         """
-        group = self._groups.get(network, [])
+        group = self._groups[network]
+        edf = self._edf
+        take = partial(heapq.heappop, group) if edf else group.popleft
         max_age, expired = self.policy.max_age_s, self.policy.shed_expired
         at, due = self._at, self._due
         batch: List[int] = []
         shed: List[Tuple[int, str]] = []
         while group and len(batch) < max_batch:
-            entry = heapq.heappop(group)
+            entry = take()
             row = entry[-1]
-            entry[-1] = None  # dead in the edf arrival heap
+            if edf:
+                entry[-1] = None  # dead in the arrival heap
             if max_age is not None and now - entry[at] > max_age:
                 shed.append((row, SHED_MAX_AGE))
             elif expired and now > entry[due]:

@@ -82,13 +82,13 @@ class TestThreadedHammering:
     """Many threads sharing one cache instance, as a threaded caller would."""
 
     def test_threaded_plans_identical_and_counters_add_up(self):
-        cache = ScheduleCache(maxsize=512)
         reference = {name: _plan_one(name) for name in NETWORKS}
         results = []
         errors = []
         lock = threading.Lock()
+        rounds = 5
 
-        def worker(name, rounds=5):
+        def worker(name):
             try:
                 for _ in range(rounds):
                     fp = _fingerprint(
@@ -105,14 +105,25 @@ class TestThreadedHammering:
             for name in NETWORKS
             for _ in range(3)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        enabled = schedule_cache.enabled
+        schedule_cache.configure(enabled=True)
+        schedule_cache.clear()
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            stats = schedule_cache.stats()
+        finally:
+            schedule_cache.configure(enabled=enabled)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
-        assert len(results) == len(NETWORKS) * 3 * 5
+        assert len(results) == len(NETWORKS) * 3 * rounds
         for name, fp in results:
             assert fp == reference[name], name
+        # an adaptive-2 plan looks up one table per conv layer
+        convs = sum(len(build(name).conv_contexts()) for name in NETWORKS)
+        assert stats.hits + stats.misses == 3 * rounds * convs == 1350
 
     def test_shared_cache_counters_race_free(self):
         """hits + misses must equal the exact number of lookups issued."""
@@ -131,7 +142,8 @@ class TestThreadedHammering:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
         stats = cache.stats()
         assert stats.lookups == n_threads * rounds * len(contexts)
         assert stats.lookups == stats.hits + stats.misses

@@ -32,8 +32,6 @@ _DEADLINE = attrgetter("deadline_s")
 _TENANT = attrgetter("tenant")
 _NETWORK = attrgetter("network")
 _RID = attrgetter("rid")
-#: floats boxed at a time when a column is summed (bounds the temporaries)
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -181,9 +179,12 @@ def _round(x: float) -> float:
 
 
 def _sum(values: np.ndarray) -> float:
-    """Builtin ``sum`` of ``values`` in order, over Python floats."""
-    chunks = (values[i : i + _CHUNK].tolist() for i in range(0, len(values), _CHUNK))
-    return sum(chain.from_iterable(chunks))
+    """``values`` added left to right to 0.0 (Python 3.11's builtin
+    ``sum``; 3.12's compensates, so it is spelled out)."""
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
 
 
 def _floats(requests: Sequence[Request], field: attrgetter) -> np.ndarray:

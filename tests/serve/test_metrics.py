@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.serve.metrics import (
     MetricsCollector,
     RequestRecord,
+    _sum,
     percentile,
     to_json,
 )
@@ -148,3 +152,38 @@ class TestJson:
             return to_json(m.summary(1.0, 1, 0.1))
 
         assert build() == build()
+
+
+MAGNITUDES = st.floats(min_value=1e-3, max_value=1e3)
+
+
+class TestSum:
+    """The summary's sums add in completion order, left to right from
+    0.0, as Python 3.11's builtin ``sum`` does (3.12's compensates)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        head=st.lists(
+            st.one_of(
+                MAGNITUDES, MAGNITUDES.map(lambda x: -x), st.sampled_from((0.0, -0.0))
+            ),
+            max_size=24,
+        ),
+        tail=st.sampled_from((0, 1, 2, 65_535, 65_536, 65_537, 150_001)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(head=[], tail=0, seed=0)
+    @example(head=[-0.0], tail=0, seed=0)  # 0.0 + -0.0 is 0.0
+    @example(head=[-0.0, -0.0], tail=0, seed=0)
+    @example(head=[2.5], tail=0, seed=0)
+    def test_adds_left_to_right(self, head, tail, seed):
+        rng = np.random.default_rng(seed)
+        spread = rng.choice((-1.0, 1.0), tail) * 10.0 ** rng.uniform(-3, 3, tail)
+        values = np.concatenate([np.array(head, dtype=np.float64), spread])
+        want = 0.0
+        for value in values.tolist():
+            want += value
+        got = _sum(values)
+        assert type(got) is float
+        assert got.hex() == want.hex()
+

@@ -15,7 +15,7 @@ reduction divided by zero, and the columnar one reports utilization 0.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,10 +44,19 @@ def _round(x: float) -> float:
     return round(x, 6)
 
 
+def _sum(values: Iterable[float]) -> float:
+    """``values`` added left to right to 0.0 (Python 3.11's builtin
+    ``sum``; 3.12's compensates, so it is spelled out)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _distribution_ms(values_s: Sequence[float]) -> Dict[str, float]:
     ms = [v * 1e3 for v in values_s]
     return {
-        "mean": _round(sum(ms) / len(ms)) if ms else 0.0,
+        "mean": _round(_sum(ms) / len(ms)) if ms else 0.0,
         "p50": _round(percentile(ms, 50)),
         "p95": _round(percentile(ms, 95)),
         "p99": _round(percentile(ms, 99)),
@@ -178,8 +187,8 @@ class RecordCollector:
             makespan_s = max(
                 [duration_s] + [r.finish_s for r in self.completed]
             )
-        total_wait = sum(r.queue_wait_s for r in self.completed)
-        total_busy_req = sum(r.service_s for r in self.completed)
+        total_wait = _sum(r.queue_wait_s for r in self.completed)
+        total_busy_req = _sum(r.service_s for r in self.completed)
         denom = total_wait + total_busy_req
         tenants = sorted(
             {r.tenant for r in self.completed}

@@ -1,12 +1,14 @@
-"""Differential test: the heap-ordered queue against the sort-and-scan oracle.
+"""Differential test: the production queue (FIFO deques, EDF heaps)
+against the sort-and-scan oracle.
 
 ``SortScanQueue`` is the original list-backed ``AdmissionQueue``, kept
 verbatim: every ``pop_batch`` re-sorts the whole group and rebuilds it, and
 ``oldest_arrival`` min-scans it.  It is slow but obviously right, so the
 production queue must agree with it on every batch, shed event, head and
-depth, whatever sequence of offers and pops drives them.  The production
-queue holds stream rows where the oracle holds requests; here request
-``rid`` is row ``rid``.
+depth, whatever sequence of offers and pops drives them: random-order
+offers into shallow queues, and mostly in-order offers into groups
+hundreds deep.  The production queue holds stream rows where the oracle
+holds requests; here request ``rid`` is row ``rid``.
 """
 
 from __future__ import annotations
@@ -162,6 +164,35 @@ def assert_same_state(new: AdmissionQueue, old: SortScanQueue, batch_policy) -> 
         assert new.next_ready(batch_policy) == reference_next_ready(old, batch_policy)
 
 
+def offer_both(new: AdmissionQueue, old: SortScanQueue, request: Request, now) -> None:
+    want = old.offer(request, now)
+    got = new.offer(
+        request.rid, request.rid, request.network, request.arrival_s, request.deadline_s
+    )
+    assert got == (want.reason if want is not None else None)
+
+
+def pop_both(new, old, requests, op) -> List[Request]:
+    """Pop (or drain) one group from both queues; the popped requests."""
+    kind, net, size, now = op
+    if kind == "drain":  # size is a flag: the whole queue, or the group
+        size = max(1, len(old) if size else old.depth(net))
+    rows, shed = new.pop_batch(net, size, now)
+    batch, events = old.pop_batch(net, size, now)
+    assert [requests[row] for row in rows] == batch
+    assert [(requests[row], reason) for row, reason in shed] == [
+        (event.request, event.reason) for event in events
+    ]
+    return batch
+
+
+def new_request(requests: List[Request], net: str, arrival: float, slo) -> Request:
+    rid = len(requests)
+    request = Request(rid, f"t{rid % 2}", net, arrival, arrival + slo)
+    requests.append(request)
+    return request
+
+
 @settings(max_examples=300, deadline=None)
 @given(policy=policies, batch_policy=batch_policies, ops=operations)
 def test_heap_queue_matches_sort_and_scan(policy, batch_policy, ops):
@@ -170,41 +201,82 @@ def test_heap_queue_matches_sort_and_scan(policy, batch_policy, ops):
     popped: List[Request] = []
     for op in ops:
         kind = op[0]
-        if kind in ("offer", "reoffer"):
-            if kind == "offer":
-                _, net, arrival, slo, now = op
-                rid = len(requests)
-                request = Request(
-                    rid=rid,
-                    tenant=f"t{rid % 2}",
-                    network=net,
-                    arrival_s=arrival,
-                    deadline_s=arrival + slo,
-                )
-                requests.append(request)
-            else:
-                if not popped:
-                    continue
+        if kind == "offer":
+            _, net, arrival, slo, now = op
+            offer_both(new, old, new_request(requests, net, arrival, slo), now)
+        elif kind == "reoffer":
+            if popped:
                 _, index, now = op
-                request = popped[index % len(popped)]
-            want = old.offer(request, now)
-            got = new.offer(
-                request.rid,
-                request.rid,
-                request.network,
-                request.arrival_s,
-                request.deadline_s,
-            )
-            assert got == (want.reason if want is not None else None)
+                offer_both(new, old, popped[index % len(popped)], now)
         else:
-            _, net, size, now = op
-            if kind == "drain":  # size is a flag: the whole queue, or the group
-                size = max(1, len(old) if size else old.depth(net))
-            rows, shed = new.pop_batch(net, size, now)
-            batch, events = old.pop_batch(net, size, now)
-            assert [requests[row] for row in rows] == batch
-            assert [(requests[row], reason) for row, reason in shed] == [
-                (event.request, event.reason) for event in events
-            ]
-            popped.extend(batch)
+            popped.extend(pop_both(new, old, requests, op))
+        assert_same_state(new, old, batch_policy)
+
+
+# -- deep groups: past one 64-entry deque block ---------------------------
+
+deep_policies = st.builds(
+    QueuePolicy,
+    max_depth=st.integers(min_value=60, max_value=300),
+    order=st.sampled_from(("fifo", "edf")),
+    max_age_s=st.sampled_from((None, 0.1, 0.4)),
+    shed_expired=st.booleans(),
+)
+#: most traffic on one network, so its group runs deep
+DEEP_NETWORKS = st.sampled_from(NETWORKS[:1] * 4 + NETWORKS[1:])
+# ``count`` in-order arrivals ``step`` ms apart (0: all tied), from the
+# clock on; the clock moves to the last of them, so the next burst ties it
+burst_op = st.tuples(
+    st.just("burst"),
+    DEEP_NETWORKS,
+    st.integers(1, 120),
+    st.sampled_from((0, 1, 2)),
+    st.sampled_from((0.05, 0.25)),
+)
+# re-offer ``count`` popped requests from the i-th (modulo how many were
+# popped) on
+deep_reoffer_op = st.tuples(
+    st.just("reoffer"), st.integers(0, 500), st.integers(1, 8)
+)
+# pop at the clock plus ``wait`` seconds (the clock itself does not move)
+deep_pop_op = st.tuples(
+    st.just("pop"), DEEP_NETWORKS, st.integers(0, 32), st.sampled_from((0.0, 0.02, 0.2))
+)
+deep_drain_op = st.tuples(
+    st.just("drain"), DEEP_NETWORKS, st.booleans(), st.sampled_from((0.0, 0.2))
+)
+deep_operations = st.lists(
+    st.one_of(
+        *[burst_op] * 3, *[deep_reoffer_op] * 2, *[deep_pop_op] * 2, deep_drain_op
+    ),
+    min_size=8,
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(policy=deep_policies, batch_policy=batch_policies, ops=deep_operations)
+def test_deep_groups_match_sort_and_scan(policy, batch_policy, ops):
+    """Groups hundreds deep, offered mostly in arrival order with ties, and
+    re-offers of popped requests landing below their group's tail."""
+    new, old = AdmissionQueue(policy), SortScanQueue(policy)
+    requests: List[Request] = []  # by row
+    popped: List[Request] = []
+    clock = 0.0
+    for op in ops:
+        kind = op[0]
+        if kind == "burst":
+            _, net, count, step, slo = op
+            for i in range(count):
+                arrival = clock + i * step * 1e-3
+                offer_both(new, old, new_request(requests, net, arrival, slo), arrival)
+            clock = arrival
+        elif kind == "reoffer":
+            _, index, count = op
+            for request in popped[index % len(popped) :][:count] if popped else ():
+                offer_both(new, old, request, clock)
+        else:
+            kind, net, size, wait = op
+            op = (kind, net, size, clock + wait)
+            popped.extend(pop_both(new, old, requests, op))
         assert_same_state(new, old, batch_policy)
