@@ -37,29 +37,21 @@ Sub-packages:
   replanning, chip-loss repair, chaos scenarios (``docs/resilience.md``)
 - :mod:`repro.integrity` — ABFT-checksummed convolution, silent-data-
   corruption injection, verified inference (``docs/integrity.md``)
+- :mod:`repro.control` — closed-loop autoscaling and the self-healing
+  control plane (``docs/autoscaling.md``, ``docs/chaos_control.md``)
+- :mod:`repro.tenancy` — chip partitioning into sub-accelerators,
+  heterogeneous fleets and tenant placement (``docs/tenancy.md``)
+- :mod:`repro.capacity` — fleet-scale what-if capacity planning over a
+  traffic forecast and a fault model (``docs/capacity.md``)
 """
 
 from repro.adaptive import plan_network, select_scheme
-from repro.arch import (
-    CONFIG_16_16,
-    CONFIG_32_32,
-    AcceleratorConfig,
-    EnergyModel,
-    named_config,
-)
-from repro.errors import (
-    CapacityError,
-    CompileError,
-    ConfigError,
-    ReproError,
-    ScheduleError,
-    ShapeError,
-    SimulationError,
-)
-from repro.nn import ConvLayer, Network, TensorShape
-from repro.nn.zoo import benchmark_networks, build
+from repro.arch import CONFIG_16_16, named_config
+from repro.errors import ReproError
+from repro.nn import Network, TensorShape
+from repro.nn.zoo import build
 from repro.schemes import make_scheme
-from repro.sim import Machine, NetworkRun
+from repro.sim import Machine
 
 __version__ = "1.0.0"
 
@@ -67,24 +59,12 @@ __all__ = [
     "plan_network",
     "select_scheme",
     "CONFIG_16_16",
-    "CONFIG_32_32",
-    "AcceleratorConfig",
-    "EnergyModel",
     "named_config",
-    "CapacityError",
-    "CompileError",
-    "ConfigError",
     "ReproError",
-    "ScheduleError",
-    "ShapeError",
-    "SimulationError",
-    "ConvLayer",
     "Network",
     "TensorShape",
-    "benchmark_networks",
     "build",
     "make_scheme",
     "Machine",
-    "NetworkRun",
     "__version__",
 ]

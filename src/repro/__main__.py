@@ -59,8 +59,8 @@ oracle), and ``--perf-report`` prints phase timings and cache statistics
 after the command finishes.
 
 Invalid input (a :class:`~repro.errors.ConfigError`, e.g. ``serve --rate
-nan``) prints ``error: <message>`` on stderr and exits 2, argparse's
-usage-error code.
+nan``, or a path the command cannot open or write) prints ``error:
+<message>`` on stderr and exits 2, argparse's usage-error code.
 """
 
 from __future__ import annotations
@@ -1249,7 +1249,8 @@ if __name__ == "__main__":
     except BrokenPipeError:
         # output piped into a pager/head that closed early — not an error
         sys.exit(0)
-    except ConfigError as exc:
-        # bad input is a usage error, reported like argparse's (exit 2)
+    except (ConfigError, OSError) as exc:
+        # bad input or an unusable path is a usage error, reported like
+        # argparse's (exit 2)
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)

@@ -1,45 +1,9 @@
 """Accelerator hardware model: configuration, buffers, PE array, energy."""
 
-from repro.arch.buffers import AccessCounter, Buffer, BufferSet
-from repro.arch.config import (
-    CONFIG_16_16,
-    CONFIG_32_32,
-    AcceleratorConfig,
-    named_config,
-)
-from repro.arch.dram import DEFAULT_DRAM, DramModel
-from repro.arch.energy import EnergyBreakdown, EnergyModel, EnergyTable
-from repro.arch.fixedpoint import (
-    Q7_8,
-    FixedPointFormat,
-    SaturationStats,
-    dequantize,
-    quantize,
-)
-from repro.arch.pe import OperationTally, PEArray
-from repro.arch.presets import PRESETS, preset, preset_names
+from repro.arch.config import CONFIG_16_16, CONFIG_32_32, named_config
 
 __all__ = [
-    "AccessCounter",
-    "Buffer",
-    "BufferSet",
     "CONFIG_16_16",
     "CONFIG_32_32",
-    "AcceleratorConfig",
     "named_config",
-    "DEFAULT_DRAM",
-    "DramModel",
-    "EnergyBreakdown",
-    "EnergyModel",
-    "EnergyTable",
-    "Q7_8",
-    "FixedPointFormat",
-    "SaturationStats",
-    "dequantize",
-    "quantize",
-    "PRESETS",
-    "preset",
-    "preset_names",
-    "OperationTally",
-    "PEArray",
 ]

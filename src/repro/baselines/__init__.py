@@ -1,12 +1,1 @@
 """Baseline comparators: CPU (Table 4) and the Zhang FPGA'15 design (Fig. 9)."""
-
-from repro.baselines.cpu import DEFAULT_CPU, CpuLayerTime, CpuModel
-from repro.baselines.zhang import ZHANG_7_64, ZhangFpgaModel
-
-__all__ = [
-    "DEFAULT_CPU",
-    "CpuLayerTime",
-    "CpuModel",
-    "ZHANG_7_64",
-    "ZhangFpgaModel",
-]

@@ -25,13 +25,8 @@ See ``docs/capacity.md`` for the search space, the pruning proof
 obligation, and the report schema.
 """
 
-from repro.capacity.bounds import (
-    attainment_bound,
-    candidate_capacity_rps,
-    probe_batches,
-)
-from repro.capacity.forecast import FORECAST_KINDS, ForecastSpec
-from repro.capacity.grid import STRATEGIES, Candidate, CandidateGrid
+from repro.capacity.forecast import ForecastSpec
+from repro.capacity.grid import CandidateGrid
 from repro.capacity.planner import (
     FaultModel,
     plan_capacity,
@@ -40,16 +35,10 @@ from repro.capacity.planner import (
 )
 
 __all__ = [
-    "Candidate",
     "CandidateGrid",
-    "FORECAST_KINDS",
     "FaultModel",
     "ForecastSpec",
-    "STRATEGIES",
-    "attainment_bound",
-    "candidate_capacity_rps",
     "plan_capacity",
-    "probe_batches",
     "render_report",
     "report_to_json",
 ]

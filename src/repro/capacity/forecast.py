@@ -23,6 +23,7 @@ from repro.errors import ConfigError
 from repro.serve.workload import (
     Arrivals,
     MixedTenantSpec,
+    check_positive,
     mixed_arrivals,
     mixed_diurnal_arrivals,
     parse_tenant_mix,
@@ -59,22 +60,22 @@ class ForecastSpec:
             )
         if not self.tenants:
             raise ConfigError("forecast needs at least one tenant")
-        if self.rate <= 0:
-            raise ConfigError(f"forecast rate must be positive, got {self.rate!r}")
-        if self.duration_s <= 0:
-            raise ConfigError(
-                f"forecast duration must be positive, got {self.duration_s!r}"
-            )
+        self._check_positive("rate", "duration_s")
         if self.kind == "diurnal":
             if self.peak_rate < self.rate:
                 raise ConfigError(
                     f"diurnal forecast needs peak_rate >= rate, got "
                     f"{self.peak_rate!r} < {self.rate!r}"
                 )
-            if self.day_s <= 0:
-                raise ConfigError(
-                    f"forecast day_s must be positive, got {self.day_s!r}"
-                )
+            self._check_positive("peak_rate", "day_s")
+
+    def _check_positive(self, *fields: str) -> None:
+        """Reject a bool, NaN, an infinity or a non-positive value, naming it."""
+        for field in fields:
+            value = getattr(self, field)
+            if isinstance(value, bool):
+                raise ConfigError(f"forecast {field} must be a number, got {value!r}")
+            check_positive(f"forecast {field}", value)
 
     @classmethod
     def parse(

@@ -23,40 +23,18 @@ shape link/memory traffic):
 See ``docs/sharding.md`` for the cost model and a CLI walkthrough.
 """
 
-from repro.cluster.dataparallel import (
-    ChipShard,
-    DataParallelPlan,
-    plan_data_parallel,
-    shard_sizes,
-)
-from repro.cluster.link import LinkSpec, activation_bytes
-from repro.cluster.pipeline import (
-    PARTITION_STRATEGIES,
-    PipelinePlan,
-    StagePlan,
-    partition_dp,
-    partition_even,
-    plan_pipeline,
-)
-from repro.cluster.replica import SHARD_STRATEGIES, PipelinedReplica
+from repro.cluster.dataparallel import plan_data_parallel
+from repro.cluster.link import LinkSpec
+from repro.cluster.pipeline import plan_pipeline
+from repro.cluster.replica import PipelinedReplica
 from repro.cluster.rollup import rollup, rollup_data_parallel, rollup_pipeline
 
 __all__ = [
-    "ChipShard",
-    "DataParallelPlan",
     "LinkSpec",
-    "PARTITION_STRATEGIES",
-    "PipelinePlan",
     "PipelinedReplica",
-    "SHARD_STRATEGIES",
-    "StagePlan",
-    "activation_bytes",
-    "partition_dp",
-    "partition_even",
     "plan_data_parallel",
     "plan_pipeline",
     "rollup",
     "rollup_data_parallel",
     "rollup_pipeline",
-    "shard_sizes",
 ]

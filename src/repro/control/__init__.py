@@ -55,85 +55,14 @@ See ``docs/autoscaling.md`` for the loop architecture and
 ``docs/chaos_control.md`` for the self-healing design.
 """
 
-from repro.control.actuator import Actuator, AppliedAction
-from repro.control.chaos import (
-    ACTUATION_FAULT_MODES,
-    TELEMETRY_FAULT_KINDS,
-    ActuationFault,
-    ControlFaultSchedule,
-    FlakyActuator,
-    LoopCrash,
-    SafeModeController,
-    SafeModePolicy,
-    TelemetryChannel,
-    TelemetryFault,
-    apply_fault_schedule,
-    naive_mask_factor,
-)
-from repro.control.chaos_scenarios import (
-    CONTROL_INVARIANT_NAMES,
-    CONTROL_SCENARIO_NAMES,
-    ControlChaosScenario,
-    build_control_scenario,
-    run_control_scenario,
-)
-from repro.control.healing import (
-    HealingActuator,
-    HealingPlanner,
-    HealingPolicy,
-    ProbeReport,
-    RecoveryTracker,
-    SelfHealingControlLoop,
-    probe_fleet,
-)
-from repro.control.loop import ControlReport, run_static, static_fleet_sizes
-from repro.control.policy import (
-    ACTION_KINDS,
-    BATCH_CANDIDATES,
-    Action,
-    AutoscalePolicy,
-    Planner,
-    PlannerFeedback,
-)
-from repro.control.telemetry import Detector, WindowStats
-from repro.control.verifier import Expectation, Verifier
+from repro.control.healing import HealingPolicy, SelfHealingControlLoop
+from repro.control.loop import run_static, static_fleet_sizes
+from repro.control.policy import AutoscalePolicy
 
 __all__ = [
-    "ACTION_KINDS",
-    "ACTUATION_FAULT_MODES",
-    "Action",
-    "ActuationFault",
-    "Actuator",
-    "AppliedAction",
     "AutoscalePolicy",
-    "BATCH_CANDIDATES",
-    "CONTROL_INVARIANT_NAMES",
-    "CONTROL_SCENARIO_NAMES",
-    "ControlChaosScenario",
-    "ControlFaultSchedule",
-    "ControlReport",
-    "Detector",
-    "Expectation",
-    "FlakyActuator",
-    "HealingActuator",
-    "HealingPlanner",
     "HealingPolicy",
-    "LoopCrash",
-    "Planner",
-    "PlannerFeedback",
-    "ProbeReport",
-    "RecoveryTracker",
-    "SafeModeController",
-    "SafeModePolicy",
     "SelfHealingControlLoop",
-    "TELEMETRY_FAULT_KINDS",
-    "TelemetryChannel",
-    "TelemetryFault",
-    "Verifier",
-    "WindowStats",
-    "apply_fault_schedule",
-    "build_control_scenario",
-    "naive_mask_factor",
-    "probe_fleet",
-    "run_control_scenario",
+    "run_static",
+    "static_fleet_sizes",
 ]

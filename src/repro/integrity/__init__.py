@@ -24,37 +24,9 @@ the serving-tier integration (verified replicas, SDC chaos scenarios) in
 See ``docs/integrity.md`` for the checksum math and the fault model.
 """
 
-from repro.integrity.abft import (
-    ABFT_PATHS,
-    Checksums,
-    CheckReport,
-    RecoveryReport,
-    VerifiedConvResult,
-    check_output,
-    golden_codes,
-    predicted_checksums,
-    quantize_conv_operands,
-    recompute_flagged,
-    verified_conv,
-)
-from repro.integrity.sdc import FlipEvent, SDCInjector, flip_code
 from repro.integrity.sweep import SWEEP_LAYERS, run_sweep
 
 __all__ = [
-    "ABFT_PATHS",
-    "Checksums",
-    "CheckReport",
-    "FlipEvent",
-    "RecoveryReport",
-    "SDCInjector",
     "SWEEP_LAYERS",
-    "VerifiedConvResult",
-    "check_output",
-    "flip_code",
-    "golden_codes",
-    "predicted_checksums",
-    "quantize_conv_operands",
-    "recompute_flagged",
     "run_sweep",
-    "verified_conv",
 ]

@@ -1,26 +1,12 @@
 """Macro ISA and the host compiler (network -> instruction stream)."""
 
 from repro.isa.assembly import assemble, disassemble
-from repro.isa.compiler import (
-    compile_layer,
-    compile_network,
-    compile_run,
-    split_evenly,
-)
-from repro.isa.instructions import Instruction, Opcode, Program
-from repro.isa.validate import LintIssue, assert_valid, lint_program
+from repro.isa.compiler import compile_network
+from repro.isa.validate import lint_program
 
 __all__ = [
     "assemble",
     "disassemble",
-    "compile_layer",
     "compile_network",
-    "compile_run",
-    "split_evenly",
-    "Instruction",
-    "Opcode",
-    "Program",
-    "LintIssue",
-    "assert_valid",
     "lint_program",
 ]

@@ -1,35 +1,9 @@
 """Neural-network workload model: layers, networks, and the benchmark zoo."""
 
-from repro.nn.layers import (
-    ConcatLayer,
-    EltwiseAddLayer,
-    ConvLayer,
-    FCLayer,
-    Layer,
-    LRNLayer,
-    PoolLayer,
-    ReLULayer,
-    TensorShape,
-    conv_output_hw,
-)
-from repro.nn.network import LayerContext, Network, NetworkStatsSummary
-from repro.nn.stats import LayerStats, network_stats, render_network_stats
+from repro.nn.layers import TensorShape
+from repro.nn.network import Network
 
 __all__ = [
-    "ConcatLayer",
-    "EltwiseAddLayer",
-    "ConvLayer",
-    "FCLayer",
-    "Layer",
-    "LRNLayer",
-    "PoolLayer",
-    "ReLULayer",
     "TensorShape",
-    "conv_output_hw",
-    "LayerContext",
     "Network",
-    "NetworkStatsSummary",
-    "LayerStats",
-    "network_stats",
-    "render_network_stats",
 ]

@@ -10,17 +10,10 @@ from repro.nn.zoo.alexnet import build_alexnet
 from repro.nn.zoo.custom import sequential_cnn
 from repro.nn.zoo.googlenet import build_googlenet
 from repro.nn.zoo.nin import build_nin
-from repro.nn.zoo.resnet import add_basic_block, build_resnet_small
 from repro.nn.zoo.vgg import build_vgg
 
 __all__ = [
-    "build_alexnet",
     "sequential_cnn",
-    "build_googlenet",
-    "build_nin",
-    "add_basic_block",
-    "build_resnet_small",
-    "build_vgg",
     "build",
     "benchmark_networks",
     "NETWORK_BUILDERS",

@@ -19,29 +19,13 @@ package makes that redundancy free:
 See ``docs/performance.md`` for the cache-key design and CLI semantics.
 """
 
-from repro.perf.cache import (
-    CacheStats,
-    ScheduleCache,
-    schedule_cache,
-)
-from repro.perf.instrument import PERF, PerfRecorder, phase, render_perf_report
-from repro.perf.parallel import (
-    get_default_jobs,
-    parallel_map,
-    resolve_jobs,
-    set_default_jobs,
-)
+from repro.perf.cache import schedule_cache
+from repro.perf.instrument import render_perf_report
+from repro.perf.parallel import parallel_map, set_default_jobs
 
 __all__ = [
-    "CacheStats",
-    "ScheduleCache",
     "schedule_cache",
-    "PERF",
-    "PerfRecorder",
-    "phase",
     "render_perf_report",
-    "get_default_jobs",
     "parallel_map",
-    "resolve_jobs",
     "set_default_jobs",
 ]

@@ -25,55 +25,14 @@ instead of inventing new models:
 See ``docs/resilience.md`` for the fault taxonomy and the rollup glossary.
 """
 
-from repro.resilience.degrade import (
-    DegradeReport,
-    SchemeFlip,
-    degraded_config,
-    geometry_flips,
-    replan_degraded,
-)
-from repro.resilience.faults import (
-    BITFLIP_SITES,
-    BitFlipFault,
-    FaultSchedule,
-    LinkFault,
-    MaskFault,
-    PEMask,
-    ReplicaFault,
-    SDCFault,
-    flapping_link,
-    seeded_bitflips,
-)
-from repro.resilience.repair import RepairPlan, repair_pipeline
-from repro.resilience.scenarios import (
-    INVARIANT_NAMES,
-    SCENARIO_NAMES,
-    ChaosScenario,
-    build_scenario,
-    run_scenario,
-)
+from repro.resilience.degrade import degraded_config
+from repro.resilience.faults import PEMask
+from repro.resilience.scenarios import SCENARIO_NAMES, build_scenario, run_scenario
 
 __all__ = [
-    "BITFLIP_SITES",
-    "BitFlipFault",
-    "ChaosScenario",
-    "DegradeReport",
-    "FaultSchedule",
-    "INVARIANT_NAMES",
-    "LinkFault",
-    "MaskFault",
     "PEMask",
-    "RepairPlan",
-    "ReplicaFault",
     "SCENARIO_NAMES",
-    "SDCFault",
-    "SchemeFlip",
     "build_scenario",
     "degraded_config",
-    "geometry_flips",
-    "flapping_link",
-    "repair_pipeline",
-    "replan_degraded",
     "run_scenario",
-    "seeded_bitflips",
 ]

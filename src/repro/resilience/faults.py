@@ -15,7 +15,7 @@ deployment into one validated, serializable object:
 * **bit flips** — :class:`BitFlipFault`, single-bit silent data corruption
   in the activation buffer, weight buffer, partial-sum accumulator, or the
   stored (post-quantization) output, executed against the functional
-  datapath by :class:`repro.integrity.SDCInjector` and guarded by the ABFT
+  datapath by :class:`repro.integrity.sdc.SDCInjector` and guarded by the ABFT
   checksums of :mod:`repro.integrity.abft`;
 * **serving-tier SDC windows** — :class:`~repro.serve.verified.SDCFault`,
   a window during which one replica's batches are silently corrupted,
@@ -72,7 +72,7 @@ class BitFlipFault:
     ``index`` addresses the element (flat, row-major, reduced modulo the
     target's size at injection time so one fault family works across layer
     geometries); ``bit`` is the bit position flipped within the stored
-    word.  Execution is performed by :class:`repro.integrity.SDCInjector`.
+    word.  Execution is performed by :class:`repro.integrity.sdc.SDCInjector`.
     """
 
     site: str

@@ -43,71 +43,29 @@ from repro.serve.candidates import (
     evaluate_candidate,
     rank_candidates,
 )
-from repro.serve.engine import (
-    AdaptiveReplica,
-    AdaptiveServingEngine,
-    ReplicaState,
-    ServingEngine,
-    ServingReport,
-    ROUTING_KINDS,
-)
-from repro.serve.failover import FAULT_KINDS, FailoverPolicy, ReplicaFault
-from repro.serve.metrics import (
-    MetricsCollector,
-    RequestRecord,
-    percentile,
-    render_summary,
-    to_json,
-)
-from repro.serve.queue import AdmissionQueue, QueuePolicy, QUEUE_ORDERS
-from repro.serve.verified import SDCFault, VerificationPolicy, VerifiedReplica
+from repro.serve.engine import ServingEngine
+from repro.serve.metrics import render_summary
+from repro.serve.queue import QueuePolicy
 from repro.serve.workload import (
-    ARRIVAL_KINDS,
-    Arrivals,
-    Request,
-    TenantSpec,
     bursty_arrivals,
     diurnal_arrivals,
-    diurnal_rate,
     parse_mix,
     poisson_arrivals,
     trace_arrivals,
 )
 
 __all__ = [
-    "ARRIVAL_KINDS",
-    "AdaptiveReplica",
-    "AdaptiveServingEngine",
-    "AdmissionQueue",
-    "Arrivals",
     "BatchCoster",
     "BatchPolicy",
-    "FAULT_KINDS",
-    "FailoverPolicy",
-    "ReplicaFault",
-    "MetricsCollector",
-    "QUEUE_ORDERS",
     "QueuePolicy",
-    "ROUTING_KINDS",
-    "ReplicaState",
-    "Request",
-    "RequestRecord",
-    "SDCFault",
     "ServingEngine",
-    "ServingReport",
-    "TenantSpec",
-    "VerificationPolicy",
-    "VerifiedReplica",
     "build_replica_set",
     "bursty_arrivals",
     "diurnal_arrivals",
     "evaluate_candidate",
-    "diurnal_rate",
     "parse_mix",
-    "percentile",
     "poisson_arrivals",
     "rank_candidates",
     "render_summary",
-    "to_json",
     "trace_arrivals",
 ]

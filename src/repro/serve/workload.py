@@ -55,12 +55,9 @@ __all__ = [
     "mixed_arrivals",
     "mixed_diurnal_arrivals",
     "trace_arrivals",
-    "ARRIVAL_KINDS",
     "check_positive",
     "check_flash_crowd",
 ]
-
-ARRIVAL_KINDS = ("poisson", "bursty", "diurnal", "trace")
 
 #: default per-request latency SLO when a mix spec does not name one
 DEFAULT_SLO_MS = 250.0

@@ -26,22 +26,14 @@ See ``docs/tenancy.md`` for the model and the rollup glossary, and
 ``repro tenancy`` for the CLI surface.
 """
 
-from repro.tenancy.fleet import (
-    REFERENCE_MULTIPLIERS,
-    ChipSpec,
-    FleetSpec,
-    Slot,
-    parse_fleet,
-)
+from repro.tenancy.fleet import ChipSpec, FleetSpec, parse_fleet
 from repro.tenancy.partition import (
     PartitionSpec,
-    SubAccelerator,
     even_partitions,
     full_chip_spec,
     partition_chip,
 )
 from repro.tenancy.placement import (
-    Placement,
     TenantDemand,
     demand_from_tenants,
     place_tenants,
@@ -54,13 +46,9 @@ from repro.tenancy.serving import (
 )
 
 __all__ = [
-    "REFERENCE_MULTIPLIERS",
     "ChipSpec",
     "FleetSpec",
-    "Placement",
     "PartitionSpec",
-    "Slot",
-    "SubAccelerator",
     "TenantDemand",
     "compare_fleets",
     "compare_partitioned",

@@ -1,46 +1,1 @@
 """Data tiling: unrolling (Eq. 1), kernel partitioning (Eq. 2), layouts, fit."""
-
-from repro.tiling.fit import FitReport, WorkingSet, analyze_fit, working_set
-from repro.tiling.layout import (
-    Layout,
-    from_layout,
-    linear_address,
-    reorder_moves,
-    to_layout,
-)
-from repro.tiling.partition import (
-    PartitionGeometry,
-    pad_data_for_partition,
-    padded_input_extent,
-    partition_geometry,
-    partition_weights,
-)
-from repro.tiling.unroll import (
-    UnrollStats,
-    im2col,
-    pad_input,
-    unroll_factor,
-    unroll_stats,
-)
-
-__all__ = [
-    "FitReport",
-    "WorkingSet",
-    "analyze_fit",
-    "working_set",
-    "Layout",
-    "from_layout",
-    "linear_address",
-    "reorder_moves",
-    "to_layout",
-    "PartitionGeometry",
-    "pad_data_for_partition",
-    "padded_input_extent",
-    "partition_geometry",
-    "partition_weights",
-    "UnrollStats",
-    "im2col",
-    "pad_input",
-    "unroll_factor",
-    "unroll_stats",
-]

@@ -79,6 +79,29 @@ class TestForecastSpec:
                 tenants=TENANTS, rate=10.0, duration_s=1.0, kind="diurnal",
                 peak_rate=5.0,
             )
+        with pytest.raises(ConfigError, match="forecast rate must be positive"):
+            ForecastSpec.parse("a=alexnet", rate=float("nan"), duration_s=1.0)
+        with pytest.raises(ConfigError, match="forecast rate must be a number"):
+            ForecastSpec.parse("a=alexnet", rate=True, duration_s=1.0)
+
+    @pytest.mark.parametrize("field", ["rate", "duration_s", "peak_rate", "day_s"])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0, True],
+        ids=["nan", "inf", "-inf", "zero", "negative", "bool"],
+    )
+    def test_rejects_bad_numbers_naming_the_field(self, field, bad):
+        numbers = dict(rate=10.0, duration_s=2.0, peak_rate=60.0, day_s=4.0)
+        numbers[field] = bad
+        with pytest.raises(ConfigError, match=rf"\b{field}\b"):
+            ForecastSpec(tenants=TENANTS, kind="diurnal", **numbers)
+
+    def test_cli_names_the_day_length_it_was_given(self):
+        from repro.__main__ import main
+
+        argv = ["capacity", "--forecast", "diurnal", "--peak-rate", "400",
+                "--day-s", "inf", "--duration", "2"]
+        with pytest.raises(ConfigError, match="forecast day_s .* got inf"):
+            main(argv)
 
     def test_spec_is_hashable_for_the_worker_memo(self):
         spec = ForecastSpec(tenants=TENANTS, rate=1.0, duration_s=1.0)

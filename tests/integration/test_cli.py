@@ -73,20 +73,40 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_bad_input_is_a_usage_error_not_a_traceback(self):
+    def test_bad_input_is_a_usage_error_not_a_traceback(self, tmp_path):
         src = Path(__file__).resolve().parents[2] / "src"
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", "serve", "--rate", "nan"],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            timeout=300,
-        )
-        assert result.returncode == 2
+
+        def run(*argv):
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=str(src)),
+                timeout=300,
+            )
+            assert result.returncode == 2, argv
+            return result
+
+        result = run("serve", "--rate", "nan")
         assert result.stdout == ""
         assert result.stderr == (
             "error: arrival rate must be positive and finite, got nan\n"
         )
+        # a path the command cannot open or write; --json and --csv-dir
+        # fail after the human view is already on stdout
+        regular = tmp_path / "regular"
+        regular.write_text("")
+        missing = tmp_path / "missing.csv"
+        for path, argv in (
+            (missing, ("serve", "--arrival", "trace", "--trace", str(missing),
+                       "--duration", "1")),
+            (regular / "x.json", ("serve", "--duration", "1", "--json",
+                                  str(regular / "x.json"))),
+            (regular / "sub", ("report", "--csv-dir", str(regular / "sub"))),
+        ):
+            stderr = run(*argv).stderr
+            assert stderr.startswith("error: ") and str(path) in stderr, argv
+            assert stderr.count("\n") == 1, stderr
 
 
 class TestAnalyze:

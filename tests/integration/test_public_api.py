@@ -51,7 +51,56 @@ def test_version():
 
 
 def test_all_exports_resolve():
+    import importlib
+    import pkgutil
+
     import repro
 
-    for name in repro.__all__:
-        assert getattr(repro, name) is not None
+    packages = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.ispkg
+    ]
+    assert "repro.nn.zoo" in {p.__name__ for p in packages}
+    for package in packages:
+        for name in getattr(package, "__all__", ()):
+            assert getattr(package, name) is not None, (package.__name__, name)
+
+
+def test_a_module_import_loads_only_the_packages_it_needs():
+    """A package ``__init__`` re-exports only what its callers import, so
+    importing one module loads only the packages that module needs."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+
+    def loaded_after(statement):
+        code = f"import sys\n{statement}\nprint(*sorted(sys.modules))"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=300,
+        )
+        return result.stdout.split()
+
+    loaded = loaded_after("from repro.analysis.headline import headline_numbers")
+    analysis = [
+        m for m in loaded if m.startswith(("repro.analysis", "repro.baselines"))
+    ]
+    assert analysis == [
+        "repro.analysis", "repro.analysis.headline", "repro.analysis.metrics"
+    ]
+    stacks = tuple(
+        f"repro.{name}"
+        for name in ("control", "capacity", "tenancy", "resilience", "cluster",
+                     "integrity", "analysis")
+    )
+    loaded = loaded_after("import repro.serve")
+    assert "repro.serve.engine" in loaded
+    assert [m for m in loaded if m.startswith(stacks)] == []
