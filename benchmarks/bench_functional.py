@@ -1,27 +1,22 @@
-"""Functional-simulator benchmark: vector (im2col/GEMM) vs loop backend.
+"""Functional-simulator benchmark: wall time of every conv path and of ABFT.
 
 Times every conv path of :mod:`repro.sim.functional` — reference, im2col,
-partition, inter-improved — plus the ABFT verified convolution, on the
-integrity-sweep layer shapes, under both backends, and writes
-``BENCH_functional.json`` so the vectorization trajectory is tracked PR
+partition, inter-improved — and the ABFT predict/verify/golden pipeline on
+the integrity-sweep layer shapes, plus one end-to-end integrity sweep, and
+writes ``BENCH_functional.json`` so the simulator's speed is tracked PR
 over PR.
 
-Before any timing is trusted, every (shape, path) cell asserts the vector
-output is **bit-identical** to the loop oracle in the int64 code domain
-(exact integer equality, not allclose), and the full integrity-sweep
-rollup is re-run under both backends and compared byte-for-byte (modulo
-the recorded backend name).  The headline asserts:
-
-1. **bit_identical** — all vector outputs, ABFT checksums and recovered
-   outputs equal the loop oracle's, bit for bit;
-2. **sweep_rollup_identical** — ``run_sweep`` produces the same rollup
-   JSON under both backends;
-3. **vector_speedup_10x** (full runs only) — the aggregate conv-path
-   speedup on the sweep shapes is at least 10x (timing gates are skipped
-   in ``--smoke`` so shared CI runners cannot flake the job).
+Before any timing is trusted, every (shape, path) cell asserts that its
+int64 output codes equal :func:`reference_conv`'s exactly, and every ABFT
+row that its verified output equals the golden codes — the paper's
+Fig. 5(d) claim that each scheme's order computes the direct convolution
+bit for bit.  The headline gate **matches_reference** fails the run
+otherwise.  Timings are recorded, never gated, so shared CI runners cannot
+flake the job.  (The loop-nest oracle these paths once were timed against
+is a tier-1 test, ``tests/sim/loop_oracle.py``.)
 
 ``--smoke`` times the first three sweep shapes best-of-3 instead of every
-shape best-of-10.
+shape best-of-10, and runs the smoke sweep.
 
 Usage::
 
@@ -46,8 +41,6 @@ from repro.integrity.abft import (
 )
 from repro.integrity.sweep import SWEEP_LAYERS, run_sweep
 from repro.nn.layers import ConvLayer, TensorShape
-from repro.serve.metrics import to_json
-from repro.sim.backend import use_backend
 from repro.sim.functional import (
     conv_via_im2col,
     conv_via_inter_improved,
@@ -66,7 +59,6 @@ PATHS = (
     ("inter", conv_via_inter_improved),
 )
 
-SPEEDUP_GATE = 10.0
 FULL_REPEATS = 10
 SMOKE_REPEATS = 3
 
@@ -91,41 +83,31 @@ def _layer_operands(spec, seed: int):
     return data_codes, weight_codes, bias_codes, s, pad, groups
 
 
-def bench_conv_paths(smoke: bool, repeats: int) -> dict:
-    """Time + bit-check every (sweep shape, conv path) cell on both backends."""
-    specs = SWEEP_LAYERS[:3] if smoke else SWEEP_LAYERS
+def bench_conv_paths(specs, repeats: int) -> dict:
+    """Time + check every (sweep shape, conv path) cell against the reference."""
     shapes = []
     mismatches = []
-    loop_total = 0.0
-    vector_total = 0.0
+    total = 0.0
     for li, spec in enumerate(specs):
-        codes = _layer_operands(spec, SEED * 1009 + li)
-        data_codes, weight_codes, bias_codes, s, pad, groups = codes
+        data_codes, weight_codes, bias_codes, s, pad, groups = _layer_operands(
+            spec, SEED * 1009 + li
+        )
+        reference = reference_conv(
+            data_codes, weight_codes, bias_codes, stride=s, pad=pad, groups=groups
+        )
         cells = {}
         for path_name, fn in PATHS:
-            call = lambda backend: fn(  # noqa: E731 - tiny timing closure
-                data_codes,
-                weight_codes,
-                bias_codes,
-                stride=s,
-                pad=pad,
-                groups=groups,
-                backend=backend,
+            call = lambda: fn(  # noqa: E731 - tiny timing closure
+                data_codes, weight_codes, bias_codes, stride=s, pad=pad, groups=groups
             )
-            loop_out = call("loop")
-            vector_out = call("vector")
-            identical = bool(np.array_equal(loop_out, vector_out))
-            if not identical:
+            matches = bool(np.array_equal(call(), reference))
+            if not matches:
                 mismatches.append(f"{spec[0]}/{path_name}")
-            loop_s = _best_of(lambda: call("loop"), repeats)
-            vector_s = _best_of(lambda: call("vector"), repeats)
-            loop_total += loop_s
-            vector_total += vector_s
+            best = _best_of(call, repeats)
+            total += best
             cells[path_name] = {
-                "bit_identical": identical,
-                "loop_ms": round(loop_s * 1e3, 4),
-                "vector_ms": round(vector_s * 1e3, 4),
-                "speedup": round(loop_s / vector_s, 2) if vector_s else None,
+                "matches_reference": matches,
+                "best_ms": round(best * 1e3, 4),
             }
         shapes.append(
             {
@@ -143,26 +125,23 @@ def bench_conv_paths(smoke: bool, repeats: int) -> dict:
     return {
         "shapes": shapes,
         "mismatches": mismatches,
-        "loop_total_ms": round(loop_total * 1e3, 4),
-        "vector_total_ms": round(vector_total * 1e3, 4),
-        "speedup_total": round(loop_total / vector_total, 2) if vector_total else None,
+        "total_ms": round(total * 1e3, 4),
     }
 
 
-def bench_abft(smoke: bool, repeats: int) -> dict:
-    """Time + bit-check the ABFT predict/verify pipeline on both backends."""
-    specs = SWEEP_LAYERS[:3] if smoke else SWEEP_LAYERS
+def bench_abft(specs, repeats: int) -> dict:
+    """Time + check the ABFT predict/verify/golden pipeline per layer."""
     mismatches = []
-    loop_total = 0.0
-    vector_total = 0.0
+    total = 0.0
     rows = []
     for li, spec in enumerate(specs):
-        codes = _layer_operands(spec, SEED * 1009 + li)
-        data_codes, weight_codes, bias_codes, s, pad, groups = codes
+        data_codes, weight_codes, bias_codes, s, pad, groups = _layer_operands(
+            spec, SEED * 1009 + li
+        )
 
-        def run(backend):
+        def pipeline():
             checks = predicted_checksums(
-                data_codes, weight_codes, bias_codes, s, pad, groups, backend
+                data_codes, weight_codes, bias_codes, s, pad, groups
             )
             verified = verified_conv(
                 data_codes,
@@ -172,93 +151,55 @@ def bench_abft(smoke: bool, repeats: int) -> dict:
                 pad=pad,
                 groups=groups,
                 path="partition",
-                backend=backend,
             )
             golden = golden_codes(
-                data_codes,
-                weight_codes,
-                bias_codes,
-                stride=s,
-                pad=pad,
-                groups=groups,
-                backend=backend,
+                data_codes, weight_codes, bias_codes, stride=s, pad=pad, groups=groups
             )
             return checks, verified, golden
 
-        loop_checks, loop_verified, loop_golden = run("loop")
-        vec_checks, vec_verified, vec_golden = run("vector")
-        identical = (
-            np.array_equal(loop_checks.row, vec_checks.row)
-            and np.array_equal(loop_checks.col, vec_checks.col)
-            and np.array_equal(loop_checks.total, vec_checks.total)
-            and np.array_equal(loop_verified.output, vec_verified.output)
-            and np.array_equal(loop_golden, vec_golden)
-        )
-        if not identical:
+        _, verified, golden = pipeline()
+        matches = bool(np.array_equal(verified.output, golden))
+        if not matches:
             mismatches.append(spec[0])
-        loop_s = _best_of(lambda: run("loop"), repeats)
-        vector_s = _best_of(lambda: run("vector"), repeats)
-        loop_total += loop_s
-        vector_total += vector_s
+        best = _best_of(pipeline, repeats)
+        total += best
         rows.append(
             {
                 "name": spec[0],
-                "bit_identical": bool(identical),
-                "loop_ms": round(loop_s * 1e3, 4),
-                "vector_ms": round(vector_s * 1e3, 4),
-                "speedup": round(loop_s / vector_s, 2) if vector_s else None,
+                "matches_reference": matches,
+                "best_ms": round(best * 1e3, 4),
             }
         )
     return {
         "layers": rows,
         "mismatches": mismatches,
-        "loop_total_ms": round(loop_total * 1e3, 4),
-        "vector_total_ms": round(vector_total * 1e3, 4),
-        "speedup_total": round(loop_total / vector_total, 2) if vector_total else None,
+        "total_ms": round(total * 1e3, 4),
     }
 
 
 def bench_sweep(smoke: bool) -> dict:
-    """End-to-end integrity sweep under both backends; rollups must match."""
-    with use_backend("loop"):
-        start = time.perf_counter()
-        loop_rollup = run_sweep(seed=SEED, smoke=smoke, config=CONFIG_16_16)
-        loop_s = time.perf_counter() - start
-    with use_backend("vector"):
-        start = time.perf_counter()
-        vector_rollup = run_sweep(seed=SEED, smoke=smoke, config=CONFIG_16_16)
-        vector_s = time.perf_counter() - start
-    # the only permitted difference is the recorded backend name
-    loop_cmp = dict(loop_rollup, backend="vector")
-    identical = to_json(loop_cmp) == to_json(vector_rollup)
+    """One end-to-end integrity sweep: its wall time and headline."""
+    start = time.perf_counter()
+    rollup = run_sweep(seed=SEED, smoke=smoke, config=CONFIG_16_16)
     return {
-        "rollup_identical": bool(identical),
-        "loop_s": round(loop_s, 4),
-        "vector_s": round(vector_s, 4),
-        "speedup": round(loop_s / vector_s, 2) if vector_s else None,
-        "headline": vector_rollup["headline"],
+        "wall_s": round(time.perf_counter() - start, 4),
+        "headline": rollup["headline"],
     }
 
 
 def run(args):
     repeats = SMOKE_REPEATS if args.smoke else FULL_REPEATS
-    conv = bench_conv_paths(args.smoke, repeats)
-    abft = bench_abft(args.smoke, repeats)
+    specs = SWEEP_LAYERS[:3] if args.smoke else SWEEP_LAYERS
+    conv = bench_conv_paths(specs, repeats)
+    abft = bench_abft(specs, repeats)
     sweep = bench_sweep(args.smoke)
 
-    bit_identical = not conv["mismatches"] and not abft["mismatches"]
+    mismatches = conv["mismatches"] + abft["mismatches"]
     headline = {
-        "bit_identical": bit_identical,
-        "sweep_rollup_identical": sweep["rollup_identical"],
-        "conv_speedup_total": conv["speedup_total"],
-        "abft_speedup_total": abft["speedup_total"],
-        "sweep_speedup": sweep["speedup"],
-        "speedup_gate": SPEEDUP_GATE,
-        "gate_enforced": not args.smoke,
-        "vector_speedup_10x": (
-            conv["speedup_total"] is not None
-            and conv["speedup_total"] >= SPEEDUP_GATE
-        ),
+        "matches_reference": not mismatches,
+        "conv_total_ms": conv["total_ms"],
+        "abft_total_ms": abft["total_ms"],
+        "sweep_wall_s": sweep["wall_s"],
     }
     payload = {
         "numpy": np.__version__,
@@ -272,33 +213,22 @@ def run(args):
         "headline": headline,
     }
 
-    lines = [
-        f"{'shape':<16s} {'path':<10s} {'loop ms':>9s} {'vector ms':>10s} {'speedup':>8s}"
-    ]
+    lines = [f"{'shape':<16s} {'path':<10s} {'best ms':>9s}"]
     for shape in conv["shapes"]:
         for path_name, cell in shape["paths"].items():
-            flag = "" if cell["bit_identical"] else "  MISMATCH"
+            flag = "" if cell["matches_reference"] else "  MISMATCH"
             lines.append(
-                f"{shape['name']:<16s} {path_name:<10s} {cell['loop_ms']:>9.3f} "
-                f"{cell['vector_ms']:>10.3f} {cell['speedup']:>7.1f}x{flag}"
+                f"{shape['name']:<16s} {path_name:<10s} {cell['best_ms']:>9.3f}{flag}"
             )
+    for row in abft["layers"]:
+        flag = "" if row["matches_reference"] else "  MISMATCH"
+        lines.append(f"{row['name']:<16s} {'abft':<10s} {row['best_ms']:>9.3f}{flag}")
     lines.append(
-        f"conv paths total: {conv['loop_total_ms']:.2f} ms loop -> "
-        f"{conv['vector_total_ms']:.2f} ms vector = {conv['speedup_total']:.1f}x; "
-        f"abft {abft['speedup_total']:.1f}x; "
-        f"sweep end-to-end {sweep['speedup']:.1f}x"
+        f"conv paths total {conv['total_ms']:.2f} ms; abft {abft['total_ms']:.2f} ms; "
+        f"sweep end-to-end {sweep['wall_s']:.3f} s"
     )
     gates = [
-        (
-            bit_identical,
-            "vector/loop mismatch in "
-            + ", ".join(conv["mismatches"] + abft["mismatches"]),
-        ),
-        (sweep["rollup_identical"], "sweep rollups differ across backends"),
-        (
-            args.smoke or headline["vector_speedup_10x"],
-            f"conv-path speedup {conv['speedup_total']}x < {SPEEDUP_GATE}x",
-        ),
+        (not mismatches, "codes differ from the reference in " + ", ".join(mismatches)),
     ]
     return payload, lines, gates
 

@@ -53,9 +53,7 @@ networks
 Every command also accepts the planning-performance flags (see
 ``docs/performance.md``): ``--jobs N`` fans design-space work out over N
 worker processes (-1 = all CPUs), ``--no-plan-cache`` disables the schedule
-cache, ``--backend {loop,vector}`` picks the functional-simulator execution
-(``vector`` is the default fast path; ``loop`` is the bit-exactness
-oracle), and ``--perf-report`` prints phase timings and cache statistics
+cache, and ``--perf-report`` prints phase timings and cache statistics
 after the command finishes.
 
 Invalid input (a :class:`~repro.errors.ConfigError`, e.g. ``serve --rate
@@ -829,13 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the per-layer schedule cache",
     )
     perf_opts.add_argument(
-        "--backend",
-        default=None,
-        choices=["loop", "vector"],
-        help="functional-simulator backend (default: vector, or "
-        "$REPRO_SIM_BACKEND; 'loop' is the bit-exactness oracle)",
-    )
-    perf_opts.add_argument(
         "--perf-report",
         action="store_true",
         help="print phase timings and cache statistics when done",
@@ -1225,10 +1216,6 @@ def main(argv=None) -> int:
 
     if args.no_plan_cache:
         schedule_cache.configure(enabled=False)
-    if args.backend:
-        from repro.sim.backend import set_backend
-
-        set_backend(args.backend)
     if args.jobs is not None:
         try:
             set_default_jobs(args.jobs)

@@ -42,8 +42,8 @@ from repro.arch.fixedpoint import FixedPointFormat, Q7_8, quantize
 from repro.errors import ConfigError
 from repro.integrity.sdc import SDCInjector
 from repro.nn.layers import conv_output_hw
-from repro.sim.backend import resolve_backend
 from repro.sim.functional import (
+    _check_conv_args,
     conv_via_im2col,
     conv_via_inter_improved,
     conv_via_partition,
@@ -128,17 +128,16 @@ def predicted_checksums(
     stride: int = 1,
     pad: int = 0,
     groups: int = 1,
-    backend: Optional[str] = None,
 ) -> Checksums:
     """Predict the output checksums from input/weight reductions alone.
 
     The input is column-reduced (summed over the ``ox`` positions each
-    kernel column touches) and row-reduced likewise; one small einsum per
-    group then yields every row/column sum.  All in int64 — exact on
-    either backend (the ``vector`` backend gathers the same reductions
-    through strided window views instead of per-kernel-element loops;
-    integer sums are order-independent, so the checksums are identical).
+    kernel column touches) and row-reduced likewise, both gathered through
+    strided window views; one small einsum per group then yields every
+    row/column sum.  All in int64, so the sums are exact and do not depend
+    on their order.
     """
+    _check_conv_args(data_codes, weight_codes, stride, pad, groups)
     if not np.issubdtype(data_codes.dtype, np.integer) or not np.issubdtype(
         weight_codes.dtype, np.integer
     ):
@@ -152,51 +151,23 @@ def predicted_checksums(
     ow = conv_output_hw(data_codes.shape[2] + 2 * pad, k, s, 0)
     row = np.zeros((dout, oh), dtype=np.int64)
     col = np.zeros((dout, ow), dtype=np.int64)
-    vector = resolve_backend(backend) == "vector"
     for g in range(groups):
         dslice = data_codes[g * din_g : (g + 1) * din_g].astype(np.int64)
         padded = pad_input(dslice, pad)
         w_g = weight_codes[g * dout_g : (g + 1) * dout_g].astype(np.int64)
-        if vector:
-            # colsum[d, h, v] = sum_ox padded[d, h, v + ox*s], via one
-            # window view over the W axis instead of a per-v loop
-            cwin = sliding_window_view(padded, k, axis=2)  # [d, h, x, v]
-            colsum = cwin[:, :, : (ow - 1) * s + 1 : s].sum(axis=2, dtype=np.int64)
-            # sr[oy, d, u, v] = colsum[d, u + oy*s, v]
-            rwin = sliding_window_view(colsum, k, axis=1)  # [d, y, v, u]
-            sr = rwin[:, : (oh - 1) * s + 1 : s].transpose(1, 0, 3, 2)
-        else:
-            # column reduction: colsum[d, h, v] = sum_ox padded[d, h, v + ox*s]
-            colsum = np.empty((din_g, padded.shape[1], k), dtype=np.int64)
-            for v in range(k):
-                colsum[:, :, v] = padded[:, :, v : v + (ow - 1) * s + 1 : s].sum(
-                    axis=2
-                )
-            # gather the rows each (oy, u) pair reads: SR[oy, d, u, v]
-            sr = np.empty((oh, din_g, k, k), dtype=np.int64)
-            for u in range(k):
-                sr[:, :, u, :] = colsum[:, u : u + (oh - 1) * s + 1 : s, :].transpose(
-                    1, 0, 2
-                )
+        # colsum[d, h, v] = sum_ox padded[d, h, v + ox*s], via one window
+        # view over the W axis
+        cwin = sliding_window_view(padded, k, axis=2)  # [d, h, x, v]
+        colsum = cwin[:, :, : (ow - 1) * s + 1 : s].sum(axis=2, dtype=np.int64)
+        # sr[oy, d, u, v] = colsum[d, u + oy*s, v]: the rows each (oy, u) reads
+        rwin = sliding_window_view(colsum, k, axis=1)  # [d, y, v, u]
+        sr = rwin[:, : (oh - 1) * s + 1 : s].transpose(1, 0, 3, 2)
         row[g * dout_g : (g + 1) * dout_g] = np.einsum("yduv,oduv->oy", sr, w_g)
-        if vector:
-            # rowsum gathered as [d, w, u]; sc[ox, d, u, v] = rowsum[d, u, v + ox*s]
-            hwin = sliding_window_view(padded, k, axis=1)  # [d, y, w, u]
-            rowsum = hwin[:, : (oh - 1) * s + 1 : s].sum(axis=1, dtype=np.int64)
-            swin = sliding_window_view(rowsum, k, axis=1)  # [d, x, u, v]
-            sc = swin[:, : (ow - 1) * s + 1 : s].transpose(1, 0, 2, 3)
-        else:
-            # row reduction: rowsum[d, u, w] = sum_oy padded[d, u + oy*s, w]
-            rowsum = np.empty((din_g, k, padded.shape[2]), dtype=np.int64)
-            for u in range(k):
-                rowsum[:, u, :] = padded[:, u : u + (oh - 1) * s + 1 : s, :].sum(
-                    axis=1
-                )
-            sc = np.empty((ow, din_g, k, k), dtype=np.int64)
-            for v in range(k):
-                sc[:, :, :, v] = rowsum[:, :, v : v + (ow - 1) * s + 1 : s].transpose(
-                    2, 0, 1
-                )
+        # rowsum gathered as [d, w, u]; sc[ox, d, u, v] = rowsum[d, u, v + ox*s]
+        hwin = sliding_window_view(padded, k, axis=1)  # [d, y, w, u]
+        rowsum = hwin[:, : (oh - 1) * s + 1 : s].sum(axis=1, dtype=np.int64)
+        swin = sliding_window_view(rowsum, k, axis=1)  # [d, x, u, v]
+        sc = swin[:, : (ow - 1) * s + 1 : s].transpose(1, 0, 2, 3)
         col[g * dout_g : (g + 1) * dout_g] = np.einsum("xduv,oduv->ox", sc, w_g)
     if bias_codes is not None:
         b = bias_codes.astype(np.int64)
@@ -283,7 +254,6 @@ def _recompute_rows(
     groups: int,
     maps,
     rows,
-    backend: Optional[str] = None,
 ) -> None:
     """Re-execute output rows ``rows`` of each map in ``maps`` from the
     clean, padded input codes.
@@ -307,7 +277,6 @@ def _recompute_rows(
             weight_codes[ocs],
             None if bias_codes is None else bias_codes[ocs],
             stride,
-            backend=backend,
         )
         out[np.ix_(ocs, rows)] = fresh[:, rows - lo]
 
@@ -322,7 +291,6 @@ def recompute_flagged(
     stride: int = 1,
     pad: int = 0,
     groups: int = 1,
-    backend: Optional[str] = None,
 ) -> RecoveryReport:
     """Recompute the damage `report` localized, in place, and re-check.
 
@@ -341,15 +309,14 @@ def recompute_flagged(
             row_recomputes += len(rows)
             recomputed.extend((oc, oy) for oy in rows)
             _recompute_rows(
-                out, padded, weight_codes, bias_codes, stride, groups, [oc], rows,
-                backend,
+                out, padded, weight_codes, bias_codes, stride, groups, [oc], rows
             )
         else:
             whole.append(oc)
             recomputed.append((oc, -1))
     _recompute_rows(
         out, padded, weight_codes, bias_codes, stride, groups, whole,
-        range(out.shape[1]), backend,
+        range(out.shape[1]),
     )
     map_recomputes = len(whole)
     after = check_output(out, predicted)
@@ -360,7 +327,7 @@ def recompute_flagged(
         recomputed.extend((oc, -1) for oc in after.flagged_maps)
         _recompute_rows(
             out, padded, weight_codes, bias_codes, stride, groups,
-            after.flagged_maps, range(out.shape[1]), backend,
+            after.flagged_maps, range(out.shape[1]),
         )
         after = check_output(out, predicted)
     return RecoveryReport(
@@ -401,7 +368,6 @@ def verified_conv(
     path: str = "partition",
     fmt: FixedPointFormat = Q7_8,
     inject: Optional[SDCInjector] = None,
-    backend: Optional[str] = None,
 ) -> VerifiedConvResult:
     """Run one convolution under the ABFT guard, recovering any corruption.
 
@@ -419,7 +385,7 @@ def verified_conv(
         data, weights, bias, fmt
     )
     predicted = predicted_checksums(
-        data_codes, weight_codes, bias_codes, stride, pad, groups, backend
+        data_codes, weight_codes, bias_codes, stride, pad, groups
     )
     raw = _PATH_FNS[path](
         data_codes,
@@ -429,7 +395,6 @@ def verified_conv(
         pad=pad,
         groups=groups,
         inject=inject,
-        backend=backend,
     )
     report = check_output(raw, predicted)
     recovery: Optional[RecoveryReport] = None
@@ -446,7 +411,6 @@ def verified_conv(
             stride=stride,
             pad=pad,
             groups=groups,
-            backend=backend,
         )
     return VerifiedConvResult(
         output=out,
@@ -466,7 +430,6 @@ def golden_codes(
     pad: int = 0,
     groups: int = 1,
     fmt: FixedPointFormat = Q7_8,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """The reference convolution on the quantized codes — the recovery target."""
     data_codes, weight_codes, bias_codes = quantize_conv_operands(
@@ -479,5 +442,4 @@ def golden_codes(
         stride=stride,
         pad=pad,
         groups=groups,
-        backend=backend,
     )

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.arch.config import CONFIG_16_16, AcceleratorConfig
-from repro.errors import ScheduleError
+from repro.errors import ConfigError, ScheduleError
 from repro.integrity.abft import ABFT_PATHS, golden_codes, verified_conv
 from repro.integrity.sdc import SDCInjector
 from repro.nn.layers import ConvLayer, TensorShape
@@ -34,7 +34,6 @@ from repro.nn.network import LayerContext
 from repro.resilience.faults import BITFLIP_SITES, seeded_bitflips
 from repro.schemes import make_scheme
 from repro.schemes.abft import abft_overhead
-from repro.sim.backend import resolve_backend
 from repro.sim.functional import random_conv_tensors
 
 __all__ = ["SWEEP_LAYERS", "render_sweep", "run_sweep"]
@@ -82,16 +81,14 @@ def run_sweep(
     flips_per_site: int = 4,
     smoke: bool = False,
     config: AcceleratorConfig = CONFIG_16_16,
-    backend: Optional[str] = None,
 ) -> Dict[str, object]:
     """Run the full injection sweep and return the byte-stable rollup.
 
-    ``backend`` picks the functional-simulator execution (see
-    :mod:`repro.sim.backend`); every tally and the recovered outputs are
-    bit-identical across backends, so the rollup differs only in the
-    recorded ``backend`` field.
+    ``flips_per_site`` seeded single-bit flips are injected per (layer,
+    path, site); it must be an int of at least 1 (``smoke`` caps it at 2).
     """
-    backend = resolve_backend(backend)
+    if type(flips_per_site) is not int or flips_per_site < 1:  # bools too
+        raise ConfigError(f"flips per site must be an int >= 1, got {flips_per_site!r}")
     layer_specs = SWEEP_LAYERS[:3] if smoke else SWEEP_LAYERS
     if smoke:
         flips_per_site = min(flips_per_site, 2)
@@ -110,9 +107,7 @@ def run_sweep(
         data, weights, bias = random_conv_tensors(
             layer, in_shape, seed=seed * 1009 + li
         )
-        golden = golden_codes(
-            data, weights, bias, stride=s, pad=pad, groups=groups, backend=backend
-        )
+        golden = golden_codes(data, weights, bias, stride=s, pad=pad, groups=groups)
         for pi, path in enumerate(ABFT_PATHS):
             # clean run: the zero-false-positive claim is checked here
             clean = verified_conv(
@@ -123,7 +118,6 @@ def run_sweep(
                 pad=pad,
                 groups=groups,
                 path=path,
-                backend=backend,
             )
             clean_runs += 1
             if clean.detected:
@@ -146,7 +140,6 @@ def run_sweep(
                         groups=groups,
                         path=path,
                         inject=injector,
-                        backend=backend,
                     )
                     for tally in (sites[site], paths[path]):
                         tally["injections"] += 1
@@ -221,7 +214,6 @@ def run_sweep(
         "smoke": smoke,
         "flips_per_site": flips_per_site,
         "config": config.name,
-        "backend": backend,
         "layers": layers,
         "sites": sites,
         "paths": paths,

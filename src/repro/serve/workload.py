@@ -773,6 +773,15 @@ def diurnal_arrivals(
     return _stream(times, picks, tenants)
 
 
+def _utf8_lines(handle, path: str) -> Iterator[str]:
+    """The lines of ``handle``, a trace opened as UTF-8; bytes that are not
+    UTF-8 text are a :class:`ConfigError` naming ``path``."""
+    try:
+        yield from handle
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def trace_arrivals(
     path: str,
     tenants: Sequence[TenantSpec],
@@ -796,8 +805,8 @@ def trace_arrivals(
     rng = random.Random(seed)
     rows = []
     prev: Optional[float] = None
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, 1):
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(_utf8_lines(handle, path), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

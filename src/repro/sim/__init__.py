@@ -1,10 +1,5 @@
 """Simulation: run records, functional (numerical) execution, machine model."""
 
-from repro.sim.backend import set_backend, use_backend
 from repro.sim.machine import Machine
 
-__all__ = [
-    "set_backend",
-    "use_backend",
-    "Machine",
-]
+__all__ = ["Machine"]

@@ -70,7 +70,6 @@ def _on_datapath(
     stride: int,
     pad: int,
     fmt: FixedPointFormat,
-    backend: Optional[str],
 ) -> np.ndarray:
     """Run the functional accumulation ``order`` on int64 codes, then the
     output stage."""
@@ -79,7 +78,7 @@ def _on_datapath(
         # bias is a Qm.n code; align it to the 2n-fraction accumulator
         bias = bias_codes.astype(np.int64) << fmt.frac_bits
     data, weights = data_codes.astype(np.int64), weight_codes.astype(np.int64)
-    return requantize(order(data, weights, bias, stride, pad, backend=backend), fmt)
+    return requantize(order(data, weights, bias, stride, pad), fmt)
 
 
 def conv_codes_direct(
@@ -89,11 +88,10 @@ def conv_codes_direct(
     stride: int = 1,
     pad: int = 0,
     fmt: FixedPointFormat = Q7_8,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Reference integer convolution: direct window order, wide accumulator."""
     return _on_datapath(
-        reference_conv, data_codes, weight_codes, bias_codes, stride, pad, fmt, backend
+        reference_conv, data_codes, weight_codes, bias_codes, stride, pad, fmt
     )
 
 
@@ -104,12 +102,10 @@ def conv_codes_partitioned(
     stride: int = 1,
     pad: int = 0,
     fmt: FixedPointFormat = Q7_8,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Integer convolution in Algorithm 1's order (partition, accumulate)."""
     return _on_datapath(
-        conv_via_partition, data_codes, weight_codes, bias_codes, stride, pad, fmt,
-        backend,
+        conv_via_partition, data_codes, weight_codes, bias_codes, stride, pad, fmt
     )
 
 
@@ -120,10 +116,8 @@ def conv_codes_inter_improved(
     stride: int = 1,
     pad: int = 0,
     fmt: FixedPointFormat = Q7_8,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Integer convolution in the Sec 4.2.2 partial-sum order."""
     return _on_datapath(
-        conv_via_inter_improved, data_codes, weight_codes, bias_codes, stride, pad,
-        fmt, backend,
+        conv_via_inter_improved, data_codes, weight_codes, bias_codes, stride, pad, fmt
     )

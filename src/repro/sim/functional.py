@@ -11,17 +11,13 @@ All functions take planar ``(Din, H, W)`` activations and
 ``(Dout, Din/groups, k, k)`` weights, mirroring
 :class:`~repro.nn.layers.ConvLayer`.
 
-Every path executes on one of two backends (see :mod:`repro.sim.backend`):
-``loop``, the original Python loop nests kept verbatim as the bit-exactness
-oracle, and ``vector``, a batched im2col/GEMM fast path.  On int64
-fixed-point codes the backends are bit-identical — integer accumulation is
-associative, so reordering the reductions cannot change a single bit — and
-the 40-bit-accumulator psum injection semantics below are preserved: the
-per-step accumulation structure (group steps for im2col, Algorithm 1 piece
-steps for partition) is the same on both backends, so an ``on_psum`` flip
-lands on the same live values.  The improved inter-kernel path drops to its
-stepwise order whenever an ``inject`` hook is present, because its vector
-form fuses the ``k*k`` add-and-store steps into one GEMM.
+Each path is batched im2col/GEMM over strided window views.  Without an
+``inject`` hook the partitioned and improved inter-kernel paths fuse their
+accumulation steps into :func:`reference_conv`'s GEMM: on int64 codes
+integer addition is associative, so no reordering can change a bit.  With
+a hook they run their stepwise orders, so the psum hook sees the live
+accumulator after every step.  The paper's loop nests, one output pixel or
+kernel tap at a time, are the tier-1 oracle in ``tests/sim/loop_oracle.py``.
 
 Every scheme path (but *not* :func:`reference_conv`, which stays golden)
 accepts an optional ``inject`` hook object — duck-typed to
@@ -48,13 +44,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 from repro.errors import ShapeError
 from repro.nn.layers import ConvLayer, TensorShape, conv_output_hw
-from repro.sim.backend import conv_window_view, resolve_backend, window_columns
 from repro.tiling.partition import (
     pad_data_for_partition,
     partition_geometry,
     partition_weights,
 )
-from repro.tiling.unroll import im2col, pad_input
+from repro.tiling.unroll import conv_window_view, im2col, pad_input, window_columns
 
 __all__ = [
     "reference_conv",
@@ -64,6 +59,12 @@ __all__ = [
     "partition_partial_maps",
     "random_conv_tensors",
 ]
+
+
+def _check_int_arg(name: str, value: int, low: int) -> None:
+    """Reject a bool, a non-integer (NumPy ints pass) or a value below ``low``."""
+    if not (type(value) is int or isinstance(value, np.integer)) or value < low:
+        raise ShapeError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_conv_args(
@@ -76,15 +77,18 @@ def _check_conv_args(
     dout, din_g, k1, k2 = weights.shape
     if k1 != k2:
         raise ShapeError(f"kernel must be square, got {k1}x{k2}")
+    _check_int_arg("stride", stride, 1)
+    _check_int_arg("pad", pad, 0)
+    _check_int_arg("groups", groups, 1)
     if data.shape[0] % groups or dout % groups:
-        raise ShapeError("groups must divide Din and Dout")
+        raise ShapeError(
+            f"groups {groups} must divide Din {data.shape[0]} and Dout {dout}"
+        )
     if data.shape[0] // groups != din_g:
         raise ShapeError(
             f"weights expect {din_g} maps per group, data has "
             f"{data.shape[0] // groups}"
         )
-    if stride <= 0 or pad < 0:
-        raise ShapeError("stride must be positive and pad non-negative")
 
 
 def reference_conv(
@@ -94,13 +98,11 @@ def reference_conv(
     stride: int = 1,
     pad: int = 0,
     groups: int = 1,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Direct convolution — the golden reference for every scheme.
 
-    Computed in float64 (or the input dtype if integer) with the canonical
-    sliding-window order on the ``loop`` backend, or as a batched
-    im2col/GEMM on ``vector`` (bit-identical on integer codes).
+    Computed in the operands' result dtype (float64, or int64 on integer
+    codes) as one im2col/GEMM per group.
     """
     _check_conv_args(data, weights, stride, pad, groups)
     dout = weights.shape[0]
@@ -112,26 +114,14 @@ def reference_conv(
     out = np.zeros((dout, oh, ow), dtype=np.result_type(data, weights))
     din_g = din // groups
     dout_g = dout // groups
-    if resolve_backend(backend) == "vector":
-        for g in range(groups):
-            cols = window_columns(
-                conv_window_view(padded[g * din_g : (g + 1) * din_g], k, stride, oh, ow)
-            )  # (oh*ow, din_g*k*k)
-            wmat = weights[g * dout_g : (g + 1) * dout_g].reshape(dout_g, -1)
-            out[g * dout_g : (g + 1) * dout_g] = (cols @ wmat.T).T.reshape(
-                dout_g, oh, ow
-            )
-    else:
-        for g in range(groups):
-            dslice = padded[g * din_g : (g + 1) * din_g]
-            for oc in range(g * dout_g, (g + 1) * dout_g):
-                kern = weights[oc]
-                for oy in range(oh):
-                    iy = oy * stride
-                    for ox in range(ow):
-                        ix = ox * stride
-                        patch = dslice[:, iy : iy + k, ix : ix + k]
-                        out[oc, oy, ox] = np.sum(patch * kern)
+    for g in range(groups):
+        cols = window_columns(
+            conv_window_view(padded[g * din_g : (g + 1) * din_g], k, stride, oh, ow)
+        )  # (oh*ow, din_g*k*k)
+        wmat = weights[g * dout_g : (g + 1) * dout_g].reshape(dout_g, -1)
+        out[g * dout_g : (g + 1) * dout_g] = (cols @ wmat.T).T.reshape(
+            dout_g, oh, ow
+        )
     if bias is not None:
         out += bias[:, None, None]
     return out
@@ -145,13 +135,10 @@ def conv_via_im2col(
     pad: int = 0,
     groups: int = 1,
     inject: Optional["SDCInjector"] = None,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Convolution executed as the intra-kernel unrolling scheme: im2col + GEMM.
 
-    The backends differ only in how the unrolled matrix is built (the
-    ``vector`` unroller is byte-identical to the loop one), so the GEMM,
-    the per-group psum hook sites, and the output are the same on both.
+    One GEMM per group, with a psum hook after each.
     """
     _check_conv_args(data, weights, stride, pad, groups)
     if inject is not None:
@@ -167,7 +154,7 @@ def conv_via_im2col(
     out = np.zeros((dout, oh, ow), dtype=np.result_type(data, weights))
     for g in range(groups):
         dslice = data[g * din_g : (g + 1) * din_g]
-        cols = im2col(dslice, k, stride, pad, backend=backend)  # (oh*ow, din_g*k*k)
+        cols = im2col(dslice, k, stride, pad)  # (oh*ow, din_g*k*k)
         wmat = weights[g * dout_g : (g + 1) * dout_g].reshape(dout_g, -1)
         prod = cols @ wmat.T  # (oh*ow, dout_g)
         if inject is not None:
@@ -185,7 +172,6 @@ def partition_partial_maps(
     weights: np.ndarray,
     stride: int,
     pad: int = 0,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """The ``g*g`` partial output maps of Fig. 5(d) (single group).
 
@@ -193,10 +179,8 @@ def partition_partial_maps(
     reproduces the direct convolution.  Exposed separately so tests can
     check the *intermediate* structure the paper draws, not just the sum.
 
-    The ``vector`` backend computes each piece as one im2col/GEMM over its
-    non-overlapping sub-kernel scan (all pieces batched into a single
-    ``matmul``); per-element the products and sums are the same, so the
-    partial maps are bit-identical to the loop scan on integer codes.
+    Each piece is one im2col/GEMM over its non-overlapping sub-kernel scan,
+    and all pieces are batched into a single ``matmul``.
     """
     k = weights.shape[-1]
     geom = partition_geometry(k, stride)
@@ -209,39 +193,19 @@ def partition_partial_maps(
     base_w = data.shape[2] + 2 * pad
     oh = conv_output_hw(base_h, k, stride, 0)
     ow = conv_output_hw(base_w, k, stride, 0)
-    if resolve_backend(backend) == "vector":
-        din = data.shape[0]
-        stack = np.empty(
-            (geom.pieces, oh * ow, din * ks * ks), dtype=padded.dtype
-        )
-        for piece in range(geom.pieces):
-            i, j = divmod(piece, g)
-            stack[piece] = window_columns(
-                conv_window_view(padded, ks, stride, oh, ow, i * ks, j * ks)
-            )
-        # (G, Din*ks*ks, Dout): piece G's sub-kernels as one GEMM operand
-        wstack = np.ascontiguousarray(
-            sub.transpose(2, 1, 3, 4, 0).reshape(geom.pieces, din * ks * ks, dout)
-        )
-        prod = stack @ wstack  # (G, oh*ow, Dout)
-        return prod.transpose(0, 2, 1).reshape(geom.pieces, dout, oh, ow)
-    partials = np.zeros(
-        (geom.pieces, dout, oh, ow), dtype=np.result_type(data, weights)
-    )
+    din = data.shape[0]
+    stack = np.empty((geom.pieces, oh * ow, din * ks * ks), dtype=padded.dtype)
     for piece in range(geom.pieces):
         i, j = divmod(piece, g)
-        oy0, ox0 = i * ks, j * ks
-        # sub-kernel scan: stride == window size, windows never overlap
-        for oy in range(oh):
-            iy = oy * stride + oy0
-            for ox in range(ow):
-                ix = ox * stride + ox0
-                window = padded[:, iy : iy + ks, ix : ix + ks]
-                # one PE operation per (output map chunk): window x sub-kernel
-                partials[piece, :, oy, ox] = np.einsum(
-                    "dhw,odhw->o", window, sub[:, :, piece]
-                )
-    return partials
+        stack[piece] = window_columns(
+            conv_window_view(padded, ks, stride, oh, ow, i * ks, j * ks)
+        )
+    # (G, Din*ks*ks, Dout): piece G's sub-kernels as one GEMM operand
+    wstack = np.ascontiguousarray(
+        sub.transpose(2, 1, 3, 4, 0).reshape(geom.pieces, din * ks * ks, dout)
+    )
+    prod = stack @ wstack  # (G, oh*ow, Dout)
+    return prod.transpose(0, 2, 1).reshape(geom.pieces, dout, oh, ow)
 
 
 def conv_via_partition(
@@ -252,7 +216,6 @@ def conv_via_partition(
     pad: int = 0,
     groups: int = 1,
     inject: Optional["SDCInjector"] = None,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Convolution executed by Algorithm 1 (kernel partitioning).
 
@@ -263,24 +226,21 @@ def conv_via_partition(
     same fallback the planner applies (psum injection hooks do not fire on
     the fallback — there is no multi-piece accumulator to corrupt).
 
-    Without an ``inject`` hook the ``vector`` backend fuses the whole piece
-    accumulation into one direct GEMM — bit-identical on integer codes
-    (Fig. 5(d) plus associativity).  Whenever a hook is present, both
-    backends run the stepwise Algorithm 1 loop with identical per-piece
-    psum hook sites (only the per-piece partial maps are vectorized), so
-    injected faults land on the same live accumulators.
+    Without an ``inject`` hook the whole piece accumulation fuses into one
+    direct GEMM — bit-identical on integer codes (Fig. 5(d) plus
+    associativity).  With a hook the stepwise Algorithm 1 loop runs over
+    :func:`partition_partial_maps`, with a psum hook site after each piece,
+    so injected faults land on the live accumulators.
     """
     _check_conv_args(data, weights, stride, pad, groups)
-    if inject is not None:
-        data = inject.on_activation(data)
-        weights = inject.on_weight(weights)
+    if inject is None:
+        return reference_conv(data, weights, bias, stride, pad, groups)
+    data = inject.on_activation(data)
+    weights = inject.on_weight(weights)
     if stride >= weights.shape[-1]:
-        out = reference_conv(data, weights, bias, stride, pad, groups, backend)
-        if inject is not None:
-            inject.on_output(out)
+        out = reference_conv(data, weights, bias, stride, pad, groups)
+        inject.on_output(out)
         return out
-    if inject is None and resolve_backend(backend) == "vector":
-        return reference_conv(data, weights, bias, stride, pad, groups, "vector")
     din = data.shape[0]
     dout = weights.shape[0]
     din_g = din // groups
@@ -290,21 +250,18 @@ def conv_via_partition(
     for g in range(groups):
         dslice = data[g * din_g : (g + 1) * din_g]
         wslice = weights[g * dout_g : (g + 1) * dout_g]
-        partials = partition_partial_maps(dslice, wslice, stride, pad, backend)
+        partials = partition_partial_maps(dslice, wslice, stride, pad)
         # Algorithm 1: accumulate r_{i/G} onto r_{(i-1)/G} in the output buffer
         acc = partials[0].copy()
-        if inject is not None:
-            inject.on_psum(acc, g * pieces, groups * pieces)
+        inject.on_psum(acc, g * pieces, groups * pieces)
         for piece in range(1, partials.shape[0]):
             acc += partials[piece]
-            if inject is not None:
-                inject.on_psum(acc, g * pieces + piece, groups * pieces)
+            inject.on_psum(acc, g * pieces + piece, groups * pieces)
         pieces_out.append(acc)
     out = np.concatenate(pieces_out, axis=0)
     if bias is not None:
         out += bias[:, None, None]
-    if inject is not None:
-        inject.on_output(out)
+    inject.on_output(out)
     return out
 
 
@@ -316,7 +273,6 @@ def conv_via_inter_improved(
     pad: int = 0,
     groups: int = 1,
     inject: Optional["SDCInjector"] = None,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Convolution in the improved inter-kernel order (Sec 4.2.2).
 
@@ -324,19 +280,17 @@ def conv_via_inter_improved(
     1/(k*k) partial sums of *all* output pixels and maps are add-and-stored
     onto the output buffer before the next element is visited.
 
-    Without an ``inject`` hook the ``vector`` backend fuses all ``k*k``
-    add-and-store steps into :func:`reference_conv`'s GEMM — bit-identical
-    on integer codes because integer addition is associative.  When a hook
-    is present the stepwise order is always used (on either backend): the
-    per-``(u, v)`` psum hook needs the live accumulator after each step,
-    which the fused GEMM never materializes.
+    Without an ``inject`` hook all ``k*k`` add-and-store steps fuse into
+    :func:`reference_conv`'s GEMM — bit-identical on integer codes because
+    integer addition is associative.  With a hook the stepwise order runs:
+    the per-``(u, v)`` psum hook needs the live accumulator after each
+    step, which the fused GEMM never materializes.
     """
     _check_conv_args(data, weights, stride, pad, groups)
-    if inject is not None:
-        data = inject.on_activation(data)
-        weights = inject.on_weight(weights)
-    elif resolve_backend(backend) == "vector":
-        return reference_conv(data, weights, bias, stride, pad, groups, "vector")
+    if inject is None:
+        return reference_conv(data, weights, bias, stride, pad, groups)
+    data = inject.on_activation(data)
+    weights = inject.on_weight(weights)
     din = data.shape[0]
     dout = weights.shape[0]
     k = weights.shape[-1]
@@ -362,16 +316,14 @@ def conv_via_inter_improved(
                 out[g * dout_g : (g + 1) * dout_g] += np.einsum(
                     "dhw,od->ohw", dslice, wvec
                 )
-                if inject is not None:
-                    inject.on_psum(
-                        out[g * dout_g : (g + 1) * dout_g],
-                        (u * k + v) * groups + g,
-                        steps_total,
-                    )
+                inject.on_psum(
+                    out[g * dout_g : (g + 1) * dout_g],
+                    (u * k + v) * groups + g,
+                    steps_total,
+                )
     if bias is not None:
         out += bias[:, None, None]
-    if inject is not None:
-        inject.on_output(out)
+    inject.on_output(out)
     return out
 
 

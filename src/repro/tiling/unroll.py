@@ -8,7 +8,10 @@ trivial but multiplies the footprint by
 
 which for the bottom layers of AlexNet/GoogLeNet is 9x-18.9x (Fig. 3).
 The transform itself (:func:`im2col`) is used by the functional simulator
-to execute the intra-kernel scheme's numerics.
+to execute the intra-kernel scheme's numerics; its two primitives, a
+strided window view of a padded tensor (:func:`conv_window_view`) and the
+GEMM operand it flattens to (:func:`window_columns`), also build the
+functional simulator's direct and partitioned GEMMs.
 """
 
 from __future__ import annotations
@@ -16,11 +19,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ShapeError
 from repro.nn.layers import ConvLayer, TensorShape, conv_output_hw
 
-__all__ = ["UnrollStats", "unroll_factor", "unroll_stats", "im2col", "pad_input"]
+__all__ = [
+    "UnrollStats",
+    "unroll_factor",
+    "unroll_stats",
+    "im2col",
+    "pad_input",
+    "conv_window_view",
+    "window_columns",
+]
 
 
 @dataclass(frozen=True)
@@ -76,40 +88,53 @@ def pad_input(data: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(data, ((0, 0), (pad, pad), (pad, pad)))
 
 
-def im2col(
-    data: np.ndarray,
+def conv_window_view(
+    padded: np.ndarray,
     kernel: int,
     stride: int,
-    pad: int = 0,
-    backend: "str | None" = None,
+    oh: int,
+    ow: int,
+    oy0: int = 0,
+    ox0: int = 0,
 ) -> np.ndarray:
+    """Read-only strided view of every conv window of a padded tensor.
+
+    Returns shape ``(D, oh, ow, kernel, kernel)`` where entry
+    ``[d, oy, ox]`` is the window at input offset
+    ``(oy0 + oy*stride, ox0 + ox*stride)`` — no data is copied.
+    """
+    win = sliding_window_view(padded, (kernel, kernel), axis=(1, 2))
+    return win[
+        :,
+        oy0 : oy0 + (oh - 1) * stride + 1 : stride,
+        ox0 : ox0 + (ow - 1) * stride + 1 : stride,
+    ]
+
+
+def window_columns(windows: np.ndarray) -> np.ndarray:
+    """Flatten a ``(D, oh, ow, k, k)`` window view into GEMM columns.
+
+    Returns a contiguous ``(oh*ow, D*k*k)`` matrix whose row ``r`` is the
+    receptive field of output pixel ``r`` in row-major output order — the
+    layout :func:`im2col` returns.
+    """
+    d, oh, ow, k, _ = windows.shape
+    return np.ascontiguousarray(windows.transpose(1, 2, 0, 3, 4)).reshape(
+        oh * ow, d * k * k
+    )
+
+
+def im2col(data: np.ndarray, kernel: int, stride: int, pad: int = 0) -> np.ndarray:
     """Unroll a (D, H, W) tensor into a (oh*ow, D*k*k) matrix.
 
     Row ``r`` holds the receptive field of output pixel ``r`` (row-major over
     the output map), with the per-map ``k*k`` patches concatenated along the
-    depth axis — the layout a software GEMM (Caffe-style) consumes.
-
-    Both backends produce byte-identical matrices (unrolling is pure data
-    movement); ``vector`` extracts every patch at once through a strided
-    window view instead of one Python-level copy per output pixel.
+    depth axis — the layout a software GEMM (Caffe-style) consumes.  Every
+    patch is copied at once out of a strided window view.
     """
     if data.ndim != 3:
         raise ShapeError(f"expected (D, H, W) tensor, got shape {data.shape}")
-    from repro.sim.backend import conv_window_view, resolve_backend, window_columns
-
     padded = pad_input(data, pad)
-    d, h, w = padded.shape
-    oh = conv_output_hw(h, kernel, stride, 0)
-    ow = conv_output_hw(w, kernel, stride, 0)
-    if resolve_backend(backend) == "vector":
-        return window_columns(conv_window_view(padded, kernel, stride, oh, ow))
-    rows = np.empty((oh * ow, d * kernel * kernel), dtype=padded.dtype)
-    r = 0
-    for oy in range(oh):
-        iy = oy * stride
-        for ox in range(ow):
-            ix = ox * stride
-            patch = padded[:, iy : iy + kernel, ix : ix + kernel]
-            rows[r] = patch.reshape(-1)
-            r += 1
-    return rows
+    oh = conv_output_hw(padded.shape[1], kernel, stride, 0)
+    ow = conv_output_hw(padded.shape[2], kernel, stride, 0)
+    return window_columns(conv_window_view(padded, kernel, stride, oh, ow))

@@ -35,9 +35,9 @@ COMMITTED = {
 }
 
 
-#: switches that change what a bench records; the committed files were
-#: made without them, so the caller's values must not reach the scripts
-STRIPPED_ENV = ("REPRO_SIM_BACKEND", "REPRO_NO_PLAN_CACHE")
+#: a switch that changes what a bench records; the committed files were
+#: made without it, so the caller's value must not reach the scripts
+STRIPPED_ENV = ("REPRO_NO_PLAN_CACHE",)
 
 
 def _env():

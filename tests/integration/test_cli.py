@@ -92,14 +92,25 @@ class TestCommands:
         assert result.stderr == (
             "error: arrival rate must be positive and finite, got nan\n"
         )
+        # a sweep that injects nothing would pass the guard vacuously
+        for flips in ("0", "-1"):
+            result = run("integrity", "--flips", flips)
+            assert result.stdout == ""
+            assert result.stderr == (
+                f"error: flips per site must be an int >= 1, got {flips}\n"
+            )
         # a path the command cannot open or write; --json and --csv-dir
         # fail after the human view is already on stdout
         regular = tmp_path / "regular"
         regular.write_text("")
         missing = tmp_path / "missing.csv"
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"\xff\xfe\xfa")  # not UTF-8 text
         for path, argv in (
             (missing, ("serve", "--arrival", "trace", "--trace", str(missing),
                        "--duration", "1")),
+            (binary, ("serve", "--arrival", "trace", "--trace", str(binary),
+                      "--duration", "1")),
             (regular / "x.json", ("serve", "--duration", "1", "--json",
                                   str(regular / "x.json"))),
             (regular / "sub", ("report", "--csv-dir", str(regular / "sub"))),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ShapeError
 from repro.integrity.abft import (
     ABFT_PATHS,
     check_output,
@@ -59,6 +59,25 @@ class TestPrediction:
     def test_float_tensors_rejected(self):
         with pytest.raises(ConfigError, match="integer-code"):
             predicted_checksums(np.zeros((1, 4, 4)), np.zeros((1, 1, 3, 3)))
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("stride", 0),
+            ("stride", True),
+            ("pad", -1),
+            ("groups", 0),
+            ("groups", True),
+            ("groups", 1.0),
+            ("groups", 3),  # divides neither depth
+        ],
+    )
+    def test_bad_stride_pad_groups_named(self, name, value):
+        data, weights, bias = tensors(3, 1, 0, 1, 4, 4, 8)
+        codes = quantize_conv_operands(data, weights, bias)
+        args = {"stride": 1, "pad": 0, "groups": 1, name: value}
+        with pytest.raises(ShapeError, match=f"{name}.*{value!r}"):
+            predicted_checksums(*codes, **args)
 
     def test_extra_macs_counts_row_and_col_cells(self):
         data, weights, bias = tensors(3, 1, 0, 1, 3, 4, 8)

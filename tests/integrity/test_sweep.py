@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.integrity import SWEEP_LAYERS, run_sweep
 from repro.resilience.faults import BITFLIP_SITES
 from repro.serve.metrics import to_json
@@ -50,6 +51,12 @@ class TestStructure:
             assert tally["fired"] + tally["skipped"] == tally["injections"]
             assert tally["corrupted"] + tally["masked"] == tally["fired"]
             assert tally["detected"] + tally["escaped"] == tally["corrupted"]
+
+    @pytest.mark.parametrize("flips", [0, -1, True, 2.0])
+    def test_a_sweep_must_inject(self, flips):
+        # zero flips would score a 100% detection rate without one fault
+        with pytest.raises(ConfigError, match=f"flips per site .*{flips!r}"):
+            run_sweep(seed=0, flips_per_site=flips, smoke=True)
 
 
 class TestDeterminism:

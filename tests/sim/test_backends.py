@@ -1,39 +1,34 @@
-"""Backend registry semantics and loop-vs-vector bit identity.
+"""The functional simulator against its loop-nest oracle, bit for bit.
 
-The ``vector`` backend's whole contract is that it is an *invisible*
-substitution for the ``loop`` oracle in the int64 code domain: outputs,
-partial maps, injected-fault hook firings and the resulting verdicts must
-be byte-identical.  These tests pin that contract on a seeded geometry
-grid covering every edge the schemes distinguish — 1x1 kernels, k == s,
-s > k (partition fallback), padding, and grouped convolution — plus the
-selection machinery itself (argument > set_backend > env var > default).
+Production runs every conv path as batched im2col/GEMM and, when no fault
+hook is attached, fuses the partitioned and inter-kernel accumulation
+steps into one GEMM.  :mod:`tests.sim.loop_oracle` keeps the paper's loop
+nests: one output pixel, window or kernel tap at a time, with every hook
+site.  In the int64 code domain the two must agree byte for byte:
+outputs, Algorithm 1's partial maps, the unrolled matrices, injected-fault
+outputs and the fired-event lists (whose before/after values prove that a
+psum hook sees the same live accumulator on both sides), and the 16-bit
+datapath codes.  A seeded grid pins the edges the schemes distinguish —
+1x1 kernels, k == s, s > k (the partition fallback), padding and grouped
+convolution — and a hypothesis property draws further geometries.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigError
+from repro.arch.fixedpoint import Q7_8
+from repro.integrity.abft import predicted_checksums
 from repro.integrity.sdc import SDCInjector
-from repro.resilience.faults import BITFLIP_SITES, seeded_bitflips
-from repro.sim import backend as backend_mod
-from repro.sim.backend import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    get_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
+from repro.resilience.faults import BITFLIP_SITES, BitFlipFault, seeded_bitflips
 from repro.sim.datapath import (
     conv_codes_direct,
     conv_codes_inter_improved,
     conv_codes_partitioned,
+    requantize,
 )
 from repro.sim.functional import (
     conv_via_im2col,
@@ -42,10 +37,11 @@ from repro.sim.functional import (
     partition_partial_maps,
     reference_conv,
 )
-from repro.tiling.unroll import im2col
+from repro.tiling.unroll import conv_window_view, im2col, window_columns
+from tests.sim import loop_oracle as oracle
 
-#: (k, s, pad, groups, din, dout, hw) — edge geometries named in the issue:
-#: 1x1, k == s, s > k, stride/pad combos, grouped
+#: (k, s, pad, groups, din, dout, hw) — edge geometries: 1x1, k == s,
+#: s > k, stride/pad combos, grouped
 EDGE_GRID = [
     (1, 1, 0, 1, 3, 4, 6),  # 1x1 kernel
     (2, 2, 0, 1, 3, 4, 8),  # k == s: partition degenerates
@@ -56,12 +52,16 @@ EDGE_GRID = [
     (11, 4, 0, 1, 3, 8, 19),  # AlexNet conv1 class
 ]
 
+#: each production path beside the oracle's loop nest for it
 PATHS = [
-    reference_conv,
-    conv_via_partition,
-    conv_via_im2col,
-    conv_via_inter_improved,
+    (reference_conv, oracle.reference_conv),
+    (conv_via_partition, oracle.conv_via_partition),
+    (conv_via_im2col, oracle.conv_via_im2col),
+    (conv_via_inter_improved, oracle.conv_via_inter_improved),
 ]
+
+#: the scheme paths, which carry fault hooks
+INJECT_PATHS = PATHS[1:]
 
 
 def code_tensors(k, s, pad, groups, din, dout, hw, seed=0):
@@ -74,80 +74,18 @@ def code_tensors(k, s, pad, groups, din, dout, hw, seed=0):
     return data, weights, bias
 
 
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    """Leave the process-wide backend exactly as each test found it."""
-    previous = get_backend()
-    yield
-    set_backend(previous)
-
-
-class TestSelection:
-    def test_default_is_vector(self):
-        assert DEFAULT_BACKEND == "vector"
-        assert set(BACKENDS) == {"loop", "vector"}
-
-    def test_set_backend_returns_previous(self):
-        first = set_backend("loop")
-        assert get_backend() == "loop"
-        assert set_backend(first) == "loop"
-
-    def test_use_backend_restores_on_exit(self):
-        set_backend("vector")
-        with use_backend("loop") as active:
-            assert active == "loop"
-            assert get_backend() == "loop"
-        assert get_backend() == "vector"
-
-    def test_use_backend_restores_on_exception(self):
-        set_backend("vector")
-        with pytest.raises(RuntimeError):
-            with use_backend("loop"):
-                raise RuntimeError("boom")
-        assert get_backend() == "vector"
-
-    def test_explicit_argument_beats_active(self):
-        set_backend("loop")
-        assert resolve_backend("vector") == "vector"
-        assert resolve_backend(None) == "loop"
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ConfigError):
-            set_backend("simd")
-        with pytest.raises(ConfigError):
-            resolve_backend("turbo")
-
-    def test_env_var_sets_initial_backend(self):
-        # first get_backend() in a fresh process resolves the env var
-        code = (
-            "from repro.sim.backend import get_backend; print(get_backend())"
+def injected_runs(pair, fault, data, weights, bias, s, pad, groups):
+    """Run production and the oracle under fresh injectors holding the same
+    fault; return both outputs and both fired-event lists."""
+    outs, events = [], []
+    for fn in pair:
+        injector = SDCInjector([fault])
+        outs.append(
+            fn(data, weights, bias, stride=s, pad=pad, groups=groups, inject=injector)
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "REPRO_SIM_BACKEND": "loop"},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "loop"
-
-    def test_bad_env_var_raises_on_first_use(self):
-        code = (
-            "from repro.errors import ConfigError\n"
-            "from repro.sim.backend import get_backend\n"
-            "try:\n"
-            "    get_backend()\n"
-            "except ConfigError:\n"
-            "    print('rejected')\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "REPRO_SIM_BACKEND": "nope"},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "rejected"
+        # before/after capture the LIVE value at the hook site
+        events.append([e.to_dict() for e in injector.events])
+    return outs, events
 
 
 class TestBitIdentity:
@@ -157,22 +95,17 @@ class TestBitIdentity:
         self, k, s, pad, groups, din, dout, hw, seed
     ):
         data, weights, bias = code_tensors(k, s, pad, groups, din, dout, hw, seed)
-        for path in PATHS:
-            loop_out = path(
-                data, weights, bias, stride=s, pad=pad, groups=groups, backend="loop"
-            )
-            vec_out = path(
-                data, weights, bias, stride=s, pad=pad, groups=groups, backend="vector"
-            )
-            assert loop_out.dtype == vec_out.dtype == np.int64
-            assert np.array_equal(loop_out, vec_out), (path.__name__, k, s, pad)
+        for fn, loop in PATHS:
+            want = loop(data, weights, bias, stride=s, pad=pad, groups=groups)
+            got = fn(data, weights, bias, stride=s, pad=pad, groups=groups)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want), (fn.__name__, k, s, pad)
 
     @pytest.mark.parametrize("k,s,pad", [(3, 1, 0), (3, 1, 1), (5, 2, 1), (11, 4, 0)])
     def test_partial_maps_identical(self, k, s, pad):
         data, weights, _ = code_tensors(k, s, pad, 1, 3, 4, 4 * k, seed=5)
-        loop_p = partition_partial_maps(data, weights, s, pad, backend="loop")
-        vec_p = partition_partial_maps(data, weights, s, pad, backend="vector")
-        assert np.array_equal(loop_p, vec_p)
+        want = oracle.partition_partial_maps(data, weights, s, pad)
+        assert np.array_equal(partition_partial_maps(data, weights, s, pad), want)
 
     @pytest.mark.parametrize("k,s,pad", [(3, 1, 1), (5, 2, 0), (2, 2, 0)])
     def test_im2col_byte_identical_even_on_floats(self, k, s, pad):
@@ -180,12 +113,12 @@ class TestBitIdentity:
         # the byte, not merely allclose
         rng = np.random.default_rng(9)
         data = rng.standard_normal((3, 11, 11))
-        loop_m = im2col(data, k, s, pad, backend="loop")
-        vec_m = im2col(data, k, s, pad, backend="vector")
-        assert loop_m.dtype == vec_m.dtype == np.float64
+        want = oracle.im2col(data, k, s, pad)
+        got = im2col(data, k, s, pad)
+        assert got.dtype == want.dtype == np.float64
         assert np.array_equal(
-            loop_m.view(np.uint64), vec_m.view(np.uint64)
-        ), "im2col backends diverged at the byte level"
+            got.view(np.uint64), want.view(np.uint64)
+        ), "im2col diverged from the loop unroller at the byte level"
 
     @pytest.mark.parametrize("k,s,pad,groups,din,dout,hw", EDGE_GRID[:5])
     def test_float_paths_allclose_across_backends(
@@ -195,68 +128,42 @@ class TestBitIdentity:
         rng = np.random.default_rng(2)
         data = rng.standard_normal((din, hw, hw))
         weights = rng.standard_normal((dout, din // groups, k, k))
-        for path in PATHS:
-            loop_out = path(data, weights, None, stride=s, pad=pad, groups=groups,
-                            backend="loop")
-            vec_out = path(data, weights, None, stride=s, pad=pad, groups=groups,
-                           backend="vector")
-            assert np.allclose(loop_out, vec_out), path.__name__
-
-    def test_process_wide_backend_is_honored(self):
-        data, weights, bias = code_tensors(3, 1, 1, 1, 3, 4, 8)
-        expected = reference_conv(data, weights, bias, pad=1, backend="loop")
-        set_backend("vector")
-        assert np.array_equal(reference_conv(data, weights, bias, pad=1), expected)
-        set_backend("loop")
-        assert np.array_equal(reference_conv(data, weights, bias, pad=1), expected)
+        for fn, loop in PATHS:
+            want = loop(data, weights, None, stride=s, pad=pad, groups=groups)
+            got = fn(data, weights, None, stride=s, pad=pad, groups=groups)
+            assert np.allclose(got, want), fn.__name__
 
 
 class TestInjectedFaultIdentity:
     """Injected-fault hook firings and corrupted outputs must match exactly.
 
-    The psum hooks see live accumulators; if the vector backend changed
-    the accumulation structure, the same seeded flip would corrupt a
-    different value and the sweep verdicts would drift across backends.
+    The psum hooks see live accumulators; if production changed the
+    accumulation structure, the same seeded flip would corrupt a different
+    value and the sweep verdicts would drift from the oracle's.
     """
-
-    INJECT_PATHS = [conv_via_partition, conv_via_im2col, conv_via_inter_improved]
 
     @pytest.mark.parametrize("site", BITFLIP_SITES)
     @pytest.mark.parametrize("k,s,pad,groups,din,dout,hw", EDGE_GRID[:6])
     def test_corrupted_outputs_identical(self, k, s, pad, groups, din, dout, hw, site):
         data, weights, bias = code_tensors(k, s, pad, groups, din, dout, hw, seed=1)
-        for pi, path in enumerate(self.INJECT_PATHS):
-            outs = {}
-            events = {}
-            for backend in BACKENDS:
-                fault = seeded_bitflips(k * 131 + s * 17 + pi, 1, sites=(site,))[0]
-                injector = SDCInjector([fault])
-                outs[backend] = path(
-                    data,
-                    weights,
-                    bias,
-                    stride=s,
-                    pad=pad,
-                    groups=groups,
-                    inject=injector,
-                    backend=backend,
-                )
-                # before/after capture the LIVE value at the hook site —
-                # equality here proves both backends expose the same
-                # accumulator state to the fault model, not just the same
-                # final output
-                events[backend] = [e.to_dict() for e in injector.events]
-            assert events["loop"] == events["vector"], (path.__name__, site)
-            assert np.array_equal(outs["loop"], outs["vector"]), (
-                path.__name__,
-                site,
+        for pi, pair in enumerate(INJECT_PATHS):
+            fault = seeded_bitflips(k * 131 + s * 17 + pi, 1, sites=(site,))[0]
+            (got, want), (got_events, want_events) = injected_runs(
+                pair, fault, data, weights, bias, s, pad, groups
             )
+            assert got_events == want_events, (pair[0].__name__, site)
+            assert np.array_equal(got, want), (pair[0].__name__, site)
 
 
 class TestDatapathIdentity:
-    """The 16-bit integer datapath paths are backend-identical too."""
+    """The 16-bit integer datapath codes equal the oracle's orders followed
+    by the same output stage."""
 
-    DP_PATHS = [conv_codes_direct, conv_codes_partitioned, conv_codes_inter_improved]
+    DP_PATHS = [
+        (conv_codes_direct, oracle.reference_conv),
+        (conv_codes_partitioned, oracle.conv_via_partition),
+        (conv_codes_inter_improved, oracle.conv_via_inter_improved),
+    ]
 
     @pytest.mark.parametrize("k,s,pad", [(3, 1, 1), (5, 2, 1), (2, 2, 0), (11, 4, 0)])
     def test_codes_identical_across_backends(self, k, s, pad):
@@ -264,24 +171,83 @@ class TestDatapathIdentity:
         data = rng.integers(-(1 << 7), 1 << 7, (3, 4 * k, 4 * k), dtype=np.int64)
         weights = rng.integers(-(1 << 7), 1 << 7, (4, 3, k, k), dtype=np.int64)
         bias = rng.integers(-(1 << 7), 1 << 7, (4,), dtype=np.int64)
-        for path in self.DP_PATHS:
-            loop_out = path(data, weights, bias, stride=s, pad=pad, backend="loop")
-            vec_out = path(data, weights, bias, stride=s, pad=pad, backend="vector")
-            assert np.array_equal(loop_out, vec_out), path.__name__
+        for fn, loop in self.DP_PATHS:
+            # bias is a Qm.n code, aligned to the 2n-fraction accumulator
+            acc = loop(data, weights, bias << Q7_8.frac_bits, s, pad)
+            want = requantize(acc, Q7_8)
+            assert np.array_equal(fn(data, weights, bias, stride=s, pad=pad), want)
 
 
 class TestPrimitives:
     def test_window_columns_matches_loop_im2col_layout(self):
         data = np.arange(2 * 6 * 6, dtype=np.int64).reshape(2, 6, 6)
-        loop_m = im2col(data, 3, 2, 1, backend="loop")
-        win = backend_mod.conv_window_view(
-            np.pad(data, ((0, 0), (1, 1), (1, 1))), 3, 2, 3, 3
-        )
-        assert np.array_equal(backend_mod.window_columns(win), loop_m)
+        win = conv_window_view(np.pad(data, ((0, 0), (1, 1), (1, 1))), 3, 2, 3, 3)
+        assert np.array_equal(window_columns(win), oracle.im2col(data, 3, 2, 1))
 
     def test_conv_window_view_is_a_view(self):
         data = np.zeros((1, 8, 8))
-        win = backend_mod.conv_window_view(data, 3, 1, 6, 6)
+        win = conv_window_view(data, 3, 1, 6, 6)
         assert win.base is not None
         data[0, 0, 0] = 7.0
         assert win[0, 0, 0, 0, 0] == 7.0
+
+
+@st.composite
+def geometries(draw):
+    """(k, s, pad, groups, din, dout, hw): k 1-11, s 1-4, pad 0-2, groups 1
+    or 2, depths up to 6 and one to four output rows and columns."""
+    k = draw(st.integers(1, 11))
+    s = draw(st.integers(1, 4))
+    pad = draw(st.integers(0, 2))
+    groups = draw(st.sampled_from((1, 2)))
+    din = groups * draw(st.integers(1, 6 // groups))
+    dout = groups * draw(st.integers(1, 6 // groups))
+    out, extra = draw(st.integers(1, 4)), draw(st.integers(0, s - 1))
+    hw = max(1, k - 2 * pad + (out - 1) * s + extra)
+    return k, s, pad, groups, din, dout, hw
+
+
+#: one single-bit flip anywhere: the injector takes the index modulo the
+#: target's size and the step modulo the path's step count
+FLIPS = st.builds(
+    BitFlipFault,
+    site=st.sampled_from(BITFLIP_SITES),
+    index=st.integers(0, 2**20),
+    bit=st.integers(0, 23),
+    step=st.integers(0, 255),
+)
+
+
+class TestGeneratedGeometries:
+    @settings(deadline=None, max_examples=60)
+    @given(geometry=geometries(), seed=st.integers(0, 2**16), fault=FLIPS)
+    # k == s, s > k (both the partition fallback) and the widest kernel,
+    # each with a flip into the first accumulation step
+    @example(geometry=(3, 3, 0, 1, 2, 3, 9), seed=0, fault=BitFlipFault("psum", 5, 9))
+    @example(geometry=(2, 4, 1, 2, 4, 2, 9), seed=1, fault=BitFlipFault("psum", 7, 3))
+    @example(geometry=(11, 1, 2, 2, 6, 6, 9), seed=2, fault=BitFlipFault("psum", 0, 20))
+    def test_production_matches_the_oracle(self, geometry, seed, fault):
+        k, s, pad, groups, din, dout, hw = geometry
+        data, weights, bias = code_tensors(*geometry, seed=seed)
+        for fn, loop in PATHS:
+            want = loop(data, weights, bias, stride=s, pad=pad, groups=groups)
+            got = fn(data, weights, bias, stride=s, pad=pad, groups=groups)
+            assert np.array_equal(got, want), fn.__name__
+        for pair in INJECT_PATHS:
+            (got, want), (got_events, want_events) = injected_runs(
+                pair, fault, data, weights, bias, s, pad, groups
+            )
+            assert got_events == want_events, pair[0].__name__
+            assert np.array_equal(got, want), pair[0].__name__
+        if s < k:
+            for g in range(groups):
+                dslice = data[g * (din // groups) : (g + 1) * (din // groups)]
+                wslice = weights[g * (dout // groups) : (g + 1) * (dout // groups)]
+                assert np.array_equal(
+                    partition_partial_maps(dslice, wslice, s, pad),
+                    oracle.partition_partial_maps(dslice, wslice, s, pad),
+                )
+        got_sums = predicted_checksums(data, weights, bias, s, pad, groups)
+        want_sums = oracle.predicted_checksums(data, weights, bias, s, pad, groups)
+        for field in ("row", "col", "total"):
+            assert np.array_equal(getattr(got_sums, field), getattr(want_sums, field))

@@ -4,9 +4,15 @@
 these tests make the stronger claim the ABFT guard depends on: on int64
 codes the three scheme executions are *bit-identical* to the reference —
 integer accumulation is exact and associative, so summation order cannot
-leak into the result.  The seeded grid crosses odd/even kernels,
-stride > kernel (the partition fallback), padding and grouped
-convolution, with no dependency beyond numpy and pytest.
+leak into the result.  The claim is checked on both executions: ``vector``,
+production, and ``loop``, the paper's loop nests kept as tier-1's oracle
+in :mod:`tests.sim.loop_oracle`.  Without a hook production's partitioned
+and inter-kernel paths fuse into the reference GEMM, so each path also
+runs under a fault-free :class:`SDCInjector`, which makes it take its
+stepwise order (Algorithm 1's piece steps, the ``(u, v)`` add-and-store
+steps).  The seeded grid crosses odd/even kernels, stride > kernel (the
+partition fallback), padding and grouped convolution, with no dependency
+beyond numpy and pytest.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.integrity.sdc import SDCInjector
 from repro.nn.layers import ConvLayer, TensorShape
 from repro.sim.functional import (
     conv_via_im2col,
@@ -22,6 +29,7 @@ from repro.sim.functional import (
     random_conv_tensors,
     reference_conv,
 )
+from tests.sim import loop_oracle as oracle
 
 #: (k, s, pad, groups, din, dout, hw) — every geometry class the schemes
 #: distinguish: odd/even k, s > 1, s > k, pad > 0, groups > 1, and combos
@@ -40,7 +48,21 @@ GRID = [
     (11, 4, 0, 1, 3, 8, 19),  # AlexNet conv1 shape class
 ]
 
-PATHS = [conv_via_partition, conv_via_im2col, conv_via_inter_improved]
+#: each execution's direct convolution and its three scheme paths
+EXECUTIONS = {
+    "loop": (
+        oracle.reference_conv,
+        [
+            oracle.conv_via_partition,
+            oracle.conv_via_im2col,
+            oracle.conv_via_inter_improved,
+        ],
+    ),
+    "vector": (
+        reference_conv,
+        [conv_via_partition, conv_via_im2col, conv_via_inter_improved],
+    ),
+}
 
 
 def code_tensors(k, s, pad, groups, din, dout, hw, seed):
@@ -55,36 +77,36 @@ def code_tensors(k, s, pad, groups, din, dout, hw, seed):
 
 
 class TestBitIdenticalEquivalence:
-    @pytest.mark.parametrize("backend", ["loop", "vector"])
+    @pytest.mark.parametrize("execution", ["loop", "vector"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("k,s,pad,groups,din,dout,hw", GRID)
     def test_all_paths_match_reference_exactly(
-        self, k, s, pad, groups, din, dout, hw, seed, backend
+        self, k, s, pad, groups, din, dout, hw, seed, execution
     ):
+        reference, paths = EXECUTIONS[execution]
         data, weights, bias = code_tensors(k, s, pad, groups, din, dout, hw, seed)
-        ref = reference_conv(
-            data, weights, bias, stride=s, pad=pad, groups=groups, backend=backend
-        )
+        ref = reference(data, weights, bias, stride=s, pad=pad, groups=groups)
         assert ref.dtype == np.int64
-        for path in PATHS:
-            out = path(
-                data, weights, bias, stride=s, pad=pad, groups=groups, backend=backend
-            )
-            assert out.dtype == np.int64, path.__name__
-            assert np.array_equal(out, ref), (path.__name__, k, s, pad, groups)
+        for path in paths:
+            for hook in (None, SDCInjector([])):
+                out = path(
+                    data, weights, bias, stride=s, pad=pad, groups=groups, inject=hook
+                )
+                assert out.dtype == np.int64, path.__name__
+                assert np.array_equal(out, ref), (path.__name__, k, s, pad, groups)
 
-    @pytest.mark.parametrize("backend", ["loop", "vector"])
+    @pytest.mark.parametrize("execution", ["loop", "vector"])
     @pytest.mark.parametrize("k,s,pad,groups,din,dout,hw", GRID[:6])
-    def test_no_bias_also_exact(self, k, s, pad, groups, din, dout, hw, backend):
+    def test_no_bias_also_exact(self, k, s, pad, groups, din, dout, hw, execution):
+        reference, paths = EXECUTIONS[execution]
         data, weights, _ = code_tensors(k, s, pad, groups, din, dout, hw, seed=7)
-        ref = reference_conv(
-            data, weights, None, stride=s, pad=pad, groups=groups, backend=backend
-        )
-        for path in PATHS:
-            out = path(
-                data, weights, None, stride=s, pad=pad, groups=groups, backend=backend
-            )
-            assert np.array_equal(out, ref), path.__name__
+        ref = reference(data, weights, None, stride=s, pad=pad, groups=groups)
+        for path in paths:
+            for hook in (None, SDCInjector([])):
+                out = path(
+                    data, weights, None, stride=s, pad=pad, groups=groups, inject=hook
+                )
+                assert np.array_equal(out, ref), path.__name__
 
 
 class TestRandomConvTensors:

@@ -63,6 +63,37 @@ class TestReference:
         with pytest.raises(ShapeError):
             reference_conv(np.ones((2, 4, 4)), np.ones((4, 2, 3, 2)), None, 1, 0)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("stride", 0),
+            ("stride", True),
+            ("stride", 1.0),
+            ("pad", -1),
+            ("pad", False),
+            ("pad", 0.5),
+            ("groups", 0),
+            ("groups", -2),
+            ("groups", True),
+            ("groups", 2.0),
+            ("groups", 3),  # divides neither depth
+        ],
+    )
+    @pytest.mark.parametrize(
+        "path",
+        [reference_conv, conv_via_im2col, conv_via_partition, conv_via_inter_improved],
+    )
+    def test_bad_stride_pad_groups_named(self, path, name, value):
+        args = {"stride": 1, "pad": 0, "groups": 1, name: value}
+        with pytest.raises(ShapeError, match=f"{name}.*{value!r}"):
+            path(np.ones((4, 6, 6)), np.ones((4, 4, 3, 3)), None, **args)
+
+    def test_numpy_integers_accepted(self):
+        data, w, b = tensors(3, 2, 1, 2, 4, 4, 9)
+        want = reference_conv(data, w, b, 2, 1, groups=2)
+        got = reference_conv(data, w, b, np.int64(2), np.int32(1), groups=np.int8(2))
+        assert np.array_equal(got, want)
+
 
 class TestEquivalenceFixedCases:
     """The paper's own geometries."""
