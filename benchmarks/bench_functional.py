@@ -4,7 +4,10 @@ Times every conv path of :mod:`repro.sim.functional` — reference, im2col,
 partition, inter-improved — and the ABFT predict/verify/golden pipeline on
 the integrity-sweep layer shapes, plus one end-to-end integrity sweep, and
 writes ``BENCH_functional.json`` so the simulator's speed is tracked PR
-over PR.
+over PR.  Partition (Algorithm 1) and inter-improved (the ``(u, v)``
+order) run with an empty :class:`~repro.integrity.sdc.SDCInjector`: that
+is the stepwise order every injected sweep run executes, where without a
+hook both fuse into the reference GEMM.
 
 Before any timing is trusted, every (shape, path) cell asserts that its
 int64 output codes equal :func:`reference_conv`'s exactly, and every ABFT
@@ -39,6 +42,7 @@ from repro.integrity.abft import (
     quantize_conv_operands,
     verified_conv,
 )
+from repro.integrity.sdc import SDCInjector
 from repro.integrity.sweep import SWEEP_LAYERS, run_sweep
 from repro.nn.layers import ConvLayer, TensorShape
 from repro.sim.functional import (
@@ -51,12 +55,20 @@ from repro.sim.functional import (
 
 SEED = 0
 
+
+def _stepwise(fn):
+    """``fn`` through its stepwise order: an empty injector fires nothing,
+    but without a hook partition and inter fuse into ``reference_conv``'s
+    GEMM, so this times the order every injected sweep run executes."""
+    return lambda *args, **kwargs: fn(*args, inject=SDCInjector(()), **kwargs)
+
+
 #: the timed conv paths; every one takes (data, weights, bias, stride, pad, groups)
 PATHS = (
     ("reference", reference_conv),
     ("im2col", conv_via_im2col),
-    ("partition", conv_via_partition),
-    ("inter", conv_via_inter_improved),
+    ("partition", _stepwise(conv_via_partition)),
+    ("inter", _stepwise(conv_via_inter_improved)),
 )
 
 FULL_REPEATS = 10

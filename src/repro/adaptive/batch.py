@@ -26,28 +26,13 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.arch.config import AcceleratorConfig
-from repro.errors import ConfigError
+from repro.errors import check_count
 from repro.nn.network import Network
 from repro.perf.instrument import phase
 from repro.schemes.base import FrozenDict, ScheduleResult
 from repro.sim.trace import NetworkRun
 
 __all__ = ["BatchRun", "batch_layer", "plan_batch"]
-
-
-def _validate_batch_size(batch_size: int) -> None:
-    """Reject non-``int`` batch sizes loudly instead of scaling by them.
-
-    ``bool`` is an ``int`` subclass and floats multiply silently, so both
-    would otherwise produce a plausible-looking but meaningless plan.
-    """
-    if isinstance(batch_size, bool) or not isinstance(batch_size, int):
-        raise ConfigError(
-            f"batch size must be an int, got {batch_size!r} "
-            f"({type(batch_size).__name__})"
-        )
-    if batch_size <= 0:
-        raise ConfigError(f"batch size must be positive, got {batch_size!r}")
 
 
 #: the row's counts that grow with the batch: all but the weight fills
@@ -63,7 +48,7 @@ def batch_layer(result: ScheduleResult, batch_size: int) -> ScheduleResult:
     Weight buffer fills (and their DRAM words) stay at the single-image
     amount; everything image-linked multiplies by ``batch_size``.
     """
-    _validate_batch_size(batch_size)
+    batch_size = check_count(batch_size, "batch size", 1)
     if batch_size == 1:
         return result
     b, row = batch_size, result.costs
@@ -119,7 +104,7 @@ def plan_batch(
     """
     from repro.adaptive.planner import plan_network
 
-    _validate_batch_size(batch_size)
+    batch_size = check_count(batch_size, "batch size", 1)
     with phase("plan_batch"):
         single = plan_network(net, config, policy, include_non_conv=include_non_conv)
         batched = NetworkRun(

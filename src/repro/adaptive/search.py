@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.arch.config import AcceleratorConfig
 from repro.arch.energy import EnergyModel
-from repro.errors import ConfigError, ScheduleError
+from repro.errors import ScheduleError, check_choice
 from repro.nn.network import LayerContext, Network
 from repro.perf.cache import schedule_cache
 from repro.perf.instrument import phase
@@ -83,10 +83,7 @@ def best_scheme_for_layer(
     :class:`ScheduleError` only if *no* candidate is legal (cannot happen
     for conv layers since intra-kernel is always legal).
     """
-    if objective not in OBJECTIVES:
-        raise ConfigError(
-            f"unknown objective {objective!r}; choose from {OBJECTIVES}"
-        )
+    check_choice(objective, "objective", OBJECTIVES)
     table = schedule_cache.table(ctx, config)
     legal = [name for name in candidates if table.legal(name)]
     if not legal:

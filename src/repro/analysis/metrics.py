@@ -10,15 +10,15 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_real
 
 __all__ = ["speedup", "reduction_pct", "geomean", "arithmetic_mean"]
 
 
 def speedup(baseline: float, improved: float) -> float:
     """How many times faster ``improved`` is than ``baseline`` (>1 = faster)."""
-    if baseline <= 0 or improved <= 0:
-        raise ConfigError("speedup needs positive quantities")
+    check_real(baseline, "speedup baseline", gt=0)
+    check_real(improved, "speedup improved", gt=0)
     return baseline / improved
 
 
@@ -28,8 +28,7 @@ def reduction_pct(baseline: float, improved: float) -> float:
     Positive means ``improved`` consumes less; negative (as in Table 5's VGG
     intra row) means it consumes more.
     """
-    if baseline <= 0:
-        raise ConfigError("reduction needs a positive baseline")
+    check_real(baseline, "reduction baseline", gt=0)
     return 100.0 * (1.0 - improved / baseline)
 
 
@@ -38,8 +37,8 @@ def geomean(values: Iterable[float]) -> float:
     vals: Sequence[float] = list(values)
     if not vals:
         raise ConfigError("geomean of an empty sequence")
-    if any(v <= 0 for v in vals):
-        raise ConfigError("geomean needs positive values")
+    for v in vals:
+        check_real(v, "geomean value", gt=0)
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_real
 
 __all__ = ["hbar_chart", "grouped_log_chart"]
 
@@ -50,8 +50,8 @@ def hbar_chart(
     """
     if not values:
         raise ConfigError("nothing to plot")
-    if any(v <= 0 for v in values.values()):
-        raise ConfigError("bar values must be positive")
+    for value in values.values():
+        check_real(value, "bar value", gt=0)
     lo, hi = min(values.values()), max(values.values())
     if log and lo == hi:
         log = False
@@ -81,8 +81,10 @@ def grouped_log_chart(
     if not groups:
         raise ConfigError("nothing to plot")
     all_values = [v for series in groups.values() for v in series.values()]
-    if not all_values or any(v <= 0 for v in all_values):
-        raise ConfigError("bar values must be positive")
+    if not all_values:
+        raise ConfigError("nothing to plot")
+    for value in all_values:
+        check_real(value, "bar value", gt=0)
     lo, hi = min(all_values), max(all_values)
     log = lo != hi
 

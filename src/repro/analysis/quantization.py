@@ -21,7 +21,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.arch.fixedpoint import FixedPointFormat, Q7_8, dequantize, quantize
-from repro.errors import ConfigError
+from repro.errors import check_real
 from repro.nn.network import Network
 from repro.sim.forward import forward, init_weights
 
@@ -59,8 +59,7 @@ def quantization_report(
     runs in float on the dequantized values, matching a wide-accumulator
     datapath whose only noise source is operand quantization.
     """
-    if image_scale <= 0:
-        raise ConfigError("image_scale must be positive")
+    check_real(image_scale, "image_scale", gt=0)
     rng = np.random.default_rng(seed)
     image = rng.standard_normal(net.input_shape.as_tuple()) * image_scale
     params = init_weights(net, seed=seed)

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.adaptive.planner import plan_network
 from repro.arch.config import AcceleratorConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_choice, check_real
 from repro.nn.network import Network
 from repro.perf.instrument import phase
 from repro.perf.parallel import parallel_map
@@ -79,11 +79,7 @@ def sweep_parameter(
     order either way.
     """
     field_names = {f.name for f in dataclasses.fields(AcceleratorConfig)}
-    if parameter not in field_names:
-        raise ConfigError(
-            f"unknown config parameter {parameter!r}; "
-            f"choose from {sorted(field_names)}"
-        )
+    check_choice(parameter, "config parameter", sorted(field_names))
     payloads = [
         (
             net,
@@ -104,8 +100,7 @@ def pe_shapes_for_budget(
     widths: Sequence[int] = (4, 8, 16, 32, 64, 128),
 ) -> List[Tuple[int, int]]:
     """(Tin, Tout) shapes whose multiplier count is within tolerance of budget."""
-    if budget <= 0:
-        raise ConfigError("budget must be positive")
+    check_real(budget, "budget", gt=0)
     shapes = [
         (tin, tout)
         for tin in widths

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator
 
-from repro.errors import CapacityError, ConfigError, ScheduleError
+from repro.errors import CapacityError, ScheduleError, check_real
 
 __all__ = ["AccessCounter", "Buffer", "BufferSet"]
 
@@ -43,8 +43,7 @@ class Buffer:
     counter: AccessCounter = field(default_factory=AccessCounter)
 
     def __post_init__(self) -> None:
-        if self.capacity_words <= 0:
-            raise ConfigError(f"buffer {self.name!r} needs positive capacity")
+        check_real(self.capacity_words, f"buffer {self.name!r} capacity", gt=0)
 
     def fits(self, words: int) -> bool:
         """Whether a working set of ``words`` fits entirely on chip."""
@@ -60,14 +59,12 @@ class Buffer:
 
     def load(self, words: int) -> None:
         """Record ``words`` read from this buffer into the PE array."""
-        if words < 0:
-            raise ConfigError("load word count must be non-negative")
+        check_real(words, "load word count", ge=0)
         self.counter = AccessCounter(self.counter.loads + words, self.counter.stores)
 
     def store(self, words: int) -> None:
         """Record ``words`` written into this buffer."""
-        if words < 0:
-            raise ConfigError("store word count must be non-negative")
+        check_real(words, "store word count", ge=0)
         self.counter = AccessCounter(self.counter.loads, self.counter.stores + words)
 
 

@@ -12,12 +12,11 @@ array retires one operation per cycle.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, Optional, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_count, check_counts, check_real
 
 __all__ = ["AcceleratorConfig", "CONFIG_16_16", "CONFIG_32_32", "named_config"]
 
@@ -75,10 +74,22 @@ class AcceleratorConfig:
             "frequency_hz",
         ):
             value = getattr(self, attr)
-            if isinstance(value, bool) or not math.isfinite(value):
-                raise ConfigError(f"{attr} must be a finite number, got {value!r}")
-            if value <= 0:
-                raise ConfigError(f"{attr} must be positive, got {value!r}")
+            # finiteness first, so a NaN reads "a finite number" and a zero
+            # "positive": the messages this record has always given
+            check_real(value, attr)
+            check_real(value, attr, gt=0, finite=False)
+        # PE widths, buffer sizes and the word width are whole counts
+        check_counts(
+            self,
+            "tin",
+            "tout",
+            "input_buffer_bytes",
+            "output_buffer_bytes",
+            "weight_buffer_bytes",
+            "bias_buffer_bytes",
+            "word_bytes",
+            minimum=1,
+        )
         # the buffer fit divides by each data buffer's whole words (never
         # by the bias buffer's), so each must hold at least one word
         for attr in (
@@ -163,16 +174,8 @@ class AcceleratorConfig:
         Clock and overlap semantics are inherited — partitions share the
         parent's clock domain.
         """
-        for label, value in (("tin", tin), ("tout", tout)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(
-                    f"partition {label} must be an int, got {value!r} "
-                    f"({type(value).__name__})"
-                )
-            if value <= 0:
-                raise ConfigError(
-                    f"partition {label} must be positive, got {value!r}"
-                )
+        tin = check_count(tin, "partition tin", 1)
+        tout = check_count(tout, "partition tout", 1)
         if tin > self.tin:
             raise ConfigError(
                 f"partition tin {tin} exceeds the parent chip's tin {self.tin}"
@@ -190,10 +193,7 @@ class AcceleratorConfig:
             ("buffer_fraction", buffer_fraction),
             ("dram_fraction", dram_fraction),
         ):
-            if not 0 < fraction <= 1:
-                raise ConfigError(
-                    f"partition {label} must be in (0, 1], got {fraction!r}"
-                )
+            check_real(fraction, f"partition {label}", gt=0, le=1)
 
         def share(total_bytes: int) -> int:
             scaled = int(total_bytes * buffer_fraction)

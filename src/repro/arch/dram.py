@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_counts, check_real
 
 __all__ = ["DramModel", "DEFAULT_DRAM"]
 
@@ -45,10 +45,9 @@ class DramModel:
     row_miss_penalty: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.burst_words <= 0 or self.row_words <= 0:
-            raise ConfigError("burst/row sizes must be positive")
-        if self.cycles_per_burst <= 0 or self.row_miss_penalty < 0:
-            raise ConfigError("timings must be positive (penalty >= 0)")
+        check_counts(self, "burst_words", "row_words", minimum=1)
+        check_real(self.cycles_per_burst, "cycles_per_burst", gt=0)
+        check_real(self.row_miss_penalty, "row_miss_penalty", ge=0)
         if self.row_words % self.burst_words:
             raise ConfigError("row size must be a multiple of the burst size")
 
@@ -63,8 +62,8 @@ class DramModel:
 
     def bursts_for_stream(self, words: int, stride_words: int = 1) -> int:
         """Bursts touched by ``words`` accesses at a fixed stride."""
-        if words < 0 or stride_words <= 0:
-            raise ConfigError("words must be >= 0 and stride positive")
+        check_real(words, "words", ge=0)
+        check_real(stride_words, "stride_words", gt=0)
         if words == 0:
             return 0
         useful_per_burst = max(1, self.burst_words // stride_words)

@@ -18,7 +18,7 @@ from typing import Dict
 
 from repro.arch.buffers import AccessCounter
 from repro.arch.config import AcceleratorConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_real
 
 __all__ = ["EnergyTable", "EnergyBreakdown", "EnergyModel"]
 
@@ -35,8 +35,7 @@ class EnergyTable:
 
     def __post_init__(self) -> None:
         for name in ("mult_pj", "add_pj", "sram_base_pj", "dram_access_pj"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            check_real(getattr(self, name), name, gt=0)
 
     def sram_access_pj(self, capacity_bytes: int) -> float:
         """Word-access energy of an SRAM macro of the given capacity.
@@ -44,8 +43,7 @@ class EnergyTable:
         Access energy grows roughly with the square root of macro area
         (bitline/wordline length), the standard CACTI-style scaling.
         """
-        if capacity_bytes <= 0:
-            raise ConfigError("capacity must be positive")
+        check_real(capacity_bytes, "capacity", gt=0)
         kb = capacity_bytes / 1024.0
         return self.sram_base_pj * math.sqrt(max(kb, 1.0))
 
@@ -116,8 +114,8 @@ class EnergyModel:
         additional "add-and-store" adder group of the improved inter-kernel
         scheme (Sec 4.2.2).
         """
-        if operations < 0 or extra_adds < 0:
-            raise ConfigError("counts must be non-negative")
+        check_real(operations, "operations", ge=0)
+        check_real(extra_adds, "extra_adds", ge=0)
         cfg = self.config
         mult = operations * cfg.multipliers * self.table.mult_pj
         tree = operations * cfg.tout * max(0, cfg.tin - 1) * self.table.add_pj
@@ -133,8 +131,7 @@ class EnergyModel:
 
     def dram_energy_pj(self, words: int) -> float:
         """Energy for ``words`` transferred over the DRAM interface."""
-        if words < 0:
-            raise ConfigError("word count must be non-negative")
+        check_real(words, "word count", ge=0)
         return words * self.table.dram_access_pj
 
     def breakdown(

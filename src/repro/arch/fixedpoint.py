@@ -17,7 +17,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_counts
 
 __all__ = [
     "FixedPointFormat",
@@ -36,9 +36,10 @@ class FixedPointFormat:
     frac_bits: int = 8
 
     def __post_init__(self) -> None:
-        if self.total_bits <= 1:
-            raise ConfigError("need at least a sign bit plus one value bit")
-        if not 0 <= self.frac_bits < self.total_bits:
+        # a sign bit plus at least one value bit
+        check_counts(self, "total_bits", minimum=2)
+        check_counts(self, "frac_bits")
+        if self.frac_bits >= self.total_bits:
             raise ConfigError(
                 f"frac_bits {self.frac_bits} out of range for "
                 f"{self.total_bits}-bit format"

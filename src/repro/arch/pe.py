@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.config import AcceleratorConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_real
 
 __all__ = ["PEArray", "OperationTally"]
 
@@ -62,8 +62,8 @@ class PEArray:
 
         ``useful_macs`` may not exceed the array's peak for that many cycles.
         """
-        if operations < 0 or useful_macs < 0:
-            raise ConfigError("operation/mac counts must be non-negative")
+        check_real(operations, "operations", ge=0)
+        check_real(useful_macs, "useful_macs", ge=0)
         peak = operations * self.macs_per_operation
         if useful_macs > peak:
             raise ConfigError(

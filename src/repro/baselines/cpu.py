@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_real
 from repro.nn.layers import ConvLayer, FCLayer
 from repro.nn.network import LayerContext, Network
 
@@ -50,12 +50,11 @@ class CpuModel:
     min_efficiency: float = 0.10
 
     def __post_init__(self) -> None:
-        if self.frequency_hz <= 0 or self.flops_per_cycle <= 0:
-            raise ConfigError("CPU peak parameters must be positive")
+        check_real(self.frequency_hz, "frequency_hz", gt=0)
+        check_real(self.flops_per_cycle, "flops_per_cycle", gt=0)
         if not 0 < self.min_efficiency <= self.peak_efficiency <= 1:
             raise ConfigError("need 0 < min_efficiency <= peak_efficiency <= 1")
-        if self.saturation_depth <= 0:
-            raise ConfigError("saturation_depth must be positive")
+        check_real(self.saturation_depth, "saturation_depth", gt=0)
 
     @property
     def peak_flops(self) -> float:
@@ -63,8 +62,7 @@ class CpuModel:
 
     def gemm_efficiency(self, reduction_depth: int) -> float:
         """Sustained/peak ratio for a GEMM with the given K dimension."""
-        if reduction_depth <= 0:
-            raise ConfigError("reduction depth must be positive")
+        check_real(reduction_depth, "reduction depth", gt=0)
         frac = min(1.0, reduction_depth / self.saturation_depth)
         return self.min_efficiency + (self.peak_efficiency - self.min_efficiency) * frac
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from repro.errors import ConfigError
+from repro.errors import check_counts, check_real
 from repro.nn.network import LayerContext, Network
 from repro.schemes.base import group_geometry
 
@@ -39,10 +39,8 @@ class ZhangFpgaModel:
     frequency_hz: float = 100e6
 
     def __post_init__(self) -> None:
-        if self.tn <= 0 or self.tm <= 0:
-            raise ConfigError("unroll factors must be positive")
-        if self.frequency_hz <= 0:
-            raise ConfigError("frequency must be positive")
+        check_counts(self, "tn", "tm", minimum=1)
+        check_real(self.frequency_hz, "frequency_hz", gt=0)
 
     @property
     def multipliers(self) -> int:

@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_choice, check_counts, check_real
 from repro.serve.workload import (
     Arrivals,
     MixedTenantSpec,
-    check_positive,
     mixed_arrivals,
     mixed_diurnal_arrivals,
     parse_tenant_mix,
@@ -54,28 +53,20 @@ class ForecastSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in FORECAST_KINDS:
-            raise ConfigError(
-                f"unknown forecast kind {self.kind!r}; choose from {FORECAST_KINDS}"
-            )
+        check_choice(self.kind, "forecast kind", FORECAST_KINDS)
         if not self.tenants:
             raise ConfigError("forecast needs at least one tenant")
-        self._check_positive("rate", "duration_s")
+        check_real(self.rate, "forecast rate", gt=0)
+        check_real(self.duration_s, "forecast duration_s", gt=0)
+        check_counts(self, "seed", minimum=None, owner="forecast ")
         if self.kind == "diurnal":
             if self.peak_rate < self.rate:
                 raise ConfigError(
                     f"diurnal forecast needs peak_rate >= rate, got "
                     f"{self.peak_rate!r} < {self.rate!r}"
                 )
-            self._check_positive("peak_rate", "day_s")
-
-    def _check_positive(self, *fields: str) -> None:
-        """Reject a bool, NaN, an infinity or a non-positive value, naming it."""
-        for field in fields:
-            value = getattr(self, field)
-            if isinstance(value, bool):
-                raise ConfigError(f"forecast {field} must be a number, got {value!r}")
-            check_positive(f"forecast {field}", value)
+            check_real(self.peak_rate, "forecast peak_rate", gt=0)
+            check_real(self.day_s, "forecast day_s", gt=0)
 
     @classmethod
     def parse(

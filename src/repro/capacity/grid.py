@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from repro.arch.config import AcceleratorConfig, named_config
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_choice, check_counts, check_real
 from repro.tenancy.fleet import REFERENCE_MULTIPLIERS
 from repro.tenancy.partition import even_partitions
 
@@ -51,24 +51,11 @@ class Candidate:
 
     def __post_init__(self) -> None:
         named_config(self.geometry)  # validates the geometry string
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(
-                f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}"
-            )
-        for label, value in (
-            ("n_chips", self.n_chips),
-            ("group", self.group),
-            ("split", self.split),
-            ("max_batch", self.max_batch),
-        ):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(
-                    f"candidate {label} must be an int, got {value!r}"
-                )
-            if value <= 0:
-                raise ConfigError(
-                    f"candidate {label} must be positive, got {value!r}"
-                )
+        check_choice(self.strategy, "strategy", STRATEGIES)
+        check_counts(
+            self, "n_chips", "group", "split", "max_batch", minimum=1,
+            owner="candidate ",
+        )
         if self.strategy in ("pipeline", "data-parallel"):
             if self.group < 2:
                 raise ConfigError(
@@ -185,16 +172,11 @@ class CandidateGrid:
         if not self.max_batches:
             raise ConfigError("grid needs at least one max_batch")
         for strategy in self.strategies:
-            if strategy not in STRATEGIES:
-                raise ConfigError(
-                    f"unknown strategy {strategy!r}; choose from {STRATEGIES}"
-                )
+            check_choice(strategy, "strategy", STRATEGIES)
         for geometry in self.geometries:
             named_config(geometry)
-        if not self.link_gbs > 0:
-            raise ConfigError(
-                f"link_gbs must be positive, got {self.link_gbs!r}"
-            )
+        # inf is an ideal link, as in LinkSpec
+        check_real(self.link_gbs, "link_gbs", gt=0, finite=False)
 
     def _axis(self, strategy: str) -> Iterator[Tuple[int, int]]:
         """(group, split) choices for one strategy axis."""

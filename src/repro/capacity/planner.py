@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.capacity.bounds import attainment_bound, candidate_capacity_rps
 from repro.capacity.forecast import ForecastSpec
 from repro.capacity.grid import Candidate, CandidateGrid
-from repro.errors import ConfigError
+from repro.errors import check_counts, check_real
 from repro.perf.cache import schedule_cache
 from repro.perf.parallel import parallel_map
 from repro.serve.metrics import to_json
@@ -72,17 +72,10 @@ class FaultModel:
     sdc_windows: int = 0
 
     def __post_init__(self) -> None:
-        for label in ("seed", "crashes", "slowdowns", "sdc_windows"):
-            value = getattr(self, label)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(
-                    f"fault model {label} must be an int, got {value!r}"
-                )
-        for label in ("crashes", "slowdowns", "sdc_windows"):
-            if getattr(self, label) < 0:
-                raise ConfigError(
-                    f"fault model {label} must be >= 0, got {getattr(self, label)!r}"
-                )
+        check_counts(self, "seed", minimum=None, owner="fault model ")
+        check_counts(
+            self, "crashes", "slowdowns", "sdc_windows", owner="fault model "
+        )
 
     @property
     def any_faults(self) -> bool:
@@ -320,8 +313,7 @@ def plan_capacity(
     volatile (counters differ across ``--jobs`` and cache warmth);
     :func:`report_to_json` strips it so the ranked JSON is byte-stable.
     """
-    if not 0 < slo_target <= 1:
-        raise ConfigError(f"slo_target must be in (0, 1], got {slo_target!r}")
+    check_real(slo_target, "slo_target", gt=0, le=1)
     stats_before = schedule_cache.stats()
 
     candidates = grid.enumerate()

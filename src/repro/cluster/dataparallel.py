@@ -24,7 +24,7 @@ from typing import Tuple
 
 from repro.arch.config import AcceleratorConfig
 from repro.cluster.link import LinkSpec, activation_bytes
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_count
 from repro.nn.network import Network
 from repro.perf.instrument import phase
 
@@ -110,20 +110,8 @@ class DataParallelPlan:
 
 def shard_sizes(batch_size: int, n_chips: int) -> Tuple[int, ...]:
     """Balanced shards: the first ``batch % n`` chips carry one extra image."""
-    if isinstance(batch_size, bool) or not isinstance(batch_size, int):
-        raise ConfigError(
-            f"batch size must be an int, got {batch_size!r} "
-            f"({type(batch_size).__name__})"
-        )
-    if batch_size <= 0:
-        raise ConfigError(f"batch size must be positive, got {batch_size!r}")
-    if isinstance(n_chips, bool) or not isinstance(n_chips, int):
-        raise ConfigError(
-            f"chip count must be an int, got {n_chips!r} "
-            f"({type(n_chips).__name__})"
-        )
-    if n_chips <= 0:
-        raise ConfigError(f"chip count must be positive, got {n_chips!r}")
+    batch_size = check_count(batch_size, "batch size", 1)
+    n_chips = check_count(n_chips, "chip count", 1)
     base, extra = divmod(batch_size, n_chips)
     return tuple(base + (1 if i < extra else 0) for i in range(n_chips))
 

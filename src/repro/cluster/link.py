@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import check_count, check_real
 from repro.nn.layers import TensorShape
 
 __all__ = ["LinkSpec", "activation_bytes"]
@@ -41,20 +41,9 @@ class LinkSpec:
     latency_s: float = 1e-6
 
     def __post_init__(self) -> None:
-        if math.isnan(self.bandwidth_gbs):
-            raise ConfigError("link bandwidth must not be NaN")
-        if not self.bandwidth_gbs > 0:
-            raise ConfigError(
-                f"link bandwidth must be positive, got {self.bandwidth_gbs!r}"
-            )
-        if math.isnan(self.latency_s) or math.isinf(self.latency_s):
-            raise ConfigError(
-                f"link latency must be finite, got {self.latency_s!r}"
-            )
-        if self.latency_s < 0:
-            raise ConfigError(
-                f"link latency must be >= 0, got {self.latency_s!r}"
-            )
+        # inf bandwidth is an ideal link: transfers cost only the latency
+        check_real(self.bandwidth_gbs, "link bandwidth", gt=0, finite=False)
+        check_real(self.latency_s, "link latency", ge=0)
 
     @property
     def bytes_per_second(self) -> float:
@@ -62,8 +51,7 @@ class LinkSpec:
 
     def transfer_seconds(self, n_bytes: int) -> float:
         """Seconds to move ``n_bytes`` across the link (0 bytes -> 0 s)."""
-        if n_bytes < 0:
-            raise ConfigError(f"transfer size must be >= 0, got {n_bytes!r}")
+        check_real(n_bytes, "transfer size", ge=0)
         if n_bytes == 0:
             return 0.0
         if math.isinf(self.bandwidth_gbs):
@@ -79,10 +67,7 @@ class LinkSpec:
         ``factor == 1`` returns an equivalent spec; an infinite-bandwidth
         link stays infinite (only its latency degrades).
         """
-        if math.isnan(factor) or math.isinf(factor):
-            raise ConfigError(f"degrade factor must be finite, got {factor!r}")
-        if factor < 1:
-            raise ConfigError(f"degrade factor must be >= 1, got {factor!r}")
+        check_real(factor, "degrade factor", ge=1)
         return LinkSpec(
             bandwidth_gbs=self.bandwidth_gbs / factor,
             latency_s=self.latency_s * factor,
@@ -100,6 +85,5 @@ def activation_bytes(shape: TensorShape, word_bytes: int) -> int:
     link in, not how many there are, so handoff cost depends only on the
     element count.
     """
-    if word_bytes <= 0:
-        raise ConfigError(f"word_bytes must be positive, got {word_bytes!r}")
+    check_count(word_bytes, "word_bytes", 1)
     return shape.elements * word_bytes

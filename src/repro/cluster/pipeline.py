@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.arch.config import AcceleratorConfig
 from repro.cluster.link import LinkSpec, activation_bytes
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_choice, check_count
 from repro.nn.network import Network
 from repro.perf.instrument import phase
 
@@ -113,8 +113,7 @@ class PipelinePlan:
 
     def batch_seconds(self, batch_size: int) -> float:
         """Wall-clock for ``batch_size`` images streamed through the pipe."""
-        if batch_size <= 0:
-            raise ConfigError(f"batch size must be positive, got {batch_size!r}")
+        check_count(batch_size, "batch size", 1)
         return self.fill_latency_s + (batch_size - 1) * self.bottleneck_s
 
 
@@ -230,13 +229,7 @@ def partition_dp(
 
 
 def _validate_chips(n_chips: int, n_layers: int) -> None:
-    if isinstance(n_chips, bool) or not isinstance(n_chips, int):
-        raise ConfigError(
-            f"chip count must be an int, got {n_chips!r} "
-            f"({type(n_chips).__name__})"
-        )
-    if n_chips <= 0:
-        raise ConfigError(f"chip count must be positive, got {n_chips!r}")
+    check_count(n_chips, "chip count", 1)
     if n_chips > n_layers:
         raise ConfigError(
             f"cannot pipeline {n_layers} layers across {n_chips} chips; "
@@ -264,11 +257,7 @@ def plan_pipeline(
     """
     from repro.adaptive.planner import plan_network
 
-    if strategy not in PARTITION_STRATEGIES:
-        raise ConfigError(
-            f"unknown partition strategy {strategy!r}; "
-            f"choose from {PARTITION_STRATEGIES}"
-        )
+    check_choice(strategy, "partition strategy", PARTITION_STRATEGIES)
     with phase("plan_pipeline"):
         run = plan_network(net, config, policy, include_non_conv=include_non_conv)
         order = [r.layer_name for r in run.layers]

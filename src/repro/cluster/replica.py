@@ -25,7 +25,7 @@ from repro.arch.config import AcceleratorConfig
 from repro.cluster.dataparallel import DataParallelPlan, plan_data_parallel
 from repro.cluster.link import LinkSpec
 from repro.cluster.pipeline import PipelinePlan, plan_pipeline
-from repro.errors import ConfigError
+from repro.errors import check_choice, check_count
 from repro.nn.network import Network
 
 __all__ = ["PipelinedReplica", "SHARD_STRATEGIES"]
@@ -44,18 +44,8 @@ class PipelinedReplica:
         strategy: str = "pipeline",
         policy: str = "adaptive-2",
     ) -> None:
-        if strategy not in SHARD_STRATEGIES:
-            raise ConfigError(
-                f"unknown sharding strategy {strategy!r}; "
-                f"choose from {SHARD_STRATEGIES}"
-            )
-        if isinstance(n_chips, bool) or not isinstance(n_chips, int):
-            raise ConfigError(
-                f"chip count must be an int, got {n_chips!r} "
-                f"({type(n_chips).__name__})"
-            )
-        if n_chips <= 0:
-            raise ConfigError(f"chip count must be positive, got {n_chips!r}")
+        check_choice(strategy, "sharding strategy", SHARD_STRATEGIES)
+        n_chips = check_count(n_chips, "chip count", 1)
         self.config = config
         self.n_chips = n_chips
         self.link = link

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import AcceleratorConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_choice, check_counts, check_real
 from repro.resilience.degrade import degraded_config
 from repro.resilience.faults import FaultSchedule
 from repro.serve.engine import AdaptiveServingEngine
@@ -71,13 +71,6 @@ TELEMETRY_FAULT_KINDS = ("loss", "stale", "duplicate")
 ACTUATION_FAULT_MODES = ("fail", "partial")
 
 
-def _check_epoch(value: int, what: str, minimum: int = 0) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an int, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{what} must be >= {minimum}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TelemetryFault:
     """One tampered telemetry delivery, addressed by control epoch."""
@@ -88,22 +81,16 @@ class TelemetryFault:
     drop_frac: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.kind not in TELEMETRY_FAULT_KINDS:
-            raise ConfigError(
-                f"unknown telemetry fault kind {self.kind!r}; "
-                f"choose from {TELEMETRY_FAULT_KINDS}"
-            )
+        check_choice(self.kind, "telemetry fault kind", TELEMETRY_FAULT_KINDS)
         # stale/duplicate replay the *previous* window, so epoch 0 has
         # nothing to replay — require at least one observed window
-        _check_epoch(
-            self.epoch,
-            f"telemetry {self.kind!r} epoch",
+        check_counts(
+            self,
+            "epoch",
             minimum=0 if self.kind == "loss" else 1,
+            owner=f"telemetry {self.kind!r} ",
         )
-        if not 0 < self.drop_frac < 1:
-            raise ConfigError(
-                f"telemetry drop_frac must be in (0, 1), got {self.drop_frac!r}"
-            )
+        check_real(self.drop_frac, "telemetry drop_frac", gt=0, lt=1)
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {"kind": self.kind, "epoch": self.epoch}
@@ -120,12 +107,8 @@ class ActuationFault:
     mode: str = "fail"
 
     def __post_init__(self) -> None:
-        _check_epoch(self.epoch, "actuation fault epoch")
-        if self.mode not in ACTUATION_FAULT_MODES:
-            raise ConfigError(
-                f"unknown actuation fault mode {self.mode!r}; "
-                f"choose from {ACTUATION_FAULT_MODES}"
-            )
+        check_counts(self, "epoch", owner="actuation fault ")
+        check_choice(self.mode, "actuation fault mode", ACTUATION_FAULT_MODES)
 
     def to_dict(self) -> Dict[str, object]:
         return {"epoch": self.epoch, "mode": self.mode}
@@ -144,8 +127,8 @@ class LoopCrash:
     down_epochs: int = 1
 
     def __post_init__(self) -> None:
-        _check_epoch(self.epoch, "loop crash epoch", minimum=1)
-        _check_epoch(self.down_epochs, "loop crash down_epochs")
+        check_counts(self, "epoch", minimum=1, owner="loop crash ")
+        check_counts(self, "down_epochs", owner="loop crash ")
 
     def to_dict(self) -> Dict[str, object]:
         return {"epoch": self.epoch, "down_epochs": self.down_epochs}
@@ -161,6 +144,8 @@ class ControlFaultSchedule:
     seed: Optional[int] = field(default=None)
 
     def __post_init__(self) -> None:
+        if self.seed is not None:
+            check_counts(self, "seed", minimum=None, owner="control fault ")
         object.__setattr__(
             self,
             "telemetry",
@@ -347,9 +332,14 @@ class SafeModePolicy:
     clean_epochs: int = 4
 
     def __post_init__(self) -> None:
-        _check_epoch(self.fault_threshold, "safe-mode fault_threshold", minimum=1)
-        _check_epoch(self.window_epochs, "safe-mode window_epochs", minimum=1)
-        _check_epoch(self.clean_epochs, "safe-mode clean_epochs", minimum=1)
+        check_counts(
+            self,
+            "fault_threshold",
+            "window_epochs",
+            "clean_epochs",
+            minimum=1,
+            owner="safe-mode ",
+        )
 
     def to_dict(self) -> Dict[str, object]:
         return {

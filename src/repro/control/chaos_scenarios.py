@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.config import CONFIG_16_16, AcceleratorConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_real
 from repro.resilience.faults import (
     FaultSchedule,
     MaskFault,
@@ -59,7 +59,6 @@ from repro.serve.engine import AdaptiveServingEngine
 from repro.serve.workload import (
     Arrivals,
     check_flash_crowd,
-    check_positive,
     diurnal_arrivals,
     parse_mix,
     poisson_arrivals,
@@ -216,15 +215,12 @@ class ControlChaosScenario:
 
     def __post_init__(self) -> None:
         check_scenario(self, CONTROL_INVARIANTS)
-        check_positive("rate_rps", self.rate_rps)
-        check_positive("duration_s", self.duration_s)
-        check_positive("mttr_deadline_s", self.mttr_deadline_s)
+        check_real(self.rate_rps, "rate_rps", gt=0)
+        check_real(self.duration_s, "duration_s", gt=0)
+        check_real(self.mttr_deadline_s, "mttr_deadline_s", gt=0)
         if self.flash is not None:
             check_flash_crowd(self.flash)
-        if not 0 < self.recovery_frac <= 1:
-            raise ConfigError(
-                f"recovery_frac must be in (0, 1], got {self.recovery_frac!r}"
-            )
+        check_real(self.recovery_frac, "recovery_frac", gt=0, le=1)
         check_armable(self.data_faults)
         self.data_faults.validate_for(self.replicas)
 

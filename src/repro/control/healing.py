@@ -53,14 +53,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import AcceleratorConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_count, check_real
 from repro.perf.instrument import phase
 from repro.resilience.degrade import degraded_config
 from repro.resilience.faults import FaultSchedule, PEMask
 from repro.serve.batcher import BatchCoster, BatchPolicy
 from repro.serve.engine import AdaptiveServingEngine
 from repro.serve.queue import QueuePolicy
-from repro.serve.workload import Request, TenantSpec, check_positive
+from repro.serve.workload import Request, TenantSpec
 from repro.tenancy.fleet import ChipSpec, FleetSpec
 from repro.tenancy.placement import TenantDemand, place_tenants
 from repro.control.actuator import Actuator, AppliedAction
@@ -629,6 +629,7 @@ class SelfHealingControlLoop:
     ) -> None:
         if not tenants:
             raise ConfigError("control loop needs at least one tenant")
+        replicas = check_count(replicas, "initial replicas", 1)
         if not (autoscale.min_replicas <= replicas <= autoscale.max_replicas):
             raise ConfigError(
                 f"initial replicas {replicas!r} outside the autoscale bounds "
@@ -804,7 +805,7 @@ class SelfHealingControlLoop:
         gray-failure stimulus for the drain/repair path); the loop runs
         ``ceil(duration / epoch_s)`` epochs, then drains.
         """
-        check_positive("duration", duration_s)
+        check_real(duration_s, "duration", gt=0)
         with phase("control_run"):
             return self._run(requests, duration_s, extra_meta, data_faults)
 

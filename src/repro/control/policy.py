@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_choice, check_counts, check_real
 from repro.serve.batcher import BatchCoster, mix_image_seconds
 from repro.serve.failover import SLOW_THRESHOLD
 from repro.control.telemetry import WindowStats
@@ -96,10 +96,7 @@ class Action:
     chip: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ACTION_KINDS:
-            raise ConfigError(
-                f"unknown action kind {self.kind!r}; choose from {ACTION_KINDS}"
-            )
+        check_choice(self.kind, "action kind", ACTION_KINDS)
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -158,28 +155,22 @@ class AutoscalePolicy:
     retune: bool = True
 
     def __post_init__(self) -> None:
-        if self.epoch_s <= 0:
-            raise ConfigError(f"epoch_s must be positive, got {self.epoch_s!r}")
-        if self.min_replicas < 1:
-            raise ConfigError(
-                f"min_replicas must be >= 1, got {self.min_replicas!r}"
-            )
+        check_real(self.epoch_s, "epoch_s", gt=0)
+        check_counts(self, "min_replicas", "max_replicas", minimum=1)
+        check_counts(self, "cooldown_epochs")
         if self.max_replicas < self.min_replicas:
             raise ConfigError(
                 f"max_replicas must be >= min_replicas, got "
                 f"{self.max_replicas!r} < {self.min_replicas!r}"
             )
-        if not 0 < self.low_band < self.high_band:
+        check_real(self.low_band, "low_band", gt=0)
+        check_real(self.high_band, "high_band", gt=0)
+        if not self.low_band < self.high_band:
             raise ConfigError(
                 f"bands must satisfy 0 < low_band < high_band, got "
                 f"{self.low_band!r} vs {self.high_band!r}"
             )
-        if self.headroom < 0:
-            raise ConfigError(f"headroom must be >= 0, got {self.headroom!r}")
-        if self.cooldown_epochs < 0:
-            raise ConfigError(
-                f"cooldown_epochs must be >= 0, got {self.cooldown_epochs!r}"
-            )
+        check_real(self.headroom, "headroom", ge=0)
 
     def to_dict(self) -> Dict[str, object]:
         return {

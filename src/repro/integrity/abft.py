@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.arch.fixedpoint import FixedPointFormat, Q7_8, quantize
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_choice
 from repro.integrity.sdc import SDCInjector
 from repro.nn.layers import conv_output_hw
 from repro.sim.functional import (
@@ -379,8 +379,7 @@ def verified_conv(
     ``reference_conv`` on the same codes whenever recovery converged (or
     the run was clean).
     """
-    if path not in _PATH_FNS:
-        raise ConfigError(f"unknown ABFT path {path!r}; expected one of {ABFT_PATHS}")
+    check_choice(path, "ABFT path", ABFT_PATHS)
     data_codes, weight_codes, bias_codes = quantize_conv_operands(
         data, weights, bias, fmt
     )

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_real
 from repro.resilience.faults import BITFLIP_SITES, BitFlipFault
 
 __all__ = ["FlipEvent", "SDCInjector", "flip_code"]
@@ -90,8 +90,7 @@ class SDCInjector:
         for fault in faults:
             if not isinstance(fault, BitFlipFault):
                 raise ConfigError(f"expected BitFlipFault, got {fault!r}")
-        if not 2 <= word_bits <= 64:
-            raise ConfigError(f"word_bits must be in [2, 64], got {word_bits!r}")
+        check_real(word_bits, "word_bits", ge=2, le=64)
         self.word_bits = word_bits
         self._pending: Dict[str, List[BitFlipFault]] = {
             site: [f for f in faults if f.site == site] for site in BITFLIP_SITES

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.arch.config import CONFIG_16_16, AcceleratorConfig
-from repro.errors import ConfigError, ScheduleError
+from repro.errors import ScheduleError, check_count
 from repro.integrity.abft import ABFT_PATHS, golden_codes, verified_conv
 from repro.integrity.sdc import SDCInjector
 from repro.nn.layers import ConvLayer, TensorShape
@@ -87,8 +87,7 @@ def run_sweep(
     ``flips_per_site`` seeded single-bit flips are injected per (layer,
     path, site); it must be an int of at least 1 (``smoke`` caps it at 2).
     """
-    if type(flips_per_site) is not int or flips_per_site < 1:  # bools too
-        raise ConfigError(f"flips per site must be an int >= 1, got {flips_per_site!r}")
+    flips_per_site = check_count(flips_per_site, "flips per site", 1)
     layer_specs = SWEEP_LAYERS[:3] if smoke else SWEEP_LAYERS
     if smoke:
         flips_per_site = min(flips_per_site, 2)

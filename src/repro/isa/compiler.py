@@ -16,7 +16,7 @@ import math
 from typing import List, Optional
 
 from repro.arch.config import AcceleratorConfig
-from repro.errors import CompileError
+from repro.errors import CompileError, check_count, check_real
 from repro.isa.instructions import Instruction, Opcode, Program
 from repro.nn.network import Network
 from repro.schemes.base import ScheduleResult
@@ -29,10 +29,8 @@ def split_evenly(total: int, parts: int) -> List[int]:
 
     The first ``total % parts`` parts get one extra unit.
     """
-    if parts <= 0:
-        raise CompileError("parts must be positive")
-    if total < 0:
-        raise CompileError("total must be non-negative")
+    check_count(parts, "parts", 1, CompileError)
+    check_real(total, "total", ge=0, error=CompileError)
     base, rem = divmod(total, parts)
     return [base + (1 if i < rem else 0) for i in range(parts)]
 
@@ -61,8 +59,7 @@ def compile_layer(
     if passes is None:
         # one pass per ~64k array operations, capped for program compactness
         passes = max(1, min(64, math.ceil(result.operations / 65536)))
-    if passes <= 0:
-        raise CompileError("passes must be positive")
+    check_count(passes, "passes", 1, CompileError)
 
     program = Program(
         name=f"{result.layer_name}:{result.scheme}",

@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from repro.errors import CompileError
+from repro.errors import CompileError, check_real
 
 __all__ = ["Opcode", "Instruction", "Program"]
 
@@ -89,8 +89,8 @@ class Instruction:
     comment: str = ""
 
     def __post_init__(self) -> None:
-        if self.words < 0 or self.operations < 0 or self.macs < 0:
-            raise CompileError(f"negative operand in {self}")
+        for name in ("words", "operations", "macs"):
+            check_real(getattr(self, name), name, ge=0, error=CompileError)
         if self.opcode is Opcode.COMPUTE and self.operations == 0 and self.macs:
             raise CompileError("COMPUTE with MACs but zero operations")
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
-from repro.errors import ShapeError
+from repro.errors import ShapeError, check_choice, check_count, check_counts
 
 __all__ = [
     "TensorShape",
@@ -44,8 +44,10 @@ class TensorShape:
     width: int
 
     def __post_init__(self) -> None:
-        if self.depth <= 0 or self.height <= 0 or self.width <= 0:
-            raise ShapeError(f"tensor dimensions must be positive, got {self}")
+        check_counts(
+            self, "depth", "height", "width", minimum=1, error=ShapeError,
+            owner="tensor ",
+        )
 
     @property
     def elements(self) -> int:
@@ -71,8 +73,7 @@ def conv_output_hw(in_hw: int, kernel: int, stride: int, pad: int) -> int:
         raise ShapeError(
             f"kernel {kernel} larger than padded input extent {padded}"
         )
-    if stride <= 0:
-        raise ShapeError(f"stride must be positive, got {stride}")
+    check_count(stride, "stride", 1, ShapeError)
     return (padded - kernel) // stride + 1
 
 
@@ -117,16 +118,12 @@ class ConvLayer(Layer):
     groups: int = 1
 
     def __post_init__(self) -> None:
-        if self.in_maps <= 0 or self.out_maps <= 0:
-            raise ShapeError(f"{self.name}: map counts must be positive")
-        if self.kernel <= 0:
-            raise ShapeError(f"{self.name}: kernel must be positive")
-        if self.stride <= 0:
-            raise ShapeError(f"{self.name}: stride must be positive")
-        if self.pad < 0:
-            raise ShapeError(f"{self.name}: pad must be non-negative")
-        if self.groups <= 0:
-            raise ShapeError(f"{self.name}: groups must be positive")
+        owner = f"{self.name}: "
+        check_counts(
+            self, "in_maps", "out_maps", "kernel", "stride", "groups",
+            minimum=1, error=ShapeError, owner=owner,
+        )
+        check_counts(self, "pad", error=ShapeError, owner=owner)
         if self.in_maps % self.groups or self.out_maps % self.groups:
             raise ShapeError(
                 f"{self.name}: groups={self.groups} must divide both "
@@ -178,10 +175,12 @@ class PoolLayer(Layer):
     ceil_mode: bool = False
 
     def __post_init__(self) -> None:
-        if self.kernel <= 0 or self.stride <= 0:
-            raise ShapeError(f"{self.name}: kernel and stride must be positive")
-        if self.mode not in ("max", "avg"):
-            raise ShapeError(f"{self.name}: unknown pooling mode {self.mode!r}")
+        owner = f"{self.name}: "
+        check_counts(
+            self, "kernel", "stride", minimum=1, error=ShapeError, owner=owner
+        )
+        check_counts(self, "pad", error=ShapeError, owner=owner)
+        check_choice(self.mode, f"{self.name} pooling mode", ("max", "avg"), ShapeError)
 
     def _out_hw(self, in_hw: int) -> int:
         if self.ceil_mode:
@@ -218,8 +217,10 @@ class FCLayer(Layer):
     bias: bool = True
 
     def __post_init__(self) -> None:
-        if self.out_features <= 0:
-            raise ShapeError(f"{self.name}: out_features must be positive")
+        check_counts(
+            self, "out_features", minimum=1, error=ShapeError,
+            owner=f"{self.name}: ",
+        )
 
     def output_shape(self, in_shape: TensorShape) -> TensorShape:
         return TensorShape(self.out_features, 1, 1)
@@ -279,8 +280,11 @@ class ConcatLayer(Layer):
     def __post_init__(self) -> None:
         if not self.branch_depths:
             raise ShapeError(f"{self.name}: concat needs at least one branch")
-        if any(d <= 0 for d in self.branch_depths):
-            raise ShapeError(f"{self.name}: branch depths must be positive")
+        depths = tuple(
+            check_count(d, f"{self.name}: branch depth {k}", 1, ShapeError)
+            for k, d in enumerate(self.branch_depths)
+        )
+        object.__setattr__(self, "branch_depths", depths)
 
     def output_depth(self) -> int:
         return sum(self.branch_depths)
@@ -309,8 +313,10 @@ class EltwiseAddLayer(Layer):
     branch_count: int = 2
 
     def __post_init__(self) -> None:
-        if self.branch_count < 2:
-            raise ShapeError(f"{self.name}: eltwise add needs >= 2 branches")
+        check_counts(
+            self, "branch_count", minimum=2, error=ShapeError,
+            owner=f"{self.name}: ",
+        )
 
     def output_shape(self, in_shape: TensorShape) -> TensorShape:
         return in_shape

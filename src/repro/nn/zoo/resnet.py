@@ -15,7 +15,7 @@ classifier.
 
 from __future__ import annotations
 
-from repro.errors import ConfigError
+from repro.errors import check_count
 from repro.nn.layers import (
     ConvLayer,
     EltwiseAddLayer,
@@ -91,8 +91,7 @@ def build_resnet_small(
     num_classes: int = 10,
 ) -> Network:
     """CIFAR-style residual network (ResNet-14 at the default depth)."""
-    if blocks_per_stage <= 0:
-        raise ConfigError("blocks_per_stage must be positive")
+    check_count(blocks_per_stage, "blocks_per_stage", 1)
     net = Network(
         f"resnet-{6 * blocks_per_stage + 2}", TensorShape(3, input_hw, input_hw)
     )

@@ -35,7 +35,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import (
+    ConfigError,
+    check_choice,
+    check_count,
+    check_counts,
+    check_real,
+)
 from repro.serve.failover import ReplicaFault
 from repro.serve.verified import SDCFault
 
@@ -81,16 +87,8 @@ class BitFlipFault:
     step: int = 0
 
     def __post_init__(self) -> None:
-        if self.site not in BITFLIP_SITES:
-            raise ConfigError(
-                f"unknown bit-flip site {self.site!r}; choose from {BITFLIP_SITES}"
-            )
-        for attr in ("index", "bit", "step"):
-            value = getattr(self, attr)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"bit-flip {attr} must be an int, got {value!r}")
-            if value < 0:
-                raise ConfigError(f"bit-flip {attr} must be >= 0, got {value!r}")
+        check_choice(self.site, "bit-flip site", BITFLIP_SITES)
+        check_counts(self, "index", "bit", "step", owner="bit-flip ")
         if self.bit > 63:
             raise ConfigError(f"bit-flip bit must be < 64, got {self.bit!r}")
 
@@ -120,15 +118,11 @@ def seeded_bitflips(
     ``psum`` flips may land anywhere in the wide accumulator's low
     ``psum_bits`` bits; the storage sites stay within ``word_bits``.
     """
-    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-        raise ConfigError(f"bit-flip count must be an int >= 0, got {count!r}")
+    count = check_count(count, "bit-flip count")
     if not sites:
         raise ConfigError("seeded_bitflips needs at least one site")
     for site in sites:
-        if site not in BITFLIP_SITES:
-            raise ConfigError(
-                f"unknown bit-flip site {site!r}; choose from {BITFLIP_SITES}"
-            )
+        check_choice(site, "bit-flip site", BITFLIP_SITES)
     rng = random.Random(seed)
     flips = []
     for i in range(count):
@@ -160,12 +154,7 @@ class PEMask:
     masked_rows: int = 0
 
     def __post_init__(self) -> None:
-        for attr in ("masked_cols", "masked_rows"):
-            value = getattr(self, attr)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{attr} must be an int, got {value!r}")
-            if value < 0:
-                raise ConfigError(f"{attr} must be >= 0, got {value!r}")
+        check_counts(self, "masked_cols", "masked_rows")
 
     @property
     def is_noop(self) -> bool:
@@ -189,17 +178,10 @@ class LinkFault:
     duration_s: float
 
     def __post_init__(self) -> None:
-        if math.isnan(self.time_s) or self.time_s < 0:
-            raise ConfigError(f"link fault time must be >= 0, got {self.time_s!r}")
-        if math.isnan(self.factor) or math.isinf(self.factor) or self.factor < 1:
-            raise ConfigError(
-                f"link degrade factor must be finite and >= 1, got {self.factor!r}"
-            )
-        if math.isnan(self.duration_s) or self.duration_s <= 0 or math.isinf(self.duration_s):
-            raise ConfigError(
-                f"link fault duration must be positive and finite, "
-                f"got {self.duration_s!r}"
-            )
+        # an infinite time is left to FaultSchedule, which names the entry
+        check_real(self.time_s, "link fault time", ge=0, finite=False)
+        check_real(self.factor, "link degrade factor", ge=1)
+        check_real(self.duration_s, "link fault duration", gt=0)
 
     @property
     def end_s(self) -> float:
@@ -226,16 +208,10 @@ def flapping_link(
     lasting ``down_fraction`` of the period at ``factor``× worse link
     parameters — the classic symptom of a renegotiating PHY.
     """
-    if math.isnan(start_s) or start_s < 0:
-        raise ConfigError(f"flap start must be >= 0, got {start_s!r}")
-    if not period_s > 0:
-        raise ConfigError(f"flap period must be positive, got {period_s!r}")
-    if not 0 < down_fraction < 1:
-        raise ConfigError(
-            f"down_fraction must be in (0, 1), got {down_fraction!r}"
-        )
-    if isinstance(flaps, bool) or not isinstance(flaps, int) or flaps <= 0:
-        raise ConfigError(f"flap count must be a positive int, got {flaps!r}")
+    check_real(start_s, "flap start", ge=0)
+    check_real(period_s, "flap period", gt=0)
+    check_real(down_fraction, "down_fraction", gt=0, lt=1)
+    flaps = check_count(flaps, "flap count", 1)
     return tuple(
         LinkFault(
             time_s=start_s + k * period_s,
@@ -265,18 +241,8 @@ class MaskFault:
     mask: PEMask
 
     def __post_init__(self) -> None:
-        if math.isnan(self.time_s) or math.isinf(self.time_s) or self.time_s < 0:
-            raise ConfigError(
-                f"mask fault time must be finite and >= 0, got {self.time_s!r}"
-            )
-        if isinstance(self.replica, bool) or not isinstance(self.replica, int):
-            raise ConfigError(
-                f"mask fault replica must be an int, got {self.replica!r}"
-            )
-        if self.replica < 0:
-            raise ConfigError(
-                f"mask fault replica must be >= 0, got {self.replica!r}"
-            )
+        check_real(self.time_s, "mask fault time", ge=0)
+        check_counts(self, "replica", owner="mask fault ")
         if not isinstance(self.mask, PEMask):
             raise ConfigError(
                 f"mask fault needs a PEMask, got {type(self.mask).__name__}"
@@ -456,8 +422,7 @@ class FaultSchedule:
             raise ConfigError(
                 f"cannot crash {crashes} of {n_replicas} replicas"
             )
-        if not duration_s > 0:
-            raise ConfigError(f"duration must be positive, got {duration_s!r}")
+        check_real(duration_s, "duration", gt=0)
         rng = random.Random(seed)
 
         def mid_time() -> float:

@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.arch.config import AcceleratorConfig
 from repro.cluster.link import LinkSpec
 from repro.cluster.pipeline import PipelinePlan, plan_pipeline
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_count
 from repro.nn.network import Network
 
 __all__ = ["RepairPlan", "repair_pipeline"]
@@ -86,8 +86,7 @@ def repair_pipeline(
     if not lost:
         raise ConfigError("repair needs at least one lost chip")
     for chip in lost:
-        if isinstance(chip, bool) or not isinstance(chip, int):
-            raise ConfigError(f"lost chip id must be an int, got {chip!r}")
+        check_count(chip, "lost chip id", None)
         if not 0 <= chip < n_chips:
             raise ConfigError(
                 f"lost chip {chip} out of range for a {n_chips}-chip pipeline"

@@ -48,7 +48,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Typ
 from repro.arch.config import CONFIG_16_16, AcceleratorConfig
 from repro.cluster.link import LinkSpec
 from repro.cluster.pipeline import plan_pipeline
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_choice, check_counts
 from repro.resilience.degrade import replan_degraded
 from repro.resilience.faults import FaultSchedule, PEMask, flapping_link
 from repro.resilience.repair import repair_pipeline
@@ -109,15 +109,11 @@ def registry(
 
 def check_scenario(scenario, table: Mapping[str, Predicate]) -> None:
     """The record check both catalogues share: an int replica count and
-    declared invariants that ``table`` can evaluate."""
-    replicas = scenario.replicas
-    if isinstance(replicas, bool) or not isinstance(replicas, int) or replicas <= 0:
-        raise ConfigError(f"replicas must be a positive int, got {replicas!r}")
+    seed, and declared invariants that ``table`` can evaluate."""
+    check_counts(scenario, "replicas", minimum=1)
+    check_counts(scenario, "seed", minimum=None)
     for inv in scenario.invariants:
-        if inv not in table:
-            raise ConfigError(
-                f"unknown invariant {inv!r}; choose from {tuple(table)}"
-            )
+        check_choice(inv, "invariant", tuple(table))
 
 
 def _terminated(summary: Dict[str, object]) -> int:
@@ -330,8 +326,7 @@ class ChaosScenario:
 
     def __post_init__(self) -> None:
         check_scenario(self, INVARIANTS)
-        if self.chips <= 0:
-            raise ConfigError(f"chips must be positive, got {self.chips!r}")
+        check_counts(self, "chips", minimum=1)
         if self.schedule.link_faults and self.chips < 2:
             raise ConfigError(
                 f"scenario {self.name!r} schedules link faults but has no "

@@ -20,13 +20,12 @@ Two pieces:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
 
 from repro.adaptive.batch import BatchRun, plan_batch
 from repro.arch.config import AcceleratorConfig
-from repro.errors import ConfigError
+from repro.errors import check_counts, check_real
 from repro.nn.network import Network
 
 __all__ = ["BatchPolicy", "BatchCoster", "mix_image_seconds"]
@@ -40,18 +39,9 @@ class BatchPolicy:
     max_wait_ms: float = 10.0
 
     def __post_init__(self) -> None:
-        if isinstance(self.max_batch, bool) or not isinstance(self.max_batch, int):
-            raise ConfigError(
-                f"max_batch must be an int, got {self.max_batch!r} "
-                f"({type(self.max_batch).__name__})"
-            )
-        if self.max_batch <= 0:
-            raise ConfigError(f"max_batch must be positive, got {self.max_batch!r}")
+        check_counts(self, "max_batch", minimum=1)
         # a NaN or infinite timer never releases a partial batch
-        if isinstance(self.max_wait_ms, bool) or not 0 <= self.max_wait_ms < math.inf:
-            raise ConfigError(
-                f"max_wait_ms must be >= 0 and finite, got {self.max_wait_ms!r}"
-            )
+        check_real(self.max_wait_ms, "max_wait_ms", ge=0)
 
     @property
     def max_wait_s(self) -> float:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import AcceleratorConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_count
 from repro.serve.batcher import BatchCoster, BatchPolicy
 from repro.serve.engine import ServingEngine
 from repro.serve.workload import Request
@@ -59,16 +59,7 @@ def _normalize_groups(
                 f"candidate {candidate!r} group {gi}: expected "
                 f"(config, count[, coster]), got {len(entry)} elements"
             )
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise ConfigError(
-                f"candidate {candidate!r} group {gi}: count must be an "
-                f"int, got {count!r}"
-            )
-        if count <= 0:
-            raise ConfigError(
-                f"candidate {candidate!r} group {gi}: count must be "
-                f"positive, got {count!r}"
-            )
+        count = check_count(count, f"candidate {candidate!r} group {gi}: count", 1)
         out.append((config, count, coster))
     return out
 

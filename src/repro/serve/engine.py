@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import AcceleratorConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_choice, check_count, check_real
 from repro.perf.instrument import phase
 from repro.serve.batcher import BatchCoster, BatchPolicy
 from repro.serve.failover import (
@@ -71,7 +71,7 @@ from repro.serve.verified import (
     VerificationPolicy,
     VerifiedReplica,
 )
-from repro.serve.workload import Arrivals, Request, check_positive
+from repro.serve.workload import Arrivals, Request
 
 __all__ = [
     "AdaptiveReplica",
@@ -132,21 +132,6 @@ class ReplicaState:
         return out
 
 
-def check_fleet(replicas: int, routing: str) -> None:
-    """Reject a fleet size that is not a positive int, or an unknown routing."""
-    if isinstance(replicas, bool) or not isinstance(replicas, int):
-        raise ConfigError(
-            f"replicas must be an int, got {replicas!r} "
-            f"({type(replicas).__name__})"
-        )
-    if replicas <= 0:
-        raise ConfigError(f"replicas must be positive, got {replicas!r}")
-    if routing not in ROUTING_KINDS:
-        raise ConfigError(
-            f"unknown routing {routing!r}; choose from {ROUTING_KINDS}"
-        )
-
-
 def engine_summary(
     config_name: str,
     plan_policy: str,
@@ -191,10 +176,7 @@ def _apply_chip_tags(
             raise ConfigError(
                 f"chip_shares names rid {rid!r} that has no chip_map entry"
             )
-        if not 0 < share <= 1:
-            raise ConfigError(
-                f"chip share for rid {rid!r} must be in (0, 1], got {share!r}"
-            )
+        check_real(share, f"chip share for rid {rid!r}", gt=0, le=1)
     for replica in replicas:
         chip = chip_map.get(replica.rid)
         if chip is not None:
@@ -400,7 +382,8 @@ class AdaptiveServingEngine:
         chip_map: Optional[Dict[int, str]] = None,
         chip_shares: Optional[Dict[int, float]] = None,
     ) -> None:
-        check_fleet(replicas, routing)
+        replicas = check_count(replicas, "replicas", 1)
+        check_choice(routing, "routing", ROUTING_KINDS)
         if replica_costers is not None and len(replica_costers) != replicas:
             raise ConfigError(
                 f"replica_costers has {len(replica_costers)} entries for "
@@ -595,10 +578,7 @@ class AdaptiveServingEngine:
         Windows accumulate: a replica can degrade more than once, and a
         dispatch inside overlapping windows pays the worst factor.
         """
-        if not math.isfinite(factor) or factor < 1:
-            raise ConfigError(
-                f"slow factor must be finite and >= 1, got {factor!r}"
-            )
+        check_real(factor, "slow factor", ge=1)
         if not until_s > from_s:
             raise ConfigError(
                 f"slow window must have until > from, got [{from_s!r}, {until_s!r})"
@@ -615,10 +595,7 @@ class AdaptiveServingEngine:
         may take out the last active replica — requests still queued when
         the fleet hits zero are accounted as failed at :meth:`finish`.
         """
-        if math.isnan(at_s) or math.isinf(at_s) or at_s < 0:
-            raise ConfigError(
-                f"crash time must be finite and >= 0, got {at_s!r}"
-            )
+        check_real(at_s, "crash time", ge=0)
         state = self._replica(rid)
         if any(e[1] == _CRASH and e[4] is state for e in self._faults):
             raise ConfigError(f"replica {rid} already has a crash scheduled")
@@ -666,10 +643,7 @@ class AdaptiveServingEngine:
                     f"service window must have end > start, got "
                     f"[{start!r}, {end!r})"
                 )
-            if not math.isfinite(mult) or mult < 1:
-                raise ConfigError(
-                    f"service multiplier must be finite and >= 1, got {mult!r}"
-                )
+            check_real(mult, "service multiplier", ge=1)
         faults = tuple(sorted(faults, key=lambda f: (f.time_s, f.replica)))
         sdc_faults = tuple(sorted(sdc_faults, key=lambda f: (f.time_s, f.replica)))
         self._failover = _Failover(
@@ -716,14 +690,8 @@ class AdaptiveServingEngine:
         :meth:`heal_degraded` ends the naive window and swaps in a coster
         planned for the degraded geometry (Algorithm 2's answer).
         """
-        if not math.isfinite(factor) or factor < 1:
-            raise ConfigError(
-                f"degrade factor must be finite and >= 1, got {factor!r}"
-            )
-        if math.isnan(from_s) or math.isinf(from_s) or from_s < 0:
-            raise ConfigError(
-                f"degrade time must be finite and >= 0, got {from_s!r}"
-            )
+        check_real(factor, "degrade factor", ge=1)
+        check_real(from_s, "degrade time", ge=0)
         state = self._replica(rid)
         if state.degraded is not None:
             raise ConfigError(f"replica {rid} is already degraded")
@@ -826,8 +794,7 @@ class AdaptiveServingEngine:
         past that point stay armed (:meth:`finish` drops those past the
         makespan).
         """
-        if math.isnan(t_end):
-            raise ConfigError(f"advance_to needs a time or inf, got {t_end!r}")
+        check_real(t_end, "advance_to time", finite=False)
         if t_end < self._now:
             raise ConfigError(
                 f"cannot advance to {t_end!r}s: already at {self._now!r}s"
@@ -1158,7 +1125,7 @@ class AdaptiveServingEngine:
         extra_meta: Optional[Dict[str, object]] = None,
     ) -> ServingReport:
         """Drain everything outstanding and reduce to a report."""
-        check_positive("duration", duration_s)
+        check_real(duration_s, "duration", gt=0)
         with phase("serve_adaptive_finish"):
             self.advance_to(math.inf)
         if len(self._queue) and not self._active:

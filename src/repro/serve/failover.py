@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.errors import ConfigError
+from repro.errors import check_choice, check_count, check_counts, check_real
 
 __all__ = [
     "ReplicaFault",
@@ -77,29 +77,14 @@ class ReplicaFault:
     duration_s: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ConfigError(
-                f"unknown fault kind {self.kind!r}; choose from {FAULT_KINDS}"
-            )
-        if isinstance(self.replica, bool) or not isinstance(self.replica, int):
-            raise ConfigError(
-                f"fault replica must be an int, got {self.replica!r}"
-            )
-        if self.replica < 0:
-            raise ConfigError(
-                f"fault replica must be >= 0, got {self.replica!r}"
-            )
-        if math.isnan(self.time_s) or self.time_s < 0:
-            raise ConfigError(f"fault time must be >= 0, got {self.time_s!r}")
+        check_choice(self.kind, "fault kind", FAULT_KINDS)
+        check_counts(self, "replica", owner="fault ")
+        # an infinite time is left to FaultSchedule, which names the entry
+        check_real(self.time_s, "fault time", ge=0, finite=False)
         if self.kind == "slow":
-            if not math.isfinite(self.factor) or self.factor < 1:
-                raise ConfigError(
-                    f"slow factor must be finite and >= 1, got {self.factor!r}"
-                )
-            if math.isnan(self.duration_s) or self.duration_s <= 0:
-                raise ConfigError(
-                    f"slow duration must be positive, got {self.duration_s!r}"
-                )
+            check_real(self.factor, "slow factor", ge=1)
+            # inf (the default) keeps the replica slow for good
+            check_real(self.duration_s, "slow duration", gt=0, finite=False)
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -137,8 +122,7 @@ def detection_time(crash_s: float) -> float:
 
 def backoff_s(attempt: int) -> float:
     """Backoff before retry number ``attempt`` (1-based) re-queues."""
-    if attempt < 1:
-        raise ConfigError(f"attempt must be >= 1, got {attempt!r}")
+    check_count(attempt, "attempt", 1)
     return min(BACKOFF_CAP_MS, BACKOFF_BASE_MS * 2 ** (attempt - 1)) / 1e3
 
 

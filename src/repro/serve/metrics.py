@@ -40,6 +40,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import check_real
 from repro.serve.workload import Arrivals
 
 __all__ = [
@@ -102,8 +103,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolation percentile (``q`` in [0, 100]) of ``values``."""
     if not values:
         return 0.0
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile q must be in [0, 100], got {q!r}")
+    check_real(q, "percentile q", ge=0, le=100, error=ValueError)
     return sorted_percentile(sorted(values), q)
 
 

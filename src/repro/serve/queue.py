@@ -25,14 +25,13 @@ a deque in arrival order, since stream offers arrive in that order; an
 from __future__ import annotations
 
 import heapq
-import math
 from bisect import insort
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.errors import ConfigError
+from repro.errors import check_choice, check_counts, check_real
 from repro.serve.batcher import BatchPolicy
 
 __all__ = ["QueuePolicy", "AdmissionQueue", "QUEUE_ORDERS"]
@@ -55,24 +54,11 @@ class QueuePolicy:
     shed_expired: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, int):
-            raise ConfigError(
-                f"max_depth must be an int, got {self.max_depth!r} "
-                f"({type(self.max_depth).__name__})"
-            )
-        if self.max_depth <= 0:
-            raise ConfigError(f"max_depth must be positive, got {self.max_depth!r}")
-        if self.order not in QUEUE_ORDERS:
-            raise ConfigError(
-                f"unknown queue order {self.order!r}; choose from {QUEUE_ORDERS}"
-            )
+        check_counts(self, "max_depth", minimum=1)
+        check_choice(self.order, "queue order", QUEUE_ORDERS)
         # NaN compares false against every age, silently disabling shedding
-        if self.max_age_s is not None and (
-            isinstance(self.max_age_s, bool) or not 0 < self.max_age_s < math.inf
-        ):
-            raise ConfigError(
-                f"max_age_s must be positive and finite, got {self.max_age_s!r}"
-            )
+        if self.max_age_s is not None:
+            check_real(self.max_age_s, "max_age_s", gt=0)
 
 
 class AdmissionQueue:

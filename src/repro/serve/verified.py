@@ -31,11 +31,10 @@ scenario exists to show.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_counts, check_real
 
 __all__ = ["SDCFault", "VerificationPolicy", "VerifiedReplica"]
 
@@ -57,32 +56,12 @@ class SDCFault:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.replica, bool) or not isinstance(self.replica, int):
-            raise ConfigError(
-                f"SDC fault replica must be an int, got {self.replica!r}"
-            )
-        if self.replica < 0:
-            raise ConfigError(
-                f"SDC fault replica must be >= 0, got {self.replica!r}"
-            )
-        if math.isnan(self.time_s) or self.time_s < 0:
-            raise ConfigError(f"SDC fault time must be >= 0, got {self.time_s!r}")
-        if (
-            math.isnan(self.duration_s)
-            or self.duration_s <= 0
-            or math.isinf(self.duration_s)
-        ):
-            raise ConfigError(
-                f"SDC fault duration must be positive and finite, "
-                f"got {self.duration_s!r}"
-            )
-        if math.isnan(self.per_batch) or not 0 < self.per_batch <= 1:
-            raise ConfigError(
-                f"SDC per-batch probability must be in (0, 1], "
-                f"got {self.per_batch!r}"
-            )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ConfigError(f"SDC fault seed must be an int, got {self.seed!r}")
+        check_counts(self, "replica", owner="SDC fault ")
+        # an infinite time is left to FaultSchedule, which names the entry
+        check_real(self.time_s, "SDC fault time", ge=0, finite=False)
+        check_real(self.duration_s, "SDC fault duration", gt=0)
+        check_real(self.per_batch, "SDC per-batch probability", gt=0, le=1)
+        check_counts(self, "seed", minimum=None, owner="SDC fault ")
 
     @property
     def end_s(self) -> float:

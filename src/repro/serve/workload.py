@@ -39,7 +39,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_real
 
 __all__ = [
     "Arrivals",
@@ -55,22 +55,11 @@ __all__ = [
     "mixed_arrivals",
     "mixed_diurnal_arrivals",
     "trace_arrivals",
-    "check_positive",
     "check_flash_crowd",
 ]
 
 #: default per-request latency SLO when a mix spec does not name one
 DEFAULT_SLO_MS = 250.0
-
-
-def check_positive(what: str, value: float) -> None:
-    """Reject ``value`` unless it is positive and finite, naming ``what``.
-
-    NaN and infinity fail too: an infinite rate or duration never ends a
-    generator's loop, and a NaN one silently yields an empty workload.
-    """
-    if not 0 < value < math.inf:
-        raise ConfigError(f"{what} must be positive and finite, got {value!r}")
 
 
 def check_flash_crowd(window: Tuple[float, float, float]) -> None:
@@ -96,8 +85,8 @@ class TenantSpec:
     slo_ms: float = DEFAULT_SLO_MS
 
     def __post_init__(self) -> None:
-        check_positive(f"tenant {self.name!r}: weight", self.weight)
-        check_positive(f"tenant {self.name!r}: slo_ms", self.slo_ms)
+        check_real(self.weight, f"tenant {self.name!r}: weight", gt=0)
+        check_real(self.slo_ms, f"tenant {self.name!r}: slo_ms", gt=0)
 
 
 @dataclass(frozen=True)
@@ -136,6 +125,49 @@ def _coded(values: List[str]) -> Tuple[np.ndarray, Tuple[str, ...]]:
     return np.fromiter(codes, _code_dtype(len(names)), len(values)), names
 
 
+def _recode(col: np.ndarray, names: Tuple[str, ...], union: Tuple[str, ...]):
+    """``col``'s codes into ``names`` as codes into ``union``."""
+    lookup = [union.index(name) for name in names]
+    return np.array(lookup, _code_dtype(len(union)))[col]
+
+
+class _Room:
+    """The buffers behind a concatenated stream: its rows, then spare room.
+
+    ``filled`` rows are in use; only the stream that ends there may append.
+    """
+
+    def __init__(self, stream, capacity, tenants, networks, rid) -> None:
+        n = len(stream)
+
+        def column(values, dtype):
+            out = np.empty(capacity, dtype)
+            out[:n] = values
+            return out
+
+        self.arrival = column(stream.arrival, np.float64)
+        self.deadline = column(stream.deadline, np.float64)
+        self.tenant = column(
+            _recode(stream.tenant, stream.tenants, tenants), _code_dtype(len(tenants))
+        )
+        self.network = column(
+            _recode(stream.network, stream.networks, networks),
+            _code_dtype(len(networks)),
+        )
+        self.rid = None if rid is None else column(rid, np.int64)
+        self.filled = n
+
+    def fits(self, stream, rows, tenants, networks, rid) -> bool:
+        """Whether ``stream`` may grow to ``rows`` rows in place."""
+        return (
+            self.filled == len(stream)
+            and rows <= len(self.arrival)
+            and self.tenant.dtype == _code_dtype(len(tenants))
+            and self.network.dtype == _code_dtype(len(networks))
+            and (self.rid is None) == (rid is None)
+        )
+
+
 def _column(values: array) -> np.ndarray:
     """A NumPy view of an :mod:`array` column (no copy)."""
     return np.frombuffer(values, dtype=values.typecode)
@@ -155,7 +187,8 @@ class Arrivals(SequenceABC):
     """
 
     __slots__ = (
-        "arrival", "deadline", "tenant", "network", "tenants", "networks", "rid"
+        "arrival", "deadline", "tenant", "network", "tenants", "networks", "rid",
+        "_room",
     )
 
     def __init__(
@@ -177,6 +210,7 @@ class Arrivals(SequenceABC):
         if rid is not None and np.array_equal(rid, np.arange(len(rid))):
             rid = None
         self.rid = rid
+        self._room: Optional[_Room] = None
 
     @classmethod
     def from_requests(cls, requests: Sequence[Request]) -> "Arrivals":
@@ -228,37 +262,45 @@ class Arrivals(SequenceABC):
         return self.take(np.lexsort((self.rids(), self.arrival)))
 
     def concat(self, other: "Arrivals") -> "Arrivals":
-        """This stream's rows, then ``other``'s, over the union of the names."""
+        """This stream's rows, then ``other``'s, over the union of the names.
+
+        The result's columns are views into buffers with spare room, and
+        a concat onto the stream whose rows end where its room is filled
+        appends there, so k chunks concatenated in turn copy each row once
+        (amortized).  Every other stream keeps its rows: a shorter view of
+        the same room gets a room of its own.
+        """
         if not len(other):
             return self
         if not len(self):
             return other
         tenants = tuple(dict.fromkeys(self.tenants + other.tenants))
         networks = tuple(dict.fromkeys(self.networks + other.networks))
-
-        def codes(col, names, union):
-            lookup = [union.index(name) for name in names]
-            return np.array(lookup, _code_dtype(len(union)))[col]
-
-        return Arrivals(
-            np.concatenate([self.arrival, other.arrival]),
-            np.concatenate([self.deadline, other.deadline]),
-            np.concatenate(
-                [
-                    codes(self.tenant, self.tenants, tenants),
-                    codes(other.tenant, other.tenants, tenants),
-                ]
-            ),
-            np.concatenate(
-                [
-                    codes(self.network, self.networks, networks),
-                    codes(other.network, other.networks, networks),
-                ]
-            ),
+        n, m = len(self), len(self) + len(other)
+        rid, other_rids = self.rid, other.rids()
+        if rid is None and not np.array_equal(other_rids, np.arange(n, m)):
+            rid = self.rids()
+        room = self._room
+        if room is None or not room.fits(self, m, tenants, networks, rid):
+            room = _Room(self, 2 * m, tenants, networks, rid)
+        room.arrival[n:m] = other.arrival
+        room.deadline[n:m] = other.deadline
+        room.tenant[n:m] = _recode(other.tenant, other.tenants, tenants)
+        room.network[n:m] = _recode(other.network, other.networks, networks)
+        if room.rid is not None:
+            room.rid[n:m] = other_rids
+        room.filled = m
+        out = Arrivals(
+            room.arrival[:m],
+            room.deadline[:m],
+            room.tenant[:m],
+            room.network[:m],
             tenants,
             networks,
-            np.concatenate([self.rids(), other.rids()]),
         )
+        out.rid = None if room.rid is None else room.rid[:m]
+        out._room = room
+        return out
 
     def __getitem__(self, key: Union[int, slice]) -> Union[Request, "Arrivals"]:
         if isinstance(key, slice):
@@ -373,9 +415,9 @@ class MixedTenantSpec:
                     f"tenant {self.name!r}: duplicate network {network!r} in mix"
                 )
             seen.add(network)
-            check_positive(f"tenant {self.name!r}: network {network!r} share", share)
-        check_positive(f"tenant {self.name!r}: weight", self.weight)
-        check_positive(f"tenant {self.name!r}: slo_ms", self.slo_ms)
+            check_real(share, f"tenant {self.name!r}: network {network!r} share", gt=0)
+        check_real(self.weight, f"tenant {self.name!r}: weight", gt=0)
+        check_real(self.slo_ms, f"tenant {self.name!r}: slo_ms", gt=0)
 
     @property
     def networks(self) -> Tuple[str, ...]:
@@ -465,8 +507,8 @@ def mixed_arrivals(
     pinned to a tenant must absorb *that tenant's whole mix*, not one
     network.
     """
-    check_positive("arrival rate", rate)
-    check_positive("duration", duration_s)
+    check_real(rate, "arrival rate", gt=0)
+    check_real(duration_s, "duration", gt=0)
     _validate_mixed_tenants(tenants)
     draw = _MixedDraw(tenants, seed)
     times, picks, nets = array("d"), _codes(len(tenants)), _codes(len(draw.networks))
@@ -522,14 +564,14 @@ def mixed_diurnal_arrivals(
     planner's whole search is deterministic because its traffic forecast
     is.
     """
-    check_positive("base_rate", base_rate)
-    check_positive("peak_rate", peak_rate)
+    check_real(base_rate, "base_rate", gt=0)
+    check_real(peak_rate, "peak_rate", gt=0)
     if peak_rate < base_rate:
         raise ConfigError(
             f"peak_rate must be >= base_rate, got {peak_rate!r} < {base_rate!r}"
         )
-    check_positive("days", days)
-    check_positive("day_s", day_s)
+    check_real(days, "days", gt=0)
+    check_real(day_s, "day_s", gt=0)
     _validate_mixed_tenants(tenants)
 
     duration_s = days * day_s
@@ -596,8 +638,8 @@ def poisson_arrivals(
     seed: int = 0,
 ) -> Arrivals:
     """Open-loop Poisson traffic: ``rate`` requests/second for ``duration_s``."""
-    check_positive("arrival rate", rate)
-    check_positive("duration", duration_s)
+    check_real(rate, "arrival rate", gt=0)
+    check_real(duration_s, "duration", gt=0)
     _validate_tenants(tenants)
     rng, log = random.Random(seed).random, math.log
     weights = tuple(t.weight for t in tenants)
@@ -629,13 +671,12 @@ def bursty_arrivals(
     long-run average stays ``rate``.  ``burst_factor * burst_fraction``
     must not exceed 1 (the off-phase rate cannot go negative).
     """
-    check_positive("arrival rate", rate)
-    check_positive("duration", duration_s)
-    if not burst_factor >= 1:
-        raise ConfigError(f"burst_factor must be >= 1, got {burst_factor!r}")
-    if not 0 < burst_fraction < 1:
-        raise ConfigError(f"burst_fraction must be in (0, 1), got {burst_fraction!r}")
-    check_positive("period_s", period_s)
+    check_real(rate, "arrival rate", gt=0)
+    check_real(duration_s, "duration", gt=0)
+    # an infinite factor fails the off-phase check below
+    check_real(burst_factor, "burst_factor", ge=1, finite=False)
+    check_real(burst_fraction, "burst_fraction", gt=0, lt=1)
+    check_real(period_s, "period_s", gt=0)
     if burst_factor * burst_fraction > 1:
         raise ConfigError(
             "burst_factor * burst_fraction must be <= 1 so the off-phase "
@@ -716,24 +757,17 @@ def diurnal_arrivals(
     :func:`bursty_arrivals`, and everything is driven by one seeded RNG —
     the same seed always yields the identical request stream.
     """
-    check_positive("base_rate", base_rate)
-    check_positive("peak_rate", peak_rate)
+    check_real(base_rate, "base_rate", gt=0)
+    check_real(peak_rate, "peak_rate", gt=0)
     if peak_rate < base_rate:
         raise ConfigError(
             f"peak_rate must be >= base_rate, got {peak_rate!r} < {base_rate!r}"
         )
-    check_positive("days", days)
-    check_positive("day_s", day_s)
-    if not 0 <= flash_per_day < math.inf:
-        raise ConfigError(
-            f"flash_per_day must be finite and >= 0, got {flash_per_day!r}"
-        )
-    if not 1 <= flash_factor < math.inf:
-        raise ConfigError(
-            f"flash_factor must be finite and >= 1, got {flash_factor!r}"
-        )
-    if not 0 <= churn < 1:
-        raise ConfigError(f"churn must be in [0, 1), got {churn!r}")
+    check_real(days, "days", gt=0)
+    check_real(day_s, "day_s", gt=0)
+    check_real(flash_per_day, "flash_per_day", ge=0)
+    check_real(flash_factor, "flash_factor", ge=1)
+    check_real(churn, "churn", ge=0, lt=1)
     for window in flash_crowds:
         check_flash_crowd(window)
     _validate_tenants(tenants)
@@ -800,7 +834,7 @@ def trace_arrivals(
     """
     _validate_tenants(tenants)
     if duration_s is not None:
-        check_positive("duration", duration_s)
+        check_real(duration_s, "duration", gt=0)
     by_name = {t.name: t for t in tenants}
     rng = random.Random(seed)
     rows = []

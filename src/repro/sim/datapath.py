@@ -6,14 +6,16 @@ and executes convolution on the integer datapath the paper's PE actually
 has — 16-bit fixed-point operands, full-width products, a wide accumulator,
 and a single saturating round back to 16 bits at the output.
 
-The accumulation orders themselves are :mod:`repro.sim.functional`'s: each
-``conv_codes_*`` runs the matching functional path on int64 codes, with the
-bias aligned to the accumulator, and adds only the PE output stage
-(:func:`requantize`).  Because integer addition is associative, the
-kernel-partitioned (Algorithm 1) and improved-inter accumulation orders are
-**bit-identical** to the direct order on this datapath — no tolerance
-needed — which is the hardware form of the paper's Fig. 5(d) claim.  Tests
-assert exact equality of the output codes.
+Each ``conv_codes_*`` runs the matching :mod:`repro.sim.functional` path on
+int64 codes, with the bias aligned to the accumulator, and adds only the PE
+output stage (:func:`requantize`).  Without a fault hook every path is the
+fused im2col GEMM; the stepwise orders they stand for are checked bit for
+bit against the loop nests in ``tests/sim/loop_oracle.py``.  Because
+integer addition is associative, the kernel-partitioned (Algorithm 1) and
+improved-inter accumulation orders are **bit-identical** to the direct
+order on this datapath — no tolerance needed — which is the hardware form
+of the paper's Fig. 5(d) claim.  Tests assert exact equality of the output
+codes.
 """
 
 from __future__ import annotations

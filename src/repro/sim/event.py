@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.errors import ConfigError
+from repro.errors import check_count
 from repro.isa.compiler import split_evenly
 from repro.schemes.base import ScheduleResult
 from repro.sim.trace import NetworkRun
@@ -67,8 +67,7 @@ def simulate_layer(
     split evenly across ``passes``; the output drain of the final pass is
     charged after its compute (earlier drains hide behind later fills).
     """
-    if passes <= 0:
-        raise ConfigError("passes must be positive")
+    check_count(passes, "passes", 1)
     config = result.config
     # stream side per pass: the input share of DMA plus the reshape,
     # pipelined against each other -> per-pass stream latency is their max

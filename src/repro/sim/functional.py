@@ -42,7 +42,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.integrity.sdc import SDCInjector
 
-from repro.errors import ShapeError
+from repro.errors import ShapeError, check_count
 from repro.nn.layers import ConvLayer, TensorShape, conv_output_hw
 from repro.tiling.partition import (
     pad_data_for_partition,
@@ -61,12 +61,6 @@ __all__ = [
 ]
 
 
-def _check_int_arg(name: str, value: int, low: int) -> None:
-    """Reject a bool, a non-integer (NumPy ints pass) or a value below ``low``."""
-    if not (type(value) is int or isinstance(value, np.integer)) or value < low:
-        raise ShapeError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
 def _check_conv_args(
     data: np.ndarray, weights: np.ndarray, stride: int, pad: int, groups: int
 ) -> None:
@@ -77,9 +71,9 @@ def _check_conv_args(
     dout, din_g, k1, k2 = weights.shape
     if k1 != k2:
         raise ShapeError(f"kernel must be square, got {k1}x{k2}")
-    _check_int_arg("stride", stride, 1)
-    _check_int_arg("pad", pad, 0)
-    _check_int_arg("groups", groups, 1)
+    check_count(stride, "stride", 1, ShapeError)
+    check_count(pad, "pad", 0, ShapeError)
+    check_count(groups, "groups", 1, ShapeError)
     if data.shape[0] % groups or dout % groups:
         raise ShapeError(
             f"groups {groups} must divide Din {data.shape[0]} and Dout {dout}"

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import AcceleratorConfig, named_config
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_counts, check_real
 from repro.tenancy.partition import PartitionSpec, partition_chip
 
 __all__ = [
@@ -50,21 +50,10 @@ class ChipSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("chip class needs a non-empty name")
-        if isinstance(self.count, bool) or not isinstance(self.count, int):
-            raise ConfigError(
-                f"chip class {self.name!r}: count must be an int, "
-                f"got {self.count!r}"
-            )
-        if self.count <= 0:
-            raise ConfigError(
-                f"chip class {self.name!r}: count must be positive, "
-                f"got {self.count!r}"
-            )
-        if self.cost_weight is not None and self.cost_weight <= 0:
-            raise ConfigError(
-                f"chip class {self.name!r}: cost_weight must be positive, "
-                f"got {self.cost_weight!r}"
-            )
+        owner = f"chip class {self.name!r}: "
+        check_counts(self, "count", minimum=1, owner=owner)
+        if self.cost_weight is not None:
+            check_real(self.cost_weight, owner + "cost_weight", gt=0)
 
     @property
     def weight(self) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import AcceleratorConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_count, check_counts, check_real
 
 __all__ = [
     "PartitionSpec",
@@ -52,26 +52,12 @@ class PartitionSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("partition needs a non-empty name")
-        for label, value in (("tin", self.tin), ("tout", self.tout)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(
-                    f"partition {self.name!r}: {label} must be an int, "
-                    f"got {value!r} ({type(value).__name__})"
-                )
-            if value <= 0:
-                raise ConfigError(
-                    f"partition {self.name!r}: {label} must be positive, "
-                    f"got {value!r}"
-                )
-        for label, frac in (
-            ("buffer_fraction", self.buffer_fraction),
-            ("dram_fraction", self.dram_fraction),
-        ):
-            if frac is not None and not 0 < frac <= 1:
-                raise ConfigError(
-                    f"partition {self.name!r}: {label} must be in (0, 1], "
-                    f"got {frac!r}"
-                )
+        owner = f"partition {self.name!r}: "
+        check_counts(self, "tin", "tout", minimum=1, owner=owner)
+        for label in ("buffer_fraction", "dram_fraction"):
+            frac = getattr(self, label)
+            if frac is not None:
+                check_real(frac, owner + label, gt=0, le=1)
 
     @property
     def multipliers(self) -> int:
@@ -212,10 +198,7 @@ def partition_chip(
 
 def even_partitions(config: AcceleratorConfig, n: int) -> List[PartitionSpec]:
     """``n`` equal column strips of the parent array (``tin/n x tout``)."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ConfigError(f"partition count must be an int, got {n!r}")
-    if n <= 0:
-        raise ConfigError(f"partition count must be positive, got {n!r}")
+    n = check_count(n, "partition count", 1)
     if config.tin % n:
         raise ConfigError(
             f"cannot split tin {config.tin} into {n} equal column strips; "

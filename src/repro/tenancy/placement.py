@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import AcceleratorConfig
-from repro.errors import ConfigError
-from repro.serve.batcher import BatchCoster
+from repro.errors import ConfigError, check_real
+from repro.serve.batcher import BatchCoster, mix_image_seconds
 from repro.serve.workload import DEFAULT_SLO_MS, MixedTenantSpec, TenantSpec
 from repro.tenancy.fleet import FleetSpec, Slot
 
@@ -59,26 +59,15 @@ class TenantDemand:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("tenant demand needs a non-empty name")
-        if self.rate_rps <= 0:
-            raise ConfigError(
-                f"tenant {self.name!r}: rate_rps must be positive, "
-                f"got {self.rate_rps!r}"
-            )
+        owner = f"tenant {self.name!r}: "
+        check_real(self.rate_rps, owner + "rate_rps", gt=0)
         if not self.mix:
             raise ConfigError(
                 f"tenant {self.name!r}: demand needs a non-empty network mix"
             )
         for network, share in self.mix:
-            if share <= 0:
-                raise ConfigError(
-                    f"tenant {self.name!r}: share for network {network!r} "
-                    f"must be positive, got {share!r}"
-                )
-        if self.slo_ms <= 0:
-            raise ConfigError(
-                f"tenant {self.name!r}: slo_ms must be positive, "
-                f"got {self.slo_ms!r}"
-            )
+            check_real(share, f"{owner}network {network!r} share", gt=0)
+        check_real(self.slo_ms, owner + "slo_ms", gt=0)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -97,8 +86,7 @@ def demand_from_tenants(
     ``rate_rps`` is the total offered rate; each tenant gets its
     weight-proportional share, matching what the arrival generators emit.
     """
-    if rate_rps <= 0:
-        raise ConfigError(f"rate_rps must be positive, got {rate_rps!r}")
+    check_real(rate_rps, "rate_rps", gt=0)
     specs = list(tenants)
     if not specs:
         raise ConfigError("demand_from_tenants needs at least one tenant")
@@ -141,12 +129,9 @@ class _FitModel:
         return coster
 
     def service_s(self, demand: TenantDemand, config: AcceleratorConfig) -> float:
-        coster = self.coster(config)
         total_share = sum(share for _, share in demand.mix)
-        return sum(
-            share * coster.image_seconds(network, REFERENCE_BATCH)
-            for network, share in demand.mix
-        ) / total_share
+        blend = mix_image_seconds(self.coster(config), demand.mix, REFERENCE_BATCH)
+        return blend / total_share
 
 
 @dataclass

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.arch.config import AcceleratorConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_real
 from repro.serve.batcher import BatchCoster, BatchPolicy
 from repro.serve.candidates import rank_candidates
 from repro.serve.engine import (
@@ -87,8 +87,7 @@ def serve_placement(
     error (a tenant with traffic but no slot would silently vanish from
     the accounting otherwise).
     """
-    if duration_s <= 0:
-        raise ConfigError(f"duration must be positive, got {duration_s!r}")
+    check_real(duration_s, "duration", gt=0)
     slots = fleet.slots()
     by_id = {s.slot_id: s for s in slots}
     stream = Arrivals.from_requests(requests)

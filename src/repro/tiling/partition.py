@@ -29,7 +29,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.errors import ScheduleError, ShapeError
+from repro.errors import ScheduleError, ShapeError, check_count
 
 __all__ = [
     "PartitionGeometry",
@@ -80,8 +80,8 @@ def partition_geometry(kernel: int, stride: int) -> PartitionGeometry:
     kernel (otherwise windows already do not overlap); a degenerate request
     raises :class:`ScheduleError` so callers fall back to plain intra-kernel.
     """
-    if kernel <= 0 or stride <= 0:
-        raise ShapeError("kernel and stride must be positive")
+    check_count(kernel, "kernel", 1, ShapeError)
+    check_count(stride, "stride", 1, ShapeError)
     if stride >= kernel:
         raise ScheduleError(
             f"kernel-partitioning needs stride < kernel; got k={kernel}, s={stride}"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.errors import ShapeError
+from repro.errors import ShapeError, check_count
 from repro.nn.layers import ConvLayer, TensorShape, conv_output_hw
 
 __all__ = [
@@ -81,8 +81,7 @@ def unroll_stats(layer: ConvLayer, in_shape: TensorShape) -> UnrollStats:
 
 def pad_input(data: np.ndarray, pad: int) -> np.ndarray:
     """Zero-pad the two trailing (spatial) axes of a (D, H, W) tensor."""
-    if pad < 0:
-        raise ShapeError("pad must be non-negative")
+    check_count(pad, "pad", 0, ShapeError)
     if pad == 0:
         return data
     return np.pad(data, ((0, 0), (pad, pad), (pad, pad)))

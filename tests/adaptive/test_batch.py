@@ -34,12 +34,14 @@ class TestBatchLayer:
     @pytest.mark.parametrize("bad", [True, False, 4.0, 2.5, "8", None])
     def test_non_int_batch_rejected(self, alexnet, cfg16, bad):
         single = plan_network(alexnet, cfg16, "adaptive-2").layers[0]
-        with pytest.raises(ConfigError, match="must be an int"):
+        with pytest.raises(ConfigError, match="must be a positive int"):
             batch_layer(single, bad)
 
     def test_error_names_the_offending_value(self, alexnet, cfg16):
         single = plan_network(alexnet, cfg16, "adaptive-2").layers[0]
-        with pytest.raises(ConfigError, match=r"4\.0.*float"):
+        with pytest.raises(
+            ConfigError, match=r"batch size must be a positive int, got 4\.0"
+        ):
             batch_layer(single, 4.0)
         with pytest.raises(ConfigError, match="-3"):
             batch_layer(single, -3)
@@ -78,7 +80,7 @@ class TestPlanBatch:
 
     @pytest.mark.parametrize("bad", [True, 16.0, "16", None, 2.5])
     def test_plan_batch_rejects_non_int(self, alexnet, cfg16, bad):
-        with pytest.raises(ConfigError, match="must be an int"):
+        with pytest.raises(ConfigError, match="must be a positive int"):
             plan_batch(alexnet, cfg16, batch_size=bad)
 
     def test_cycles_per_image_decreases(self, alexnet, cfg16):

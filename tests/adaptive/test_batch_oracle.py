@@ -23,12 +23,13 @@ from typing import List
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.adaptive.batch import BatchRun, _validate_batch_size
+from repro.adaptive.batch import BatchRun
 from repro.adaptive.batch import batch_layer as row_batch_layer
 from repro.adaptive.batch import plan_batch as row_plan_batch
 from repro.adaptive.planner import POLICY_NAMES
 from repro.arch.buffers import AccessCounter
 from repro.arch.config import AcceleratorConfig
+from repro.errors import check_count
 from repro.nn.network import Network
 from repro.schemes.base import Costs, FrozenDict
 from repro.schemes.base import ScheduleResult as TableRecord
@@ -49,7 +50,7 @@ def batch_layer(result: ScheduleResult, batch_size: int) -> ScheduleResult:
     Weight buffer fills (and their DRAM words) stay at the single-image
     amount; everything image-linked multiplies by ``batch_size``.
     """
-    _validate_batch_size(batch_size)
+    check_count(batch_size, "batch size", 1)
     if batch_size == 1:
         return result
     b = batch_size
@@ -91,7 +92,7 @@ def plan_batch(
     the schedule cache, so sizing a batch sweep (many batch sizes, one
     geometry set) schedules each layer only once.
     """
-    _validate_batch_size(batch_size)
+    check_count(batch_size, "batch size", 1)
     single = reference_plan_network(net, config, policy, include_non_conv=include_non_conv)
     batched = NetworkRun(
         network_name=net.name,

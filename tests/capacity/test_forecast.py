@@ -81,7 +81,9 @@ class TestForecastSpec:
             )
         with pytest.raises(ConfigError, match="forecast rate must be positive"):
             ForecastSpec.parse("a=alexnet", rate=float("nan"), duration_s=1.0)
-        with pytest.raises(ConfigError, match="forecast rate must be a number"):
+        with pytest.raises(
+            ConfigError, match="forecast rate must be positive and finite, got True"
+        ):
             ForecastSpec.parse("a=alexnet", rate=True, duration_s=1.0)
 
     @pytest.mark.parametrize("field", ["rate", "duration_s", "peak_rate", "day_s"])

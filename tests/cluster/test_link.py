@@ -65,7 +65,9 @@ class TestActivationBytes:
 
 class TestNaNRejection:
     def test_nan_bandwidth_rejected(self):
-        with pytest.raises(ConfigError, match="NaN"):
+        with pytest.raises(
+            ConfigError, match="link bandwidth must be positive, got nan"
+        ):
             LinkSpec(bandwidth_gbs=math.nan)
 
     def test_nan_latency_rejected(self):

@@ -44,9 +44,9 @@ class TestFaultValidation:
             TelemetryFault("garbled", 1)
 
     def test_stale_needs_a_previous_window(self):
-        with pytest.raises(ConfigError, match=">= 1"):
+        with pytest.raises(ConfigError, match="must be a positive int, got 0"):
             TelemetryFault("stale", 0)
-        with pytest.raises(ConfigError, match=">= 1"):
+        with pytest.raises(ConfigError, match="must be a positive int, got 0"):
             TelemetryFault("duplicate", 0)
         assert TelemetryFault("loss", 0).epoch == 0
 
@@ -60,7 +60,7 @@ class TestFaultValidation:
             ActuationFault(1, "maybe")
 
     def test_crash_at_epoch_zero_rejected(self):
-        with pytest.raises(ConfigError, match=">= 1"):
+        with pytest.raises(ConfigError, match="must be a positive int, got 0"):
             LoopCrash(0)
 
     def test_duplicate_epoch_rejected_naming_entries(self):

@@ -97,7 +97,7 @@ class TestCommands:
             result = run("integrity", "--flips", flips)
             assert result.stdout == ""
             assert result.stderr == (
-                f"error: flips per site must be an int >= 1, got {flips}\n"
+                f"error: flips per site must be a positive int, got {flips}\n"
             )
         # a path the command cannot open or write; --json and --csv-dir
         # fail after the human view is already on stdout

@@ -119,6 +119,21 @@ class TestConvLayer:
         with pytest.raises(ShapeError):
             ConvLayer("c", **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # a bool kernel used to plan as a 1x1 layer, a fractional
+            # stride as a 145.0-pixel output map
+            (dict(kernel=True, stride=1), "kernel must be a positive int, got True"),
+            (dict(kernel=11, stride=1.5), "stride must be a positive int, got 1.5"),
+        ],
+    )
+    def test_standalone_geometry_must_be_integer(self, kwargs, message):
+        from repro.nn.network import standalone_conv
+
+        with pytest.raises(ShapeError, match=message):
+            standalone_conv(3, 96, hw=227, **kwargs)
+
 
 class TestPoolLayer:
     def test_alexnet_pool(self):

@@ -34,7 +34,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.arch.config import CONFIG_16_16, AcceleratorConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_choice, check_count, check_real
 from repro.perf.instrument import phase
 from repro.serve.batcher import BatchCoster, BatchPolicy
 from repro.serve.engine import (
@@ -43,7 +43,6 @@ from repro.serve.engine import (
     ServingEngine,
     ServingReport,
     _worst_factor,
-    check_fleet,
     engine_summary,
 )
 from repro.serve.failover import (
@@ -67,7 +66,7 @@ from repro.serve.verified import (
     VerificationPolicy,
     VerifiedReplica,
 )
-from repro.serve.workload import Request, check_positive
+from repro.serve.workload import Request
 from tests.serve.reference import AdmissionQueue, MetricsCollector
 
 
@@ -230,7 +229,8 @@ class FailoverLoopEngine:
         sdc_faults: Sequence[SDCFault] = (),
         verification: Optional[VerificationPolicy] = None,
     ) -> None:
-        check_fleet(replicas, routing)
+        check_count(replicas, "replicas", 1)
+        check_choice(routing, "routing", ROUTING_KINDS)
         for fault in faults:
             if fault.replica >= replicas:
                 raise ConfigError(
@@ -306,7 +306,7 @@ class FailoverLoopEngine:
         (queue policy), or failed with a reason (retry budget exhausted,
         or no replicas left alive).
         """
-        check_positive("duration", duration_s)
+        check_real(duration_s, "duration", gt=0)
         with phase("serve_failover_run"):
             return self._run(list(requests), duration_s, extra_meta)
 

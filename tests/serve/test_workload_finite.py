@@ -112,9 +112,9 @@ CASES = [
     # a NaN wait never releases a partial batch, which hangs the serving
     # loop; a NaN age compares false against every age, disabling shedding
     ("serve-max-wait-nan", lambda: main(["serve", "--duration", "1", "--max-wait-ms", "nan"]),
-     "max_wait_ms must be >= 0 and finite, got nan"),
+     "max_wait_ms must be finite and >= 0, got nan"),
     ("serve-max-wait-inf", lambda: main(["serve", "--duration", "1", "--max-wait-ms", "inf"]),
-     "max_wait_ms must be >= 0 and finite, got inf"),
+     "max_wait_ms must be finite and >= 0, got inf"),
     ("serve-max-age-nan", lambda: main(["serve", "--duration", "1", "--max-age-ms", "nan"]),
      "max_age_s must be positive and finite, got nan"),
 ]

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_real
 from repro.serve import workload
 from repro.serve.workload import (
     MixedTenantSpec,
@@ -31,7 +31,6 @@ from repro.serve.workload import (
     _validate_tenants,
     _walk,
     check_flash_crowd,
-    check_positive,
     diurnal_rate,
 )
 
@@ -55,8 +54,8 @@ def mixed_arrivals(
     pinned to a tenant must absorb *that tenant's whole mix*, not one
     network.
     """
-    check_positive("arrival rate", rate)
-    check_positive("duration", duration_s)
+    check_real(rate, "arrival rate", gt=0)
+    check_real(duration_s, "duration", gt=0)
     _validate_mixed_tenants(tenants)
     rng = random.Random(seed)
     requests: List[Request] = []
@@ -118,14 +117,14 @@ def mixed_diurnal_arrivals(
     planner's whole search is deterministic because its traffic forecast
     is.
     """
-    check_positive("base_rate", base_rate)
-    check_positive("peak_rate", peak_rate)
+    check_real(base_rate, "base_rate", gt=0)
+    check_real(peak_rate, "peak_rate", gt=0)
     if peak_rate < base_rate:
         raise ConfigError(
             f"peak_rate must be >= base_rate, got {peak_rate!r} < {base_rate!r}"
         )
-    check_positive("days", days)
-    check_positive("day_s", day_s)
+    check_real(days, "days", gt=0)
+    check_real(day_s, "day_s", gt=0)
     _validate_mixed_tenants(tenants)
 
     duration_s = days * day_s
@@ -181,8 +180,8 @@ def poisson_arrivals(
     seed: int = 0,
 ) -> List[Request]:
     """Open-loop Poisson traffic: ``rate`` requests/second for ``duration_s``."""
-    check_positive("arrival rate", rate)
-    check_positive("duration", duration_s)
+    check_real(rate, "arrival rate", gt=0)
+    check_real(duration_s, "duration", gt=0)
     _validate_tenants(tenants)
     rng = random.Random(seed)
     requests: List[Request] = []
@@ -211,13 +210,13 @@ def bursty_arrivals(
     long-run average stays ``rate``.  ``burst_factor * burst_fraction``
     must not exceed 1 (the off-phase rate cannot go negative).
     """
-    check_positive("arrival rate", rate)
-    check_positive("duration", duration_s)
+    check_real(rate, "arrival rate", gt=0)
+    check_real(duration_s, "duration", gt=0)
     if not burst_factor >= 1:
         raise ConfigError(f"burst_factor must be >= 1, got {burst_factor!r}")
     if not 0 < burst_fraction < 1:
         raise ConfigError(f"burst_fraction must be in (0, 1), got {burst_fraction!r}")
-    check_positive("period_s", period_s)
+    check_real(period_s, "period_s", gt=0)
     if burst_factor * burst_fraction > 1:
         raise ConfigError(
             "burst_factor * burst_fraction must be <= 1 so the off-phase "
@@ -272,14 +271,14 @@ def diurnal_arrivals(
     :func:`bursty_arrivals`, and everything is driven by one seeded RNG —
     the same seed always yields the identical request list.
     """
-    check_positive("base_rate", base_rate)
-    check_positive("peak_rate", peak_rate)
+    check_real(base_rate, "base_rate", gt=0)
+    check_real(peak_rate, "peak_rate", gt=0)
     if peak_rate < base_rate:
         raise ConfigError(
             f"peak_rate must be >= base_rate, got {peak_rate!r} < {base_rate!r}"
         )
-    check_positive("days", days)
-    check_positive("day_s", day_s)
+    check_real(days, "days", gt=0)
+    check_real(day_s, "day_s", gt=0)
     if not 0 <= flash_per_day < math.inf:
         raise ConfigError(
             f"flash_per_day must be finite and >= 0, got {flash_per_day!r}"
@@ -352,7 +351,7 @@ def trace_arrivals(
     """
     _validate_tenants(tenants)
     if duration_s is not None:
-        check_positive("duration", duration_s)
+        check_real(duration_s, "duration", gt=0)
     by_name = {t.name: t for t in tenants}
     rng = random.Random(seed)
     rows = []
