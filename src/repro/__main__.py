@@ -71,7 +71,7 @@ from repro.adaptive import choices_for_network, plan_network
 from repro.adaptive.planner import POLICY_NAMES
 from repro.arch.config import named_config as _named_config
 from repro.arch.presets import PRESETS
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_real
 from repro.nn.zoo import NETWORK_BUILDERS, build
 
 
@@ -185,6 +185,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     config = named_config(args.config)
     tenants = parse_mix(args.mix, slo_ms=args.slo_ms)
+    # read only under --arrival bursty, but never NaN or infinite
+    check_real(args.burst_factor, "burst_factor")
+    check_real(args.burst_fraction, "burst_fraction")
+    check_real(args.burst_period, "period_s")
     if args.arrival == "poisson":
         requests = poisson_arrivals(args.rate, args.duration, tenants, seed=args.seed)
     elif args.arrival == "bursty":
@@ -642,6 +646,9 @@ def cmd_capacity(args: argparse.Namespace) -> int:
         max_batches=_ints(args.max_batches),
         link_gbs=args.link_gbs,
     )
+    # read only under --forecast diurnal, but never NaN or infinite
+    check_real(args.peak_rate, "forecast peak_rate")
+    check_real(args.day_s, "forecast day_s")
     forecast = ForecastSpec.parse(
         args.tenants,
         rate=args.rate,

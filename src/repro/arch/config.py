@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.errors import ConfigError, check_count, check_counts, check_real
 
@@ -105,14 +105,25 @@ class AcceleratorConfig:
                 )
 
     @cached_property
-    def schedule_key(self) -> Tuple:
+    def schedule_key(self) -> str:
         """The knobs that shape schedule arithmetic — not the clock or the
-        overlap rule — computed once per config (the cost-table cache key)."""
-        return (
+        overlap rule — computed once per config (the cost-table cache key).
+        A ``str``, whose hash CPython computes once; the DRAM rate is made a
+        ``float`` so that equal int and float rates give one key."""
+        return repr((
             self.tin, self.tout, self.input_buffer_bytes, self.output_buffer_bytes,
             self.weight_buffer_bytes, self.bias_buffer_bytes, self.word_bytes,
-            self.dram_words_per_cycle,
-        )
+            float(self.dram_words_per_cycle),
+        ))
+
+    @cached_property
+    def fit_key(self) -> str:
+        """What the buffer fit reads: the three data buffers' whole words and
+        the DRAM rate, computed once per config (the fit memo's key)."""
+        return repr((
+            self.input_buffer_words, self.output_buffer_words,
+            self.weight_buffer_words, float(self.dram_words_per_cycle),
+        ))
 
     @property
     def multipliers(self) -> int:

@@ -57,17 +57,18 @@ class LayerContext:
         return self.layer.weight_count(self.in_shape)
 
     @cached_property
-    def geometry_key(self) -> Tuple:
-        """Canonical geometry (name-independent), computed once per context."""
+    def geometry_key(self) -> str:
+        """Canonical geometry (name-independent), computed once per context.
+        A ``str``, whose hash CPython computes once."""
         layer = self.layer
-        return (
+        return repr((
             type(layer).__name__,
             *(getattr(layer, f, 0) for f in ("kernel", "stride", "pad", "in_maps", "out_maps")),
             getattr(layer, "groups", 1),
             getattr(layer, "bias", False),
             self.in_shape.as_tuple(),
             self.out_shape.as_tuple(),
-        )
+        ))
 
 
 def per_context(derive: Callable[[LayerContext], T]) -> Callable[[LayerContext], T]:

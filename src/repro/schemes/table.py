@@ -15,9 +15,12 @@ module's docstring.  A non-conv layer's table holds one row, its
 Rows read the layer's geometry and the config knobs of
 ``AcceleratorConfig.schedule_key``, never the layer's name, the clock or
 ``overlap_streams``; what they read of the layer alone is derived once per
-:class:`~repro.nn.network.LayerContext`.  The oracle's winner ranks
-wall-clock cycles, which do read ``overlap_streams``, so the pass that
-prices the candidates ranks them under both overlap rules.
+:class:`~repro.nn.network.LayerContext`, and the buffer fit, which reads
+only the layer and ``AcceleratorConfig.fit_key``, once per geometry and
+memory system by the schedule cache that hands it to each table it
+builds.  The oracle's winner ranks wall-clock cycles, which do read
+``overlap_streams``, so :meth:`CostTable.winner` ranks the priced
+candidates under the overlap rule it is asked for, once per rule.
 """
 
 from __future__ import annotations
@@ -117,18 +120,26 @@ def _padded_input_words(ctx: LayerContext) -> int:
 class CostTable:
     """Every scheme's costs on one layer geometry and config.
 
-    ``ctx`` and ``config`` are the first caller's.  Concurrent callers may
-    price a row or build a record twice, never differently.
+    ``ctx`` and ``config`` are the first caller's; ``fit`` is the conv
+    layer's buffer fit under ``config`` when the caller holds it, as the
+    schedule cache does, and is otherwise derived when first read.
+    Concurrent callers may price a row, rank the winner or build a record
+    twice, never differently.
     """
 
     __slots__ = ("ctx", "config", "geom", "_fit", "_rows", "_records", "_winners")
 
-    def __init__(self, ctx: LayerContext, config: AcceleratorConfig) -> None:
+    def __init__(
+        self,
+        ctx: LayerContext,
+        config: AcceleratorConfig,
+        fit: Optional[FitReport] = None,
+    ) -> None:
         self.ctx = ctx
         self.config = config
         #: per-group geometry; None for a non-conv layer
         self.geom = group_geometry(ctx) if isinstance(ctx.layer, ConvLayer) else None
-        self._fit: Optional[FitReport] = None
+        self._fit = fit
         self._rows: Dict[str, Union[Costs, str]] = {}
         self._records: Dict[str, ScheduleResult] = {}
         #: overlap_streams -> the cycle oracle's winning scheme name
@@ -148,22 +159,16 @@ class CostTable:
             price = _PRICE.get(name)
             if price is None:
                 make_scheme(name)  # raises ConfigError naming the choices
-            geom = self.geom
-            if geom is None:
+            if self.geom is None:
                 row = self._rows[name] = "schemes schedule conv layers only"
-            elif name == "partition" and geom.s >= geom.k:
-                # before the fit, which a buffer of no whole word cannot take
-                row = self._rows[name] = (
-                    "partitioning needs stride < kernel "
-                    f"(k={geom.k}, s={geom.s}); use intra-kernel instead"
-                )
             else:
                 price(self)
                 row = self._rows[name]
         return row
 
     def _price_candidates(self) -> None:
-        """Price inter, improved inter, intra and partition in one pass.
+        """Price inter, improved inter, intra and partition in one pass
+        (partition's row is its illegality text when ``s >= k``).
 
         Every one adds ``passes`` add-and-store partial sums per output
         word (one when the sum completes in the PE), each pass but the
@@ -172,7 +177,7 @@ class CostTable:
         but the output drain; and loads the bias once per output map.  Rows
         list :class:`Costs` fields in order: operations, useful MACs, extra
         adds, input, output and weight loads and stores, bias loads, DRAM
-        words, DMA cycles.  Ranks them for :meth:`winner` from those numbers.
+        words, DMA cycles.
         """
         geom, config, ctx, rows = self.geom, self.config, self.ctx, {}
         k, s, d, dout_g = geom.k, geom.s, geom.d, geom.dout_g
@@ -231,7 +236,7 @@ class CostTable:
             notes=FrozenDict(mode=mode, stream_words=stream),
         )
 
-        if s < k:  # else row() holds partition's illegality
+        if s < k:
             # kernel partitioning: G = g*g sub-kernels of ks*ks; one scan of the
             # output map per (piece, input map, Dout chunk), Tin // (ks*ks)
             # windows per op (or ceil(ks*ks / Tin) ops per window); pieces * d
@@ -265,12 +270,13 @@ class CostTable:
                     pad_overhead=pgeom.pad_overhead,
                 ),
             )
-        ranked = [(row.buffer_accesses, name, row) for name, row in rows.items()]
-        for overlap in (False, True):  # the cycle oracle's pick, in cycle_rank's order
-            self._winners[overlap] = min(
-                [(row.total_cycles(overlap), accesses, name) for accesses, name, row in ranked]
-            )[2]
-        self._rows.update(rows)  # last: winner() trusts the winners once a row is there
+        else:
+            rows["partition"] = (
+                f"partitioning needs stride < kernel (k={k}, s={s}); "
+                "use intra-kernel instead"
+            )
+        # at once: winner() reads all four rows once intra's is there
+        self._rows.update(rows)
 
     def _price_ideal(self) -> None:
         """Every multiplier busy, every word across each interface once."""
@@ -355,10 +361,19 @@ class CostTable:
 
     def winner(self, ctx: LayerContext, config: AcceleratorConfig) -> str:
         """The cycle oracle's pick among :data:`CANDIDATES` under ``config``'s
-        overlap rule, ranked under both rules when the candidates are priced."""
-        if isinstance(self.row("intra"), str):  # not a conv layer
-            raise ScheduleError(f"{ctx.name}: no candidate scheme is legal")
-        return self._winners[config.overlap_streams]
+        overlap rule, ranked when that rule is first asked for."""
+        overlap = config.overlap_streams
+        winner = self._winners.get(overlap)
+        if winner is None:
+            if isinstance(self.row("intra"), str):  # not a conv layer
+                raise ScheduleError(f"{ctx.name}: no candidate scheme is legal")
+            rows = self._rows  # row() priced every candidate at once
+            winner = self._winners[overlap] = min(
+                self.cycle_rank(name, overlap)
+                for name in CANDIDATES
+                if not isinstance(rows[name], str)
+            )[2]
+        return winner
 
 
 #: how a table prices each scheme's row (the oracle's candidates at once)

@@ -20,6 +20,13 @@ The model here charges:
 DMA cycles are ``traffic / dram_words_per_cycle``; with double buffering the
 layer's wall-clock is ``max(compute, dma)``, so spill only hurts when it
 makes the layer memory-bound — exactly VGG's situation.
+
+A fit reads the layer's geometry and the config's memory system alone: the
+three data buffers' whole words and the DRAM rate
+(``AcceleratorConfig.fit_key``), never the PE shape.  So the schedule cache
+(:mod:`repro.perf.cache`) keeps one :class:`FitReport` per (layer
+geometry, memory system), and every cost table of a sweep over PE shapes
+shares it.
 """
 
 from __future__ import annotations

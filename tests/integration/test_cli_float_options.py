@@ -7,6 +7,8 @@ each ``type: "float"`` option is run with ``nan`` through
 :class:`~repro.errors.ConfigError` into ``error: <message>`` and exit 2;
 any other exception (a ``ValueError`` or ``OverflowError`` traceback) is a
 failure.  A float flag added later is covered without editing this file.
+An option its command reads only under another flag (``ACTIVATORS``) is
+run both with that flag and, with ``nan`` and ``±inf``, without it.
 """
 
 from __future__ import annotations
@@ -63,6 +65,17 @@ def test_the_table_has_float_options():
 def test_nan_is_a_config_error(command, flag):
     with pytest.raises(ConfigError, match="nan"):
         main(_argv(command, flag, "nan"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag", sorted(ACTIVATORS), ids=[f"{c} {f}" for c, f in sorted(ACTIVATORS)]
+)
+def test_non_finite_is_a_config_error_without_the_activator(command, flag, value):
+    """An option its command reads only under another flag is still
+    checked when that flag is absent."""
+    with pytest.raises(ConfigError, match=f"must be a finite number, got {value}"):
+        main([command, *_positionals(command), f"{flag}={value}"])
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,9 @@ from repro.adaptive.planner import POLICY_NAMES, plan_network
 from repro.arch.buffers import AccessCounter
 from repro.arch.config import CONFIG_16_16, CONFIG_32_32, AcceleratorConfig
 from repro.errors import ScheduleError
+from repro.nn.network import standalone_conv
 from repro.nn.zoo import NETWORK_BUILDERS, build
+from repro.perf import cache as cache_module
 from repro.perf.cache import ScheduleCache, schedule_cache
 from repro.schemes import make_scheme
 
@@ -103,6 +105,7 @@ def test_distinct_configs_never_share_entries():
         "dram_words_per_cycle": dataclasses.replace(
             CONFIG_16_16, dram_words_per_cycle=CONFIG_16_16.dram_words_per_cycle * 2
         ),
+        "word_bytes": dataclasses.replace(CONFIG_16_16, word_bytes=4),
         "32-32": CONFIG_32_32,
     }
     base_key = CONFIG_16_16.schedule_key
@@ -119,6 +122,100 @@ def test_distinct_configs_never_share_entries():
         misses += 1
         assert stats.misses == misses
         assert stats.hits == baseline.hits
+
+
+def test_equal_geometry_under_two_names_shares_one_table():
+    cache = ScheduleCache()
+    first = standalone_conv(64, 128, kernel=3, stride=1, hw=28, pad=1, name="a")
+    second = standalone_conv(64, 128, kernel=3, stride=1, hw=28, pad=1, name="b")
+    assert first.geometry_key == second.geometry_key
+    assert cache.table(second, CONFIG_16_16) is cache.table(first, CONFIG_16_16)
+    stats = cache.stats()
+    assert (stats.misses, stats.hits) == (1, 1)
+
+
+#: standalone_conv's arguments, each changed to another legal value
+BASE_GEOMETRY = dict(
+    in_maps=64, out_maps=128, kernel=3, stride=1, hw=28, pad=1, groups=1
+)
+GEOMETRY_VARIANTS = {
+    "in_maps": dict(in_maps=32),
+    "out_maps": dict(out_maps=64),
+    "kernel": dict(kernel=5),
+    "stride": dict(stride=2),
+    "hw": dict(hw=14),
+    "pad": dict(pad=0),
+    "groups": dict(groups=2),
+}
+
+
+def test_every_geometry_field_splits_the_key():
+    cache = ScheduleCache()
+    base = standalone_conv(**BASE_GEOMETRY)
+    cache.table(base, CONFIG_16_16)
+    variants = [
+        standalone_conv(**{**BASE_GEOMETRY, **change})
+        for change in GEOMETRY_VARIANTS.values()
+    ]
+    no_bias = dataclasses.replace(base.layer, bias=False)
+    variants.append(dataclasses.replace(base, layer=no_bias))
+    for n, ctx in enumerate(variants, start=2):
+        assert ctx.geometry_key != base.geometry_key, ctx
+        cache.table(ctx, CONFIG_16_16)
+        assert cache.stats().misses == n and cache.stats().hits == 0, ctx
+
+
+def _count_fits(monkeypatch):
+    """Count the cache's buffer-fit derivations."""
+    calls = []
+    derive = cache_module.analyze_fit
+
+    def counted(ctx, config):
+        calls.append(ctx.geometry_key)
+        return derive(ctx, config)
+
+    monkeypatch.setattr(cache_module, "analyze_fit", counted)
+    return calls
+
+
+def test_one_fit_per_geometry_and_memory(monkeypatch):
+    """A sweep of PE shapes over one memory system derives each distinct
+    conv geometry's buffer fit once, and every table of it shares the fit."""
+    calls = _count_fits(monkeypatch)
+    net = build("vgg")
+    shapes = [CONFIG_16_16.with_pe(tin, tout) for tin in (4, 16, 64) for tout in (8, 32)]
+    for config in shapes:
+        plan_network(net, config, "oracle")
+    geometries = {ctx.geometry_key for ctx in net.conv_contexts()}
+    assert len(calls) == len(geometries) < len(net.conv_contexts())
+    conv1 = net.conv1()
+    fits = {id(schedule_cache.table(conv1, config).fit) for config in shapes}
+    assert len(fits) == 1
+    # another memory system is a fit of its own
+    slow = dataclasses.replace(CONFIG_16_16, dram_words_per_cycle=1.0)
+    fast_fit = schedule_cache.table(conv1, CONFIG_16_16).fit
+    assert schedule_cache.table(conv1, slow).fit != fast_fit
+    assert len(calls) == len(geometries) + 1
+
+
+def test_fits_are_derived_again_after_clear(monkeypatch):
+    calls = _count_fits(monkeypatch)
+    ctx = build("alexnet").conv1()
+    before = schedule_cache.table(ctx, CONFIG_16_16).fit
+    schedule_cache.table(ctx, CONFIG_16_16.with_pe(8, 8))
+    assert len(calls) == 1
+    schedule_cache.clear()
+    after = schedule_cache.table(ctx, CONFIG_16_16).fit
+    assert len(calls) == 2 and after is not before and after == before
+
+
+def test_a_disabled_cache_derives_every_fit_afresh():
+    cache = ScheduleCache(enabled=False)
+    ctx = build("alexnet").conv1()
+    configs = (CONFIG_16_16, CONFIG_16_16, CONFIG_32_32)
+    fits = [cache.table(ctx, config).fit for config in configs]
+    assert len({id(fit) for fit in fits}) == 3
+    assert fits[0] == fits[1] == fits[2]
 
 
 def test_hit_rebinds_layer_name_and_config():

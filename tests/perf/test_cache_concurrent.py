@@ -21,6 +21,7 @@ from repro.nn.zoo import build
 from repro.perf.cache import ScheduleCache, schedule_cache
 from repro.perf.parallel import parallel_map
 from repro.schemes import CostTable
+from repro.tiling.fit import analyze_fit
 
 NETWORKS = ("alexnet", "googlenet", "vgg", "nin")
 
@@ -155,9 +156,9 @@ class TestThreadedHammering:
 
 class TestThreadedPricing:
     """Threads racing on fresh tables and contexts: a table publishes its
-    rows only after the oracle's winners, which ``winner`` trusts once a row
-    is there, and a context's memoized layer quantities are the same
-    whichever thread derives them first."""
+    candidates' rows at once, ``winner`` ranks the rows it finds, and a
+    context's memoized layer quantities are the same whichever thread
+    derives them first."""
 
     def test_racing_winners_match_a_serial_pass(self):
         configs = [
@@ -195,3 +196,60 @@ class TestThreadedPricing:
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
         assert results == [reference] * 4
+
+
+class TestRacingFirstLookups:
+    """Threads keying fresh contexts and configs for the first time while
+    they look them up in one cache."""
+
+    def test_first_lookups_never_share_a_key(self):
+        """Each thread gets the table of its own geometry and config, with
+        its own memory system's fit, and the cache counts one miss per
+        distinct key: keys are the content itself, not ids handed out in
+        the order threads arrive."""
+        shapes = [(tin, tout) for tin in (4, 8, 16, 32) for tout in (8, 16)]
+        memories = [1.0, 4.0]  # DRAM words per cycle
+        n_threads = 8
+        cache = ScheduleCache(maxsize=4096)
+        start = threading.Barrier(n_threads)
+        seen, errors = [], []
+
+        def worker(index):
+            try:
+                contexts = build(NETWORKS[index % len(NETWORKS)]).conv_contexts()
+                configs = [
+                    AcceleratorConfig(tin=tin, tout=tout, dram_words_per_cycle=rate)
+                    for tin, tout in shapes
+                    for rate in memories
+                ]
+                start.wait(timeout=30)
+                for config in configs[index % 3 :: 3] + configs:
+                    for ctx in contexts:
+                        table = cache.table(ctx, config)
+                        seen.append((ctx, config, table))
+            except Exception as exc:  # pragma: no cover - diagnostic path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(index,)) for index in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        keys = set()
+        for ctx, config, table in seen:
+            assert table.ctx.geometry_key == ctx.geometry_key
+            assert table.config.schedule_key == config.schedule_key
+            assert table.fit == analyze_fit(ctx, config)
+            keys.add((ctx.geometry_key, config.schedule_key))
+        stats = cache.stats()
+        assert stats.misses == len(keys) and stats.evictions == 0
+        assert stats.lookups == len(seen)

@@ -12,6 +12,7 @@ import pytest
 from repro.adaptive.search import (
     CANDIDATE_SCHEMES,
     best_scheme_for_layer,
+    best_scheme_name_for_layer,
     search_network,
 )
 from repro.analysis.experiments import fig8_whole_network, table4_cpu_comparison
@@ -19,6 +20,7 @@ from repro.analysis.sweeps import sweep_parameter, sweep_pe_shapes
 from repro.arch.config import CONFIG_16_16
 from repro.errors import ConfigError
 from repro.nn.zoo import build
+from repro.perf.cache import schedule_cache
 from repro.perf.parallel import (
     get_default_jobs,
     parallel_map,
@@ -135,6 +137,35 @@ def test_search_network_parallel_matches_serial():
     assert [(o.layer_name, o.scheme, o.cycles) for o in serial] == [
         (o.layer_name, o.scheme, o.cycles) for o in fanned
     ]
+
+
+def _fresh_then_carried(payload):
+    """Plan a network built here, then the contexts the parent sent."""
+    name, carried, config = payload
+    picks = []
+    for ctx in build(name).conv_contexts() + carried:
+        table = schedule_cache.table(ctx, config)
+        winner = best_scheme_name_for_layer(ctx, config)
+        picks.append((ctx.name, winner, table.result(winner, ctx, config).total_cycles))
+    return picks
+
+
+def test_pooled_planning_of_contexts_keyed_in_the_parent_matches_serial():
+    """Contexts and configs keyed in the parent carry their keys into a
+    worker that has keyed other contexts first: a key is the content, so
+    the worker's lookups find its own tables, as a serial pass does."""
+    carried = build("googlenet").conv_contexts()[::3]
+    configs = [CONFIG_16_16, CONFIG_16_16.with_pe(8, 32)]
+    for config in configs:  # key every carried context and config here
+        for ctx in carried:
+            schedule_cache.table(ctx, config)
+    payloads = [
+        (name, carried, config) for name in ("alexnet", "vgg") for config in configs
+    ]
+    serial = parallel_map(_fresh_then_carried, payloads, jobs=1)
+    assert parallel_map(_fresh_then_carried, payloads, jobs=2) == serial
+    schedule_cache.clear()
+    assert [_fresh_then_carried(payload) for payload in payloads] == serial
 
 
 def test_tie_break_is_candidate_order_independent():

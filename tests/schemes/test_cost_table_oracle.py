@@ -22,9 +22,13 @@ scheme's record from the table — uncached, through a cache, and rebound
 to a second layer of the same geometry — must equal the reference's in
 every reported value, an illegal mapping must raise the same
 ``ScheduleError`` text, and the oracle must pick the same record under all
-three objectives.  On the four zoo networks at generated configs,
-``plan_network`` under all seven policies, with and without the non-conv
-layers, cached and uncached, must equal the reference plan.
+three objectives.  One generated layer is also priced through one shared
+cache under a drawn order of configs that share its memory system or its
+PE shape, under both overlap rules, so that no table, buffer fit or
+oracle winner the cache holds for one config reaches another's records.
+On the four zoo networks at generated configs, ``plan_network`` under all
+seven policies, with and without the non-conv layers, cached and
+uncached, must equal the reference plan.
 """
 
 from __future__ import annotations
@@ -1076,6 +1080,99 @@ def _fresh_cache():
 )
 def test_every_record_matches_the_reference(ctx, config):
     _check_layer(ctx, config)
+
+
+#: the config knobs the buffer fit reads: the data buffers' words (their
+#: bytes over the word width) and the DRAM rate
+MEMORY_KNOBS = (
+    "input_buffer_bytes",
+    "output_buffer_bytes",
+    "weight_buffer_bytes",
+    "word_bytes",
+    "dram_words_per_cycle",
+)
+
+
+def _other_memory(
+    draw, base: AcceleratorConfig, knob: str
+) -> Optional[AcceleratorConfig]:
+    """``base`` with ``knob`` drawn anew, or None if no other valid value exists."""
+    value = getattr(base, knob)
+    if knob == "word_bytes":
+        smallest = min(getattr(base, k) for k in MEMORY_KNOBS[:3])
+        widths = [w for w in (1, 2, 4) if w != value and w <= smallest]
+        if not widths:
+            return None
+        new = draw(st.sampled_from(widths))
+    elif knob == "dram_words_per_cycle":
+        new = draw(st.floats(0.25, 64.0).filter(lambda rate: rate != value))
+    else:
+        new = draw(_buffer(base.word_bytes).filter(lambda size: size != value))
+    return dataclasses.replace(base, **{knob: new})
+
+
+@st.composite
+def config_families(draw) -> List[AcceleratorConfig]:
+    """Configs in a drawn order: a base, others with its memory system and
+    another PE shape, others with its PE shape and one memory knob changed,
+    and each of them under the opposite overlap rule too."""
+    base = draw(configs())
+    family = [base]
+    for _ in range(draw(st.integers(1, 2))):
+        family.append(
+            dataclasses.replace(
+                base, tin=draw(st.integers(1, 64)), tout=draw(st.integers(1, 64))
+            )
+        )
+    knobs = st.lists(st.sampled_from(MEMORY_KNOBS), min_size=1, max_size=3, unique=True)
+    for knob in draw(knobs):
+        other = _other_memory(draw, base, knob)
+        if other is not None:
+            family.append(other)
+    family += [_flipped(config) for config in family]
+    return draw(st.permutations(family))
+
+
+_CONV1 = _ctx(
+    ConvLayer("conv", in_maps=3, out_maps=96, kernel=11, stride=4), TensorShape(3, 227, 227)
+)
+_OVERLAPPED = AcceleratorConfig(tin=4, tout=64)
+_SERIAL = dataclasses.replace(_OVERLAPPED, overlap_streams=False)
+_SMALL = AcceleratorConfig(
+    tin=8, tout=8, input_buffer_bytes=4096, output_buffer_bytes=4096,
+    weight_buffer_bytes=4096,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ctx=conv_contexts(), family=config_families())
+# the cycle oracle picks intra overlapped and partition serialized
+@example(ctx=_CONV1, family=[_OVERLAPPED, _SERIAL])
+@example(ctx=_CONV1, family=[_SERIAL, _OVERLAPPED])
+@example(  # the same buffer bytes hold half the words of twice the width
+    ctx=_ctx(ConvLayer("conv", in_maps=16, out_maps=32, kernel=3), TensorShape(16, 14, 14)),
+    family=[_SMALL, dataclasses.replace(_SMALL, word_bytes=4), _SMALL.with_pe(16, 4)],
+)
+@example(  # a quarter of the DRAM rate: four times the DMA cycles
+    ctx=_CONV1,
+    family=[
+        _SMALL, dataclasses.replace(_SMALL, dram_words_per_cycle=1.0), _SMALL.with_pe(4, 16)
+    ],
+)
+def test_a_shared_cache_prices_each_config_as_its_own(ctx, family):
+    """One layer through one cache under configs that share a PE shape or a
+    memory system, and both overlap rules, in a drawn order: whatever the
+    cache holds from earlier configs (tables, buffer fits, oracle winners),
+    every record and oracle pick equals the reference's."""
+    cache = ScheduleCache()
+    for config in family:
+        for name, reference in REFERENCE.items():
+            ref = _outcome(lambda: reference.schedule(ctx, config))
+            new = _outcome(lambda: cache.get_or_schedule(name, ctx, config))
+            _same_record(new, ref, config)
+        ref = best_scheme_for_layer(ctx, config)
+        assert cache.table(ctx, config).winner(ctx, config) == ref.scheme
+    assert cache.stats().misses == len({config.schedule_key for config in family})
 
 
 def _same_plan(new, ref) -> None:
