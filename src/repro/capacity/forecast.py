@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple
 from repro.errors import ConfigError, check_choice, check_counts, check_real
 from repro.serve.workload import (
     Arrivals,
-    MixedTenantSpec,
+    TenantSpec,
     mixed_arrivals,
     mixed_diurnal_arrivals,
     parse_tenant_mix,
@@ -41,10 +41,10 @@ class ForecastSpec:
     ``kind="diurnal"`` sweeps the sinusoidal day/night cycle from ``rate``
     (trough) to ``peak_rate`` (crest) over ``duration_s`` simulated
     seconds with ``day_s`` seconds per day.  Tenants carry their own
-    network mixes and SLOs (:class:`~repro.serve.workload.MixedTenantSpec`).
+    network mixes and SLOs (:class:`~repro.serve.workload.TenantSpec`).
     """
 
-    tenants: Tuple[MixedTenantSpec, ...]
+    tenants: Tuple[TenantSpec, ...]
     rate: float
     duration_s: float
     kind: str = "steady"

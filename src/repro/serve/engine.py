@@ -1195,11 +1195,8 @@ class AdaptiveServingEngine:
         but it must still terminate — offered == completed+shed+failed is
         the zero-silent-drop invariant the chaos runner enforces."""
         queue, metrics = self._queue, self.metrics
-        # a failover run's clock has passed every armed fault, slow or not
-        armed = self._failover.faults if self._failover is not None else ()
-        now = max([self._now] + [f.time_s for f in armed if f.time_s < math.inf])
         for net in queue.networks():
-            batch, shed_rows = queue.pop_batch(net, queue.depth(net), now)
+            batch, shed_rows = queue.pop_batch(net, queue.depth(net), self._now)
             for row, reason in shed_rows:
                 metrics.record_shed(row, reason)
             for row in batch:

@@ -46,7 +46,6 @@ __all__ = [
     "ReplicaFault",
     "FailoverPolicy",
     "FAULT_KINDS",
-    "REPLICA_STATUSES",
     "FAILED_RETRIES",
     "FAILED_NO_REPLICAS",
     "backoff_s",
@@ -54,7 +53,6 @@ __all__ = [
 ]
 
 FAULT_KINDS = ("crash", "slow")
-REPLICA_STATUSES = ("up", "slow", "down")
 
 #: failure reasons, the keys of the ``failed_by_reason`` breakdown
 FAILED_RETRIES = "retries_exhausted"

@@ -7,8 +7,10 @@ stream is columnar: arrival and deadline seconds are float64 columns,
 tenant and network are small-int codes into the stream's name tuples,
 and a generated stream's row number is its request id.  Indexing,
 slicing and iteration give :class:`Request` records built on demand, so
-a stream reads like the list of records it stands for.  Three arrival
-processes cover the traffic shapes a deployed accelerator sees:
+a stream reads like the list of records it stands for.  A
+:class:`TenantSpec` is one traffic source, pinned to one network or
+spread over a mix of them.  The generators cover the traffic shapes a
+deployed accelerator sees:
 
 * :func:`poisson_arrivals` — memoryless open-loop traffic at a fixed mean
   rate, the classic serving benchmark;
@@ -19,7 +21,14 @@ processes cover the traffic shapes a deployed accelerator sees:
   scheduled flash-crowd spikes and slow tenant churn, the input the
   autoscaling control plane (:mod:`repro.control`) is judged on;
 * :func:`trace_arrivals` — replay recorded arrival times from a file, for
-  apples-to-apples comparisons against production traces.
+  apples-to-apples comparisons against production traces;
+* :func:`mixed_arrivals` and :func:`mixed_diurnal_arrivals` — Poisson and
+  diurnal traffic whose requests also draw a network from their tenant's
+  mix.
+
+All but the trace replay run one thinning loop.  The pinned generators
+(poisson, bursty, diurnal, trace) give a request its tenant's one network;
+the mixed ones draw a network for every request, one-network mixes too.
 
 Every generator is driven by :class:`random.Random` seeded explicitly, so
 the same seed always produces the identical request sequence — the whole
@@ -31,11 +40,12 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from bisect import bisect
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,7 +54,6 @@ from repro.errors import ConfigError, check_real
 __all__ = [
     "Arrivals",
     "TenantSpec",
-    "MixedTenantSpec",
     "Request",
     "parse_mix",
     "parse_tenant_mix",
@@ -77,16 +86,49 @@ def check_flash_crowd(window: Tuple[float, float, float]) -> None:
 
 @dataclass(frozen=True)
 class TenantSpec:
-    """One traffic source: a named tenant pinned to one zoo network."""
+    """One traffic source: a named tenant and the zoo networks it asks for.
+
+    ``mix`` is a network name, for a tenant pinned to that network, or
+    ``(network, share)`` pairs: relative shares of this tenant's traffic,
+    as when an app ships a big and a small variant or A/B-tests two
+    architectures inside one request stream.  It is stored as pairs
+    either way (a name ``n`` as ``((n, 1.0),)``).  ``weight`` is the
+    tenant's share of the overall stream.
+    """
 
     name: str
-    network: str
+    mix: Union[str, Tuple[Tuple[str, float], ...]]
     weight: float = 1.0
     slo_ms: float = DEFAULT_SLO_MS
 
     def __post_init__(self) -> None:
-        check_real(self.weight, f"tenant {self.name!r}: weight", gt=0)
-        check_real(self.slo_ms, f"tenant {self.name!r}: slo_ms", gt=0)
+        mix = ((self.mix, 1.0),) if isinstance(self.mix, str) else self.mix
+        object.__setattr__(self, "mix", tuple(map(tuple, mix)))
+        if not self.name:
+            raise ConfigError("tenant needs a non-empty name")
+        owner = f"tenant {self.name!r}: "
+        if not self.mix:
+            raise ConfigError(owner + "network mix must name at least one network")
+        for k, (network, share) in enumerate(self.mix):
+            if network in self.networks[:k]:
+                raise ConfigError(f"{owner}duplicate network {network!r} in mix")
+            check_real(share, f"{owner}network {network!r} share", gt=0)
+        check_real(self.weight, owner + "weight", gt=0)
+        check_real(self.slo_ms, owner + "slo_ms", gt=0)
+
+    @property
+    def networks(self) -> Tuple[str, ...]:
+        return tuple(network for network, _ in self.mix)
+
+    @property
+    def network(self) -> str:
+        """The network of a tenant pinned to one; a mix of several has none."""
+        if len(self.mix) > 1:
+            raise ConfigError(
+                f"tenant {self.name!r} mixes networks {list(self.networks)}; "
+                "pinned arrivals need one network per tenant"
+            )
+        return self.mix[0][0]
 
 
 @dataclass(frozen=True)
@@ -98,9 +140,6 @@ class Request:
     network: str
     arrival_s: float
     deadline_s: float
-
-    def slo_s(self) -> float:
-        return self.deadline_s - self.arrival_s
 
 
 _ARRIVAL = attrgetter("arrival_s")
@@ -340,36 +379,6 @@ def _codes(n_names: int) -> array:
     return array(np.dtype(_code_dtype(n_names)).char)
 
 
-def _stream(
-    times: array,
-    picks: array,
-    tenants: Sequence[Union[TenantSpec, "MixedTenantSpec"]],
-    nets: Optional[array] = None,
-    networks: Tuple[str, ...] = (),
-) -> Arrivals:
-    """A generated stream: arrival times and tenant codes as drawn, each
-    deadline the arrival plus its tenant's SLO (float64 addition, the same
-    bits as Python's), and the network codes ``nets`` into ``networks`` —
-    or, when each tenant pins one network, the picked tenant's."""
-    arrival = _column(times)
-    tenant = _column(picks)
-    slo_s = np.array([t.slo_ms / 1e3 for t in tenants], np.float64)
-    if nets is None:
-        networks = tuple(dict.fromkeys(t.network for t in tenants))
-        lookup = [networks.index(t.network) for t in tenants]
-        network = np.array(lookup, _code_dtype(len(networks)))[tenant]
-    else:
-        network = _column(nets)
-    return Arrivals(
-        arrival,
-        arrival + slo_s[tenant],
-        tenant,
-        network,
-        tuple(t.name for t in tenants),
-        networks,
-    )
-
-
 def _walk(x: float, weights: Sequence[float]) -> int:
     """The index at which ``x`` drops below zero as each weight is
     subtracted in turn; the last index if it never does.
@@ -385,46 +394,131 @@ def _walk(x: float, weights: Sequence[float]) -> int:
     return len(weights) - 1
 
 
-@dataclass(frozen=True)
-class MixedTenantSpec:
-    """One traffic source whose requests draw from a *mix* of networks.
+def _cuts(weights: Sequence[float]) -> List[float]:
+    """Where :func:`_walk` over ``weights`` steps: for every ``x >= 0``,
+    ``bisect(cuts, x)`` is ``_walk(x, weights)``, one C call in place of a
+    Python loop.
 
-    A production tenant rarely pins a single model: an app ships a big
-    and a small variant, or A/B-tests architectures inside one request
-    stream.  ``mix`` is a tuple of ``(network, weight)`` pairs — relative
-    shares of this tenant's traffic — and ``weight`` is the tenant's
-    share of the overall stream, exactly like :class:`TenantSpec`.
+    Each subtraction rounds, but rounding never reverses an order, so the
+    walk's index never falls as ``x`` grows.  Cut ``k`` is the least
+    double whose index passes ``k``, a few steps of one ulp from the
+    running sum.
+    """
+    cuts, x = [], 0.0
+    for k, w in enumerate(weights[:-1]):
+        x += w
+        while _walk(x, weights) > k:
+            x = math.nextafter(x, 0.0)
+        while _walk(x, weights) <= k:
+            x = math.nextafter(x, math.inf)
+        cuts.append(x)
+    return cuts
+
+
+class _Draw:
+    """Seeded picks for a generator's accepted arrivals, over validated tenants.
+
+    ``pick(t)`` draws the tenant of an arrival at ``t`` by weight, a
+    :func:`_walk` (a bisection over the :func:`_cuts` of fixed weights),
+    and appends its code.  A pinned draw gives each request its tenant's
+    one network, so a tenant mixing several is a :class:`ConfigError`
+    naming it.  A mixed draw then walks the tenant's mix shares with a
+    second draw, for every request, one-network mixes included.
+    ``stream(times)`` is the arrivals at ``times``.
     """
 
-    name: str
-    mix: Tuple[Tuple[str, float], ...]
-    weight: float = 1.0
-    slo_ms: float = DEFAULT_SLO_MS
+    def __init__(
+        self,
+        rng: random.Random,
+        tenants: Sequence[TenantSpec],
+        mixed: bool = False,
+    ) -> None:
+        _validate_tenants(tenants)
+        self.rng, self.tenants = rng, tenants
+        if mixed:
+            networks = chain.from_iterable(t.networks for t in tenants)
+        else:
+            networks = [t.network for t in tenants]
+        self.networks = tuple(dict.fromkeys(networks))
+        self.picks = _codes(len(tenants))
+        self.nets = _codes(len(self.networks)) if mixed else None
+        rand, tenant = rng.random, self.picks.append
+        weights = tuple(t.weight for t in tenants)
+        total, cuts = sum(weights), _cuts(weights)
+        if mixed:
+            network = self.nets.append
+            mixes = []
+            for t in tenants:
+                shares = tuple(share for _, share in t.mix)
+                codes = tuple(map(self.networks.index, t.networks))
+                mixes.append((_cuts(shares), sum(shares), codes))
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("mixed tenant needs a non-empty name")
-        if not self.mix:
-            raise ConfigError(
-                f"tenant {self.name!r}: network mix must name at least one network"
-            )
-        seen = set()
-        for network, share in self.mix:
-            if network in seen:
-                raise ConfigError(
-                    f"tenant {self.name!r}: duplicate network {network!r} in mix"
-                )
-            seen.add(network)
-            check_real(share, f"tenant {self.name!r}: network {network!r} share", gt=0)
-        check_real(self.weight, f"tenant {self.name!r}: weight", gt=0)
-        check_real(self.slo_ms, f"tenant {self.name!r}: slo_ms", gt=0)
+            def pick(t: float) -> None:
+                k = bisect(cuts, rand() * total)
+                tenant(k)
+                share_cuts, share_total, codes = mixes[k]
+                network(codes[bisect(share_cuts, rand() * share_total)])
 
-    @property
-    def networks(self) -> Tuple[str, ...]:
-        return tuple(network for network, _ in self.mix)
+        else:
+
+            def pick(t: float) -> None:
+                tenant(bisect(cuts, rand() * total))
+
+        self.pick = pick
+
+    def stream(self, times: array) -> Arrivals:
+        """The arrivals at ``times`` with the codes drawn, each deadline the
+        arrival plus its tenant's SLO (float64 addition, the same bits as
+        Python's)."""
+        arrival = _column(times)
+        tenant = _column(self.picks)
+        slo_s = np.array([t.slo_ms / 1e3 for t in self.tenants], np.float64)
+        if self.nets is None:
+            lookup = [self.networks.index(t.network) for t in self.tenants]
+            network = np.array(lookup, _code_dtype(len(self.networks)))[tenant]
+        else:
+            network = _column(self.nets)
+        return Arrivals(
+            arrival,
+            arrival + slo_s[tenant],
+            tenant,
+            network,
+            tuple(t.name for t in self.tenants),
+            self.networks,
+        )
 
 
-def _validate_mixed_tenants(tenants: Sequence[MixedTenantSpec]) -> None:
+def _sample(
+    draw: _Draw,
+    envelope: float,
+    duration_s: float,
+    rate_at: Optional[Callable[[float], float]] = None,
+) -> Arrivals:
+    """The arrival loop of every generator but the trace replay.
+
+    Candidates arrive as a Poisson process at the ``envelope`` rate over
+    ``[0, duration_s)``, and each is kept with probability ``rate_at(t) /
+    envelope``: exact thinning, which samples a Poisson process whose rate
+    varies up to the envelope.  Each kept one goes to ``draw.pick``.
+    Without ``rate_at`` the rate is constant: every candidate is kept and
+    no acceptance draw is spent.
+    """
+    rand, log = draw.rng.random, math.log
+    times = array("d")
+    arrive, pick = times.append, draw.pick
+    t = 0.0
+    while True:
+        # expovariate's own formula, inlined: the draws are unchanged
+        t += -log(1.0 - rand()) / envelope
+        if t >= duration_s:
+            return draw.stream(times)
+        if rate_at is not None and rand() * envelope >= rate_at(t):
+            continue
+        arrive(t)
+        pick(t)
+
+
+def _validate_tenants(tenants: Sequence[TenantSpec]) -> None:
     from repro.nn.zoo import NETWORK_BUILDERS
 
     if not tenants:
@@ -442,9 +536,7 @@ def _validate_mixed_tenants(tenants: Sequence[MixedTenantSpec]) -> None:
                 )
 
 
-def parse_tenant_mix(
-    spec: str, slo_ms: float = DEFAULT_SLO_MS
-) -> List[MixedTenantSpec]:
+def parse_tenant_mix(spec: str, slo_ms: float = DEFAULT_SLO_MS) -> List[TenantSpec]:
     """Parse a per-tenant network-mix spec.
 
     Grammar (entries comma-separated)::
@@ -454,7 +546,7 @@ def parse_tenant_mix(
     e.g. ``"acme=alexnet:3/vgg:1@2,beta=nin"`` — tenant ``acme`` carries
     twice ``beta``'s traffic and splits it 3:1 between AlexNet and VGG.
     """
-    tenants: List[MixedTenantSpec] = []
+    tenants: List[TenantSpec] = []
     for entry in spec.split(","):
         entry = entry.strip()
         if not entry:
@@ -483,18 +575,37 @@ def parse_tenant_mix(
                 ) from None
             mix.append((network.strip(), share))
         tenants.append(
-            MixedTenantSpec(
-                name=name.strip(), mix=tuple(mix), weight=weight, slo_ms=slo_ms
-            )
+            TenantSpec(name=name.strip(), mix=tuple(mix), weight=weight, slo_ms=slo_ms)
         )
-    _validate_mixed_tenants(tenants)
+    _validate_tenants(tenants)
+    return tenants
+
+
+def parse_mix(spec: str, slo_ms: float = DEFAULT_SLO_MS) -> List[TenantSpec]:
+    """Parse a CLI mix spec like ``"alexnet:2,googlenet:1"``.
+
+    Each entry is ``network[:weight]``; the tenant is named after its
+    network and pinned to it.  Weights are relative traffic shares.
+    """
+    tenants: List[TenantSpec] = []
+    for entry in spec.split(","):
+        entry = entry.strip()
+        if not entry:
+            continue
+        name, _, weight_s = entry.partition(":")
+        try:
+            weight = float(weight_s) if weight_s else 1.0
+        except ValueError:
+            raise ConfigError(f"bad weight {weight_s!r} in mix entry {entry!r}") from None
+        tenants.append(TenantSpec(name=name, mix=name, weight=weight, slo_ms=slo_ms))
+    _validate_tenants(tenants)
     return tenants
 
 
 def mixed_arrivals(
     rate: float,
     duration_s: float,
-    tenants: Sequence[MixedTenantSpec],
+    tenants: Sequence[TenantSpec],
     seed: int = 0,
 ) -> Arrivals:
     """Poisson traffic where each tenant spreads over a network mix.
@@ -509,47 +620,15 @@ def mixed_arrivals(
     """
     check_real(rate, "arrival rate", gt=0)
     check_real(duration_s, "duration", gt=0)
-    _validate_mixed_tenants(tenants)
-    draw = _MixedDraw(tenants, seed)
-    times, picks, nets = array("d"), _codes(len(tenants)), _codes(len(draw.networks))
-    rng, log = draw.rng.random, math.log
-    # expovariate's own formula, inlined: the draws are unchanged
-    t = -log(1.0 - rng()) / rate
-    while t < duration_s:
-        k, j = draw.pick()
-        times.append(t)
-        picks.append(k)
-        nets.append(j)
-        t += -log(1.0 - rng()) / rate
-    return _stream(times, picks, tenants, nets, draw.networks)
-
-
-class _MixedDraw:
-    """Seeded (tenant, network) draws over mixed tenants: tenant by weight,
-    then network by that tenant's mix shares, each by :func:`_walk`."""
-
-    def __init__(self, tenants: Sequence[MixedTenantSpec], seed: int) -> None:
-        self.rng = random.Random(seed)
-        self.weights = tuple(t.weight for t in tenants)
-        self.total = sum(self.weights)
-        networks = chain.from_iterable(t.networks for t in tenants)
-        self.networks = tuple(dict.fromkeys(networks))
-        self.shares = [tuple(share for _, share in t.mix) for t in tenants]
-        self.share_totals = [sum(shares) for shares in self.shares]
-        self.codes = [tuple(map(self.networks.index, t.networks)) for t in tenants]
-
-    def pick(self) -> Tuple[int, int]:
-        rng = self.rng.random
-        k = _walk(rng() * self.total, self.weights)
-        j = _walk(rng() * self.share_totals[k], self.shares[k])
-        return k, self.codes[k][j]
+    draw = _Draw(random.Random(seed), tenants, mixed=True)
+    return _sample(draw, rate, duration_s)
 
 
 def mixed_diurnal_arrivals(
     base_rate: float,
     peak_rate: float,
     days: float,
-    tenants: Sequence[MixedTenantSpec],
+    tenants: Sequence[TenantSpec],
     seed: int = 0,
     day_s: float = 86400.0,
 ) -> Arrivals:
@@ -564,71 +643,13 @@ def mixed_diurnal_arrivals(
     planner's whole search is deterministic because its traffic forecast
     is.
     """
-    check_real(base_rate, "base_rate", gt=0)
-    check_real(peak_rate, "peak_rate", gt=0)
-    if peak_rate < base_rate:
-        raise ConfigError(
-            f"peak_rate must be >= base_rate, got {peak_rate!r} < {base_rate!r}"
-        )
-    check_real(days, "days", gt=0)
-    check_real(day_s, "day_s", gt=0)
-    _validate_mixed_tenants(tenants)
-
-    duration_s = days * day_s
-    draw = _MixedDraw(tenants, seed)
-    times, picks, nets = array("d"), _codes(len(tenants)), _codes(len(draw.networks))
-    rng, log = draw.rng.random, math.log
-    t = 0.0
-    while True:
-        t += -log(1.0 - rng()) / peak_rate
-        if t >= duration_s:
-            break
-        current = diurnal_rate(t, base_rate, peak_rate, day_s)
-        if rng() * peak_rate >= current:
-            continue
-        k, j = draw.pick()
-        times.append(t)
-        picks.append(k)
-        nets.append(j)
-    return _stream(times, picks, tenants, nets, draw.networks)
-
-
-def _validate_tenants(tenants: Sequence[TenantSpec]) -> None:
-    from repro.nn.zoo import NETWORK_BUILDERS
-
-    if not tenants:
-        raise ConfigError("workload needs at least one tenant")
-    seen = set()
-    for t in tenants:
-        if t.name in seen:
-            raise ConfigError(f"duplicate tenant name {t.name!r}")
-        seen.add(t.name)
-        if t.network not in NETWORK_BUILDERS:
-            raise ConfigError(
-                f"tenant {t.name!r}: unknown network {t.network!r}; "
-                f"choose from {sorted(NETWORK_BUILDERS)}"
-            )
-
-
-def parse_mix(spec: str, slo_ms: float = DEFAULT_SLO_MS) -> List[TenantSpec]:
-    """Parse a CLI mix spec like ``"alexnet:2,googlenet:1"``.
-
-    Each entry is ``network[:weight]``; the tenant is named after its
-    network.  Weights are relative traffic shares.
-    """
-    tenants: List[TenantSpec] = []
-    for entry in spec.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        name, _, weight_s = entry.partition(":")
-        try:
-            weight = float(weight_s) if weight_s else 1.0
-        except ValueError:
-            raise ConfigError(f"bad weight {weight_s!r} in mix entry {entry!r}") from None
-        tenants.append(TenantSpec(name=name, network=name, weight=weight, slo_ms=slo_ms))
-    _validate_tenants(tenants)
-    return tenants
+    _check_diurnal(base_rate, peak_rate, days, day_s)
+    return _sample(
+        _Draw(random.Random(seed), tenants, mixed=True),
+        peak_rate,
+        days * day_s,
+        lambda t: diurnal_rate(t, base_rate, peak_rate, day_s),
+    )
 
 
 def poisson_arrivals(
@@ -640,18 +661,7 @@ def poisson_arrivals(
     """Open-loop Poisson traffic: ``rate`` requests/second for ``duration_s``."""
     check_real(rate, "arrival rate", gt=0)
     check_real(duration_s, "duration", gt=0)
-    _validate_tenants(tenants)
-    rng, log = random.Random(seed).random, math.log
-    weights = tuple(t.weight for t in tenants)
-    total = sum(weights)
-    times, picks = array("d"), _codes(len(tenants))
-    # expovariate's own formula, inlined: the draws are unchanged
-    t = -log(1.0 - rng()) / rate
-    while t < duration_s:
-        times.append(t)
-        picks.append(_walk(rng() * total, weights))
-        t += -log(1.0 - rng()) / rate
-    return _stream(times, picks, tenants)
+    return _sample(_Draw(random.Random(seed), tenants), rate, duration_s)
 
 
 def bursty_arrivals(
@@ -669,7 +679,8 @@ def bursty_arrivals(
     ``burst_fraction`` of the period at ``burst_factor`` times the mean
     rate; the remainder of the period runs at a reduced rate chosen so the
     long-run average stays ``rate``.  ``burst_factor * burst_fraction``
-    must not exceed 1 (the off-phase rate cannot go negative).
+    must not exceed 1 (the off-phase rate cannot go negative).  Thinning
+    candidates drawn at the burst rate leaves no phase-edge bias.
     """
     check_real(rate, "arrival rate", gt=0)
     check_real(duration_s, "duration", gt=0)
@@ -682,28 +693,14 @@ def bursty_arrivals(
             "burst_factor * burst_fraction must be <= 1 so the off-phase "
             f"rate stays non-negative, got {burst_factor * burst_fraction!r}"
         )
-    _validate_tenants(tenants)
     on_rate = rate * burst_factor
     off_rate = rate * (1 - burst_factor * burst_fraction) / (1 - burst_fraction)
-    rng, log = random.Random(seed).random, math.log
-    weights = tuple(t.weight for t in tenants)
-    total = sum(weights)
-    times, picks = array("d"), _codes(len(tenants))
-    # thinning: draw candidates at the envelope (burst) rate, accept each
-    # with probability rate(t)/on_rate — an exact non-homogeneous Poisson
-    # sampler, so the long-run mean stays `rate` with no phase-edge bias
-    t = 0.0
-    while True:
-        t += -log(1.0 - rng()) / on_rate
-        if t >= duration_s:
-            break
-        phase = (t % period_s) / period_s
-        current = on_rate if phase < burst_fraction else off_rate
-        if rng() * on_rate >= current:
-            continue
-        times.append(t)
-        picks.append(_walk(rng() * total, weights))
-    return _stream(times, picks, tenants)
+    return _sample(
+        _Draw(random.Random(seed), tenants),
+        on_rate,
+        duration_s,
+        lambda t: on_rate if (t % period_s) / period_s < burst_fraction else off_rate,
+    )
 
 
 def diurnal_rate(
@@ -728,6 +725,17 @@ def diurnal_rate(
         if start <= t < start + duration:
             factor = max(factor, f)
     return rate * factor
+
+
+def _check_diurnal(base_rate, peak_rate, days, day_s) -> None:
+    check_real(base_rate, "base_rate", gt=0)
+    check_real(peak_rate, "peak_rate", gt=0)
+    if peak_rate < base_rate:
+        raise ConfigError(
+            f"peak_rate must be >= base_rate, got {peak_rate!r} < {base_rate!r}"
+        )
+    check_real(days, "days", gt=0)
+    check_real(day_s, "day_s", gt=0)
 
 
 def diurnal_arrivals(
@@ -757,20 +765,12 @@ def diurnal_arrivals(
     :func:`bursty_arrivals`, and everything is driven by one seeded RNG —
     the same seed always yields the identical request stream.
     """
-    check_real(base_rate, "base_rate", gt=0)
-    check_real(peak_rate, "peak_rate", gt=0)
-    if peak_rate < base_rate:
-        raise ConfigError(
-            f"peak_rate must be >= base_rate, got {peak_rate!r} < {base_rate!r}"
-        )
-    check_real(days, "days", gt=0)
-    check_real(day_s, "day_s", gt=0)
+    _check_diurnal(base_rate, peak_rate, days, day_s)
     check_real(flash_per_day, "flash_per_day", ge=0)
     check_real(flash_factor, "flash_factor", ge=1)
     check_real(churn, "churn", ge=0, lt=1)
     for window in flash_crowds:
         check_flash_crowd(window)
-    _validate_tenants(tenants)
 
     duration_s = days * day_s
     rng = random.Random(seed)
@@ -781,30 +781,27 @@ def diurnal_arrivals(
     windows.sort()
 
     max_factor = max([1.0] + [f for _, _, f in windows])
-    envelope = peak_rate * max_factor
     phases = [rng.uniform(0.0, 2.0 * math.pi) for _ in tenants]
-    weights = tuple(t.weight for t in tenants)
-    total = sum(weights)
-    random_, log = rng.random, math.log
-    times, picks = array("d"), _codes(len(tenants))
-    t = 0.0
-    while True:
-        t += -log(1.0 - random_()) / envelope
-        if t >= duration_s:
-            break
-        current = diurnal_rate(t, base_rate, peak_rate, day_s, windows)
-        if random_() * envelope >= current:
-            continue
-        times.append(t)
-        if not churn:
-            picks.append(_walk(random_() * total, weights))
-            continue
-        churned = [
-            w * (1.0 + churn * math.sin(2.0 * math.pi * t / day_s + phase))
-            for w, phase in zip(weights, phases)
-        ]
-        picks.append(_walk(random_() * sum(churned), churned))
-    return _stream(times, picks, tenants)
+    draw = _Draw(rng, tenants)
+    if churn:
+        weights = tuple(t.weight for t in tenants)
+        rand, tenant = rng.random, draw.picks.append
+
+        def churned(t: float) -> None:
+            # weights that move with t have no fixed cuts: walk them
+            w = [
+                weight * (1.0 + churn * math.sin(2.0 * math.pi * t / day_s + phase))
+                for weight, phase in zip(weights, phases)
+            ]
+            tenant(_walk(rand() * sum(w), w))
+
+        draw.pick = churned
+    return _sample(
+        draw,
+        peak_rate * max_factor,
+        duration_s,
+        lambda t: diurnal_rate(t, base_rate, peak_rate, day_s, windows),
+    )
 
 
 def _utf8_lines(handle, path: str) -> Iterator[str]:
@@ -832,11 +829,10 @@ def trace_arrivals(
     rather than silently re-sorted.  ``duration_s`` truncates the trace
     when given.
     """
-    _validate_tenants(tenants)
+    draw = _Draw(random.Random(seed), tenants)
     if duration_s is not None:
         check_real(duration_s, "duration", gt=0)
-    by_name = {t.name: t for t in tenants}
-    rng = random.Random(seed)
+    code = {t.name: k for k, t in enumerate(tenants)}
     rows = []
     prev: Optional[float] = None
     with open(path, encoding="utf-8") as handle:
@@ -866,22 +862,19 @@ def trace_arrivals(
                 )
             prev = arrival
             tenant_name = tenant_name.strip()
-            if tenant_name and tenant_name not in by_name:
+            if tenant_name and tenant_name not in code:
                 raise ConfigError(
                     f"{path}:{lineno}: unknown tenant {tenant_name!r}; "
-                    f"trace tenants must be in {sorted(by_name)}"
+                    f"trace tenants must be in {sorted(code)}"
                 )
             rows.append((arrival, tenant_name))
-    code = {t.name: k for k, t in enumerate(tenants)}
-    weights = tuple(t.weight for t in tenants)
-    total = sum(weights)
-    times, picks = array("d"), _codes(len(tenants))
+    times = array("d")
     for arrival, tenant_name in rows:
         if duration_s is not None and arrival >= duration_s:
             break
         times.append(arrival)
         if tenant_name:
-            picks.append(code[tenant_name])
+            draw.picks.append(code[tenant_name])
         else:
-            picks.append(_walk(rng.random() * total, weights))
-    return _stream(times, picks, tenants)
+            draw.pick(arrival)
+    return draw.stream(times)

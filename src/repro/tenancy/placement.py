@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ConfigError, check_real
 from repro.serve.batcher import BatchCoster, mix_image_seconds
-from repro.serve.workload import DEFAULT_SLO_MS, MixedTenantSpec, TenantSpec
+from repro.serve.workload import DEFAULT_SLO_MS, TenantSpec
 from repro.tenancy.fleet import FleetSpec, Slot
 
 __all__ = [
@@ -79,9 +79,9 @@ class TenantDemand:
 
 
 def demand_from_tenants(
-    tenants: Sequence[object], rate_rps: float
+    tenants: Sequence[TenantSpec], rate_rps: float
 ) -> List[TenantDemand]:
-    """Demands from :class:`TenantSpec` / :class:`MixedTenantSpec` lists.
+    """Demands from a :class:`TenantSpec` list, each with its tenant's mix.
 
     ``rate_rps`` is the total offered rate; each tenant gets its
     weight-proportional share, matching what the arrival generators emit.
@@ -91,26 +91,15 @@ def demand_from_tenants(
     if not specs:
         raise ConfigError("demand_from_tenants needs at least one tenant")
     total = sum(t.weight for t in specs)
-    out: List[TenantDemand] = []
-    for t in specs:
-        if isinstance(t, MixedTenantSpec):
-            mix = t.mix
-        elif isinstance(t, TenantSpec):
-            mix = ((t.network, 1.0),)
-        else:
-            raise ConfigError(
-                f"expected TenantSpec or MixedTenantSpec, got "
-                f"{type(t).__name__}"
-            )
-        out.append(
-            TenantDemand(
-                name=t.name,
-                rate_rps=rate_rps * t.weight / total,
-                mix=mix,
-                slo_ms=t.slo_ms,
-            )
+    return [
+        TenantDemand(
+            name=t.name,
+            rate_rps=rate_rps * t.weight / total,
+            mix=t.mix,
+            slo_ms=t.slo_ms,
         )
-    return out
+        for t in specs
+    ]
 
 
 class _FitModel:

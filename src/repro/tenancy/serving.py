@@ -41,7 +41,7 @@ from repro.serve.engine import (
 )
 from repro.serve.metrics import MetricsCollector
 from repro.serve.queue import QueuePolicy
-from repro.serve.workload import Arrivals, MixedTenantSpec, Request, mixed_arrivals
+from repro.serve.workload import Arrivals, Request, TenantSpec, mixed_arrivals
 from repro.tenancy.fleet import ChipSpec, FleetSpec
 from repro.tenancy.partition import PartitionSpec
 from repro.tenancy.placement import (
@@ -201,7 +201,7 @@ def serve_placement(
 
 
 def _tenant_meta(
-    tenants: Sequence[MixedTenantSpec], rate: float, seed: int
+    tenants: Sequence[TenantSpec], rate: float, seed: int
 ) -> Dict[str, object]:
     return {
         "kind": "mixed",
@@ -217,7 +217,7 @@ def _tenant_meta(
 def compare_partitioned(
     config: AcceleratorConfig,
     specs: Sequence[PartitionSpec],
-    tenants: Sequence[MixedTenantSpec],
+    tenants: Sequence[TenantSpec],
     rate: float,
     duration_s: float,
     seed: int = 0,
@@ -305,7 +305,7 @@ def compare_partitioned(
 
 def compare_fleets(
     fleets: Sequence[FleetSpec],
-    tenants: Sequence[MixedTenantSpec],
+    tenants: Sequence[TenantSpec],
     rate: float,
     duration_s: float,
     seed: int = 0,

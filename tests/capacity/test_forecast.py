@@ -7,7 +7,7 @@ import pytest
 from repro.capacity.forecast import ForecastSpec
 from repro.errors import ConfigError
 from repro.serve.workload import (
-    MixedTenantSpec,
+    TenantSpec,
     mixed_arrivals,
     mixed_diurnal_arrivals,
     parse_tenant_mix,
@@ -111,7 +111,7 @@ class TestForecastSpec:
 
     def test_to_dict_is_json_stable(self):
         spec = ForecastSpec(
-            tenants=(MixedTenantSpec("t", (("nin", 1.0),)),),
+            tenants=(TenantSpec("t", (("nin", 1.0),)),),
             rate=5.0, duration_s=2.0, kind="diurnal", peak_rate=9.0, day_s=4.0,
         )
         d = spec.to_dict()

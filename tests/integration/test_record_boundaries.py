@@ -48,7 +48,7 @@ from repro.serve.batcher import BatchPolicy
 from repro.serve.failover import ReplicaFault
 from repro.serve.queue import QueuePolicy
 from repro.serve.verified import SDCFault
-from repro.serve.workload import MixedTenantSpec, TenantSpec, parse_tenant_mix
+from repro.serve.workload import TenantSpec, parse_tenant_mix
 from repro.tenancy.fleet import ChipSpec
 from repro.tenancy.partition import PartitionSpec
 from repro.tenancy.placement import TenantDemand
@@ -93,7 +93,8 @@ RECORDS = [
      ConfigError, "max_depth", "max_age_s", ""),
     ("TenantSpec", _with(TenantSpec, "t", "alexnet"),
      ConfigError, "", "weight, slo_ms", ""),
-    ("MixedTenantSpec", _with(MixedTenantSpec, "t", (("alexnet", 1.0),)),
+    # TenantSpec's pairs form: a mixed tenant, spread over a network mix
+    ("MixedTenantSpec", _with(TenantSpec, "t", (("alexnet", 1.0),)),
      ConfigError, "", "weight, slo_ms", ""),
     # a slow fault lasting inf is permanent; an infinite fault time is
     # FaultSchedule's to reject, naming the entry

@@ -5,10 +5,13 @@
 ``repro.serve.failover`` as it stood when lossy crashes, detection lag,
 retries, hedging, service windows and SDC windows moved into
 :meth:`~repro.serve.engine.AdaptiveServingEngine.advance_to`, but for
-two edits: the class is renamed, and it already carries the fix that
-keeps a hedged batch alive while one of its copies still runs on a live
-replica.  It queues and logs :class:`Request` objects through the
-reference queue and collector (``reference.py``).
+three edits: the class is renamed, it already carries the fix that keeps
+a hedged batch alive while one of its copies still runs on a live
+replica, and it arms slow windows before its loop, as the engine does,
+so only crashes are fault events and a run with no live replica settles
+its stranded requests at the engine's instant.  It queues and logs
+:class:`Request` objects through the reference queue and collector
+(``reference.py``).
 
 On generated runs — both routings, one to four replicas, FIFO and EDF
 queues with depth limits, crashes anywhere, on probe ticks, as a batch
@@ -370,6 +373,14 @@ class FailoverLoopEngine:
                     retry_pool.append((t + backoff_s(attempt), request))
             retry_pool.sort(key=lambda e: (e[0], e[1].rid))
 
+        # slow windows are armed up front, as the engine does: only crashes
+        # stay fault events, so the drain below runs at the engine's instant
+        for fault in self.faults:
+            if fault.kind == "slow":
+                states[fault.replica].slow_windows.append(
+                    (fault.time_s, fault.time_s + fault.duration_s, fault.factor)
+                )
+        crashes = [f for f in self.faults if f.kind == "crash"]
         fault_idx = 0
         i = 0
         n = len(requests)
@@ -379,8 +390,8 @@ class FailoverLoopEngine:
             next_times: List[float] = []
             if i < n:
                 next_times.append(requests[i].arrival_s)
-            if fault_idx < len(self.faults):
-                next_times.append(self.faults[fault_idx].time_s)
+            if fault_idx < len(crashes):
+                next_times.append(crashes[fault_idx].time_s)
             if retry_pool:
                 next_times.append(retry_pool[0][0])
             for s in states:
@@ -401,8 +412,8 @@ class FailoverLoopEngine:
             t = max(t, min(next_times))
 
             # -- 1. faults scheduled at or before t ---------------------
-            while fault_idx < len(self.faults) and self.faults[fault_idx].time_s <= t:
-                fault = self.faults[fault_idx]
+            while fault_idx < len(crashes) and crashes[fault_idx].time_s <= t:
+                fault = crashes[fault_idx]
                 fault_idx += 1
                 s = states[fault.replica]
                 if fault.kind == "crash":
@@ -414,10 +425,6 @@ class FailoverLoopEngine:
                             # and is charged only the service it ran
                             s.busy_s -= s.free_at - fault.time_s
                             s.free_at = math.inf
-                else:
-                    s.slow_windows.append(
-                        (fault.time_s, fault.time_s + fault.duration_s, fault.factor)
-                    )
 
             # -- 2. completions on live replicas ------------------------
             for s in states:
@@ -797,9 +804,10 @@ _HEDGED = dict(
     hedge=False,
     budget=MAX_RETRIES,
 )
-# the lone replica is down when the request arrives, and the run settles
-# the stranded request once its clock has passed the slow fault at 119 ms:
-# by then the request has aged past max_age and is shed, not failed
+# the lone replica is down when the request arrives at 68 ms, and the run
+# settles the stranded request at its own clock, not at the unrelated slow
+# fault at 119 ms: it has not aged past max_age (50 ms), so it fails
+# (no_replicas) rather than being shed
 @example(
     workload=_workload(1, 1),
     queue_policy=QueuePolicy(max_age_s=0.05),

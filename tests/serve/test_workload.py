@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import math
+from bisect import bisect
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.serve.workload import (
     TenantSpec,
+    _cuts,
+    _walk,
     bursty_arrivals,
     diurnal_arrivals,
     diurnal_rate,
@@ -301,3 +308,29 @@ class TestMixParsing:
             TenantSpec("t", "alexnet", weight=0)
         with pytest.raises(ConfigError, match="slo_ms must be positive"):
             TenantSpec("t", "alexnet", slo_ms=0)
+
+
+#: positive weights across the double range, and ordinary traffic shares
+WEIGHT = st.one_of(
+    st.floats(min_value=0.05, max_value=5.0),
+    st.floats(min_value=1e-300, max_value=1e300),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(WEIGHT, min_size=1, max_size=6),
+    u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+@example(weights=[1.1098654996442376, 1.8117601157885834, 1.0], u=0.5)
+def test_bisecting_the_cuts_is_the_walk(weights, u):
+    """The generators draw a tenant by bisecting the walk's cuts: for
+    every draw, at and one ulp either side of every cut, the index is the
+    walk's, rounding of the in-turn subtractions included."""
+    cuts = _cuts(weights)
+    assert cuts == sorted(cuts) and len(cuts) == len(weights) - 1
+    xs = [u * sum(weights), 2.921625615432821]
+    for cut in cuts:
+        xs += [cut, math.nextafter(cut, 0.0), math.nextafter(cut, math.inf)]
+    for x in xs:
+        assert bisect(cuts, x) == _walk(x, weights), x

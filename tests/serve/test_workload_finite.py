@@ -15,7 +15,6 @@ import pytest
 from repro.__main__ import main
 from repro.errors import ConfigError
 from repro.serve.workload import (
-    MixedTenantSpec,
     TenantSpec,
     bursty_arrivals,
     diurnal_arrivals,
@@ -29,7 +28,7 @@ from repro.serve.workload import (
 
 NAN, INF = math.nan, math.inf
 ALEX = [TenantSpec("alexnet", "alexnet")]
-MIXED = [MixedTenantSpec(name="a", mix=(("alexnet", 1.0),))]
+MIXED = [TenantSpec(name="a", mix=(("alexnet", 1.0),))]
 
 #: (id, call, expected message) — one entry per guarded argument
 CASES = [
@@ -91,13 +90,13 @@ CASES = [
     ("tenant-slo-nan", lambda: TenantSpec("t", "alexnet", slo_ms=NAN),
      "tenant 't': slo_ms must be positive and finite, got nan"),
     ("mixed-tenant-share-nan",
-     lambda: MixedTenantSpec(name="a", mix=(("alexnet", NAN),)),
+     lambda: TenantSpec(name="a", mix=(("alexnet", NAN),)),
      "tenant 'a': network 'alexnet' share must be positive and finite, got nan"),
     ("mixed-tenant-weight-inf",
-     lambda: MixedTenantSpec(name="a", mix=(("alexnet", 1.0),), weight=INF),
+     lambda: TenantSpec(name="a", mix=(("alexnet", 1.0),), weight=INF),
      "tenant 'a': weight must be positive and finite, got inf"),
     ("mixed-tenant-slo-nan",
-     lambda: MixedTenantSpec(name="a", mix=(("alexnet", 1.0),), slo_ms=NAN),
+     lambda: TenantSpec(name="a", mix=(("alexnet", 1.0),), slo_ms=NAN),
      "tenant 'a': slo_ms must be positive and finite, got nan"),
     ("parse-mix-weight-nan", lambda: parse_mix("alexnet:nan"),
      "tenant 'alexnet': weight must be positive and finite, got nan"),

@@ -6,37 +6,41 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.serve.workload import (
-    MixedTenantSpec,
+    TenantSpec,
+    bursty_arrivals,
+    diurnal_arrivals,
     mixed_arrivals,
     parse_tenant_mix,
+    poisson_arrivals,
+    trace_arrivals,
 )
 
 
 class TestSpec:
     def test_networks_property(self):
-        spec = MixedTenantSpec(
+        spec = TenantSpec(
             name="a", mix=(("alexnet", 3.0), ("vgg", 1.0))
         )
         assert spec.networks == ("alexnet", "vgg")
 
     def test_empty_mix(self):
         with pytest.raises(ConfigError, match="at least one network"):
-            MixedTenantSpec(name="a", mix=())
+            TenantSpec(name="a", mix=())
 
     def test_duplicate_network_in_mix(self):
         with pytest.raises(ConfigError, match="duplicate network 'alexnet'"):
-            MixedTenantSpec(
+            TenantSpec(
                 name="a", mix=(("alexnet", 1.0), ("alexnet", 2.0))
             )
 
     @pytest.mark.parametrize("share", [0.0, -1.0])
     def test_bad_share(self, share):
         with pytest.raises(ConfigError, match="share must be"):
-            MixedTenantSpec(name="a", mix=(("alexnet", share),))
+            TenantSpec(name="a", mix=(("alexnet", share),))
 
     def test_bad_weight(self):
         with pytest.raises(ConfigError, match="weight"):
-            MixedTenantSpec(name="a", mix=(("alexnet", 1.0),), weight=0.0)
+            TenantSpec(name="a", mix=(("alexnet", 1.0),), weight=0.0)
 
 
 class TestGrammar:
@@ -132,3 +136,42 @@ class TestMixedArrivals:
     def test_empty_tenants(self):
         with pytest.raises(ConfigError, match="at least one tenant"):
             mixed_arrivals(10.0, 1.0, [])
+
+
+class TestDrawRule:
+    """The pinned generators give a request its tenant's one network; the
+    mixed ones draw a network for every request."""
+
+    TENANTS = [
+        TenantSpec("solo", "alexnet"),
+        TenantSpec("ab", (("alexnet", 1.0), ("nin", 2.0))),
+    ]
+
+    def test_a_network_name_is_stored_as_pairs(self):
+        spec = TenantSpec("solo", "alexnet")
+        assert spec.mix == (("alexnet", 1.0),)
+        assert spec == TenantSpec("solo", (("alexnet", 1.0),))
+        assert spec.network == "alexnet"
+
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            lambda tenants, path: poisson_arrivals(10.0, 1.0, tenants),
+            lambda tenants, path: bursty_arrivals(10.0, 1.0, tenants),
+            lambda tenants, path: diurnal_arrivals(5.0, 10.0, 1.0, tenants, day_s=1.0),
+            lambda tenants, path: trace_arrivals(path, tenants),
+        ],
+        ids=["poisson", "bursty", "diurnal", "trace"],
+    )
+    def test_pinned_generator_rejects_a_mixing_tenant_by_name(self, generate, tmp_path):
+        path = tmp_path / "arrivals.trace"
+        path.write_text("0.0\n0.5,ab\n")
+        with pytest.raises(
+            ConfigError, match=r"tenant 'ab' mixes networks \['alexnet', 'nin'\]"
+        ):
+            generate(self.TENANTS, str(path))
+
+    def test_mixed_generator_draws_each_tenants_networks(self):
+        stream = mixed_arrivals(200.0, 2.0, self.TENANTS, seed=0)
+        pairs = {(r.tenant, r.network) for r in stream}
+        assert pairs == {("solo", "alexnet"), ("ab", "alexnet"), ("ab", "nin")}

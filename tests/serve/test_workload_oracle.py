@@ -24,11 +24,10 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError, check_real
 from repro.serve import workload
 from repro.serve.workload import (
-    MixedTenantSpec,
     Request,
     TenantSpec,
-    _validate_mixed_tenants,
     _validate_tenants,
+    _validate_tenants as _validate_mixed_tenants,
     _walk,
     check_flash_crowd,
     diurnal_rate,
@@ -41,7 +40,7 @@ from repro.serve.workload import (
 def mixed_arrivals(
     rate: float,
     duration_s: float,
-    tenants: Sequence[MixedTenantSpec],
+    tenants: Sequence[TenantSpec],
     seed: int = 0,
 ) -> List[Request]:
     """Poisson traffic where each tenant spreads over a network mix.
@@ -76,8 +75,8 @@ def mixed_arrivals(
 
 
 def _pick_mixed(
-    rng: random.Random, tenants: Sequence[MixedTenantSpec]
-) -> Tuple[MixedTenantSpec, str]:
+    rng: random.Random, tenants: Sequence[TenantSpec]
+) -> Tuple[TenantSpec, str]:
     """Two weighted draws: tenant by weight, then network by mix share."""
     total = sum(tenant.weight for tenant in tenants)
     x = rng.random() * total
@@ -102,7 +101,7 @@ def mixed_diurnal_arrivals(
     base_rate: float,
     peak_rate: float,
     days: float,
-    tenants: Sequence[MixedTenantSpec],
+    tenants: Sequence[TenantSpec],
     seed: int = 0,
     day_s: float = 86400.0,
 ) -> List[Request]:
@@ -421,14 +420,14 @@ def tenant_specs(draw) -> List[TenantSpec]:
 
 
 @st.composite
-def mixed_specs(draw) -> List[MixedTenantSpec]:
+def mixed_specs(draw) -> List[TenantSpec]:
     out = []
     for k in range(draw(st.integers(1, 3))):
         networks = draw(
             st.lists(st.sampled_from(NETWORKS), min_size=1, max_size=3, unique=True)
         )
         out.append(
-            MixedTenantSpec(
+            TenantSpec(
                 f"m{k}",
                 tuple((network, draw(WEIGHTS)) for network in networks),
                 weight=draw(WEIGHTS),

@@ -70,8 +70,8 @@ class TestFleetSlots:
 class TestDemands:
     def test_weight_proportional_split(self):
         tenants = [
-            TenantSpec(name="a", network="alexnet", weight=3.0),
-            TenantSpec(name="b", network="nin", weight=1.0),
+            TenantSpec(name="a", mix="alexnet", weight=3.0),
+            TenantSpec(name="b", mix="nin", weight=1.0),
         ]
         demands = demand_from_tenants(tenants, rate_rps=400.0)
         assert demands[0].rate_rps == pytest.approx(300.0)
@@ -86,7 +86,7 @@ class TestDemands:
     def test_bad_rate(self):
         with pytest.raises(ConfigError, match="rate_rps"):
             demand_from_tenants(
-                [TenantSpec(name="a", network="alexnet")], rate_rps=0.0
+                [TenantSpec(name="a", mix="alexnet")], rate_rps=0.0
             )
 
     def test_demand_validation(self):
