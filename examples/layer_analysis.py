@@ -11,10 +11,10 @@ Run:  python examples/layer_analysis.py [alexnet|googlenet|vgg|nin]
 
 import sys
 
-from repro import CONFIG_16_16, build, make_scheme
+from repro import CONFIG_16_16, build
 from repro.adaptive import best_scheme_for_layer, select_scheme
 from repro.analysis.report import format_table
-from repro.errors import ScheduleError
+from repro.perf import schedule_cache
 
 SCHEMES = ("inter", "inter-improved", "intra", "partition")
 
@@ -37,11 +37,12 @@ def main() -> None:
             str(layer.kernel),
             str(layer.stride),
         ]
+        table = schedule_cache.table(ctx, config)
         for scheme_name in SCHEMES:
-            try:
-                r = make_scheme(scheme_name).schedule(ctx, config)
+            if table.legal(scheme_name):
+                r = table.result(scheme_name, ctx, config)
                 row.append(f"{r.total_cycles:,.0f}")
-            except ScheduleError:
+            else:
                 row.append("-")
         rule = select_scheme(ctx, config)
         oracle = best_scheme_for_layer(ctx, config)

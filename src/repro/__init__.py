@@ -25,8 +25,8 @@ Sub-packages:
   functional (numerical) execution
 - :mod:`repro.baselines` — CPU (Table 4) and Zhang FPGA'15 (Fig. 9) models
 - :mod:`repro.analysis` — one driver per table/figure of the paper
-- :mod:`repro.perf` — schedule cache, parallel design-space executor,
-  perf instrumentation (``docs/performance.md``)
+- :mod:`repro.perf` — schedule cache, the capacity planner's process
+  pool, perf instrumentation (``docs/performance.md``)
 - :mod:`repro.serve` — multi-tenant serving simulator: seeded workloads,
   admission queue, dynamic batching, replicas, SLO metrics
   (``docs/serving.md``)
@@ -50,7 +50,6 @@ from repro.arch import CONFIG_16_16, named_config
 from repro.errors import ReproError
 from repro.nn import Network, TensorShape
 from repro.nn.zoo import build
-from repro.schemes import make_scheme
 from repro.sim import Machine
 
 __version__ = "1.0.0"
@@ -64,7 +63,6 @@ __all__ = [
     "Network",
     "TensorShape",
     "build",
-    "make_scheme",
     "Machine",
     "__version__",
 ]

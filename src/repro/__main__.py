@@ -51,10 +51,11 @@ networks
     List the benchmark networks and their Table 2 characteristics.
 
 Every command also accepts the planning-performance flags (see
-``docs/performance.md``): ``--jobs N`` fans design-space work out over N
-worker processes (-1 = all CPUs), ``--no-plan-cache`` disables the schedule
-cache, and ``--perf-report`` prints phase timings and cache statistics
-after the command finishes.
+``docs/performance.md``): ``--no-plan-cache`` disables the schedule cache,
+and ``--perf-report`` prints phase timings and cache statistics after the
+command finishes.  Planning runs in the calling process; only ``capacity
+--jobs N`` fans work out, its candidate simulations over N worker
+processes (-1 = all CPUs).
 
 Invalid input (a :class:`~repro.errors.ConfigError`, e.g. ``serve --rate
 nan``, or a path the command cannot open or write) prints ``error:
@@ -680,6 +681,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
         fault_model=fault_model,
         abft=args.abft,
         plan_policy=args.policy,
+        jobs=args.jobs,
         prune=not args.no_prune,
         progress=progress,
     )
@@ -821,13 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     # planning-performance flags shared by every subcommand
     perf_opts = argparse.ArgumentParser(add_help=False)
-    perf_opts.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan design-space work out over N processes (-1 = all CPUs)",
-    )
     perf_opts.add_argument(
         "--no-plan-cache",
         action="store_true",
@@ -1167,6 +1162,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument(
         "--progress", action="store_true", help="log per-candidate progress to stderr"
     )
+    p_cap.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="simulate candidates on N processes (-1 = all CPUs)",
+    )
     p_cap.add_argument("--top", type=int, default=0, help="show only the N best deployments")
     json_flag(p_cap, "ranked report")
 
@@ -1219,15 +1221,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    from repro.perf import schedule_cache, set_default_jobs
+    from repro.perf import schedule_cache
 
     if args.no_plan_cache:
         schedule_cache.configure(enabled=False)
-    if args.jobs is not None:
-        try:
-            set_default_jobs(args.jobs)
-        except ConfigError as exc:
-            parser.error(str(exc))
     rc = args.handler(args)
     if args.perf_report:
         from repro.perf import render_perf_report

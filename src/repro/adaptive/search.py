@@ -15,7 +15,7 @@ simultaneous those two really are).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.arch.config import AcceleratorConfig
 from repro.arch.energy import EnergyModel
@@ -23,7 +23,6 @@ from repro.errors import ScheduleError, check_choice
 from repro.nn.network import LayerContext, Network
 from repro.perf.cache import schedule_cache
 from repro.perf.instrument import phase
-from repro.perf.parallel import parallel_map
 from repro.schemes.base import ScheduleResult
 from repro.schemes.table import CANDIDATES
 
@@ -72,30 +71,28 @@ class SearchOutcome:
 def best_scheme_for_layer(
     ctx: LayerContext,
     config: AcceleratorConfig,
-    candidates: Sequence[str] = CANDIDATE_SCHEMES,
     objective: str = "cycles",
 ) -> SearchOutcome:
     """Evaluate every legal candidate on ``ctx``; return the winner.
 
-    ``objective`` is one of ``"cycles"`` (fewest wall-clock cycles, buffer
-    accesses break ties — the paper's notion of optimal), ``"energy"``
-    (least total energy) or ``"edp"`` (energy-delay product).  Raises
-    :class:`ScheduleError` only if *no* candidate is legal (cannot happen
-    for conv layers since intra-kernel is always legal).
+    ``objective`` is one of ``"cycles"`` (the cost table's winner: fewest
+    wall-clock cycles, buffer accesses break ties — the paper's notion of
+    optimal), ``"energy"`` (least total energy) or ``"edp"`` (energy-delay
+    product).  Raises :class:`ScheduleError` only if *no* candidate is
+    legal (cannot happen for conv layers since intra-kernel is always
+    legal).
     """
     check_choice(objective, "objective", OBJECTIVES)
     table = schedule_cache.table(ctx, config)
-    legal = [name for name in candidates if table.legal(name)]
+    legal = [name for name in CANDIDATE_SCHEMES if table.legal(name)]
     if not legal:
         raise ScheduleError(f"{ctx.name}: no candidate scheme is legal")
     evaluated = tuple(table.result(name, ctx, config) for name in legal)
-    # every key ends on the scheme name so ties break identically no matter
-    # how the candidate list was ordered (or which pool worker evaluated it)
     if objective == "cycles":
-        overlap = config.overlap_streams
-        best_name = min(table.cycle_rank(name, overlap) for name in legal)[2]
-        best = evaluated[legal.index(best_name)]
+        best = evaluated[legal.index(table.winner(ctx, config))]
     else:
+        # the keys end on the scheme name, as the cycle rank does, so ties
+        # break by name
         model = EnergyModel(config)
         if objective == "energy":
             key = lambda r: (layer_energy_pj(r, model), r.total_cycles, r.scheme)
@@ -124,26 +121,14 @@ def best_scheme_name_for_layer(ctx: LayerContext, config: AcceleratorConfig) -> 
     return schedule_cache.table(ctx, config).winner(ctx, config)
 
 
-def _search_layer_task(
-    payload: Tuple[LayerContext, AcceleratorConfig, str]
-) -> SearchOutcome:
-    """Picklable per-layer unit of work for the parallel oracle."""
-    ctx, config, objective = payload
-    return best_scheme_for_layer(ctx, config, objective=objective)
-
-
 def search_network(
     net: Network,
     config: AcceleratorConfig,
     objective: str = "cycles",
-    jobs: Optional[int] = None,
 ) -> List[SearchOutcome]:
-    """Run the per-layer oracle over every conv layer of ``net``.
-
-    ``jobs`` fans the layers out over a process pool (``None`` defers to
-    the ``--jobs`` default, 1 stays serial); result order and content are
-    identical either way.
-    """
+    """Run the per-layer oracle over every conv layer of ``net``."""
     with phase("search_network"):
-        payloads = [(ctx, config, objective) for ctx in net.conv_contexts()]
-        return parallel_map(_search_layer_task, payloads, jobs=jobs)
+        return [
+            best_scheme_for_layer(ctx, config, objective=objective)
+            for ctx in net.conv_contexts()
+        ]

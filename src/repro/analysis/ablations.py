@@ -17,12 +17,10 @@ from repro.adaptive.selector import algorithm2
 from repro.arch.config import CONFIG_16_16, MB
 from repro.arch.dram import DEFAULT_DRAM
 from repro.arch.energy import EnergyModel
-from repro.errors import ScheduleError
 from repro.isa.compiler import compile_network
 from repro.nn.network import standalone_conv
 from repro.nn.zoo import benchmark_networks, build
-from repro.schemes import make_scheme
-from repro.schemes.base import group_geometry
+from repro.perf.cache import schedule_cache
 from repro.sim.event import simulate_run
 from repro.sim.loopnest import enumerate_inter, enumerate_intra, enumerate_partition
 from repro.sim.machine import Machine
@@ -202,11 +200,14 @@ class Pe2dRow:
 def ablation_pe2d() -> List[Pe2dRow]:
     """Conv cycles of the ShiDianNao-style 2D-PE mesh (Sec 4.1.2) and of
     the adaptive plan on the same multiplier budget."""
-    scheme = make_scheme("pe2d")
+    config = CONFIG_16_16
     rows = []
     for net in benchmark_networks():
-        pe2d = sum(scheme.schedule(c, CONFIG_16_16).total_cycles for c in net.conv_contexts())
-        adaptive = plan_network(net, CONFIG_16_16, "adaptive-2")
+        pe2d = sum(
+            schedule_cache.table(c, config).result("pe2d", c, config).total_cycles
+            for c in net.conv_contexts()
+        )
+        adaptive = plan_network(net, config, "adaptive-2")
         rows.append(Pe2dRow(net.name, pe2d, sum(r.total_cycles for r in adaptive.layers)))
     return rows
 
@@ -223,11 +224,11 @@ def _rule_cycles(net, config, alpha: float) -> float:
     """Total conv cycles under Algorithm 2 with ``Din < alpha * Tin``."""
     total = 0.0
     for ctx in net.conv_contexts():
-        name = algorithm2(group_geometry(ctx), alpha * config.tin)
-        try:
-            total += make_scheme(name).schedule(ctx, config).total_cycles
-        except ScheduleError:
-            total += make_scheme("intra").schedule(ctx, config).total_cycles
+        table = schedule_cache.table(ctx, config)
+        name = algorithm2(table.geom, alpha * config.tin)
+        if not table.legal(name):
+            name = "intra"
+        total += table.result(name, ctx, config).total_cycles
     return total
 
 
@@ -274,6 +275,7 @@ def model_validation() -> List[ValidationRow]:
             rows.append(ValidationRow("parity", policy, metric, value))
 
     ctx = standalone_conv(in_maps=3, out_maps=8, kernel=11, stride=4, hw=39)
+    table = schedule_cache.table(ctx, config)
     for scheme, enumerate_ops in (
         ("inter", enumerate_inter),
         ("intra", enumerate_intra),
@@ -281,7 +283,7 @@ def model_validation() -> List[ValidationRow]:
     ):
         ops = list(enumerate_ops(ctx, config))
         for metric, value in (
-            ("analytical_ops", make_scheme(scheme).schedule(ctx, config).operations),
+            ("analytical_ops", table.result(scheme, ctx, config).operations),
             ("enumerated_ops", len(ops)),
             ("mac_delta", sum(o.useful_macs for o in ops) - ctx.macs),
         ):

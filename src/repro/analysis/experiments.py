@@ -10,7 +10,7 @@ seconds, not a Verilog simulation farm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.adaptive import plan_network
 from repro.arch.config import CONFIG_16_16, CONFIG_32_32, AcceleratorConfig
@@ -18,13 +18,10 @@ from repro.baselines.cpu import DEFAULT_CPU, CpuModel
 from repro.baselines.zhang import ZHANG_7_64, ZhangFpgaModel
 from repro.nn.network import Network
 from repro.nn.zoo import benchmark_networks, build
-from repro.perf.parallel import parallel_map
-from repro.schemes import make_scheme
-from repro.sim.trace import NetworkRun
+from repro.perf.cache import schedule_cache
 from repro.tiling.unroll import unroll_stats
 
-#: the zoo names behind :func:`benchmark_networks`, used to keep parallel
-#: work payloads small (workers rebuild the network from its name)
+#: the zoo names behind :func:`benchmark_networks`
 BENCHMARK_NAMES: Tuple[str, ...] = ("alexnet", "googlenet", "vgg", "nin")
 
 __all__ = [
@@ -165,8 +162,9 @@ def fig7_conv1(
     for config in configs:
         for net in benchmark_networks():
             ctx = net.conv1()
+            table = schedule_cache.table(ctx, config)
             for scheme_name in schemes:
-                result = make_scheme(scheme_name).schedule(ctx, config)
+                result = table.result(scheme_name, ctx, config)
                 rows.append(
                     Fig7Row(config.name, net.name, scheme_name, result.total_cycles)
                 )
@@ -184,25 +182,20 @@ class Fig8Row:
     cycles: float
 
 
-def _fig8_task(payload) -> Fig8Row:
-    config, net_name, policy = payload
-    run = plan_network(build(net_name), config, policy)
-    return Fig8Row(config.name, net_name, policy, run.total_cycles)
-
-
 def fig8_whole_network(
     configs: Sequence[AcceleratorConfig] = BOTH_CONFIGS,
     policies: Sequence[str] = FIG8_POLICIES,
-    jobs: Optional[int] = None,
 ) -> List[Fig8Row]:
     """Whole-network cycles under each policy (Fig. 8's five series)."""
-    payloads = [
-        (config, net_name, policy)
+    nets = benchmark_networks()
+    return [
+        Fig8Row(
+            config.name, net.name, policy, plan_network(net, config, policy).total_cycles
+        )
         for config in configs
-        for net_name in BENCHMARK_NAMES
+        for net in nets
         for policy in policies
     ]
-    return parallel_map(_fig8_task, payloads, jobs=jobs)
 
 
 # ---------------------------------------------------------------- Fig. 9
@@ -265,23 +258,17 @@ class Table4Row:
         return self.cpu_ms / self.adap32_ms
 
 
-def _table4_task(payload) -> Table4Row:
-    net_name, cpu = payload
-    net = build(net_name)
-    return Table4Row(
-        network=net.name,
-        cpu_ms=cpu.network_ms(net),
-        adap16_ms=plan_network(net, CONFIG_16_16, "adaptive-2").milliseconds(),
-        adap32_ms=plan_network(net, CONFIG_32_32, "adaptive-2").milliseconds(),
-    )
-
-
-def table4_cpu_comparison(
-    cpu: CpuModel = DEFAULT_CPU, jobs: Optional[int] = None
-) -> List[Table4Row]:
+def table4_cpu_comparison(cpu: CpuModel = DEFAULT_CPU) -> List[Table4Row]:
     """Accelerator (1 GHz adaptive) vs the Xeon software baseline."""
-    payloads = [(net_name, cpu) for net_name in BENCHMARK_NAMES]
-    return parallel_map(_table4_task, payloads, jobs=jobs)
+    return [
+        Table4Row(
+            network=net.name,
+            cpu_ms=cpu.network_ms(net),
+            adap16_ms=plan_network(net, CONFIG_16_16, "adaptive-2").milliseconds(),
+            adap32_ms=plan_network(net, CONFIG_32_32, "adaptive-2").milliseconds(),
+        )
+        for net in benchmark_networks()
+    ]
 
 
 # ---------------------------------------------------------------- Table 5
@@ -326,22 +313,20 @@ class Fig10Row:
     access_bits: int
 
 
-def _fig10_task(payload) -> Fig10Row:
-    config, net_name, policy = payload
-    run: NetworkRun = plan_network(build(net_name), config, policy)
-    return Fig10Row(config.name, net_name, policy, run.buffer_access_bits)
-
-
 def fig10_buffer_traffic(
     configs: Sequence[AcceleratorConfig] = BOTH_CONFIGS,
     policies: Sequence[str] = FIG8_POLICIES,
-    jobs: Optional[int] = None,
 ) -> List[Fig10Row]:
     """Buffer access counts (in bits, the paper's y-axis) per policy."""
-    payloads = [
-        (config, net_name, policy)
+    nets = benchmark_networks()
+    return [
+        Fig10Row(
+            config.name,
+            net.name,
+            policy,
+            plan_network(net, config, policy).buffer_access_bits,
+        )
         for config in configs
-        for net_name in BENCHMARK_NAMES
+        for net in nets
         for policy in policies
     ]
-    return parallel_map(_fig10_task, payloads, jobs=jobs)

@@ -26,7 +26,7 @@ from repro.adaptive import plan_network
 from repro.analysis.metrics import arithmetic_mean
 from repro.arch.config import CONFIG_16_16, CONFIG_32_32
 from repro.nn.zoo import benchmark_networks
-from repro.schemes import make_scheme
+from repro.perf.cache import schedule_cache
 
 __all__ = ["HeadlineNumbers", "headline_numbers", "render_headline"]
 
@@ -67,9 +67,11 @@ def headline_numbers() -> HeadlineNumbers:
     for config in configs:
         for net in nets:
             ctx = net.conv1()
-            inter = make_scheme("inter").schedule(ctx, config).total_cycles
-            intra = make_scheme("intra").schedule(ctx, config).total_cycles
-            part = make_scheme("partition").schedule(ctx, config).total_cycles
+            table = schedule_cache.table(ctx, config)
+            inter, intra, part = (
+                table.result(name, ctx, config).total_cycles
+                for name in ("inter", "intra", "partition")
+            )
             conv1_vs_inter.append(inter / part)
             conv1_vs_intra.append(intra / part)
             best_layer = max(best_layer, inter / part)

@@ -29,7 +29,7 @@ from repro.arch.config import CONFIG_16_16, CONFIG_32_32
 from repro.baselines.zhang import ZHANG_7_64
 from repro.nn.network import standalone_conv
 from repro.nn.zoo import build
-from repro.schemes import make_scheme
+from repro.perf.cache import schedule_cache
 
 __all__ = ["Claim", "Artifact", "ARTIFACTS"]
 
@@ -125,7 +125,7 @@ def _steps(values):
 
 
 def _schedule(scheme, ctx, config=CONFIG_16_16):
-    return make_scheme(scheme).schedule(ctx, config)
+    return schedule_cache.table(ctx, config).result(scheme, ctx, config)
 
 
 PAPER = HeadlineNumbers.PAPER

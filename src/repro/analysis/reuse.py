@@ -24,7 +24,7 @@ from typing import List, Sequence
 from repro.arch.config import AcceleratorConfig
 from repro.errors import ScheduleError
 from repro.nn.network import LayerContext
-from repro.schemes import make_scheme
+from repro.perf.cache import schedule_cache
 
 __all__ = ["ReuseRow", "reuse_for_layer", "reuse_table", "render_reuse"]
 
@@ -50,7 +50,7 @@ def reuse_for_layer(
 
     Raises :class:`ScheduleError` if the scheme cannot map the layer.
     """
-    result = make_scheme(scheme_name).schedule(ctx, config)
+    result = schedule_cache.table(ctx, config).result(scheme_name, ctx, config)
     macs = result.useful_macs
     data_reads = max(1, result.accesses["input"].loads)
     weight_reads = max(1, result.accesses["weight"].loads)

@@ -14,8 +14,10 @@ which deployment should I buy?*  The search runs in three phases:
    chip-level fault schedule mapped onto serving replicas through each
    candidate's topology (a crashed chip takes its whole pipeline group or
    all its co-resident partitions down with it).  Candidates fan out over
-   worker processes via :func:`~repro.perf.parallel.parallel_map`; every
-   per-layer schedule goes through the in-memory plan cache.
+   ``jobs`` worker processes via :func:`~repro.perf.parallel.parallel_map`
+   (``repro capacity --jobs N``; the one command with a pool, as each work
+   item is a whole simulation); every per-layer schedule goes through the
+   in-memory plan cache of the process that simulates it.
 3. **rank** — feasible candidates (healthy worst-tenant attainment meets
    the target) by cost per million good requests, then infeasible ones by
    how close they come.  If pruning left no feasible survivor, a *rescue
@@ -37,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.capacity.bounds import attainment_bound, candidate_capacity_rps
 from repro.capacity.forecast import ForecastSpec
 from repro.capacity.grid import Candidate, CandidateGrid
-from repro.errors import check_counts, check_real
+from repro.errors import ConfigError, check_count, check_counts, check_real
 from repro.perf.cache import schedule_cache
 from repro.perf.parallel import parallel_map
 from repro.serve.metrics import to_json
@@ -302,18 +304,22 @@ def plan_capacity(
     fault_model: Optional[FaultModel] = None,
     abft: bool = False,
     plan_policy: str = "adaptive-2",
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     prune: bool = True,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> Dict[str, object]:
     """Search the grid against the forecast; return the ranked report.
 
+    ``jobs`` worker processes simulate the candidates (1, the default,
+    simulates them in this process; -1 starts one per CPU; 0 is refused).
     ``progress`` is called as ``progress(done, total)`` after each
     simulated candidate.  The returned dict's ``"cache"`` section is
     volatile (counters differ across ``--jobs`` and cache warmth);
     :func:`report_to_json` strips it so the ranked JSON is byte-stable.
     """
     check_real(slo_target, "slo_target", gt=0, le=1)
+    if check_count(jobs, "jobs", minimum=None) == 0:
+        raise ConfigError("jobs must be nonzero (use -1 for all CPUs)")
     stats_before = schedule_cache.stats()
 
     candidates = grid.enumerate()

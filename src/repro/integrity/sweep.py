@@ -26,13 +26,13 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.arch.config import CONFIG_16_16, AcceleratorConfig
-from repro.errors import ScheduleError, check_count
+from repro.errors import check_count
 from repro.integrity.abft import ABFT_PATHS, golden_codes, verified_conv
 from repro.integrity.sdc import SDCInjector
 from repro.nn.layers import ConvLayer, TensorShape
 from repro.nn.network import LayerContext
+from repro.perf.cache import schedule_cache
 from repro.resilience.faults import BITFLIP_SITES, seeded_bitflips
-from repro.schemes import make_scheme
 from repro.schemes.abft import abft_overhead
 from repro.sim.functional import random_conv_tensors
 
@@ -67,12 +67,11 @@ def _layer_overhead(
     layer: ConvLayer, in_shape: TensorShape, config: AcceleratorConfig
 ) -> Optional[Dict[str, object]]:
     ctx = LayerContext(layer, in_shape, layer.output_shape(in_shape))
+    table = schedule_cache.table(ctx, config)
     for scheme_name in ("partition", "inter-improved"):
-        try:
-            base = make_scheme(scheme_name).schedule(ctx, config)
-        except ScheduleError:
-            continue
-        return abft_overhead(ctx, config, base).to_dict()
+        if table.legal(scheme_name):
+            base = table.result(scheme_name, ctx, config)
+            return abft_overhead(ctx, config, base).to_dict()
     return None
 
 

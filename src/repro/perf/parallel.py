@@ -1,11 +1,14 @@
-"""Process-pool fan-out for design-space exploration.
+"""Process-pool fan-out for work items that are whole simulations.
 
-``parallel_map`` is the one primitive the oracle search, the sweep helpers
-and the figure drivers share: map a picklable function over a work list on a
+``parallel_map`` maps a picklable function over a work list on a
 ``concurrent.futures`` process pool, preserving input order (results are
 bit-identical to the serial path, just reordered in time), chunking the list
 to amortize IPC, and falling back to plain serial iteration whenever a pool
 cannot be had (single job, one item, or a sandbox that forbids forking).
+The capacity planner (``repro capacity --jobs N``) fans its candidate
+simulations out with it, and the chaos-control bench its scenarios;
+planning itself always runs in the calling process, where the schedule
+cache prices each layer once.
 
 Exceptions raised *by the work function* propagate unchanged — only pool
 infrastructure failures trigger the serial fallback, and the fallback
@@ -18,43 +21,17 @@ import os
 import pickle
 from typing import Callable, Iterable, List, Optional, TypeVar
 
-from repro.errors import ConfigError
 from repro.perf.instrument import PERF
 
-__all__ = [
-    "parallel_map",
-    "resolve_jobs",
-    "set_default_jobs",
-    "get_default_jobs",
-]
+__all__ = ["parallel_map", "resolve_jobs"]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: process-wide default worker count, set by the CLI's --jobs flag
-_default_jobs = 1
 
-
-def set_default_jobs(jobs: int) -> None:
-    """Set the default worker count (``--jobs``); -1 means all CPUs."""
-    global _default_jobs
-    if jobs == 0:
-        raise ConfigError("jobs must be nonzero (use -1 for all CPUs)")
-    _default_jobs = jobs
-
-
-def get_default_jobs() -> int:
-    return _default_jobs
-
-
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Resolve a ``jobs`` argument to a concrete worker count.
-
-    ``None`` defers to the process-wide default; any negative value means
-    "all CPUs".
-    """
-    if jobs is None:
-        jobs = _default_jobs
+def resolve_jobs(jobs: int) -> int:
+    """Resolve a ``jobs`` argument to a concrete worker count; any
+    negative value means "all CPUs"."""
     if jobs < 0:
         jobs = os.cpu_count() or 1
     return max(1, jobs)
@@ -63,15 +40,14 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> List[R]:
     """``[fn(x) for x in items]`` — possibly on a process pool.
 
     Results come back in input order regardless of completion order, so
-    parallel and serial runs are interchangeable.  With ``jobs <= 1`` (the
-    default unless ``--jobs``/``set_default_jobs`` raised it) no pool is
-    created at all.
+    parallel and serial runs are interchangeable.  With ``jobs`` at 0 or 1
+    (the default) no pool is created at all.
 
     ``progress``, when given, is called as ``progress(done, total)`` in the
     *parent* process after each item's result becomes available, with

@@ -1,7 +1,9 @@
 """Parallelization schemes: inter, improved inter, intra, partition, ideal.
 
-Each prices a conv layer as a row of a :class:`~repro.schemes.table.CostTable`;
-``scheme.schedule(ctx, config)`` is the one-scheme view over a fresh table.
+Each prices a conv layer as a row of a :class:`~repro.schemes.table.CostTable`.
+Callers read a scheme's record from the schedule cache's table of the
+layer, ``schedule_cache.table(ctx, config).result(name, ctx, config)``, so
+``--no-plan-cache`` governs every one of them.
 """
 
 from repro.schemes.base import GroupGeometry, group_geometry

@@ -47,8 +47,8 @@ __all__ = [
 class FrozenDict(dict):
     """A ``dict`` that refuses every mutation but still pickles.
 
-    :class:`types.MappingProxyType` is read-only too, but it cannot cross
-    the ``--jobs`` process pools that carry schedule records.
+    :class:`types.MappingProxyType` is read-only too, but it does not
+    pickle, and a schedule record may cross a process pool.
     """
 
     __slots__ = ()

@@ -32,12 +32,6 @@ class TestBestSchemeForLayer:
         names = {r.scheme for r in outcome.alternatives}
         assert "partition" not in names
 
-    def test_restricted_candidates(self, alexnet_conv1_ctx, cfg16):
-        outcome = best_scheme_for_layer(
-            alexnet_conv1_ctx, cfg16, candidates=("inter", "intra")
-        )
-        assert outcome.scheme == "intra"
-
 
 class TestAlgorithm2VsOracle:
     def test_rule_close_to_oracle_on_benchmarks(self, all_networks, cfg16):

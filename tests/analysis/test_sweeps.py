@@ -2,47 +2,8 @@
 
 import pytest
 
-from repro.analysis.sweeps import (
-    pe_shapes_for_budget,
-    sweep_parameter,
-    sweep_pe_shapes,
-)
+from repro.analysis.sweeps import pe_shapes_for_budget, sweep_pe_shapes
 from repro.errors import ConfigError
-
-
-class TestSweepParameter:
-    def test_bandwidth_sweep_monotone(self, alexnet, cfg16):
-        points = sweep_parameter(
-            alexnet, cfg16, "dram_words_per_cycle", [1, 2, 4, 8]
-        )
-        cycles = [p.total_cycles for p in points]
-        assert cycles == sorted(cycles, reverse=True)
-        assert [p.value for p in points] == [1, 2, 4, 8]
-
-    def test_compute_cycles_invariant_under_bandwidth(self, alexnet, cfg16):
-        points = sweep_parameter(
-            alexnet, cfg16, "dram_words_per_cycle", [1, 8]
-        )
-        assert points[0].compute_cycles == points[1].compute_cycles
-
-    def test_unknown_parameter(self, alexnet, cfg16):
-        with pytest.raises(ConfigError):
-            sweep_parameter(alexnet, cfg16, "cache_ways", [1, 2])
-
-    def test_policy_passthrough(self, alexnet, cfg16):
-        inter = sweep_parameter(
-            alexnet, cfg16, "dram_words_per_cycle", [4], policy="inter"
-        )[0]
-        adaptive = sweep_parameter(
-            alexnet, cfg16, "dram_words_per_cycle", [4], policy="adaptive-2"
-        )[0]
-        assert adaptive.total_cycles < inter.total_cycles
-
-    def test_milliseconds_helper(self, alexnet, cfg16):
-        point = sweep_parameter(alexnet, cfg16, "dram_words_per_cycle", [4])[0]
-        assert point.milliseconds(1e9) == pytest.approx(
-            point.total_cycles / 1e6
-        )
 
 
 class TestPeShapes:
@@ -70,3 +31,9 @@ class TestPeShapes:
         assert results["8-32"].total_cycles <= results["64-4"].total_cycles
         for point in results.values():
             assert 0 < point.utilization <= 1.0
+
+    def test_milliseconds_helper(self, alexnet, cfg16):
+        point = sweep_pe_shapes(alexnet, cfg16, 256)["16-16"]
+        assert point.milliseconds(1e9) == pytest.approx(
+            point.total_cycles / 1e6
+        )

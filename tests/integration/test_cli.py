@@ -119,6 +119,25 @@ class TestCommands:
             assert stderr.startswith("error: ") and str(path) in stderr, argv
             assert stderr.count("\n") == 1, stderr
 
+    def test_report_has_no_jobs_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    def test_capacity_refuses_zero_jobs_before_simulating(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "capacity", "--progress", "--jobs", "0"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            timeout=300,
+        )
+        assert result.returncode == 2
+        # --progress would log each simulated candidate on stderr
+        assert result.stdout == ""
+        assert result.stderr == "error: jobs must be nonzero (use -1 for all CPUs)\n"
+
 
 class TestAnalyze:
     def test_reuse_table(self, capsys):

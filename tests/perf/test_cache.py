@@ -343,3 +343,20 @@ def test_disabled_cache_stores_nothing():
     stats = cache.stats()
     assert len(cache) == 0 and stats.lookups == 0
     assert _layer_fingerprint(r1) == _layer_fingerprint(r2)
+
+
+def test_analysis_drivers_price_through_the_cache():
+    """The analysis drivers read their records from the cache's tables, so
+    ``--no-plan-cache`` governs them too, and turning it off moves no row."""
+    from repro.analysis.experiments import fig7_conv1
+    from repro.analysis.reuse import reuse_table
+
+    ctx = build("alexnet").conv1()
+    fig7 = fig7_conv1()
+    assert schedule_cache.stats().lookups > 0
+    schedule_cache.clear()
+    reuse = reuse_table(ctx, CONFIG_16_16)
+    assert schedule_cache.stats().lookups > 0
+    schedule_cache.configure(enabled=False)
+    assert fig7_conv1() == fig7
+    assert reuse_table(ctx, CONFIG_16_16) == reuse

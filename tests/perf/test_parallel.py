@@ -9,24 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.adaptive.search import (
-    CANDIDATE_SCHEMES,
-    best_scheme_for_layer,
-    best_scheme_name_for_layer,
-    search_network,
-)
-from repro.analysis.experiments import fig8_whole_network, table4_cpu_comparison
-from repro.analysis.sweeps import sweep_parameter, sweep_pe_shapes
+from repro.adaptive.search import best_scheme_name_for_layer
 from repro.arch.config import CONFIG_16_16
-from repro.errors import ConfigError
 from repro.nn.zoo import build
 from repro.perf.cache import schedule_cache
-from repro.perf.parallel import (
-    get_default_jobs,
-    parallel_map,
-    resolve_jobs,
-    set_default_jobs,
-)
+from repro.perf.parallel import parallel_map, resolve_jobs
 
 
 def _square(x):
@@ -35,13 +22,6 @@ def _square(x):
 
 def _boom(x):
     raise ValueError(f"boom {x}")
-
-
-@pytest.fixture(autouse=True)
-def _restore_default_jobs():
-    before = get_default_jobs()
-    yield
-    set_default_jobs(before)
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -69,10 +49,6 @@ def test_resolve_jobs_semantics():
     assert resolve_jobs(1) == 1
     assert resolve_jobs(3) == 3
     assert resolve_jobs(-1) >= 1  # all CPUs
-    set_default_jobs(2)
-    assert resolve_jobs(None) == 2
-    with pytest.raises(ConfigError):
-        set_default_jobs(0)
 
 
 def test_parallel_map_preserves_order():
@@ -130,15 +106,6 @@ def test_progress_callback_not_called_for_empty_input():
     assert seen == []
 
 
-def test_search_network_parallel_matches_serial():
-    net = build("vgg")
-    serial = search_network(net, CONFIG_16_16, jobs=1)
-    fanned = search_network(net, CONFIG_16_16, jobs=2)
-    assert [(o.layer_name, o.scheme, o.cycles) for o in serial] == [
-        (o.layer_name, o.scheme, o.cycles) for o in fanned
-    ]
-
-
 def _fresh_then_carried(payload):
     """Plan a network built here, then the contexts the parent sent."""
     name, carried, config = payload
@@ -166,37 +133,3 @@ def test_pooled_planning_of_contexts_keyed_in_the_parent_matches_serial():
     assert parallel_map(_fresh_then_carried, payloads, jobs=2) == serial
     schedule_cache.clear()
     assert [_fresh_then_carried(payload) for payload in payloads] == serial
-
-
-def test_tie_break_is_candidate_order_independent():
-    net = build("googlenet")
-    for ctx in net.conv_contexts()[:8]:
-        forward = best_scheme_for_layer(ctx, CONFIG_16_16, CANDIDATE_SCHEMES)
-        backward = best_scheme_for_layer(
-            ctx, CONFIG_16_16, tuple(reversed(CANDIDATE_SCHEMES))
-        )
-        assert forward.scheme == backward.scheme
-        assert forward.cycles == backward.cycles
-
-
-def test_sweep_parameter_parallel_matches_serial():
-    net = build("alexnet")
-    values = [1.0, 2.0, 4.0, 8.0]
-    serial = sweep_parameter(net, CONFIG_16_16, "dram_words_per_cycle", values)
-    fanned = sweep_parameter(
-        net, CONFIG_16_16, "dram_words_per_cycle", values, jobs=2
-    )
-    assert serial == fanned
-    assert [p.value for p in fanned] == values
-
-
-def test_sweep_pe_shapes_parallel_matches_serial():
-    net = build("alexnet")
-    assert sweep_pe_shapes(net, CONFIG_16_16, 256) == sweep_pe_shapes(
-        net, CONFIG_16_16, 256, jobs=2
-    )
-
-
-def test_experiment_drivers_parallel_match_serial():
-    assert fig8_whole_network(jobs=2) == fig8_whole_network(jobs=1)
-    assert table4_cpu_comparison(jobs=2) == table4_cpu_comparison(jobs=1)
